@@ -44,8 +44,8 @@ def main() -> None:
           f"(mean response {result.mean_response * 1e3:.3f} ms)\n")
 
     # --- 1. the dashboard ------------------------------------------------
-    # Band switches are captured exactly (via the policy's on_select
-    # hook), not sampled, so short excursions between ticks still show.
+    # Band switches are captured exactly (via the policy's select
+    # event), not sampled, so short excursions between ticks still show.
     print(render_dashboard(sampler, width=56))
 
     # --- 2. Prometheus-style exposition ----------------------------------

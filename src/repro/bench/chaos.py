@@ -298,14 +298,16 @@ def run_chaos(
         ctx["device"] = device
         ctx["backend"] = built_backend
         ctx["devices"] = devices if devices is not None else [built_backend]
-        for rec in (device.write_latency, device.read_latency):
-            orig = rec.add
-
-            def _add(v: float, _orig=orig) -> None:
-                stamped.append((sim.now, v))
-                _orig(v)
-
-            rec.add = _add
+        device.events.subscribe(
+            "write_done",
+            lambda run: stamped.extend(
+                (sim.now, sim.now - arrival) for arrival in run.arrivals
+            ),
+        )
+        device.events.subscribe(
+            "read_done",
+            lambda request, latency: stamped.append((sim.now, latency)),
+        )
 
     result = replay(
         trace, scheme, cfg, sampler=sampler, fault_plan=plan,
@@ -325,7 +327,7 @@ def run_chaos(
     # anchored so daemon ticks keep firing, until media is clean or the
     # round budget runs out (unrepairable extents stay corrupt forever
     # — bounded by the no-progress breaker).
-    scrubber = getattr(device, "scrubber", None)
+    scrubber = device.observers.get("scrubber")
     latent_models = getattr(built_backend, "latent_models", ())
     if scrubber is not None and latent_models:
         sim = ctx["sim"]

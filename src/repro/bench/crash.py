@@ -330,14 +330,12 @@ def run_crash_chaos(
         # timestamps are absolute trace times.
         start_t = sim.now
         buffer = WriteBackBuffer(sim, device)
-        orig_submit = device.submit
 
-        def _tracked_submit(req, _orig=orig_submit):
+        def _track_submitted(req) -> None:
             if req.is_write:
                 tracker.on_submitted(req.lba, req.nbytes)
-            _orig(req)
 
-        device.submit = _tracked_submit
+        device.events.subscribe("request", _track_submitted)
 
         while next_req < len(requests) and (
             cut is None or requests[next_req].time < cut

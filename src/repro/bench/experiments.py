@@ -158,11 +158,10 @@ def replay(
 
     ``fault_plan`` optionally attaches a
     :class:`~repro.faults.FaultPlan` to the built backend (per-device
-    injectors, scheduled failures, auto-rebuild wiring) and routes each
-    device's bad-block retirements into the allocator's capacity
-    accounting.  ``on_built`` is called with ``(sim, device, backend,
-    devices)`` after construction but before the replay starts — the
-    hook the chaos harness uses to install its own observers.
+    injectors, scheduled failures, auto-rebuild wiring).  ``on_built``
+    is called with ``(sim, device, backend, devices)`` after
+    construction but before the replay starts — where the chaos harness
+    subscribes its own observers.
 
     ``recovery`` optionally attaches a
     :class:`~repro.recovery.DurableMetadataManager`: mapping metadata is
@@ -176,8 +175,7 @@ def replay(
     LBA temperature map become queryable after the run.  Health hooks
     only record — a replay with health attached is bit-identical
     (mapping/allocator digests) to one without.  Composes with every
-    other instrument; it is bound after fault wiring so retirement
-    hooks chain instead of clobbering.
+    other instrument, in any attach order.
 
     ``scrub`` optionally arms an online media scrubber: a
     :class:`~repro.flash.scrub.ScrubConfig` builds a
@@ -208,16 +206,11 @@ def replay(
     device = build_device(
         sim, scheme, backend, content,
         config=cfg.device_config, bands=bands, cost_model=cost_model,
-        telemetry=telemetry, auditor=auditor, recovery=recovery,
+        recovery=recovery,
     )
-    if fault_plan is not None:
-        for ssd in devices if devices is not None else [backend]:
-            ssd.ftl.on_retire = (
-                lambda block_id, moved, _bb=ssd.geometry.block_bytes:
-                device.allocator.note_retired(_bb)
-            )
-    if health is not None and getattr(health, "enabled", True):
-        health.bind_device(device)
+    for observer in (telemetry, auditor, health):
+        if observer is not None:
+            observer.bind_device(device)
     if scrub is not None:
         from repro.flash.scrub import MediaScrubber, ScrubConfig
 

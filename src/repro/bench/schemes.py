@@ -82,23 +82,19 @@ def build_device(
     config: Optional[EDCConfig] = None,
     bands: Optional[Sequence[IntensityBand]] = None,
     cost_model: Optional[CodecCostModel] = None,
-    telemetry=None,
-    auditor=None,
     recovery=None,
 ) -> EDCBlockDevice:
     """A ready-to-replay device running ``scheme`` over ``backend``.
 
-    ``telemetry`` optionally attaches a
-    :class:`~repro.telemetry.Telemetry` for span tracing and the
-    per-layer latency breakdown; ``auditor`` a
-    :class:`~repro.telemetry.audit.DecisionAuditor` for the per-write
-    decision trail and shadow-policy counterfactuals; ``recovery`` a
+    ``recovery`` optionally attaches a
     :class:`~repro.recovery.DurableMetadataManager` that journals and
     checkpoints the mapping metadata in-band (crash consistency).
+    Observers (telemetry, decision audit, device health) are not
+    construction parameters: they ``bind_device`` the result.
     """
     policy = build_policy(scheme, bands)
     cfg = scheme_config(scheme, config)
     return EDCBlockDevice(
         sim, backend, policy, content, cfg, cost_model=cost_model,
-        telemetry=telemetry, auditor=auditor, recovery=recovery,
+        recovery=recovery,
     )

@@ -187,14 +187,13 @@ def build_cluster(
             pool_blocks=cfg.pool_blocks,
             seed=cfg.content_seed,
         )
-        telemetry = None
+        devices[name] = build_device(
+            sim, cfg.scheme, ssd, content, config=cfg.device_config,
+        )
         if dist is not None:
             telemetry = Telemetry(sim, tracer=dist.tracer)
             telemetry.parent_for = dist.take_parent
-        devices[name] = build_device(
-            sim, cfg.scheme, ssd, content, config=cfg.device_config,
-            telemetry=telemetry,
-        )
+            telemetry.bind_device(devices[name])
         backends[name] = ssd
     cluster = ClusterDistributer(
         sim, devices, tenants,

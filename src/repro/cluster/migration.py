@@ -146,7 +146,7 @@ class MigrationOrchestrator:
         self._queues.pop(m.range_idx, None)
         self.completed.append(m)
         self.stats.aborted += 1
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.migration_done(m)
         if m.on_done is not None:
             m.on_done(m)
@@ -197,7 +197,7 @@ class MigrationOrchestrator:
         )
         self.active[range_idx] = m
         self.stats.started += 1
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.migration_started(m)
         # 1. open the dual-write window *before* quiescing: every write
         #    admitted from this instant on reaches the destination too.
@@ -214,7 +214,7 @@ class MigrationOrchestrator:
             return  # the quiesce barrier fired after an abort
         c = self.cluster
         m.state = "copying"
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.migration_phase(m, "copy")
         src_dev = c.shards[m.src]
         bs = c.block_size
@@ -274,7 +274,7 @@ class MigrationOrchestrator:
                 return
             wreq = IORequest(c.sim.now, WRITE, lba, bs)
             c.register_internal(wreq, _write_done)
-            if c.tracer.enabled:
+            if c.tracer is not None:
                 c.tracer.copy_io(m, wreq)
             c.shards[m.dst].submit(wreq)
 
@@ -290,7 +290,7 @@ class MigrationOrchestrator:
 
         rreq = IORequest(c.sim.now, READ, lba, bs)
         c.register_internal(rreq, _read_done)
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.copy_io(m, rreq)
         c.shards[m.src].submit(rreq)
 
@@ -304,7 +304,7 @@ class MigrationOrchestrator:
         c.overrides[m.range_idx] = m.dst
         del c.dual_writes[m.range_idx]
         m.state = "cleanup"
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.migration_phase(m, "cleanup")
         # 5. drain in-flight source reads, then drop the stale copy.
         c.when_drained(
@@ -326,7 +326,7 @@ class MigrationOrchestrator:
         del self._queues[m.range_idx]
         self.completed.append(m)
         self.stats.completed += 1
-        if c.tracer.enabled:
+        if c.tracer is not None:
             c.tracer.migration_done(m)
         if m.on_done is not None:
             m.on_done(m)

@@ -394,18 +394,18 @@ class ReplicationManager:
             c.stats.dual_write_bytes += part.nbytes
             if c.on_dual_write is not None:
                 c.on_dual_write(list(covered))
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.dual_write_issued(ridx, dup, dst)
             c.shards[dst].submit(dup)
         need = min(quorum_need(self.config.quorum, self.config.factor),
                    len(targets))
         state = {"acks": 0, "outstanding": len(targets), "done": False}
-        if attempt == 0 and self.tracer.enabled:
+        if attempt == 0 and self.tracer is not None:
             self.tracer.part_issued(request, part, targets[0])
 
         def _target_ok(shard: str) -> Callable[[IORequest, float], None]:
             def cb(req: IORequest, _latency: float) -> None:
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.attempt_done(req)
                 state["outstanding"] -= 1
                 if state["done"]:
@@ -413,14 +413,14 @@ class ReplicationManager:
                 state["acks"] += 1
                 if state["acks"] >= need:
                     state["done"] = True
-                    if self.tracer.enabled:
+                    if self.tracer is not None:
                         self.tracer.part_done(part)
                     finish(part, True)
             return cb
 
         def _target_err(shard: str) -> Callable[[IORequest, BaseException], None]:
             def cb(req: IORequest, exc: BaseException) -> None:
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.attempt_done(req)
                 self.note_shard_error(shard, exc)
                 state["outstanding"] -= 1
@@ -444,7 +444,7 @@ class ReplicationManager:
             if i > 0:
                 self.stats.replica_writes += 1
                 self.stats.replica_bytes += part.nbytes
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.replica_write_issued(part, dup, shard)
             c.register_internal(dup, _target_ok(shard), _target_err(shard))
             c.shards[shard].submit(dup)
@@ -471,7 +471,7 @@ class ReplicationManager:
         if not order:
             self._give_up(st, part, finish)
             return
-        if attempt == 0 and self.tracer.enabled:
+        if attempt == 0 and self.tracer is not None:
             self.tracer.part_issued(request, part, order[0])
         ctl = {"done": False, "pending": 0, "tried": set(), "timer": None}
         self._read_target(
@@ -521,14 +521,14 @@ class ReplicationManager:
         ctl["tried"].add(shard)
         ctl["pending"] += 1
         dup = IORequest(part.time, part.op, part.lba, part.nbytes)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             if hedge:
                 self.tracer.hedge_issued(part, dup, shard)
             else:
                 self.tracer.replica_read_issued(part, dup, shard)
 
         def _ok(req: IORequest, _latency: float) -> None:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.attempt_done(req)
             ctl["pending"] -= 1
             if ctl["done"]:
@@ -537,12 +537,12 @@ class ReplicationManager:
             self._cancel_timer(ctl)
             if hedge:
                 self.stats.hedge_wins += 1
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.part_done(part)
             finish(part, True)
 
         def _err(req: IORequest, exc: BaseException) -> None:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.attempt_done(req)
             self.note_shard_error(shard, exc)
             ctl["pending"] -= 1
@@ -591,7 +591,7 @@ class ReplicationManager:
             self._give_up(st, part, finish)
             return
         self.stats.retries += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.part_retry(part, attempt + 1, self.sim.now,
                                    self.sim.now + delay)
         issue = self._issue_write if op == WRITE else self._issue_read
@@ -638,7 +638,7 @@ class ReplicationManager:
         st.stats.unrecovered += 1
         self.stats.unrecovered_parts += 1
         self.cluster.stats.unrecovered_parts += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.part_done(part)
         finish(part, False)
 
@@ -664,7 +664,7 @@ class ReplicationManager:
                 job.cancelled = True
                 del self.rebuilding[ridx]
                 self.stats.rebuilds_abandoned += 1
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.rebuild_done(ridx)
         self._plan_rebuilds()
 
@@ -693,7 +693,7 @@ class ReplicationManager:
         # Clean slate: the destination must not hold stale blocks from an
         # earlier life of the range (metadata-only, charged as a trim).
         c.shards[dst].discard(ridx * c.range_bytes, c.range_bytes)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.rebuild_started(ridx, src, dst)
         bs = c.block_size
         blocks = sorted(
@@ -740,7 +740,7 @@ class ReplicationManager:
             _block_done()
 
         c.register_internal(request, _read_ok, _read_err)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.rebuild_io(job.ridx, request)
         c.shards[job.src].submit(request)
 
@@ -778,7 +778,7 @@ class ReplicationManager:
             done()
 
         c.register_internal(wreq, _ingest_ok, _ingest_err)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.rebuild_io(job.ridx, wreq)
         c.shards[job.dst].ingest_replica(blk * bs, bs, (version,), ref=wreq)
 
@@ -793,7 +793,7 @@ class ReplicationManager:
             job.cancelled = True
             del self.rebuilding[job.ridx]
             self.stats.rebuilds_abandoned += 1
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.rebuild_done(job.ridx)
             return
         self._start_pass(job, dirty)
@@ -818,7 +818,7 @@ class ReplicationManager:
             mem.append(job.dst)
         del self.rebuilding[job.ridx]
         self.stats.rebuilds_completed += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.rebuild_done(job.ridx)
 
     # ------------------------------------------------------------------

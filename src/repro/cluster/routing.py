@@ -36,7 +36,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cluster.tenants import QoSScheduler, TenantSpec, TenantState
 from repro.sim.engine import Simulator
-from repro.telemetry.disttrace import NULL_DIST_TRACER
 from repro.traces.model import IORequest, READ, WRITE
 
 __all__ = ["HashRing", "ClusterStats", "ClusterDistributer"]
@@ -202,9 +201,9 @@ class ClusterDistributer:
         )
         # Distributed tracing is purely observational: every hook below
         # records spans but schedules no events, so a traced run stays
-        # bit-identical to an untraced one.
-        self.tracer = tracer if tracer is not None else NULL_DIST_TRACER
-        if self.tracer.enabled:
+        # bit-identical to an untraced one.  ``None`` = untraced.
+        self.tracer = tracer
+        if tracer is not None:
             self.scheduler.on_queued = self.tracer.request_queued
         self.stats = ClusterStats()
         #: range index -> shard name, installed at migration cutover
@@ -339,7 +338,7 @@ class ClusterDistributer:
         g = self.globalize(tenant, request)
         if on_complete is not None:
             self._user_done[id(g)] = on_complete
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.request_submitted(g, tenant)
         self.scheduler.submit(tenant, g)
 
@@ -414,7 +413,7 @@ class ClusterDistributer:
     def _dispatch(
         self, st: TenantState, request: IORequest, arrival: float
     ) -> None:
-        if self.tracer.enabled:
+        if self.tracer is not None:
             # Splits the admission delay into throttle wait vs. EDF
             # queueing now that the dispatch instant is known.
             self.tracer.request_dispatched(request, arrival)
@@ -441,7 +440,7 @@ class ClusterDistributer:
             remaining[0] -= 1
             if remaining[0] == 0:
                 latency = self.scheduler.note_complete(st, arrival)
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.request_done(request, latency)
                 user_cb = self._user_done.pop(id(request), None)
                 if user_cb is not None:
@@ -479,7 +478,7 @@ class ClusterDistributer:
                 start = part.lba // bs
                 end = (part.lba + part.nbytes + bs - 1) // bs
                 self.on_dual_write(list(range(start, end)))
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 # Attribute the duplicate's device work to the
                 # migration, not the tenant request it shadows.
                 self.tracer.dual_write_issued(ridx, dup, dst)
@@ -491,12 +490,12 @@ class ClusterDistributer:
             owner = self.owner_of(ridx)
 
         def _done(p: IORequest, _latency: float) -> None:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.part_done(p)
             finish(p, True)
 
         def _err(p: IORequest, exc: BaseException) -> None:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.part_done(p)
             st.stats.unrecovered += 1
             self.stats.unrecovered_parts += 1
@@ -505,7 +504,7 @@ class ClusterDistributer:
         self._inflight[id(part)] = (part, _done, _err)
         for r in self.ranges_covered(part.lba, part.nbytes):
             self._range_parts.setdefault(r, set()).add(id(part))
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.part_issued(request, part, owner)
         self.shards[owner].submit(part)
 

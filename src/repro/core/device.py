@@ -34,17 +34,18 @@ from repro.core.sequential import PendingRun, SequentialityDetector
 from repro.core.stats import CompressionStats
 from repro.core.distributer import RequestDistributer
 from repro.flash.allocator import SizeClassAllocator
+from repro.flash.introspect import ftls_of
 from repro.flash.mapping import MappingEntry, MappingTable
 from repro.flash.ssd import StorageBackend
 from repro.sdgen.generator import ContentStore
 from repro.sim.engine import EventHandle, Simulator
+from repro.sim.events import Emitter
 from repro.sim.metrics import LatencyRecorder
 from repro.sim.queueing import Server
-from repro.telemetry.probes import NULL_TELEMETRY, Telemetry
 from repro.traces.model import IORequest
 
 
-__all__ = ["EDCBlockDevice", "IntegrityError", "IntegrityAssertionError"]
+__all__ = ["EDCBlockDevice", "IntegrityError"]
 
 
 class IntegrityError(Exception):
@@ -59,12 +60,6 @@ class IntegrityError(Exception):
     """
 
 
-#: Deprecated alias.  ``IntegrityError`` historically subclassed
-#: :class:`AssertionError`; code that caught it via that name keeps
-#: working, but new code should catch :class:`IntegrityError`.
-IntegrityAssertionError = IntegrityError
-
-
 class EDCBlockDevice:
     """Block-level (de)compression layer over a flash backend."""
 
@@ -77,10 +72,7 @@ class EDCBlockDevice:
         config: Optional[EDCConfig] = None,
         registry: Optional[CodecRegistry] = None,
         cost_model: Optional[CodecCostModel] = None,
-        telemetry: Optional[Telemetry] = None,
-        auditor=None,
         recovery=None,
-        health=None,
     ) -> None:
         self.sim = sim
         self.policy = policy
@@ -122,12 +114,9 @@ class EDCBlockDevice:
         self.unrecovered_reads = 0
         self.unrecovered_writes = 0
         #: host reads that hit latently corrupted media (CRC mismatch on
-        #: the device read) — the scrubber exists to keep this at zero
+        #: the device read) — background media scrub exists to keep this
+        #: at zero
         self.corrupt_reads = 0
-        #: optional :class:`~repro.flash.scrub.MediaScrubber` bound to
-        #: this device (set by ``MediaScrubber.__init__``); ``None``
-        #: keeps background scrubbing off and the replay bit-identical
-        self.scrubber = None
         #: cached media-CRC oracle of the backend; ``None`` for backends
         #: without a latent-error surface (queried once per mapped read,
         #: so the lookup is hoisted out of the hot path)
@@ -160,21 +149,24 @@ class EDCBlockDevice:
         self._sd_timer: Optional[EventHandle] = None
         self._outstanding = 0
 
-        # Telemetry is opt-in: without it the NULL singleton is held and
-        # the single cached boolean below keeps the hot path branch-cheap.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._tp_req = bool(
-            self.telemetry.enabled and self.telemetry.probes.active("request")
-        )
-        if self.telemetry.enabled:
-            self.telemetry.bind_device(self)
+        #: the request-lifecycle event source (the ``device`` kinds of
+        #: :data:`repro.sim.events.VOCABULARY`).  Handlers only record:
+        #: they fire inside existing events and never schedule.
+        self.events = Emitter("device")
+        #: whatever attached itself to this stack, by role name, so one
+        #: observer can find another and the time-series sampler can
+        #: gate its metric families — the device never reads it
+        self.observers: Dict[str, object] = {}
+        # Bad-block retirements below shrink the allocator's capacity.
+        # The handler holds the allocator, not the device: the backend
+        # must not keep the stack (and its content store) alive.
+        allocator = self.allocator
 
-        #: optional :class:`~repro.telemetry.audit.DecisionAuditor`;
-        #: ``None`` (the default) keeps the write path audit-free and
-        #: the replay bit-identical to an unaudited one.
-        self.auditor = auditor
-        if auditor is not None:
-            auditor.bind_device(self)
+        def _block_retired(ftl, block_id: int, moved: int) -> None:
+            allocator.note_retired(ftl.geometry.block_bytes)
+
+        for ftl in ftls_of(backend):
+            ftl.events.subscribe("retire", _block_retired)
 
         #: optional :class:`~repro.recovery.durable.DurableMetadataManager`;
         #: ``None`` (the default) keeps metadata volatile — no journal or
@@ -182,14 +174,6 @@ class EDCBlockDevice:
         self.recovery = recovery
         if recovery is not None:
             recovery.bind_device(self)
-
-        #: optional :class:`~repro.telemetry.devhealth.DeviceHealth`;
-        #: ``None`` (the default) keeps introspection off and the
-        #: replay bit-identical to the seed (digest-verified).  Bound
-        #: after recovery so the waterfall sees the journal keys.
-        self.health = health
-        if health is not None and getattr(health, "enabled", True):
-            health.bind_device(self)
 
     # ------------------------------------------------------------------
     # public API
@@ -209,8 +193,8 @@ class EDCBlockDevice:
         self.monitor.record(
             self.sim.now, request.op, request.nbytes, lba=request.lba
         )
-        if self._tp_req:
-            self.telemetry.request_arrived(request, request.is_write)
+        if self.events.subs:
+            self.events.emit("request", request)
         if request.is_write:
             self._on_write(request)
         else:
@@ -288,7 +272,7 @@ class EDCBlockDevice:
             self.cpu.submit(
                 plan.cpu_time,
                 on_complete=lambda job: self._commit_write(
-                    run, plan, run_ids, vtuple, None, job, None
+                    run, plan, run_ids, vtuple
                 ),
                 tag=("ingest", start_blk),
             )
@@ -347,7 +331,7 @@ class EDCBlockDevice:
 
         Returns ``(selected codec, plan, codec_fallback)`` without
         touching device statistics or simulator state, so the decision
-        auditor can run shadow policies through the exact decision logic
+        audit can run shadow policies through the exact decision logic
         the live path uses (intensity band, gate, hint exemption, 75 %
         rule, raw fallback on codec failure).
         """
@@ -383,12 +367,7 @@ class EDCBlockDevice:
             self.content.block_id((start_blk + i) * bs, versions[i])
             for i in range(nblocks)
         )
-        snap = None
-        if self.auditor is not None:
-            snap = self.monitor.snapshot(self.sim.now, self.policy)
-            iops = snap.calculated_iops
-        else:
-            iops = self.monitor.calculated_iops(self.sim.now)
+        iops = self.monitor.calculated_iops(self.sim.now)
         hint = (
             self.content.kind_of_id(run_ids[0])
             if self.config.semantic_hints
@@ -406,23 +385,22 @@ class EDCBlockDevice:
         if plan.policy_raw and codec_name is None and self.policy.name != "Native":
             self.stats.skipped_intensity += 1
 
-        aev = (
-            self.auditor.on_decision(run, run_ids, snap, hint, codec_name, plan)
-            if self.auditor is not None
-            else None
-        )
-        rec = self.telemetry.write_run_planned(run, plan) if self._tp_req else None
+        observed = bool(self.events.subs)
+        if observed:
+            self.events.emit(
+                "write_planned", run, run_ids, hint, codec_name, plan
+            )
         vtuple = tuple(versions)
         if plan.cpu_time > 0:
             self.cpu.submit(
                 plan.cpu_time,
                 on_complete=lambda job: self._commit_write(
-                    run, plan, run_ids, vtuple, rec, job, aev
+                    run, plan, run_ids, vtuple, observed, job
                 ),
                 tag=("compress", start_blk),
             )
         else:
-            self._commit_write(run, plan, run_ids, vtuple, rec, aev=aev)
+            self._commit_write(run, plan, run_ids, vtuple, observed)
 
     def _block_crcs_for(self, run_ids: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
         """Per-block content CRCs for a run, when ``crc_checks`` is on."""
@@ -440,13 +418,18 @@ class EDCBlockDevice:
         plan: WritePlan,
         run_ids: Tuple[int, ...],
         versions: Tuple[int, ...],
-        rec: object = None,
+        observed: bool = False,
         job: object = None,
-        aev: object = None,
     ) -> None:
-        """Compression finished: allocate, map, and issue the device write."""
-        if rec is not None:
-            self.telemetry.write_cpu_done(rec, job)
+        """Compression finished: allocate, map, and issue the device write.
+
+        ``observed`` says the run was announced as ``write_planned``
+        (host writes with a subscriber); replica ingests are not, so
+        they emit none of the ``write_*`` kinds.
+        """
+        events = self.events
+        if observed:
+            events.emit("write_cpu_done", run, job)
         bs = self.config.block_size
         nblocks = len(run_ids)
         entry = MappingEntry(
@@ -474,8 +457,8 @@ class EDCBlockDevice:
                 tuple(old_id for old_id, _ in shadowed),
                 cls.nbytes,
             )
-        if aev is not None:
-            self.auditor.on_commit(aev, cls)
+        if observed:
+            events.emit("write_committed", run, cls)
         self.stats.note_write(
             codec_name=plan.codec_name,
             logical=plan.original_size,
@@ -501,10 +484,8 @@ class EDCBlockDevice:
                     err_hook(ref, exc)
                 elif hook is not None:
                     hook(ref, now - arrival)
-            if aev is not None:
-                self.auditor.on_complete(aev, rec)
-            if rec is not None:
-                self.telemetry.write_run_done(rec)
+            if observed:
+                events.emit("write_done", run)
 
         def _device_done() -> None:
             # Program completed: only now does the extent's metadata
@@ -529,22 +510,18 @@ class EDCBlockDevice:
                 self._versions[start_blk + i] for i in range(nblocks)
             )
             stream = 1 if hottest >= self.config.hot_version_threshold else 0
-        if rec is not None:
-            # Bracket the synchronous issue so the SSD's service-time
-            # probe can attribute this write's service and GC stall.
-            self.telemetry.flash_issue_begin(rec, eid, write=True)
-            try:
-                self.distributer.write(
-                    eid, run.start_lba, cls.nbytes, _device_done, stream=stream,
-                    on_error=_device_error,
-                )
-            finally:
-                self.telemetry.flash_issue_end()
-        else:
+        # Bracket the synchronous issue so an SSD ``service`` event can
+        # be attributed to this write's service and GC stall.
+        if observed:
+            events.emit("write_issue_begin", run, eid)
+        try:
             self.distributer.write(
                 eid, run.start_lba, cls.nbytes, _device_done, stream=stream,
                 on_error=_device_error,
             )
+        finally:
+            if observed:
+                events.emit("write_issue_end", run)
 
     # ------------------------------------------------------------------
     # read path
@@ -560,22 +537,26 @@ class EDCBlockDevice:
         arrival = self.sim.now
         remaining = [len(pieces)]
         errors: List[BaseException] = []
-        rrec = self.telemetry.read_started(request) if self._tp_req else None
+        observed = bool(self.events.subs)
+        if observed:
+            self.events.emit("read_started", request)
 
         def _piece_done() -> None:
             remaining[0] -= 1
             if remaining[0] == 0:
                 self.read_latency.add(self.sim.now - arrival)
                 self._outstanding -= 1
-                if rrec is not None:
-                    self.telemetry.read_done(rrec)
+                if observed:
+                    self.events.emit(
+                        "read_done", request, self.sim.now - arrival
+                    )
                 if errors and self.on_request_error is not None:
                     self.on_request_error(request, errors[0])
                 elif self.on_request_complete is not None:
                     self.on_request_complete(request, self.sim.now - arrival)
 
         for piece in pieces:
-            self._issue_read_piece(piece, request, _piece_done, rrec, errors)
+            self._issue_read_piece(piece, request, _piece_done, observed, errors)
 
     def _resolve_read(
         self, lba: int, nbytes: int
@@ -614,7 +595,7 @@ class EDCBlockDevice:
         piece: Tuple[Optional[int], int, int],
         request: IORequest,
         done,
-        rrec: object = None,
+        observed: bool = False,
         errors: Optional[List[BaseException]] = None,
     ) -> None:
         eid, lba, raw_len = piece
@@ -628,8 +609,8 @@ class EDCBlockDevice:
 
         if eid is None:
             # Unmapped (never-written) range: raw-size device read.
-            if rrec is not None:
-                self.telemetry.flash_issue_begin(rrec, lba, write=False)
+            if observed:
+                self.events.emit("read_issue", request, lba)
             self.distributer.read(None, lba, raw_len, done, on_error=_piece_error)
             return
         entry = self.mapping.get(eid)
@@ -669,8 +650,8 @@ class EDCBlockDevice:
             if dec > 0:
 
                 def _dec_done(job) -> None:
-                    if rrec is not None:
-                        self.telemetry.read_decompress_done(rrec, job)
+                    if observed:
+                        self.events.emit("read_decompressed", request, job)
                     done()
 
                 self.cpu.submit(dec, on_complete=_dec_done,
@@ -678,8 +659,8 @@ class EDCBlockDevice:
             else:
                 done()
 
-        if rrec is not None:
-            self.telemetry.flash_issue_begin(rrec, eid, write=False)
+        if observed:
+            self.events.emit("read_issue", request, eid)
         self.distributer.read(
             eid, entry.lba, stored, _after_device, on_error=_piece_error
         )
@@ -790,7 +771,7 @@ class EDCBlockDevice:
         """Rewrite entry ``eid``'s still-live blocks as fresh extents.
 
         The relocation primitive shared by :meth:`defragment` (reclaim
-        zombie space) and the media scrubber's self-healing repair
+        zombie space) and the media scrub's self-healing repair
         (re-place a corrupted extent from known-good content): the live
         blocks are re-planned, re-compressed and written through the
         normal device path — CPU, program time, WA and energy are all
@@ -800,7 +781,7 @@ class EDCBlockDevice:
         ``keep_codec`` re-encodes with the entry's original codec
         (overriding ``codec_name``), preserving the stored shape;
         ``on_stored`` is called with each sub-run's stored (allocated)
-        byte count at commit, the hook the scrubber uses to account
+        byte count at commit, the hook media scrub uses to account
         repair bytes exactly.  Returns the number of sub-run writes
         issued (0 when the entry is gone or fully shadowed).
         """

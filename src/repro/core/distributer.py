@@ -29,11 +29,6 @@ class DistributerStats:
     #: trims the backend confirmed invalidated a stored extent
     trims_effective: int = 0
 
-    @property
-    def trims(self) -> int:
-        """Legacy alias for :attr:`trims_attempted`."""
-        return self.trims_attempted
-
 
 class RequestDistributer:
     """Issues processed requests to the flash backend."""

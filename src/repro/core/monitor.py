@@ -23,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
+from repro.sim.events import Emitter
+
 __all__ = ["WorkloadMonitor", "MonitorSnapshot"]
 
 
@@ -71,11 +73,10 @@ class WorkloadMonitor:
         self._last_t = float("-inf")
         self.total_requests = 0
         self.total_pages = 0
-        #: optional per-request observer ``(time, op, lba, pages)``,
-        #: called once per :meth:`record` with the clamped timestamp.
-        #: The device-health temperature map subscribes here; ``None``
-        #: (the default) keeps the hot path branch-cheap.
-        self.on_record: Optional[callable] = None
+        #: ``record``: ``(time, op, lba, pages)`` once per
+        #: :meth:`record`, with the clamped timestamp (the device-health
+        #: temperature map subscribes here)
+        self.events = Emitter("monitor")
 
     def pages_of(self, nbytes: int) -> int:
         """4 KB-equivalents of a request (always at least one)."""
@@ -91,7 +92,7 @@ class WorkloadMonitor:
         Non-monotonic ``time`` values are clamped up to the latest
         timestamp already recorded, keeping the deque time-ordered (the
         invariant single-pass pruning relies on).  ``lba`` is only
-        passed through to :attr:`on_record` (the temperature-map feed);
+        passed through to the ``record`` event (the temperature-map feed);
         intensity accounting ignores it.
         """
         if time < self._last_t:
@@ -99,8 +100,8 @@ class WorkloadMonitor:
         else:
             self._last_t = time
         pages = float(self.pages_of(nbytes))
-        if self.on_record is not None:
-            self.on_record(time, op, lba, pages)
+        if self.events.subs:
+            self.events.emit("record", time, op, lba, pages)
         reads = 1.0 if op == "R" else 0.0
         self._events.append((time, pages, reads))
         self._pages_sum += pages

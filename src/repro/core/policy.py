@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+from repro.sim.events import Emitter
 
 __all__ = [
     "CompressionPolicy",
@@ -125,10 +127,10 @@ class ElasticPolicy(CompressionPolicy):
         self._gate = gate
         #: per-band selection counts, parallel to ``bands``
         self.band_counts = [0] * len(self.bands)
-        #: optional telemetry hook, called with ``(band_index,
-        #: calculated_iops)`` on every selection — band *transitions*
-        #: (Fig 6's feedback loop switching rungs) are derived from it
-        self.on_select: Optional[Callable[[int, float], None]] = None
+        #: ``select``: ``(band_index, calculated_iops)`` on every
+        #: selection — band *transitions* (Fig 6's feedback loop
+        #: switching rungs) are derived from it
+        self.events = Emitter("policy")
 
     @property
     def uses_gate(self) -> bool:
@@ -142,15 +144,15 @@ class ElasticPolicy(CompressionPolicy):
         for i, band in enumerate(self.bands):
             if calculated_iops < band.upper_iops:
                 self.band_counts[i] += 1
-                if self.on_select is not None:
-                    self.on_select(i, calculated_iops)
+                if self.events.subs:
+                    self.events.emit("select", i, calculated_iops)
                 return band.codec
         raise AssertionError("unreachable: last band is unbounded")
 
     def band_index(self, calculated_iops: float) -> int:
         """Band :meth:`select_codec` would choose at this intensity.
 
-        Pure query: no counters move and no ``on_select`` hook fires, so
+        Pure query: no counters move and no ``select`` event fires, so
         the time-series sampler can read the active band every tick
         without polluting the selection statistics.
         """

@@ -7,11 +7,11 @@ tail, run again, and confirm nothing is left outstanding.
 :class:`TraceReplayer` packages that loop once for the harness, the
 examples and the tests.
 
-When the device was built with a :class:`~repro.telemetry.Telemetry`
-object, every replayed request gets a per-request root span and the
-per-layer latency breakdown accumulates during the run; the replayer
-exposes the device's telemetry through :attr:`TraceReplayer.telemetry`
-so the harness can export it right after :meth:`TraceReplayer.run`.
+When a :class:`~repro.telemetry.Telemetry` is bound to the device,
+every replayed request gets a per-request root span and the per-layer
+latency breakdown accumulates during the run; the replayer exposes it
+through :attr:`TraceReplayer.telemetry` so the harness can export it
+right after :meth:`TraceReplayer.run`.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class TraceReplayer:
 
     @property
     def telemetry(self):
-        """The device's telemetry (the NULL singleton when not enabled)."""
-        return self.device.telemetry
+        """The telemetry bound to the device (``None`` when there is none)."""
+        return self.device.observers.get("telemetry")
 
     def schedule(self, trace: Trace) -> None:
         """Schedule every request of ``trace`` at its timestamp.

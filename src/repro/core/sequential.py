@@ -36,6 +36,15 @@ class PendingRun:
     arrivals: List[float] = field(default_factory=list)
     #: caller-supplied handles (one per merged request), parallel to arrivals
     refs: List[object] = field(default_factory=list)
+    #: event subscribers' per-run records, by subscriber role (``None``
+    #: until one is attached: an unobserved run allocates nothing)
+    notes: Optional[dict] = field(default=None, init=False)
+
+    def note(self, role: str, record: object) -> None:
+        """Attach a subscriber's record for the lifetime of this run."""
+        if self.notes is None:
+            self.notes = {}
+        self.notes[role] = record
 
     @property
     def end(self) -> int:

@@ -30,10 +30,11 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, Optional
+from typing import Deque, Dict, Hashable, Optional
 
 from repro.flash.gc import GreedyCollector
 from repro.flash.geometry import NandGeometry
+from repro.sim.events import Emitter
 
 __all__ = ["ExtentFTL", "FlashCost", "DeviceFullError"]
 
@@ -126,17 +127,15 @@ class ExtentFTL:
         self.gc_free_threshold = gc_free_threshold
         self.n_streams = n_streams
         self.stats = _FtlStats()
-        #: optional telemetry hook, called after each collection with
-        #: ``(victim_block, moved_bytes, reclaimed_bytes)``
-        self.on_gc: Optional[Callable[[int, int, int], None]] = None
-        #: optional hook, called after a bad-block retirement with
-        #: ``(block_id, relocated_bytes)`` — the allocator/telemetry
-        #: side of free-space accounting subscribes here
-        self.on_retire: Optional[Callable[[int, int], None]] = None
+        #: ``gc``: ``(ftl, victim_block, moved_bytes, reclaimed_bytes)``
+        #: after each collection; ``retire``: ``(ftl, block_id,
+        #: relocated_bytes)`` after a bad-block retirement — the
+        #: allocator's free-space accounting subscribes to the latter
+        self.events = Emitter("ftl")
         #: why GC is currently running, as ``(reason, stream)`` —
         #: ``("low_free", stream)`` while the frontier refill loop
         #: collects for ``stream``; ``None`` outside GC.  Read by the
-        #: device-health layer's chained ``on_gc`` to attribute each
+        #: device-health layer's ``gc`` handler to attribute each
         #: episode's trigger; never consulted by the FTL itself.
         self.gc_trigger: Optional[tuple] = None
 
@@ -344,8 +343,8 @@ class ExtentFTL:
         retire_note = getattr(self.collector.stats, "note_retirement", None)
         if retire_note is not None:
             retire_note(block_id)
-        if self.on_retire is not None:
-            self.on_retire(block_id, moved)
+        if self.events.subs:
+            self.events.emit("retire", self, block_id, moved)
         return FlashCost(moved_bytes=moved)
 
     # ------------------------------------------------------------------
@@ -425,8 +424,8 @@ class ExtentFTL:
         self.collector.note_collection(victim, moved, reclaimed)
         self.stats.gc_runs += 1
         self.stats.relocated_bytes += moved
-        if self.on_gc is not None:
-            self.on_gc(victim, moved, reclaimed)
+        if self.events.subs:
+            self.events.emit("gc", self, victim, moved, reclaimed)
         return FlashCost(moved_bytes=moved, erases=1)
 
     def _relocate(

@@ -43,7 +43,9 @@ __all__ = [
     "SmartSnapshot",
     "space_waterfall",
     "smart_snapshot",
+    "members_of",
     "ftls_of",
+    "queues_of",
 ]
 
 #: Default tolerance of the conservation checks.  All stage values are
@@ -56,19 +58,32 @@ class SpaceAccountingError(AssertionError):
     """Raised when the space waterfall fails its conservation invariant."""
 
 
-def ftls_of(backend) -> List[object]:
-    """Every :class:`~repro.flash.ftl.ExtentFTL` under ``backend``.
+def members_of(backend) -> List[object]:
+    """``backend`` followed by every array member beneath it.
 
-    Recurses array backends (``backend.devices``) the same way the
-    telemetry layer attaches its GC probes.
+    The one walker of ``backend.devices``: observers find the queue
+    servers, SSD emitters and FTLs of a stack through it.
     """
-    out: List[object] = []
-    ftl = getattr(backend, "ftl", None)
-    if ftl is not None:
-        out.append(ftl)
+    out: List[object] = [backend]
     for dev in getattr(backend, "devices", ()) or ():
-        out.extend(ftls_of(dev))
+        out.extend(members_of(dev))
     return out
+
+
+def ftls_of(backend) -> List[object]:
+    """Every :class:`~repro.flash.ftl.ExtentFTL` under ``backend``."""
+    return [
+        m.ftl for m in members_of(backend)
+        if getattr(m, "ftl", None) is not None
+    ]
+
+
+def queues_of(backend) -> List[object]:
+    """Every device queue :class:`~repro.sim.queueing.Server` under ``backend``."""
+    return [
+        m.queue for m in members_of(backend)
+        if getattr(m, "queue", None) is not None
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ CRC with a real (charged) device read, and on a mismatch triggers
 
 Blocks whose latent-error strike count crosses
 :attr:`ScrubConfig.retire_threshold` are retired through the FTL's
-normal bad-block path (relocation + capacity shrink + ``on_retire``
+normal bad-block path (relocation + capacity shrink + ``retire``
 hooks), with the relocation time charged to the member's queue.
 
 Pacing is idle-aware: a tick that finds more than
@@ -167,7 +167,7 @@ class MediaScrubber:
         self._seq = 0
         self._event = None
         self._latent = getattr(device.backend, "latent_corrupt", None)
-        device.scrubber = self
+        device.observers["scrubber"] = self
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -34,6 +34,7 @@ from repro.flash.geometry import (
     X25E_TIMING,
 )
 from repro.sim.engine import Simulator
+from repro.sim.events import Emitter
 from repro.sim.queueing import Server
 
 __all__ = ["SimulatedSSD", "StorageBackend", "DeviceStats"]
@@ -100,10 +101,10 @@ class SimulatedSSD:
         self.ftl = ExtentFTL(geometry, n_streams=n_streams)
         self.queue = Server(sim, name=f"{name}.queue", servers=1)
         self.stats = DeviceStats()
-        #: optional telemetry probe, called synchronously at submit with
-        #: ``(op, key, service_seconds, gc_stall_seconds)`` — the service
-        #: value includes the stall, matching the queued job's service time
-        self.probe: Optional[Callable[[str, Hashable, float, float], None]] = None
+        #: ``service``: ``(op, key, service_seconds, gc_stall_seconds)``
+        #: emitted synchronously at submit — the service value includes
+        #: the stall, matching the queued job's service time
+        self.events = Emitter("ssd")
         #: fault oracle installed by :meth:`repro.faults.FaultPlan.attach`;
         #: ``None`` keeps the original no-fault fast path
         self.injector: Optional[FaultInjector] = None
@@ -223,8 +224,8 @@ class SimulatedSSD:
                 service += self._absorb_program_fault(key, nbytes)
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
-        if self.probe is not None:
-            self.probe("write", key, service, stall)
+        if self.events.subs:
+            self.events.emit("service", "write", key, service, stall)
         self.queue.submit(
             service,
             on_complete=(None if on_complete is None else (lambda job: on_complete())),
@@ -271,8 +272,8 @@ class SimulatedSSD:
         if self.latent is not None:
             self.latent.note_read(k)
         service = self.service_read_time(nbytes)
-        if self.probe is not None:
-            self.probe("read", k, service, 0.0)
+        if self.events.subs:
+            self.events.emit("service", "read", k, service, 0.0)
         if self.failed:
             self._report_error(
                 DeviceFailedError(f"{self.name}: read {k!r} from failed device"),

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
+from repro.sim.events import Emitter
 
 __all__ = ["Job", "Server"]
 
@@ -100,9 +101,9 @@ class Server:
         self._queue: Deque[Job] = deque()
         self._in_service = 0
         self.stats = _ServerStats()
-        #: optional telemetry hook, called with each completed :class:`Job`
-        #: (wait and service split known) *before* its ``on_complete``
-        self.observer: Optional[Callable[[Job], None]] = None
+        #: ``job``: each completed :class:`Job` (wait and service split
+        #: known), emitted *before* its ``on_complete``
+        self.events = Emitter("server")
 
     # ------------------------------------------------------------------
     @property
@@ -168,7 +169,7 @@ class Server:
         self.stats.busy_time += job.service_time
         self.stats.total_response += job.response
         self._try_start()
-        if self.observer is not None:
-            self.observer(job)
+        if self.events.subs:
+            self.events.emit("job", job)
         if job.on_complete is not None:
             job.on_complete(job)

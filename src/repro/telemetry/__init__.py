@@ -8,11 +8,11 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   ``gc_stall``, ``read_decompress``).
 - :mod:`repro.telemetry.histograms` — fixed-bucket log2 histograms
   (p50/p95/p99/p999 in bounded memory), counters, gauges and a registry.
-- :mod:`repro.telemetry.probes` — the :class:`Telemetry` facade and
-  probe registry the device stack reports into.  Instrumentation is
-  opt-in: pass a :class:`Telemetry` to the device (or
-  ``replay(telemetry=...)``); without one the shared
-  :data:`NULL_TELEMETRY` singleton makes every hook a no-op.
+- :mod:`repro.telemetry.probes` — the :class:`Telemetry` facade, a
+  subscriber of the device stack's event seam
+  (:mod:`repro.sim.events`).  Instrumentation is opt-in:
+  ``telemetry.bind_device(device)`` (or ``replay(telemetry=...)``);
+  a stack nothing subscribed to runs no observer code.
 - :mod:`repro.telemetry.exporters` — JSON-lines trace dump, per-layer
   latency-breakdown table and an ASCII flamegraph summary (wired into
   ``python -m repro.bench --telemetry``).
@@ -47,13 +47,8 @@ from repro.telemetry.histograms import (
     Log2Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.spans import LAYERS, NULL_SPAN, NullTracer, Span, Tracer
-from repro.telemetry.probes import (
-    NULL_TELEMETRY,
-    PROBE_POINTS,
-    ProbeRegistry,
-    Telemetry,
-)
+from repro.telemetry.spans import LAYERS, Span, Tracer
+from repro.telemetry.probes import Telemetry
 from repro.telemetry.exporters import (
     ascii_flamegraph,
     dump_chrome_trace,
@@ -63,7 +58,6 @@ from repro.telemetry.exporters import (
     render_telemetry_summary,
 )
 from repro.telemetry.disttrace import (
-    NULL_DIST_TRACER,
     CriticalPathReport,
     DistTracer,
     PathSegment,
@@ -92,7 +86,6 @@ from repro.telemetry.exposition import (
 )
 from repro.telemetry.dashboard import render_dashboard, sparkline
 from repro.telemetry.devhealth import (
-    NULL_DEVICE_HEALTH,
     DeviceHealth,
     GcEpisode,
     TemperatureMap,
@@ -112,21 +105,15 @@ from repro.telemetry.audit import (
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_SPAN",
     "LAYERS",
     "Log2Histogram",
     "Counter",
     "Gauge",
     "MetricsRegistry",
     "Telemetry",
-    "ProbeRegistry",
-    "PROBE_POINTS",
-    "NULL_TELEMETRY",
     "dump_jsonl",
     "dump_chrome_trace",
     "DistTracer",
-    "NULL_DIST_TRACER",
     "TraceExemplar",
     "PathSegment",
     "CriticalPathReport",
@@ -152,7 +139,6 @@ __all__ = [
     "render_dashboard",
     "sparkline",
     "DeviceHealth",
-    "NULL_DEVICE_HEALTH",
     "GcEpisode",
     "TemperatureMap",
     "dump_health_json",

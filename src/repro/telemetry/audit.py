@@ -33,11 +33,11 @@ yield the "regret" tables (`EDC vs best-static`) in the bench report:
 how much space or CPU the elastic decision left on the table against
 the best fixed scheme, band by band.
 
-Auditing is opt-in and invisible when off: without an auditor the
-device holds ``None`` and skips every hook behind one ``is not None``
-check; with one, shadow consultation only touches the engine's
-memoised planning (no simulator events, no stats), so an audited replay
-is bit-identical to an unaudited one.
+Auditing is opt-in and invisible when off: the auditor is a subscriber
+of the device's ``write_planned`` / ``write_committed`` / ``write_done``
+events (:mod:`repro.sim.events`), and shadow consultation only touches
+the engine's memoised planning (no simulator events, no stats), so an
+audited replay is bit-identical to an unaudited one.
 
 Export: :func:`dump_audit_jsonl` writes the aggregates and the
 reservoir as JSON lines; ``python -m repro.bench.diff`` consumes two
@@ -214,23 +214,29 @@ class DecisionAuditor:
                 "DecisionAuditor is single-device; build one per device"
             )
         self.device = device
+        device.observers["auditor"] = self
+        device.events.subscribe("write_planned", self.on_decision)
+        device.events.subscribe("write_committed", self.on_commit)
+        device.events.subscribe("write_done", self.on_complete)
 
     @property
     def shadow_names(self) -> List[str]:
         return [name for name, _ in self.shadow_policies]
 
     # ------------------------------------------------------------------
-    # device hooks (called by EDCBlockDevice)
+    # device event handlers
     # ------------------------------------------------------------------
-    def on_decision(self, run, run_ids, snap, hint, codec_name, plan) -> dict:
+    def on_decision(self, run, run_ids, hint, codec_name, plan) -> None:
         """One write unit was planned; record inputs + consult shadows.
 
-        ``snap`` is the :class:`~repro.core.monitor.MonitorSnapshot`
-        taken at decision time (band + window state included); ``plan``
-        the live :class:`~repro.core.engine.WritePlan`.  Returns the
-        event token the device threads through commit and completion.
+        The :class:`~repro.core.monitor.MonitorSnapshot` (band + window
+        state) is taken here — a pure query at the decision instant, so
+        it reads the intensity the device just decided on; ``plan`` is
+        the live :class:`~repro.core.engine.WritePlan`.  The event rides
+        on the run through commit and completion.
         """
         device = self.device
+        snap = device.monitor.snapshot(device.sim.now, device.policy)
         band = snap.band_index if snap.band_index is not None else NO_BAND
         selected = codec_name if codec_name is not None else "raw"
         event = {
@@ -277,27 +283,29 @@ class DecisionAuditor:
                 "cpu_time": s_plan.cpu_time,
                 "diverged": s_selected != selected,
             }
-        return event
+        run.note("auditor", event)
 
-    def on_commit(self, event: dict, cls) -> None:
+    def on_commit(self, run, cls) -> None:
         """The live write was allocated: record its size-class slot."""
+        event = run.notes["auditor"]
         event["slot_bytes"] = cls.nbytes
         event["slot_frac"] = cls.fraction
 
-    def on_complete(self, event: dict, rec=None) -> None:
+    def on_complete(self, run) -> None:
         """Device completion: finalise the event into the aggregates.
 
-        ``rec`` is the telemetry write record when a
-        :class:`~repro.telemetry.probes.Telemetry` instruments the same
-        device; its per-layer attribution becomes the event's breakdown.
+        When a :class:`~repro.telemetry.probes.Telemetry` instruments
+        the same device, the run carries its timing record; that
+        per-layer attribution becomes the event's breakdown.
         """
-        device = self.device
-        now = device.sim.now
+        event = run.notes["auditor"]
+        rec = run.notes.get("telemetry")
+        now = self.device.sim.now
         arrival = event.pop("_arrival")
         band = event.pop("_band")
         event["response"] = now - arrival
         if rec is not None:
-            event["breakdown"] = self._breakdown_from_rec(rec, now)
+            event["breakdown"] = self._breakdown_from_rec(rec, run, now)
 
         self.n_decisions += 1
         bt = self.band_totals.get(band)
@@ -332,7 +340,7 @@ class DecisionAuditor:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _breakdown_from_rec(rec, now: float) -> Dict[str, float]:
+    def _breakdown_from_rec(rec, run, now: float) -> Dict[str, float]:
         """Per-layer seconds for one run, mirroring the span tracer's
         attribution in :meth:`Telemetry.write_run_done` (oldest-request
         view of the queue component)."""
@@ -341,7 +349,7 @@ class DecisionAuditor:
         flash_wait = flash_total - service
         gc = min(rec.gc_stall, service)
         est = min(rec.estimate_time, rec.cpu_service)
-        sd_hold = rec.t_enqueue - (rec.arrivals[0] if rec.arrivals else rec.t_enqueue)
+        sd_hold = rec.t_enqueue - (run.arrivals[0] if run.arrivals else rec.t_enqueue)
         return {
             "queue": sd_hold + rec.cpu_wait + flash_wait,
             "estimate": est,

@@ -168,7 +168,7 @@ def render_dashboard(
         lines.append(
             render_alert_timeline(alerts, t_lo, t_hi, width=width)
         )
-    if health is not None and getattr(health, "enabled", False):
+    if health is not None:
         from repro.telemetry.devhealth import render_heatmap, render_waterfall
 
         lines.append("")

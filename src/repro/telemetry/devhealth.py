@@ -10,20 +10,17 @@ attribution surfaces without perturbing the replay:
 - a **per-GC-episode audit**: every collection and bad-block
   retirement is captured as a :class:`GcEpisode` (victim block, valid
   pages moved, bytes reclaimed, efficiency, trigger reason) into a
-  bounded ring, gated by the ``gc`` point of the existing
-  :class:`~repro.telemetry.probes.ProbeRegistry`;
+  bounded ring, fed by the FTLs' ``gc`` / ``retire`` events;
 - an **LBA-region temperature map**: EWMA access recency/frequency per
   fixed-size region, fed from the
-  :class:`~repro.core.monitor.WorkloadMonitor`'s per-request hook —
+  :class:`~repro.core.monitor.WorkloadMonitor`'s ``record`` event —
   the direct input for temperature-aware background recompression
   (ROADMAP item 3).
 
-Binding is **purely observational**: every hook only records into
+Binding is **purely observational**: every handler only records into
 Python state and never schedules a simulation event, so a replay with
 health introspection attached is bit-identical (mapping/allocator
 digests) to one without — the tier-1 suite pins this.
-:data:`NULL_DEVICE_HEALTH` is the free-when-disabled null object,
-mirroring :data:`~repro.telemetry.disttrace.NULL_DIST_TRACER`.
 """
 
 from __future__ import annotations
@@ -41,13 +38,11 @@ from repro.flash.introspect import (
     smart_snapshot,
     space_waterfall,
 )
-from repro.telemetry.probes import ProbeRegistry
 
 __all__ = [
     "GcEpisode",
     "TemperatureMap",
     "DeviceHealth",
-    "NULL_DEVICE_HEALTH",
     "render_smart",
     "render_waterfall",
     "render_heatmap",
@@ -171,17 +166,13 @@ class TemperatureMap:
 class DeviceHealth:
     """Collects SMART / space / GC / heat introspection for one device."""
 
-    enabled = True
-
     def __init__(
         self,
-        probes: Optional[ProbeRegistry] = None,
         region_bytes: int = 1 << 20,
         half_life: float = 2.0,
         max_episodes: int = 4096,
         cell_type: str = "SLC",
     ) -> None:
-        self.probes = probes if probes is not None else ProbeRegistry()
         self.cell_type = cell_type
         self.heat = TemperatureMap(region_bytes, half_life)
         self.episodes: Deque[GcEpisode] = deque(maxlen=max_episodes)
@@ -196,52 +187,19 @@ class DeviceHealth:
     # stack wiring
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
-        """Attach to ``device``: heat feed + GC hooks, chained.
-
-        Previously installed hooks (e.g. a
-        :class:`~repro.telemetry.probes.Telemetry` already holding
-        ``ftl.on_gc``) keep firing first — health observes the same
-        events without stealing them.
-        """
+        """Attach to ``device``: heat feed + GC/retirement episodes."""
         self.device = device
         self.sim = device.sim
-        device.health = self
-        monitor = device.monitor
-        prev_rec = getattr(monitor, "on_record", None)
-        if prev_rec is None:
-            monitor.on_record = self._on_record
-        else:
-            def _chained_record(t, op, lba, pages, _prev=prev_rec):
-                _prev(t, op, lba, pages)
-                self._on_record(t, op, lba, pages)
-
-            monitor.on_record = _chained_record
-        if self.probes.active("gc"):
-            for ftl in ftls_of(device.distributer.backend):
-                self._attach_ftl(ftl)
-
-    def _attach_ftl(self, ftl) -> None:
-        prev_gc = ftl.on_gc
-
-        def _on_gc(victim, moved, reclaimed, _ftl=ftl, _prev=prev_gc):
-            if _prev is not None:
-                _prev(victim, moved, reclaimed)
-            self._note_gc(_ftl, victim, moved, reclaimed)
-
-        ftl.on_gc = _on_gc
-        prev_retire = ftl.on_retire
-
-        def _on_retire(block_id, moved, _ftl=ftl, _prev=prev_retire):
-            if _prev is not None:
-                _prev(block_id, moved)
-            self._note_retire(_ftl, block_id, moved)
-
-        ftl.on_retire = _on_retire
+        device.observers["health"] = self
+        device.monitor.events.subscribe("record", self._note_access)
+        for ftl in ftls_of(device.backend):
+            ftl.events.subscribe("gc", self._note_gc)
+            ftl.events.subscribe("retire", self._note_retire)
 
     # ------------------------------------------------------------------
-    # hooks (record-only: never schedule simulation events)
+    # handlers (record-only: never schedule simulation events)
     # ------------------------------------------------------------------
-    def _on_record(self, t, op, lba, pages) -> None:
+    def _note_access(self, t, op, lba, pages) -> None:
         if lba is None:
             return
         self.heat.touch(t, op, lba, pages)
@@ -344,7 +302,7 @@ class DeviceHealth:
             "",
             self.gc_table(),
         ]
-        scrubber = getattr(self.device, "scrubber", None)
+        scrubber = self.device.observers.get("scrubber")
         if scrubber is not None:
             parts += ["", scrubber.audit_table()]
         parts += ["", render_heatmap(self.heat, now, width=width)]
@@ -363,7 +321,7 @@ class DeviceHealth:
         wf.verify()
         now = self.sim.now if self.sim is not None else 0.0
         lifetime = smart.projected_lifetime_seconds
-        scrubber = getattr(self.device, "scrubber", None)
+        scrubber = self.device.observers.get("scrubber")
         extra: Dict[str, object] = (
             {"scrub": scrubber.to_dict()} if scrubber is not None else {}
         )
@@ -575,17 +533,3 @@ def dump_health_json(
     """Write the health dump as JSON to an open file object."""
     json.dump(health.to_dict(observed_seconds), fp, indent=2, sort_keys=True)
     fp.write("\n")
-
-
-class _NullDeviceHealth:
-    """Shared inert health object: every hook is a cheap no-op."""
-
-    enabled = False
-
-    def bind_device(self, device) -> None:
-        return None
-
-
-#: Module-level inert singleton used by devices built without health
-#: introspection (NULL-object pattern, as for telemetry and tracing).
-NULL_DEVICE_HEALTH = _NullDeviceHealth()

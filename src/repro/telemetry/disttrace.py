@@ -25,8 +25,8 @@ causal context through the cluster request path:
 
 Tracing is purely observational: no hook ever schedules a simulation
 event or perturbs scheduler state, so a traced run is bit-identical to
-an untraced one (the tier-1 suite pins this).  :data:`NULL_DIST_TRACER`
-is the free-when-disabled null object the cluster holds by default.
+an untraced one (the tier-1 suite pins this).  An untraced cluster
+holds ``None`` and gates every call site on ``is not None``.
 
 :func:`critical_path` walks a finished trace backward from the root's
 end, always descending into the child whose (clipped) end is latest,
@@ -46,7 +46,6 @@ from repro.telemetry.spans import Span, Tracer
 
 __all__ = [
     "DistTracer",
-    "NULL_DIST_TRACER",
     "TraceRecord",
     "TraceExemplar",
     "PathSegment",
@@ -104,8 +103,6 @@ class DistTracer:
     records spans — it never schedules events, so attaching a tracer
     cannot change the simulated outcome.
     """
-
-    enabled = True
 
     def __init__(self, sim, max_spans: int = 200_000) -> None:
         self.sim = sim
@@ -341,76 +338,6 @@ class DistTracer:
                 {"trace_id": str(ex.trace_id)}, ex.latency, ex.t,
             )
         return out
-
-
-class _NullDistTracer:
-    """Free-when-disabled cluster tracer: every hook is a no-op."""
-
-    enabled = False
-
-    def request_submitted(self, request, tenant: str) -> None:
-        return None
-
-    def request_queued(self, st, request, now: float, eta: float) -> None:
-        return None
-
-    def request_dispatched(self, request, arrival: float) -> None:
-        return None
-
-    def part_issued(self, request, part, shard: str) -> None:
-        return None
-
-    def part_done(self, part) -> None:
-        return None
-
-    def request_done(self, request, latency: float) -> None:
-        return None
-
-    def take_parent(self, request) -> Optional[Span]:
-        return None
-
-    def migration_started(self, m) -> None:
-        return None
-
-    def migration_phase(self, m, phase: str) -> None:
-        return None
-
-    def migration_done(self, m) -> None:
-        return None
-
-    def copy_io(self, m, request) -> None:
-        return None
-
-    def dual_write_issued(self, range_idx: int, dup, dst: str) -> None:
-        return None
-
-    def replica_write_issued(self, part, dup, shard: str) -> None:
-        return None
-
-    def replica_read_issued(self, part, dup, shard: str) -> None:
-        return None
-
-    def hedge_issued(self, part, dup, shard: str) -> None:
-        return None
-
-    def attempt_done(self, req) -> None:
-        return None
-
-    def part_retry(self, part, attempt: int, start: float, end: float) -> None:
-        return None
-
-    def rebuild_started(self, range_idx: int, src: str, dst: str) -> None:
-        return None
-
-    def rebuild_io(self, range_idx: int, request) -> None:
-        return None
-
-    def rebuild_done(self, range_idx: int) -> None:
-        return None
-
-
-#: Shared inert cluster tracer held by untraced clusters.
-NULL_DIST_TRACER = _NullDistTracer()
 
 
 # ----------------------------------------------------------------------

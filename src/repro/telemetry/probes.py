@@ -1,18 +1,16 @@
-"""The :class:`Telemetry` facade: probe registry + stack wiring.
+"""The :class:`Telemetry` facade: span tracing + per-layer accounting.
 
 One :class:`Telemetry` object owns a :class:`~repro.telemetry.spans.Tracer`,
 a :class:`~repro.telemetry.histograms.MetricsRegistry` and the write/read
-per-layer accounting.  The EDC device reports into it through a small
-set of hooks; :meth:`Telemetry.bind_device` additionally subscribes to
-the lower layers (queue servers, the SSD service-time probe, the FTL's
-GC events, the elastic policy's band selections).
+per-layer accounting.  :meth:`Telemetry.bind_device` subscribes it to
+the device's request-lifecycle events and to the lower layers (queue
+servers' ``job``, the SSDs' ``service``, the FTLs' ``gc``, the elastic
+policy's ``select``) through the stack's one event seam
+(:mod:`repro.sim.events`).
 
-Instrumentation is **opt-in and free when disabled**:
-
-- without a telemetry object the device holds :data:`NULL_TELEMETRY`
-  and skips every hook behind one cached boolean;
-- with one, individual probe points can be switched off through the
-  :class:`ProbeRegistry` *before* the device is built.
+Instrumentation is **opt-in and free when disabled**: a stack nothing
+subscribed to pays one truth test per emit site and runs no telemetry
+code.
 
 The write-path accounting is constructed so that, per request,
 
@@ -29,23 +27,14 @@ breakdown table reports the residual either way.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Hashable, Optional, Tuple
 
+from repro.flash.introspect import members_of
 from repro.sim.queueing import Job, Server
 from repro.telemetry.histograms import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
-__all__ = ["PROBE_POINTS", "ProbeRegistry", "Telemetry", "NULL_TELEMETRY"]
-
-#: The named probe points instrumentation can opt in/out of.
-#:
-#: =========  ========================================================
-#: request    per-request root spans and per-layer breakdown
-#: flash      device-queue wait/service correlation + GC stall split
-#: gc         FTL garbage-collection counters
-#: policy     elastic-policy band selections and transitions
-#: =========  ========================================================
-PROBE_POINTS: Tuple[str, ...] = ("request", "flash", "gc", "policy")
+__all__ = ["Telemetry"]
 
 #: Layers of the write-path breakdown, in presentation order.
 WRITE_LAYERS: Tuple[str, ...] = (
@@ -60,38 +49,10 @@ WRITE_LAYERS: Tuple[str, ...] = (
 READ_LAYERS: Tuple[str, ...] = ("queue", "flash_program", "read_decompress")
 
 
-class ProbeRegistry:
-    """Which probe points are live.  All on by default."""
-
-    def __init__(self, enabled: Optional[Tuple[str, ...]] = None) -> None:
-        self._active = set(PROBE_POINTS if enabled is None else enabled)
-        unknown = self._active - set(PROBE_POINTS)
-        if unknown:
-            raise ValueError(
-                f"unknown probe points {sorted(unknown)}; known: {PROBE_POINTS}"
-            )
-
-    def active(self, name: str) -> bool:
-        return name in self._active
-
-    def enable(self, name: str) -> None:
-        if name not in PROBE_POINTS:
-            raise ValueError(f"unknown probe point {name!r}")
-        self._active.add(name)
-
-    def disable(self, name: str) -> None:
-        self._active.discard(name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProbeRegistry({sorted(self._active)})"
-
-
 class _WriteRunRec:
     """Timing record for one flush unit (1..n merged write requests)."""
 
     __slots__ = (
-        "arrivals",
-        "refs",
         "codec",
         "estimate_time",
         "t_enqueue",
@@ -106,15 +67,11 @@ class _WriteRunRec:
 
     def __init__(
         self,
-        arrivals: List[float],
-        refs: List[object],
         codec: str,
         estimate_time: float,
         t_enqueue: float,
         anchor: Optional[Span],
     ) -> None:
-        self.arrivals = arrivals
-        self.refs = refs
         self.codec = codec
         self.estimate_time = estimate_time
         self.t_enqueue = t_enqueue
@@ -131,15 +88,13 @@ class _ReadRec:
     """Timing record for one read request (1..n pieces)."""
 
     __slots__ = (
-        "arrival",
         "span",
         "queue_wait",
         "flash_service",
         "decompress",
     )
 
-    def __init__(self, arrival: float, span: Optional[Span]) -> None:
-        self.arrival = arrival
+    def __init__(self, span: Span) -> None:
         self.span = span
         self.queue_wait = 0.0
         self.flash_service = 0.0
@@ -149,18 +104,14 @@ class _ReadRec:
 class Telemetry:
     """Aggregates tracing + metrics for one simulated device stack."""
 
-    enabled = True
-
     def __init__(
         self,
         sim,
-        probes: Optional[ProbeRegistry] = None,
         max_spans: int = 200_000,
         sub_buckets: int = 16,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
-        self.probes = probes if probes is not None else ProbeRegistry()
         # A shared tracer (cluster tracing) threads all shards' spans
         # into one causal trace; by default each Telemetry owns its own.
         self.tracer = (
@@ -182,7 +133,9 @@ class Telemetry:
         self.read_end_to_end = 0.0
 
         #: open per-request root spans, keyed by id(request)
-        self._req: Dict[int, Tuple[Span, float]] = {}
+        self._req: Dict[int, Span] = {}
+        #: open read records, keyed by id(request)
+        self._reads: Dict[int, _ReadRec] = {}
         #: flash-job correlation queues, keyed by normalised extent key
         self._pending_w: Dict[Hashable, Deque[_WriteRunRec]] = {}
         self._pending_r: Dict[Hashable, Deque[_ReadRec]] = {}
@@ -195,38 +148,40 @@ class Telemetry:
     # stack wiring
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
-        """Subscribe to the servers/FTL/policy beneath ``device``."""
+        """Subscribe to ``device`` and the servers/SSDs/FTLs/policy beneath."""
         self.device = device
-        backend = device.distributer.backend
-        if self.probes.active("flash"):
-            self._attach_backend(backend)
-        if self.probes.active("gc"):
-            self._attach_gc(backend)
-        if self.probes.active("policy") and hasattr(device.policy, "on_select"):
-            device.policy.on_select = self._on_policy_select
-
-    def _attach_backend(self, backend) -> None:
-        queue = getattr(backend, "queue", None)
-        if isinstance(queue, Server):
-            queue.observer = self._on_server_job
-        if hasattr(backend, "probe"):
-            backend.probe = self._on_ssd_probe
-        for dev in getattr(backend, "devices", ()) or ():
-            self._attach_backend(dev)
-
-    def _attach_gc(self, backend) -> None:
-        ftl = getattr(backend, "ftl", None)
-        if ftl is not None and hasattr(ftl, "on_gc"):
-            ftl.on_gc = self._on_gc
-        for dev in getattr(backend, "devices", ()) or ():
-            self._attach_gc(dev)
+        device.observers["telemetry"] = self
+        for kind, handler in (
+            ("request", self.request_arrived),
+            ("write_planned", self.write_run_planned),
+            ("write_cpu_done", self.write_cpu_done),
+            ("write_issue_begin", self.write_issue_begin),
+            ("write_issue_end", self.write_issue_end),
+            ("write_done", self.write_run_done),
+            ("read_started", self.read_started),
+            ("read_issue", self.read_issue),
+            ("read_decompressed", self.read_decompress_done),
+            ("read_done", self.read_done),
+        ):
+            device.events.subscribe(kind, handler)
+        for member in members_of(device.backend):
+            queue = getattr(member, "queue", None)
+            if isinstance(queue, Server):
+                queue.events.subscribe("job", self._on_server_job)
+            if getattr(member, "events", None) is not None:
+                member.events.subscribe("service", self._on_ssd_service)
+            if getattr(member, "ftl", None) is not None:
+                member.ftl.events.subscribe("gc", self._count_gc)
+        policy_events = getattr(device.policy, "events", None)
+        if policy_events is not None:
+            policy_events.subscribe("select", self._on_policy_select)
 
     # ------------------------------------------------------------------
-    # device hooks: request lifecycle
+    # device events: request lifecycle
     # ------------------------------------------------------------------
-    def request_arrived(self, request, is_write: bool) -> None:
+    def request_arrived(self, request) -> None:
         """Open the per-request root span at arrival time."""
-        now = self.sim.now
+        is_write = request.is_write
         parent = (
             self.parent_for(request) if self.parent_for is not None else None
         )
@@ -237,31 +192,26 @@ class Telemetry:
             lba=getattr(request, "lba", None),
             nbytes=getattr(request, "nbytes", None),
         )
-        self._req[id(request)] = (span, now)
+        self._req[id(request)] = span
         self.metrics.counter(
             "requests.write" if is_write else "requests.read"
         ).inc()
 
     # -- write path -----------------------------------------------------
-    def write_run_planned(self, run, plan) -> _WriteRunRec:
+    def write_run_planned(self, run, run_ids, hint, selected, plan) -> None:
         """A flush unit left the SD and was planned; CPU work may follow."""
         anchor = None
         for ref in run.refs:
-            entry = self._req.get(id(ref))
-            if entry is not None:
-                anchor = entry[0]
+            anchor = self._req.get(id(ref))
+            if anchor is not None:
                 break
-        return _WriteRunRec(
-            list(run.arrivals),
-            list(run.refs),
-            plan.codec_name,
-            plan.estimate_time,
-            self.sim.now,
-            anchor,
-        )
+        run.note("telemetry", _WriteRunRec(
+            plan.codec_name, plan.estimate_time, self.sim.now, anchor,
+        ))
 
-    def write_cpu_done(self, rec: _WriteRunRec, job: Optional[Job]) -> None:
+    def write_cpu_done(self, run, job: Optional[Job]) -> None:
         """Compression CPU finished (``job`` is None on the zero-cost path)."""
+        rec = run.notes["telemetry"]
         now = self.sim.now
         rec.t_commit = now
         if job is not None and job.start is not None:
@@ -284,21 +234,18 @@ class Telemetry:
                     parent=rec.anchor, codec=rec.codec,
                 )
 
-    def flash_issue_begin(
-        self, rec, key: Hashable, write: bool = True
-    ) -> None:
-        """About to issue the device I/O for ``rec`` under ``key``."""
-        if write:
-            self._pending_w.setdefault(key, deque()).append(rec)
-            self._issuing_w = rec
-        else:
-            self._pending_r.setdefault(key, deque()).append(rec)
+    def write_issue_begin(self, run, key: Hashable) -> None:
+        """About to issue the device write of ``run`` under ``key``."""
+        rec = run.notes["telemetry"]
+        self._pending_w.setdefault(key, deque()).append(rec)
+        self._issuing_w = rec
 
-    def flash_issue_end(self) -> None:
+    def write_issue_end(self, run) -> None:
         self._issuing_w = None
 
-    def write_run_done(self, rec: _WriteRunRec) -> None:
+    def write_run_done(self, run) -> None:
         """Device write completed: attribute layers per merged request."""
+        rec = run.notes["telemetry"]
         now = self.sim.now
         flash_total = now - rec.t_commit
         service = min(rec.flash_service, flash_total)
@@ -310,7 +257,7 @@ class Telemetry:
         wl = self.write_layers
         m = self.metrics
         resp_hist = m.histogram("write.response")
-        for arrival, ref in zip(rec.arrivals, rec.refs):
+        for arrival, ref in zip(run.arrivals, run.refs):
             sd_hold = rec.t_enqueue - arrival
             queue = sd_hold + rec.cpu_wait + flash_wait
             resp = now - arrival
@@ -324,9 +271,8 @@ class Telemetry:
             resp_hist.add(resp)
             m.histogram("write.queue").add(queue)
             m.histogram("write.codec_cpu").add(est + compress)
-            entry = self._req.pop(id(ref), None)
-            if entry is not None:
-                span, _arr = entry
+            span = self._req.pop(id(ref), None)
+            if span is not None:
                 if sd_hold > 0:
                     self.tracer.record(
                         "queue.sd", "queue", arrival, rec.t_enqueue,
@@ -335,16 +281,17 @@ class Telemetry:
                 self.tracer.finish(span)
 
     # -- read path ------------------------------------------------------
-    def read_started(self, request) -> _ReadRec:
-        entry = self._req.pop(id(request), None)
-        if entry is not None:
-            span, arrival = entry
-        else:  # request predates telemetry attachment
-            arrival = self.sim.now
-            span = self.tracer.start("read", layer="request")
-        return _ReadRec(arrival, span)
+    def read_started(self, request) -> None:
+        self._reads[id(request)] = _ReadRec(self._req.pop(id(request)))
 
-    def read_decompress_done(self, rec: _ReadRec, job: Job) -> None:
+    def read_issue(self, request, key: Hashable) -> None:
+        """About to issue one piece of ``request``'s device read under ``key``."""
+        self._pending_r.setdefault(key, deque()).append(
+            self._reads[id(request)]
+        )
+
+    def read_decompress_done(self, request, job: Job) -> None:
+        rec = self._reads[id(request)]
         if job.start is not None and job.completion is not None:
             wait = job.start - job.arrival
             rec.queue_wait += wait
@@ -359,18 +306,16 @@ class Telemetry:
                 job.start, job.completion, parent=rec.span,
             )
 
-    def read_done(self, rec: _ReadRec) -> None:
-        now = self.sim.now
-        resp = now - rec.arrival
+    def read_done(self, request, latency: float) -> None:
+        rec = self._reads.pop(id(request))
         rl = self.read_layers
         rl["queue"] += rec.queue_wait
         rl["flash_program"] += rec.flash_service
         rl["read_decompress"] += rec.decompress
         self.read_requests += 1
-        self.read_end_to_end += resp
-        self.metrics.histogram("read.response").add(resp)
-        if rec.span is not None:
-            self.tracer.finish(rec.span)
+        self.read_end_to_end += latency
+        self.metrics.histogram("read.response").add(latency)
+        self.tracer.finish(rec.span)
 
     # ------------------------------------------------------------------
     # lower-layer callbacks
@@ -380,10 +325,10 @@ class Telemetry:
         """RAID members sub-key as ``(key, i)``; fold back to the root."""
         return key[0] if isinstance(key, tuple) else key
 
-    def _on_ssd_probe(
+    def _on_ssd_service(
         self, op: str, key: Hashable, service: float, gc_stall: float
     ) -> None:
-        """SSD service-time probe, fired synchronously at submit."""
+        """SSD ``service`` event, emitted synchronously at submit."""
         if op == "write":
             rec = self._issuing_w
             if rec is not None:
@@ -447,7 +392,7 @@ class Telemetry:
             self.metrics.histogram("flash.read_wait").add(job.wait)
             self.metrics.histogram("flash.read_service").add(job.service_time)
 
-    def _on_gc(self, victim: int, moved: int, reclaimed: int) -> None:
+    def _count_gc(self, ftl, victim: int, moved: int, reclaimed: int) -> None:
         m = self.metrics
         m.counter("gc.collections").inc()
         m.counter("gc.moved_bytes").inc(moved)
@@ -506,46 +451,3 @@ class Telemetry:
             m.gauge("flash.relocated_bytes").set(
                 float(ftl.stats.relocated_bytes)
             )
-
-
-class _NullTelemetry:
-    """Shared inert telemetry: every hook is a cheap no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.probes = ProbeRegistry(enabled=())
-
-    def bind_device(self, device) -> None:
-        return None
-
-    def request_arrived(self, request, is_write: bool) -> None:
-        return None
-
-    def write_run_planned(self, run, plan):
-        return None
-
-    def write_cpu_done(self, rec, job) -> None:
-        return None
-
-    def flash_issue_begin(self, rec, key, write: bool = True) -> None:
-        return None
-
-    def flash_issue_end(self) -> None:
-        return None
-
-    def write_run_done(self, rec) -> None:
-        return None
-
-    def read_started(self, request):
-        return None
-
-    def read_decompress_done(self, rec, job) -> None:
-        return None
-
-    def read_done(self, rec) -> None:
-        return None
-
-
-#: Module-level inert singleton used by devices built without telemetry.
-NULL_TELEMETRY = _NullTelemetry()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["LAYERS", "Span", "Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["LAYERS", "Span", "Tracer"]
 
 #: The canonical layer tags used by the EDC instrumentation.
 LAYERS: Tuple[str, ...] = (
@@ -100,34 +100,13 @@ class Span:
         return f"Span#{self.span_id}({self.name!r}, {self.layer}, {state})"
 
 
-class _SpanSink:
-    """Shared interface of :class:`Tracer` and :class:`NullTracer`."""
-
-    enabled = False
-
-    def start(
-        self,
-        name: str,
-        layer: str = "request",
-        parent: Optional[Span] = None,
-        start: Optional[float] = None,
-        **tags: object,
-    ) -> Span:
-        raise NotImplementedError
-
-    def finish(self, span: Span, end: Optional[float] = None) -> None:
-        raise NotImplementedError
-
-
-class Tracer(_SpanSink):
+class Tracer:
     """Collects finished spans, bounded by ``max_spans``.
 
     Spans beyond the cap are *timed but not retained* (``dropped``
     counts them), so a long replay cannot exhaust memory while still
     reporting exact layer totals through the metrics side.
     """
-
-    enabled = True
 
     def __init__(
         self, clock: Callable[[], float], max_spans: int = 200_000
@@ -204,54 +183,3 @@ class Tracer(_SpanSink):
             n, t = totals.get(s.layer, (0, 0.0))
             totals[s.layer] = (n + 1, t + s.duration)
         return totals
-
-
-class NullTracer(_SpanSink):
-    """Free-when-disabled tracer: every call is a no-op.
-
-    ``start`` hands back the shared :data:`NULL_SPAN` so calling code
-    never needs a conditional around span plumbing.
-    """
-
-    enabled = False
-    dropped = 0
-    max_spans = 0
-    spans: List[Span] = []
-
-    def start(
-        self,
-        name: str,
-        layer: str = "request",
-        parent: Optional[Span] = None,
-        start: Optional[float] = None,
-        **tags: object,
-    ) -> Span:
-        return NULL_SPAN
-
-    def finish(self, span: Span, end: Optional[float] = None) -> None:
-        return None
-
-    def record(
-        self,
-        name: str,
-        layer: str,
-        start: float,
-        end: float,
-        parent: Optional[Span] = None,
-        **tags: object,
-    ) -> Span:
-        return NULL_SPAN
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def layer_totals(self) -> Dict[str, Tuple[int, float]]:
-        return {}
-
-
-#: Shared inert span returned by :class:`NullTracer`.
-NULL_SPAN = Span(-1, "null", "request", 0.0)
-NULL_SPAN.end = 0.0

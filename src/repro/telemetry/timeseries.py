@@ -12,7 +12,7 @@ keep the event loop alive once the workload drains.
 Each sampled value lands in a :class:`RingSeries` (fixed capacity, old
 points dropped, drop count kept), so memory stays constant no matter how
 long the replay runs.  Band switches are recorded out-of-band as exact
-:class:`MarkerSeries` events via the policy's ``on_select`` hook, so a
+:class:`MarkerSeries` events via the policy's ``select`` event, so a
 switch between two ticks is never lost.
 
 Sinks over the sampled state live next door:
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
+
+from repro.flash.introspect import ftls_of, queues_of
 
 __all__ = [
     "RingSeries",
@@ -298,21 +300,17 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "policy.band",
             lambda: float(policy.band_index(monitor.calculated_iops(sim.now))),
         )
-    # Exact band-switch markers via the selection hook (chained: the
-    # PR-1 Telemetry may already be subscribed).
-    if hasattr(policy, "on_select"):
-        prev_hook = policy.on_select
+    # Exact band-switch markers via the policy's selection event.
+    if getattr(policy, "events", None) is not None:
         state = {"band": None}
 
-        def _on_select(band_idx: int, iops: float) -> None:
-            if prev_hook is not None:
-                prev_hook(band_idx, iops)
+        def _mark_band_switch(band_idx: int, iops: float) -> None:
             last = state["band"]
             if last is not None and band_idx != last:
                 sampler.mark("band_switch", f"{last}->{band_idx}", t=sim.now)
             state["band"] = band_idx
 
-        policy.on_select = _on_select
+        policy.events.subscribe("select", _mark_band_switch)
 
     sampler.register_multi(
         "codec.write_share", device.stats.codec_shares, label_key="codec"
@@ -334,14 +332,14 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
 
     sampler.register("queue.depth.cpu", lambda: float(device.cpu.depth))
 
-    flash_queues = _flash_servers(backend)
+    flash_queues = queues_of(backend)
     if flash_queues:
         sampler.register(
             "queue.depth.flash",
             lambda: float(sum(q.depth for q in flash_queues)),
         )
 
-    ftls = _ftls(backend)
+    ftls = ftls_of(backend)
     if ftls:
         sampler.register(
             "gc.collections",
@@ -451,7 +449,8 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "edc.corrupt_reads", lambda: float(device.corrupt_reads)
         )
 
-    scrubber = getattr(device, "scrubber", None)
+    observers = device.observers
+    scrubber = observers.get("scrubber")
     if scrubber is not None:
         from repro.flash.scrub import ScrubStats
 
@@ -510,8 +509,8 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # baseline scrapes and their exposition output are unchanged.
     # spans_dropped makes the tracer's retention cap visible: a capped
     # trace can no longer masquerade as a complete one.
-    telemetry = getattr(device, "telemetry", None)
-    if telemetry is not None and getattr(telemetry, "enabled", False):
+    telemetry = observers.get("telemetry")
+    if telemetry is not None:
         tracer = telemetry.tracer
         sampler.register(
             "trace.spans_dropped", lambda: float(tracer.dropped)
@@ -522,7 +521,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
 
     # Decision-audit vocabulary — only present on audited runs, so
     # baseline scrapes and their exposition output are unchanged.
-    auditor = getattr(device, "auditor", None)
+    auditor = observers.get("auditor")
     if auditor is not None:
         sampler.register(
             "audit.decisions", lambda: float(auditor.n_decisions)
@@ -538,8 +537,8 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # exposition output are unchanged.  SMART snapshots and the space
     # waterfall walk device state, so one snapshot per tick is computed
     # lazily and shared across the family's collectors.
-    health = getattr(device, "health", None)
-    if health is not None and getattr(health, "enabled", False):
+    health = observers.get("health")
+    if health is not None:
         _hcache: Dict[str, object] = {"t": None, "smart": None, "wf": None}
 
         def _smart():
@@ -643,7 +642,7 @@ def bind_cluster_metrics(
     devices = dict(fleet.devices)
     if tracing is None:
         tracing = getattr(fleet, "tracing", None)
-    if tracing is not None and getattr(tracing, "enabled", False):
+    if tracing is not None:
         tracer = tracing.tracer
         sampler.register(
             "trace.spans_dropped", lambda: float(tracer.dropped)
@@ -758,27 +757,6 @@ def bind_cluster_metrics(
             },
             label_key="shard",
         )
-
-
-def _flash_servers(backend) -> List[object]:
-    """All queue servers below ``backend`` (RAID members recursed)."""
-    out: List[object] = []
-    queue = getattr(backend, "queue", None)
-    if queue is not None:
-        out.append(queue)
-    for dev in getattr(backend, "devices", ()) or ():
-        out.extend(_flash_servers(dev))
-    return out
-
-
-def _ftls(backend) -> List[object]:
-    out: List[object] = []
-    ftl = getattr(backend, "ftl", None)
-    if ftl is not None:
-        out.append(ftl)
-    for dev in getattr(backend, "devices", ()) or ():
-        out.extend(_ftls(dev))
-    return out
 
 
 # ----------------------------------------------------------------------

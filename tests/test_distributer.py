@@ -8,7 +8,7 @@ contract with fake backends at both ends of the capability spectrum.
 
 import pytest
 
-from repro.core.distributer import DistributerStats, RequestDistributer
+from repro.core.distributer import RequestDistributer
 
 
 class FullBackend:
@@ -169,10 +169,6 @@ class TestStatsAccounting:
         assert d.trim("ghost") is False
         assert d.stats.trims_attempted == 3
         assert d.stats.trims_effective == 1
-
-    def test_legacy_trims_alias(self):
-        s = DistributerStats(trims_attempted=5, trims_effective=2)
-        assert s.trims == 5
 
     def test_size_validation(self):
         d = RequestDistributer(MinimalBackend())

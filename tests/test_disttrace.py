@@ -8,7 +8,6 @@ import pytest
 from repro.bench.cluster import run_cluster, tenant_roster
 from repro.cluster import ClusterReplayConfig, ClusterReplayer, build_cluster
 from repro.telemetry import (
-    NULL_DIST_TRACER,
     Span,
     Tracer,
     child_index,
@@ -174,14 +173,14 @@ class TestTraceOffBitIdentity:
     def test_traced_run_bit_identical_to_untraced(self):
         assert self._run(False) == self._run(True)
 
-    def test_untraced_fleet_holds_the_null_tracer(self):
+    def test_untraced_fleet_holds_no_tracer(self):
         specs = tenant_roster(2)
         fleet = build_cluster(
             specs, ClusterReplayConfig(n_shards=2, capacity_mb=64)
         )
         assert fleet.tracing is None
-        assert fleet.cluster.tracer is NULL_DIST_TRACER
-        assert not fleet.cluster.tracer.enabled
+        assert fleet.cluster.tracer is None
+        assert all(not dev.observers for dev in fleet.devices.values())
 
 
 # ----------------------------------------------------------------------

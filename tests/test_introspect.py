@@ -14,7 +14,6 @@ from repro.flash.introspect import (
     space_waterfall,
 )
 from repro.telemetry.devhealth import (
-    NULL_DEVICE_HEALTH,
     DeviceHealth,
     GcEpisode,
     TemperatureMap,
@@ -110,35 +109,6 @@ class TestWaterfallConservation:
         )
         with pytest.raises(SpaceAccountingError):
             render_waterfall(bad)
-
-
-# ----------------------------------------------------------------------
-# bit-identity: introspection must not perturb the replay
-# ----------------------------------------------------------------------
-class TestBitIdentity:
-    def _digests(self, health):
-        captured = {}
-        trace = make_workload("Fin1", max_requests=600)
-        result = replay(
-            trace, "EDC", health=health,
-            on_built=lambda sim, dev, backend, devices: captured.update(
-                dev=dev),
-        )
-        dev = captured["dev"]
-        return (
-            dev.allocator.state_digest(),
-            dev.mapping.state_digest(),
-            result.n_requests,
-            result.mean_response,
-        )
-
-    def test_health_replay_bit_identical(self):
-        """Acceptance gate: --health must not change a single byte."""
-        without = self._digests(None)
-        with_health = self._digests(DeviceHealth())
-        null = self._digests(NULL_DEVICE_HEALTH)
-        assert with_health == without
-        assert null == without
 
 
 # ----------------------------------------------------------------------
@@ -292,20 +262,6 @@ class TestGcAudit:
         assert "GC episode audit" in table
         assert "low_free" in table
 
-    def test_probe_gate_disables_gc_audit(self):
-        from repro.telemetry.probes import ProbeRegistry
-
-        probes = ProbeRegistry()
-        probes.disable("gc")
-        cfg = ReplayConfig(capacity_mb=16, fold_fraction=0.5)
-        health, dev, _ = _replay_with_health(
-            "Fin1", cfg=cfg, max_requests=12000, probes=probes
-        )
-        ftl = ftls_of(dev.distributer.backend)[0]
-        assert ftl.collector.stats.collections > 0  # GC still ran...
-        assert health.episodes_total == 0           # ...but unrecorded
-        assert health.heat.touches > 0              # heat feed unaffected
-
     def test_retirement_episode(self):
         from repro.flash.ftl import ExtentFTL
         from repro.flash.geometry import NandGeometry
@@ -324,7 +280,7 @@ class TestGcAudit:
 
         health = DeviceHealth()
         health.sim = Simulator()
-        health._attach_ftl(ftl)
+        ftl.events.subscribe("retire", health._note_retire)
         ftl.retire_block(0)
         assert health.episodes_total == 1
         ep = health.episodes[0]
@@ -360,10 +316,6 @@ class TestComposition:
             health.smart()
         with pytest.raises(RuntimeError):
             health.waterfall()
-
-    def test_null_health_is_inert(self):
-        assert NULL_DEVICE_HEALTH.enabled is False
-        assert NULL_DEVICE_HEALTH.bind_device(object()) is None
 
     def test_dashboard_health_panels(self):
         from repro.telemetry.dashboard import render_dashboard

@@ -13,7 +13,7 @@ no randomness.
 import pytest
 
 from repro.compression.codec import default_registry
-from repro.core.device import IntegrityAssertionError, IntegrityError
+from repro.core.device import IntegrityError
 from repro.faults import FaultPlan
 from repro.faults.latent import (
     LatentErrorModel,
@@ -40,9 +40,6 @@ class TestIntegrityErrorClass:
     def test_is_exception_not_assertion(self):
         assert issubclass(IntegrityError, Exception)
         assert not issubclass(IntegrityError, AssertionError)
-
-    def test_deprecated_alias_preserved(self):
-        assert IntegrityAssertionError is IntegrityError
 
     def test_survives_pytest_style_assertion_rewriting(self):
         # ``except AssertionError`` (or a bare ``assert``-oriented

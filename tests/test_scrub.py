@@ -208,6 +208,7 @@ class _FakeDevice:
         self.backend = self._Backend()
         self.mapping = self._Mapping()
         self.outstanding = 0
+        self.observers = {}
 
 
 class TestScrubberLifecycle:
@@ -217,7 +218,7 @@ class TestScrubberLifecycle:
         sim = Simulator()
         dev = _FakeDevice()
         scrubber = MediaScrubber(sim, dev, ScrubConfig(interval_s=0.01))
-        assert dev.scrubber is scrubber
+        assert dev.observers["scrubber"] is scrubber
         scrubber.start()
         sim.schedule(0.1, lambda: None)
         sim.run()

@@ -109,7 +109,7 @@ class TestRequestDistributer:
         dist.write("k", 0, 2048)
         sim.run()
         assert dist.trim("k")
-        assert dist.stats.trims == 1
+        assert dist.stats.trims_attempted == 1
         assert not ssd.ftl.contains("k")
 
     def test_invalid_sizes(self, setup):

@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: spans, histograms, probes, export.
+"""Tests for the telemetry subsystem: spans, histograms, export.
 
 The replay smoke test at the bottom checks the headline property of the
 whole instrumentation design: on a single-SSD backend the per-layer
@@ -16,15 +16,10 @@ from repro.bench.experiments import ReplayConfig, replay
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     LAYERS,
-    NULL_SPAN,
-    NULL_TELEMETRY,
-    PROBE_POINTS,
     Counter,
     Gauge,
     Log2Histogram,
     MetricsRegistry,
-    NullTracer,
-    ProbeRegistry,
     Telemetry,
     Tracer,
     ascii_flamegraph,
@@ -98,13 +93,6 @@ class TestTracer:
         totals = tracer.layer_totals()
         assert totals["compress"] == (2, pytest.approx(3.0))
         assert totals["queue"] == (1, pytest.approx(4.0))
-
-    def test_null_tracer_is_inert(self):
-        t = NullTracer()
-        s = t.start("x")
-        assert s is NULL_SPAN
-        t.finish(s)
-        assert len(t) == 0 and list(t) == []
 
     def test_layer_vocabulary(self):
         assert "request" in LAYERS
@@ -221,33 +209,6 @@ class TestCountersGaugesRegistry:
 
 
 # ----------------------------------------------------------------------
-# probe registry
-# ----------------------------------------------------------------------
-class TestProbeRegistry:
-    def test_all_on_by_default(self):
-        p = ProbeRegistry()
-        assert all(p.active(name) for name in PROBE_POINTS)
-
-    def test_enable_disable(self):
-        p = ProbeRegistry(enabled=())
-        assert not p.active("flash")
-        p.enable("flash")
-        assert p.active("flash")
-        p.disable("flash")
-        assert not p.active("flash")
-
-    def test_unknown_point_rejected(self):
-        with pytest.raises(ValueError):
-            ProbeRegistry(enabled=("bogus",))
-        with pytest.raises(ValueError):
-            ProbeRegistry().enable("bogus")
-
-    def test_null_telemetry_is_disabled(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert not NULL_TELEMETRY.probes.active("request")
-
-
-# ----------------------------------------------------------------------
 # end-to-end: replay with telemetry attached
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -306,17 +267,6 @@ class TestReplaySmoke:
         hists = telemetry.metrics.histograms
         assert hists["write.response"].count == telemetry.write_requests
         assert hists["flash.write_service"].count > 0
-
-    def test_telemetry_replay_matches_plain_replay(self):
-        trace = make_workload("Fin1", duration=None, max_requests=300, seed=7)
-        cfg = ReplayConfig(capacity_mb=32, pool_blocks=32)
-        plain = replay(trace, "EDC", cfg)
-        instrumented = replay(
-            trace, "EDC", cfg, telemetry=Telemetry(Simulator())
-        )
-        # observation must not perturb the simulation
-        assert instrumented.mean_response == plain.mean_response
-        assert instrumented.compression_ratio == plain.compression_ratio
 
 
 # ----------------------------------------------------------------------
