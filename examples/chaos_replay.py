@@ -6,7 +6,7 @@ seeded :class:`~repro.faults.FaultPlan` — transient read faults,
 wear-coupled bit errors, program failures (bad-block retirement),
 latency spikes and one scheduled whole-device failure — then prints:
 
-1. the :class:`~repro.bench.chaos.ChaosReport` — retries and
+1. the ``chaos`` :class:`~repro.bench.record.RunRecord` — retries and
    recoveries, blocks retired, the degraded window and the event-driven
    rebuild, latency percentiles *inside* the degraded window, and the
    RECOVERED / DATA LOSS verdict;
@@ -18,7 +18,7 @@ latency spikes and one scheduled whole-device failure — then prints:
 Run:  python examples/chaos_replay.py
 """
 
-from repro.bench.chaos import run_chaos
+from repro.bench.chaos import render, run_chaos
 from repro.bench.experiments import ReplayConfig, replay
 from repro.faults import DeviceFailure, FaultPlan
 from repro.telemetry import TimeSeriesSampler, render_exposition
@@ -43,7 +43,7 @@ def main() -> None:
     sampler = TimeSeriesSampler(interval=0.25)
     report = run_chaos(plan, trace_name="Fin1", backend="rais5",
                        duration=10.0, sampler=sampler)
-    print(report.render())
+    print(render(report))
 
     # --- 2. the fault metric families ------------------------------------
     # The sampler's vocabulary gains faults.* / edc.* / array.* only on

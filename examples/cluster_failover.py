@@ -105,12 +105,12 @@ def main() -> None:
         ),
         replication_factor=1,
     )
-    d = report.outcome.durability
+    d = report.sections["durability"]
     print(f"replication_factor=1 under the same kind of plan: "
-          f"{len(d.lost)} acked blocks lost, "
-          f"{report.outcome.total_unrecovered} requests unrecovered "
-          f"-> {d.verdict} (exit {report.exit_code})")
-    assert d.verdict == "DATA-LOSS" and report.exit_code == 2
+          f"{len(d['lost'])} acked blocks lost, "
+          f"{report.live['outcome'].total_unrecovered} requests unrecovered "
+          f"-> {report.verdict} (exit {report.exit_code})")
+    assert report.verdict == "DATA-LOSS" and report.exit_code == 2
 
 
 if __name__ == "__main__":

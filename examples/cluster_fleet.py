@@ -26,7 +26,7 @@ Run:  python examples/cluster_fleet.py
 
 import numpy as np
 
-from repro.bench.cluster import run_cluster
+from repro.bench.cluster import render, run_cluster
 from repro.bench.experiments import ReplayConfig
 from repro.bench.schemes import build_device
 from repro.cluster import (
@@ -46,7 +46,7 @@ def main() -> None:
     # --- 1. the fleet exhibit: 4 shards x 8 tenants ----------------------
     report = run_cluster(n_shards=4, n_tenants=8, max_requests=600,
                          capacity_mb=64)
-    print(report.render())
+    print(render(report))
     assert report.ok, report.failures
 
     # --- 2. one live migration, by hand ----------------------------------

@@ -23,7 +23,7 @@ engine and shows the whole observability surface:
 Run:  python examples/cluster_trace.py
 """
 
-from repro.bench.cluster import run_cluster
+from repro.bench.cluster import render, run_cluster
 from repro.telemetry import (
     BurnRateEngine,
     TimeSeriesSampler,
@@ -43,14 +43,13 @@ def main() -> None:
         n_shards=3, n_tenants=6, max_requests=300,
         sampler=sampler, alerts=engine, trace=True,
     )
-    print(report.render())
+    print(render(report))
     assert report.ok, report.failures
-    assert report.critical.ok
 
     # --- 2. the slowest request, span by span ----------------------------
     print()
-    dist = report.tracing
-    worst = report.critical.slowest[0]
+    dist = report.live["tracing"]
+    worst = report.live["critical"].slowest[0]
     root = next(
         s for s in dist.tracer if s.span_id == worst.root_span_id
     )
@@ -86,12 +85,8 @@ def main() -> None:
     # --- 6. tracing is free ----------------------------------------------
     bare = run_cluster(n_shards=3, n_tenants=6, max_requests=300)
     same = (
-        bare.outcome.horizon == report.outcome.horizon
-        and all(
-            bare.outcome.tenants[n].mean_latency
-            == report.outcome.tenants[n].mean_latency
-            for n in bare.outcome.tenants
-        )
+        bare.results == report.results
+        and bare.sections["tenants"] == report.sections["tenants"]
     )
     print(f"traced run bit-identical to untraced run: {same}")
     assert same

@@ -6,7 +6,7 @@ durable-metadata machinery enabled (mapping-table checkpoints,
 write-ahead journal, per-extent OOB back-pointers, per-block CRCs),
 cuts power twice, and prints:
 
-1. the :class:`~repro.bench.crash.CrashReport` — per cut, what the
+1. the ``crash`` :class:`~repro.bench.record.RunRecord` — per cut, what the
    recovery scan read (checkpoint entries, journal replay length, OOB
    sweep), the oracle-fingerprint and bit-identical-rebuild checks, the
    CRC scrub, and the lost-acked vs lost-volatile split; then the
@@ -22,7 +22,7 @@ cuts power twice, and prints:
 Run:  python examples/crash_recovery.py
 """
 
-from repro.bench.crash import run_crash_chaos
+from repro.bench.crash import render, run_crash_chaos
 from repro.bench.experiments import ReplayConfig, replay
 from repro.core.config import EDCConfig
 from repro.energy.model import EnergyModel
@@ -40,7 +40,7 @@ def main() -> None:
     # Two cuts: one mid-burst (4 s), one in GC-heavy steady state (9 s).
     plan = FaultPlan(seed=11, power_losses=(PowerLoss(at=4.0), PowerLoss(at=9.0)))
     report = run_crash_chaos(plan, trace_name="Fin1", duration=12.0)
-    print(report.render())
+    print(render(report))
     assert report.ok, report.verdict
 
     # --- 2. one recovery, by hand ----------------------------------------

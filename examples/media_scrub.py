@@ -22,7 +22,7 @@ retirement and orphan trim, fully attributed) and the ``scrub.*`` /
 Run:  python examples/media_scrub.py
 """
 
-from repro.bench.chaos import run_chaos
+from repro.bench.chaos import render, run_chaos
 from repro.faults import FaultPlan
 from repro.telemetry import TimeSeriesSampler, render_exposition
 
@@ -48,7 +48,7 @@ def main() -> None:
     # --- 1. scrub off: latent corruption wins ----------------------------
     off = run_chaos(latent_plan(), trace_name="Fin1", backend="rais5",
                     duration=5.0)
-    print(off.render())
+    print(render(off))
     print()
 
     # --- 2. scrub on: the daemon wins ------------------------------------
@@ -58,16 +58,15 @@ def main() -> None:
     sampler = TimeSeriesSampler(interval=0.25)
     on = run_chaos(latent_plan(), trace_name="Fin1", backend="rais5",
                    duration=5.0, scrub_interval=0.005, sampler=sampler)
-    print(on.render())
+    print(render(on))
     print()
 
     # --- 3. the audit trail ----------------------------------------------
-    # Every scrub action is an attributed episode; the same payload is
-    # written by ``python -m repro.bench --chaos ... --scrub-audit PATH``
-    # and rendered inside the DeviceHealth dashboard.
-    scrubber_dict = on.scrub
-    assert scrubber_dict is not None
-    print(f"scrub stats: {scrubber_dict['stats']}")
+    # Every scrub action is an attributed episode; it is the ``scrub``
+    # section of the run record that
+    # ``python -m repro.bench --chaos ... --record PATH`` writes, and is
+    # rendered inside the DeviceHealth dashboard.
+    print(f"scrub stats: {on.sections['scrub']['stats']}")
     print()
 
     # --- 4. the scrub.* / latent.* metric families ------------------------

@@ -13,7 +13,7 @@ Usage::
     python -m repro.bench --audit --shadow lzf,gzip --audit-dump audit.jsonl
     python -m repro.bench --health --health-dump health.json   # device health
     python -m repro.bench --chaos benchmarks/chaos_fin1.json   # fault-injected replay
-    python -m repro.bench --chaos benchmarks/latent_fin1.json --scrub-interval 0.005
+    python -m repro.bench --chaos benchmarks/latent_fin1.json --scrub-interval 0.005 --record run.json
     python -m repro.bench --cluster --trace --trace-dump trace.json --alerts
     python -m repro.bench --profile --profile-dump profile.txt  # cProfile a replay
 
@@ -33,13 +33,21 @@ the decision auditor (``--shadow`` names comma-separated counterfactual
 policies, ``--audit-dump PATH`` writes the audit trail as JSON lines
 for ``python -m repro.bench.diff``) and prints the per-band regret
 table.  All three flags compose over the same single replay.
+
+``--chaos`` and ``--cluster`` are graded runs: the exit status is the
+verdict (0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, 3 CORRUPTION) and
+``--record PATH`` writes the run record.  Plans are validated and every
+dump target is opened before the replay; a command refused there exits
+64 (:data:`repro.bench.verdicts.USAGE_ERROR`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
+from typing import Callable, Dict, Optional, Sequence, TextIO, Tuple
 
 from repro.bench.figures import (
     fig1_request_size_latency,
@@ -52,26 +60,93 @@ from repro.bench.figures import (
 )
 from repro.bench.ascii import grouped_bar_chart, line_sketch
 from repro.bench.report import render_series, render_table, render_telemetry
+from repro.bench.verdicts import USAGE_ERROR
 
 ALL = ("fig1", "fig2", "fig3", "table1", "table2", "fig8", "fig9", "fig10",
        "fig11", "fig12", "breakdown")
 SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
 
+#: every option naming a file this command writes
+DUMP_FLAGS = ("trace_dump", "series_dump", "prom_dump", "audit_dump",
+              "health_dump", "record", "profile_dump")
 
-def _run_breakdown(
-    duration: float,
-    trace_dump: str | None,
-    with_telemetry: bool = True,
-    with_metrics: bool = False,
-    series_dump: str | None = None,
-    prom_dump: str | None = None,
-    interval: float = 0.25,
-    with_audit: bool = False,
-    shadow_spec: str = "lzf,gzip",
-    audit_dump: str | None = None,
-    with_health: bool = False,
-    health_dump: str | None = None,
-) -> int:
+#: one dump: the open target (``None`` = not asked for) and the writer,
+#: which gets the run's outcome and returns the line to print
+Dump = Tuple[Optional[TextIO], Callable[[TextIO, object], str]]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit :data:`USAGE_ERROR`: 0-3 are verdicts only."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _open_dumps(stack: contextlib.ExitStack, args) -> Dict[str, TextIO]:
+    """Open every dump target the command line names.
+
+    The only place this command opens a file for writing, and it runs
+    before any replay: a bad path costs nothing and cannot be mistaken
+    for a verdict.
+    """
+    return {
+        flag: stack.enter_context(
+            open(getattr(args, flag), "w", encoding="utf-8")
+        )
+        for flag in DUMP_FLAGS if getattr(args, flag)
+    }
+
+
+def _emit(run: Callable[[], object], render: Callable[[object], str],
+          dumps: Sequence[Dump]):
+    """Run, print the report, write the dumps: the one emit path."""
+    out = run()
+    print()
+    print(render(out))
+    for fp, write in dumps:
+        if fp is not None:
+            print(write(fp, out))
+    return out
+
+
+def _record_dump(fps: Dict[str, TextIO]) -> Dump:
+    def write(fp: TextIO, record) -> str:
+        fp.write(record.to_json())
+        return f"\nwrote the run record to {fp.name}"
+
+    return fps.get("record"), write
+
+
+def _series_dump(fps: Dict[str, TextIO], sampler) -> Dump:
+    from repro.telemetry import dump_timeseries_jsonl
+
+    def write(fp: TextIO, _) -> str:
+        return (f"\nwrote {dump_timeseries_jsonl(sampler, fp)} "
+                f"series/marker lines to {fp.name}")
+
+    return fps.get("series_dump"), write
+
+
+def _prom_dump(fps: Dict[str, TextIO], sources: Callable[[object], dict],
+               lead: str = "") -> Dump:
+    """The exposition snapshot of ``render_exposition(**sources(out))``.
+
+    ``lead`` keeps each mode's line where it has always been: the chaos
+    report sets it off with a blank line, the others do not.
+    """
+    from repro.telemetry import render_exposition
+
+    def write(fp: TextIO, out) -> str:
+        text = render_exposition(**sources(out))
+        fp.write(text)
+        return (f"{lead}wrote {len(text.splitlines())} exposition lines "
+                f"to {fp.name}")
+
+    return fps.get("prom_dump"), write
+
+
+def _run_breakdown(args, fps: Dict[str, TextIO]) -> int:
     """Replay Fin1 under EDC once, with whichever instrumentation was asked.
 
     ``--telemetry``, ``--metrics``, ``--audit`` and ``--health`` compose
@@ -92,257 +167,188 @@ def _run_breakdown(
         dump_audit_jsonl,
         dump_health_json,
         dump_jsonl,
-        dump_timeseries_jsonl,
         parse_shadow_spec,
         render_dashboard,
-        render_exposition,
     )
     from repro.traces.workloads import make_workload
 
-    # Open every dump target first so a bad path fails before the replay.
-    fps = {}
-    try:
-        for label, path in (("trace", trace_dump), ("series", series_dump),
-                            ("prom", prom_dump), ("audit", audit_dump),
-                            ("health", health_dump)):
-            if path:
-                fps[label] = open(path, "w", encoding="utf-8")
-        telemetry = Telemetry(Simulator()) if with_telemetry else None
-        sampler = TimeSeriesSampler(interval=interval) if with_metrics else None
-        auditor = (
-            DecisionAuditor(shadows=parse_shadow_spec(shadow_spec))
-            if with_audit else None
+    # Explicit `breakdown` exhibit without flags keeps the old
+    # telemetry-only behaviour; --metrics alone skips the span
+    # machinery it doesn't need.
+    telemetry = (
+        Telemetry(Simulator())
+        if args.telemetry or args.trace_dump or not args.metrics else None
+    )
+    sampler = (
+        TimeSeriesSampler() if args.metrics or args.series_dump else None
+    )
+    auditor = (
+        DecisionAuditor(shadows=parse_shadow_spec(args.shadow))
+        if args.audit or args.audit_dump else None
+    )
+    health = DeviceHealth() if args.health or args.health_dump else None
+    # flag name -> (observer, its report), for the ones asked for
+    active = {
+        name: pair for name, pair in (
+            ("telemetry", (telemetry, render_telemetry)),
+            ("metrics", (sampler, render_dashboard)),
+            ("audit", (auditor, render_audit)),
+            ("health", (health, DeviceHealth.render)),
+        ) if pair[0] is not None
+    }
+
+    def run():
+        trace = make_workload("Fin1", duration=args.duration)
+        return replay(trace, "EDC", telemetry=telemetry, sampler=sampler,
+                      auditor=auditor, health=health)
+
+    def render(result) -> str:
+        return "\n\n".join(
+            [f"{'+'.join(active)}: Fin1 x EDC, {result.n_requests} "
+             f"requests, mean response {result.mean_response * 1e3:.3f} ms"]
+            + [report(observer) for observer, report in active.values()]
         )
-        health = DeviceHealth() if with_health else None
-        trace = make_workload("Fin1", duration=duration)
-        result = replay(trace, "EDC", telemetry=telemetry, sampler=sampler,
-                        auditor=auditor, health=health)
-        parts = [p for on, p in ((with_telemetry, "telemetry"),
-                                 (with_metrics, "metrics"),
-                                 (with_audit, "audit"),
-                                 (with_health, "health")) if on]
-        print(f"{'+'.join(parts)}: Fin1 x EDC, {result.n_requests} requests, "
-              f"mean response {result.mean_response * 1e3:.3f} ms")
-        if telemetry is not None:
-            print()
-            print(render_telemetry(telemetry))
-            if "trace" in fps:
-                n = dump_jsonl(telemetry.tracer, fps["trace"])
-                print(f"\nwrote {n} spans to {trace_dump}")
-        if sampler is not None:
-            print()
-            print(render_dashboard(sampler))
-            if "series" in fps:
-                n = dump_timeseries_jsonl(sampler, fps["series"])
-                print(f"\nwrote {n} series/marker lines to {series_dump}")
-        if auditor is not None:
-            print()
-            print(render_audit(auditor))
-            if "audit" in fps:
-                n = dump_audit_jsonl(auditor, fps["audit"])
-                print(f"\nwrote {n} audit lines to {audit_dump} "
-                      f"(diff with: python -m repro.bench.diff)")
-        if health is not None:
-            print()
-            try:
-                print(health.render())
-            except SpaceAccountingError as exc:
-                print(f"HEALTH FAIL: {exc}", file=sys.stderr)
-                return 1
-            if "health" in fps:
-                dump_health_json(health, fps["health"])
-                print(f"\nwrote device-health report to {health_dump}")
-        if "prom" in fps:
-            text = render_exposition(
-                metrics=telemetry.metrics if telemetry is not None else None,
-                sampler=sampler,
-            )
-            fps["prom"].write(text)
-            print(f"wrote {len(text.splitlines())} exposition lines "
-                  f"to {prom_dump}")
-    finally:
-        for fp in fps.values():
-            fp.close()
+
+    def write_trace(fp, _) -> str:
+        return f"\nwrote {dump_jsonl(telemetry.tracer, fp)} spans to {fp.name}"
+
+    def write_audit(fp, _) -> str:
+        return (f"\nwrote {dump_audit_jsonl(auditor, fp)} audit lines to "
+                f"{fp.name} (diff with: python -m repro.bench.diff)")
+
+    def write_health(fp, _) -> str:
+        dump_health_json(health, fp)
+        return f"\nwrote device-health report to {fp.name}"
+
+    try:
+        _emit(run, render, [
+            (fps.get("trace_dump"), write_trace),
+            _series_dump(fps, sampler),
+            (fps.get("audit_dump"), write_audit),
+            (fps.get("health_dump"), write_health),
+            _prom_dump(fps, lambda _: {
+                "metrics": telemetry.metrics if telemetry is not None else None,
+                "sampler": sampler,
+            }),
+        ])
+    except SpaceAccountingError as exc:
+        print(f"HEALTH FAIL: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
-def _run_cluster(
-    n_shards: int,
-    n_tenants: int,
-    max_requests: int,
-    with_metrics: bool = False,
-    series_dump: str | None = None,
-    prom_dump: str | None = None,
-    interval: float = 0.25,
-    with_trace: bool = False,
-    trace_dump: str | None = None,
-    with_alerts: bool = False,
-    chaos_plan: str | None = None,
-    replication: int = 1,
-    quorum: str = "majority",
-    hedge: bool = False,
-    with_health: bool = False,
-    health_dump: str | None = None,
-) -> int:
-    """Run the sharded fleet exhibit; non-zero exit on invariant failure.
+def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
+    """Run the sharded fleet exhibit; the exit code is the verdict.
 
-    With ``chaos_plan`` the run becomes the fleet chaos harness: exit
-    0 RECOVERED, 1 DEGRADED (or invariant failure), 2 DATA-LOSS.
-    ``with_health`` / ``health_dump`` emit the per-shard SMART rollups
-    the outcome already carries as a JSON document.
+    With a ``plan`` the run becomes the fleet chaos harness.  A broken
+    run invariant (lost write, stuck migration, inconsistent SLO
+    accounting, critical-path violation) grades at least DEGRADED.
     """
-    from repro.bench.cluster import run_cluster
+    from repro.bench import cluster
     from repro.telemetry import (
         BurnRateEngine,
         TimeSeriesSampler,
         dump_chrome_trace,
-        dump_timeseries_jsonl,
         render_dashboard,
-        render_exposition,
     )
 
-    plan = None
-    if chaos_plan is not None:
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan.from_json(chaos_plan)
-        if plan.power_losses:
-            raise ValueError(
-                "power_loss events belong to the crash harness "
-                "(--chaos), not the fleet chaos harness"
-            )
-    with_trace = with_trace or bool(trace_dump)
+    with_trace = args.trace or "trace_dump" in fps
     sampler = (
-        TimeSeriesSampler(interval=interval)
-        if with_metrics or series_dump or prom_dump or with_alerts else None
+        TimeSeriesSampler()
+        if args.metrics or args.alerts or "series_dump" in fps
+        or "prom_dump" in fps else None
     )
-    engine = BurnRateEngine() if with_alerts else None
-    mode = " + tracing" if with_trace else ""
-    mode += " + burn-rate alerts" if with_alerts else ""
-    if plan is not None:
-        mode += (
-            f" under chaos plan {chaos_plan} "
-            f"(rf={replication}, quorum={quorum}, "
-            f"{len(plan.device_failures)} scheduled shard failure(s))"
-        )
-        work = "fleet chaos"
-    else:
+    engine = BurnRateEngine() if args.alerts else None
+
+    def run():
+        mode = " + tracing" if with_trace else ""
+        mode += " + burn-rate alerts" if args.alerts else ""
         work = "one live migration"
-    print(f"cluster: {n_shards} shards x {n_tenants} tenants, "
-          f"{max_requests} requests/tenant, {work}{mode}...")
-    report = run_cluster(
-        n_shards=n_shards, n_tenants=n_tenants,
-        max_requests=max_requests, sampler=sampler,
-        trace=with_trace, alerts=engine,
-        fault_plan=plan, replication_factor=replication,
-        quorum=quorum, hedge_reads=hedge,
-    )
-    print()
-    print(report.render())
-    if with_health or health_dump:
-        rollup = {
-            name: s.smart
-            for name, s in sorted(report.outcome.shards.items())
-            if s.smart is not None
-        }
-        if health_dump:
-            import json
-
-            with open(health_dump, "w", encoding="utf-8") as fp:
-                json.dump({"shards": rollup}, fp, indent=2, sort_keys=True)
-                fp.write("\n")
-            print(f"\nwrote per-shard SMART rollups to {health_dump}")
-    if with_metrics:
-        print()
-        print(render_dashboard(sampler, alerts=engine))
-    if trace_dump:
-        with open(trace_dump, "w", encoding="utf-8") as fp:
-            n = dump_chrome_trace(report.tracing.tracer, fp)
-        print(f"\nwrote {n} trace events to {trace_dump} "
-              f"(chrome://tracing / Perfetto)")
-    if series_dump:
-        with open(series_dump, "w", encoding="utf-8") as fp:
-            n = dump_timeseries_jsonl(sampler, fp)
-        print(f"\nwrote {n} series/marker lines to {series_dump}")
-    if prom_dump:
-        exemplars = (
-            report.tracing.exposition_exemplars()
-            if report.tracing is not None else None
+        if plan is not None:
+            work = "fleet chaos"
+            mode += (
+                f" under chaos plan {args.cluster_chaos} "
+                f"(rf={args.cluster_replication}, "
+                f"quorum={args.cluster_quorum}, "
+                f"{len(plan.device_failures)} scheduled shard failure(s))"
+            )
+        print(f"cluster: {args.cluster_shards} shards x "
+              f"{args.cluster_tenants} tenants, "
+              f"{args.cluster_requests} requests/tenant, {work}{mode}...")
+        return cluster.run_cluster(
+            n_shards=args.cluster_shards, n_tenants=args.cluster_tenants,
+            max_requests=args.cluster_requests, sampler=sampler,
+            trace=with_trace, alerts=engine,
+            fault_plan=plan, replication_factor=args.cluster_replication,
+            quorum=args.cluster_quorum, hedge_reads=args.cluster_hedge,
         )
-        text = render_exposition(sampler=sampler, exemplars=exemplars)
-        with open(prom_dump, "w", encoding="utf-8") as fp:
-            fp.write(text)
-        print(f"wrote {len(text.splitlines())} exposition lines "
-              f"to {prom_dump}")
-    return report.exit_code
+
+    def render(record) -> str:
+        text = cluster.render(record)
+        if args.metrics:
+            text += "\n\n" + render_dashboard(sampler, alerts=engine)
+        return text
+
+    def write_trace(fp, record) -> str:
+        n = dump_chrome_trace(record.live["tracing"].tracer, fp)
+        return (f"\nwrote {n} trace events to {fp.name} "
+                f"(chrome://tracing / Perfetto)")
+
+    def exposition_sources(record) -> dict:
+        tracing = record.live["tracing"]
+        return {"sampler": sampler, "exemplars": (
+            tracing.exposition_exemplars() if tracing is not None else None
+        )}
+
+    return _emit(run, render, [
+        _record_dump(fps),
+        (fps.get("trace_dump"), write_trace),
+        _series_dump(fps, sampler),
+        _prom_dump(fps, exposition_sources),
+    ]).exit_code
 
 
-def _run_chaos(
-    plan_path: str,
-    trace_name: str,
-    duration: float,
-    backend: str,
-    prom_dump: str | None = None,
-    interval: float = 0.25,
-    scrub_interval: float | None = None,
-    scrub_audit: str | None = None,
-) -> int:
-    """Replay one trace under a fault plan; exit code is the verdict.
+def _run_chaos(args, plan, fps: Dict[str, TextIO]) -> int:
+    """Replay one trace under a fault plan; the exit code is the verdict.
 
-    Exit codes are the shared :mod:`repro.bench.verdicts` mapping:
-    0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, 3 CORRUPTION.  Plans that
-    schedule ``power_loss`` events route to the crash-chaos harness
-    instead: the replay is cut at each instant, recovery is scanned and
-    verified, and the same verdict mapping applies.
-
-    ``scrub_interval`` arms the online media scrubber (seconds between
-    sweep ticks) so latent retention / read-disturb corruption is
-    repaired in-band; ``scrub_audit`` writes the scrub-episode audit as
-    JSON after the run.
+    Plans that schedule ``power_loss`` events route to the crash-chaos
+    harness: the replay is cut at each instant, recovery is scanned and
+    verified, and the same :mod:`repro.bench.verdicts` mapping applies.
+    ``--scrub-interval`` arms the online media scrubber so latent
+    retention / read-disturb corruption is repaired in-band.
     """
-    from repro.bench.chaos import run_chaos
-    from repro.faults import FaultPlan
-    from repro.telemetry import TimeSeriesSampler, render_exposition
+    from repro.bench import chaos, crash
+    from repro.telemetry import TimeSeriesSampler
 
-    plan = FaultPlan.from_json(plan_path)
+    where = (f"replaying {args.chaos_trace} under {args.chaos} "
+             f"({args.chaos_backend}, duration {args.duration:.0f}s")
     if plan.power_losses:
-        from repro.bench.crash import run_crash_chaos
+        def run():
+            print(f"crash chaos: {where}, "
+                  f"{len(plan.power_losses)} power cut(s))...")
+            return crash.run_crash_chaos(
+                plan, trace_name=args.chaos_trace,
+                backend=args.chaos_backend, duration=args.duration,
+            )
 
-        print(f"crash chaos: replaying {trace_name} under {plan_path} "
-              f"({backend}, duration {duration:.0f}s, "
-              f"{len(plan.power_losses)} power cut(s))...")
-        crash_report = run_crash_chaos(
-            plan, trace_name=trace_name, backend=backend, duration=duration,
+        return _emit(run, crash.render, [_record_dump(fps)]).exit_code
+
+    sampler = TimeSeriesSampler()
+
+    def run():
+        scrubbed = (f", scrub every {args.scrub_interval}s"
+                    if args.scrub_interval is not None else "")
+        print(f"chaos: {where}{scrubbed})...")
+        return chaos.run_chaos(
+            plan, trace_name=args.chaos_trace, backend=args.chaos_backend,
+            duration=args.duration, sampler=sampler,
+            scrub_interval=args.scrub_interval,
         )
-        print()
-        print(crash_report.render())
-        return crash_report.exit_code
-    sampler = TimeSeriesSampler(interval=interval)
-    scrubbed = (f", scrub every {scrub_interval}s"
-                if scrub_interval is not None else "")
-    print(f"chaos: replaying {trace_name} under {plan_path} "
-          f"({backend}, duration {duration:.0f}s{scrubbed})...")
-    report = run_chaos(
-        plan, trace_name=trace_name, backend=backend, duration=duration,
-        sampler=sampler, scrub_interval=scrub_interval,
-    )
-    print()
-    print(report.render())
-    if scrub_audit:
-        import json
 
-        with open(scrub_audit, "w", encoding="utf-8") as fp:
-            json.dump(report.scrub if report.scrub is not None else {},
-                      fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"\nwrote scrub audit to {scrub_audit}")
-    if prom_dump:
-        text = render_exposition(sampler=sampler)
-        with open(prom_dump, "w", encoding="utf-8") as fp:
-            fp.write(text)
-        print(f"\nwrote {len(text.splitlines())} exposition lines "
-              f"to {prom_dump}")
-    return report.exit_code
+    return _emit(run, chaos.render, [
+        _record_dump(fps),
+        _prom_dump(fps, lambda _: {"sampler": sampler}, lead="\n"),
+    ]).exit_code
 
 
 def _print_matrix(matrix, metric: str, title: str) -> None:
@@ -361,7 +367,7 @@ def _print_matrix(matrix, metric: str, title: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro.bench", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -386,9 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--prom-dump", metavar="PATH", default=None,
                         help="write a Prometheus-style exposition snapshot "
                              "of the instrumented replay to PATH")
-    parser.add_argument("--sample-interval", type=float, default=0.25,
-                        help="sampler tick in virtual seconds "
-                             "(default 0.25)")
     parser.add_argument("--audit", action="store_true",
                         help="also run the 'breakdown' exhibit with the "
                              "decision auditor: per-band regret table vs "
@@ -409,12 +412,10 @@ def main(argv: list[str] | None = None) -> int:
                              "conservation invariant), GC episode audit "
                              "and LBA temperature heatmap (composes with "
                              "--telemetry/--metrics/--audit over one "
-                             "shared replay; with --cluster, prints the "
-                             "per-shard SMART rollups instead)")
+                             "shared replay)")
     parser.add_argument("--health-dump", metavar="PATH", default=None,
                         help="with --health, write the device-health "
-                             "report (or the per-shard SMART rollups "
-                             "with --cluster) as JSON to PATH")
+                             "report as JSON to PATH")
     parser.add_argument("--chaos", metavar="PLAN.json", default=None,
                         help="replay one trace under the JSON fault plan "
                              "and report recovered vs lost requests; the "
@@ -435,15 +436,17 @@ def main(argv: list[str] | None = None) -> int:
                              "latent retention / read-disturb corruption "
                              "is CRC-detected and self-healed from parity "
                              "through the normal device path")
-    parser.add_argument("--scrub-audit", metavar="PATH", default=None,
-                        help="with --chaos and --scrub-interval, write "
-                             "the scrub-episode audit (config, counters, "
-                             "per-repair episodes) as JSON to PATH")
+    parser.add_argument("--record", metavar="PATH", default=None,
+                        help="with --chaos or --cluster, write the run "
+                             "record (inputs, results, evidence sections "
+                             "such as the scrub audit or the per-shard "
+                             "SMART rollups, failures, verdict, exit "
+                             "code) as JSON to PATH")
     parser.add_argument("--cluster", action="store_true",
                         help="run the sharded multi-tenant fleet exhibit: "
                              "consistent-hash routing, QoS admission, one "
-                             "live range migration under load; exits 1 on "
-                             "lost acked writes or SLO-accounting "
+                             "live range migration under load; exits 1 "
+                             "(DEGRADED) on lost acked writes or SLO-accounting "
                              "inconsistencies (--metrics adds the cluster.* "
                              "time-series families, --series-dump/--prom-dump "
                              "apply)")
@@ -460,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(device names shard0..N-1) against the fleet, "
                              "replicate ranges --cluster-replication ways, "
                              "and grade the post-run durability audit. "
-                             "Exit 0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS")
+                             "Exit 0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, "
+                             "3 CORRUPTION")
     parser.add_argument("--cluster-replication", type=int, default=1,
                         metavar="N",
                         help="replicas per LBA range for --cluster "
@@ -491,56 +495,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile one Fin1 x EDC replay under cProfile "
                              "and print the top functions by cumulative "
                              "time (honours --duration)")
-    parser.add_argument("--profile-top", type=int, default=25,
-                        help="rows in the --profile table (default 25)")
     parser.add_argument("--profile-dump", metavar="PATH", default=None,
                         help="with --profile, also write the table to PATH")
     args = parser.parse_args(argv)
-    if args.profile:
-        from repro.bench.profile import profile_replay
-
-        print(f"profiling Fin1 x EDC (duration {args.duration:.0f}s)...")
-        prof = profile_replay(
-            duration=args.duration, top_n=args.profile_top
-        )
-        print()
-        print(prof.render())
-        if args.profile_dump:
-            with open(args.profile_dump, "w", encoding="utf-8") as fp:
-                prof.dump(fp)
-            print(f"\nwrote profile to {args.profile_dump}")
-        return 0
     if args.cluster_chaos and not args.cluster:
         parser.error("--cluster-chaos requires --cluster")
-    if args.cluster:
-        try:
-            return _run_cluster(
-                args.cluster_shards, args.cluster_tenants,
-                args.cluster_requests, with_metrics=args.metrics,
-                series_dump=args.series_dump, prom_dump=args.prom_dump,
-                interval=args.sample_interval,
-                with_trace=args.trace, trace_dump=args.trace_dump,
-                with_alerts=args.alerts,
-                chaos_plan=args.cluster_chaos,
-                replication=args.cluster_replication,
-                quorum=args.cluster_quorum,
-                hedge=args.cluster_hedge,
-                with_health=args.health,
-                health_dump=args.health_dump,
-            )
-        except (OSError, ValueError) as exc:
-            parser.error(f"--cluster: {exc}")
-    if args.chaos:
-        try:
-            return _run_chaos(
-                args.chaos, args.chaos_trace, args.duration,
-                args.chaos_backend, prom_dump=args.prom_dump,
-                interval=args.sample_interval,
-                scrub_interval=args.scrub_interval,
-                scrub_audit=args.scrub_audit,
-            )
-        except (OSError, ValueError) as exc:
-            parser.error(f"--chaos {args.chaos}: {exc}")
+    if args.record and not (args.chaos or args.cluster):
+        parser.error("--record needs a graded run (--chaos or --cluster)")
+    if args.health_dump and args.cluster:
+        parser.error("--health-dump belongs to the breakdown exhibit; the "
+                     "per-shard SMART rollups are in --record")
     instrumented = (args.telemetry or args.metrics or bool(args.prom_dump)
                     or args.audit or bool(args.audit_dump)
                     or args.health or bool(args.health_dump))
@@ -550,6 +514,51 @@ def main(argv: list[str] | None = None) -> int:
     unknown = set(wanted) - set(ALL)
     if unknown:
         parser.error(f"unknown exhibits: {sorted(unknown)}; known: {ALL}")
+
+    from repro.faults import FaultPlan
+
+    with contextlib.ExitStack() as stack:
+        # Everything that can refuse the command line happens here,
+        # before any replay; nothing raised later is a usage error.
+        try:
+            plan_path = args.cluster_chaos if args.cluster else args.chaos
+            plan = FaultPlan.from_json(plan_path) if plan_path else None
+            if plan is not None and plan.power_losses:
+                if args.cluster:
+                    raise ValueError(
+                        "power_loss events belong to the crash harness "
+                        "(--chaos), not the fleet chaos harness"
+                    )
+                if args.chaos_backend != "ssd":
+                    raise ValueError(
+                        "crash chaos (a plan with power_losses) supports "
+                        "only --chaos-backend ssd"
+                    )
+            fps = _open_dumps(stack, args)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        return _run(args, plan, fps, wanted)
+
+
+def _run(args, plan, fps: Dict[str, TextIO], wanted) -> int:
+    if args.profile:
+        from repro.bench.profile import profile_replay
+
+        def run():
+            print(f"profiling Fin1 x EDC (duration {args.duration:.0f}s)...")
+            return profile_replay(duration=args.duration)
+
+        def write_profile(fp, prof) -> str:
+            prof.dump(fp)
+            return f"\nwrote profile to {fp.name}"
+
+        _emit(run, lambda prof: prof.render(),
+              [(fps.get("profile_dump"), write_profile)])
+        return 0
+    if args.cluster:
+        return _run_cluster(args, plan, fps)
+    if args.chaos:
+        return _run_chaos(args, plan, fps)
 
     t0 = time.time()
     ssd_matrix = None
@@ -604,25 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         elif name == "breakdown":
             print(f"running the instrumented replay "
                   f"(duration {args.duration:.0f}s)...")
-            # Explicit `breakdown` exhibit without flags keeps the old
-            # telemetry-only behaviour; --metrics alone skips the span
-            # machinery it doesn't need.
-            with_audit = args.audit or bool(args.audit_dump)
-            with_health = args.health or bool(args.health_dump)
-            rc = _run_breakdown(
-                args.duration,
-                args.trace_dump,
-                with_telemetry=args.telemetry or not args.metrics,
-                with_metrics=args.metrics,
-                series_dump=args.series_dump,
-                prom_dump=args.prom_dump,
-                interval=args.sample_interval,
-                with_audit=with_audit,
-                shadow_spec=args.shadow,
-                audit_dump=args.audit_dump,
-                with_health=with_health,
-                health_dump=args.health_dump,
-            )
+            rc = _run_breakdown(args, fps)
             if rc:
                 return rc
         elif name == "fig12":

@@ -8,10 +8,10 @@ mid-run, and prints the fleet report: per-tenant admission/SLO
 accounting, per-shard occupancy and realised compression, migration
 traffic, and the lost-write invariant verdict.
 
-The run **fails** (non-zero exit from the CLI) when any acked write is
-lost, when a started migration does not complete, or when the SLO
-accounting is inconsistent — the same checks the CI cluster smoke job
-gates on.  With ``--trace`` the fleet runs under distributed tracing
+The run grades at least **DEGRADED** (exit 1 from the CLI) when any
+acked write is lost, when a started migration does not complete, or
+when the SLO accounting is inconsistent — the same checks the CI
+cluster smoke job gates on.  With ``--trace`` the fleet runs under distributed tracing
 and every sampled request's critical path must sum to its end-to-end
 latency (conservation violations fail the run); ``--alerts`` rides a
 burn-rate alert engine on the metrics sampler.
@@ -26,17 +26,19 @@ acked write is audited against the surviving replicas
 and the verdict decides the exit code: ``RECOVERED`` (0) — redundancy
 restored, every acked block readable byte-exact; ``DEGRADED`` (1) —
 data intact but a range is still under-replicated; ``DATA-LOSS`` (2) —
-an acked block has no surviving intact copy.  Chaos runs skip the
-forced migration kick so the failover path is exercised in isolation.
+an acked block has no surviving copy; ``CORRUPTION`` (3) — a surviving
+copy failed the byte-exactness scrub.  Chaos runs skip the forced
+migration kick so the failover path is exercised in isolation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import List, Optional
 
+from repro.bench import verdicts
+from repro.bench.record import RunRecord
 from repro.cluster import (
-    ClusterOutcome,
     ClusterReplayConfig,
     ClusterReplayer,
     Migration,
@@ -44,9 +46,9 @@ from repro.cluster import (
     build_cluster,
 )
 from repro.faults.plan import FaultPlan
-from repro.traces.multitenant import TenantStream, make_tenant_streams
+from repro.traces.multitenant import make_tenant_streams
 
-__all__ = ["ClusterRunReport", "tenant_roster", "run_cluster"]
+__all__ = ["tenant_roster", "run_cluster", "render"]
 
 
 def tenant_roster(n_tenants: int) -> List[TenantSpec]:
@@ -71,150 +73,119 @@ def tenant_roster(n_tenants: int) -> List[TenantSpec]:
     return specs
 
 
-@dataclass
-class ClusterRunReport:
-    """Outcome of one cluster exhibit run plus its pass/fail verdict."""
-
-    outcome: ClusterOutcome
-    streams: List[TenantStream]
-    migrations: List[Migration]
-    failures: List[str] = field(default_factory=list)
-    #: fleet DistTracer when the run was traced, else ``None``
-    tracing: Optional[object] = None
-    #: critical-path conservation report when the run was traced
-    critical: Optional[object] = None
-    #: BurnRateEngine when alerting was attached, else ``None``
-    alerts: Optional[object] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def exit_code(self) -> int:
-        """0 clean, 1 invariant failure / DEGRADED, 2 DATA-LOSS."""
-        code = 0 if self.ok else 1
-        d = self.outcome.durability
-        if d is not None:
-            code = max(code, d.exit_code)
-        return code
-
-    def render(self) -> str:
-        out = self.outcome
-        lines: List[str] = []
+def render(record: RunRecord) -> str:
+    """The fleet report of a ``cluster`` record."""
+    r, sec = record.results, record.sections
+    tenants, shards = sec["tenants"], sec["shards"]
+    lines: List[str] = []
+    lines.append(
+        f"cluster: {len(shards)} shards x {len(tenants)} tenants, "
+        f"{r['n_requests']} requests, horizon {r['horizon']:.2f}s"
+    )
+    lines.append("")
+    lines.append("tenant       workload  done   queued  p95 ms     SLO ms  viol")
+    for name in sorted(tenants):
+        t = tenants[name]
+        slo = f"{t['slo'] * 1e3:7.1f}" if t["slo"] is not None else "      -"
         lines.append(
-            f"cluster: {len(out.shards)} shards x {len(out.tenants)} tenants, "
-            f"{out.n_requests} requests, horizon {out.horizon:.2f}s"
+            f"{name:<12} {t['workload']:<9} "
+            f"{t['completed']:<6} {t['queued']:<7} "
+            f"{t['p95_latency'] * 1e3:8.3f} "
+            f"{slo} {t['slo_violations']:5d}"
         )
-        lines.append("")
-        lines.append("tenant       workload  done   queued  p95 ms     SLO ms  viol")
-        by_tenant = {s.tenant: s.workload for s in self.streams}
-        for name in sorted(out.tenants):
-            t = out.tenants[name]
-            slo = f"{t.slo * 1e3:7.1f}" if t.slo is not None else "      -"
-            lines.append(
-                f"{name:<12} {by_tenant.get(name, '?'):<9} "
-                f"{t.completed:<6} {t.queued:<7} {t.p95_latency * 1e3:8.3f} "
-                f"{slo} {t.slo_violations:5d}"
-            )
-        lines.append("")
-        lines.append("shard    ranges  logical MB  physical MB  ratio  WA")
-        for name in sorted(out.shards):
-            s = out.shards[name]
-            c = s.capacity
-            lines.append(
-                f"{name:<8} {c.ranges:<7} {c.logical_bytes / 1e6:10.2f} "
-                f"{c.physical_bytes / 1e6:11.2f} {c.ratio:6.3f} "
-                f"{s.write_amplification:5.3f}"
-            )
-        if any(s.smart for s in out.shards.values()):
-            lines.append("")
-            lines.append(
-                "shard    wear_max  erases  spare  retired  util%  "
-                "GC eff  realized"
-            )
-            for name in sorted(out.shards):
-                sm = out.shards[name].smart
-                if not sm:
-                    continue
-                lines.append(
-                    f"{name:<8} {int(sm['wear_max']):8d} "
-                    f"{int(sm['total_erases']):7d} "
-                    f"{int(sm['spare_blocks']):6d} "
-                    f"{int(sm['retired_blocks']):8d} "
-                    f"{sm['utilization'] * 100:6.1f} "
-                    f"{sm['gc_efficiency']:7.3f} "
-                    f"{sm['realized_ratio']:9.3f}"
-                )
-        lines.append("")
-        m = out.migration
+    lines.append("")
+    lines.append("shard    ranges  logical MB  physical MB  ratio  WA")
+    for name in sorted(shards):
+        s = shards[name]
+        c = s["capacity"]
         lines.append(
-            f"migrations: {m.completed}/{m.started} completed, "
-            f"{m.copied_blocks} blocks copied "
-            f"({out.migration_bytes / 1e6:.2f} MB migration traffic, "
-            f"{out.stats.dual_writes} dual-writes), "
-            f"{m.skipped_dirty_blocks} dirty-skipped"
+            f"{name:<8} {c['ranges']:<7} {c['logical_bytes'] / 1e6:10.2f} "
+            f"{c['physical_bytes'] / 1e6:11.2f} {c['ratio']:6.3f} "
+            f"{s['write_amplification']:5.3f}"
+        )
+    lines.append("")
+    lines.append(
+        "shard    wear_max  erases  spare  retired  util%  "
+        "GC eff  realized"
+    )
+    for name in sorted(shards):
+        sm = shards[name]["smart"]
+        lines.append(
+            f"{name:<8} {int(sm['wear_max']):8d} "
+            f"{int(sm['total_erases']):7d} "
+            f"{int(sm['spare_blocks']):6d} "
+            f"{int(sm['retired_blocks']):8d} "
+            f"{sm['utilization'] * 100:6.1f} "
+            f"{sm['gc_efficiency']:7.3f} "
+            f"{sm['realized_ratio']:9.3f}"
+        )
+    lines.append("")
+    m, e = sec["migration"], sec["energy"]
+    lines.append(
+        f"migrations: {m['completed']}/{m['started']} completed, "
+        f"{m['copied_blocks']} blocks copied "
+        f"({r['migration_bytes'] / 1e6:.2f} MB migration traffic, "
+        f"{sec['stats']['dual_writes']} dual-writes), "
+        f"{m['skipped_dirty_blocks']} dirty-skipped"
+    )
+    joules = e["cpu_joules"] + e["device_active_joules"] + e["device_idle_joules"]
+    lines.append(
+        f"fleet: WA {r['fleet_wa']:.3f}, imbalance {r['imbalance']:.3f}, "
+        f"energy {joules:.1f} J"
+    )
+    if "replication" in sec:
+        rp = sec["replication"]
+        lines.append(
+            f"replication: {rp['replica_writes']} replica writes "
+            f"({rp['replica_bytes'] / 1e6:.2f} MB), {rp['retries']} retries, "
+            f"{rp['failovers']} read failovers, {rp['hedged_reads']} hedged "
+            f"({rp['hedge_wins']} wins), {rp['quorum_failures']} quorum misses"
         )
         lines.append(
-            f"fleet: WA {out.fleet_wa:.3f}, imbalance {out.imbalance:.3f}, "
-            f"energy {out.energy.total_joules:.1f} J"
+            f"recovery: {rp['shards_failed']} shard(s) failed, rebuilds "
+            f"{rp['rebuilds_completed']}/{rp['rebuilds_started']} completed "
+            f"({rp['rebuilds_abandoned']} abandoned, "
+            f"{rp['rebuild_bytes'] / 1e6:.2f} MB recopied), "
+            f"{rp['unrecovered_parts']} unrecovered parts"
         )
-        if out.replication is not None:
-            r = out.replication
-            lines.append(
-                f"replication: {r.replica_writes} replica writes "
-                f"({r.replica_bytes / 1e6:.2f} MB), {r.retries} retries, "
-                f"{r.failovers} read failovers, {r.hedged_reads} hedged "
-                f"({r.hedge_wins} wins), {r.quorum_failures} quorum misses"
-            )
-            lines.append(
-                f"recovery: {r.shards_failed} shard(s) failed, rebuilds "
-                f"{r.rebuilds_completed}/{r.rebuilds_started} completed "
-                f"({r.rebuilds_abandoned} abandoned, "
-                f"{r.rebuild_bytes / 1e6:.2f} MB recopied), "
-                f"{r.unrecovered_parts} unrecovered parts"
-            )
-        if out.health_states:
-            dead = ", ".join(out.dead_shards) if out.dead_shards else "none"
-            lines.append(
-                f"health: {sum(1 for s in out.health_states.values() if s != 'dead')}"
-                f"/{len(out.health_states)} shards alive (dead: {dead})"
-            )
-        if out.durability is not None:
-            d = out.durability
-            lines.append(
-                f"durability: {d.checked_blocks} acked blocks audited, "
-                f"{len(d.lost)} lost, {len(d.corrupt)} corrupt, "
-                f"{len(d.under_replicated)} range(s) under-replicated "
-                f"-> {d.verdict}"
-            )
-        if self.critical is not None:
-            lines.append("")
-            lines.append(self.critical.render())
-        if self.alerts is not None and self.alerts.events:
-            lines.append("")
-            lines.append(f"alert events: {len(self.alerts.events)}")
-            for ev in self.alerts.events[:8]:
-                lines.append(
-                    f"  {ev.t:8.3f}s  {ev.tenant:<10} {ev.kind:<6} "
-                    f"burn fast {ev.fast_burn:.2f} / slow {ev.slow_burn:.2f}"
-                )
-        verdict = (
-            "OK: no lost acked writes, SLO accounting consistent"
-            if self.ok else "FAIL: " + "; ".join(self.failures)
+    if sec["health_states"]:
+        states, dead = sec["health_states"], sec["dead_shards"]
+        lines.append(
+            f"health: {sum(1 for s in states.values() if s != 'dead')}"
+            f"/{len(states)} shards alive "
+            f"(dead: {', '.join(dead) if dead else 'none'})"
         )
-        lines.append(verdict)
-        return "\n".join(lines)
+    if "durability" in sec:
+        d = sec["durability"]
+        lines.append(
+            f"durability: {d['checked_blocks']} acked blocks audited, "
+            f"{len(d['lost'])} lost, {len(d['corrupt'])} corrupt, "
+            f"{len(d['under_replicated'])} range(s) under-replicated "
+            f"-> {d['verdict']}"
+        )
+    if "critical_path" in sec:
+        lines.append("")
+        lines.append(sec["critical_path"]["text"])
+    if sec.get("alerts"):
+        lines.append("")
+        lines.append(f"alert events: {len(sec['alerts'])}")
+        for ev in sec["alerts"][:8]:
+            lines.append(
+                f"  {ev['t']:8.3f}s  {ev['tenant']:<10} {ev['kind']:<6} "
+                f"burn fast {ev['fast_burn']:.2f} / slow {ev['slow_burn']:.2f}"
+            )
+    lines.append(
+        "OK: no lost acked writes, SLO accounting consistent"
+        if not record.failures else "FAIL: " + "; ".join(record.failures)
+    )
+    return "\n".join(lines)
 
 
 def run_cluster(
     n_shards: int = 4,
     n_tenants: int = 8,
     max_requests: int = 1_500,
-    duration: Optional[float] = None,
     capacity_mb: int = 64,
-    migrate_at: Optional[float] = None,
-    seed: int = 42,
     sampler=None,
     trace: bool = False,
     alerts=None,
@@ -222,12 +193,12 @@ def run_cluster(
     replication_factor: int = 1,
     quorum: str = "majority",
     hedge_reads: bool = False,
-) -> ClusterRunReport:
+) -> RunRecord:
     """Run the fleet exhibit: interleaved tenants + one live migration.
 
-    ``migrate_at`` (virtual seconds; defaults to 25 % of the earliest
-    stream's span) picks the heaviest range on the physically fullest
-    shard and migrates it to the emptiest — under full foreground load.
+    At 25 % of the earliest stream's span the heaviest range on the
+    physically fullest shard is migrated to the emptiest — under full
+    foreground load.
     ``sampler`` optionally attaches a
     :class:`~repro.telemetry.TimeSeriesSampler` via
     :func:`~repro.telemetry.timeseries.bind_cluster_metrics`.
@@ -239,14 +210,29 @@ def run_cluster(
     :class:`~repro.telemetry.alerts.BurnRateEngine` to ride the
     sampler's ticks (requires ``sampler``).
 
-    ``fault_plan`` switches the exhibit into **chaos mode**: scheduled
-    shard failures are armed, the health monitor + replication manager
+    ``fault_plan`` switches the exhibit into **chaos mode**: the plan
+    is armed on every shard, the health monitor + replication manager
     attach (``replication_factor`` copies per range, acked at
     ``quorum``), the forced migration kick is skipped, and the post-run
     durability audit grades the recovery (see the module docstring for
     the verdict/exit-code convention).  With ``replication_factor=1``
     and no fault plan the run is bit-identical to the pre-replication
     exhibit.
+
+    The ``cluster`` record mirrors :class:`~repro.cluster.ClusterOutcome`:
+    ``results`` has its scalars (``n_requests``, ``horizon``,
+    ``fleet_wa``, ``imbalance``, ``migration_bytes``) and ``sections``
+    every other field it filled, under the field's name — ``tenants``
+    (plus each one's ``workload``), ``shards``, ``stats``,
+    ``migration``, ``energy``, ``lost_writes``, ``dead_shards``,
+    ``health_states`` and, when the run had them, ``replication``,
+    ``durability`` (plus its ``verdict``) and ``fault_stats`` — along
+    with ``critical_path`` and ``alerts`` when traced / alerting.
+    ``failures`` lists broken run invariants; any of them grades the
+    run at least DEGRADED.  ``live`` holds the ``outcome``
+    (:class:`~repro.cluster.ClusterOutcome`) and, when traced, the
+    fleet's ``tracing`` :class:`~repro.telemetry.disttrace.DistTracer`
+    and its ``critical``-path report.
     """
     specs = tenant_roster(n_tenants)
     fleet = build_cluster(
@@ -261,10 +247,7 @@ def run_cluster(
     )
     replayer = ClusterReplayer(fleet)
     streams = make_tenant_streams(
-        [s.name for s in specs],
-        max_requests=max_requests,
-        duration=duration,
-        seed=seed,
+        [s.name for s in specs], max_requests=max_requests
     )
     for stream in streams:
         replayer.schedule(stream.tenant, stream.trace)
@@ -283,7 +266,6 @@ def run_cluster(
 
     migrations: List[Migration] = []
     span = min(s.trace.duration for s in streams if len(s.trace))
-    kick_at = migrate_at if migrate_at is not None else max(span * 0.25, 0.05)
 
     def _kick() -> None:
         if n_shards < 2:
@@ -310,7 +292,7 @@ def run_cluster(
         # the forced migration moves only a range's primary copy (and
         # discards the source), which would leave the replica placement
         # deliberately inconsistent mid-audit.
-        fleet.sim.schedule_at(kick_at, _kick)
+        fleet.sim.schedule_at(max(span * 0.25, 0.05), _kick)
     outcome = replayer.run()
 
     failures: List[str] = []
@@ -364,8 +346,52 @@ def run_cluster(
         failures.extend(critical.violations)
         if critical.n_traces == 0:
             failures.append("tracing enabled but no trace completed")
-    return ClusterRunReport(
-        outcome=outcome, streams=streams,
-        migrations=migrations, failures=failures,
-        tracing=fleet.tracing, critical=critical, alerts=alerts,
+
+    verdict = verdicts.grade(degraded=failures)
+    if outcome.durability is not None:
+        verdict = verdicts.worst(verdict, outcome.durability.verdict)
+    # The record mirrors ClusterOutcome: its scalars are the results,
+    # every other field it filled is a section of the same name.
+    sections = {k: v for k, v in asdict(outcome).items() if v is not None}
+    results = {
+        k: sections.pop(k)
+        for k in ("n_requests", "horizon", "fleet_wa", "imbalance",
+                  "migration_bytes")
+    }
+    for stream in streams:
+        sections["tenants"][stream.tenant]["workload"] = stream.workload
+    if outcome.durability is not None:
+        sections["durability"]["verdict"] = outcome.durability.verdict
+    if critical is not None:
+        sections["critical_path"] = {
+            "n_traces": critical.n_traces,
+            "layer_seconds": critical.layer_seconds,
+            "self_seconds": critical.self_seconds,
+            "violations": critical.violations,
+            "text": critical.render(),
+        }
+    if alerts is not None:
+        sections["alerts"] = [asdict(ev) for ev in alerts.events]
+    return RunRecord(
+        kind="cluster",
+        scenario={
+            "n_shards": n_shards,
+            "n_tenants": n_tenants,
+            "max_requests": max_requests,
+            "capacity_mb": capacity_mb,
+            "trace": trace,
+            "alerts": alerts is not None,
+            "replication_factor": replication_factor,
+            "quorum": quorum,
+            "hedge_reads": hedge_reads,
+            "plan": fault_plan.to_dict() if fault_plan is not None else None,
+        },
+        results=results,
+        sections=sections,
+        failures=failures,
+        verdict=verdict,
+        live={
+            "outcome": outcome, "tracing": fleet.tracing,
+            "critical": critical,
+        },
     )

@@ -37,17 +37,12 @@ harnesses.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
-from repro.bench.experiments import ReplayConfig, _build_backend
-from repro.bench.schemes import build_device
-from repro.bench.verdicts import (
-    CORRUPTION,
-    DATA_LOSS,
-    RECOVERED,
-    exit_code as verdict_exit_code,
-)
+from repro.bench import verdicts
+from repro.bench.experiments import ReplayConfig, build_stack
+from repro.bench.record import RunRecord
 from repro.core.config import EDCConfig
 from repro.core.writeback import WriteBackBuffer
 from repro.faults.plan import FaultPlan
@@ -56,174 +51,71 @@ from repro.recovery import (
     IntegrityTracker,
     RecoveredState,
     RecoveryParams,
-    RecoveryReport,
     RecoveryScanner,
-    ScrubReport,
-    VerifyReport,
 )
-from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
 from repro.traces.workloads import make_workload
 
-__all__ = ["CrashEpisode", "CrashReport", "run_crash_chaos"]
+__all__ = ["run_crash_chaos", "render"]
+
+SCHEME = "EDC"
 
 
-@dataclass
-class CrashEpisode:
-    """Everything one power cut showed about the recovery machinery."""
-
-    cut_at: float
-    scan: RecoveryReport
-    verify: VerifyReport
-    scrub: Optional[ScrubReport]
-    #: recovered state fingerprint == crash-free oracle fingerprint
-    fingerprint_ok: bool
-    #: installed device digests == from-scratch rebuild digests
-    rebuild_identical: bool
-    #: journal tail records destroyed by this cut
-    lost_tail_records: int
-    #: blocks lost from the volatile window (buffer + in-flight)
-    lost_volatile: int
-    recovered_entries: int
-
-    @property
-    def corrupted(self) -> bool:
-        return (
-            not self.fingerprint_ok
-            or not self.rebuild_identical
-            or self.verify.corrupt > 0
-            or self.verify.phantom > 0
-            or (self.scrub is not None and self.scrub.mismatches > 0)
-            or self.scan.inconsistencies > 0
-        )
-
-
-@dataclass
-class CrashReport:
-    """Verdict and evidence of one crash-chaos run."""
-
-    trace_name: str
-    scheme: str
-    backend: str
-    duration: float
-    n_requests: int
-    episodes: List[CrashEpisode] = field(default_factory=list)
-    #: final no-crash consistency check (durable state vs oracle)
-    final_fingerprint_ok: bool = True
-    #: metadata overhead, summed over episodes
-    journal_write_bytes: int = 0
-    checkpoint_write_bytes: int = 0
-    checkpoints_taken: int = 0
-    meta_device_seconds: float = 0.0
-    host_data_bytes: int = 0
-    acked_unflushed_peak: int = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def lost_acked(self) -> int:
-        return sum(e.verify.lost_acked for e in self.episodes)
-
-    @property
-    def lost_volatile(self) -> int:
-        return sum(e.lost_volatile for e in self.episodes)
-
-    @property
-    def corruption_events(self) -> int:
-        return sum(1 for e in self.episodes if e.corrupted) + (
-            0 if self.final_fingerprint_ok else 1
-        )
-
-    @property
-    def meta_write_bytes(self) -> int:
-        return self.journal_write_bytes + self.checkpoint_write_bytes
-
-    @property
-    def meta_overhead(self) -> float:
-        """Metadata bytes per host data byte (the durability WA tax)."""
-        if self.host_data_bytes == 0:
-            return 0.0
-        return self.meta_write_bytes / self.host_data_bytes
-
-    @property
-    def verdict(self) -> str:
-        if self.corruption_events:
-            return CORRUPTION
-        if self.lost_acked:
-            return DATA_LOSS
-        return RECOVERED
-
-    @property
-    def exit_code(self) -> int:
-        return verdict_exit_code(self.verdict)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == RECOVERED
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "trace": self.trace_name,
-            "scheme": self.scheme,
-            "backend": self.backend,
-            "duration_s": self.duration,
-            "n_requests": self.n_requests,
-            "power_losses": [e.cut_at for e in self.episodes],
-            "lost_acked": self.lost_acked,
-            "lost_volatile": self.lost_volatile,
-            "corruption_events": self.corruption_events,
-            "journal_write_bytes": self.journal_write_bytes,
-            "checkpoint_write_bytes": self.checkpoint_write_bytes,
-            "checkpoints_taken": self.checkpoints_taken,
-            "meta_device_seconds": self.meta_device_seconds,
-            "meta_overhead": self.meta_overhead,
-            "acked_unflushed_peak": self.acked_unflushed_peak,
-            "verdict": self.verdict,
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"crash chaos: {self.trace_name} x {self.scheme} "
-            f"({self.backend}), {self.n_requests} requests over "
-            f"{self.duration:.0f}s virtual, "
-            f"{len(self.episodes)} power cut(s)",
-        ]
-        for i, e in enumerate(self.episodes, 1):
-            lines.append(
-                f"  cut #{i} @ {e.cut_at:.3f}s: "
-                f"ckpt {e.scan.checkpoint_entries} entries "
-                f"(stale {e.scan.checkpoint_staleness_s:.3f}s), "
-                f"journal replay {e.scan.journal_replay_len}, "
-                f"oob scan {e.scan.scan_pages_read} pages "
-                f"({e.scan.oob_only_entries} oob-only), "
-                f"{e.recovered_entries} entries recovered"
-            )
-            scrub = (
-                f"scrub {e.scrub.checked_blocks} blocks, "
-                f"{e.scrub.mismatches} mismatches"
-                if e.scrub is not None else "scrub skipped (no CRCs)"
-            )
-            lines.append(
-                f"           lost: {e.verify.lost_acked} acked, "
-                f"{e.lost_volatile} volatile (allowed); {scrub}; "
-                f"oracle fingerprint "
-                + ("MATCH" if e.fingerprint_ok else "MISMATCH")
-                + ", rebuild "
-                + ("bit-identical" if e.rebuild_identical else "DIVERGED")
-            )
+def render(record: RunRecord) -> str:
+    """Text report of a ``crash`` record: one block per power cut."""
+    sc, r = record.scenario, record.results
+    episodes = record.sections["episodes"]
+    lines = [
+        f"crash chaos: {sc['trace']} x {sc['scheme']} "
+        f"({sc['backend']}), {r['n_requests']} requests over "
+        f"{sc['duration_s']:.0f}s virtual, "
+        f"{len(episodes)} power cut(s)",
+    ]
+    for i, e in enumerate(episodes, 1):
+        scan, scrub = e["scan"], e["scrub"]
         lines.append(
-            f"  metadata:   {self.journal_write_bytes} B journal + "
-            f"{self.checkpoint_write_bytes} B checkpoints "
-            f"({self.checkpoints_taken} taken) = "
-            f"{self.meta_overhead * 100:.2f}% of host data, "
-            f"{self.meta_device_seconds * 1e3:.2f} ms device time"
+            f"  cut #{i} @ {e['cut_at']:.3f}s: "
+            f"ckpt {scan['checkpoint_entries']} entries "
+            f"(stale {scan['checkpoint_staleness_s']:.3f}s), "
+            f"journal replay {scan['journal_replay_len']}, "
+            f"oob scan {scan['scan_pages_read']} pages "
+            f"({scan['oob_only_entries']} oob-only), "
+            f"{scan['recovered_entries']} entries recovered"
         )
         lines.append(
-            f"  buffer:     durability window peaked at "
-            f"{self.acked_unflushed_peak} acked-unflushed blocks"
+            f"           lost: {e['verify']['lost_acked']} acked, "
+            f"{e['verify']['lost_volatile']} volatile (allowed); "
+            f"scrub {scrub['checked_blocks']} blocks, "
+            f"{scrub['mismatches']} mismatches; "
+            f"oracle fingerprint "
+            + ("MATCH" if e["fingerprint_ok"] else "MISMATCH")
+            + ", rebuild "
+            + ("bit-identical" if e["rebuild_identical"] else "DIVERGED")
         )
-        lines.append(f"  verdict:    {self.verdict}")
-        return "\n".join(lines)
+    lines.append(
+        f"  metadata:   {r['journal_write_bytes']} B journal + "
+        f"{r['checkpoint_write_bytes']} B checkpoints "
+        f"({r['checkpoints_taken']} taken) = "
+        f"{r['meta_overhead'] * 100:.2f}% of host data, "
+        f"{r['meta_device_seconds'] * 1e3:.2f} ms device time"
+    )
+    lines.append(
+        f"  buffer:     durability window peaked at "
+        f"{r['acked_unflushed_peak']} acked-unflushed blocks"
+    )
+    lines.append(f"  verdict:    {record.verdict}")
+    return "\n".join(lines)
+
+
+def _episode_corrupted(e: Dict[str, object]) -> bool:
+    return (
+        not e["fingerprint_ok"]
+        or not e["rebuild_identical"]
+        or e["verify"]["corrupt"] > 0
+        or e["verify"]["phantom"] > 0
+        or e["scrub"]["mismatches"] > 0
+        or e["scan"]["inconsistencies"] > 0
+    )
 
 
 def _episode_plan(plan: FaultPlan) -> Optional[FaultPlan]:
@@ -235,48 +127,48 @@ def _episode_plan(plan: FaultPlan) -> Optional[FaultPlan]:
 def run_crash_chaos(
     plan: FaultPlan,
     trace_name: str = "Fin1",
-    scheme: str = "EDC",
     backend: str = "ssd",
     duration: float = 12.0,
-    cfg: Optional[ReplayConfig] = None,
-    params: Optional[RecoveryParams] = None,
-) -> CrashReport:
+) -> RunRecord:
     """Replay ``trace_name`` with the plan's power cuts and verify recovery.
 
     Only the single-SSD backend is supported: the durable-metadata
     machinery journals one device's mapping; crash-consistent RAIS5
     metadata (per-member journals plus parity of the metadata pages) is
     future work and requesting it fails loudly here.
+
+    The ``crash`` record: ``results`` sums the acked/volatile losses,
+    corruption events and the metadata overhead over the run;
+    ``sections["episodes"]`` has one entry per power cut — ``cut_at``,
+    the ``scan`` (:class:`~repro.recovery.RecoveryReport`), ``verify``
+    (:class:`~repro.recovery.VerifyReport`) and ``scrub``
+    (:class:`~repro.recovery.ScrubReport`) as mappings,
+    ``fingerprint_ok``, ``rebuild_identical`` and ``lost_tail_records``.
     """
-    if backend != "ssd" or (cfg is not None and cfg.backend != "ssd"):
+    if backend != "ssd":
         raise ValueError(
             "crash chaos supports only the single-SSD backend; "
             "per-member metadata journaling for rais5 is not implemented"
         )
     if not plan.power_losses:
         raise ValueError("crash chaos needs at least one scheduled power loss")
-    if cfg is None:
-        cfg = ReplayConfig(
-            backend="ssd", device_config=EDCConfig(crc_checks=True)
-        )
-    params = params if params is not None else RecoveryParams()
+    cfg = ReplayConfig(backend="ssd", device_config=EDCConfig(crc_checks=True))
     block = cfg.device_config.block_size
-    trace = make_workload(trace_name, duration=duration)
-    folded = trace.scaled_addresses(cfg.fold_bytes(block), block)
-    requests = sorted(folded, key=lambda r: r.time)
+    requests = sorted(
+        cfg.fold(make_workload(trace_name, duration=duration)),
+        key=lambda r: r.time,
+    )
 
     cuts = sorted(p.at for p in plan.power_losses)
     if len(set(cuts)) != len(cuts):
         raise ValueError("power-loss times must be distinct")
     inject = _episode_plan(plan)
 
-    report = CrashReport(
-        trace_name=trace_name,
-        scheme=scheme,
-        backend="ssd",
-        duration=duration,
-        n_requests=len(requests),
-    )
+    episodes: List[Dict[str, object]] = []
+    final_fingerprint_ok = True
+    journal_write_bytes = checkpoint_write_bytes = host_data_bytes = 0
+    meta_device_seconds = 0.0
+    acked_unflushed_peak = 0
     tracker = IntegrityTracker(block)
 
     # Durable artifacts surviving every cut; None = cold (first) boot.
@@ -290,24 +182,16 @@ def run_crash_chaos(
 
     for cut in episode_bounds:
         sim = Simulator()
-        ssd, _ = _build_backend(sim, cfg)
+        stack = build_stack(sim, cfg, SCHEME, fault_plan=inject)
+        device, ssd = stack.device, stack.backend
         if inject is not None:
-            inject.attach(sim, ssd, None)
-        content = ContentStore(
-            cfg.content_mix,
-            block_size=block,
-            pool_blocks=cfg.pool_blocks,
-            seed=cfg.content_seed,
-        )
+            inject.schedule_failures(sim, stack.members)
         prev = manager
         manager = DurableMetadataManager(
-            params,
+            RecoveryParams(),
             journal=prev.journal if prev is not None else None,
             checkpoints=prev.checkpoints if prev is not None else None,
             oob=prev.oob if prev is not None else None,
-        )
-        device = build_device(
-            sim, scheme, ssd, content, config=cfg.device_config,
         )
         manager.bind_device(device)
         manager.on_programmed_hook = tracker.on_programmed
@@ -321,9 +205,7 @@ def run_crash_chaos(
             h.update(device.mapping.state_digest().encode())
             h.update(device.allocator.state_digest().encode())
             h.update(ssd.ftl.validity_digest().encode())
-            report.episodes[-1].rebuild_identical = (
-                h.hexdigest() == pending_digest
-            )
+            episodes[-1]["rebuild_identical"] = h.hexdigest() == pending_digest
             pending_digest = None
 
         # Resume the wall clock where the cut left it: request
@@ -362,9 +244,7 @@ def run_crash_chaos(
                 next_seqno=manager.next_seqno,
                 block_size=block,
             )
-            report.final_fingerprint_ok = (
-                state.fingerprint() == oracle.fingerprint()
-            )
+            final_fingerprint_ok = state.fingerprint() == oracle.fingerprint()
         else:
             # THE POWER CUT: advance the clock to the instant and stop.
             # Events scheduled past it — in-flight completions included —
@@ -385,48 +265,81 @@ def run_crash_chaos(
                 manager.checkpoints, manager.journal, manager.oob, block
             )
             state, scan_report = scanner.scan(now=cut)
-            fingerprint_ok = state.fingerprint() == oracle.fingerprint()
 
             rebuilt = state.rebuild(
                 cfg.device_config.size_class_fractions,
                 geometry=cfg.geometry(),
             )
             verify = tracker.verify(rebuilt, state.records, volatile)
-            scrub = (
-                state.scrub(content)
-                if cfg.device_config.crc_checks else None
-            )
+            scrub = state.scrub(device.content)
 
             # The bit-identical half of the check completes next episode,
             # once this state has been installed into a fresh device.
             pending_digest = rebuilt.digest()
 
-            report.episodes.append(
-                CrashEpisode(
-                    cut_at=cut,
-                    scan=scan_report,
-                    verify=verify,
-                    scrub=scrub,
-                    fingerprint_ok=fingerprint_ok,
-                    rebuild_identical=True,
-                    lost_tail_records=lost_tail,
-                    lost_volatile=verify.lost_volatile,
-                    recovered_entries=scan_report.recovered_entries,
-                )
-            )
+            episodes.append({
+                "cut_at": cut,
+                "scan": asdict(scan_report),
+                "verify": asdict(verify),
+                "scrub": asdict(scrub),
+                # recovered state fingerprint == crash-free oracle's
+                "fingerprint_ok": state.fingerprint() == oracle.fingerprint(),
+                # installed device digests == from-scratch rebuild digests
+                "rebuild_identical": True,
+                # journal tail records destroyed by this cut
+                "lost_tail_records": lost_tail,
+            })
             manager.last_recovery = scan_report
             recovered = state
 
-        report.journal_write_bytes += manager.stats.journal_write_bytes
-        report.checkpoint_write_bytes += manager.stats.checkpoint_write_bytes
-        report.meta_device_seconds += manager.stats.meta_device_seconds
-        report.host_data_bytes += max(
+        journal_write_bytes += manager.stats.journal_write_bytes
+        checkpoint_write_bytes += manager.stats.checkpoint_write_bytes
+        meta_device_seconds += manager.stats.meta_device_seconds
+        host_data_bytes += max(
             0, ssd.ftl.stats.host_bytes - manager.stats.meta_write_bytes
         )
-        if buffer.stats.acked_unflushed_peak > report.acked_unflushed_peak:
-            report.acked_unflushed_peak = buffer.stats.acked_unflushed_peak
+        acked_unflushed_peak = max(
+            acked_unflushed_peak, buffer.stats.acked_unflushed_peak
+        )
 
-    # The checkpoint store (and its stats) carries across episodes:
-    # read the cumulative count once, after the last episode.
-    report.checkpoints_taken = manager.checkpoints.stats.checkpoints
-    return report
+    corruption_events = sum(map(_episode_corrupted, episodes)) + (
+        0 if final_fingerprint_ok else 1
+    )
+    lost_acked = sum(e["verify"]["lost_acked"] for e in episodes)
+    meta_write_bytes = journal_write_bytes + checkpoint_write_bytes
+    return RunRecord(
+        kind="crash",
+        scenario={
+            "trace": trace_name,
+            "scheme": SCHEME,
+            "backend": backend,
+            "duration_s": duration,
+            "plan": plan.to_dict(),
+        },
+        results={
+            "n_requests": len(requests),
+            "lost_acked": lost_acked,
+            # blocks lost from the volatile window (buffer + in-flight)
+            "lost_volatile": sum(
+                e["verify"]["lost_volatile"] for e in episodes
+            ),
+            "corruption_events": corruption_events,
+            # final no-crash consistency check (durable state vs oracle)
+            "final_fingerprint_ok": final_fingerprint_ok,
+            "journal_write_bytes": journal_write_bytes,
+            "checkpoint_write_bytes": checkpoint_write_bytes,
+            # The checkpoint store (and its stats) carries across
+            # episodes: the last manager holds the cumulative count.
+            "checkpoints_taken": manager.checkpoints.stats.checkpoints,
+            "meta_device_seconds": meta_device_seconds,
+            # metadata bytes per host data byte (the durability WA tax)
+            "meta_overhead": (
+                meta_write_bytes / host_data_bytes if host_data_bytes else 0.0
+            ),
+            "acked_unflushed_peak": acked_unflushed_peak,
+        },
+        sections={"episodes": episodes},
+        verdict=verdicts.grade(
+            corruption=corruption_events, data_loss=lost_acked
+        ),
+    )

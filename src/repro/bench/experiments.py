@@ -10,13 +10,14 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.compression.costmodel import CodecCostModel
 from repro.core.config import EDCConfig
 from repro.core.policy import IntensityBand
 from repro.core.replay import TraceReplayer
 from repro.flash.geometry import NandGeometry, NandTiming, X25E_TIMING, x25e_like
+from repro.flash.introspect import write_amplification
 from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD
 from repro.bench.schemes import build_device
@@ -25,7 +26,10 @@ from repro.sdgen.generator import ContentMix, ContentStore
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 
-__all__ = ["ReplayConfig", "ExperimentResult", "replay", "replay_all_schemes"]
+__all__ = [
+    "ReplayConfig", "ExperimentResult", "Stack", "build_stack", "replay",
+    "replay_all_schemes",
+]
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,11 @@ class ReplayConfig:
         folded = int(logical * self.fold_fraction)
         return max(block_size, folded // block_size * block_size)
 
+    def fold(self, trace: Trace) -> Trace:
+        """``trace`` with its addresses folded onto the simulated device."""
+        block = self.device_config.block_size
+        return trace.scaled_addresses(self.fold_bytes(block), block)
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -107,15 +116,65 @@ class ExperimentResult:
         return self.compression_ratio / self.mean_response
 
 
-def _build_backend(sim: Simulator, cfg: ReplayConfig):
+class Stack(NamedTuple):
+    """What :func:`build_stack` stands up; ``devices`` is ``None`` on a
+    single SSD and the member list on an array."""
+
+    device: object
+    backend: object
+    devices: Optional[List[SimulatedSSD]]
+
+    @property
+    def members(self) -> List[SimulatedSSD]:
+        """Every SSD of the stack: the array members, or the one device."""
+        return self.devices if self.devices is not None else [self.backend]
+
+
+def build_stack(
+    sim: Simulator,
+    cfg: ReplayConfig,
+    scheme: str,
+    name: str = "ssd0",
+    recovery=None,
+    fault_plan=None,
+    bands: Optional[Sequence[IntensityBand]] = None,
+    cost_model: Optional[CodecCostModel] = None,
+) -> Stack:
+    """Backend + content + EDC device for ``cfg``, with ``fault_plan`` armed.
+
+    The one assembly of the testbed: :func:`replay`, every episode of
+    the crash harness and every shard of a fleet are built here, so a
+    fault plan arms the same machinery (:meth:`FaultPlan.arm
+    <repro.faults.FaultPlan.arm>`) on all of them.  ``name`` names a
+    single SSD (a fleet's ``shard<i>``); array members are ``ssd<i>``.
+    Scheduled device failures are the caller's to arm
+    (``fault_plan.schedule_failures``): they may name SSDs of other
+    stacks.
+    """
     geo = cfg.geometry()
+    devices = None
     if cfg.backend == "ssd":
-        return SimulatedSSD(sim, geometry=geo, timing=cfg.timing), None
-    devices = [
-        SimulatedSSD(sim, name=f"ssd{i}", geometry=geo, timing=cfg.timing)
-        for i in range(cfg.n_devices)
-    ]
-    return RAIS5(devices, stripe_unit=cfg.stripe_unit), devices
+        backend = SimulatedSSD(sim, name=name, geometry=geo, timing=cfg.timing)
+    else:
+        devices = [
+            SimulatedSSD(sim, name=f"ssd{i}", geometry=geo, timing=cfg.timing)
+            for i in range(cfg.n_devices)
+        ]
+        backend = RAIS5(devices, stripe_unit=cfg.stripe_unit)
+    content = ContentStore(
+        cfg.content_mix,
+        block_size=cfg.device_config.block_size,
+        pool_blocks=cfg.pool_blocks,
+        seed=cfg.content_seed,
+    )
+    if fault_plan is not None:
+        fault_plan.arm(sim, backend, devices)
+    device = build_device(
+        sim, scheme, backend, content,
+        config=cfg.device_config, bands=bands, cost_model=cost_model,
+        recovery=recovery,
+    )
+    return Stack(device, backend, devices)
 
 
 def replay(
@@ -192,22 +251,14 @@ def replay(
         # Re-key the telemetry clock onto this replay's simulator.
         telemetry.sim = sim
         telemetry.tracer.clock = lambda: sim.now
-    backend, devices = _build_backend(sim, cfg)
-    block = cfg.device_config.block_size
-    folded = trace.scaled_addresses(cfg.fold_bytes(block), block)
-    content = ContentStore(
-        cfg.content_mix,
-        block_size=block,
-        pool_blocks=cfg.pool_blocks,
-        seed=cfg.content_seed,
+    stack = build_stack(
+        sim, cfg, scheme, recovery=recovery, fault_plan=fault_plan,
+        bands=bands, cost_model=cost_model,
     )
+    device = stack.device
     if fault_plan is not None:
-        fault_plan.attach(sim, backend, devices)
-    device = build_device(
-        sim, scheme, backend, content,
-        config=cfg.device_config, bands=bands, cost_model=cost_model,
-        recovery=recovery,
-    )
+        fault_plan.schedule_failures(sim, stack.members)
+    folded = cfg.fold(trace)
     for observer in (telemetry, auditor, health):
         if observer is not None:
             observer.bind_device(device)
@@ -220,17 +271,13 @@ def replay(
         sampler.attach(sim, device)
         sampler.start()
     if on_built is not None:
-        on_built(sim, device, backend, devices)
+        on_built(sim, device, stack.backend, stack.devices)
     TraceReplayer(sim, device).replay(folded)
 
-    if devices is None:
-        wa = backend.write_amplification()
-        gc_stall = backend.stats.gc_stall_time
-    else:
-        host = sum(d.ftl.stats.host_bytes for d in devices)
-        moved = sum(d.ftl.stats.relocated_bytes for d in devices)
-        wa = (host + moved) / host if host else 1.0
-        gc_stall = sum(d.stats.gc_stall_time for d in devices)
+    # The members the run started with: one swapped out by a rebuild
+    # still owns the traffic it served.
+    wa = write_amplification([d.ftl for d in stack.members])
+    gc_stall = sum(d.stats.gc_stall_time for d in stack.members)
 
     import numpy as np
 

@@ -151,15 +151,13 @@ def optional_sections(record: Dict[str, object]) -> List[str]:
 def make_baseline(
     record: Dict[str, object],
     tolerances: Optional[Dict[str, float]] = None,
-    pin_optional: bool = False,
 ) -> Dict[str, object]:
-    """A baseline document pinned to ``record``'s results.
+    """A baseline document pinned to ``record``'s gated metrics.
 
-    With ``pin_optional`` the record's optional sections (numeric,
-    non-wall-clock fields) are pinned too, so future :func:`compare`
-    calls gate them; without it they stay ungated (skip-with-note).
+    The record's optional sections are not pinned: :func:`compare`
+    leaves them ungated (skip-with-note) until a baseline carries them.
     """
-    doc: Dict[str, object] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "scheme": record["scheme"],
         "duration_s": record["duration_s"],
@@ -171,14 +169,6 @@ def make_baseline(
             for name, vals in record["traces"].items()  # type: ignore[union-attr]
         },
     }
-    if pin_optional:
-        for section in optional_sections(record):
-            doc[section] = {
-                k: v for k, v in record[section].items()  # type: ignore[union-attr]
-                if k not in _UNGATED_FIELDS
-                and isinstance(v, (int, float)) and not isinstance(v, bool)
-            }
-    return doc
 
 
 def load_baseline(path: str) -> Dict[str, object]:

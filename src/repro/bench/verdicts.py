@@ -21,6 +21,12 @@ code   verdict     meaning
 3      CORRUPTION  stored data is wrong (worse than missing:
                    nothing flags it until something reads it)
 ====== =========== =============================================
+
+A run that never started is not a verdict: ``python -m repro.bench``
+exits :data:`USAGE_ERROR` (64, sysexits' ``EX_USAGE``) when an option
+is wrong, a fault plan cannot be read or is invalid, or a dump target
+cannot be opened.  All of that is checked before the replay, so a
+status in 0-3 always means the run finished and was graded.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ __all__ = [
     "CORRUPTION",
     "VERDICTS",
     "EXIT_CODES",
+    "USAGE_ERROR",
     "exit_code",
     "severity",
     "worst",
+    "grade",
 ]
 
 RECOVERED = "RECOVERED"
@@ -49,6 +57,9 @@ VERDICTS = (RECOVERED, DEGRADED, DATA_LOSS, CORRUPTION)
 
 #: the single verdict -> process-exit-code mapping used by all harnesses
 EXIT_CODES: Dict[str, int] = {v: i for i, v in enumerate(VERDICTS)}
+
+#: exit status of a run refused before it started (never a verdict)
+USAGE_ERROR = 64
 
 
 def exit_code(verdict: str) -> int:
@@ -71,3 +82,23 @@ def worst(*verdicts: str) -> str:
     if not verdicts:
         return RECOVERED
     return max(verdicts, key=severity)
+
+
+def grade(corruption=False, data_loss=False, degraded=False) -> str:
+    """The verdict for a run's evidence, most severe class first.
+
+    Each harness passes what it counts in each class: ``corruption`` is
+    wrong bytes stored or served (a host read off corrupt media, an
+    unrepairable or still-corrupt extent, recovered metadata that
+    contradicts the oracle, a replica failing the byte-exactness
+    scrub); ``data_loss`` is an acknowledged write that is gone;
+    ``degraded`` is intact data whose redundancy was not restored, or a
+    run-level invariant that failed.
+    """
+    if corruption:
+        return CORRUPTION
+    if data_loss:
+        return DATA_LOSS
+    if degraded:
+        return DEGRADED
+    return RECOVERED

@@ -35,12 +35,13 @@ from repro.cluster.routing import ClusterDistributer, ClusterStats
 from repro.cluster.tenants import TenantSpec
 from repro.core.config import EDCConfig
 from repro.faults.plan import FaultPlan, FaultStats
-from repro.bench.schemes import build_device
+from repro.bench.experiments import ReplayConfig, build_stack
 from repro.energy.model import EnergyModel, EnergyReport
-from repro.flash.geometry import NandTiming, X25E_TIMING, x25e_like
+from repro.flash.geometry import NandTiming, X25E_TIMING
+from repro.flash.introspect import write_amplification
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import ENTERPRISE_MIX
-from repro.sdgen.generator import ContentMix, ContentStore
+from repro.sdgen.generator import ContentMix
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 
@@ -54,8 +55,9 @@ __all__ = [
 class ClusterReplayConfig:
     """Environment for one cluster run.
 
-    Defaults mirror :class:`~repro.bench.experiments.ReplayConfig` so
-    the degenerate 1-shard fleet reproduces the single-device replay
+    Every shard is the single-SSD stack of
+    :class:`~repro.bench.experiments.ReplayConfig` (:meth:`shard_env`),
+    so the degenerate 1-shard fleet reproduces the single-device replay
     exactly: same geometry, same content population (per shard), same
     namespace fold (``fold_fraction`` of one shard's logical bytes).
     """
@@ -72,12 +74,11 @@ class ClusterReplayConfig:
     #: LBA range granularity of ring placement and migration
     range_blocks: int = 256
     vnodes: int = 64
-    ring_seed: int = 0
     #: per-tenant namespace size; ``None`` derives the single-device fold
     namespace_bytes: Optional[int] = None
-    #: :class:`~repro.faults.FaultPlan` driving per-shard injectors
-    #: (scheduled ``DeviceFailure`` names must match ``shard<i>``);
-    #: ``None`` keeps the fleet fault-free and injector-free
+    #: :class:`~repro.faults.FaultPlan` armed on every shard (scheduled
+    #: ``DeviceFailure`` names must match ``shard<i>``); ``None`` keeps
+    #: the fleet fault-free and injector-free
     fault_plan: Optional[FaultPlan] = None
     #: replicas per range; 1 + no fault plan keeps routing single-copy
     #: and bit-identical to the pre-replication cluster
@@ -85,22 +86,11 @@ class ClusterReplayConfig:
     #: write-ack rule: ``one`` | ``majority`` | ``all``
     quorum: str = "majority"
     hedge_reads: bool = False
-    #: per-part end-to-end deadline for retries; ``None`` disables
-    replication_deadline_s: Optional[float] = None
-    #: health-monitor probe cadence and miss thresholds
-    health_interval_s: float = 2e-3
-    health_suspect_after: int = 1
-    health_dead_after: int = 3
-    #: admission rate of rebuild copy traffic (``None`` = unthrottled)
-    rebuild_iops: Optional[float] = 4000.0
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {self.n_shards!r}")
-        if not 0 < self.fold_fraction <= 1:
-            raise ValueError(
-                f"fold_fraction must be in (0,1]: {self.fold_fraction!r}"
-            )
+        self.shard_env()  # validates the stack environment
         if self.replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be >= 1: {self.replication_factor!r}"
@@ -115,13 +105,23 @@ class ClusterReplayConfig:
         """Whether the fleet needs the replication manager attached."""
         return self.replication_factor > 1 or self.fault_plan is not None
 
+    def shard_env(self) -> ReplayConfig:
+        """The stack environment every shard is built from."""
+        return ReplayConfig(
+            backend="ssd",
+            capacity_mb=self.capacity_mb,
+            fold_fraction=self.fold_fraction,
+            content_mix=self.content_mix,
+            pool_blocks=self.pool_blocks,
+            content_seed=self.content_seed,
+            timing=self.timing,
+            device_config=self.device_config,
+        )
+
     def resolved_namespace_bytes(self) -> int:
         if self.namespace_bytes is not None:
             return self.namespace_bytes
-        block = self.device_config.block_size
-        logical = x25e_like(self.capacity_mb).logical_bytes
-        folded = int(logical * self.fold_fraction)
-        return max(block, folded // block * block)
+        return self.shard_env().fold_bytes(self.device_config.block_size)
 
 
 @dataclass
@@ -175,55 +175,30 @@ def build_cluster(
         from repro.telemetry.probes import Telemetry
 
         dist = DistTracer(sim)
-    geo = x25e_like(cfg.capacity_mb)
+    env = cfg.shard_env()
+    plan = cfg.fault_plan
     devices: Dict[str, object] = {}
     backends: Dict[str, SimulatedSSD] = {}
     for i in range(cfg.n_shards):
         name = f"shard{i}"
-        ssd = SimulatedSSD(sim, name=name, geometry=geo, timing=cfg.timing)
-        content = ContentStore(
-            cfg.content_mix,
-            block_size=cfg.device_config.block_size,
-            pool_blocks=cfg.pool_blocks,
-            seed=cfg.content_seed,
-        )
-        devices[name] = build_device(
-            sim, cfg.scheme, ssd, content, config=cfg.device_config,
-        )
+        stack = build_stack(sim, env, cfg.scheme, name=name, fault_plan=plan)
+        devices[name] = stack.device
+        backends[name] = stack.backend
         if dist is not None:
             telemetry = Telemetry(sim, tracer=dist.tracer)
             telemetry.parent_for = dist.take_parent
-            telemetry.bind_device(devices[name])
-        backends[name] = ssd
+            telemetry.bind_device(stack.device)
     cluster = ClusterDistributer(
         sim, devices, tenants,
         namespace_bytes=cfg.resolved_namespace_bytes(),
         range_blocks=cfg.range_blocks,
         vnodes=cfg.vnodes,
-        seed=cfg.ring_seed,
         tracer=dist,
     )
     orchestrator = MigrationOrchestrator(cluster)
     balancer = CapacityBalancer(cluster)
-    injectors: List[object] = []
-    if cfg.fault_plan is not None:
-        # Per-shard attachment: every shard gets its own deterministic
-        # injector stream, and scheduled DeviceFailures arm against the
-        # named shard.  (FaultPlan.attach targets a single backend stack,
-        # so the fleet wires its shards itself.)
-        for name, ssd in backends.items():
-            ssd.injector = cfg.fault_plan.injector_for(name)
-            injectors.append(ssd.injector)
-        for failure in cfg.fault_plan.device_failures:
-            ssd = backends.get(failure.device)
-            if ssd is None:
-                raise ValueError(
-                    f"fault plan fails unknown shard {failure.device!r}; "
-                    f"have: {sorted(backends)}"
-                )
-            sim.schedule_at(
-                failure.at, (lambda s=ssd: s.fail_now()), daemon=True
-            )
+    if plan is not None:
+        plan.schedule_failures(sim, backends.values())
     manager = None
     health = None
     if cfg.fault_tolerant:
@@ -233,24 +208,19 @@ def build_cluster(
                 factor=cfg.replication_factor,
                 quorum=cfg.quorum,
                 hedge_reads=cfg.hedge_reads,
-                deadline_s=cfg.replication_deadline_s,
-                rebuild_iops=cfg.rebuild_iops,
             ),
         )
-    if cfg.fault_plan is not None:
-        health = HealthMonitor(
-            sim, devices,
-            interval=cfg.health_interval_s,
-            suspect_after=cfg.health_suspect_after,
-            dead_after=cfg.health_dead_after,
-            on_dead=manager.on_shard_dead,
-        )
+    if plan is not None:
+        health = HealthMonitor(sim, devices, on_dead=manager.on_shard_dead)
         health.start()
     return ClusterFleet(
         sim=sim, cluster=cluster, orchestrator=orchestrator,
         balancer=balancer, devices=devices, backends=backends, config=cfg,
         tracing=dist, replication=manager, health=health,
-        injectors=injectors,
+        injectors=(
+            [ssd.injector for ssd in backends.values()]
+            if plan is not None else []
+        ),
     )
 
 
@@ -425,23 +395,18 @@ class ClusterReplayer:
             )
         snap = fleet.balancer.snapshot()
         shards: Dict[str, ShardReport] = {}
-        host_total = moved_total = 0
         busy: List[float] = []
         cpu_busy = 0.0
         logical_total = 0
         for name, dev in fleet.devices.items():
             ssd = fleet.backends[name]
-            host = ssd.ftl.stats.host_bytes
-            moved = ssd.ftl.stats.relocated_bytes
-            host_total += host
-            moved_total += moved
             busy.append(ssd.queue.stats.busy_time)
             cpu_busy += dev.cpu.stats.busy_time
             logical_total += dev.stats.logical_bytes
             shards[name] = ShardReport(
                 capacity=snap[name],
                 compression_ratio=dev.stats.compression_ratio,
-                write_amplification=(host + moved) / host if host else 1.0,
+                write_amplification=write_amplification([ssd.ftl]),
                 device_busy_s=ssd.queue.stats.busy_time,
                 smart=_shard_smart(dev, horizon),
             )
@@ -459,8 +424,8 @@ class ClusterReplayer:
             stats=cluster.stats,
             migration=fleet.orchestrator.stats,
             migration_bytes=fleet.orchestrator.migration_bytes(),
-            fleet_wa=(
-                (host_total + moved_total) / host_total if host_total else 1.0
+            fleet_wa=write_amplification(
+                [ssd.ftl for ssd in fleet.backends.values()]
             ),
             energy=energy,
             imbalance=fleet.balancer.imbalance(snap),

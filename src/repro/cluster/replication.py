@@ -61,13 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.bench.verdicts import (
-    DATA_LOSS,
-    DEGRADED,
-    RECOVERED,
-    EXIT_CODES as VERDICT_EXIT_CODES,
-    exit_code as verdict_exit_code,
-)
+from repro.bench.verdicts import grade
 from repro.cluster.routing import ClusterDistributer
 from repro.cluster.tenants import TenantSpec, TenantState, TokenBucket
 from repro.faults.plan import DeviceFailedError
@@ -189,8 +183,9 @@ class DurabilityReport:
 
     ``verdict`` implements the chaos harness's grading:
 
-    - ``DATA-LOSS`` — an acked block has no live replica holding it, or
-      a surviving copy failed the byte-exactness scrub;
+    - ``CORRUPTION`` — a surviving copy of an acked block failed the
+      byte-exactness scrub;
+    - ``DATA-LOSS`` — an acked block has no live replica holding it;
     - ``DEGRADED`` — everything acked is readable byte-exact but some
       range is still under-replicated (rebuild pending or abandoned);
     - ``RECOVERED`` — full redundancy restored, all acked data intact.
@@ -208,19 +203,12 @@ class DurabilityReport:
 
     @property
     def verdict(self) -> str:
-        if self.lost or self.corrupt:
-            return DATA_LOSS
-        if (self.under_replicated or self.rebuilds_pending
-                or self.rebuilds_abandoned):
-            return DEGRADED
-        return RECOVERED
-
-    #: the shared verdict→exit-code mapping (:mod:`repro.bench.verdicts`)
-    EXIT_CODES = VERDICT_EXIT_CODES
-
-    @property
-    def exit_code(self) -> int:
-        return verdict_exit_code(self.verdict)
+        return grade(
+            corruption=self.corrupt,
+            data_loss=self.lost,
+            degraded=(self.under_replicated or self.rebuilds_pending
+                      or self.rebuilds_abandoned),
+        )
 
 
 class _RebuildJob:

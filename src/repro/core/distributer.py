@@ -9,7 +9,6 @@ array — and it keeps the issued-I/O accounting used in the evaluation.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
@@ -36,13 +35,6 @@ class RequestDistributer:
     def __init__(self, backend: StorageBackend) -> None:
         self.backend = backend
         self.stats = DistributerStats()
-        self._supports_streams = (
-            "stream" in inspect.signature(backend.submit_write).parameters
-        )
-        self._supports_errors = (
-            "on_error" in inspect.signature(backend.submit_write).parameters
-            and "on_error" in inspect.signature(backend.submit_read).parameters
-        )
 
     def write(
         self,
@@ -55,21 +47,18 @@ class RequestDistributer:
     ) -> None:
         """Issue a (possibly compressed) write of ``nbytes`` under ``key``.
 
-        ``stream`` is forwarded to backends that support multi-stream
-        placement (hot/cold separation) and silently dropped otherwise;
-        likewise ``on_error`` to backends that can report failures.
+        ``stream`` and ``on_error`` are part of the
+        :class:`~repro.flash.ssd.StorageBackend` protocol: backends
+        without multi-stream placement, or that cannot fail, ignore
+        them.
         """
         if nbytes <= 0:
             raise ValueError(f"write size must be positive: {nbytes!r}")
         self.stats.issued_writes += 1
         self.stats.written_bytes += nbytes
-        kwargs = {}
-        if self._supports_streams and stream:
-            kwargs["stream"] = stream
-        if self._supports_errors and on_error is not None:
-            kwargs["on_error"] = on_error
         self.backend.submit_write(
-            lba, nbytes, on_complete=on_complete, key=key, **kwargs
+            lba, nbytes, on_complete=on_complete, key=key, stream=stream,
+            on_error=on_error,
         )
 
     def read(
@@ -85,12 +74,9 @@ class RequestDistributer:
             raise ValueError(f"read size must be positive: {nbytes!r}")
         self.stats.issued_reads += 1
         self.stats.read_bytes += nbytes
-        if self._supports_errors and on_error is not None:
-            self.backend.submit_read(
-                lba, nbytes, on_complete=on_complete, key=key, on_error=on_error
-            )
-        else:
-            self.backend.submit_read(lba, nbytes, on_complete=on_complete, key=key)
+        self.backend.submit_read(
+            lba, nbytes, on_complete=on_complete, key=key, on_error=on_error
+        )
 
     def trim(self, key: Hashable) -> bool:
         """Invalidate the backend extent of an evicted mapping entry.

@@ -181,7 +181,7 @@ class LatentErrorModel:
         #: block -> reads since attach (read-disturb accumulator)
         self._reads: Dict[int, int] = {}
         self._last_tick = sim.now
-        #: retention daemon handle (set by ``FaultPlan._arm_latent``)
+        #: retention daemon handle (set by ``FaultPlan.arm``)
         self.tick_event = None
         self._quiesced = False
 

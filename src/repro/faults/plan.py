@@ -399,39 +399,28 @@ class FaultPlan:
         """A fresh, deterministic injector for the device called ``name``."""
         return FaultInjector(self, name)
 
-    def attach(self, sim, backend, devices: Optional[Sequence] = None) -> List[FaultInjector]:
-        """Wire this plan into a built device stack.
+    def arm(self, sim, backend, devices: Optional[Sequence] = None) -> List[FaultInjector]:
+        """Install this plan on one built device stack.
 
-        ``backend`` is the storage backend (a single
-        :class:`~repro.flash.ssd.SimulatedSSD` or a RAIS array) and
-        ``devices`` the array members when there are any.  For every
-        SSD: an injector is installed; every scheduled
-        :class:`DeviceFailure` naming it is armed as a daemon simulation
-        event.  On a RAIS5-style backend the rebuild knobs are applied
-        and a spare factory is installed so a detected member failure
-        auto-rebuilds.  Returns the injectors (in device order) so the
-        harness can aggregate their :class:`FaultStats`.
+        The one arming routine: ``backend`` is the storage backend (a
+        single :class:`~repro.flash.ssd.SimulatedSSD` or a RAIS array)
+        and ``devices`` the array members when there are any.  Every
+        SSD gets an injector and, when the plan has latent fields, a
+        :class:`~repro.faults.latent.LatentErrorModel` with its
+        retention tick.  On a RAIS5-style backend the rebuild knobs are
+        applied and a spare factory is installed so a detected member
+        failure auto-rebuilds.  Returns the injectors (in device order)
+        so the harness can aggregate their :class:`FaultStats`.
+
+        Scheduled :class:`DeviceFailure` events belong to the run's
+        timeline, not to one stack (a fleet plan names shards of other
+        stacks): :meth:`schedule_failures` arms them.
         """
         ssds = list(devices) if devices is not None else [backend]
         injectors: List[FaultInjector] = []
         latent_models: List[LatentErrorModel] = []
-        by_name: Dict[str, object] = {}
         for ssd in ssds:
-            inj = self.injector_for(ssd.name)
-            ssd.injector = inj
-            injectors.append(inj)
-            by_name[ssd.name] = ssd
-            self._arm_latent(sim, ssd, latent_models)
-        for failure in self.device_failures:
-            ssd = by_name.get(failure.device)
-            if ssd is None:
-                raise ValueError(
-                    f"fault plan fails unknown device {failure.device!r}; "
-                    f"have: {sorted(by_name)}"
-                )
-            sim.schedule_at(
-                failure.at, (lambda s=ssd: s.fail_now()), daemon=True
-            )
+            self._arm_ssd(sim, ssd, injectors, latent_models)
         if hasattr(backend, "spare_factory"):
             backend.rebuild_delay_s = self.rebuild_delay_s
             backend.rebuild_batch_rows = self.rebuild_batch_rows
@@ -446,12 +435,40 @@ class FaultPlan:
             backend.latent_models = latent_models
         return injectors
 
-    def _arm_latent(self, sim, ssd, latent_models: List) -> None:
-        """Install a latent-error model on ``ssd`` when the plan has one.
+    def schedule_failures(self, sim, ssds: Sequence) -> None:
+        """Arm every scheduled :class:`DeviceFailure` as a daemon event.
 
-        With neither latent field set this is a no-op: no model, no
-        daemon, no RNG stream — the replay stays bit-identical.
+        ``ssds`` is every SSD a failure may name (array members, or all
+        shards of a fleet); a failure naming none of them raises.
         """
+        by_name = {ssd.name: ssd for ssd in ssds}
+        for failure in self.device_failures:
+            ssd = by_name.get(failure.device)
+            if ssd is None:
+                raise ValueError(
+                    f"fault plan fails unknown device {failure.device!r}; "
+                    f"have: {sorted(by_name)}"
+                )
+            sim.schedule_at(
+                failure.at, (lambda s=ssd: s.fail_now()), daemon=True
+            )
+
+    def attach(self, sim, backend, devices: Optional[Sequence] = None) -> List[FaultInjector]:
+        """:meth:`arm` one stack and schedule its device failures."""
+        injectors = self.arm(sim, backend, devices)
+        self.schedule_failures(
+            sim, devices if devices is not None else [backend]
+        )
+        return injectors
+
+    def _arm_ssd(self, sim, ssd, injectors: List, latent_models: List) -> None:
+        """Give ``ssd`` its injector and, if planned, its latent model.
+
+        With neither latent field set no model is built: no daemon, no
+        RNG stream — the replay stays bit-identical.
+        """
+        ssd.injector = self.injector_for(ssd.name)
+        injectors.append(ssd.injector)
         if self.retention is None and self.read_disturb is None:
             return
         model = LatentErrorModel(
@@ -473,7 +490,7 @@ class FaultPlan:
 
 
 def _spare_factory(
-    plan, sim, ssds, injectors, latent_models=None
+    plan, sim, ssds, injectors, latent_models
 ) -> Callable[[], object]:
     """Builds replacement SSDs matching the array members' geometry.
 
@@ -498,12 +515,7 @@ def _spare_factory(
             timing=template.timing,
             gc_enabled=template.gc_enabled,
         )
-        spare.injector = plan.injector_for(spare.name)
-        injectors.append(spare.injector)
-        plan._arm_latent(
-            sim, spare,
-            latent_models if latent_models is not None else [],
-        )
+        plan._arm_ssd(sim, spare, injectors, latent_models)
         return spare
 
     return make_spare

@@ -117,6 +117,8 @@ class SimulatedHDD:
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         key: Optional[Hashable] = None,
+        stream: int = 0,
+        on_error: Optional[Callable[[BaseException], None]] = None,
     ) -> None:
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
@@ -132,6 +134,7 @@ class SimulatedHDD:
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         key: Optional[Hashable] = None,
+        on_error: Optional[Callable[[BaseException], None]] = None,
     ) -> None:
         self.stats.reads += 1
         self.stats.bytes_read += nbytes

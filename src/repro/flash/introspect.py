@@ -46,6 +46,7 @@ __all__ = [
     "members_of",
     "ftls_of",
     "queues_of",
+    "write_amplification",
 ]
 
 #: Default tolerance of the conservation checks.  All stage values are
@@ -84,6 +85,14 @@ def queues_of(backend) -> List[object]:
         m.queue for m in members_of(backend)
         if getattr(m, "queue", None) is not None
     ]
+
+
+def write_amplification(ftls) -> float:
+    """(host + GC-relocated) / host bytes over ``ftls``: one SSD's, an
+    array's members' (``ftls_of(backend)``) or a whole fleet's."""
+    host = sum(f.stats.host_bytes for f in ftls)
+    moved = sum(f.stats.relocated_bytes for f in ftls)
+    return (host + moved) / host if host else 1.0
 
 
 # ----------------------------------------------------------------------

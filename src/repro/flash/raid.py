@@ -170,6 +170,7 @@ class RAIS0:
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         key: Optional[Hashable] = None,
+        stream: int = 0,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ) -> None:
         parts = _split_units(lba, nbytes, self.stripe_unit)
@@ -519,6 +520,7 @@ class RAIS5:
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         key: Optional[Hashable] = None,
+        stream: int = 0,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ) -> None:
         parts = _split_units(lba, nbytes, self.stripe_unit)

@@ -473,7 +473,7 @@ class MediaScrubber:
         return "\n".join(lines)
 
     def to_dict(self, last_episodes: int = 256) -> Dict[str, object]:
-        """JSON-ready scrub audit (the ``--scrub-audit`` payload)."""
+        """JSON-ready scrub audit (the run record's ``scrub`` section)."""
         return {
             "config": {
                 "interval_s": self.config.interval_s,

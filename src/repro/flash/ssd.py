@@ -47,6 +47,8 @@ class StorageBackend(Protocol):
     completed (retry budget exhausted, device failed).  Backends that
     cannot fail may ignore it; callers that pass ``None`` accept that an
     unrecoverable fault raises out of the simulation loop instead.
+    ``stream`` selects a write frontier on backends with multi-stream
+    placement (hot/cold separation); the others ignore it.
     """
 
     def submit_write(
@@ -55,6 +57,7 @@ class StorageBackend(Protocol):
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         key: Optional[Hashable] = None,
+        stream: int = 0,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ) -> None: ...
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
-from repro.flash.introspect import ftls_of, queues_of
+from repro.flash.introspect import ftls_of, queues_of, write_amplification
 
 __all__ = [
     "RingSeries",
@@ -349,13 +349,9 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "gc.moved_bytes",
             lambda: float(sum(f.stats.relocated_bytes for f in ftls)),
         )
-
-        def _wa() -> float:
-            host = sum(f.stats.host_bytes for f in ftls)
-            moved = sum(f.stats.relocated_bytes for f in ftls)
-            return (host + moved) / host if host else 1.0
-
-        sampler.register("flash.write_amplification", _wa)
+        sampler.register(
+            "flash.write_amplification", lambda: write_amplification(ftls)
+        )
 
     if flash_queues:
         busy_state = {"t": sim.now,

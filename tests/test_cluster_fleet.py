@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from repro.bench.cluster import run_cluster, tenant_roster
+from repro.bench.cluster import render, run_cluster, tenant_roster
 from repro.bench.experiments import ReplayConfig
 from repro.bench.schemes import build_device
 from repro.cluster import (
@@ -79,7 +79,7 @@ class TestFleetExhibit:
             n_shards=4, n_tenants=8, max_requests=150, capacity_mb=32
         )
         assert report.ok, report.failures
-        out = report.outcome
+        out = report.live["outcome"]
         # a migration completed during foreground load, nothing was lost
         assert out.migration.started >= 1
         assert out.migration.completed == out.migration.started
@@ -100,10 +100,10 @@ class TestFleetExhibit:
         report = run_cluster(
             n_shards=2, n_tenants=2, max_requests=60, capacity_mb=32
         )
-        text = report.render()
+        text = render(report)
         assert "tenant0" in text and "shard0" in text
         assert "migrations:" in text
-        assert ("OK" in text) == report.ok
+        assert ("OK" in text) == (not report.failures)
 
     def test_cluster_metrics_family_sampled(self):
         specs = [TenantSpec("a", rate_iops=300.0, slo=0.01), TenantSpec("b")]
@@ -145,4 +145,4 @@ def test_migration_bytes_visible_in_outcome():
         n_shards=2, n_tenants=2, max_requests=80, capacity_mb=32
     )
     assert report.ok, report.failures
-    assert report.outcome.migration_bytes > 0
+    assert report.results["migration_bytes"] > 0

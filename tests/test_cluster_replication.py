@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.bench import verdicts
 from repro.cluster import TenantSpec, quorum_need
 from repro.cluster.replication import ReplicationConfig
 from repro.cluster.health import HealthMonitor
@@ -410,7 +411,7 @@ class TestScheduledShardDeath:
         assert fleet.health.state_of("shard1") == "dead"
         d = mgr.audit_durability()
         assert d.verdict == "DATA-LOSS" and d.lost
-        assert d.exit_code == 2
+        assert verdicts.exit_code(d.verdict) == 2
         # post-death writes to the dead shard's ranges surface as
         # unrecovered on the tenant, never silently dropped
         t = c.scheduler.state("t0").stats
@@ -575,7 +576,7 @@ class TestFaultToleranceMetrics:
 
 class TestChaosHarness:
     def test_run_cluster_chaos_recovers_under_rf2(self):
-        from repro.bench.cluster import run_cluster
+        from repro.bench.cluster import render, run_cluster
 
         plan = FaultPlan(
             seed=5, device_failures=(DeviceFailure(at=0.05, device="shard2"),)
@@ -584,13 +585,13 @@ class TestChaosHarness:
             n_shards=3, n_tenants=2, max_requests=80, capacity_mb=32,
             fault_plan=plan, replication_factor=2,
         )
-        out = report.outcome
-        assert out.dead_shards == ["shard2"]
-        assert out.health_states["shard2"] == "dead"
-        assert out.replication.shards_failed == 1
-        assert out.durability.verdict == "RECOVERED", report.failures
+        sec = report.sections
+        assert sec["dead_shards"] == ["shard2"]
+        assert sec["health_states"]["shard2"] == "dead"
+        assert sec["replication"]["shards_failed"] == 1
+        assert sec["durability"]["verdict"] == "RECOVERED", report.failures
         assert report.exit_code == 0
-        text = report.render()
+        text = render(report)
         assert "durability:" in text and "RECOVERED" in text
         assert "recovery: 1 shard(s) failed" in text
 
@@ -604,9 +605,10 @@ class TestChaosHarness:
             n_shards=3, n_tenants=2, max_requests=80, capacity_mb=32,
             fault_plan=plan, replication_factor=1,
         )
-        assert report.outcome.durability.verdict == "DATA-LOSS"
+        assert report.sections["durability"]["verdict"] == "DATA-LOSS"
+        assert report.verdict == "DATA-LOSS"
         assert report.exit_code == 2
         assert not report.ok
-        assert report.outcome.total_unrecovered == sum(
-            t.unrecovered for t in report.outcome.tenants.values()
+        assert report.live["outcome"].total_unrecovered == sum(
+            t["unrecovered"] for t in report.sections["tenants"].values()
         )

@@ -12,7 +12,7 @@ exactly once (no double-free, no leak) against a crash-free oracle.
 
 import pytest
 
-from repro.bench.crash import run_crash_chaos
+from repro.bench.crash import render, run_crash_chaos
 from repro.bench.schemes import build_device
 from repro.core.config import EDCConfig
 from repro.faults import FaultPlan, PowerLoss
@@ -40,19 +40,22 @@ class TestRunCrashChaos:
         report = run_crash_chaos(plan, duration=6.0)
         assert report.verdict == "RECOVERED"
         assert report.exit_code == 0
-        assert len(report.episodes) == 2
-        for ep in report.episodes:
-            assert ep.fingerprint_ok
-            assert ep.rebuild_identical
-            assert ep.verify.lost_acked == 0
-            assert ep.verify.corrupt == 0
-            assert ep.scrub is not None and ep.scrub.mismatches == 0
-            assert ep.recovered_entries > 0
-        assert report.final_fingerprint_ok
+        episodes = report.sections["episodes"]
+        assert len(episodes) == 2
+        for ep in episodes:
+            assert ep["fingerprint_ok"]
+            assert ep["rebuild_identical"]
+            assert ep["verify"]["lost_acked"] == 0
+            assert ep["verify"]["corrupt"] == 0
+            assert ep["scrub"]["mismatches"] == 0
+            assert ep["scan"]["recovered_entries"] > 0
+        r = report.results
+        assert r["final_fingerprint_ok"]
         # The durability tax is real and measured.
-        assert report.meta_write_bytes > 0
-        assert report.meta_device_seconds > 0
-        assert report.acked_unflushed_peak > 0
+        assert r["journal_write_bytes"] + r["checkpoint_write_bytes"] > 0
+        assert r["meta_overhead"] > 0
+        assert r["meta_device_seconds"] > 0
+        assert r["acked_unflushed_peak"] > 0
 
     def test_rais5_rejected_loudly(self):
         plan = FaultPlan(power_losses=(PowerLoss(at=1.0),))
@@ -189,7 +192,7 @@ class TestCrashInstantSweep:
     def test_any_crash_instant_recovers(self, cut):
         plan = FaultPlan(seed=11, power_losses=(PowerLoss(at=cut),))
         report = run_crash_chaos(plan, duration=5.0)
-        assert report.verdict == "RECOVERED", report.render()
-        ep = report.episodes[0]
-        assert ep.fingerprint_ok and ep.rebuild_identical
-        assert ep.verify.lost_acked == 0
+        assert report.verdict == "RECOVERED", render(report)
+        ep = report.sections["episodes"][0]
+        assert ep["fingerprint_ok"] and ep["rebuild_identical"]
+        assert ep["verify"]["lost_acked"] == 0

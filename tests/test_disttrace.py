@@ -99,27 +99,29 @@ class TestTracedCluster:
     def test_run_passes_and_conserves(self, traced_report):
         r = traced_report
         assert r.ok, r.failures
-        assert r.critical is not None
-        assert r.critical.ok
-        assert r.critical.n_traces > 0
+        critical = r.live["critical"]
+        assert critical.ok
+        assert critical.n_traces > 0
         # critical-path totals must land in real layers, not just self
-        assert r.critical.layer_seconds
-        assert "OK" in r.critical.render()
+        assert critical.layer_seconds
+        assert r.sections["critical_path"]["layer_seconds"] == critical.layer_seconds
+        assert "OK" in r.sections["critical_path"]["text"]
 
     def test_every_request_traced(self, traced_report):
         r = traced_report
-        assert len(r.tracing.completed) == r.outcome.n_requests
-        assert r.tracing.open_traces() == 0
-        assert r.tracing.tracer.open_spans == 0
+        tracing = r.live["tracing"]
+        assert len(tracing.completed) == r.results["n_requests"]
+        assert tracing.open_traces() == 0
+        assert tracing.tracer.open_spans == 0
 
     def test_device_layers_nest_under_cluster_roots(self, traced_report):
-        layers = {s.layer for s in traced_report.tracing.tracer}
+        layers = {s.layer for s in traced_report.live["tracing"].tracer}
         assert {"request", "flash_program"} <= layers
         # migration spans rode along (the exhibit forces one migration)
         assert "migration" in layers
 
     def test_exemplars_point_at_worst_latency(self, traced_report):
-        tr = traced_report.tracing
+        tr = traced_report.live["tracing"]
         assert tr.exemplars
         for tenant, ex in tr.exemplars.items():
             assert ex.tenant == tenant
@@ -128,7 +130,7 @@ class TestTracedCluster:
         assert all(k.startswith("cluster.tenant_p95.") for k in keyed)
 
     def test_conservation_detects_inflated_latency(self, traced_report):
-        tr = traced_report.tracing
+        tr = traced_report.live["tracing"]
         sid, rec = next(iter(tr.completed.items()))
         broken = dict(tr.completed)
         broken[sid] = type(rec)(
@@ -189,7 +191,7 @@ class TestTraceOffBitIdentity:
 class TestExporters:
     def test_chrome_trace_is_valid_and_skips_open_spans(self):
         r = run_cluster(n_shards=2, n_tenants=4, max_requests=100, trace=True)
-        tracer = r.tracing.tracer
+        tracer = r.live["tracing"].tracer
         # monkey-append an unfinished span: it must be flagged, not dumped
         tracer.spans.append(Span(10**9, "hung", "request", 0.0))
         fp = io.StringIO()

@@ -351,13 +351,12 @@ class TestComposition:
         assert "smart_write_amplification" in text.replace("edc_ts_", "")
 
     def test_cluster_rollups(self):
-        from repro.bench.cluster import run_cluster
+        from repro.bench.cluster import render, run_cluster
 
         report = run_cluster(n_shards=2, n_tenants=2, max_requests=80)
-        shards = report.outcome.shards
+        shards = report.sections["shards"]
         assert shards
         for shard in shards.values():
-            assert shard.smart is not None
-            assert "wear_max" in shard.smart
-            assert shard.smart["realized_ratio"] > 0
-        assert "wear_max" in report.render()
+            assert "wear_max" in shard["smart"]
+            assert shard["smart"]["realized_ratio"] > 0
+        assert "wear_max" in render(report)

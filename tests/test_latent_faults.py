@@ -253,21 +253,18 @@ class TestLatentChaos:
         rep = run_chaos(self._hot_plan(), duration=3.0)
         assert rep.verdict == "CORRUPTION"
         assert rep.exit_code == 3
-        assert rep.corrupt_reads > 0          # host saw IntegrityError
-        assert rep.faults["read_faults"] == 0  # ...not ReadFaultError
-        assert rep.residual_corrupt > 0
-        assert rep.latent["retention_events"] > 0
-        assert rep.latent["corrupted_extents"] > 0
+        assert rep.results["corrupt_reads"] > 0  # host saw IntegrityError
+        assert rep.sections["faults"]["read_faults"] == 0  # ...not ReadFaultError
+        assert rep.results["residual_corrupt"] > 0
+        assert rep.sections["latent"]["retention_events"] > 0
+        assert rep.sections["latent"]["corrupted_extents"] > 0
 
     def test_latent_runs_are_deterministic(self):
         from repro.bench.chaos import run_chaos
 
         a = run_chaos(self._hot_plan(), duration=2.0)
         b = run_chaos(self._hot_plan(), duration=2.0)
-        assert a.latent == b.latent
-        assert a.corrupt_reads == b.corrupt_reads
-        assert a.residual_corrupt == b.residual_corrupt
-        assert a.verdict == b.verdict
+        assert a == b
 
     def test_plan_without_latent_arms_nothing(self):
         from repro.bench.experiments import ReplayConfig, replay

@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.bench import verdicts
-from repro.bench.chaos import run_chaos
+from repro.bench.chaos import render, run_chaos
 from repro.faults import FaultPlan
 from repro.flash.scrub import MediaScrubber, ScrubConfig, ScrubStats
 
@@ -58,13 +58,13 @@ class TestVerdicts:
         with pytest.raises((KeyError, ValueError)):
             verdicts.exit_code("FINE")
 
-    def test_harnesses_share_the_vocabulary(self):
-        from repro.bench import chaos, crash
-        from repro.cluster import replication
-
-        assert crash.RECOVERED == verdicts.RECOVERED
-        assert replication.DurabilityReport.EXIT_CODES is verdicts.EXIT_CODES
-        assert chaos.CORRUPTION == verdicts.CORRUPTION
+    def test_grade_picks_the_most_severe_class(self):
+        assert verdicts.grade() == verdicts.RECOVERED
+        assert verdicts.grade(degraded=1) == verdicts.DEGRADED
+        assert verdicts.grade(data_loss=[7], degraded=True) == verdicts.DATA_LOSS
+        assert verdicts.grade(
+            corruption=1, data_loss=1, degraded=1
+        ) == verdicts.CORRUPTION
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +105,9 @@ class TestSelfHealing:
         on, _ = reports
         assert on.verdict == verdicts.RECOVERED
         assert on.exit_code == 0
-        assert on.corrupt_reads == 0          # host never saw corrupt media
-        assert on.residual_corrupt == 0       # media clean at end of run
-        assert on.scrub is not None
-        stats = on.scrub["stats"]
+        assert on.results["corrupt_reads"] == 0     # host never saw corrupt media
+        assert on.results["residual_corrupt"] == 0  # media clean at end of run
+        stats = on.sections["scrub"]["stats"]
         assert stats["corrupt_found"] > 0
         assert stats["parity_repairs"] > 0
         assert stats["unrepairable"] == 0
@@ -118,41 +117,38 @@ class TestSelfHealing:
         _, off = reports
         assert off.verdict == verdicts.CORRUPTION
         assert off.exit_code == 3
-        assert off.residual_corrupt > 0
-        assert off.scrub is None
+        assert off.results["residual_corrupt"] > 0
+        assert "scrub" not in off.sections
 
     def test_scrub_io_is_charged(self, reports):
         on, off = reports
-        stats = on.scrub["stats"]
+        stats = on.sections["scrub"]["stats"]
         # Verify reads and survivor reconstruction reads hit the queues:
         # the scrubbed run is visibly slower than the idle baseline.
         assert stats["verify_bytes"] > 0
         assert stats["repair_read_bytes"] > 0
-        assert on.result.mean_response > off.result.mean_response
+        assert on.results["mean_response_s"] > off.results["mean_response_s"]
 
-    def test_report_round_trips_to_json(self, reports):
+    def test_record_serialises_the_scrub_audit(self, reports):
         on, _ = reports
-        d = on.as_dict()
-        blob = json.loads(json.dumps(d))
+        blob = json.loads(on.to_json())
         assert blob["verdict"] == verdicts.RECOVERED
         assert blob["exit_code"] == 0
-        assert blob["scrub"]["stats"]["parity_repairs"] > 0
-        assert blob["latent"]["corrupted_extents"] > 0
+        assert blob["sections"]["scrub"]["stats"]["parity_repairs"] > 0
+        assert blob["sections"]["latent"]["corrupted_extents"] > 0
 
     def test_render_mentions_scrub_and_latent(self, reports):
         on, off = reports
-        text = on.render()
+        text = render(on)
         assert "scrub:" in text
         assert "latent:" in text
         assert verdicts.RECOVERED in text
-        assert verdicts.CORRUPTION in off.render()
+        assert verdicts.CORRUPTION in render(off)
 
     def test_scrub_runs_are_deterministic(self, reports):
         on, _ = reports
         again = run_chaos(committed_plan(), duration=5.0, scrub_interval=0.005)
-        assert again.scrub["stats"] == on.scrub["stats"]
-        assert again.latent == on.latent
-        assert again.verdict == on.verdict
+        assert again == on
 
 
 # ----------------------------------------------------------------------
@@ -167,8 +163,8 @@ class TestEscalation:
             },
         )
         rep = run_chaos(plan, backend="ssd", duration=2.0, scrub_interval=0.005)
-        assert rep.scrub["stats"]["unrepairable"] > 0
-        assert rep.scrub["stats"]["parity_repairs"] == 0
+        assert rep.sections["scrub"]["stats"]["unrepairable"] > 0
+        assert rep.sections["scrub"]["stats"]["parity_repairs"] == 0
         assert rep.verdict == verdicts.CORRUPTION
         assert rep.exit_code == 3
 
@@ -182,8 +178,8 @@ class TestEscalation:
         # The capacity guard must keep mass retirement from shrinking
         # the address space below the live footprint (DeviceFullError).
         rep = run_chaos(plan, duration=3.0, scrub_interval=0.005)
-        assert rep.scrub["stats"]["blocks_retired"] > 0
-        assert rep.result.n_requests > 0
+        assert rep.sections["scrub"]["stats"]["blocks_retired"] > 0
+        assert rep.results["n_requests"] > 0
 
 
 # ----------------------------------------------------------------------
