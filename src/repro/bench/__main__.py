@@ -15,7 +15,6 @@ Usage::
     python -m repro.bench --chaos benchmarks/chaos_fin1.json   # fault-injected replay
     python -m repro.bench --chaos benchmarks/latent_fin1.json --scrub-interval 0.005 --record run.json
     python -m repro.bench --cluster --trace --trace-dump trace.json --alerts
-    python -m repro.bench --profile --profile-dump profile.txt  # cProfile a replay
 
 Exhibit names: fig1 fig2 fig3 table1 table2 fig8 fig9 fig10 fig11 fig12
 breakdown.  ``fig8``-``fig10`` share one single-SSD replay matrix;
@@ -68,7 +67,7 @@ SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
 
 #: every option naming a file this command writes
 DUMP_FLAGS = ("trace_dump", "series_dump", "prom_dump", "audit_dump",
-              "health_dump", "record", "profile_dump")
+              "health_dump", "record")
 
 #: one dump: the open target (``None`` = not asked for) and the writer,
 #: which gets the run's outcome and returns the line to print
@@ -491,12 +490,6 @@ def main(argv: list[str] | None = None) -> int:
                              "burn-rate alert engine on the metrics "
                              "sampler and print fire/clear transitions "
                              "(implies a sampler; composes with --metrics)")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile one Fin1 x EDC replay under cProfile "
-                             "and print the top functions by cumulative "
-                             "time (honours --duration)")
-    parser.add_argument("--profile-dump", metavar="PATH", default=None,
-                        help="with --profile, also write the table to PATH")
     args = parser.parse_args(argv)
     if args.cluster_chaos and not args.cluster:
         parser.error("--cluster-chaos requires --cluster")
@@ -541,20 +534,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args, plan, fps: Dict[str, TextIO], wanted) -> int:
-    if args.profile:
-        from repro.bench.profile import profile_replay
-
-        def run():
-            print(f"profiling Fin1 x EDC (duration {args.duration:.0f}s)...")
-            return profile_replay(duration=args.duration)
-
-        def write_profile(fp, prof) -> str:
-            prof.dump(fp)
-            return f"\nwrote profile to {fp.name}"
-
-        _emit(run, lambda prof: prof.render(),
-              [(fps.get("profile_dump"), write_profile)])
-        return 0
     if args.cluster:
         return _run_cluster(args, plan, fps)
     if args.chaos:

@@ -6,7 +6,7 @@ tight-SLO throttled, batch, weighted), drives interleaved per-tenant
 traces through the cluster front door, forces one live range migration
 mid-run, and prints the fleet report: per-tenant admission/SLO
 accounting, per-shard occupancy and realised compression, migration
-traffic, and the lost-write invariant verdict.
+traffic, and the acked-write durability verdict.
 
 The run grades at least **DEGRADED** (exit 1 from the CLI) when any
 acked write is lost, when a started migration does not complete, or
@@ -28,7 +28,8 @@ restored, every acked block readable byte-exact; ``DEGRADED`` (1) —
 data intact but a range is still under-replicated; ``DATA-LOSS`` (2) —
 an acked block has no surviving copy; ``CORRUPTION`` (3) — a surviving
 copy failed the byte-exactness scrub.  Chaos runs skip the forced
-migration kick so the failover path is exercised in isolation.
+migration kick so the failover path is exercised in isolation; every
+other run — replicated or not — performs it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ def tenant_roster(n_tenants: int) -> List[TenantSpec]:
 
 def render(record: RunRecord) -> str:
     """The fleet report of a ``cluster`` record."""
-    r, sec = record.results, record.sections
+    r, sec, scn = record.results, record.sections, record.scenario
     tenants, shards = sec["tenants"], sec["shards"]
+    # The fault-tolerance lines belong to runs that asked for redundancy
+    # or faults; a plain factor-1 report stays as short as it was.
+    replicated = scn["replication_factor"] > 1 or scn["plan"] is not None
     lines: List[str] = []
     lines.append(
         f"cluster: {len(shards)} shards x {len(tenants)} tenants, "
@@ -133,7 +137,7 @@ def render(record: RunRecord) -> str:
         f"fleet: WA {r['fleet_wa']:.3f}, imbalance {r['imbalance']:.3f}, "
         f"energy {joules:.1f} J"
     )
-    if "replication" in sec:
+    if replicated:
         rp = sec["replication"]
         lines.append(
             f"replication: {rp['replica_writes']} replica writes "
@@ -155,7 +159,7 @@ def render(record: RunRecord) -> str:
             f"/{len(states)} shards alive "
             f"(dead: {', '.join(dead) if dead else 'none'})"
         )
-    if "durability" in sec:
+    if replicated:
         d = sec["durability"]
         lines.append(
             f"durability: {d['checked_blocks']} acked blocks audited, "
@@ -197,8 +201,8 @@ def run_cluster(
     """Run the fleet exhibit: interleaved tenants + one live migration.
 
     At 25 % of the earliest stream's span the heaviest range on the
-    physically fullest shard is migrated to the emptiest — under full
-    foreground load.
+    physically fullest shard is migrated to the emptiest shard not
+    already holding it — under full foreground load.
     ``sampler`` optionally attaches a
     :class:`~repro.telemetry.TimeSeriesSampler` via
     :func:`~repro.telemetry.timeseries.bind_cluster_metrics`.
@@ -210,23 +214,21 @@ def run_cluster(
     :class:`~repro.telemetry.alerts.BurnRateEngine` to ride the
     sampler's ticks (requires ``sampler``).
 
+    Every range is kept on ``replication_factor`` shards and writes ack
+    at ``quorum``; the post-run durability audit grades every run (see
+    the module docstring for the verdict/exit-code convention).
     ``fault_plan`` switches the exhibit into **chaos mode**: the plan
-    is armed on every shard, the health monitor + replication manager
-    attach (``replication_factor`` copies per range, acked at
-    ``quorum``), the forced migration kick is skipped, and the post-run
-    durability audit grades the recovery (see the module docstring for
-    the verdict/exit-code convention).  With ``replication_factor=1``
-    and no fault plan the run is bit-identical to the pre-replication
-    exhibit.
+    is armed on every shard, the health monitor attaches and the forced
+    migration kick is skipped.
 
     The ``cluster`` record mirrors :class:`~repro.cluster.ClusterOutcome`:
     ``results`` has its scalars (``n_requests``, ``horizon``,
     ``fleet_wa``, ``imbalance``, ``migration_bytes``) and ``sections``
     every other field it filled, under the field's name — ``tenants``
     (plus each one's ``workload``), ``shards``, ``stats``,
-    ``migration``, ``energy``, ``lost_writes``, ``dead_shards``,
-    ``health_states`` and, when the run had them, ``replication``,
-    ``durability`` (plus its ``verdict``) and ``fault_stats`` — along
+    ``migration``, ``energy``, ``lost_writes``, ``replication``,
+    ``durability`` (plus its ``verdict``), ``dead_shards``,
+    ``health_states`` and, under a plan, ``fault_stats`` — along
     with ``critical_path`` and ``alerts`` when traced / alerting.
     ``failures`` lists broken run invariants; any of them grades the
     run at least DEGRADED.  ``live`` holds the ``outcome``
@@ -268,55 +270,38 @@ def run_cluster(
     span = min(s.trace.duration for s in streams if len(s.trace))
 
     def _kick() -> None:
-        if n_shards < 2:
-            return
         pair = fleet.balancer.suggest()
         if pair is not None:
-            src, dst = pair
+            src = pair[0]
         else:  # balanced fleet: still exercise the machinery
             snap = fleet.balancer.snapshot()
             src = max(snap.values(), key=lambda s: (s.physical_bytes, s.name)).name
-            dst = min(snap.values(), key=lambda s: (s.physical_bytes, s.name)).name
-        if src == dst:
-            return
         ridx = fleet.balancer.pick_range(src)
         if ridx is None:
             return
-        migrations.append(
-            fleet.orchestrator.migrate(ridx, dst)
-        )
+        # destination: the emptiest shard not already holding the range
+        migrations.append(fleet.orchestrator.migrate(ridx))
 
-    replicated = replication_factor > 1 or fault_plan is not None
-    if not replicated:
-        # Replicated/chaos runs exercise the failover path in isolation:
-        # the forced migration moves only a range's primary copy (and
-        # discards the source), which would leave the replica placement
-        # deliberately inconsistent mid-audit.
+    # Chaos runs exercise the failover path in isolation; otherwise a
+    # range moves whenever some shard does not already hold it.
+    movable = fault_plan is None and n_shards > replication_factor
+    if movable:
         fleet.sim.schedule_at(max(span * 0.25, 0.05), _kick)
     outcome = replayer.run()
 
     failures: List[str] = []
-    if outcome.durability is not None:
-        # The durability audit is the authority under replication: the
-        # primary-mapping invariant below cannot see a block that
-        # survives on a non-primary replica (quorum=one after a
-        # failover), so its losses fold into the audit instead.
-        if outcome.durability.lost:
-            failures.append(
-                f"{len(outcome.durability.lost)} acked blocks lost "
-                f"(e.g. {outcome.durability.lost[:5]})"
-            )
-        if outcome.durability.corrupt:
-            failures.append(
-                f"{len(outcome.durability.corrupt)} acked blocks corrupt "
-                f"(e.g. {outcome.durability.corrupt[:5]})"
-            )
-    elif outcome.lost_writes:
+    durability = outcome.durability
+    if durability.lost:
         failures.append(
-            f"{len(outcome.lost_writes)} acked writes lost "
-            f"(blocks {outcome.lost_writes[:5]}...)"
+            f"{len(durability.lost)} acked blocks lost "
+            f"(e.g. {durability.lost[:5]})"
         )
-    if not replicated and n_shards >= 2 and not migrations:
+    if durability.corrupt:
+        failures.append(
+            f"{len(durability.corrupt)} acked blocks corrupt "
+            f"(e.g. {durability.corrupt[:5]})"
+        )
+    if movable and not migrations:
         failures.append("no migration was started")
     for m in migrations:
         if not m.done:
@@ -347,9 +332,9 @@ def run_cluster(
         if critical.n_traces == 0:
             failures.append("tracing enabled but no trace completed")
 
-    verdict = verdicts.grade(degraded=failures)
-    if outcome.durability is not None:
-        verdict = verdicts.worst(verdict, outcome.durability.verdict)
+    verdict = verdicts.worst(
+        verdicts.grade(degraded=failures), durability.verdict
+    )
     # The record mirrors ClusterOutcome: its scalars are the results,
     # every other field it filled is a section of the same name.
     sections = {k: v for k, v in asdict(outcome).items() if v is not None}
@@ -360,8 +345,7 @@ def run_cluster(
     }
     for stream in streams:
         sections["tenants"][stream.tenant]["workload"] = stream.workload
-    if outcome.durability is not None:
-        sections["durability"]["verdict"] = outcome.durability.verdict
+    sections["durability"]["verdict"] = durability.verdict
     if critical is not None:
         sections["critical_path"] = {
             "n_traces": critical.n_traces,

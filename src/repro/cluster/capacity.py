@@ -62,9 +62,13 @@ class CapacityBalancer:
 
     # ------------------------------------------------------------------
     def total_ranges(self) -> int:
-        """Routable ranges across every tenant namespace."""
+        """Routable ranges across every tenant namespace (internal
+        tenants such as rebuild carry no namespace of their own)."""
         c = self.cluster
-        span = len(c.scheduler.tenants) * c.namespace_bytes
+        tenants = sum(
+            not st.spec.internal for st in c.scheduler.tenants.values()
+        )
+        span = tenants * c.namespace_bytes
         return (span + c.range_bytes - 1) // c.range_bytes
 
     def ranges_of(self, shard: str) -> List[int]:

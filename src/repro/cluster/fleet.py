@@ -80,8 +80,7 @@ class ClusterReplayConfig:
     #: ``DeviceFailure`` names must match ``shard<i>``); ``None`` keeps
     #: the fleet fault-free and injector-free
     fault_plan: Optional[FaultPlan] = None
-    #: replicas per range; 1 + no fault plan keeps routing single-copy
-    #: and bit-identical to the pre-replication cluster
+    #: replicas per range (1 = no redundancy)
     replication_factor: int = 1
     #: write-ack rule: ``one`` | ``majority`` | ``all``
     quorum: str = "majority"
@@ -99,11 +98,6 @@ class ClusterReplayConfig:
             raise ValueError(
                 f"quorum must be 'one', 'majority' or 'all': {self.quorum!r}"
             )
-
-    @property
-    def fault_tolerant(self) -> bool:
-        """Whether the fleet needs the replication manager attached."""
-        return self.replication_factor > 1 or self.fault_plan is not None
 
     def shard_env(self) -> ReplayConfig:
         """The stack environment every shard is built from."""
@@ -135,12 +129,12 @@ class ClusterFleet:
     devices: Dict[str, object]
     backends: Dict[str, SimulatedSSD]
     config: ClusterReplayConfig
+    #: the cluster's :class:`~repro.cluster.replication.ReplicationManager`
+    #: (placement table, part issue, rebuild, durability audit)
+    replication: ReplicationManager
     #: cluster-wide :class:`~repro.telemetry.disttrace.DistTracer`, or
     #: ``None`` when the fleet was built without tracing
     tracing: Optional[object] = None
-    #: :class:`~repro.cluster.replication.ReplicationManager`, attached
-    #: when ``replication_factor > 1`` or a fault plan is present
-    replication: Optional[ReplicationManager] = None
     #: :class:`~repro.cluster.health.HealthMonitor` (fault plans only)
     health: Optional[HealthMonitor] = None
     #: per-shard fault injectors, in shard order (fault plans only)
@@ -199,17 +193,15 @@ def build_cluster(
     balancer = CapacityBalancer(cluster)
     if plan is not None:
         plan.schedule_failures(sim, backends.values())
-    manager = None
+    manager = ReplicationManager(
+        cluster,
+        ReplicationConfig(
+            factor=cfg.replication_factor,
+            quorum=cfg.quorum,
+            hedge_reads=cfg.hedge_reads,
+        ),
+    )
     health = None
-    if cfg.fault_tolerant:
-        manager = ReplicationManager(
-            cluster,
-            ReplicationConfig(
-                factor=cfg.replication_factor,
-                quorum=cfg.quorum,
-                hedge_reads=cfg.hedge_reads,
-            ),
-        )
     if plan is not None:
         health = HealthMonitor(sim, devices, on_dead=manager.on_shard_dead)
         health.start()
@@ -239,10 +231,6 @@ class TenantReport:
     slo_violations: int
     #: requests that exhausted every recovery path (quorum + retries)
     unrecovered: int = 0
-
-    @property
-    def slo_violation_rate(self) -> float:
-        return self.slo_violations / self.completed if self.completed else 0.0
 
 
 @dataclass(frozen=True)
@@ -275,22 +263,19 @@ class ClusterOutcome:
     fleet_wa: float
     energy: EnergyReport
     imbalance: float
-    #: acked-but-unmapped global blocks; non-empty means data loss
+    #: acked blocks no live replica maps (the audit's ``lost`` list);
+    #: non-empty means data loss
     lost_writes: List[int]
-    #: replication-tier accounting (``None`` without the manager)
-    replication: Optional[ReplicationStats] = None
-    #: post-run acked-write durability audit (``None`` without the manager)
-    durability: Optional[DurabilityReport] = None
+    #: replication-tier accounting
+    replication: ReplicationStats
+    #: post-run acked-write durability audit
+    durability: DurabilityReport
     #: shards the health monitor declared dead, sorted
     dead_shards: List[str] = field(default_factory=list)
     #: final health state per shard (empty without a fault plan)
     health_states: Dict[str, str] = field(default_factory=dict)
     #: aggregate injector accounting (``None`` without a fault plan)
     fault_stats: Optional[FaultStats] = None
-
-    @property
-    def total_slo_violations(self) -> int:
-        return sum(t.slo_violations for t in self.tenants.values())
 
     @property
     def total_unrecovered(self) -> int:
@@ -416,6 +401,7 @@ class ClusterReplayer:
             device_busy_s=busy,
             logical_bytes=logical_total,
         )
+        durability = fleet.replication.audit_durability()
         return ClusterOutcome(
             n_requests=self._scheduled,
             horizon=horizon,
@@ -429,15 +415,9 @@ class ClusterReplayer:
             ),
             energy=energy,
             imbalance=fleet.balancer.imbalance(snap),
-            lost_writes=cluster.check_no_lost_writes(),
-            replication=(
-                fleet.replication.stats
-                if fleet.replication is not None else None
-            ),
-            durability=(
-                fleet.replication.audit_durability()
-                if fleet.replication is not None else None
-            ),
+            lost_writes=durability.lost,
+            replication=fleet.replication.stats,
+            durability=durability,
             dead_shards=(
                 fleet.health.dead_shards() if fleet.health is not None else []
             ),

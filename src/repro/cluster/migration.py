@@ -4,12 +4,12 @@ Moving an LBA range between shards while foreground traffic keeps
 hitting it follows the classic live-migration choreography:
 
 1. **Dual-write window opens.**  New writes to the range are acked by
-   the source (still the authority) and duplicated to the destination;
-   every duplicated block is marked *dirty* so the copy never clobbers
-   it with stale data.  Reads stay on the source.
+   its current replica set (the source is its primary) and duplicated to
+   the destination; every duplicated block is marked *dirty* so the copy
+   never clobbers it with stale data.  Reads stay on the source.
 2. **Quiesce.**  Wait for requests already in flight to the range when
-   the window opened — they predate dual-writing, so the copy must not
-   race their commits.
+   the window opened (replica attempts included) — they predate
+   dual-writing, so the copy must not race their commits.
 3. **Snapshot + chunked copy.**  Enumerate the live (mapped, not dirty)
    blocks on the source and copy them in small chunks — read from the
    source, write to the destination — re-checking the dirty set at
@@ -17,16 +17,24 @@ hitting it follows the classic live-migration choreography:
    the normal device submit paths, so it is charged exactly like GC
    traffic: it occupies device bandwidth, inflates the destination's
    write amplification, and shows up in the energy model's busy time.
-4. **Cutover.**  Atomically reroute the range to the destination (a
-   routing override) and close the dual-write window.
+4. **Cutover.**  Atomically put the destination in the source's slot
+   of the replication manager's placement table and close the
+   dual-write window.  On a replicated fleet this moves the replica
+   set's primary; the other replicas stay where they are.
 5. **Cleanup.**  Once in-flight source reads drain, discard the range
    on the source, releasing its physical space.
 
 Zero acked writes are lost at any point: an acked write either
 committed on the source before cutover *and* was dual-written to the
 destination, or was routed to the destination after cutover.  The
-cluster's :meth:`~repro.cluster.routing.ClusterDistributer.check_no_lost_writes`
-invariant verifies exactly this.
+durability audit
+(:meth:`~repro.cluster.replication.ReplicationManager.audit_durability`)
+verifies exactly this.
+
+A range is either migrating or being re-replicated, never both: a range
+under rebuild cannot start migrating, and a migration is aborted when
+any shard holding its range leaves the cluster, so redundancy repair
+always wins over re-placement.
 """
 
 from __future__ import annotations
@@ -112,9 +120,9 @@ class MigrationOrchestrator:
         #: copy queues per active migration
         self._queues: Dict[int, Deque[int]] = {}
         cluster.on_dual_write = self._note_dirty
-        # Membership changes must not leave a dangling dual-write window
-        # or override: a shard leaving the cluster deterministically
-        # aborts every migration it is part of.
+        # Membership changes must not leave a dangling dual-write
+        # window: a shard leaving the cluster deterministically aborts
+        # every migration it is part of.
         cluster.on_membership_change = self.on_shard_removed
 
     # ------------------------------------------------------------------
@@ -122,23 +130,24 @@ class MigrationOrchestrator:
         """A shard is leaving the cluster (failure or decommission).
 
         Called by :meth:`ClusterDistributer.decommission_shard` *before*
-        the ring changes.  Every active migration whose source or
-        destination is the departing shard is aborted: its dual-write
-        window closes (so writes stop duplicating to/acking on the dead
-        shard), its copy queue is dropped, and in-flight copy callbacks
-        become no-ops.  Cut-over never happened, so routing falls back
-        to the ring — no dangling override can name the shard.
+        the ring changes.  Every active migration whose destination is
+        the departing shard, or whose range the departing shard holds
+        (the source or one of its peers, which the manager is about to
+        re-replicate), is aborted: its dual-write window closes, its
+        copy queue is dropped, and in-flight copy callbacks become
+        no-ops.  Cut-over never happened, so the placement table never
+        named the destination.
         """
+        members = self.cluster.replication.members
         for m in list(self.active.values()):
-            if m.src == name or m.dst == name:
+            if name in (m.src, m.dst, *members.get(m.range_idx, ())):
                 self._abort(m, f"shard {name!r} removed from the cluster")
 
     def _abort(self, m: Migration, reason: str) -> None:
         c = self.cluster
         c.dual_writes.pop(m.range_idx, None)
         # A completed cutover is permanent (the data already moved);
-        # aborting only cancels migrations that never cut over, so any
-        # override for this range predates us and stays.
+        # aborting only cancels migrations that never cut over.
         m.state = "aborted"
         m.abort_reason = reason
         m.finished_at = c.sim.now
@@ -176,9 +185,12 @@ class MigrationOrchestrator:
         c = self.cluster
         if range_idx in self.active:
             raise MigrationError(f"range {range_idx} is already migrating")
+        if range_idx in c.replication.rebuilding:
+            raise MigrationError(f"range {range_idx} is being rebuilt")
+        holders = c.replication.targets(range_idx)
         src = c.owner_of(range_idx)
         if dst is None:
-            candidates = [n for n in c.shards if n != src]
+            candidates = [n for n in c.shards if n not in holders]
             if not candidates:
                 raise MigrationError("no destination shard available")
             dst = min(
@@ -187,9 +199,9 @@ class MigrationOrchestrator:
             )
         if dst not in c.shards:
             raise MigrationError(f"unknown destination shard {dst!r}")
-        if dst == src:
+        if dst in holders:
             raise MigrationError(
-                f"range {range_idx} already lives on {src!r}"
+                f"range {range_idx} already lives on {dst!r}"
             )
         m = Migration(
             range_idx=range_idx, src=src, dst=dst,
@@ -301,7 +313,7 @@ class MigrationOrchestrator:
         c = self.cluster
         # 4. atomic reroute: from this instant every new request for the
         #    range goes to the destination; the window closes.
-        c.overrides[m.range_idx] = m.dst
+        c.replication.cutover(m.range_idx, m.src, m.dst)
         del c.dual_writes[m.range_idx]
         m.state = "cleanup"
         if c.tracer is not None:

@@ -1,9 +1,9 @@
 """N-way replication: placement, quorum writes, failover reads, rebuild.
 
-The fault-tolerance layer of the cluster tier.  A
-:class:`ReplicationManager` attached to a
-:class:`~repro.cluster.routing.ClusterDistributer` changes the routing
-contract from "each range lives on exactly one shard" to:
+The placement and fault-tolerance layer of the cluster tier.  Every
+:class:`~repro.cluster.routing.ClusterDistributer` issues every part
+through its :class:`ReplicationManager`; a fleet without redundancy is
+simply factor 1 (one target, quorum 1).  The routing contract:
 
 - **Placement.**  Each LBA range is placed on the first ``factor``
   *distinct* shards of the ring's successor walk
@@ -11,7 +11,12 @@ contract from "each range lives on exactly one shard" to:
   stability property — removing a shard only deletes its own virtual
   nodes — means a shard failure changes a range's replica list by at
   most one appended name, which is what makes failover and rebuild
-  targeting deterministic.
+  targeting deterministic.  :attr:`ReplicationManager.members` is the
+  one placement table: reads, writes, trims, the audit, ``owner_of``
+  and the capacity balancer all resolve a range through
+  :meth:`ReplicationManager.targets`, and a live-migration cutover
+  swaps the source for the destination in it
+  (:meth:`ReplicationManager.cutover`).
 - **Quorum writes.**  A write part fans out to every live replica and
   acks once ``quorum`` of them (``one`` / ``majority`` / ``all`` of the
   configured factor, sloppily clamped to the live replica count)
@@ -59,13 +64,15 @@ surviving replica (version check + stored-payload decode check).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bench.verdicts import grade
-from repro.cluster.routing import ClusterDistributer
 from repro.cluster.tenants import TenantSpec, TenantState, TokenBucket
 from repro.faults.plan import DeviceFailedError
 from repro.traces.model import IORequest, READ, WRITE
+
+if TYPE_CHECKING:  # routing builds its manager from this module
+    from repro.cluster.routing import ClusterDistributer
 
 __all__ = [
     "quorum_need",
@@ -244,9 +251,12 @@ class ReplicationManager:
         self.stats = ReplicationStats()
         #: fleet-wide content-version oracle: global block -> write attempts
         self.versions: Dict[int, int] = {}
-        #: range index -> ordered live+joined replica list (primary first);
-        #: initialised lazily from the successor walk at first touch
+        #: the placement table: range index -> ordered live+joined
+        #: replica list (primary first); initialised lazily from the
+        #: successor walk at first touch
         self.members: Dict[int, List[str]] = {}
+        #: ranges a live migration moved (see :meth:`cutover`)
+        self.migrated: Set[int] = set()
         #: shards currently unreachable (device errors / health suspicion)
         self.down: Set[str] = set()
         #: shards declared dead (never come back)
@@ -256,6 +266,9 @@ class ReplicationManager:
         self._rebuild_tokens: Dict[int, Tuple[_RebuildJob, int]] = {}
         self._retry_buckets: Dict[str, Optional[TokenBucket]] = {}
         cluster.replication = self
+        # The rebuild tenant is registered once: a manager replacing the
+        # cluster's factor-1 default takes over its slot.
+        cluster.scheduler.tenants.pop(REBUILD_TENANT, None)
         self._rebuild_state = cluster.scheduler.add_tenant(
             TenantSpec(
                 REBUILD_TENANT,
@@ -272,39 +285,30 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     def desired_replicas(self, ridx: int) -> List[str]:
         """The range's ideal replica set on the current ring (primary
-        first).  A live migration cutover override takes the primary
-        slot, mirroring single-copy routing."""
+        first): where a range starts out and where rebuild looks for a
+        new home."""
         c = self.cluster
-        want = min(self.config.factor, len(c.ring))
-        names = c.ring.successors(ridx, want)
-        override = c.overrides.get(ridx)
-        if override is not None and override not in c.decommissioned:
-            names = [override] + [n for n in names if n != override]
-            names = names[:want]
-        return names
-
-    def _members_of(self, ridx: int) -> List[str]:
-        got = self.members.get(ridx)
-        if got is None:
-            got = [n for n in self.desired_replicas(ridx)
-                   if n not in self.down]
-            self.members[ridx] = got
-        return got
+        return c.ring.successors(ridx, min(self.config.factor, len(c.ring)))
 
     def targets(self, ridx: int) -> List[str]:
-        """Live, fully-joined replicas of ``ridx`` (fan-out set).  A
-        rebuild destination is *excluded* until it joins — receiving
-        foreground writes before its version floor is installed would
+        """The shards holding ``ridx``: its live, fully-joined replicas,
+        primary first.  The one answer to "who owns range r".  A
+        rebuild or migration destination is *excluded* until it joins —
+        receiving foreground writes as a member before then would
         desynchronise its content versions."""
-        return [n for n in self._members_of(ridx) if n not in self.down]
+        got = self.members.get(ridx)
+        if got is None:
+            got = self.members[ridx] = self.desired_replicas(ridx)
+        return [n for n in got if n not in self.down]
 
-    def primary_for(self, ridx: int) -> str:
-        """Read/ack primary: first live replica, else the ring (so routing
-        still resolves for ranges whose every replica died)."""
-        for name in self._members_of(ridx):
-            if name not in self.down:
-                return name
-        return self.cluster.ring.shard_for(ridx)
+    def cutover(self, ridx: int, src: str, dst: str) -> None:
+        """A live migration of ``ridx`` completed its copy: ``dst`` takes
+        ``src``'s slot in the placement table.  The range is recorded as
+        migrated because the copy went through ``dst``'s normal write
+        path, so its version counters no longer track the oracle."""
+        mem = self.members[ridx]
+        mem[mem.index(src)] = dst
+        self.migrated.add(ridx)
 
     def trim_targets(self, ridx: int, part: IORequest) -> List[str]:
         """Shards that must drop a trimmed extent (every live replica);
@@ -339,8 +343,7 @@ class ReplicationManager:
         arrival: float,
         finish: Callable[[IORequest, bool], None],
     ) -> None:
-        """Route one shard part under replication (the cluster's
-        ``_issue_part`` delegates here when a manager is attached)."""
+        """Route one shard part: the cluster's only part-issue path."""
         if part.is_write:
             self._issue_write(st, request, part, arrival, finish, 0)
         else:
@@ -830,8 +833,7 @@ class ReplicationManager:
 
         def _repair(lba: int, nbytes: int) -> bool:
             ridx = c.range_of(lba)
-            peers = [n for n in self._members_of(ridx)
-                     if n != name and n not in self.down]
+            peers = [n for n in self.targets(ridx) if n != name]
             repaired = False
             for blk in range(lba // bs, (lba + nbytes + bs - 1) // bs):
                 version = self.versions.get(blk, 0)
@@ -874,10 +876,10 @@ class ReplicationManager:
         acked block must be mapped on at least one live replica and the
         surviving copy must be byte-exact (version counters agree with
         the oracle and the stored payload decodes to the content store's
-        bytes).  Ranges owned by a completed or in-flight *migration*
-        are exempt from the version check only — migration copies flow
-        through the destination's normal write path, bumping its
-        counters independently — the decode check still applies.
+        bytes).  Ranges a *migration* moved are exempt from the version
+        check only — migration copies flow through the destination's
+        normal write path, bumping its counters independently — the
+        decode check still applies.
         """
         c = self.cluster
         bs = c.block_size
@@ -885,47 +887,55 @@ class ReplicationManager:
             rebuilds_pending=len(self.rebuilding),
             rebuilds_abandoned=self.stats.rebuilds_abandoned,
         )
-        want_cache: Dict[int, int] = {}
+        want = min(self.config.factor, len(c.ring))
         under: Set[int] = set()
+        #: (holder, mapping entry) -> decode verdict: a merged run is
+        #: decoded once, not once per block it covers
+        decoded: Dict[Tuple[str, int], bool] = {}
         for blk in sorted(c._acked_blocks):
             ridx = c.range_of(blk * bs)
-            live = [n for n in self.members.get(ridx, [])
-                    if n not in self.down]
             holders = [
-                n for n in live
+                n for n in self.targets(ridx)
                 if c.shards[n].mapping.lookup(blk * bs) is not None
             ]
             report.checked_blocks += 1
             if not holders:
                 report.lost.append(blk)
                 continue
-            want = want_cache.get(ridx)
-            if want is None:
-                want = min(self.config.factor, len(c.ring))
-                want_cache[ridx] = want
             if len(holders) < want or ridx in self.rebuilding:
                 under.add(ridx)
-            if not self._scrub_block(holders[0], ridx, blk):
+            if not self._scrub_block(holders[0], ridx, blk, decoded):
                 report.corrupt.append(blk)
         report.under_replicated = sorted(under)
         return report
 
-    def _scrub_block(self, holder: str, ridx: int, blk: int) -> bool:
+    def _scrub_block(
+        self, holder: str, ridx: int, blk: int,
+        decoded: Dict[Tuple[str, int], bool],
+    ) -> bool:
         """Byte-exactness of one block's surviving copy on ``holder``."""
         c = self.cluster
         dev = c.shards[holder]
         bs = c.block_size
-        migrated = ridx in c.overrides or ridx in c.dual_writes
-        if not migrated and dev._versions[blk] != self.versions.get(blk, 0):
+        if (ridx not in self.migrated
+                and dev._versions[blk] != self.versions.get(blk, 0)):
             return False
         eid, entry = dev.mapping.lookup(blk * bs)
+        ok = decoded.get((holder, eid))
+        if ok is None:
+            ok = decoded[holder, eid] = self._entry_decodes(dev, eid, entry)
+        return ok
+
+    @staticmethod
+    def _entry_decodes(dev, eid: int, entry) -> bool:
+        """Whether one stored entry decodes to its content-store bytes."""
         meta = dev._entry_meta.get(eid)
         if meta is None:
             return False
         run_ids, codec_name = meta
-        expected = dev.content.data_for_run(run_ids)
         if codec_name in (None, "none"):
             return True  # raw storage is bit-identical by construction
         codec = dev.registry.get(codec_name)
         payload = dev.content.compressed_payload(run_ids, codec)
-        return codec.decompress(payload, entry.original_size) == expected
+        return (codec.decompress(payload, entry.original_size)
+                == dev.content.data_for_run(run_ids))

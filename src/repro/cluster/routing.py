@@ -15,16 +15,16 @@ addresses into per-tenant namespaces, admits requests through the
 boundaries, routes each part to its owning shard's
 :class:`~repro.core.device.EDCBlockDevice`, and keeps fleet-level
 accounting (issued I/O, attempted vs. effective trims, acked-write
-blocks for the lost-write invariant).
+blocks for the durability audit).
 
-Routing honours two migration-time maps maintained by
-:class:`~repro.cluster.migration.MigrationOrchestrator`:
-
-- ``dual_writes``: ranges mid-migration — writes go to the source shard
-  (the ack authority) *and* are duplicated to the destination; reads
-  stay on the source.
-- ``overrides``: ranges whose cutover completed — they route to the
-  destination regardless of the ring until the ring itself is updated.
+Which shards hold a range is the
+:class:`~repro.cluster.replication.ReplicationManager`'s placement table
+and nothing else; every part is issued through the manager (a fleet
+without redundancy is factor 1).  The one migration-time map kept here
+is ``dual_writes``, maintained by
+:class:`~repro.cluster.migration.MigrationOrchestrator`: ranges
+mid-migration, whose writes are acked by the current replica set *and*
+duplicated to the destination while reads stay on the source.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.cluster.replication import ReplicationConfig, ReplicationManager
 from repro.cluster.tenants import QoSScheduler, TenantSpec, TenantState
 from repro.sim.engine import Simulator
 from repro.traces.model import IORequest, READ, WRITE
@@ -206,8 +207,6 @@ class ClusterDistributer:
         if tracer is not None:
             self.scheduler.on_queued = self.tracer.request_queued
         self.stats = ClusterStats()
-        #: range index -> shard name, installed at migration cutover
-        self.overrides: Dict[int, str] = {}
         #: range index -> (source, destination) during a dual-write window
         self.dual_writes: Dict[int, Tuple[str, str]] = {}
         #: migration hook: called with the block numbers of every
@@ -217,17 +216,11 @@ class ClusterDistributer:
         #: removed from the ring (the migration orchestrator aborts any
         #: copy touching it — see :meth:`decommission_shard`)
         self.on_membership_change: Optional[Callable[[str], None]] = None
-        #: optional :class:`~repro.cluster.replication.ReplicationManager`;
-        #: ``None`` (the default) keeps single-copy routing bit-identical
-        #: to the pre-replication cluster
-        self.replication = None
         #: shards removed from routing (dead / decommissioned); their
         #: device objects stay in :attr:`shards` for reporting
         self.decommissioned: Set[str] = set()
         #: id(request part) -> (part, completion callback, error callback)
         self._inflight: Dict[int, Tuple[IORequest, Callable, Optional[Callable]]] = {}
-        #: registered parts in flight per range index (migration quiesce)
-        self._range_parts: Dict[int, Set[int]] = {}
         #: [pending part-id set, callback] barriers (see :meth:`when_drained`)
         self._drain_waiters: List[list] = []
         #: global block numbers with at least one acked (completed) write
@@ -241,6 +234,9 @@ class ClusterDistributer:
             # unrecovered accounting, replica failover).  Inert on a
             # fault-free run — the hook only fires on actual errors.
             dev.on_request_error = self._request_failed
+        #: the placement table and only part-issue path; a manager built
+        #: over this cluster later replaces this factor-1 one
+        self.replication = ReplicationManager(self, ReplicationConfig(factor=1))
 
     # ------------------------------------------------------------------
     # addressing & routing
@@ -253,20 +249,11 @@ class ClusterDistributer:
         return lba // self.range_bytes
 
     def owner_of(self, range_idx: int) -> str:
-        """Current owner of a range: cutover override, else the ring.
-
-        With a replication manager attached the owner is the range's
-        first *live* replica (the read/ack primary); a dead override is
-        skipped the same way.
-        """
-        override = self.overrides.get(range_idx)
-        if override is not None and override not in self.decommissioned:
-            return override
-        if self.replication is not None:
-            return self.replication.primary_for(range_idx)
-        if override is not None:
-            return override
-        return self.ring.shard_for(range_idx)
+        """Current owner of a range: its first live replica (the
+        read/ack primary), else the ring (so routing still resolves for
+        ranges whose every replica died)."""
+        live = self.replication.targets(range_idx)
+        return live[0] if live else self.ring.shard_for(range_idx)
 
     def tenant_index(self, tenant: str) -> int:
         return self.scheduler.state(tenant).index
@@ -293,7 +280,7 @@ class ClusterDistributer:
     def _split(self, request: IORequest) -> Tuple[IORequest, ...]:
         """Cut a global request at range boundaries — only when needed.
 
-        A request whose covered ranges all live on one shard with no
+        A request whose covered ranges share one replica set with no
         open dual-write window is routed whole: splitting it would
         change the device-level request stream (and thus latencies) the
         single-device replay produces, breaking the degenerate-fleet
@@ -302,18 +289,14 @@ class ClusterDistributer:
         covered = self.ranges_covered(request.lba, request.nbytes)
         if len(covered) == 1:
             return (request,)
-        if self.replication is not None:
-            # Two ranges sharing a primary can still differ in their
-            # secondary replicas; an unsplit write would fan out to the
-            # first range's set only, silently under-replicating the
-            # second.  Route whole only when the full sets agree.
-            placements = {
-                tuple(self.replication.targets(r)) for r in covered
-            }
-            same = len(placements) == 1
-        else:
-            same = len({self.owner_of(r) for r in covered}) == 1
-        if same and not any(r in self.dual_writes for r in covered):
+        # Two ranges sharing a primary can still differ in their
+        # secondary replicas; an unsplit write would fan out to the
+        # first range's set only, silently under-replicating the
+        # second.  Route whole only when the full sets agree.
+        placements = {tuple(self.replication.targets(r)) for r in covered}
+        if len(placements) == 1 and not any(
+            r in self.dual_writes for r in covered
+        ):
             return (request,)
         rb = self.range_bytes
         parts: List[IORequest] = []
@@ -381,12 +364,9 @@ class ClusterDistributer:
         bs = self.block_size
         for part in self._split(IORequest(g.time, g.op, g.lba, nbytes)):
             ridx = self.range_of(part.lba)
-            if self.replication is not None:
-                # Every live replica holding the range must drop the
-                # blocks, or a later failover would resurrect them.
-                targets = self.replication.trim_targets(ridx, part)
-            else:
-                targets = [self.owner_of(ridx)]
+            # Every live replica holding the range must drop the
+            # blocks, or a later failover would resurrect them.
+            targets = self.replication.trim_targets(ridx, part)
             window = self.dual_writes.get(ridx)
             if window is not None:
                 targets = [t for t in window if t not in targets] + targets
@@ -447,66 +427,9 @@ class ClusterDistributer:
                     user_cb()
 
         for part in parts:
-            self._issue_part(st, request, part, arrival, _finish_part)
-
-    def _issue_part(
-        self,
-        st: TenantState,
-        request: IORequest,
-        part: IORequest,
-        arrival: float,
-        finish: Callable[[IORequest, bool], None],
-    ) -> None:
-        """Route one shard part — replicated when a manager is attached,
-        else the single-copy path (bit-identical to the pre-replication
-        cluster)."""
-        if self.replication is not None:
-            self.replication.issue_part(st, request, part, arrival, finish)
-            return
-        bs = self.block_size
-        ridx = self.range_of(part.lba)
-        window = self.dual_writes.get(ridx)
-        if window is not None and part.is_write:
-            src, dst = window
-            # Duplicate to the migration destination; the source
-            # remains the ack authority, so the copy is fire-and-
-            # forget (unregistered: its completion is ignored).
-            dup = IORequest(part.time, part.op, part.lba, part.nbytes)
-            self.stats.dual_writes += 1
-            self.stats.dual_write_bytes += part.nbytes
-            if self.on_dual_write is not None:
-                start = part.lba // bs
-                end = (part.lba + part.nbytes + bs - 1) // bs
-                self.on_dual_write(list(range(start, end)))
-            if self.tracer is not None:
-                # Attribute the duplicate's device work to the
-                # migration, not the tenant request it shadows.
-                self.tracer.dual_write_issued(ridx, dup, dst)
-            self.shards[dst].submit(dup)
-            owner = src
-        elif window is not None:
-            owner = window[0]  # reads stay on the source until cutover
-        else:
-            owner = self.owner_of(ridx)
-
-        def _done(p: IORequest, _latency: float) -> None:
-            if self.tracer is not None:
-                self.tracer.part_done(p)
-            finish(p, True)
-
-        def _err(p: IORequest, exc: BaseException) -> None:
-            if self.tracer is not None:
-                self.tracer.part_done(p)
-            st.stats.unrecovered += 1
-            self.stats.unrecovered_parts += 1
-            finish(p, False)
-
-        self._inflight[id(part)] = (part, _done, _err)
-        for r in self.ranges_covered(part.lba, part.nbytes):
-            self._range_parts.setdefault(r, set()).add(id(part))
-        if self.tracer is not None:
-            self.tracer.part_issued(request, part, owner)
-        self.shards[owner].submit(part)
+            self.replication.issue_part(
+                st, request, part, arrival, _finish_part
+            )
 
     # ------------------------------------------------------------------
     # completion plumbing
@@ -517,15 +440,14 @@ class ClusterDistributer:
             return  # dual-write duplicate or migration-internal request
         del self._inflight[id(request)]
         part, cb, _err = entry
-        self._deregister(part)
         cb(part, latency)
         self._fire_drain_waiters(id(request))
 
     def _request_failed(self, request: IORequest, exc: BaseException) -> None:
         """Device error path (installed as every shard's
-        ``on_request_error``): deregister the part and route the failure
-        to its error callback.  A registered request without one (legacy
-        internal I/O) is dropped after deregistration — its owner's
+        ``on_request_error``): deregister the request and route the
+        failure to its error callback.  A registered request without one
+        (migration copy I/O) is dropped after deregistration — its owner's
         barrier stalls harmlessly, which only happens when the owning
         background job was already aborted with its shard."""
         entry = self._inflight.get(id(request))
@@ -533,19 +455,12 @@ class ClusterDistributer:
             return
         del self._inflight[id(request)]
         part, _cb, err = entry
-        self._deregister(part)
         if err is not None:
             err(part, exc)
         # Quiesce barriers must see failed parts drain too, or a
         # migration waiting on a request that died with its shard would
         # hang forever.
         self._fire_drain_waiters(id(request))
-
-    def _deregister(self, part: IORequest) -> None:
-        for r in self.ranges_covered(part.lba, part.nbytes):
-            ids = self._range_parts.get(r)
-            if ids is not None:
-                ids.discard(id(part))
 
     def _fire_drain_waiters(self, rid: int) -> None:
         if not self._drain_waiters:
@@ -565,20 +480,27 @@ class ClusterDistributer:
         on_complete: Callable[[IORequest, float], None],
         on_error: Optional[Callable[[IORequest, BaseException], None]] = None,
     ) -> None:
-        """Track a cluster-internal request (migration / rebuild copy I/O).
+        """Track one shard-bound request: a replica attempt of a tenant
+        part, or migration / rebuild copy I/O.
 
         The request must then be submitted straight to a shard device;
-        its completion routes to ``on_complete`` (errors to ``on_error``)
-        without touching tenant stats or the acked-write set.
+        its completion routes to ``on_complete`` (errors to ``on_error``).
+        Every request registered here is visible to the migration
+        quiesce barrier (:meth:`inflight_in`).
         """
         self._inflight[id(request)] = (request, on_complete, on_error)
 
     def inflight_in(self, ranges: Iterable[int]) -> Set[int]:
-        """Ids of registered parts currently in flight to ``ranges``."""
-        out: Set[int] = set()
-        for ridx in ranges:
-            out |= self._range_parts.get(ridx, set())
-        return out
+        """Ids of registered requests currently in flight to ``ranges``.
+
+        Derived from the in-flight registry on demand: migrations are
+        rare, parts are not.
+        """
+        wanted = set(ranges)
+        return {
+            rid for rid, (req, _cb, _err) in self._inflight.items()
+            if wanted.intersection(self.ranges_covered(req.lba, req.nbytes))
+        }
 
     def when_drained(
         self, part_ids: Set[int], callback: Callable[[], None]
@@ -602,9 +524,9 @@ class ClusterDistributer:
 
         The safe membership-change path: active migrations touching the
         shard are aborted first (via :attr:`on_membership_change`), then
-        its ring points go and any cutover override still naming it is
-        dropped, so no range can resolve to the dead shard.  The device
-        object stays in :attr:`shards` for final reporting.  Idempotent.
+        its ring points go and the placement table stops listing it, so
+        no range can resolve to the dead shard.  The device object stays
+        in :attr:`shards` for final reporting.  Idempotent.
         """
         if name not in self.shards:
             raise ValueError(f"unknown shard {name!r}")
@@ -615,8 +537,7 @@ class ClusterDistributer:
         self.decommissioned.add(name)
         if name in self.ring.shards and len(self.ring) > 1:
             self.ring.remove_shard(name)
-        for ridx in [r for r, s in self.overrides.items() if s == name]:
-            del self.overrides[ridx]
+        self.replication.down.add(name)
 
     # ------------------------------------------------------------------
     # invariants & reporting
@@ -626,25 +547,9 @@ class ClusterDistributer:
         """Registered requests submitted but not yet completed."""
         return len(self._inflight)
 
-    @property
-    def acked_write_blocks(self) -> int:
-        return len(self._acked_blocks)
-
     def check_no_lost_writes(self) -> List[int]:
-        """Global block numbers acked as written but no longer mapped.
-
-        Every completed (acked) write's blocks must resolve on the shard
-        that currently owns their range — through any number of
-        migrations.  An empty list is the cluster's durability
-        invariant; anything else is a lost acked write.
-        """
-        bs = self.block_size
-        lost: List[int] = []
-        for blk in sorted(self._acked_blocks):
-            owner = self.owner_of(self.range_of(blk * bs))
-            if self.shards[owner].mapping.lookup(blk * bs) is None:
-                lost.append(blk)
-        return lost
-
-    def shard_names(self) -> Tuple[str, ...]:
-        return tuple(self.shards)
+        """Global block numbers acked as written that no live replica
+        still maps (the durability audit's ``lost`` list).  An empty
+        list is the cluster's durability invariant, through any number
+        of migrations."""
+        return self.replication.audit_durability().lost

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.sdgen.generator import ContentMix, ContentStore
 
 __all__ = [
@@ -78,13 +76,3 @@ def build_corpus(
     """Materialise ``n_chunks`` blocks of a mix (for codec studies, Fig 2)."""
     store = ContentStore(mix, block_size=chunk_size, pool_blocks=n_chunks, seed=seed)
     return [store.block_for(i * chunk_size) for i in range(n_chunks)]
-
-
-def corpus_bytes(mix: ContentMix, total_bytes: int, seed: int = 7) -> bytes:
-    """One contiguous byte string of ``total_bytes`` drawn from a mix."""
-    chunk = 4096
-    n = max(1, (total_bytes + chunk - 1) // chunk)
-    rng = np.random.default_rng(seed)
-    store = ContentStore(mix, block_size=chunk, pool_blocks=min(n, 2048), seed=seed)
-    parts = [store.block_for(int(rng.integers(0, n)) * chunk) for _ in range(n)]
-    return b"".join(parts)[:total_bytes]

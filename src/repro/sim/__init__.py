@@ -6,12 +6,12 @@ device models and the EDC replay harness are built on:
 - :class:`~repro.sim.engine.Simulator` — an event loop with a virtual clock.
 - :class:`~repro.sim.queueing.Server` — a c-server FIFO queue that models a
   contended resource (host CPU, SSD channel, array controller).
-- :mod:`~repro.sim.metrics` — latency recorders, time series and sliding
-  window rate estimators used throughout the evaluation harness.
+- :mod:`~repro.sim.metrics` — latency recorders and time series used
+  throughout the evaluation harness.
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.metrics import LatencyRecorder, TimeSeries, WindowRate
+from repro.sim.metrics import LatencyRecorder, TimeSeries
 from repro.sim.queueing import Job, Server
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "Job",
     "LatencyRecorder",
     "TimeSeries",
-    "WindowRate",
 ]

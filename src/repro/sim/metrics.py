@@ -5,19 +5,15 @@
   time*, Figs 10 and 11).
 - :class:`TimeSeries` — fixed-width binning of a value over virtual time,
   used to reproduce the burstiness plots (Fig 3).
-- :class:`WindowRate` — sliding-window event rate; the Workload Monitor's
-  *calculated IOPS* (§III-D) is a :class:`WindowRate` over 4 KB-normalised
-  page counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "TimeSeries", "WindowRate"]
+__all__ = ["LatencyRecorder", "TimeSeries"]
 
 
 class LatencyRecorder:
@@ -178,57 +174,3 @@ class TimeSeries:
     @property
     def empty(self) -> bool:
         return not self._bins
-
-
-class WindowRate:
-    """Sliding-window rate estimator.
-
-    ``record(t, weight)`` notes ``weight`` units of work at time ``t``
-    (times must be non-decreasing); ``rate(t)`` returns units per second
-    over the trailing ``window`` seconds.  This is exactly the paper's
-    *calculated IOPS* when ``weight`` is the number of 4 KB pages a
-    request touches.
-    """
-
-    def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive: {window!r}")
-        self.window = window
-        self._events: Deque[Tuple[float, float]] = deque()
-        self._sum = 0.0
-        self._last_t = float("-inf")
-
-    def record(self, time: float, weight: float = 1.0) -> None:
-        if time < self._last_t:
-            raise ValueError(
-                f"times must be non-decreasing: {time!r} < {self._last_t!r}"
-            )
-        self._last_t = time
-        self._events.append((time, weight))
-        self._sum += weight
-        self._expire(time)
-
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.window
-        ev = self._events
-        while ev and ev[0][0] <= cutoff:
-            _, w = ev.popleft()
-            self._sum -= w
-        if not ev:
-            # Clear accumulated floating-point residue so an empty window
-            # reads exactly zero (it can otherwise go slightly negative).
-            self._sum = 0.0
-
-    def rate(self, now: float) -> float:
-        """Work units per second over ``(now - window, now]``."""
-        self._expire(now)
-        return self._sum / self.window
-
-    def total_in_window(self, now: float) -> float:
-        self._expire(now)
-        return self._sum
-
-    def reset(self) -> None:
-        self._events.clear()
-        self._sum = 0.0
-        self._last_t = float("-inf")

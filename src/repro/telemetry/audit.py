@@ -394,13 +394,6 @@ class DecisionAuditor:
             out[name] = out.get(name, 0) + st.divergences
         return {k: v / self.n_decisions for k, v in out.items()}
 
-    def shadow_band_totals(self, name: str) -> Dict[int, ShadowTotals]:
-        return {
-            band: st
-            for (n, band), st in self.shadow_totals.items()
-            if n == name
-        }
-
     def totals(self) -> BandTotals:
         """Exact totals over every band."""
         out = BandTotals()

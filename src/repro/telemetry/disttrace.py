@@ -217,6 +217,14 @@ class DistTracer:
     # replication path (hooks of ReplicationManager)
     # ------------------------------------------------------------------
     def _attempt_issued(self, name: str, part, dup, shard: str) -> None:
+        own = self.ctx.pop(id(part), None)
+        if own is not None:
+            # The part's first attempt is the part itself: its device
+            # work nests directly under ``shard.part``.  Attempt spans
+            # mark the *extra* work of redundancy (secondary fan-out,
+            # failover, hedges, retries).
+            self.ctx[id(dup)] = own
+            return
         span = self.tracer.start(
             name, layer="replica", parent=self._parts.get(id(part)),
             shard=shard, lba=dup.lba, nbytes=dup.nbytes,

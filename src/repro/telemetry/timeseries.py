@@ -670,7 +670,15 @@ def bind_cluster_metrics(
         lambda: {n: d.stats.compression_ratio for n, d in devices.items()},
         label_key="shard",
     )
-    tenants = cluster.scheduler.tenants
+    # A fleet with redundancy or a fault plan exports the fault-tolerance
+    # vocabulary (and its internal rebuild tenant); a plain factor-1
+    # fleet's scrape carries neither.
+    cfg = fleet.config
+    replicated = cfg.replication_factor > 1 or cfg.fault_plan is not None
+    tenants = {
+        n: st for n, st in cluster.scheduler.tenants.items()
+        if replicated or not st.spec.internal
+    }
     sampler.register_multi(
         "cluster.tenant_backlog",
         lambda: {n: float(len(st.backlog)) for n, st in tenants.items()},
@@ -712,10 +720,8 @@ def bind_cluster_metrics(
         label_key="tenant",
     )
 
-    # Fault-tolerance vocabulary — only present when the replication
-    # manager is attached, so fault-free rf=1 scrapes are unchanged.
-    replication = getattr(fleet, "replication", None)
-    if replication is not None:
+    if replicated:
+        replication = fleet.replication
         rstats = replication.stats
         sampler.register(
             "cluster.replica_writes", lambda: float(rstats.replica_writes)

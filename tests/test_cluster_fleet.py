@@ -1,8 +1,10 @@
 """Fleet-level acceptance tests: degenerate-fleet bit-identity and the
 4-shard / 8-tenant live-migration exhibit."""
 
+import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from repro.telemetry.timeseries import (
     bind_cluster_metrics,
     dump_timeseries_jsonl,
 )
+from repro.traces.multitenant import make_tenant_streams
 from repro.traces.workloads import make_workload
 
 
@@ -146,3 +149,66 @@ def test_migration_bytes_visible_in_outcome():
     )
     assert report.ok, report.failures
     assert report.results["migration_bytes"] > 0
+
+
+# ----------------------------------------------------------------------
+# the single-copy fork is gone: factor-1 fleets are byte-identical to it
+# ----------------------------------------------------------------------
+#: sha256 of each outcome below, recorded at commit 0aedd61 (the last one
+#: whose ``ClusterDistributer`` issued factor-1 parts itself instead of
+#: through the replication manager).
+PARENT_FLEET_SHA256 = {
+    "1x3x200": "409f634e10b44cb359f27a553d29f0adfbc73f27c675667c8443a2174caca9ef",
+    "4x8x150": "a59954d860099edb206a015ff12f9be62f1ce02a1c9aabec64e5d76be87bc589",
+    "exhibit": "ed26e727d286b1ba27f35f5d609dff553c9ecb29bf7fab79706f6106b05a22cc",
+}
+
+
+def _outcome_digest(outcome):
+    doc = {
+        "tenants": {n: asdict(t) for n, t in outcome.tenants.items()},
+        "shards": {n: asdict(s) for n, s in outcome.shards.items()},
+        "stats": asdict(outcome.stats),
+        "energy": asdict(outcome.energy),
+        "fleet_wa": outcome.fleet_wa,
+    }
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _replay_fleet(n_shards, n_tenants, max_requests):
+    """A factor-1 fleet replayed without a migration."""
+    specs = tenant_roster(n_tenants)
+    fleet = build_cluster(
+        specs, ClusterReplayConfig(n_shards=n_shards, capacity_mb=32)
+    )
+    replayer = ClusterReplayer(fleet)
+    for stream in make_tenant_streams(
+            [s.name for s in specs], max_requests=max_requests):
+        replayer.schedule(stream.tenant, stream.trace)
+    return replayer.run()
+
+
+def test_factor_one_fleets_match_the_parent_commit():
+    exhibit = run_cluster(
+        n_shards=4, n_tenants=8, max_requests=150, capacity_mb=32
+    ).live["outcome"]
+    assert exhibit.migration.completed == 1
+    assert {
+        "1x3x200": _outcome_digest(_replay_fleet(1, 3, 200)),
+        "4x8x150": _outcome_digest(_replay_fleet(4, 8, 150)),
+        "exhibit": _outcome_digest(exhibit),
+    } == PARENT_FLEET_SHA256
+
+
+def test_replicated_exhibit_migrates_and_stays_fully_redundant():
+    report = run_cluster(
+        n_shards=3, n_tenants=3, max_requests=120, capacity_mb=32,
+        replication_factor=2,
+    )
+    assert report.ok, report.failures
+    assert report.sections["migration"]["completed"] == 1
+    d = report.sections["durability"]
+    assert d["verdict"] == "RECOVERED" and not d["under_replicated"]
+    assert "durability:" in render(report)

@@ -191,15 +191,19 @@ class TestPlacement:
         )
 
     def test_single_copy_manager_matches_ring(self):
-        # rf=1 + a fault plan still attaches the manager; placement must
-        # degenerate to plain ring ownership
-        fleet = build_fleet(
-            n_shards=2, replication_factor=1, fault_plan=FaultPlan.empty()
-        )
+        # a fleet without redundancy is factor 1: placement degenerates
+        # to plain ring ownership, and the cluster has exactly one
+        # manager and one rebuild tenant however it was built
+        fleet = build_fleet(n_shards=2)
         mgr = fleet.replication
-        assert mgr is not None and mgr.config.factor == 1
+        assert mgr is fleet.cluster.replication and mgr.config.factor == 1
         for ridx in range(4):
             assert mgr.targets(ridx) == [fleet.cluster.ring.shard_for(ridx)]
+        internal = [
+            st for st in fleet.cluster.scheduler.tenants.values()
+            if st.spec.internal
+        ]
+        assert internal == [mgr._rebuild_state]
 
 
 # ----------------------------------------------------------------------
@@ -466,13 +470,13 @@ class TestMigrationAbortOnMembershipChange:
         run_all(fleet)
         assert m.state == "aborted" and not m.done
         assert fleet.orchestrator.stats.aborted == 1
-        # no dangling dual-write window or override
+        # no dangling dual-write window, placement never named dst
         assert 0 not in c.dual_writes
-        assert 0 not in c.overrides
+        assert fleet.replication.members[0] == [src]
         assert c.owner_of(0) == src
         assert c.check_no_lost_writes() == []
 
-    def test_decommission_drops_completed_cutover_override(self):
+    def test_decommission_takes_a_cutover_destination_out_of_placement(self):
         fleet = build_fleet(n_shards=3)
         c = fleet.cluster
         populate(fleet, range(8))
@@ -480,9 +484,9 @@ class TestMigrationAbortOnMembershipChange:
         dst = next(n for n in c.shards if n != src)
         fleet.orchestrator.migrate(0, dst)
         run_all(fleet)
-        assert c.overrides[0] == dst
+        assert fleet.replication.members[0] == [dst]
         c.decommission_shard(dst)
-        assert 0 not in c.overrides
+        assert fleet.replication.targets(0) == []
         assert c.owner_of(0) != dst
 
 

@@ -9,43 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.metrics import TimeSeries, WindowRate
-
-
-events_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),  # gap to next
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),  # weight
-    ),
-    min_size=1,
-    max_size=100,
-)
-
-
-class TestWindowRateReference:
-    @given(events_strategy, st.floats(min_value=0.1, max_value=3.0))
-    @settings(max_examples=80, deadline=None)
-    def test_rate_matches_bruteforce(self, rows, window):
-        w = WindowRate(window)
-        t = 0.0
-        events = []
-        for gap, weight in rows:
-            t += gap
-            events.append((t, weight))
-            w.record(t, weight)
-        now = t
-        expected = sum(wt for et, wt in events if now - window < et <= now) / window
-        assert w.rate(now) == pytest.approx(expected)
-
-    @given(events_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_rate_after_quiet_period(self, rows):
-        w = WindowRate(1.0)
-        t = 0.0
-        for gap, weight in rows:
-            t += gap
-            w.record(t, weight)
-        assert w.rate(t + 10.0) == 0.0
+from repro.sim.metrics import TimeSeries
 
 
 class TestTimeSeriesReference:

@@ -1,9 +1,9 @@
-"""Tests for latency recorders, time series and window rates."""
+"""Tests for latency recorders and time series."""
 
 import numpy as np
 import pytest
 
-from repro.sim.metrics import LatencyRecorder, TimeSeries, WindowRate
+from repro.sim.metrics import LatencyRecorder, TimeSeries
 
 
 class TestLatencyRecorder:
@@ -95,61 +95,6 @@ class TestTimeSeries:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             TimeSeries().add(-1.0)
-
-
-class TestWindowRate:
-    def test_rate_within_window(self):
-        w = WindowRate(window=1.0)
-        for t in (0.1, 0.2, 0.3):
-            w.record(t, 1.0)
-        assert w.rate(0.3) == pytest.approx(3.0)
-
-    def test_old_events_expire(self):
-        w = WindowRate(window=1.0)
-        w.record(0.0, 10.0)
-        w.record(2.0, 1.0)
-        assert w.rate(2.0) == pytest.approx(1.0)
-
-    def test_weighted_events(self):
-        w = WindowRate(window=2.0)
-        w.record(0.5, 4.0)
-        w.record(1.0, 2.0)
-        assert w.rate(1.0) == pytest.approx(3.0)
-
-    def test_rate_queried_later_expires(self):
-        w = WindowRate(window=1.0)
-        w.record(0.0, 5.0)
-        assert w.rate(0.5) == pytest.approx(5.0)
-        assert w.rate(1.5) == pytest.approx(0.0)
-
-    def test_event_exactly_at_window_edge_expires(self):
-        w = WindowRate(window=1.0)
-        w.record(0.0, 1.0)
-        assert w.rate(1.0) == pytest.approx(0.0)
-
-    def test_non_monotonic_rejected(self):
-        w = WindowRate()
-        w.record(1.0)
-        with pytest.raises(ValueError):
-            w.record(0.5)
-
-    def test_reset(self):
-        w = WindowRate()
-        w.record(0.5, 3.0)
-        w.reset()
-        assert w.rate(0.5) == 0.0
-        w.record(0.1)  # allowed again after reset
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowRate(window=0.0)
-
-    def test_total_in_window(self):
-        w = WindowRate(window=1.0)
-        w.record(0.0, 2.0)
-        w.record(0.5, 3.0)
-        assert w.total_in_window(0.5) == pytest.approx(5.0)
-        assert w.total_in_window(1.2) == pytest.approx(3.0)
 
 
 class TestApproxPercentiles:
