@@ -7,7 +7,8 @@ Everything EDC needs to compress data and reason about compression:
   registry.
 - :mod:`~repro.compression.lzf` / :mod:`~repro.compression.lz4` — from-
   scratch pure-Python implementations of the LZF and LZ4 block formats
-  (the fast codecs in the paper's Fig 2).
+  (the fast codecs in the paper's Fig 2); their encoders share the
+  per-buffer candidate table of :mod:`~repro.compression.matchtable`.
 - :mod:`~repro.compression.stdcodecs` — zlib (the paper's "Gzip"), bz2
   and lzma wrappers plus the pass-through Null codec.
 - :mod:`~repro.compression.estimator` — compressibility estimation by

@@ -18,6 +18,13 @@ Block format: a sequence of (token, literals, match) records.
 Encoder constraints honoured for reference-decoder compatibility:
 the last 5 bytes are always literals, and no match may start within the
 last 12 bytes of input (``MFLIMIT``).
+
+The compressor is greedy.  The candidate at position ``i`` is the most
+recent earlier position with the same 4 bytes, if it is at most 65,535
+back; every position below ``n - MFLIMIT`` is a possible candidate,
+inside matches too.  That rule does not depend on the parse, which is
+what lets :mod:`~repro.compression.matchtable` compute all candidates
+up front.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.compression.codec import Codec, CodecError
+from repro.compression.matchtable import match_candidates
 
 __all__ = ["lz4_compress", "lz4_decompress", "LZ4Codec"]
 
@@ -77,42 +85,27 @@ def _emit_last_literals(out: bytearray, data: bytes, lit_start: int) -> None:
 
 def lz4_compress(data: bytes) -> bytes:
     """Compress ``data`` into an LZ4 block."""
+    data = bytes(data)  # the input itself unless it is another buffer type
     n = len(data)
-    if n == 0:
-        # A zero-length block still needs a terminating token.
-        return b"\x00"
     out = bytearray()
-    if n < _MFLIMIT + 1:
-        _emit_last_literals(out, data, 0)
-        return bytes(out)
-    table: dict[bytes, int] = {}
+    # No match starts in the last MFLIMIT bytes: inputs that short (the
+    # empty one too, which still needs its token) are one literal run.
+    cand_of, next_match = match_candidates(
+        data, _MIN_MATCH, n - _MFLIMIT, _MAX_DISTANCE
+    )
+    match_end = n - _LAST_LITERALS  # a match must leave LASTLITERALS bytes
     lit_start = 0
-    i = 0
-    match_limit = n - _MFLIMIT  # last position a match may start at (excl)
-    while i < match_limit:
-        key = data[i : i + 4]
-        cand = table.get(key)
-        table[key] = i
-        if cand is None or i - cand > _MAX_DISTANCE:
-            i += 1
-            continue
-        # Extend the match; it must leave LASTLITERALS bytes of literals.
-        max_len = n - _LAST_LITERALS - i
+    i = next_match[0]
+    while i < n:
+        # Extend the match (the first 4 bytes are equal by key identity).
+        cand = cand_of[i]
+        max_len = match_end - i
         mlen = _MIN_MATCH
         while mlen < max_len and data[cand + mlen] == data[i + mlen]:
             mlen += 1
-        if mlen < _MIN_MATCH:
-            i += 1
-            continue
         _emit_sequence(out, data, lit_start, i, i - cand, mlen)
-        end = i + mlen
-        j = i + 1
-        stop = min(end, match_limit)
-        while j < stop:
-            table[data[j : j + 4]] = j
-            j += 1
-        i = end
-        lit_start = i
+        lit_start = i + mlen
+        i = next_match[lit_start]
     _emit_last_literals(out, data, lit_start)
     return bytes(out)
 
@@ -162,8 +155,8 @@ def lz4_decompress(data: bytes, original_size: Optional[int] = None) -> bytes:
             if offset >= match_len:
                 out += out[start : start + match_len]
             else:
-                for k in range(match_len):
-                    out.append(out[start + k])
+                # Overlapping copy (RLE-style): the last offset bytes repeat.
+                out += (out[start:] * (match_len // offset + 1))[:match_len]
     except IndexError:
         raise CodecError("truncated LZ4 block") from None
     if original_size is not None and len(out) != original_size:

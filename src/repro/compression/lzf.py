@@ -14,8 +14,12 @@ Format summary (one token stream, no header):
   match length is ``7 + ext + 2``, otherwise ``len3 + 2`` (3..264 bytes).
   The distance is ``((c & 0x1f) << 8 | low_byte) + 1`` (1..8192).
 
-The compressor is greedy with a 3-byte-prefix match table, mirroring
-``lzf_c.c``.
+The compressor is greedy.  The candidate at position ``i`` is the most
+recent earlier position with the same 3 bytes, if it is at most 8192
+back; every position below ``n - 2`` is a possible candidate, inside
+matches too (``lzf_c.c`` indexes fewer, so its output differs).  That
+rule does not depend on the parse, which is what lets
+:mod:`~repro.compression.matchtable` compute all candidates up front.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.compression.codec import Codec, CodecError
+from repro.compression.matchtable import match_candidates
 
 __all__ = ["lzf_compress", "lzf_decompress", "LZFCodec"]
 
@@ -38,12 +43,10 @@ _MIN_MATCH = 3
 
 def _emit_literals(out: bytearray, data: bytes, start: int, end: int) -> None:
     """Append ``data[start:end]`` as literal runs of at most 32 bytes."""
-    pos = start
-    while pos < end:
-        run = min(_MAX_LIT, end - pos)
-        out.append(run - 1)
-        out += data[pos : pos + run]
-        pos += run
+    for pos in range(start, end, _MAX_LIT):
+        run = data[pos : min(pos + _MAX_LIT, end)]
+        out.append(len(run) - 1)
+        out += run
 
 
 def lzf_compress(data: bytes) -> bytes:
@@ -53,44 +56,36 @@ def lzf_compress(data: bytes) -> bytes:
     libLZF in its "always succeed" mode — it is still produced; callers
     (EDC's 75 % rule) decide whether to keep it.
     """
+    data = bytes(data)  # the input itself unless it is another buffer type
     n = len(data)
-    if n == 0:
-        return b""
     out = bytearray()
-    table: dict[bytes, int] = {}
+    append = out.append
+    # A key needs 3 bytes, so positions 0 .. n-3 have one.
+    cand_of, next_match = match_candidates(data, _MIN_MATCH, n - 2, _MAX_OFF)
+    full_ref = n - _MAX_REF  # up to here a match may run to _MAX_REF
     lit_start = 0
-    i = 0
-    limit = n - 2  # need 3 bytes to form a match key
-    while i < limit:
-        key = data[i : i + 3]
-        cand = table.get(key)
-        table[key] = i
-        if cand is None or i - cand > _MAX_OFF:
-            i += 1
-            continue
+    i = next_match[0]
+    while i < n:
         # Extend the match (the first 3 bytes are equal by key identity).
-        max_len = min(n - i, _MAX_REF)
+        cand = cand_of[i]
+        max_len = _MAX_REF if i <= full_ref else n - i
         mlen = _MIN_MATCH
         while mlen < max_len and data[cand + mlen] == data[i + mlen]:
             mlen += 1
-        _emit_literals(out, data, lit_start, i)
+        if i - lit_start > _MAX_LIT:
+            _emit_literals(out, data, lit_start, i)
+        elif lit_start < i:  # one run, inline: a call here costs the encoder 1.3x
+            append(i - lit_start - 1)
+            out += data[lit_start:i]
         off = i - cand - 1
-        length_code = mlen - 2
-        if length_code < 7:
-            out.append((length_code << 5) | (off >> 8))
+        if mlen < 9:  # length code mlen - 2; code 7 adds an extension byte
+            append(((mlen - 2) << 5) | (off >> 8))
         else:
-            out.append((7 << 5) | (off >> 8))
-            out.append(length_code - 7)
-        out.append(off & 0xFF)
-        # Index a few positions inside the match so later data can refer
-        # into it (libLZF indexes the next two positions).
-        end = i + mlen
-        j = i + 1
-        while j < min(end, limit):
-            table[data[j : j + 3]] = j
-            j += 1
-        i = end
-        lit_start = i
+            append((7 << 5) | (off >> 8))
+            append(mlen - 9)
+        append(off & 0xFF)
+        lit_start = i + mlen
+        i = next_match[lit_start]
     _emit_literals(out, data, lit_start, n)
     return bytes(out)
 
@@ -129,9 +124,8 @@ def lzf_decompress(data: bytes, original_size: Optional[int] = None) -> bytes:
             if dist >= length:
                 out += out[start : start + length]
             else:
-                # Overlapping copy: byte-at-a-time semantics (RLE-style).
-                for k in range(length):
-                    out.append(out[start + k])
+                # Overlapping copy (RLE-style): the last dist bytes repeat.
+                out += (out[start:] * (length // dist + 1))[:length]
     except IndexError:
         raise CodecError("truncated LZF stream") from None
     if original_size is not None and len(out) != original_size:

@@ -154,21 +154,26 @@ class ContentStore:
         if cached is not None and (not keep_payload or key in self._payload_cache):
             self.cache_hits += 1
             return cached
-        self.cache_misses += 1
-        payload = codec.compress(self.data_for_run(ids))
-        self._csize_cache[key] = len(payload)
-        if keep_payload:
-            self._payload_cache[key] = payload
-        return len(payload)
+        return len(self._fill(key, codec, keep_payload))
 
     def compressed_payload(self, ids: Tuple[int, ...], codec: Codec) -> bytes:
         """Compressed bytes for a run (compressing now if not cached)."""
         key = (ids, codec.name)
         payload = self._payload_cache.get(key)
-        if payload is None:
-            payload = codec.compress(self.data_for_run(ids))
+        if payload is not None:
+            self.cache_hits += 1
+            return payload
+        return self._fill(key, codec, keep_payload=True)
+
+    def _fill(
+        self, key: Tuple[Tuple[int, ...], str], codec: Codec, keep_payload: bool
+    ) -> bytes:
+        """A memo miss, and the only codec call: compress, fill the caches."""
+        self.cache_misses += 1
+        payload = codec.compress(self.data_for_run(key[0]))
+        self._csize_cache[key] = len(payload)
+        if keep_payload:
             self._payload_cache[key] = payload
-            self._csize_cache[key] = len(payload)
         return payload
 
     @property

@@ -78,6 +78,22 @@ class TestFormatConstraints:
         stream = bytes([(1 << 4) | 4]) + b"x" + bytes([1, 0]) + bytes([5 << 4]) + b"ABCDE"
         assert lz4_decompress(stream) == b"x" * 9 + b"ABCDE"
 
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    @pytest.mark.parametrize("length", [4, 5, 18, 19, 300])
+    def test_overlap_copy_repeats_the_last_offset_bytes(self, offset, length):
+        # literals 'xyz', a match reaching offset back for length bytes
+        # (it reads bytes it has itself just written), tail literals.
+        code = length - 4
+        ext = bytes([255] * ((code - 15) // 255) + [(code - 15) % 255]) if code >= 15 else b""
+        stream = (
+            bytes([(3 << 4) | min(code, 15)]) + b"xyz" + bytes([offset, 0]) + ext
+            + bytes([5 << 4]) + b"ABCDE"
+        )
+        expected = bytearray(b"xyz")
+        for _ in range(length):
+            expected.append(expected[-offset])
+        assert lz4_decompress(stream) == bytes(expected) + b"ABCDE"
+
 
 class TestErrors:
     def test_empty_input_rejected(self):

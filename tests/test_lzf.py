@@ -97,6 +97,21 @@ class TestWireFormat:
         stream = bytes([0x00]) + b"a" + bytes([(3 << 5) | 0x00, 0x00])
         assert lzf_decompress(stream) == b"a" * 6
 
+    @pytest.mark.parametrize("dist", [1, 2, 3])
+    @pytest.mark.parametrize("length", [3, 4, 7, 263, 264])
+    def test_overlapping_copy_repeats_the_last_dist_bytes(self, dist, length):
+        # literals 'xyz', then a reference reaching dist back for length
+        # bytes: the copy reads bytes it has itself just written.
+        ref = (
+            bytes([((length - 2) << 5) | 0x00, dist - 1])
+            if length < 9
+            else bytes([(7 << 5) | 0x00, length - 9, dist - 1])
+        )
+        expected = bytearray(b"xyz")
+        for _ in range(length):
+            expected.append(expected[-dist])
+        assert lzf_decompress(bytes([0x02]) + b"xyz" + ref) == bytes(expected)
+
     def test_extended_length_byte(self):
         data = b"B" * 300
         assert lzf_decompress(lzf_compress(data), 300) == data

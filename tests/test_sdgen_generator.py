@@ -111,6 +111,30 @@ class TestCompressionMemoisation:
         payload = store.compressed_payload(ids, lzf)
         assert lzf.decompress(payload, 8192) == store.data_for_run(ids)
 
+    def test_counters_account_for_every_lookup_and_codec_call(self):
+        # Payload fetches (verify-reads, replica audits) are lookups too:
+        # a miss there is a codec call and must be counted as one.
+        class CountingCodec(type(default_registry().get("lzf"))):
+            calls = 0
+
+            def compress(self, data):
+                self.calls += 1
+                return super().compress(data)
+
+        store = ContentStore(ENTERPRISE_MIX, pool_blocks=16, seed=1)
+        codec = CountingCodec()
+        a, b, c = (store.run_ids(k * 4096, 2) for k in range(3))
+        store.compressed_payload(a, codec)  # miss: payload first
+        store.compressed_size(a, codec)  # hit: the size came with it
+        store.compressed_payload(a, codec)  # hit
+        store.compressed_size(b, codec)  # miss: size only
+        store.compressed_payload(b, codec)  # miss: payload was not kept
+        store.compressed_size(b, codec, keep_payload=True)  # hit
+        store.compressed_size(c, codec, keep_payload=True)  # miss
+        store.compressed_payload(c, codec)  # hit
+        assert (store.cache_hits, store.cache_misses) == (4, 4)
+        assert codec.calls == store.cache_misses
+
     def test_distinct_codecs_cached_separately(self):
         store = ContentStore(ENTERPRISE_MIX, pool_blocks=16, seed=1)
         reg = default_registry()
