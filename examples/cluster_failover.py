@@ -64,7 +64,7 @@ def main() -> None:
     print(f"replica writes fanned out: {mgr.stats.replica_writes} "
           f"({mgr.stats.replica_bytes / 1e6:.2f} MB)")
     exact = all(
-        c.shards[name]._versions[blk] == mgr.versions[blk]
+        c.shards[name].version_of(blk) == mgr.versions[blk]
         for blk in sorted(c._acked_blocks)
         for name in mgr.targets(c.range_of(blk * BS))
     )

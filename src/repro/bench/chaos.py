@@ -31,6 +31,7 @@ from repro.bench.experiments import ReplayConfig, replay
 from repro.bench.record import RunRecord
 from repro.faults.latent import LatentStats
 from repro.faults.plan import FaultPlan
+from repro.flash.introspect import ftls_of
 from repro.flash.scrub import ScrubConfig
 from repro.traces.workloads import make_workload
 
@@ -183,7 +184,11 @@ def run_chaos(
 
     device = ctx["device"]
     built_backend = ctx["backend"]
-    ssds = ctx["devices"]
+    # Every FTL that served: the members' as built (one swapped out by a
+    # rebuild keeps the retirements it performed in service), then those
+    # of the spares that took their slots.
+    ftls = [ssd.ftl for ssd in ctx["devices"]]
+    ftls += [ftl for ftl in ftls_of(built_backend) if ftl not in ftls]
     injectors = getattr(built_backend, "fault_injectors", [])
     faults = plan.total_stats(injectors).as_dict()
 
@@ -283,9 +288,7 @@ def run_chaos(
             "mean_response_s": result.mean_response,
             "p95_response_s": result.p95_response,
             "p99_response_s": result.p99_response,
-            # Members swapped out by a rebuild count too: their FTL
-            # still records the retirements it performed in service.
-            "retired_blocks": sum(s.ftl.retired_blocks for s in ssds),
+            "retired_blocks": sum(ftl.retired_blocks for ftl in ftls),
             "retired_bytes": device.allocator.stats.retired_bytes,
             "edc_unrecovered_reads": device.unrecovered_reads,
             "edc_unrecovered_writes": device.unrecovered_writes,

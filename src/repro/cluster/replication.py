@@ -918,24 +918,10 @@ class ReplicationManager:
         dev = c.shards[holder]
         bs = c.block_size
         if (ridx not in self.migrated
-                and dev._versions[blk] != self.versions.get(blk, 0)):
+                and dev.version_of(blk) != self.versions.get(blk, 0)):
             return False
-        eid, entry = dev.mapping.lookup(blk * bs)
+        eid, _entry = dev.mapping.lookup(blk * bs)
         ok = decoded.get((holder, eid))
         if ok is None:
-            ok = decoded[holder, eid] = self._entry_decodes(dev, eid, entry)
+            ok = decoded[holder, eid] = dev.entry_decodes(eid)
         return ok
-
-    @staticmethod
-    def _entry_decodes(dev, eid: int, entry) -> bool:
-        """Whether one stored entry decodes to its content-store bytes."""
-        meta = dev._entry_meta.get(eid)
-        if meta is None:
-            return False
-        run_ids, codec_name = meta
-        if codec_name in (None, "none"):
-            return True  # raw storage is bit-identical by construction
-        codec = dev.registry.get(codec_name)
-        payload = dev.content.compressed_payload(run_ids, codec)
-        return (codec.decompress(payload, entry.original_size)
-                == dev.content.data_for_run(run_ids))

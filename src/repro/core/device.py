@@ -33,7 +33,7 @@ from repro.core.policy import CompressionPolicy
 from repro.core.sequential import PendingRun, SequentialityDetector
 from repro.core.stats import CompressionStats
 from repro.core.distributer import RequestDistributer
-from repro.flash.allocator import SizeClassAllocator
+from repro.flash.allocator import SizeClassAllocator, SlotClass
 from repro.flash.introspect import ftls_of
 from repro.flash.mapping import MappingEntry, MappingTable
 from repro.flash.ssd import StorageBackend
@@ -218,6 +218,38 @@ class EDCBlockDevice:
         if self._versions[blk] < version:
             self._versions[blk] = version
 
+    def version_of(self, blk: int) -> int:
+        """Content version of logical block ``blk`` (0 = never written)."""
+        return self._versions.get(blk, 0)
+
+    def install_extent(
+        self, entry: MappingEntry, run_ids: Tuple[int, ...], codec_name: str
+    ) -> Tuple[int, SlotClass, Tuple[int, ...]]:
+        """Map ``entry``, give it a size-class slot and record how to read it.
+
+        The one place a stored unit enters the device's tables: the
+        mapping insert, the release of the entries it fully shadows, the
+        slot and the read metadata move together.  Returns ``(entry id,
+        slot class, shadowed ids)``.  Nothing is programmed or
+        journaled: writers do that around this call; recovery seeding,
+        whose extents are durable already, does not.
+        """
+        eid, shadowed = self.mapping.insert(entry)
+        shadowed_ids = tuple([old_id for old_id, _old in shadowed])
+        if shadowed_ids:
+            self._release(shadowed_ids)
+        cls = self.allocator.allocate(eid, entry.size, entry.original_size)
+        self._entry_meta[eid] = (run_ids, codec_name)
+        return eid, cls, shadowed_ids
+
+    def entry_decodes(self, eid: int) -> bool:
+        """Whether entry ``eid``'s stored form decodes to its content bytes."""
+        entry = self.mapping.get(eid)
+        meta = self._entry_meta.get(eid)
+        if entry is None or meta is None:
+            return False
+        return self._decodes(*meta, entry.original_size)
+
     def ingest_replica(
         self,
         lba: int,
@@ -252,32 +284,12 @@ class EDCBlockDevice:
             self.set_version_floor(start_blk + i, v)
         self._outstanding += 1
         run = PendingRun(lba, nbytes, [self.sim.now], [ref])
-        run_ids = tuple(
-            self.content.block_id((start_blk + i) * bs, versions[i])
-            for i in range(nblocks)
-        )
-        iops = self.monitor.calculated_iops(self.sim.now)
-        hint = (
-            self.content.kind_of_id(run_ids[0])
-            if self.config.semantic_hints
-            else None
-        )
-        _codec, plan, fallback = self.plan_for_policy(
-            self.policy, run_ids, iops, hint
-        )
-        if fallback:
-            self.stats.codec_fallbacks += 1
         vtuple = tuple(versions)
-        if plan.cpu_time > 0:
-            self.cpu.submit(
-                plan.cpu_time,
-                on_complete=lambda job: self._commit_write(
-                    run, plan, run_ids, vtuple
-                ),
-                tag=("ingest", start_blk),
-            )
-        else:
-            self._commit_write(run, plan, run_ids, vtuple)
+        run_ids, _hint, _codec, plan = self._plan_run(start_blk, vtuple)
+        self._after_cpu(
+            plan, ("ingest", start_blk),
+            self._commit_write, run, plan, run_ids, vtuple, False,
+        )
 
     # ------------------------------------------------------------------
     # address helpers
@@ -353,19 +365,15 @@ class EDCBlockDevice:
             fallback = True
         return codec_name, plan, fallback
 
-    def _process_run(self, run: PendingRun) -> None:
-        """Compress (maybe) and store one flush unit."""
+    def _plan_run(
+        self, start_blk: int, versions: Tuple[int, ...]
+    ) -> Tuple[Tuple[int, ...], Optional[str], Optional[str], WritePlan]:
+        """Plan the blocks from ``start_blk`` on, at ``versions``, under the
+        policy: ``(content ids, hint, selected codec, plan)``."""
         bs = self.config.block_size
-        start_blk = run.start_lba // bs
-        nblocks = (run.nbytes + bs - 1) // bs
-        versions = []
-        for i in range(nblocks):
-            blk = start_blk + i
-            self._versions[blk] += 1
-            versions.append(self._versions[blk])
         run_ids = tuple(
-            self.content.block_id((start_blk + i) * bs, versions[i])
-            for i in range(nblocks)
+            self.content.block_id((start_blk + i) * bs, v)
+            for i, v in enumerate(versions)
         )
         iops = self.monitor.calculated_iops(self.sim.now)
         hint = (
@@ -378,6 +386,32 @@ class EDCBlockDevice:
         )
         if fallback:
             self.stats.codec_fallbacks += 1
+        return run_ids, hint, codec_name, plan
+
+    def _after_cpu(self, plan: WritePlan, tag: tuple, commit, *args) -> None:
+        """Call ``commit(*args, job)`` once ``plan``'s CPU time is served; a
+        plan that costs none (every Native write) commits at once, no job."""
+        if plan.cpu_time > 0:
+            self.cpu.submit(
+                plan.cpu_time,
+                on_complete=lambda job: commit(*args, job),
+                tag=tag,
+            )
+        else:
+            commit(*args, None)
+
+    def _process_run(self, run: PendingRun) -> None:
+        """Compress (maybe) and store one flush unit."""
+        bs = self.config.block_size
+        start_blk = run.start_lba // bs
+        nblocks = (run.nbytes + bs - 1) // bs
+        versions = []
+        for i in range(nblocks):
+            blk = start_blk + i
+            self._versions[blk] += 1
+            versions.append(self._versions[blk])
+        vtuple = tuple(versions)
+        run_ids, hint, codec_name, plan = self._plan_run(start_blk, vtuple)
         if plan.gated:
             self.stats.skipped_incompressible += 1
         if plan.failed_75pct:
@@ -390,17 +424,10 @@ class EDCBlockDevice:
             self.events.emit(
                 "write_planned", run, run_ids, hint, codec_name, plan
             )
-        vtuple = tuple(versions)
-        if plan.cpu_time > 0:
-            self.cpu.submit(
-                plan.cpu_time,
-                on_complete=lambda job: self._commit_write(
-                    run, plan, run_ids, vtuple, observed, job
-                ),
-                tag=("compress", start_blk),
-            )
-        else:
-            self._commit_write(run, plan, run_ids, vtuple, observed)
+        self._after_cpu(
+            plan, ("compress", start_blk),
+            self._commit_write, run, plan, run_ids, vtuple, observed,
+        )
 
     def _block_crcs_for(self, run_ids: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
         """Per-block content CRCs for a run, when ``crc_checks`` is on."""
@@ -412,16 +439,65 @@ class EDCBlockDevice:
             self.content.data_for_run(run_ids), self.config.block_size
         )
 
+    def _release(self, eids) -> None:
+        """Give up the slot, backend extent and read metadata of entries the
+        mapping dropped (shadowed or trimmed): :meth:`install_extent` undone."""
+        for eid in eids:
+            self.allocator.free(eid)
+            self.distributer.trim(eid)
+            self._entry_meta.pop(eid, None)
+
+    def _store(
+        self,
+        run: PendingRun,
+        plan: WritePlan,
+        run_ids: Tuple[int, ...],
+        versions: Tuple[int, ...],
+    ) -> Tuple[int, SlotClass]:
+        """Install ``run``'s planned stored form; its program is now due."""
+        entry = MappingEntry(
+            lba=run.start_lba,
+            size=plan.payload_size,
+            tag=plan.tag,
+            span=len(run_ids),
+            original_size=plan.original_size,
+            crc=self._block_crcs_for(run_ids),
+        )
+        eid, cls, shadowed = self.install_extent(entry, run_ids, plan.codec_name)
+        if self.recovery is not None:
+            self.recovery.on_insert(
+                eid, entry, run_ids, plan.codec_name, versions, shadowed,
+                cls.nbytes,
+            )
+        return eid, cls
+
+    def _program(
+        self, eid: int, lba: int, nbytes: int, done, failed, stream: int = 0
+    ) -> None:
+        """Issue entry ``eid``'s device write: ``done()`` or ``failed(exc)``."""
+
+        def _programmed() -> None:
+            # Program completed: only now does the extent's metadata
+            # become durable (journal + OOB) — a cut mid-program leaves
+            # nothing, which is what makes merged runs all-or-nothing.
+            if self.recovery is not None:
+                self.recovery.on_programmed(eid)
+            done()
+
+        self.distributer.write(
+            eid, lba, nbytes, _programmed, stream=stream, on_error=failed
+        )
+
     def _commit_write(
         self,
         run: PendingRun,
         plan: WritePlan,
         run_ids: Tuple[int, ...],
         versions: Tuple[int, ...],
-        observed: bool = False,
-        job: object = None,
+        observed: bool,
+        job: object,
     ) -> None:
-        """Compression finished: allocate, map, and issue the device write.
+        """Compression finished: store the run and issue the device write.
 
         ``observed`` says the run was announced as ``write_planned``
         (host writes with a subscriber); replica ingests are not, so
@@ -430,33 +506,8 @@ class EDCBlockDevice:
         events = self.events
         if observed:
             events.emit("write_cpu_done", run, job)
-        bs = self.config.block_size
         nblocks = len(run_ids)
-        entry = MappingEntry(
-            lba=run.start_lba,
-            size=plan.payload_size,
-            tag=plan.tag,
-            span=nblocks,
-            original_size=plan.original_size,
-            crc=self._block_crcs_for(run_ids),
-        )
-        eid, shadowed = self.mapping.insert(entry)
-        for old_id, _old_entry in shadowed:
-            self.allocator.free(old_id)
-            self.distributer.trim(old_id)
-            self._entry_meta.pop(old_id, None)
-        cls = self.allocator.allocate(eid, plan.payload_size, plan.original_size)
-        self._entry_meta[eid] = (run_ids, plan.codec_name)
-        if self.recovery is not None:
-            self.recovery.on_insert(
-                eid,
-                entry,
-                run_ids,
-                plan.codec_name,
-                versions,
-                tuple(old_id for old_id, _ in shadowed),
-                cls.nbytes,
-            )
+        eid, cls = self._store(run, plan, run_ids, versions)
         if observed:
             events.emit("write_committed", run, cls)
         self.stats.note_write(
@@ -474,6 +525,9 @@ class EDCBlockDevice:
             now = self.sim.now
             hook = self.on_request_complete
             err_hook = self.on_request_error
+            if exc is not None and err_hook is None:
+                # Nobody to escalate to: count the loss, complete anyway.
+                self.unrecovered_writes += 1
             for i, arrival in enumerate(arrivals):
                 self.write_latency.add(now - arrival)
                 self._outstanding -= 1
@@ -487,25 +541,9 @@ class EDCBlockDevice:
             if observed:
                 events.emit("write_done", run)
 
-        def _device_done() -> None:
-            # Program completed: only now does the extent's metadata
-            # become durable (journal + OOB) — a cut mid-program leaves
-            # nothing, which is what makes merged runs all-or-nothing.
-            if self.recovery is not None:
-                self.recovery.on_programmed(eid)
-            _finish()
-
-        def _device_error(exc: BaseException) -> None:
-            if self.on_request_error is None:
-                self.unrecovered_writes += 1
-                _finish()
-            else:
-                _finish(exc)
-
         stream = 0
         if self.config.hot_cold_streams:
-            bs = self.config.block_size
-            start_blk = run.start_lba // bs
+            start_blk = run.start_lba // self.config.block_size
             hottest = max(
                 self._versions[start_blk + i] for i in range(nblocks)
             )
@@ -515,10 +553,7 @@ class EDCBlockDevice:
         if observed:
             events.emit("write_issue_begin", run, eid)
         try:
-            self.distributer.write(
-                eid, run.start_lba, cls.nbytes, _device_done, stream=stream,
-                on_error=_device_error,
-            )
+            self._program(eid, run.start_lba, cls.nbytes, _finish, _finish, stream)
         finally:
             if observed:
                 events.emit("write_issue_end", run)
@@ -638,8 +673,13 @@ class EDCBlockDevice:
                     )
                 )
                 return
-            if self.config.verify_reads:
-                self._verify_entry(run_ids, codec_name, entry, request)
+            if self.config.verify_reads and not self._decodes(
+                run_ids, codec_name, entry.original_size
+            ):
+                raise IntegrityError(
+                    f"read of lba {request.lba} (codec {codec_name}) "
+                    f"returned corrupt data"
+                )
             if entry.crc is not None and self.config.crc_checks:
                 actual = self._block_crcs_for(run_ids)
                 if actual != entry.crc:
@@ -665,26 +705,20 @@ class EDCBlockDevice:
             eid, entry.lba, stored, _after_device, on_error=_piece_error
         )
 
-    def _verify_entry(
-        self,
-        run_ids: Tuple[int, ...],
-        codec_name: str,
-        entry: MappingEntry,
-        request: IORequest,
-    ) -> None:
-        """Decompress the stored payload and compare with expected content."""
-        expected = self.content.data_for_run(run_ids)
-        if codec_name == "none":
-            actual = expected  # raw storage is bit-identical by construction
-        else:
-            codec = self.registry.get(codec_name)
-            payload = self.content.compressed_payload(run_ids, codec)
-            actual = codec.decompress(payload, entry.original_size)
-        if actual != expected:
-            raise IntegrityError(
-                f"read of lba {request.lba} (codec {codec_name}) "
-                f"returned corrupt data"
-            )
+    def _decodes(
+        self, run_ids: Tuple[int, ...], codec_name: str, original_size: int
+    ) -> bool:
+        """Whether a run stored under ``codec_name`` decodes to its content.
+
+        By value, not by entry id: a read checks the snapshot it took at
+        issue, since an overwrite can release the entry before it lands.
+        """
+        if codec_name in (None, "none"):
+            return True  # raw storage is bit-identical by construction
+        codec = self.registry.get(codec_name)
+        payload = self.content.compressed_payload(run_ids, codec)
+        return (codec.decompress(payload, original_size)
+                == self.content.data_for_run(run_ids))
 
     # ------------------------------------------------------------------
     # maintenance
@@ -715,10 +749,7 @@ class EDCBlockDevice:
             if self.mapping.lookup(blk * bs) is None:
                 continue
             unmapped += 1
-            for eid, _entry in self.mapping.remove(blk * bs):
-                self.allocator.free(eid)
-                self.distributer.trim(eid)
-                self._entry_meta.pop(eid, None)
+            self._release(eid for eid, _entry in self.mapping.remove(blk * bs))
         return unmapped
 
     def defragment(
@@ -813,15 +844,10 @@ class EDCBlockDevice:
             self._outstanding += 1
             synthetic = PendingRun(s * bs, length * bs, [self.sim.now], [None])
             issued += 1
-            if plan.cpu_time > 0:
-                self.cpu.submit(
-                    plan.cpu_time,
-                    on_complete=lambda job, r=synthetic, p=plan, ids=sub_ids,
-                    old=eid: self._commit_defrag(r, p, ids, old, on_stored),
-                    tag=("defrag", s),
-                )
-            else:
-                self._commit_defrag(synthetic, plan, sub_ids, eid, on_stored)
+            self._after_cpu(
+                plan, ("defrag", s),
+                self._commit_defrag, synthetic, plan, sub_ids, eid, on_stored,
+            )
         return issued
 
     def _commit_defrag(
@@ -830,64 +856,32 @@ class EDCBlockDevice:
         plan: WritePlan,
         run_ids: Tuple[int, ...],
         old_eid: int,
-        on_stored=None,
+        on_stored,
+        _job: object,
     ) -> None:
-        """Like :meth:`_commit_write` but without version bumps or write
-        statistics — the logical data is unchanged, only re-placed."""
+        """Store a rewritten sub-run: the logical data is unchanged, only
+        re-placed, so no version bumps, write statistics or events."""
         # A host write may have overwritten part of this range while the
         # defrag compression was queued; re-inserting stale data over it
         # would corrupt the mapping, so skip the sub-run in that case.
-        bs = self.config.block_size
-        start_blk = run.start_lba // bs
-        still_owned = set(self.mapping.covered_blocks_of(old_eid))
-        if any(
-            start_blk + i not in still_owned for i in range(len(run_ids))
-        ):
+        start_blk = run.start_lba // self.config.block_size
+        blocks = range(start_blk, start_blk + len(run_ids))
+        if not set(self.mapping.covered_blocks_of(old_eid)).issuperset(blocks):
             self._outstanding -= 1
             return
-        entry = MappingEntry(
-            lba=run.start_lba,
-            size=plan.payload_size,
-            tag=plan.tag,
-            span=len(run_ids),
-            original_size=plan.original_size,
-            crc=self._block_crcs_for(run_ids),
+        # Still owned, so nothing newer was committed: the versions stand.
+        eid, cls = self._store(
+            run, plan, run_ids, tuple(self._versions[blk] for blk in blocks)
         )
-        eid, shadowed = self.mapping.insert(entry)
-        for old_id, _old in shadowed:
-            self.allocator.free(old_id)
-            self.distributer.trim(old_id)
-            self._entry_meta.pop(old_id, None)
-        cls = self.allocator.allocate(eid, plan.payload_size, plan.original_size)
-        self._entry_meta[eid] = (run_ids, plan.codec_name)
-        if self.recovery is not None:
-            # Defrag re-places existing content: versions are unchanged
-            # (the still_owned check above rules out newer committed data).
-            self.recovery.on_insert(
-                eid,
-                entry,
-                run_ids,
-                plan.codec_name,
-                tuple(self._versions[start_blk + i] for i in range(len(run_ids))),
-                tuple(old_id for old_id, _ in shadowed),
-                cls.nbytes,
-            )
-
         if on_stored is not None:
             on_stored(cls.nbytes)
 
-        def _done() -> None:
-            if self.recovery is not None:
-                self.recovery.on_programmed(eid)
+        def _settled(exc: Optional[BaseException] = None) -> None:
+            if exc is not None:
+                self.unrecovered_writes += 1
             self._outstanding -= 1
 
-        def _error(exc: BaseException) -> None:
-            self.unrecovered_writes += 1
-            self._outstanding -= 1
-
-        self.distributer.write(
-            eid, run.start_lba, cls.nbytes, lambda: _done(), on_error=_error
-        )
+        self._program(eid, run.start_lba, cls.nbytes, _settled, _settled)
 
     # ------------------------------------------------------------------
     # reporting

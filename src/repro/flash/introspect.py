@@ -262,7 +262,7 @@ class SpaceWaterfall:
 
 def _meta_live_bytes(device, ftls: List[object]) -> int:
     """Live journal/checkpoint extent bytes of a bound recovery manager."""
-    recovery = getattr(device, "recovery", None)
+    recovery = device.recovery
     if recovery is None:
         return 0
     keys = list(getattr(recovery, "_journal_seg_keys", ())) + list(
@@ -468,12 +468,12 @@ def smart_snapshot(
     wear_p95 = float(np.percentile(values, 95)) if values.size else 0.0
     mean = float(values.mean()) if values.size else 0.0
 
-    recovery = getattr(device, "recovery", None)
+    recovery = device.recovery
     meta_bytes = (
         recovery.stats.meta_write_bytes if recovery is not None else 0
     )
     meta_bytes = min(meta_bytes, host_bytes)
-    scrubber = getattr(device, "scrubber", None)
+    scrubber = device.observers.get("scrubber")
     scrub_bytes = (
         scrubber.stats.repaired_bytes if scrubber is not None else 0
     )

@@ -368,6 +368,27 @@ class RAIS5:
         if any(replacement is d for d in self.devices):
             raise ArrayError(f"replacement {replacement.name} is already a member")
 
+    def _swap_in(self, replacement: SimulatedSSD) -> int:
+        """Put a validated ``replacement`` in the failed slot; returns the slot.
+
+        Observers subscribed member by member when they bound to the
+        stack, so the outgoing member's handlers (allocator retirement
+        accounting, telemetry, device health) move to the spare with the
+        slot: its service, GC and retirement events are the array's now.
+        """
+        failed = self._failed
+        outgoing = self.devices[failed]
+        for old, new in (
+            (outgoing.events, replacement.events),
+            (outgoing.ftl.events, replacement.ftl.events),
+            (outgoing.queue.events, replacement.queue.events),
+        ):
+            for kind, handlers in old.subs.items():
+                for handler in handlers:
+                    new.subscribe(kind, handler)
+        self.devices[failed] = replacement
+        return failed
+
     def rebuild(
         self,
         replacement: SimulatedSSD,
@@ -382,9 +403,8 @@ class RAIS5:
         against foreground traffic use :meth:`start_rebuild`.
         """
         self._validate_replacement(replacement)
-        failed = self._failed
+        failed = self._swap_in(replacement)
         rows = sorted(self._touched_rows)
-        self.devices[failed] = replacement
         self._failed = None
         self._rebuilt_rows = set()
         self._close_degraded_window()
@@ -431,11 +451,10 @@ class RAIS5:
         fires.
         """
         self._validate_replacement(replacement)
-        failed = self._failed
         batch = self.rebuild_batch_rows if rows_per_batch is None else rows_per_batch
         if batch < 1:
             raise ValueError(f"rows_per_batch must be >= 1: {batch!r}")
-        self.devices[failed] = replacement
+        failed = self._swap_in(replacement)
 
         def _finish() -> None:
             self._failed = None

@@ -340,27 +340,19 @@ class DurableMetadataManager:
         fresh_oob = OOBArea()
         fresh_oob.stats = self.oob.stats
         for rec in sorted(state.records.values(), key=lambda r: r.seqno):
-            entry = rec_to_entry(rec)
-            eid, shadowed = device.mapping.insert(entry)
-            for old_id, _old in shadowed:  # pragma: no cover - state is
-                # overlay-resolved already; kept for defensive symmetry
-                device.allocator.free(old_id)
-                device.distributer.trim(old_id)
-                device._entry_meta.pop(old_id, None)
-            cls = device.allocator.allocate(eid, rec.size, rec.original_size)
+            eid, cls, _shadowed = device.install_extent(
+                rec_to_entry(rec), rec.run_ids, rec.codec_name
+            )
             if cls.nbytes != rec.slot_bytes:
                 raise RuntimeError(
                     f"recovered slot class {cls.nbytes} != durable "
                     f"{rec.slot_bytes} for seqno {rec.seqno}"
                 )
-            device._entry_meta[eid] = (rec.run_ids, rec.codec_name)
             if hasattr(backend, "ftl"):
                 backend.ftl.write(eid, rec.slot_bytes)
             start_blk = rec.lba // device.config.block_size
-            for i in range(rec.span):
-                blk = start_blk + i
-                if rec.versions[i] > device._versions[blk]:
-                    device._versions[blk] = rec.versions[i]
+            for i, version in enumerate(rec.versions):
+                device.set_version_floor(start_blk + i, version)
             self._live[rec.seqno] = rec
             self._seqno_of_eid[eid] = rec.seqno
             self._eid_of_seqno[rec.seqno] = eid

@@ -482,6 +482,52 @@ class TestRais5Degraded:
         for d in arr.devices:
             d.ftl.check_invariants()
 
+    def test_spare_is_heard_by_the_failed_members_subscribers(self):
+        # Observers subscribe member by member when they bind to a
+        # stack; the spare takes the outgoing member's handlers over
+        # with its slot, or nobody hears its retirements and service.
+        sim = Simulator()
+        arr, devices = make_rais5(sim)
+        content = ContentStore(ContentMix("m", {"text": 1.0}), pool_blocks=8, seed=1)
+        dev = EDCBlockDevice(
+            sim, arr, FixedPolicy("lzf"), content, EDCConfig(sd_enabled=False)
+        )
+        plan = FaultPlan(
+            seed=3,
+            program_fault_prob=0.2,
+            device_failures=(DeviceFailure(0.05, "ssd1"),),
+            rebuild_delay_s=0.01,
+            rebuild_batch_rows=4,
+        )
+        plan.attach(sim, arr, devices)
+        doomed = devices[1]
+        served, jobs, retired_ftls = [], [], []
+        doomed.events.subscribe("service", lambda *_: served.append(sim.now))
+        doomed.queue.events.subscribe("job", lambda _job: jobs.append(sim.now))
+        doomed.ftl.events.subscribe(
+            "retire", lambda ftl, *_: retired_ftls.append(ftl)
+        )
+        for i in range(120):
+            sim.schedule_at(
+                i * 2e-3,
+                lambda i=i: dev.submit(
+                    IORequest(sim.now, "W", (i % 24) * 16384, 16384)
+                ),
+            )
+        sim.run()
+        spare = arr.devices[1]
+        assert spare.name == "spare1" and not arr.degraded
+        assert dev.outstanding == 0
+        # The handlers subscribed before the failure fire for the spare.
+        swapped_at = arr.degraded_windows[0][0] + plan.rebuild_delay_s
+        assert max(served) > swapped_at and max(jobs) > swapped_at
+        assert retired_ftls.count(spare.ftl) == spare.ftl.retired_blocks > 0
+        # Every retirement on a member of the array, the spare's
+        # included, shrank the allocator's capacity.
+        assert dev.allocator.stats.retirements == doomed.ftl.retired_blocks + sum(
+            d.ftl.retired_blocks for d in arr.devices
+        )
+
     def test_rows_written_during_rebuild_are_picked_up(self):
         sim = Simulator()
         arr, devices = make_rais5(sim)

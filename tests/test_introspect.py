@@ -2,10 +2,12 @@
 
 import io
 import json
+import pathlib
 
 import pytest
 
 from repro.bench.experiments import ReplayConfig, replay
+from repro.faults import FaultPlan
 from repro.flash.introspect import (
     SpaceAccountingError,
     SpaceWaterfall,
@@ -13,6 +15,7 @@ from repro.flash.introspect import (
     smart_snapshot,
     space_waterfall,
 )
+from repro.flash.scrub import ScrubConfig
 from repro.telemetry.devhealth import (
     DeviceHealth,
     GcEpisode,
@@ -25,6 +28,9 @@ from repro.telemetry.devhealth import (
 from repro.traces.workloads import make_workload
 
 PAPER_TRACES = ["Fin1", "Fin2", "Usr_0", "Prxy_0"]
+LATENT_PLAN = (
+    pathlib.Path(__file__).parent.parent / "benchmarks" / "latent_fin1.json"
+)
 
 
 def _replay_with_health(trace_name, scheme="EDC", cfg=None, max_requests=600,
@@ -150,6 +156,27 @@ class TestSmartSnapshot:
         )
         assert split["host"] > 0
         assert split["gc"] == ftl.collector.stats.moved_bytes
+
+    def test_scrub_repairs_have_their_own_wa_lane(self):
+        """Repair writes go through the normal write path; the SMART
+        page books them to the scrubber registered on the stack, not to
+        host data."""
+        captured = {}
+        replay(
+            make_workload("Fin1", duration=1.5), "EDC",
+            ReplayConfig(backend="rais5"),
+            fault_plan=FaultPlan.from_json(str(LATENT_PLAN)),
+            scrub=ScrubConfig(interval_s=0.005),
+            on_built=lambda sim, dev, backend, devices: captured.update(dev=dev),
+        )
+        dev = captured["dev"]
+        split = smart_snapshot(dev, observed_seconds=1.5).wa_split()
+        repaired = dev.observers["scrubber"].stats.repaired_bytes
+        assert split["scrub"] == repaired > 0
+        assert sum(split.values()) == sum(
+            ftl.stats.host_bytes + ftl.stats.relocated_bytes
+            for ftl in ftls_of(dev.backend)
+        )
 
     def test_validation(self):
         health, dev, _ = _replay_with_health("Fin1", max_requests=100)
