@@ -1,25 +1,26 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixture for the exhibit benchmarks.
 
-The expensive scheme x trace replay matrices are computed once per
-session and shared by the figure benchmarks that read different columns
-of the same experiment (Figs 8, 9 and 10 all come from the single-SSD
-matrix).
+``exhibit(name)`` computes a row of :data:`repro.bench.figures.EXHIBITS`
+once per session, at the command line's parameters, prints its render
+and returns its data.  Exhibits that share a compute function share its
+data: Figs 8, 9 and 10 are three views of one single-SSD matrix.
 """
 
 import pytest
 
-from repro.bench.figures import fig8_to_11_matrix
-
-#: Replay horizon (virtual seconds per trace).  Long enough for several
-#: burst/idle cycles of every workload; short enough for CI.
-DURATION = 100.0
+from repro.bench.figures import DURATION, EXHIBITS
 
 
 @pytest.fixture(scope="session")
-def ssd_matrix():
-    return fig8_to_11_matrix(backend="ssd", duration=DURATION)
+def exhibit():
+    data = {}
 
+    def get(name):
+        compute, render = EXHIBITS[name]
+        if compute not in data:
+            data[compute] = compute(DURATION)
+        print()
+        print(render(data[compute]))
+        return data[compute]
 
-@pytest.fixture(scope="session")
-def rais5_matrix():
-    return fig8_to_11_matrix(backend="rais5", duration=DURATION)
+    return get

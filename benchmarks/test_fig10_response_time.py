@@ -9,35 +9,10 @@ than strictly below Lzf, because with C-implementation codec speeds an
 always-LZF scheme is nearly free in our open-loop replay.
 """
 
-from repro.bench.report import render_series
 
-SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
-
-
-def test_fig10_response_time_single_ssd(benchmark, ssd_matrix):
-    norm = benchmark.pedantic(
-        ssd_matrix.normalized, args=("mean_response",), rounds=1, iterations=1
-    )
-    traces = list(norm)
-    print()
-    print(
-        render_series(
-            "trace",
-            traces,
-            {s: [norm[t][s] for t in traces] for s in SCHEMES},
-            title="Fig 10: mean response time normalised to Native (single SSD)",
-        )
-    )
-    from repro.bench.ascii import grouped_bar_chart
-
-    print()
-    print(
-        grouped_bar_chart(
-            {t: {s: norm[t][s] for s in SCHEMES} for t in traces},
-            width=32,
-        )
-    )
-    for t in traces:
+def test_fig10_response_time_single_ssd(exhibit):
+    norm = exhibit("fig10").normalized("mean_response")
+    for t in norm:
         # Bzip2 is the worst scheme everywhere, by a wide margin.
         assert norm[t]["Bzip2"] > norm[t]["Gzip"]
         assert norm[t]["Bzip2"] > 1.5
@@ -51,4 +26,4 @@ def test_fig10_response_time_single_ssd(benchmark, ssd_matrix):
 
     # Somewhere the paper's headline blow-up appears: Bzip2 reaching
     # several times Native on at least one trace.
-    assert max(norm[t]["Bzip2"] for t in traces) > 5.0
+    assert max(norm[t]["Bzip2"] for t in norm) > 5.0

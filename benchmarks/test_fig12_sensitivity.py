@@ -10,33 +10,6 @@ Fin1, where the write-heavy mix makes the latency cost of the Gzip
 share much steeper — the regime in which the paper's 20% knee appears.
 """
 
-import pytest
-
-from repro.bench.figures import fig12_threshold_sensitivity
-from repro.bench.report import render_table
-
-
-def _run_and_print(benchmark, trace_name):
-    points = benchmark.pedantic(
-        fig12_threshold_sensitivity,
-        kwargs=dict(trace_name=trace_name, duration=100.0),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        render_table(
-            ["gzip/lzf threshold (IOPS)", "gzip share", "ratio", "resp (ms)"],
-            [
-                [p.threshold_iops, p.gzip_share, p.compression_ratio,
-                 p.mean_response * 1e3]
-                for p in points
-            ],
-            title=f"Fig 12: EDC sensitivity to the Gzip threshold ({trace_name})",
-        )
-    )
-    return points
-
 
 def _common_asserts(points):
     shares = [p.gzip_share for p in points]
@@ -54,17 +27,15 @@ def _common_asserts(points):
     return shares, ratios, times
 
 
-def test_fig12_threshold_sensitivity_fin2(benchmark):
-    points = _run_and_print(benchmark, "Fin2")
-    _common_asserts(points)
+def test_fig12_threshold_sensitivity_fin2(exhibit):
+    _common_asserts(exhibit("fig12")["Fin2"])
 
 
-def test_fig12_threshold_sensitivity_fin1(benchmark):
-    points = _run_and_print(benchmark, "Fin1")
-    shares, ratios, times = _common_asserts(points)
+def test_fig12_threshold_sensitivity_fin1(exhibit):
+    shares, ratios, times = _common_asserts(exhibit("fig12")["Fin1"])
     # Write-heavy trace: the response time rises faster than the ratio
-    # ("increased significantly and rapidly"), so the composite peaks at
-    # an interior (moderate-gzip) point rather than at all-gzip.
+    # ("increased significantly and rapidly"), so every point short of
+    # all-gzip beats all-gzip on the composite.
     assert times[-1] / times[0] > ratios[-1] / ratios[0]
     composites = [r / t for r, t in zip(ratios, times)]
     assert max(composites[:-1]) > composites[-1]

@@ -7,30 +7,9 @@ runs against the simulated device's service-time model.
 
 import numpy as np
 
-from repro.bench.figures import fig1_request_size_latency
-from repro.bench.report import render_series
 
-SIZES_KB = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-
-def test_fig1_response_linear_in_size(benchmark):
-    data = benchmark.pedantic(
-        fig1_request_size_latency, args=(SIZES_KB,), rounds=1, iterations=1
-    )
-    print()
-    print(
-        render_series(
-            "size_kb",
-            data["size_kb"],
-            {
-                "read_ms": data["read_ms"],
-                "write_ms": data["write_ms"],
-                "read_norm": data["read_norm"],
-                "write_norm": data["write_norm"],
-            },
-            title="Fig 1: response time vs request size (simulated X25-E)",
-        )
-    )
+def test_fig1_response_linear_in_size(exhibit):
+    data = exhibit("fig1")
     sizes = np.array(data["size_kb"])
     for series in ("read_ms", "write_ms"):
         t = np.array(data[series])

@@ -5,29 +5,9 @@ and Bzip2; bzip2/gzip win on ratio, lzf/lz4 win on speed, and
 decompression is faster than compression for every codec.
 """
 
-from repro.bench.figures import fig2_codec_efficiency
-from repro.bench.report import render_table
 
-
-def test_fig2_codec_efficiency(benchmark):
-    rows = benchmark.pedantic(
-        fig2_codec_efficiency,
-        kwargs=dict(n_chunks=64, chunk_size=32768),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        render_table(
-            ["dataset", "codec", "C_Ratio", "C_Speed MB/s", "D_Speed MB/s"],
-            [
-                [r.dataset, r.codec, r.ratio, r.compress_mb_s, r.decompress_mb_s]
-                for r in rows
-            ],
-            title="Fig 2: codec efficiency (ratios measured, speeds calibrated)",
-        )
-    )
-    by = {(r.dataset, r.codec): r for r in rows}
+def test_fig2_codec_efficiency(exhibit):
+    by = {(r.dataset, r.codec): r for r in exhibit("fig2")}
     for dataset in ("linux-source", "firefox"):
         gzip = by[(dataset, "gzip")]
         bzip2 = by[(dataset, "bzip2")]

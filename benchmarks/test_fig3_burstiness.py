@@ -4,35 +4,16 @@ Paper: per-second I/O intensity of the financial (OLTP) and MSR
 (enterprise) traces alternates between bursts and idleness.
 """
 
-import numpy as np
-
-from repro.bench.figures import fig3_burstiness
+from repro.bench.figures import idle_share
 
 
-def test_fig3_burstiness(benchmark):
-    series = benchmark.pedantic(
-        fig3_burstiness,
-        kwargs=dict(workloads=("Fin1", "Usr_0"), duration=240.0),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    for name, (times, rates) in series.items():
-        peak = rates.max()
-        mean = rates.mean()
-        idle_frac = float((rates < 0.05 * max(peak, 1)).mean())
-        print(
-            f"Fig 3 [{name}]: mean={mean:.0f} peak={peak:.0f} calc-IOPS, "
-            f"idle bins={idle_frac:.0%}, burst/mean={peak / max(mean, 1e-9):.1f}x"
-        )
+def test_fig3_burstiness(exhibit):
+    series = exhibit("fig3")
+    for name, (_, rates) in series.items():
         # Clear burstiness: peaks an order of magnitude above the mean.
-        assert peak > 5 * mean
+        assert rates.max() > 5 * rates.mean(), name
         # Clear idleness: a majority of one-second bins are nearly empty.
-        assert idle_frac > 0.5
+        assert idle_share(rates) > 0.5, name
 
     # The enterprise workload idles longer than OLTP (Fig 3b vs 3a).
-    _, fin_rates = series["Fin1"]
-    _, usr_rates = series["Usr_0"]
-    fin_idle = float((fin_rates < 1).mean())
-    usr_idle = float((usr_rates < 1).mean())
-    assert usr_idle > fin_idle
+    assert idle_share(series["Usr_0"][1]) > idle_share(series["Fin1"][1])

@@ -5,38 +5,11 @@ compressing schemes.  EDC's ratio beats Lzf because it mixes Gzip in
 during idle periods.
 """
 
-from repro.bench.report import render_series
 
-SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
-
-
-def test_fig8_compression_ratio(benchmark, ssd_matrix):
-    norm = benchmark.pedantic(
-        ssd_matrix.normalized, args=("compression_ratio",), rounds=1, iterations=1
-    )
-    traces = list(norm)
-    print()
-    print(
-        render_series(
-            "trace",
-            traces,
-            {s: [norm[t][s] for t in traces] for s in SCHEMES},
-            title="Fig 8: compression ratio normalised to Native",
-        )
-    )
-    from repro.bench.ascii import grouped_bar_chart
-
-    print()
-    print(
-        grouped_bar_chart(
-            {t: {s: norm[t][s] for s in SCHEMES} for t in traces},
-            width=32,
-        )
-    )
-    means = ssd_matrix.mean_over_traces("compression_ratio")
-    print(f"mean ratios: { {k: round(v, 2) for k, v in means.items()} }")
-
-    for t in traces:
+def test_fig8_compression_ratio(exhibit):
+    matrix = exhibit("fig8")
+    norm = matrix.normalized("compression_ratio")
+    for t in norm:
         # Strong codecs beat the fast codec on every trace.
         assert norm[t]["Gzip"] > norm[t]["Lzf"]
         assert norm[t]["Bzip2"] > norm[t]["Lzf"]
@@ -49,4 +22,5 @@ def test_fig8_compression_ratio(benchmark, ssd_matrix):
 
     # EDC's average ratio lands in the paper's neighbourhood (~1.2-1.6,
     # between Lzf-only and Gzip-only).
+    means = matrix.mean_over_traces("compression_ratio")
     assert 1.1 <= means["EDC"] <= 1.7

@@ -5,25 +5,12 @@ composite (their latency cost outweighs the ratio gain), while the
 adaptive schemes (Lzf-style always-fast and EDC) stay at or above it.
 """
 
-from repro.bench.report import render_series
-
-SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
+from repro.bench.schemes import SCHEMES
 
 
-def test_fig9_composite(benchmark, ssd_matrix):
-    norm = benchmark.pedantic(
-        ssd_matrix.normalized, args=("composite",), rounds=1, iterations=1
-    )
+def test_fig9_composite(exhibit):
+    norm = exhibit("fig9").normalized("composite")
     traces = list(norm)
-    print()
-    print(
-        render_series(
-            "trace",
-            traces,
-            {s: [norm[t][s] for t in traces] for s in SCHEMES},
-            title="Fig 9: compression-ratio / response-time, normalised to Native",
-        )
-    )
     for t in traces:
         # Heavy fixed compression never beats Native on the composite
         # (the paper's central argument against it) ...

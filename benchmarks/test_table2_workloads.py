@@ -4,41 +4,15 @@ Paper: read/write ratio, raw IOPS and average request size of Fin1,
 Fin2, Usr_0 and Prxy_0.
 """
 
-from repro.bench.figures import table1_setup, table2_workloads
-from repro.bench.report import render_table
 
-
-def test_table1_setup_echo(benchmark):
-    rows = benchmark.pedantic(table1_setup, rounds=1, iterations=1)
-    print()
-    print(render_table(["item", "value"], rows, title="Table I: experimental setup"))
+def test_table1_setup_echo(exhibit):
+    rows = exhibit("table1")
     assert any("X25-E" in v for _, v in rows)
     assert any("Lzf" in v for _, v in rows)
 
 
-def test_table2_workload_characteristics(benchmark):
-    rows = benchmark.pedantic(
-        table2_workloads, kwargs=dict(n_requests=15000), rounds=1, iterations=1
-    )
-    print()
-    print(
-        render_table(
-            ["trace", "requests", "write_ratio", "raw_iops", "avg_req_kb", "seq_fraction"],
-            [
-                [
-                    r["trace"],
-                    r["requests"],
-                    r["write_ratio"],
-                    r["raw_iops"],
-                    r["avg_req_kb"],
-                    r["seq_fraction"],
-                ]
-                for r in rows
-            ],
-            title="Table II: workload characteristics (synthetic stand-ins)",
-        )
-    )
-    by = {r["trace"]: r for r in rows}
+def test_table2_workload_characteristics(exhibit):
+    by = {r["trace"]: r for r in exhibit("table2")}
     # Published shapes of the four traces:
     assert by["Fin1"]["write_ratio"] > 0.65          # write-heavy OLTP
     assert by["Fin2"]["write_ratio"] < 0.35          # read-heavy OLTP

@@ -17,11 +17,13 @@ Usage::
     python -m repro.bench --cluster --trace --trace-dump trace.json --alerts
 
 Exhibit names: fig1 fig2 fig3 table1 table2 fig8 fig9 fig10 fig11 fig12
-breakdown.  ``fig8``-``fig10`` share one single-SSD replay matrix;
-``fig11`` runs the RAIS5 matrix.  ``breakdown`` (also enabled by
-``--telemetry`` and/or ``--metrics``) replays Fin1 under EDC with the
-requested instrumentation attached — both flags share one device and
-one replay.  ``--telemetry`` prints the per-layer latency breakdown,
+breakdown.  Each paper exhibit is a row of
+:data:`repro.bench.figures.EXHIBITS`, which says what it computes and
+prints; ``fig8``-``fig10`` share one single-SSD replay matrix, and at
+the default ``--duration`` an exhibit prints its EXPERIMENTS.md block.
+``breakdown`` (also enabled by ``--telemetry`` and/or ``--metrics``)
+replays Fin1 under EDC with the requested instrumentation attached —
+both flags share one device and one replay.  ``--telemetry`` prints the per-layer latency breakdown,
 histogram quantiles and an ASCII flamegraph (``--trace-dump PATH``
 additionally writes the span trace as JSON lines); ``--metrics``
 samples the time-series vocabulary every 0.25 simulated seconds and
@@ -48,22 +50,11 @@ import sys
 import time
 from typing import Callable, Dict, Optional, Sequence, TextIO, Tuple
 
-from repro.bench.figures import (
-    fig1_request_size_latency,
-    fig2_codec_efficiency,
-    fig3_burstiness,
-    fig8_to_11_matrix,
-    fig12_threshold_sensitivity,
-    table1_setup,
-    table2_workloads,
-)
-from repro.bench.ascii import grouped_bar_chart, line_sketch
-from repro.bench.report import render_series, render_table, render_telemetry
+from repro.bench.figures import DURATION, EXHIBITS
+from repro.bench.report import render_telemetry
 from repro.bench.verdicts import USAGE_ERROR
 
-ALL = ("fig1", "fig2", "fig3", "table1", "table2", "fig8", "fig9", "fig10",
-       "fig11", "fig12", "breakdown")
-SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
+ALL = (*EXHIBITS, "breakdown")
 
 #: every option naming a file this command writes
 DUMP_FLAGS = ("trace_dump", "series_dump", "prom_dump", "audit_dump",
@@ -350,21 +341,6 @@ def _run_chaos(args, plan, fps: Dict[str, TextIO]) -> int:
     ]).exit_code
 
 
-def _print_matrix(matrix, metric: str, title: str) -> None:
-    norm = matrix.normalized(metric)
-    traces = list(norm)
-    print(render_series(
-        "trace", traces,
-        {s: [norm[t][s] for t in traces] for s in SCHEMES},
-        title=title,
-    ))
-    print()
-    print(grouped_bar_chart(
-        {t: {s: norm[t][s] for s in SCHEMES} for t in traces}, width=32,
-    ))
-    print()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="python -m repro.bench", description=__doc__,
@@ -372,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("exhibits", nargs="*", default=[],
                         help=f"which exhibits to run (default: all of {ALL})")
-    parser.add_argument("--duration", type=float, default=100.0,
+    parser.add_argument("--duration", type=float, default=DURATION,
                         help="virtual seconds per replayed trace (default 100)")
     parser.add_argument("--telemetry", action="store_true",
                         help="also run the 'breakdown' exhibit: per-layer "
@@ -540,75 +516,19 @@ def _run(args, plan, fps: Dict[str, TextIO], wanted) -> int:
         return _run_chaos(args, plan, fps)
 
     t0 = time.time()
-    ssd_matrix = None
-    if {"fig8", "fig9", "fig10"} & set(wanted):
-        print(f"running the single-SSD scheme x trace matrix "
-              f"(duration {args.duration:.0f}s per trace)...")
-        ssd_matrix = fig8_to_11_matrix(backend="ssd", duration=args.duration)
-
+    data = {}  # per compute function: exhibits sharing one share its data
     for name in wanted:
-        if name == "fig1":
-            d = fig1_request_size_latency()
-            print(render_series("size_kb", d["size_kb"],
-                                {"read_ms": d["read_ms"], "write_ms": d["write_ms"]},
-                                title="Fig 1: response time vs request size"))
-        elif name == "fig2":
-            rows = fig2_codec_efficiency()
-            print(render_table(
-                ["dataset", "codec", "C_Ratio", "C_Speed", "D_Speed"],
-                [[r.dataset, r.codec, r.ratio, r.compress_mb_s, r.decompress_mb_s]
-                 for r in rows],
-                title="Fig 2: codec efficiency"))
-        elif name == "fig3":
-            for wname, (times, rates) in fig3_burstiness().items():
-                idle = (rates < 0.05 * max(rates.max(), 1.0)).mean()
-                print(f"Fig 3 [{wname}]: mean {rates.mean():.0f}, "
-                      f"peak {rates.max():.0f} calc-IOPS, "
-                      f"idle bins {idle:.0%}")
-        elif name == "table1":
-            print(render_table(["item", "value"], table1_setup(),
-                               title="Table I: experimental setup"))
-        elif name == "table2":
-            rows = table2_workloads()
-            print(render_table(
-                ["trace", "requests", "write_ratio", "raw_iops", "avg_req_kb"],
-                [[r["trace"], r["requests"], r["write_ratio"], r["raw_iops"],
-                  r["avg_req_kb"]] for r in rows],
-                title="Table II: workload characteristics"))
-        elif name == "fig8":
-            _print_matrix(ssd_matrix, "compression_ratio",
-                          "Fig 8: compression ratio vs Native")
-        elif name == "fig9":
-            _print_matrix(ssd_matrix, "composite",
-                          "Fig 9: ratio/response-time vs Native")
-        elif name == "fig10":
-            _print_matrix(ssd_matrix, "mean_response",
-                          "Fig 10: response time vs Native (single SSD)")
-        elif name == "fig11":
-            print(f"running the RAIS5 matrix (duration {args.duration:.0f}s)...")
-            m = fig8_to_11_matrix(backend="rais5", duration=args.duration)
-            _print_matrix(m, "mean_response",
-                          "Fig 11: response time vs Native (RAIS5)")
-        elif name == "breakdown":
+        if name == "breakdown":
             print(f"running the instrumented replay "
                   f"(duration {args.duration:.0f}s)...")
             rc = _run_breakdown(args, fps)
             if rc:
                 return rc
-        elif name == "fig12":
-            pts = fig12_threshold_sensitivity(duration=args.duration)
-            print(render_table(
-                ["threshold", "gzip share", "ratio", "resp ms"],
-                [[p.threshold_iops, p.gzip_share, p.compression_ratio,
-                  p.mean_response * 1e3] for p in pts],
-                title="Fig 12: sensitivity to the Gzip threshold (Fin2)"))
-            print()
-            print(line_sketch(
-                [p.gzip_share for p in pts],
-                [p.mean_response * 1e3 for p in pts],
-                title="Fig 12 sketch: response time vs gzip share",
-                x_label="gzip share", y_label="resp ms",
-            ))
+        else:
+            compute, render = EXHIBITS[name]
+            if compute not in data:
+                data[compute] = compute(args.duration)
+            print(render(data[compute]))
         print()
     print(f"done in {time.time() - t0:.0f}s")
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["bar_chart", "grouped_bar_chart", "line_sketch"]
+__all__ = ["grouped_bar_chart", "line_sketch"]
 
 _FULL = "█"
 _PART = " ▏▎▍▌▋▊▉"
@@ -27,26 +27,6 @@ def _bar(value: float, vmax: float, width: int) -> str:
     if part:
         out += _PART[part]
     return out
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    title: str = "",
-    width: int = 40,
-    fmt: str = "{:.2f}",
-) -> str:
-    """One horizontal bar per labelled value."""
-    if not values:
-        return title
-    vmax = max(values.values())
-    label_w = max(len(k) for k in values)
-    lines = [title] if title else []
-    for k, v in values.items():
-        lines.append(
-            f"{k.ljust(label_w)}  {_bar(v, vmax, width).ljust(width)}  "
-            + fmt.format(v)
-        )
-    return "\n".join(lines)
 
 
 def grouped_bar_chart(

@@ -1,27 +1,35 @@
-"""One driver per paper table/figure.
+"""One definition per paper exhibit.
 
-Each function regenerates the data behind one exhibit of the paper's
-evaluation and returns it as plain data structures; the ``benchmarks/``
-suite calls these and prints the rows/series.  See DESIGN.md §4 for the
-experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-comparisons.
+Each ``fig*`` / ``table*`` function regenerates the data behind one
+exhibit of the paper's evaluation as plain data structures.
+:data:`EXHIBITS` binds every exhibit name to ``(compute(duration),
+render(data) -> str)``: the parameters it runs at and the text it
+prints.  Its three readers are ``python -m repro.bench NAME`` (prints
+the render), the ``benchmarks/`` suite (asserts the paper's shape on
+the same data) and the ``<!-- exhibit: NAME -->`` blocks of
+EXPERIMENTS.md (``benchmarks/test_ledger.py`` holds each to the
+render).  Exhibits sharing a compute function share its data: Figs 8,
+9 and 10 are three views of one single-SSD matrix.  See DESIGN.md §4
+for the experiment index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.ascii import grouped_bar_chart, line_sketch
 from repro.bench.experiments import ExperimentResult, ReplayConfig, replay, replay_all_schemes
+from repro.bench.report import render_series, render_table
+from repro.bench.schemes import SCHEMES
 from repro.compression.codec import default_registry
 from repro.core.policy import DEFAULT_BANDS, IntensityBand
 from repro.flash.geometry import X25E_TIMING, x25e_like
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import FIREFOX_MIX, LINUX_SOURCE_MIX, build_corpus
 from repro.sim.engine import Simulator
-from repro.traces.model import Trace
 from repro.traces.workloads import make_workload
 
 __all__ = [
@@ -33,10 +41,16 @@ __all__ = [
     "fig8_to_11_matrix",
     "fig12_threshold_sensitivity",
     "DEFAULT_TRACES",
+    "DURATION",
+    "EXHIBITS",
+    "idle_share",
 ]
 
 DEFAULT_TRACES = ("Fin1", "Fin2", "Usr_0", "Prxy_0")
-ALL_SCHEMES = ("Native", "Lzf", "Gzip", "Bzip2", "EDC")
+
+#: virtual seconds per replayed trace: the command line's default and
+#: the exhibit suite's horizon, so both print the same blocks
+DURATION = 100.0
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +148,11 @@ def fig3_burstiness(
     return out
 
 
+def idle_share(rates: np.ndarray) -> float:
+    """Share of bins below 5 % of the peak: Fig 3's notion of idle."""
+    return float((rates < 0.05 * max(rates.max(), 1.0)).mean())
+
+
 # ----------------------------------------------------------------------
 # Table I / Table II
 # ----------------------------------------------------------------------
@@ -209,7 +228,7 @@ def fig8_to_11_matrix(
     traces: Sequence[str] = DEFAULT_TRACES,
     duration: float = 150.0,
     seed: int = 42,
-    schemes: Sequence[str] = ALL_SCHEMES,
+    schemes: Sequence[str] = SCHEMES,
     cfg: Optional[ReplayConfig] = None,
 ) -> MatrixResult:
     """The scheme x trace replay matrix behind Figs 8, 9, 10 (ssd) and 11 (rais5).
@@ -287,3 +306,106 @@ def fig12_threshold_sensitivity(
             )
         )
     return points
+
+
+# ----------------------------------------------------------------------
+# The exhibit table
+# ----------------------------------------------------------------------
+def _render_fig1(d) -> str:
+    return render_series(
+        "size_kb", d["size_kb"],
+        {"read_ms": d["read_ms"], "write_ms": d["write_ms"]},
+        title="Fig 1: response time vs request size")
+
+
+def _render_fig2(rows: List[CodecEfficiency]) -> str:
+    return render_table(
+        ["dataset", "codec", "C_Ratio", "C_Speed", "D_Speed"],
+        [[r.dataset, r.codec, r.ratio, r.compress_mb_s, r.decompress_mb_s]
+         for r in rows],
+        title="Fig 2: codec efficiency")
+
+
+def _render_fig3(series) -> str:
+    return "\n".join(
+        f"Fig 3 [{name}]: mean {rates.mean():.0f}, "
+        f"peak {rates.max():.0f} calc-IOPS, idle bins {idle_share(rates):.0%}"
+        for name, (_, rates) in series.items())
+
+
+def _render_table1(rows) -> str:
+    return render_table(["item", "value"], rows,
+                        title="Table I: experimental setup")
+
+
+def _render_table2(rows) -> str:
+    return render_table(
+        ["trace", "requests", "write_ratio", "raw_iops", "avg_req_kb"],
+        [[r["trace"], r["requests"], r["write_ratio"], r["raw_iops"],
+          r["avg_req_kb"]] for r in rows],
+        title="Table II: workload characteristics")
+
+
+def _matrix_view(metric: str, title: str) -> Callable[[MatrixResult], str]:
+    """One column of the replay matrix, normalised to Native: table + bars."""
+    def render(matrix: MatrixResult) -> str:
+        norm = matrix.normalized(metric)
+        traces = list(norm)
+        table = render_series(
+            "trace", traces,
+            {s: [norm[t][s] for t in traces] for s in SCHEMES},
+            title=title)
+        bars = grouped_bar_chart(
+            {t: {s: norm[t][s] for s in SCHEMES} for t in traces},
+            width=32)
+        return f"{table}\n\n{bars}\n"  # a blank line more after the bars
+    return render
+
+
+def _render_fig12(sweeps: Dict[str, List[SensitivityPoint]]) -> str:
+    return "\n\n".join(
+        render_table(
+            ["threshold", "gzip share", "ratio", "resp ms"],
+            [[p.threshold_iops, p.gzip_share, p.compression_ratio,
+              p.mean_response * 1e3] for p in pts],
+            title=f"Fig 12: sensitivity to the Gzip threshold ({trace})")
+        + "\n\n"
+        + line_sketch(
+            [p.gzip_share for p in pts], [p.mean_response * 1e3 for p in pts],
+            title="Fig 12 sketch: response time vs gzip share",
+            x_label="gzip share", y_label="resp ms")
+        for trace, pts in sweeps.items())
+
+
+def _ssd_matrix(duration: float) -> MatrixResult:
+    return fig8_to_11_matrix(backend="ssd", duration=duration)
+
+
+def _rais5_matrix(duration: float) -> MatrixResult:
+    return fig8_to_11_matrix(backend="rais5", duration=duration)
+
+
+def _fig12_sweeps(duration: float) -> Dict[str, List[SensitivityPoint]]:
+    """The paper's Fin2 sweep, then write-heavy Fin1, where the knee shows."""
+    return {name: fig12_threshold_sensitivity(name, duration=duration)
+            for name in ("Fin2", "Fin1")}
+
+
+#: exhibit name -> (compute(duration), render(data) -> str), in the
+#: paper's order; callers cache data per compute function
+EXHIBITS: Dict[str, Tuple[Callable[[float], object], Callable[..., str]]] = {
+    "fig1": (lambda duration: fig1_request_size_latency(), _render_fig1),
+    "fig2": (lambda duration: fig2_codec_efficiency(), _render_fig2),
+    "fig3": (lambda duration: fig3_burstiness(), _render_fig3),
+    "table1": (lambda duration: table1_setup(), _render_table1),
+    "table2": (lambda duration: table2_workloads(), _render_table2),
+    "fig8": (_ssd_matrix, _matrix_view(
+        "compression_ratio", "Fig 8: compression ratio vs Native")),
+    "fig9": (_ssd_matrix, _matrix_view(
+        "composite", "Fig 9: ratio/response-time vs Native")),
+    "fig10": (_ssd_matrix, _matrix_view(
+        "mean_response", "Fig 10: response time vs Native (single SSD)")),
+    "fig11": (_rais5_matrix, _matrix_view(
+        "mean_response", "Fig 11: response time vs Native (RAIS5)")),
+    "fig12": (_fig12_sweeps, _render_fig12),
+}

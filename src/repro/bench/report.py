@@ -9,31 +9,14 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.tables import render_table
+
 __all__ = [
     "render_table",
     "render_series",
-    "render_normalized",
     "render_telemetry",
     "render_audit",
 ]
-
-
-def render_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    title: str = "",
-) -> str:
-    """Fixed-width table with a header rule."""
-    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def render_series(
@@ -49,22 +32,6 @@ def render_series(
     for i, x in enumerate(xs):
         rows.append([x] + [fmt.format(series[name][i]) for name in series])
     return render_table(headers, rows, title)
-
-
-def render_normalized(
-    metric_by_scheme: Mapping[str, float],
-    baseline: str = "Native",
-    label: str = "value",
-) -> str:
-    """One metric across schemes, normalised to a baseline scheme."""
-    if baseline not in metric_by_scheme:
-        raise KeyError(f"baseline {baseline!r} missing from results")
-    base = metric_by_scheme[baseline]
-    rows = []
-    for scheme, v in metric_by_scheme.items():
-        norm = v / base if base else float("nan")
-        rows.append([scheme, f"{v:.6g}", f"{norm:.3f}"])
-    return render_table(["scheme", label, f"vs {baseline}"], rows)
 
 
 def render_telemetry(telemetry, flame: bool = True) -> str:
@@ -166,8 +133,3 @@ def render_audit(auditor) -> str:
         )
     return "\n".join(lines)
 
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)

@@ -13,7 +13,7 @@ EXPERIMENTS.md and terminals unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.telemetry.timeseries import TimeSeriesSampler
 
@@ -90,17 +90,16 @@ def _fmt(v: float) -> str:
 def render_dashboard(
     sampler: TimeSeriesSampler,
     width: int = 60,
-    panels: Optional[Sequence[str]] = None,
     alerts=None,
     health=None,
 ) -> str:
     """The multi-panel dashboard, ready to print.
 
-    ``panels`` optionally restricts/orders the family prefixes shown
-    (default: every family present, in name order).  ``alerts``
-    optionally takes a :class:`~repro.telemetry.alerts.BurnRateEngine`;
-    its per-tenant alert timeline renders as a final panel aligned with
-    the sparklines' time range.  ``health`` optionally takes a bound
+    Every family present renders as one panel, in name order.
+    ``alerts`` optionally takes a
+    :class:`~repro.telemetry.alerts.BurnRateEngine`; its per-tenant
+    alert timeline renders as a final panel aligned with the
+    sparklines' time range.  ``health`` optionally takes a bound
     :class:`~repro.telemetry.devhealth.DeviceHealth`; its space
     waterfall and LBA temperature heatmap render as final panels.
     """
@@ -120,16 +119,12 @@ def render_dashboard(
     groups: Dict[str, List[str]] = {}
     for name in sorted(nonempty):
         groups.setdefault(name.split(".", 1)[0], []).append(name)
-    order = list(panels) if panels is not None else sorted(groups)
 
     label_w = max((len(n) for n in nonempty), default=10) + 2
     bm = sampler.markers.get("band_switch")
     band_markers = [t for t, _ in bm.events()] if bm is not None else []
 
-    for family in order:
-        names = groups.get(family)
-        if not names:
-            continue
+    for family, names in sorted(groups.items()):
         lines.append("")
         lines.append(f"── {family} " + "─" * max(0, width + label_w - len(family) - 4))
         for name in names:
@@ -158,7 +153,7 @@ def render_dashboard(
         suffix = f" (+{more} more)" if more > 0 else ""
         lines.append("")
         lines.append(f"markers[{channel}]: {len(m)} — {shown}{suffix}")
-    if alerts is not None and getattr(alerts, "states", None):
+    if alerts is not None and alerts.states:
         from repro.telemetry.alerts import render_alert_timeline
 
         lines.append("")

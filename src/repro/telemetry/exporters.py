@@ -8,8 +8,9 @@ pytest output, EXPERIMENTS.md and shell pipelines unchanged.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
+from repro.tables import render_table
 from repro.telemetry.probes import READ_LAYERS, WRITE_LAYERS, Telemetry
 from repro.telemetry.spans import Span, Tracer
 
@@ -21,22 +22,6 @@ __all__ = [
     "render_telemetry_summary",
     "ascii_flamegraph",
 ]
-
-
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]],
-           title: str = "") -> str:
-    """Minimal fixed-width table (kept local: telemetry is zero-dep)."""
-    def fmt(v: object) -> str:
-        return f"{v:.3f}" if isinstance(v, float) else str(v)
-
-    cells = [[str(h) for h in headers]] + [[fmt(c) for c in r] for r in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = [title] if title else []
-    lines.append("  ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +186,7 @@ def render_layer_breakdown(telemetry: Telemetry) -> str:
     for path, label in (("write", "write path"), ("read", "read path")):
         n = int(telemetry.write_requests if path == "write"
                 else telemetry.read_requests)
-        parts.append(_table(
+        parts.append(render_table(
             ["layer", "total_s", "share", "mean_us/req"],
             rows[path],
             title=f"Per-layer latency breakdown — {label} ({n} requests)",
@@ -289,7 +274,7 @@ def render_telemetry_summary(
             q["p95"] * 1e6, q["p99"] * 1e6, q["p99_9"] * 1e6,
         ])
     if hist_rows:
-        parts.append(_table(
+        parts.append(render_table(
             ["histogram", "n", "mean_us", "p50_us", "p95_us", "p99_us",
              "p999_us"],
             hist_rows, title="Latency histograms (log2 buckets)",
@@ -299,8 +284,8 @@ def render_telemetry_summary(
          **{k: g.value for k, g in m.gauges.items()}}.items()
     )]
     if scalar_rows:
-        parts.append(_table(["metric", "value"], scalar_rows,
-                            title="Counters and gauges"))
+        parts.append(render_table(["metric", "value"], scalar_rows,
+                                  title="Counters and gauges"))
     if flame:
         parts.append(ascii_flamegraph(telemetry.tracer))
     return "\n\n".join(parts)

@@ -461,7 +461,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # Recovery vocabulary — only present when a DurableMetadataManager
     # is bound (crash-consistency runs), so baseline scrapes and their
     # exposition output are unchanged.
-    recovery = getattr(device, "recovery", None)
+    recovery = device.recovery
     if recovery is not None:
         sampler.register(
             "recovery.journal_pending_records",
@@ -617,9 +617,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
         )
 
 
-def bind_cluster_metrics(
-    sampler: TimeSeriesSampler, fleet, tracing=None
-) -> None:
+def bind_cluster_metrics(sampler: TimeSeriesSampler, fleet) -> None:
     """Register the ``cluster.*`` fleet vocabulary for one cluster run.
 
     ``fleet`` is a :class:`~repro.cluster.fleet.ClusterFleet`.  Binds
@@ -628,16 +626,15 @@ def bind_cluster_metrics(
     families (``shard`` label), per-tenant backlog/p95/SLO-violation
     families (``tenant`` label), and scalar fleet series — admission
     backlog, physical imbalance, active migrations and cumulative
-    migration bytes.  On a traced fleet (``tracing`` defaults to the
-    fleet's own :class:`~repro.telemetry.disttrace.DistTracer`, if any)
-    the ``trace.*`` accounting family rides along.  Call
+    migration bytes.  On a traced fleet (one built with a
+    :class:`~repro.telemetry.disttrace.DistTracer`) the ``trace.*``
+    accounting family rides along.  Call
     :meth:`TimeSeriesSampler.start` afterwards.
     """
     sampler.sim = fleet.sim
     cluster = fleet.cluster
     devices = dict(fleet.devices)
-    if tracing is None:
-        tracing = getattr(fleet, "tracing", None)
+    tracing = fleet.tracing
     if tracing is not None:
         tracer = tracing.tracer
         sampler.register(
@@ -746,7 +743,7 @@ def bind_cluster_metrics(
         sampler.register(
             "cluster.rebuild_bytes", lambda: float(rstats.rebuild_bytes)
         )
-    health = getattr(fleet, "health", None)
+    health = fleet.health
     if health is not None:
         sampler.register(
             "cluster.shards_alive", lambda: float(health.alive_count())

@@ -2,31 +2,30 @@
 
 import pytest
 
-from repro.bench.ascii import bar_chart, grouped_bar_chart, line_sketch
+from repro.bench.ascii import grouped_bar_chart, line_sketch
 
 
 class TestBarChart:
+    """The bar itself, drawn through a one-group chart."""
+
     def test_proportional_bars(self):
-        out = bar_chart({"a": 1.0, "b": 2.0}, width=10)
-        a_line, b_line = out.splitlines()
+        out = grouped_bar_chart({"g": {"a": 1.0, "b": 2.0}}, width=10)
+        _, a_line, b_line = out.splitlines()
         assert b_line.count("█") == 10
         assert a_line.count("█") == 5
 
     def test_title_and_values(self):
-        out = bar_chart({"x": 3.14159}, title="T", fmt="{:.1f}")
+        out = grouped_bar_chart({"g": {"x": 3.14159}}, title="T", fmt="{:.1f}")
         assert out.splitlines()[0] == "T"
         assert "3.1" in out
 
-    def test_empty(self):
-        assert bar_chart({}, title="T") == "T"
-
     def test_zero_values(self):
-        out = bar_chart({"a": 0.0, "b": 0.0})
+        out = grouped_bar_chart({"g": {"a": 0.0, "b": 0.0}})
         assert "█" not in out
 
     def test_labels_aligned(self):
-        out = bar_chart({"short": 1.0, "muchlonger": 1.0})
-        lines = out.splitlines()
+        out = grouped_bar_chart({"g": {"short": 1.0, "muchlonger": 1.0}})
+        lines = out.splitlines()[1:]
         assert lines[0].index("█") == lines[1].index("█")
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.bench.experiments import ExperimentResult, ReplayConfig, replay, replay_all_schemes
-from repro.bench.report import render_normalized, render_series, render_table
+from repro.bench.report import render_series, render_table
 from repro.bench.schemes import SCHEMES, build_device, build_policy, scheme_config
 from repro.core.config import EDCConfig
 from repro.core.policy import ElasticPolicy, FixedPolicy, NativePolicy
@@ -123,10 +123,3 @@ class TestReport:
         assert "s1" in out and "s2" in out
         assert "0.200" in out
 
-    def test_render_normalized(self):
-        out = render_normalized({"Native": 2.0, "EDC": 1.0}, baseline="Native")
-        assert "0.500" in out
-
-    def test_render_normalized_missing_baseline(self):
-        with pytest.raises(KeyError):
-            render_normalized({"EDC": 1.0}, baseline="Native")

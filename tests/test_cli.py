@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.__main__ import main
+from repro.bench.figures import DURATION, EXHIBITS
 
 
 class TestCli:
@@ -20,6 +21,17 @@ class TestCli:
         assert "Fig 3" in out
         assert "peak" in out
 
+    def test_prints_each_exhibits_render(self, capsys):
+        names = ["fig1", "table1", "fig3"]
+        assert main(names) == 0
+        out = capsys.readouterr().out
+        renders = "".join(
+            EXHIBITS[name][1](EXHIBITS[name][0](DURATION)) + "\n\n"
+            for name in names
+        )
+        assert out.startswith(renders)
+        assert out[len(renders):].startswith("done in ")
+
     def test_unknown_exhibit_errors(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
@@ -30,7 +42,8 @@ class TestCli:
     def test_fig12_short(self, capsys):
         assert main(["fig12", "--duration", "8"]) == 0
         out = capsys.readouterr().out
-        assert "Fig 12" in out
+        assert "Fig 12: sensitivity to the Gzip threshold (Fin2)" in out
+        assert "Fig 12: sensitivity to the Gzip threshold (Fin1)" in out
         assert "gzip share" in out
 
     def test_metrics_flag_renders_dashboard(self, capsys, tmp_path):
