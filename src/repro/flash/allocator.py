@@ -11,7 +11,12 @@ kept in its uncompressed form".
 This module does the space accounting: class selection, slot alloc/free
 with per-class free lists, physical byte usage and internal
 fragmentation — the numbers behind the paper's space-efficiency results
-(Fig 8).
+(Fig 8).  :meth:`SizeClassAllocator.allocate` and
+:meth:`SizeClassAllocator.free` are the only writers of the running
+terms the space waterfall reads (live payload, slot and logical bytes,
+slots and slack per class), so reading them is O(size classes); the
+walk over the live slots is kept as their verifier
+(:meth:`repro.flash.introspect.SpaceWaterfall.verify`).
 """
 
 from __future__ import annotations
@@ -81,14 +86,23 @@ class SizeClassAllocator:
         )
         self.stats = AllocatorStats()
         self._free: Dict[int, int] = {c.nbytes: 0 for c in self.classes}
-        self._live: Dict[Hashable, Tuple[SlotClass, int]] = {}
+        #: key -> (class, stored payload bytes, logical bytes represented)
+        self._live: Dict[Hashable, Tuple[SlotClass, int, int]] = {}
         self._physical_bytes = 0
-        #: live slot count per class *fraction*, maintained O(1) per
-        #: alloc/free so the time-series sampler can read occupancy
-        #: every tick without walking ``_live``
+        # Running terms over ``_live``, written only by allocate / free,
+        # so the sampler and the space waterfall read them every tick
+        # without walking it.
+        #: live slot count per class *fraction*
         self._live_by_fraction: Dict[float, int] = {
             c.fraction: 0 for c in self.classes
         }
+        #: slot bytes lost to size-class rounding, per class fraction
+        self._slack_by_fraction: Dict[float, int] = {
+            c.fraction: 0 for c in self.classes
+        }
+        self._live_payload = 0
+        self._live_slot_bytes = 0
+        self._live_logical = 0
 
     # ------------------------------------------------------------------
     @property
@@ -146,19 +160,24 @@ class SizeClassAllocator:
         """
         if key in self._live:
             self.free(key)
-        cls = self.class_for(payload_size, original_size)
+        logical = self.block_size if original_size is None else original_size
+        cls = self.class_for(payload_size, logical)
         stored = min(payload_size, cls.nbytes) if cls.fraction == 1.0 else payload_size
+        slack = cls.nbytes - stored
         if self._free.get(cls.nbytes, 0) > 0:
             self._free[cls.nbytes] -= 1
             self.stats.recycled += 1
         else:
             self._physical_bytes += cls.nbytes
-        self._live[key] = (cls, stored)
-        self._live_by_fraction[cls.fraction] = (
-            self._live_by_fraction.get(cls.fraction, 0) + 1
-        )
+        self._live[key] = (cls, stored, logical)
+        frac = cls.fraction
+        self._live_by_fraction[frac] = self._live_by_fraction.get(frac, 0) + 1
+        self._slack_by_fraction[frac] = self._slack_by_fraction.get(frac, 0) + slack
+        self._live_payload += stored
+        self._live_slot_bytes += cls.nbytes
+        self._live_logical += logical
         self.stats.allocations += 1
-        self.stats.internal_fragmentation += cls.nbytes - stored
+        self.stats.internal_fragmentation += slack
         return cls
 
     def free(self, key: Hashable) -> bool:
@@ -166,16 +185,22 @@ class SizeClassAllocator:
         entry = self._live.pop(key, None)
         if entry is None:
             return False
-        cls, stored = entry
+        cls, stored, logical = entry
+        slack = cls.nbytes - stored
         self._free[cls.nbytes] = self._free.get(cls.nbytes, 0) + 1
         self._live_by_fraction[cls.fraction] -= 1
+        self._slack_by_fraction[cls.fraction] -= slack
+        self._live_payload -= stored
+        self._live_slot_bytes -= cls.nbytes
+        self._live_logical -= logical
         self.stats.frees += 1
-        self.stats.internal_fragmentation -= cls.nbytes - stored
+        self.stats.internal_fragmentation -= slack
         return True
 
     def lookup(self, key: Hashable) -> Optional[Tuple[SlotClass, int]]:
         """Live ``(class, stored_payload_size)`` for ``key``, if any."""
-        return self._live.get(key)
+        entry = self._live.get(key)
+        return None if entry is None else entry[:2]
 
     # ------------------------------------------------------------------
     def note_retired(self, nbytes: int) -> None:
@@ -209,12 +234,18 @@ class SizeClassAllocator:
     @property
     def live_physical_bytes(self) -> int:
         """Physical bytes held by live slots only."""
-        return sum(cls.nbytes for cls, _ in self._live.values())
+        return self._live_slot_bytes
 
     @property
     def live_payload_bytes(self) -> int:
         """Payload bytes inside live slots (excludes internal fragmentation)."""
-        return sum(stored for _, stored in self._live.values())
+        return self._live_payload
+
+    @property
+    def live_logical_bytes(self) -> int:
+        """Uncompressed bytes the live slots represent (the ``original_size``
+        each was allocated with)."""
+        return self._live_logical
 
     def state_digest(self) -> str:
         """Key-independent digest of the live slot population.
@@ -226,7 +257,7 @@ class SizeClassAllocator:
         """
         h = hashlib.sha256()
         pairs = sorted(
-            (cls.nbytes, stored) for cls, stored in self._live.values()
+            (cls.nbytes, stored) for cls, stored, _ in self._live.values()
         )
         h.update(repr(pairs).encode())
         h.update(repr(self.live_physical_bytes).encode())
@@ -235,6 +266,10 @@ class SizeClassAllocator:
     def class_histogram(self) -> Dict[float, int]:
         """Live slot count per class fraction (O(1): maintained counters)."""
         return dict(self._live_by_fraction)
+
+    def slack_by_class(self) -> Dict[float, int]:
+        """Rounding slack per class fraction (O(1): maintained counters)."""
+        return dict(self._slack_by_fraction)
 
     @property
     def free_slot_count(self) -> int:
@@ -249,11 +284,11 @@ class SizeClassAllocator:
     def live_items(self):
         """Iterate live slots as ``(key, SlotClass, stored_payload)``.
 
-        The walk the space-efficiency waterfall uses to recompute the
+        The walk the space waterfall's verifier uses to recompute the
         payload/slack split from first principles and cross-check the
-        maintained counters.  Read-only; do not mutate while iterating.
+        maintained terms.  Read-only; do not mutate while iterating.
         """
-        for key, (cls, stored) in self._live.items():
+        for key, (cls, stored, _logical) in self._live.items():
             yield key, cls, stored
 
     def occupancy(self) -> Dict[float, float]:

@@ -33,18 +33,35 @@ class GcStats:
     #: kept out of ``erase_counts`` so wear levelling and lifetime
     #: projections only consider blocks still doing work
     retired_counts: dict[int, int] = field(default_factory=dict)
+    #: erase count -> blocks in ``erase_counts`` at that count, kept by
+    #: the two writers below so a SMART page reads wear in O(distinct
+    #: counts) instead of walking every block
+    erase_histogram: dict[int, int] = field(default_factory=dict)
 
     def note_erase(self, block_id: int) -> None:
         self.erases += 1
-        self.erase_counts[block_id] = self.erase_counts.get(block_id, 0) + 1
+        n = self.erase_counts.get(block_id, 0)
+        self.erase_counts[block_id] = n + 1
+        if n:
+            self._unbucket(n)
+        self.erase_histogram[n + 1] = self.erase_histogram.get(n + 1, 0) + 1
 
     def note_retirement(self, block_id: int) -> None:
         """Move a bad block's wear history out of the active statistics."""
-        self.retired_counts[block_id] = self.erase_counts.pop(block_id, 0)
+        n = self.retired_counts[block_id] = self.erase_counts.pop(block_id, 0)
+        if n:
+            self._unbucket(n)
+
+    def _unbucket(self, n: int) -> None:
+        left = self.erase_histogram[n] - 1
+        if left:
+            self.erase_histogram[n] = left
+        else:
+            del self.erase_histogram[n]
 
     @property
     def max_erase_count(self) -> int:
-        return max(self.erase_counts.values(), default=0)
+        return max(self.erase_histogram, default=0)
 
     @property
     def retired_blocks(self) -> int:

@@ -30,9 +30,7 @@ never mutates the device, so introspection cannot perturb a replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro.flash.endurance import PE_LIMITS
 
@@ -111,24 +109,27 @@ class WaterfallStage:
 class SpaceWaterfall:
     """Logical bytes → physical bytes, every overhead attributed.
 
-    The ``*_bytes`` fields up to :attr:`live_slot_bytes` are recomputed
-    by walking the allocator's live slots at build time; the
-    ``counter_*`` fields are the allocator's own maintained counters.
-    :meth:`verify` requires the two views to agree exactly — that is
-    the conservation invariant the health exhibit gates on.
+    Every field is read off a running term the allocator or the FTLs
+    maintain, so building a waterfall costs O(size classes), not a walk.
+    The ``counter_*`` fields repeat the allocator's totals under the
+    names its own counters carry.  :meth:`verify` is where the walk
+    lives: it recomputes the slot terms from the live slots of the
+    device the waterfall was read from, requires each maintained term
+    to match, then checks the conservation identities — the invariant
+    the health exhibit gates on.
     """
 
-    #: uncompressed bytes represented by live mapping entries
+    #: uncompressed bytes the live slots represent
     logical_bytes: int
-    #: compressed payload bytes inside live slots (walked)
+    #: compressed payload bytes inside live slots
     payload_bytes: int
-    #: slot bytes wasted to size-class rounding (walked)
+    #: slot bytes wasted to size-class rounding
     slack_bytes: int
-    #: slack per size-class fraction (walked; keys are 0.25 .. 1.0)
+    #: slack per size-class fraction (keys are 0.25 .. 1.0)
     slack_by_class: Dict[float, int]
-    #: live slot count per size-class fraction (walked)
+    #: live slot count per size-class fraction
     slots_by_class: Dict[float, int]
-    #: physical bytes held by live slots (walked: payload + slack)
+    #: physical bytes held by live slots
     live_slot_bytes: int
     #: recyclable free-slot bytes (allocator free lists)
     free_slot_bytes: int
@@ -155,6 +156,11 @@ class SpaceWaterfall:
     ftl_residual_bytes: int
     #: whether the FTL reconciliation is exact (single-SSD backends)
     ftl_exact: bool = True
+    #: the device the terms were read from, which :meth:`verify` walks
+    #: (``None``: a hand-built waterfall, checked on its identities only)
+    device: object = field(default=None, repr=False, compare=False)
+    #: the allocator's allocations + frees when the terms were read
+    allocator_ops: int = field(default=0, repr=False, compare=False)
 
     def stages(self) -> List[WaterfallStage]:
         """The waterfall as presentation-ordered stages.
@@ -192,12 +198,18 @@ class SpaceWaterfall:
         return self.logical_bytes / self.effective_physical_bytes
 
     def verify(self, eps: float = CONSERVATION_EPS) -> None:
-        """Check every conservation identity; raise on any mismatch.
+        """Walk the live slots, check every identity; raise on any mismatch.
 
-        The identities (all in integer bytes):
+        The walk (skipped for a hand-built waterfall) recomputes, from
+        the allocator's live slots and the mapping entry each one holds,
+        the logical bytes, payload, slack and the per-class slack and
+        slot counts, and requires each to equal its maintained term.
+        The logical one is the identity "bytes the allocator holds ==
+        bytes of the mapping entries it holds".  Then the identities
+        (all in integer bytes):
 
-        1. walked payload + walked slack == walked live-slot bytes
-        2. walked values == the allocator's maintained counters
+        1. payload + slack == live-slot bytes
+        2. the fields == the allocator counters they repeat
         3. live-slot + free-slot bytes == physical bytes
         4. physical + retired == effective physical bytes
         5. per-class slack sums to total slack
@@ -211,23 +223,25 @@ class SpaceWaterfall:
                     f"(diff {a - b!r})"
                 )
 
+        if self.device is not None:
+            self._walk(check)
         check(
             "payload + slack vs live slots",
             self.payload_bytes + self.slack_bytes,
             self.live_slot_bytes,
         )
         check(
-            "walked payload vs allocator counter",
+            "payload vs live_payload_bytes counter",
             self.payload_bytes,
             self.counter_payload_bytes,
         )
         check(
-            "walked slack vs internal_fragmentation counter",
+            "slack vs internal_fragmentation counter",
             self.slack_bytes,
             self.counter_slack_bytes,
         )
         check(
-            "walked live slots vs live_physical_bytes counter",
+            "live slots vs live_physical_bytes counter",
             self.live_slot_bytes,
             self.counter_live_slot_bytes,
         )
@@ -259,17 +273,57 @@ class SpaceWaterfall:
                 self.live_slot_bytes + self.meta_live_bytes,
             )
 
+    def _walk(self, check) -> None:
+        """Recompute the slot terms from the device's live slots and
+        ``check`` each against the maintained term it should equal."""
+        allocator = self.device.allocator
+        mapping = self.device.mapping
+        ops = allocator.stats.allocations + allocator.stats.frees
+        if ops != self.allocator_ops:
+            raise SpaceAccountingError(
+                "space waterfall: stale: the allocator changed since it "
+                f"was read ({self.allocator_ops} -> {ops} allocations + "
+                "frees); build a new one"
+            )
+        logical = payload = slack = 0
+        slack_by_class: Dict[float, int] = {}
+        slots_by_class: Dict[float, int] = {}
+        for key, cls, stored in allocator.live_items():
+            entry = mapping.get(key)
+            if entry is not None:
+                logical += entry.original_size
+            waste = cls.nbytes - stored
+            payload += stored
+            slack += waste
+            frac = cls.fraction
+            slack_by_class[frac] = slack_by_class.get(frac, 0) + waste
+            slots_by_class[frac] = slots_by_class.get(frac, 0) + 1
+        check(
+            "logical bytes of the mapping entries held vs allocator "
+            "live_logical_bytes",
+            logical,
+            self.logical_bytes,
+        )
+        check("walked payload vs live_payload_bytes", payload,
+              self.payload_bytes)
+        check("walked slack vs internal_fragmentation", slack,
+              self.slack_bytes)
+        for name, walked, kept in (
+            ("slack_by_class", slack_by_class, self.slack_by_class),
+            ("slots_by_class", slots_by_class, self.slots_by_class),
+        ):
+            for frac in sorted(walked.keys() | kept.keys()):
+                check(f"walked {name}[{frac}] vs maintained",
+                      walked.get(frac, 0), kept.get(frac, 0))
+
 
 def _meta_live_bytes(device, ftls: List[object]) -> int:
     """Live journal/checkpoint extent bytes of a bound recovery manager."""
     recovery = device.recovery
     if recovery is None:
         return 0
-    keys = list(getattr(recovery, "_journal_seg_keys", ())) + list(
-        getattr(recovery, "_ckpt_keys", ())
-    )
     total = 0
-    for key in keys:
+    for key in recovery.meta_extent_keys:
         for ftl in ftls:
             size = ftl.extent_size(key)
             if size is not None:
@@ -280,62 +334,41 @@ def _meta_live_bytes(device, ftls: List[object]) -> int:
 def space_waterfall(device) -> SpaceWaterfall:
     """Build the space waterfall for one ``EDCBlockDevice``.
 
-    Walks the allocator's live slot population (payload, slack and the
-    per-class breakdown), resolves each live key's uncompressed size
-    through the mapping table, and reconciles the result against both
-    the allocator's maintained counters and the FTL's live-byte total.
-    Read-only: the device is not mutated.
+    Reads the allocator's maintained terms and the FTLs' live-byte
+    totals, O(size classes + array members): no walk over the live
+    slots (:meth:`SpaceWaterfall.verify` does that).  Read-only: the
+    device is not mutated.
     """
     allocator = device.allocator
-    mapping = device.mapping
-    logical = 0
-    payload = 0
-    slack = 0
-    slack_by_class: Dict[float, int] = {
-        c.fraction: 0 for c in allocator.classes
-    }
-    slots_by_class: Dict[float, int] = {
-        c.fraction: 0 for c in allocator.classes
-    }
-    for key, cls, stored in allocator.live_items():
-        payload += stored
-        waste = cls.nbytes - stored
-        slack += waste
-        slack_by_class[cls.fraction] = (
-            slack_by_class.get(cls.fraction, 0) + waste
-        )
-        slots_by_class[cls.fraction] = (
-            slots_by_class.get(cls.fraction, 0) + 1
-        )
-        entry = mapping.get(key)
-        if entry is not None:
-            logical += entry.original_size
     backend = device.distributer.backend
     ftls = ftls_of(backend)
     ftl_live = sum(f.live_bytes for f in ftls)
     meta_live = _meta_live_bytes(device, ftls)
-    # Arrays store parity / striped copies the allocator never sees, so
-    # the FTL identity is only exact on a single-SSD backend.
-    exact = len(ftls) == 1 and not (getattr(backend, "devices", None))
-    live_slot = payload + slack
+    payload = allocator.live_payload_bytes
+    slack = allocator.stats.internal_fragmentation
+    live_slot = allocator.live_physical_bytes
     return SpaceWaterfall(
-        logical_bytes=logical,
+        logical_bytes=allocator.live_logical_bytes,
         payload_bytes=payload,
         slack_bytes=slack,
-        slack_by_class=slack_by_class,
-        slots_by_class=slots_by_class,
+        slack_by_class=allocator.slack_by_class(),
+        slots_by_class=allocator.class_histogram(),
         live_slot_bytes=live_slot,
         free_slot_bytes=allocator.free_slot_bytes,
         physical_bytes=allocator.physical_bytes,
         retired_bytes=allocator.stats.retired_bytes,
         effective_physical_bytes=allocator.effective_physical_bytes,
-        counter_payload_bytes=allocator.live_payload_bytes,
-        counter_slack_bytes=allocator.stats.internal_fragmentation,
-        counter_live_slot_bytes=allocator.live_physical_bytes,
+        counter_payload_bytes=payload,
+        counter_slack_bytes=slack,
+        counter_live_slot_bytes=live_slot,
         ftl_live_bytes=ftl_live,
         meta_live_bytes=meta_live,
         ftl_residual_bytes=ftl_live - live_slot - meta_live,
-        ftl_exact=exact,
+        # Arrays store parity / striped copies the allocator never sees,
+        # so the FTL identity is only exact on a single-SSD backend.
+        ftl_exact=len(ftls) == 1 == len(members_of(backend)),
+        device=device,
+        allocator_ops=allocator.stats.allocations + allocator.stats.frees,
     )
 
 
@@ -408,6 +441,32 @@ class SmartSnapshot:
         }
 
 
+def _percentile(histogram: Dict[int, int], n: int, q: float) -> float:
+    """``np.percentile(values, q)`` of the ``n`` values that ``histogram``
+    (value -> multiplicity, ascending) describes, without listing them.
+
+    The same float arithmetic as numpy's default linear method: the rank
+    ``(n - 1) * q / 100`` falls between two order statistics, and unequal
+    neighbours are blended with numpy's two-sided lerp, so the answer is
+    bit-identical to numpy's over the expanded list.
+    """
+    rank = (n - 1) * (q / 100)
+    lo = int(rank)
+    hi = min(lo + 1, n - 1)
+    t = rank - lo
+    a = b = 0.0
+    seen = 0
+    for value, count in histogram.items():
+        if seen <= lo:
+            a = float(value)
+        seen += count
+        if seen > hi:
+            b = float(value)
+            break
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def smart_snapshot(
     device, observed_seconds: float, cell_type: str = "SLC"
 ) -> SmartSnapshot:
@@ -428,7 +487,6 @@ def smart_snapshot(
     if not ftls:
         raise ValueError("backend has no FTL to introspect")
 
-    counts: List[int] = []
     histogram: Dict[int, int] = {}
     total_erases = 0
     host_bytes = relocated = gc_moved = reclaimed = collections = 0
@@ -440,14 +498,11 @@ def smart_snapshot(
         geo = ftl.geometry
         stats = ftl.collector.stats
         in_service = geo.nblocks - ftl.retired_blocks
-        erased = dict(stats.erase_counts)
-        for n in erased.values():
-            histogram[n] = histogram.get(n, 0) + 1
-        never = in_service - len(erased)
+        for n, blocks in stats.erase_histogram.items():
+            histogram[n] = histogram.get(n, 0) + blocks
+        never = in_service - len(stats.erase_counts)
         if never > 0:
             histogram[0] = histogram.get(0, 0) + never
-        counts.extend(erased.values())
-        counts.extend([0] * max(0, never))
         total_erases += stats.erases
         host_bytes += ftl.stats.host_bytes
         relocated += ftl.stats.relocated_bytes
@@ -462,11 +517,15 @@ def smart_snapshot(
         logical_capacity += ftl.effective_logical_bytes
         raw_capacity += geo.nblocks * geo.block_bytes
 
-    values = np.array(counts, dtype=np.float64)
-    wear_max = int(values.max()) if values.size else 0
-    wear_p50 = float(np.percentile(values, 50)) if values.size else 0.0
-    wear_p95 = float(np.percentile(values, 95)) if values.size else 0.0
-    mean = float(values.mean()) if values.size else 0.0
+    histogram = dict(sorted(histogram.items()))
+    nblocks = sum(histogram.values())
+    wear_max = max(histogram, default=0)
+    wear_p50 = _percentile(histogram, nblocks, 50) if nblocks else 0.0
+    wear_p95 = _percentile(histogram, nblocks, 95) if nblocks else 0.0
+    mean = (
+        sum(n * blocks for n, blocks in histogram.items()) / nblocks
+        if nblocks else 0.0
+    )
 
     recovery = device.recovery
     meta_bytes = (

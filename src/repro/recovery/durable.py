@@ -170,6 +170,12 @@ class DurableMetadataManager:
         return self._seqno_of_eid.get(eid)
 
     @property
+    def meta_extent_keys(self) -> Tuple[Hashable, ...]:
+        """Backend keys of the live in-band metadata extents: journal
+        segments not yet checkpointed, then the retained checkpoints."""
+        return (*self._journal_seg_keys, *self._ckpt_keys)
+
+    @property
     def checkpoint_staleness_s(self) -> float:
         if self.device is None:
             return 0.0

@@ -19,14 +19,17 @@ __all__ = ["LatencyRecorder", "TimeSeries"]
 class LatencyRecorder:
     """Accumulates scalar samples (seconds) and reports summary statistics.
 
-    Every sample is mirrored into a constant-memory
-    :class:`~repro.telemetry.histograms.Log2Histogram`; once ``count``
-    exceeds ``approx_threshold`` the percentile queries answer from the
-    histogram in O(buckets) instead of sorting the sample list
-    (O(n log n) on the replay hot path).  Below the threshold — and for
-    mean/min/max/total at any size — the answers stay exact.  The
-    histogram's relative quantile error is bounded by ``1/sub_buckets``
-    (1/32 ≈ 3 % at this recorder's resolution).
+    The samples are folded, in order, into a constant-memory
+    :class:`~repro.telemetry.histograms.Log2Histogram` when a query
+    needs it (approximate percentiles, min, max, merge) rather than on
+    every :meth:`add`: the histogram is a pure function of the ordered
+    samples, so every answer is the one an eagerly fed histogram gives.
+    Once ``count`` exceeds ``approx_threshold`` the percentile queries
+    answer from the histogram in O(buckets) instead of sorting the
+    sample list.  Below the threshold — and for mean/total at any size —
+    the answers stay exact.  The histogram's relative quantile error is
+    bounded by ``1/sub_buckets`` (1/32 ≈ 3 % at this recorder's
+    resolution).
 
     Pass ``approx_threshold=None`` to force exact percentiles forever.
     """
@@ -52,6 +55,8 @@ class LatencyRecorder:
         from repro.telemetry.histograms import Log2Histogram
 
         self._hist = Log2Histogram(sub_buckets=32)
+        #: how many leading samples ``_hist`` already holds
+        self._folded = 0
 
     def add(self, value: float) -> None:
         if value != value:  # NaN: would silently poison mean/percentiles
@@ -60,11 +65,18 @@ class LatencyRecorder:
             raise ValueError(f"negative latency sample: {value!r}")
         self._samples.append(value)
         self._sum += value
-        self._hist.add(value)
 
     def extend(self, values: Iterable[float]) -> None:
         for v in values:
             self.add(v)
+
+    def _histogram(self):
+        """The histogram of every sample so far (folds the pending ones)."""
+        hist = self._hist
+        for value in self._samples[self._folded:]:
+            hist.add(value)
+        self._folded = len(self._samples)
+        return hist
 
     @property
     def count(self) -> int:
@@ -101,14 +113,14 @@ class LatencyRecorder:
                 "(no samples recorded)"
             )
         if self.uses_approx:
-            return self._hist.percentile(p)
+            return self._histogram().percentile(p)
         return float(np.percentile(self._samples, p))
 
     def max(self) -> float:
-        return self._hist.max() if self._samples else 0.0
+        return self._histogram().max() if self._samples else 0.0
 
     def min(self) -> float:
-        return self._hist.min() if self._samples else 0.0
+        return self._histogram().min() if self._samples else 0.0
 
     def total(self) -> float:
         return self._sum
@@ -117,14 +129,12 @@ class LatencyRecorder:
         """A copy of the raw samples as a numpy array."""
         return np.asarray(self._samples, dtype=np.float64)
 
-    def histogram(self):
-        """The mirrored :class:`Log2Histogram` (always up to date)."""
-        return self._hist
-
     def merge(self, other: "LatencyRecorder") -> None:
+        hist = self._histogram()
+        hist.merge(other._histogram())
         self._samples.extend(other._samples)
         self._sum += other._sum
-        self._hist.merge(other._hist)
+        self._folded = len(self._samples)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

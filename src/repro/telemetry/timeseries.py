@@ -530,9 +530,10 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
 
     # Device-health vocabulary — only present when a DeviceHealth is
     # bound (``--health`` runs), so baseline scrapes and their
-    # exposition output are unchanged.  SMART snapshots and the space
-    # waterfall walk device state, so one snapshot per tick is computed
-    # lazily and shared across the family's collectors.
+    # exposition output are unchanged.  A SMART snapshot and a space
+    # waterfall each gather every FTL's and the allocator's counters,
+    # so one of each per tick is computed lazily and shared across the
+    # family's collectors.
     health = observers.get("health")
     if health is not None:
         _hcache: Dict[str, object] = {"t": None, "smart": None, "wf": None}

@@ -141,6 +141,46 @@ class TestPropertyBased:
         # Physical bytes never exceed what allocations claimed in total.
         assert al.physical_bytes >= al.live_physical_bytes
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["alloc", "alloc", "free"]),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=9000),
+                st.sampled_from([None, 4096, 8192, 12288, 16384]),
+            ),
+            max_size=120,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_maintained_terms_equal_the_walk(self, ops):
+        """Over allocate, re-allocate of a live key, free, merged-run
+        original sizes and recycled slots, every running term equals
+        what a walk of the live slots recomputes."""
+        al = SizeClassAllocator()
+        logical = {}
+        for op, key, payload, original in ops:
+            if op == "free":
+                al.free(key)
+                logical.pop(key, None)
+            else:
+                al.allocate(key, payload, original)
+                logical[key] = 4096 if original is None else original
+            slots = list(al.live_items())
+            slack, count = {}, {}
+            for _key, cls, stored in slots:
+                slack[cls.fraction] = slack.get(cls.fraction, 0) + cls.nbytes - stored
+                count[cls.fraction] = count.get(cls.fraction, 0) + 1
+            assert al.live_payload_bytes == sum(s for _k, _c, s in slots)
+            assert al.live_physical_bytes == sum(c.nbytes for _k, c, _s in slots)
+            assert al.stats.internal_fragmentation == sum(slack.values())
+            assert al.live_logical_bytes == sum(logical.values())
+            assert {f: n for f, n in al.slack_by_class().items() if n} == {
+                f: n for f, n in slack.items() if n}
+            assert {f: n for f, n in al.class_histogram().items() if n} == count
+            assert al.physical_bytes == al.live_physical_bytes + al.free_slot_bytes
+        assert al.stats.recycled <= al.stats.allocations
+
     @given(st.integers(min_value=0, max_value=8192), st.integers(min_value=512, max_value=65536))
     @settings(max_examples=100, deadline=None)
     def test_class_always_fits_or_is_full(self, payload, original):

@@ -126,20 +126,21 @@ class ExtentLifecycle(RuleBasedStateMachine):
     @invariant()
     def tables_hold_the_same_ids(self):
         """True between any two rules, drained or not: an install or a
-        release moves all four tables inside one call."""
+        release moves all four tables inside one call, and the space
+        waterfall's walk reproduces every term the allocator maintains."""
         dev, ftl = self.dev, self.ssd.ftl
         ids = set(dev.mapping.entry_ids())
         assert {key for key, _cls, _stored in dev.allocator.live_items()} == ids
         assert set(dev._entry_meta) == ids
         assert {k for b in ftl.live_blocks() for k in ftl.live_keys(b)} == ids
         dev.mapping.check_invariants()
+        space_waterfall(dev).verify()
 
     def check_drained(self):
         dev = self.dev
         assert dev.outstanding == 0
         assert dev.unrecovered_writes == dev.unrecovered_reads == 0
         self.ssd.ftl.check_invariants()
-        space_waterfall(dev).verify()
         mapped = {
             blk for blk in range(NBLOCKS)
             if dev.mapping.lookup(blk * BS) is not None

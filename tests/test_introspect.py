@@ -1,9 +1,13 @@
 """Tests for the device introspection layer (SMART, waterfall, heat, GC audit)."""
 
+import dataclasses
 import io
 import json
 import pathlib
+import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.bench.experiments import ReplayConfig, replay
@@ -25,7 +29,8 @@ from repro.telemetry.devhealth import (
     render_smart,
     render_waterfall,
 )
-from repro.traces.workloads import make_workload
+from repro.traces.synthetic import SyntheticTraceGenerator
+from repro.traces.workloads import WORKLOADS, make_workload
 
 PAPER_TRACES = ["Fin1", "Fin2", "Usr_0", "Prxy_0"]
 LATENT_PLAN = (
@@ -117,6 +122,78 @@ class TestWaterfallConservation:
             render_waterfall(bad)
 
 
+class TestMaintainedTerms:
+    """The waterfall reads the allocator's maintained terms; the walk in
+    ``verify`` is their oracle on a real replayed device."""
+
+    @pytest.mark.parametrize("attr, key, term", [
+        ("_slack_by_fraction", 0.25, "slack_by_class[0.25]"),
+        ("_live_by_fraction", 0.5, "slots_by_class[0.5]"),
+        ("_live_payload", None, "live_payload_bytes"),
+        ("_live_logical", None, "live_logical_bytes"),
+        ("_live_slot_bytes", None, "live slots"),
+    ])
+    def test_verify_names_the_drifted_term(self, attr, key, term):
+        health, dev, _ = _replay_with_health("Fin1", max_requests=200)
+        health.waterfall().verify()
+        allocator = dev.allocator
+        if key is None:
+            setattr(allocator, attr, getattr(allocator, attr) + 1)
+        else:
+            getattr(allocator, attr)[key] += 1
+        with pytest.raises(SpaceAccountingError, match=re.escape(term)):
+            health.waterfall().verify()
+
+    def test_verify_walks_slack_counter(self):
+        health, dev, _ = _replay_with_health("Fin1", max_requests=200)
+        dev.allocator.stats.internal_fragmentation -= 3
+        with pytest.raises(SpaceAccountingError,
+                           match="walked slack vs internal_fragmentation"):
+            health.waterfall().verify()
+
+    def test_logical_bytes_match_the_mapping(self):
+        health, dev, _ = _replay_with_health("Usr_0", max_requests=300)
+        wf = health.waterfall()
+        wf.verify()
+        assert wf.logical_bytes == sum(
+            dev.mapping.get(key).original_size
+            for key, _cls, _stored in dev.allocator.live_items()
+        )
+
+    def test_stale_waterfall_refuses_to_verify(self):
+        health, dev, _ = _replay_with_health("Fin1", max_requests=200)
+        wf = health.waterfall()
+        dev.allocator.allocate("extra", 100)
+        with pytest.raises(SpaceAccountingError, match="stale"):
+            wf.verify()
+        # A fresh read is current, and shows a slot no mapping entry holds.
+        with pytest.raises(SpaceAccountingError,
+                           match="logical bytes of the mapping entries held"):
+            health.waterfall().verify()
+
+    def test_metadata_extents_reconcile_on_one_ssd(self):
+        from repro.recovery import DurableMetadataManager, RecoveryParams
+
+        manager = DurableMetadataManager(RecoveryParams(checkpoint_interval_s=0.5))
+        captured = {}
+        replay(make_workload("Fin1", duration=2.0), "EDC",
+               ReplayConfig(backend="ssd"), recovery=manager,
+               on_built=lambda sim, dev, backend, devices: captured.update(dev=dev))
+        assert manager.meta_extent_keys
+        wf = space_waterfall(captured["dev"])
+        wf.verify()
+        assert wf.ftl_exact and wf.meta_live_bytes > 0
+        assert wf.ftl_residual_bytes == 0
+
+    def test_hand_built_waterfall_checks_identities_only(self):
+        health, _, _ = _replay_with_health("Fin1", max_requests=200)
+        detached = dataclasses.replace(health.waterfall(), device=None)
+        detached.verify()
+        bad = dataclasses.replace(detached, payload_bytes=0)
+        with pytest.raises(SpaceAccountingError, match="payload"):
+            bad.verify()
+
+
 # ----------------------------------------------------------------------
 # SMART snapshot
 # ----------------------------------------------------------------------
@@ -177,6 +254,34 @@ class TestSmartSnapshot:
             ftl.stats.host_bytes + ftl.stats.relocated_bytes
             for ftl in ftls_of(dev.backend)
         )
+
+    def test_maintained_histogram_under_gc_and_retirement(self):
+        """A GC-heavy Native slice whose program faults retire blocks: the
+        erase histogram GcStats keeps equals a recount, and the wear
+        fields equal numpy over the raw per-block list."""
+        params = dataclasses.replace(WORKLOADS["Prxy_0"], address_space=64 << 20)
+        trace = SyntheticTraceGenerator(params, seed=1).generate(max_requests=4000)
+        captured = {}
+        replay(trace, "Native", ReplayConfig(capacity_mb=16, fold_fraction=0.6),
+               fault_plan=FaultPlan(seed=3, program_fault_prob=0.003),
+               on_built=lambda sim, dev, backend, devices: captured.update(dev=dev))
+        dev = captured["dev"]
+        ftl = ftls_of(dev.backend)[0]
+        stats = ftl.collector.stats
+        assert ftl.retired_blocks > 0 and stats.erases > 0
+        assert len(set(stats.erase_counts.values())) > 1
+        assert stats.erase_histogram == Counter(stats.erase_counts.values())
+        assert stats.max_erase_count == max(stats.erase_counts.values())
+
+        snap = smart_snapshot(dev, observed_seconds=1.0)
+        never = ftl.geometry.nblocks - ftl.retired_blocks - len(stats.erase_counts)
+        raw = np.array(list(stats.erase_counts.values()) + [0] * never,
+                       dtype=np.float64)
+        assert snap.erase_histogram == Counter(raw.astype(int).tolist())
+        assert snap.wear_p50 == float(np.percentile(raw, 50))
+        assert snap.wear_p95 == float(np.percentile(raw, 95))
+        assert snap.mean_block_erases == float(raw.mean())
+        assert snap.wear_max == int(raw.max())
 
     def test_validation(self):
         health, dev, _ = _replay_with_health("Fin1", max_requests=100)

@@ -145,6 +145,36 @@ class TestApproxPercentiles:
         assert a.uses_approx
         assert a.max() == pytest.approx(0.2, rel=0.05)
 
+    def test_lazy_fold_equals_eager_histogram(self):
+        """Folding at query time (percentile, min, max, merge) leaves the
+        histogram an eagerly fed one would hold, bucket for bucket."""
+        from repro.telemetry.histograms import Log2Histogram
+
+        rng = np.random.default_rng(7)
+        a = LatencyRecorder(approx_threshold=16)
+        b = LatencyRecorder(approx_threshold=16)
+        eager = Log2Histogram(sub_buckets=32)
+        b_eager = Log2Histogram(sub_buckets=32)
+        for step, v in enumerate(rng.lognormal(-7.0, 1.5, size=600)):
+            rec, hist = (a, eager) if step % 3 else (b, b_eager)
+            rec.add(float(v))
+            hist.add(float(v))
+            if step % 37 == 0 and a.count:
+                a.percentile(95)
+            if step % 53 == 0 and b.count:
+                b.max()
+            if step == 400:
+                a.merge(b)  # both recorders partly folded here
+                eager.merge(b_eager)
+        for rec, hist in ((a, eager), (b, b_eager)):
+            assert rec.min() == hist.min() and rec.max() == hist.max()
+            folded = rec._histogram()
+            assert folded._counts == hist._counts
+            assert folded._zero == hist._zero
+            assert (folded.count, folded.sum) == (hist.count, hist.sum)
+            for q in (50, 95, 99):
+                assert rec.percentile(q) == hist.percentile(q)
+
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             LatencyRecorder(approx_threshold=0)
