@@ -4,7 +4,7 @@ import pytest
 
 from repro.compression.codec import default_registry
 from repro.sdgen.datasets import DATASETS, ENTERPRISE_MIX, FIREFOX_MIX, LINUX_SOURCE_MIX, build_corpus
-from repro.sdgen.generator import ContentMix, ContentStore
+from repro.sdgen.generator import ContentMix, ContentStore, _build_pool
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,75 @@ class TestPool:
         v0 = store.run_ids(0, 2, versions=[0, 0])
         v1 = store.run_ids(0, 2, versions=[1, 0])
         assert v0[1] == v1[1]
+
+    @pytest.mark.parametrize("versions", [[0], [0, 0, 0]], ids=["short", "long"])
+    def test_run_ids_rejects_versions_of_the_wrong_length(self, store, versions):
+        with pytest.raises(ValueError, match="versions for a run of 2 blocks"):
+            store.run_ids(0, 2, versions=versions)
+
+
+def _key(mix, block_size=4096, pool_blocks=16, seed=1):
+    return tuple(mix.weights.items()), block_size, pool_blocks, seed
+
+
+class TestPoolSharing:
+    """One immutable pool per key per process; memo and counters per store."""
+
+    def test_equal_keys_share_one_pool(self):
+        a = ContentStore(ENTERPRISE_MIX, pool_blocks=16, seed=1)
+        b = ContentStore(ENTERPRISE_MIX, pool_blocks=16, seed=1)
+        assert a._pool is b._pool
+        assert a._pool_kind is b._pool_kind
+        assert isinstance(a._pool, tuple) and isinstance(a._pool_kind, tuple)
+
+    @pytest.mark.parametrize("key", [
+        _key(ENTERPRISE_MIX, seed=2),
+        _key(ENTERPRISE_MIX, pool_blocks=17),
+        _key(ENTERPRISE_MIX, block_size=2048),
+        _key(ContentMix("reordered", dict(reversed(ENTERPRISE_MIX.weights.items())))),
+    ], ids=["seed", "pool_blocks", "block_size", "weight-order"])
+    def test_each_key_equals_an_uncached_build(self, key):
+        weights_items, block_size, pool_blocks, seed = key
+        store = ContentStore(
+            ContentMix("m", dict(weights_items)),
+            block_size=block_size, pool_blocks=pool_blocks, seed=seed,
+        )
+        assert (store._pool, store._pool_kind) == _build_pool.__wrapped__(*key)
+
+    def test_weight_order_is_part_of_the_key(self):
+        # Normalising sums the weights in insertion order, so reordered
+        # weights may round to different probabilities: never merge them.
+        forward = ContentMix("f", {"text": 0.1, "code": 0.2, "random": 0.3})
+        backward = ContentMix("b", {"random": 0.3, "code": 0.2, "text": 0.1})
+        assert forward.normalized() != backward.normalized()
+        a = ContentStore(forward, pool_blocks=4, seed=1)
+        b = ContentStore(backward, pool_blocks=4, seed=1)
+        assert a._pool is not b._pool
+
+    def test_memo_and_counters_stay_per_store(self):
+        lzf = default_registry().get("lzf")
+        mix = ContentMix("m", {"text": 1.0})
+        a = ContentStore(mix, pool_blocks=8, seed=1)
+        b = ContentStore(mix, pool_blocks=8, seed=1)
+        ids = a.run_ids(0, 2)
+        a.compressed_payload(ids, lzf)
+        # Corrupt a's payload memo in place, as the failure-injection
+        # tests do to reach the device's verify-reads path.
+        for key in list(a._payload_cache):
+            blob = bytearray(a._payload_cache[key])
+            blob[0] ^= 0x01
+            a._payload_cache[key] = bytes(blob)
+        assert (b.cache_hits, b.cache_misses, b.cache_entries) == (0, 0, 0)
+        assert lzf.decompress(b.compressed_payload(ids, lzf), 8192) == b.data_for_run(ids)
+        assert b.compressed_payload(ids, lzf) != a.compressed_payload(ids, lzf)
+        assert (a.cache_hits, a.cache_misses) == (1, 1)
+        assert (b.cache_hits, b.cache_misses) == (1, 1)
+
+    def test_cache_is_bounded(self):
+        maxsize = _build_pool.cache_info().maxsize
+        for seed in range(maxsize + 3):
+            ContentStore(ENTERPRISE_MIX, pool_blocks=2, seed=1000 + seed)
+        assert _build_pool.cache_info().currsize <= maxsize
 
 
 class TestCompressionMemoisation:
