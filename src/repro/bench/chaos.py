@@ -31,7 +31,8 @@ from repro.bench.experiments import ReplayConfig, replay
 from repro.bench.record import RunRecord
 from repro.faults.latent import LatentStats
 from repro.faults.plan import FaultPlan
-from repro.flash.introspect import ftls_of
+from repro.flash.introspect import ssds_served
+from repro.flash.raid import RAIS5, ArrayStats
 from repro.flash.scrub import ScrubConfig
 from repro.traces.workloads import make_workload
 
@@ -165,7 +166,6 @@ def run_chaos(
         ctx["sim"] = sim
         ctx["device"] = device
         ctx["backend"] = built_backend
-        ctx["devices"] = devices if devices is not None else [built_backend]
         device.events.subscribe(
             "write_done",
             lambda run: stamped.extend(
@@ -184,13 +184,11 @@ def run_chaos(
 
     device = ctx["device"]
     built_backend = ctx["backend"]
-    # Every FTL that served: the members' as built (one swapped out by a
-    # rebuild keeps the retirements it performed in service), then those
-    # of the spares that took their slots.
-    ftls = [ssd.ftl for ssd in ctx["devices"]]
-    ftls += [ftl for ftl in ftls_of(built_backend) if ftl not in ftls]
-    injectors = getattr(built_backend, "fault_injectors", [])
-    faults = plan.total_stats(injectors).as_dict()
+    # Every SSD that served: the members as built (one swapped out by a
+    # rebuild keeps the retirements it performed in service), then the
+    # spares that took their slots.
+    served = ssds_served(built_backend)
+    faults = plan.total_stats([ssd.injector for ssd in served]).as_dict()
 
     # Idle scrub window: the trace has drained, but the scrubber keeps
     # sweeping during idle.  Fault generation is quiesced first (the
@@ -200,7 +198,7 @@ def run_chaos(
     # round budget runs out (unrepairable extents stay corrupt forever
     # — bounded by the no-progress breaker).
     scrubber = device.observers.get("scrubber")
-    latent_models = getattr(built_backend, "latent_models", ())
+    latent_models = [ssd.latent for ssd in served if ssd.latent is not None]
     if scrubber is not None and latent_models:
         sim = ctx["sim"]
         for model in latent_models:
@@ -233,23 +231,27 @@ def run_chaos(
     if scrubber is not None:
         sections["scrub"] = scrubber.to_dict()
 
-    # RAIS5 accounting (zeros on a single-SSD backend, whose stats
-    # have none of these counters).
-    astats = built_backend.stats
+    # RAIS5 accounting (zeros and no windows on a single-SSD backend).
+    if isinstance(built_backend, RAIS5):
+        astats = built_backend.stats
+        still_degraded = built_backend.degraded
+        degraded_windows = built_backend.degraded_windows
+    else:
+        astats, still_degraded, degraded_windows = ArrayStats(), False, []
     array = {
-        name: getattr(astats, name, 0)
-        for name in ("member_failures", "rebuilds", "rebuilt_rows",
-                     "degraded_reads", "degraded_writes")
+        "member_failures": astats.member_failures,
+        "rebuilds": astats.rebuilds,
+        "rebuilt_rows": astats.rebuilt_rows,
+        "degraded_reads": astats.degraded_reads,
+        "degraded_writes": astats.degraded_writes,
+        "array_unrecovered": (
+            astats.unrecovered_reads + astats.unrecovered_writes
+        ),
     }
-    array["array_unrecovered"] = (
-        getattr(astats, "unrecovered_reads", 0)
-        + getattr(astats, "unrecovered_writes", 0)
-    )
-    still_degraded = getattr(built_backend, "degraded", False)
     end_of_run = ctx["sim"].now
     windows = [
         (start, end if end is not None else end_of_run)
-        for start, end in getattr(built_backend, "degraded_windows", ())
+        for start, end in degraded_windows
     ]
     sections["degraded_windows"] = windows
 
@@ -288,7 +290,7 @@ def run_chaos(
             "mean_response_s": result.mean_response,
             "p95_response_s": result.p95_response,
             "p99_response_s": result.p99_response,
-            "retired_blocks": sum(ftl.retired_blocks for ftl in ftls),
+            "retired_blocks": sum(ssd.ftl.retired_blocks for ssd in served),
             "retired_bytes": device.allocator.stats.retired_bytes,
             "edc_unrecovered_reads": device.unrecovered_reads,
             "edc_unrecovered_writes": device.unrecovered_writes,

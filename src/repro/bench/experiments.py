@@ -168,7 +168,7 @@ def build_stack(
         seed=cfg.content_seed,
     )
     if fault_plan is not None:
-        fault_plan.arm(sim, backend, devices)
+        fault_plan.arm(sim, backend)
     device = build_device(
         sim, scheme, backend, content,
         config=cfg.device_config, bands=bands, cost_model=cost_model,

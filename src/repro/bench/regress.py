@@ -38,11 +38,8 @@ __all__ = [
     "CANONICAL_TRACES",
     "DEFAULT_TOLERANCES",
     "GATED_METRICS",
-    "CORE_RECORD_KEYS",
-    "OPTIONAL_SECTION_TOLERANCE",
     "run_bench",
     "compare",
-    "optional_sections",
     "make_baseline",
     "load_baseline",
     "next_bench_path",
@@ -67,22 +64,6 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 
 GATED_METRICS = tuple(DEFAULT_TOLERANCES)
-
-#: Core BENCH record keys; any other top-level key is an *optional
-#: section* (e.g. ``replicated_cluster``, added by BENCH_3's chaos
-#: exhibit).  Optional sections gate only when the baseline pins them —
-#: a new record gated against an older baseline skips them with a note
-#: instead of failing, so adding an exhibit never breaks older gates.
-CORE_RECORD_KEYS = frozenset({
-    "schema_version", "bench", "scheme", "duration_s", "python",
-    "wall_clock_s", "traces", "baseline",
-})
-
-#: Relative tolerance for numeric fields of pinned optional sections.
-OPTIONAL_SECTION_TOLERANCE = 0.05
-
-#: Fields of optional sections never gated (wall-clock noise).
-_UNGATED_FIELDS = frozenset({"wall_clock_s"})
 
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -140,23 +121,11 @@ def run_bench(
 # ----------------------------------------------------------------------
 # baseline handling
 # ----------------------------------------------------------------------
-def optional_sections(record: Dict[str, object]) -> List[str]:
-    """Top-level keys of ``record`` outside the core BENCH schema."""
-    return sorted(
-        k for k, v in record.items()
-        if k not in CORE_RECORD_KEYS and isinstance(v, dict)
-    )
-
-
 def make_baseline(
     record: Dict[str, object],
     tolerances: Optional[Dict[str, float]] = None,
 ) -> Dict[str, object]:
-    """A baseline document pinned to ``record``'s gated metrics.
-
-    The record's optional sections are not pinned: :func:`compare`
-    leaves them ungated (skip-with-note) until a baseline carries them.
-    """
+    """A baseline document pinned to ``record``'s gated metrics."""
     return {
         "schema_version": SCHEMA_VERSION,
         "scheme": record["scheme"],
@@ -189,7 +158,6 @@ def load_baseline(path: str) -> Dict[str, object]:
 def compare(
     record: Dict[str, object],
     baseline: Dict[str, object],
-    notes: Optional[List[str]] = None,
 ) -> List[str]:
     """Violation messages (empty = pass) for ``record`` vs ``baseline``.
 
@@ -197,12 +165,6 @@ def compare(
     checked with the baseline's relative tolerance; a current trace
     missing from the baseline is itself a violation (silently ungated
     workloads are how regressions slip through).
-
-    Optional record sections (top-level keys outside the core schema,
-    e.g. ``replicated_cluster``) gate only when the baseline pins them;
-    a section absent from the baseline is *skipped* and recorded in
-    ``notes`` (when a list is passed) — newer records must stay gateable
-    against older baselines.
     """
     if record["duration_s"] != baseline["duration_s"]:
         raise RegressionError(
@@ -238,36 +200,6 @@ def compare(
                     f"{trace}.{metric}: {cur_v:.6g} vs baseline "
                     f"{base_v:.6g} (deviation {deviation:.2%} > "
                     f"tolerance {tol:.2%})"
-                )
-    for section in optional_sections(record):
-        base_sec = baseline.get(section)
-        if not isinstance(base_sec, dict):
-            if notes is not None:
-                notes.append(
-                    f"{section}: optional section not pinned in "
-                    "baseline; skipped"
-                )
-            continue
-        current_sec = record[section]
-        for key, base_v in base_sec.items():
-            if key in _UNGATED_FIELDS or not isinstance(
-                base_v, (int, float)
-            ) or isinstance(base_v, bool):
-                continue
-            if key not in current_sec:  # type: ignore[operator]
-                violations.append(f"{section}.{key}: missing from record")
-                continue
-            cur_v = float(current_sec[key])  # type: ignore[index]
-            base_f = float(base_v)
-            if base_f == 0.0:
-                deviation = abs(cur_v)
-            else:
-                deviation = abs(cur_v - base_f) / abs(base_f)
-            if deviation > OPTIONAL_SECTION_TOLERANCE:
-                violations.append(
-                    f"{section}.{key}: {cur_v:.6g} vs baseline "
-                    f"{base_f:.6g} (deviation {deviation:.2%} > "
-                    f"tolerance {OPTIONAL_SECTION_TOLERANCE:.2%})"
                 )
     return violations
 
@@ -359,10 +291,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     gated = not (args.update_baseline or args.no_gate)
     violations: List[str] = []
-    notes: List[str] = []
     if gated:
         try:
-            violations = compare(record, baseline, notes=notes)
+            violations = compare(record, baseline)
         except RegressionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -371,7 +302,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "gated": gated,
         "passed": not violations,
         "violations": violations,
-        "notes": notes,
+        # Kept empty so the BENCH_<n>.json layout stays frozen.
+        "notes": [],
     }
     path = write_record(record, args.out_dir)
     print(f"wrote {path} ({record['wall_clock_s']:.1f}s wall)")
@@ -382,8 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{vals['throughput_iops']:.1f} IOPS, "
               f"ratio {vals['compression_ratio']:.3f}, "
               f"WA {vals['write_amplification']:.3f}")
-    for note in notes:
-        print(f"  note: {note}")
     if violations:
         print(f"\nREGRESSION: {len(violations)} violation(s) vs "
               f"{args.baseline}:", file=sys.stderr)

@@ -117,10 +117,9 @@ class EDCBlockDevice:
         #: the device read) — background media scrub exists to keep this
         #: at zero
         self.corrupt_reads = 0
-        #: cached media-CRC oracle of the backend; ``None`` for backends
-        #: without a latent-error surface (queried once per mapped read,
-        #: so the lookup is hoisted out of the hot path)
-        self._latent_query = getattr(backend, "latent_corrupt", None)
+        #: cached media-CRC oracle of the backend (queried once per
+        #: mapped read, so the lookup is hoisted out of the hot path)
+        self._latent_query = backend.latent_corrupt
 
         #: optional per-request completion hook ``(request, latency) ->
         #: None`` called once when a submitted request fully completes
@@ -349,12 +348,10 @@ class EDCBlockDevice:
         """
         codec_name = policy.select_codec(iops, hint)
         gate = policy.uses_gate and self.config.compressibility_gate
-        if gate and hint is not None:
-            exempt = getattr(policy, "gate_exempt", None)
-            if exempt is not None and exempt(hint):
-                # The hint already settles compressibility: skip the
-                # sampled estimation and its CPU cost.
-                gate = False
+        if gate and hint is not None and policy.gate_exempt(hint):
+            # The hint already settles compressibility: skip the
+            # sampled estimation and its CPU cost.
+            gate = False
         try:
             plan = self.engine.plan_write(run_ids, codec_name, gate)
             fallback = False
@@ -659,7 +656,7 @@ class EDCBlockDevice:
 
         def _after_device() -> None:
             dec = self.engine.decompress_time(codec_name, entry.original_size)
-            if self._latent_query is not None and self._latent_query(eid):
+            if self._latent_query(eid):
                 # Latent media corruption: the transfer "succeeded" but
                 # the device-level CRC over the stored payload mismatches.
                 # Surfaced as a counted read error (IntegrityError), not a

@@ -98,6 +98,10 @@ class HintedPolicy(CompressionPolicy):
         # The estimator still guards unhinted content.
         return self.base.uses_gate
 
+    @property
+    def ladder(self) -> Optional[ElasticPolicy]:
+        return self.base.ladder
+
     def select_codec(
         self, calculated_iops: float, hint: Optional[str] = None
     ) -> Optional[str]:

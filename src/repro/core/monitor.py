@@ -157,18 +157,20 @@ class WorkloadMonitor:
     def snapshot(self, now: float, policy=None) -> MonitorSnapshot:
         """The monitor's state at ``now``, optionally banded by ``policy``.
 
-        ``policy`` may be any object with a pure ``band_index(iops)``
-        query (:class:`~repro.core.policy.ElasticPolicy`); the snapshot
-        then carries the band the intensity implies without touching the
-        policy's selection counters.
+        When ``policy`` has a band ladder
+        (:attr:`~repro.core.policy.CompressionPolicy.ladder`), the
+        snapshot carries the band the intensity implies, read through
+        the ladder's pure ``band_index`` query without touching its
+        selection counters.
         """
         now = self._clamped(now)
         self._expire(now)
         raw = self._requests_sum
         calc = self._pages_sum / self.window
         band: Optional[int] = None
-        if policy is not None and hasattr(policy, "band_index"):
-            band = policy.band_index(calc)
+        ladder = policy.ladder if policy is not None else None
+        if ladder is not None:
+            band = ladder.band_index(calc)
         return MonitorSnapshot(
             time=now,
             calculated_iops=calc,

@@ -78,6 +78,19 @@ class CompressionPolicy(ABC):
         """
         return False
 
+    @property
+    def ladder(self) -> Optional["ElasticPolicy"]:
+        """The :class:`ElasticPolicy` whose bands decide, or ``None``.
+
+        Every band observer reads it; a wrapping policy passes on its
+        base's.
+        """
+        return None
+
+    def gate_exempt(self, hint: Optional[str]) -> bool:
+        """Whether ``hint`` settles compressibility (no estimator run)."""
+        return False
+
 
 class NativePolicy(CompressionPolicy):
     """No compression, ever — the paper's Native baseline."""
@@ -135,6 +148,12 @@ class ElasticPolicy(CompressionPolicy):
     @property
     def uses_gate(self) -> bool:
         return self._gate
+
+    @property
+    def ladder(self) -> "ElasticPolicy":
+        # A property, not ``self.ladder = self``: the self-reference
+        # would make every policy a reference cycle.
+        return self
 
     def select_codec(
         self, calculated_iops: float, hint: Optional[str] = None

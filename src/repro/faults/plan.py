@@ -399,41 +399,37 @@ class FaultPlan:
         """A fresh, deterministic injector for the device called ``name``."""
         return FaultInjector(self, name)
 
-    def arm(self, sim, backend, devices: Optional[Sequence] = None) -> List[FaultInjector]:
+    def arm(self, sim, backend) -> List[FaultInjector]:
         """Install this plan on one built device stack.
 
         The one arming routine: ``backend`` is the storage backend (a
-        single :class:`~repro.flash.ssd.SimulatedSSD` or a RAIS array)
-        and ``devices`` the array members when there are any.  Every
-        SSD gets an injector and, when the plan has latent fields, a
-        :class:`~repro.faults.latent.LatentErrorModel` with its
-        retention tick.  On a RAIS5-style backend the rebuild knobs are
-        applied and a spare factory is installed so a detected member
-        failure auto-rebuilds.  Returns the injectors (in device order)
-        so the harness can aggregate their :class:`FaultStats`.
+        single :class:`~repro.flash.ssd.SimulatedSSD` or a RAIS array).
+        Every SSD serving it gets an injector (``ssd.injector``) and,
+        when the plan has latent fields, a
+        :class:`~repro.faults.latent.LatentErrorModel` (``ssd.latent``)
+        with its retention tick.  On a RAIS5 backend the rebuild knobs
+        are applied and a spare factory is installed so a detected
+        member failure auto-rebuilds onto an SSD armed alike.  Returns
+        the injectors (in device order); run totals read them off
+        :func:`~repro.flash.introspect.ssds_served`, spares included.
 
         Scheduled :class:`DeviceFailure` events belong to the run's
         timeline, not to one stack (a fleet plan names shards of other
         stacks): :meth:`schedule_failures` arms them.
         """
-        ssds = list(devices) if devices is not None else [backend]
-        injectors: List[FaultInjector] = []
-        latent_models: List[LatentErrorModel] = []
+        # Imported here: repro.flash imports this module's error types,
+        # so a top-level import would be circular.
+        from repro.flash.introspect import ssds_of
+        from repro.flash.raid import RAIS5
+
+        ssds = ssds_of(backend)
         for ssd in ssds:
-            self._arm_ssd(sim, ssd, injectors, latent_models)
-        if hasattr(backend, "spare_factory"):
+            self._arm_ssd(sim, ssd)
+        if isinstance(backend, RAIS5):
             backend.rebuild_delay_s = self.rebuild_delay_s
             backend.rebuild_batch_rows = self.rebuild_batch_rows
-            backend.spare_factory = _spare_factory(
-                self, sim, ssds, injectors, latent_models
-            )
-        # The live list (spares appended as they are built), so the
-        # telemetry sampler can aggregate FaultStats across the whole
-        # device population, replaced members included.
-        backend.fault_injectors = injectors
-        if latent_models:
-            backend.latent_models = latent_models
-        return injectors
+            backend.spare_factory = _spare_factory(self, sim, ssds[0])
+        return [ssd.injector for ssd in ssds]
 
     def schedule_failures(self, sim, ssds: Sequence) -> None:
         """Arm every scheduled :class:`DeviceFailure` as a daemon event.
@@ -453,22 +449,21 @@ class FaultPlan:
                 failure.at, (lambda s=ssd: s.fail_now()), daemon=True
             )
 
-    def attach(self, sim, backend, devices: Optional[Sequence] = None) -> List[FaultInjector]:
+    def attach(self, sim, backend) -> List[FaultInjector]:
         """:meth:`arm` one stack and schedule its device failures."""
-        injectors = self.arm(sim, backend, devices)
-        self.schedule_failures(
-            sim, devices if devices is not None else [backend]
-        )
+        from repro.flash.introspect import ssds_of
+
+        injectors = self.arm(sim, backend)
+        self.schedule_failures(sim, ssds_of(backend))
         return injectors
 
-    def _arm_ssd(self, sim, ssd, injectors: List, latent_models: List) -> None:
+    def _arm_ssd(self, sim, ssd) -> None:
         """Give ``ssd`` its injector and, if planned, its latent model.
 
         With neither latent field set no model is built: no daemon, no
         RNG stream — the replay stays bit-identical.
         """
         ssd.injector = self.injector_for(ssd.name)
-        injectors.append(ssd.injector)
         if self.retention is None and self.read_disturb is None:
             return
         model = LatentErrorModel(
@@ -476,7 +471,6 @@ class FaultPlan:
             retention=self.retention, read_disturb=self.read_disturb,
         )
         ssd.latent = model
-        latent_models.append(model)
         if self.retention is not None:
             model.tick_event = sim.every(
                 self.retention.check_interval_s, model.tick
@@ -489,15 +483,12 @@ class FaultPlan:
         return total
 
 
-def _spare_factory(
-    plan, sim, ssds, injectors, latent_models
-) -> Callable[[], object]:
-    """Builds replacement SSDs matching the array members' geometry.
+def _spare_factory(plan, sim, template) -> Callable[[], object]:
+    """Builds replacement SSDs matching the array member ``template``.
 
     Spares live under the same fault plan as the members they replace:
     each gets its own injector (and latent-error model, when the plan
-    has one), appended to the lists the harness aggregates, so faults
-    keep firing after a rebuild.
+    has one), so faults keep firing after a rebuild.
     """
     counter = {"n": 0}
 
@@ -506,7 +497,6 @@ def _spare_factory(
         # types, so a top-level import would be circular.
         from repro.flash.ssd import SimulatedSSD
 
-        template = ssds[0]
         counter["n"] += 1
         spare = SimulatedSSD(
             sim,
@@ -515,7 +505,7 @@ def _spare_factory(
             timing=template.timing,
             gc_enabled=template.gc_enabled,
         )
-        plan._arm_ssd(sim, spare, injectors, latent_models)
+        plan._arm_ssd(sim, spare)
         return spare
 
     return make_spare

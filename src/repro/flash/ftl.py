@@ -340,9 +340,7 @@ class ExtentFTL:
         self._retired.add(block_id)
         self.stats.retired_blocks += 1
         self.stats.relocated_bytes += moved
-        retire_note = getattr(self.collector.stats, "note_retirement", None)
-        if retire_note is not None:
-            retire_note(block_id)
+        self.collector.stats.note_retirement(block_id)
         if self.events.subs:
             self.events.emit("retire", self, block_id, moved)
         return FlashCost(moved_bytes=moved)

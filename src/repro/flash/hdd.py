@@ -20,7 +20,7 @@ marginal for 4 KB requests — but the Sequentiality Detector's merging
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Optional, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.queueing import Server
@@ -73,6 +73,9 @@ class SimulatedHDD:
     (the head is already there), which is what makes merged writes so
     much cheaper than scattered ones on rust.
     """
+
+    #: a single device: no members beneath it
+    devices: Tuple[()] = ()
 
     def __init__(
         self,
@@ -146,6 +149,10 @@ class SimulatedHDD:
 
     def trim(self, key: Hashable) -> bool:
         """Disks have no FTL; trim is a no-op."""
+        return False
+
+    def latent_corrupt(self, key: Hashable) -> bool:
+        """Disks carry no latent-error model: never corrupt."""
         return False
 
     def utilization(self) -> float:

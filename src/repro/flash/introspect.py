@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.flash.endurance import PE_LIMITS
+from repro.flash.raid import RAIS5
+from repro.flash.ssd import SimulatedSSD
 
 __all__ = [
     "SpaceAccountingError",
@@ -42,6 +44,8 @@ __all__ = [
     "space_waterfall",
     "smart_snapshot",
     "members_of",
+    "ssds_of",
+    "ssds_served",
     "ftls_of",
     "queues_of",
     "write_amplification",
@@ -60,29 +64,43 @@ class SpaceAccountingError(AssertionError):
 def members_of(backend) -> List[object]:
     """``backend`` followed by every array member beneath it.
 
-    The one walker of ``backend.devices``: observers find the queue
-    servers, SSD emitters and FTLs of a stack through it.
+    The one walker of the declared ``backend.devices`` (an empty tuple
+    on a single device); every view below is read off it.
     """
     out: List[object] = [backend]
-    for dev in getattr(backend, "devices", ()) or ():
+    for dev in backend.devices:
         out.extend(members_of(dev))
     return out
 
 
+def ssds_of(backend) -> List[SimulatedSSD]:
+    """The SSDs serving ``backend`` now: itself, or its members."""
+    return [m for m in members_of(backend) if isinstance(m, SimulatedSSD)]
+
+
+def ssds_served(backend) -> List[SimulatedSSD]:
+    """Every SSD that has served ``backend``, in service order.
+
+    :func:`ssds_of` plus the members a RAIS5 rebuild swapped out: the
+    members as built, then each spare that took a slot.  Fault state
+    lives on the SSD (``ssd.injector``, ``ssd.latent``), so the fault
+    and latent-error totals of a run are sums over this list.
+    """
+    if isinstance(backend, SimulatedSSD):
+        return [backend]
+    members = backend.served if isinstance(backend, RAIS5) else backend.devices
+    return [ssd for dev in members for ssd in ssds_served(dev)]
+
+
 def ftls_of(backend) -> List[object]:
-    """Every :class:`~repro.flash.ftl.ExtentFTL` under ``backend``."""
-    return [
-        m.ftl for m in members_of(backend)
-        if getattr(m, "ftl", None) is not None
-    ]
+    """Every :class:`~repro.flash.ftl.ExtentFTL` serving ``backend`` now."""
+    return [ssd.ftl for ssd in ssds_of(backend)]
 
 
 def queues_of(backend) -> List[object]:
-    """Every device queue :class:`~repro.sim.queueing.Server` under ``backend``."""
-    return [
-        m.queue for m in members_of(backend)
-        if getattr(m, "queue", None) is not None
-    ]
+    """Every device queue :class:`~repro.sim.queueing.Server` serving
+    ``backend`` now: one per single device (SSD or disk) beneath it."""
+    return [m.queue for m in members_of(backend) if not m.devices]
 
 
 def write_amplification(ftls) -> float:

@@ -263,6 +263,10 @@ class RAIS5:
         if stripe_unit <= 0:
             raise ValueError(f"stripe_unit must be positive: {stripe_unit!r}")
         self.devices = list(devices)
+        #: every SSD that has served the array, in service order: the
+        #: members as built, then each spare :meth:`_swap_in` installed
+        #: (a swapped-out member stays, with the counters it earned)
+        self.served: List[SimulatedSSD] = list(devices)
         self.stripe_unit = stripe_unit
         self.sim = devices[0].sim
         self.stats = ArrayStats()
@@ -387,6 +391,7 @@ class RAIS5:
                 for handler in handlers:
                     new.subscribe(kind, handler)
         self.devices[failed] = replacement
+        self.served.append(replacement)
         return failed
 
     def rebuild(

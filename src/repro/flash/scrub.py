@@ -36,6 +36,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
+from repro.flash.introspect import ssds_of
+from repro.flash.raid import RAIS5
+
 __all__ = ["ScrubConfig", "ScrubStats", "ScrubEpisode", "MediaScrubber"]
 
 
@@ -166,7 +169,7 @@ class MediaScrubber:
         self._cursor = 0
         self._seq = 0
         self._event = None
-        self._latent = getattr(device.backend, "latent_corrupt", None)
+        self._latent = device.backend.latent_corrupt
         device.observers["scrubber"] = self
 
     # ------------------------------------------------------------------
@@ -189,10 +192,9 @@ class MediaScrubber:
     def _tick(self) -> None:
         self.stats.ticks += 1
         dev = self.device
-        for member in self._members():
-            model = getattr(member, "latent", None)
-            if model is not None:
-                model.prune_dead()
+        for member in ssds_of(dev.backend):
+            if member.latent is not None:
+                member.latent.prune_dead()
         if dev.outstanding > self.config.max_outstanding:
             # Foreground burst in progress: scrub in the idle windows.
             self.stats.skipped_busy += 1
@@ -233,7 +235,7 @@ class MediaScrubber:
         self.stats.verify_bytes += stored
 
         def _after_verify() -> None:
-            if self._latent is not None and self._latent(eid):
+            if self._latent(eid):
                 self.stats.corrupt_found += 1
                 self._repair(eid)
 
@@ -249,18 +251,12 @@ class MediaScrubber:
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
-    def _members(self) -> List:
-        backend = self.device.backend
-        devices = getattr(backend, "devices", None)
-        return list(devices) if devices is not None else [backend]
-
     def _corrupt_by_member(self, eid: int) -> List[tuple]:
         out = []
-        for dev in self._members():
-            model = getattr(dev, "latent", None)
-            if model is None:
+        for dev in ssds_of(self.device.backend):
+            if dev.latent is None:
                 continue
-            keys = model.corrupt_keys_of(eid)
+            keys = dev.latent.corrupt_keys_of(eid)
             if keys:
                 out.append((dev, keys))
         return out
@@ -277,11 +273,12 @@ class MediaScrubber:
             return
         self._note_strikes(eid, corrupt)
         backend = dev.backend
-        array = getattr(backend, "devices", None) is not None
-        degraded = bool(getattr(backend, "degraded", False))
-        now = self.sim.now
 
-        if array and len(corrupt) == 1 and not degraded:
+        if (
+            isinstance(backend, RAIS5)
+            and len(corrupt) == 1
+            and not backend.degraded
+        ):
             # Parity path: rebuild the bad member's pieces from the
             # n-1 survivors, then re-place the extent.
             bad_dev, keys = corrupt[0]
@@ -290,7 +287,7 @@ class MediaScrubber:
             ) or stored
             self._seq += 1
             skey = ("SCRUB", self._seq)
-            for member in self._members():
+            for member in backend.devices:
                 if member is bad_dev:
                     continue
                 self.stats.repair_read_bytes += bad_bytes
@@ -334,17 +331,14 @@ class MediaScrubber:
         (charged reads) and re-programs the parity piece in place.
         """
         backend = self.device.backend
-        if getattr(backend, "devices", None) is None:
-            return
-        if bool(getattr(backend, "degraded", False)):
-            return  # a missing member: nothing to recompute parity from
+        if not isinstance(backend, RAIS5) or backend.degraded:
+            return  # no parity, or a missing member to recompute it from
         budget = max(1, self.config.entries_per_tick // 8)
-        members = self._members()
+        members = backend.devices
         for member in members:
-            model = getattr(member, "latent", None)
-            if model is None:
+            if member.latent is None:
                 continue
-            for row in model.corrupt_parity_rows():
+            for row in member.latent.corrupt_parity_rows():
                 if budget <= 0:
                     return
                 budget -= 1
@@ -360,11 +354,10 @@ class MediaScrubber:
         data nobody can address.
         """
         mapping = self.device.mapping
-        for member in self._members():
-            model = getattr(member, "latent", None)
-            if model is None:
+        for member in ssds_of(self.device.backend):
+            if member.latent is None:
                 continue
-            for key in model.corrupt_data_keys():
+            for key in member.latent.corrupt_data_keys():
                 base = key[0] if isinstance(key, tuple) else key
                 if mapping.get(base) is not None:
                     continue

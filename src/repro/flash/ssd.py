@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Protocol
+from typing import Callable, Hashable, Optional, Protocol, Sequence, Tuple
 
 from repro.faults.plan import (
     DeviceFailedError,
@@ -49,7 +49,16 @@ class StorageBackend(Protocol):
     unrecoverable fault raises out of the simulation loop instead.
     ``stream`` selects a write frontier on backends with multi-stream
     placement (hot/cold separation); the others ignore it.
+
+    ``devices`` lists the backends one level down (an array's members,
+    in slot order; an empty tuple on a single device):
+    :func:`~repro.flash.introspect.members_of` walks it.
+    ``latent_corrupt(key)`` answers whether latent media errors rotted
+    the stored data of ``key`` (always ``False`` on media without a
+    latent-error model).
     """
+
+    devices: Sequence["StorageBackend"]
 
     def submit_write(
         self,
@@ -72,6 +81,8 @@ class StorageBackend(Protocol):
 
     def trim(self, key: Hashable) -> bool: ...
 
+    def latent_corrupt(self, key: Hashable) -> bool: ...
+
 
 @dataclass
 class DeviceStats:
@@ -86,6 +97,9 @@ class DeviceStats:
 
 class SimulatedSSD:
     """One flash SSD: FTL + FIFO queue + linear service-time model."""
+
+    #: a single device: no members beneath it
+    devices: Tuple[()] = ()
 
     def __init__(
         self,
@@ -114,12 +128,6 @@ class SimulatedSSD:
         #: whole-device failure flag — set by :meth:`fail_now`, after which
         #: every submission (and in-flight read completion) errors
         self.failed = False
-        #: per-page out-of-band area (crash recovery's back-pointers);
-        #: installed by
-        #: :meth:`repro.recovery.durable.DurableMetadataManager.bind_device`.
-        #: ``None`` means the device runs without durable metadata and a
-        #: power cut loses the whole mapping.
-        self.oob = None
         #: optional :class:`~repro.faults.latent.LatentErrorModel`
         #: installed by :meth:`repro.faults.FaultPlan.attach`; ``None``
         #: (the default) keeps every hook below a single ``is None``

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.flash.ssd import SimulatedSSD
 from repro.recovery.checkpoint import CheckpointImage, CheckpointStore
 from repro.recovery.formats import ExtentRecord, JournalRecord
 from repro.recovery.journal import MetadataJournal
@@ -138,13 +139,18 @@ class DurableMetadataManager:
     # binding
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
-        """Attach to a built device and start the checkpoint cadence."""
+        """Attach to a built device and start the checkpoint cadence.
+
+        Durable metadata lives on one SSD (its OOB area and FTL are
+        what :meth:`install` seeds), so any other backend is refused.
+        """
+        if not isinstance(device.backend, SimulatedSSD):
+            raise ValueError(
+                "durable metadata needs a single-SSD backend, not "
+                f"{type(device.backend).__name__}"
+            )
         self.device = device
         device.recovery = self
-        backend = device.backend
-        # The OOB area conceptually lives on the flash device.
-        if hasattr(backend, "ftl"):
-            backend.oob = self.oob
         self._periodic = device.sim.every(
             self.params.checkpoint_interval_s, self.take_checkpoint
         )
@@ -319,9 +325,9 @@ class DurableMetadataManager:
             return None
         self._meta_counter += 1
         key = ("meta", kind, self._meta_counter)
-        backend = self.device.backend
-        if hasattr(backend, "service_write_time"):
-            self.stats.meta_device_seconds += backend.service_write_time(nbytes)
+        self.stats.meta_device_seconds += (
+            self.device.backend.service_write_time(nbytes)
+        )
         self.device.distributer.write(key, 0, nbytes, on_complete=None)
         return key
 
@@ -354,8 +360,7 @@ class DurableMetadataManager:
                     f"recovered slot class {cls.nbytes} != durable "
                     f"{rec.slot_bytes} for seqno {rec.seqno}"
                 )
-            if hasattr(backend, "ftl"):
-                backend.ftl.write(eid, rec.slot_bytes)
+            backend.ftl.write(eid, rec.slot_bytes)
             start_blk = rec.lba // device.config.block_size
             for i, version in enumerate(rec.versions):
                 device.set_version_floor(start_blk + i, version)
@@ -364,11 +369,9 @@ class DurableMetadataManager:
             self._eid_of_seqno[rec.seqno] = eid
             fresh_oob.program(eid, rec)
         self.oob = fresh_oob
-        if hasattr(backend, "ftl"):
-            backend.oob = fresh_oob
-            # Seeding is reconstruction, not host traffic: reset the
-            # write/GC accounting the reports read.
-            backend.ftl.stats = type(backend.ftl.stats)()
+        # Seeding is reconstruction, not host traffic: reset the
+        # write/GC accounting the reports read.
+        backend.ftl.stats = type(backend.ftl.stats)()
         self._next_seqno = max(self._next_seqno, state.next_seqno)
         self._activity += 1
 

@@ -373,10 +373,9 @@ class DecisionAuditor:
         """Human label for one band index (``all`` for bandless policies)."""
         if band == NO_BAND:
             return "all"
-        device = self.device
-        policy = device.policy if device is not None else None
-        if policy is not None and hasattr(policy, "band_labels"):
-            labels = policy.band_labels()
+        ladder = self._ladder()
+        if ladder is not None:
+            labels = ladder.band_labels()
             if 0 <= band < len(labels):
                 return labels[band]
         return f"band{band}"
@@ -450,15 +449,18 @@ class DecisionAuditor:
 
     def band_bounds(self) -> Optional[List[Optional[float]]]:
         """Band upper bounds of the live policy (inf → None), if banded."""
-        device = self.device
-        policy = device.policy if device is not None else None
-        bands = getattr(policy, "bands", None)
-        if bands is None:
+        ladder = self._ladder()
+        if ladder is None:
             return None
         return [
             None if b.upper_iops == float("inf") else b.upper_iops
-            for b in bands
+            for b in ladder.bands
         ]
+
+    def _ladder(self):
+        """The live policy's band ladder (``None``: bandless or unbound)."""
+        device = self.device
+        return device.policy.ladder if device is not None else None
 
 
 # ----------------------------------------------------------------------

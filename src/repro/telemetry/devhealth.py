@@ -214,7 +214,7 @@ class DeviceHealth:
         self.reclaimed_bytes_total += episode.reclaimed_bytes
 
     def _note_gc(self, ftl, victim: int, moved: int, reclaimed: int) -> None:
-        trigger = getattr(ftl, "gc_trigger", None)
+        trigger = ftl.gc_trigger
         reason, stream = ("unknown", 0) if trigger is None else trigger
         block_bytes = ftl.geometry.block_bytes
         self._note(

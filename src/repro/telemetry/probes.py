@@ -29,8 +29,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, Optional, Tuple
 
-from repro.flash.introspect import members_of
-from repro.sim.queueing import Job, Server
+from repro.flash.introspect import ftls_of, queues_of, ssds_of, write_amplification
+from repro.sim.queueing import Job
 from repro.telemetry.histograms import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
@@ -164,17 +164,14 @@ class Telemetry:
             ("read_done", self.read_done),
         ):
             device.events.subscribe(kind, handler)
-        for member in members_of(device.backend):
-            queue = getattr(member, "queue", None)
-            if isinstance(queue, Server):
-                queue.events.subscribe("job", self._on_server_job)
-            if getattr(member, "events", None) is not None:
-                member.events.subscribe("service", self._on_ssd_service)
-            if getattr(member, "ftl", None) is not None:
-                member.ftl.events.subscribe("gc", self._count_gc)
-        policy_events = getattr(device.policy, "events", None)
-        if policy_events is not None:
-            policy_events.subscribe("select", self._on_policy_select)
+        for queue in queues_of(device.backend):
+            queue.events.subscribe("job", self._on_server_job)
+        for ssd in ssds_of(device.backend):
+            ssd.events.subscribe("service", self._on_ssd_service)
+            ssd.ftl.events.subscribe("gc", self._count_gc)
+        ladder = device.policy.ladder
+        if ladder is not None:
+            ladder.events.subscribe("select", self._on_policy_select)
 
     # ------------------------------------------------------------------
     # device events: request lifecycle
@@ -189,8 +186,8 @@ class Telemetry:
             "write" if is_write else "read",
             layer="request",
             parent=parent,
-            lba=getattr(request, "lba", None),
-            nbytes=getattr(request, "nbytes", None),
+            lba=request.lba,
+            nbytes=request.nbytes,
         )
         self._req[id(request)] = span
         self.metrics.counter(
@@ -432,22 +429,31 @@ class Telemetry:
         return out
 
     def snapshot_stack(self) -> None:
-        """Poll bound-device counters (WA, utilisation) into gauges."""
+        """Poll bound-device counters (WA, utilisation) into gauges.
+
+        The ``flash.*`` gauges cover every FTL and device queue serving
+        the backend: one SSD's own, or an array's members' (WA over
+        their summed bytes, utilisation their mean)."""
         device = self.device
         if device is None:
             return
         backend = device.distributer.backend
+        ftls = ftls_of(backend)
+        queues = queues_of(backend)
         m = self.metrics
-        wa = getattr(backend, "write_amplification", None)
-        if callable(wa):
-            m.gauge("flash.write_amplification").set(wa())
-        util = getattr(backend, "utilization", None)
-        if callable(util):
-            m.gauge("flash.utilization").set(util())
+        if ftls:
+            m.gauge("flash.write_amplification").set(
+                write_amplification(ftls)
+            )
+        if queues:
+            m.gauge("flash.utilization").set(
+                sum(q.utilization() for q in queues) / len(queues)
+            )
         m.gauge("cpu.utilization").set(device.cpu.utilization())
-        ftl = getattr(backend, "ftl", None)
-        if ftl is not None:
-            m.gauge("flash.host_bytes").set(float(ftl.stats.host_bytes))
+        if ftls:
+            m.gauge("flash.host_bytes").set(
+                float(sum(f.stats.host_bytes for f in ftls))
+            )
             m.gauge("flash.relocated_bytes").set(
-                float(ftl.stats.relocated_bytes)
+                float(sum(f.stats.relocated_bytes for f in ftls))
             )

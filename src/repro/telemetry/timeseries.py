@@ -12,7 +12,7 @@ keep the event loop alive once the workload drains.
 Each sampled value lands in a :class:`RingSeries` (fixed capacity, old
 points dropped, drop count kept), so memory stays constant no matter how
 long the replay runs.  Band switches are recorded out-of-band as exact
-:class:`MarkerSeries` events via the policy's ``select`` event, so a
+:class:`MarkerSeries` events via the band ladder's ``select`` event, so a
 switch between two ticks is never lost.
 
 Sinks over the sampled state live next door:
@@ -26,7 +26,13 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
-from repro.flash.introspect import ftls_of, queues_of, write_amplification
+from repro.flash.introspect import (
+    ftls_of,
+    queues_of,
+    ssds_served,
+    write_amplification,
+)
+from repro.flash.raid import RAIS5
 
 __all__ = [
     "RingSeries",
@@ -286,7 +292,6 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     """
     sim = device.sim
     monitor = device.monitor
-    policy = device.policy
     backend = device.backend
 
     sampler.register(
@@ -295,13 +300,13 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     )
     sampler.register("monitor.raw_iops", lambda: monitor.raw_iops(sim.now))
 
-    if hasattr(policy, "band_index"):
+    ladder = device.policy.ladder
+    if ladder is not None:
         sampler.register(
             "policy.band",
-            lambda: float(policy.band_index(monitor.calculated_iops(sim.now))),
+            lambda: float(ladder.band_index(monitor.calculated_iops(sim.now))),
         )
-    # Exact band-switch markers via the policy's selection event.
-    if getattr(policy, "events", None) is not None:
+        # Exact band-switch markers via the ladder's selection event.
         state = {"band": None}
 
         def _mark_band_switch(band_idx: int, iops: float) -> None:
@@ -310,7 +315,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
                 sampler.mark("band_switch", f"{last}->{band_idx}", t=sim.now)
             state["band"] = band_idx
 
-        policy.events.subscribe("select", _mark_band_switch)
+        ladder.events.subscribe("select", _mark_band_switch)
 
     sampler.register_multi(
         "codec.write_share", device.stats.codec_shares, label_key="codec"
@@ -371,17 +376,25 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
         sampler.register("flash.busy_fraction", _busy_fraction)
 
     # Fault/recovery vocabulary — only present on fault-injected runs
-    # (a FaultPlan.attach leaves the injector list on the backend), so
-    # baseline scrapes and their exposition output are unchanged.
-    injectors = getattr(backend, "fault_injectors", None)
-    if injectors:
+    # (a FaultPlan armed an injector on the SSDs), so baseline scrapes
+    # and their exposition output are unchanged.  Totals run over every
+    # SSD that has served, spares a rebuild installed included.
+    def _injectors() -> List:
+        return [s.injector for s in ssds_served(backend)
+                if s.injector is not None]
+
+    def _latent_models() -> List:
+        return [s.latent for s in ssds_served(backend)
+                if s.latent is not None]
+
+    if _injectors():
         from repro.faults.plan import FaultStats
 
         for fname in FaultStats.FIELDS:
             sampler.register(
                 f"faults.{fname}",
                 (lambda n=fname: float(
-                    sum(getattr(i.stats, n) for i in injectors)
+                    sum(getattr(i.stats, n) for i in _injectors())
                 )),
                 metric="faults",
                 labels={"kind": fname},
@@ -398,7 +411,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "edc.unrecovered_writes",
             lambda: float(device.unrecovered_writes),
         )
-        if hasattr(backend, "degraded"):
+        if isinstance(backend, RAIS5):
             astats = backend.stats
             sampler.register(
                 "array.degraded", lambda: 1.0 if backend.degraded else 0.0
@@ -421,25 +434,24 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             )
 
     # Latent-error / scrub vocabulary — only present when the fault
-    # plan arms retention/read-disturb models (attach leaves them on
-    # the backend) or a MediaScrubber is bound to the device, so
-    # baseline scrapes and their exposition output are unchanged.
-    latent_models = getattr(backend, "latent_models", None)
-    if latent_models:
+    # plan arms retention/read-disturb models on the SSDs or a
+    # MediaScrubber is bound to the device, so baseline scrapes and
+    # their exposition output are unchanged.
+    if _latent_models():
         from repro.faults.latent import LatentStats
 
         for fname in LatentStats.FIELDS:
             sampler.register(
                 f"latent.{fname}",
                 (lambda n=fname: float(
-                    sum(getattr(m.stats, n) for m in latent_models)
+                    sum(getattr(m.stats, n) for m in _latent_models())
                 )),
                 metric="latent",
                 labels={"kind": fname},
             )
         sampler.register(
             "latent.corrupt_extents_now",
-            lambda: float(sum(m.corrupt_count for m in latent_models)),
+            lambda: float(sum(m.corrupt_count for m in _latent_models())),
         )
         sampler.register(
             "edc.corrupt_reads", lambda: float(device.corrupt_reads)

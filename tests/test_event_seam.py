@@ -87,7 +87,7 @@ def _replay_attached_in(order, slice_name):
         kit.update(device=device, backend=backend)
         for role in order:
             if role == "faults":
-                plan.attach(sim, backend, devices)
+                plan.attach(sim, backend)
             elif role == "telemetry":
                 kit[role] = Telemetry(sim)
             elif role == "auditor":
@@ -208,7 +208,7 @@ def test_every_declared_kind_is_emitted_with_its_declared_payload():
     seen = {}
 
     def on_built(sim, device, backend, devices):
-        plan.attach(sim, backend, devices)
+        plan.attach(sim, backend)
         ssd, = members_of(backend)
         emitters = {
             "device": device.events, "monitor": device.monitor.events,

@@ -23,6 +23,7 @@ from repro.faults import (
     ReadFaultError,
 )
 from repro.flash.geometry import NandGeometry, x25e_like
+from repro.flash.introspect import ssds_served
 from repro.flash.raid import RAIS0, RAIS5, ArrayError, _Barrier
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.generator import ContentMix, ContentStore
@@ -454,7 +455,7 @@ class TestRais5Degraded:
             rebuild_delay_s=0.01,
             rebuild_batch_rows=4,
         )
-        plan.attach(sim, arr, devices)
+        plan.attach(sim, arr)
         # Touch a few stripe rows, then keep traffic flowing past the
         # failure so the dead member is detected and rebuilt.
         for i in range(6):
@@ -478,7 +479,7 @@ class TestRais5Degraded:
         start, end = arr.degraded_windows[0]
         assert end is not None and end > start
         # Spares inherit the fault plan: their injectors join the pool.
-        assert [inj.name for inj in arr.fault_injectors][-1] == "spare1"
+        assert [s.injector.name for s in ssds_served(arr)][-1] == "spare1"
         for d in arr.devices:
             d.ftl.check_invariants()
 
@@ -499,7 +500,7 @@ class TestRais5Degraded:
             rebuild_delay_s=0.01,
             rebuild_batch_rows=4,
         )
-        plan.attach(sim, arr, devices)
+        plan.attach(sim, arr)
         doomed = devices[1]
         served, jobs, retired_ftls = [], [], []
         doomed.events.subscribe("service", lambda *_: served.append(sim.now))

@@ -26,6 +26,7 @@ from repro.cluster import (
     build_cluster,
 )
 from repro.faults import FaultPlan, LatentErrorModel, PowerLoss
+from repro.flash.introspect import ssds_served
 from repro.traces.workloads import make_workload
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -75,10 +76,11 @@ class TestStackParity:
     def test_replay_arms_every_member(self, backend, members):
         built = self._replayed(backend)
         assert len(built["ssds"]) == members and _armed(built["ssds"])
-        assert built["backend"].fault_injectors == [
+        served = ssds_served(built["backend"])
+        assert [s.injector for s in served] == [
             s.injector for s in built["ssds"]
         ]
-        assert built["backend"].latent_models == [
+        assert [s.latent for s in served] == [
             s.latent for s in built["ssds"]
         ]
 
@@ -104,8 +106,9 @@ class TestStackParity:
         )
         ssd = fleet.backends["shard0"]
         assert _armed([ssd])
-        assert ssd.fault_injectors == [ssd.injector] == fleet.injectors
-        assert ssd.latent_models == [ssd.latent]
+        served = ssds_served(ssd)
+        assert [s.injector for s in served] == [ssd.injector] == fleet.injectors
+        assert [s.latent for s in served] == [ssd.latent]
         lbas = []
         fleet.devices["shard0"].events.subscribe(
             "request", lambda req: lbas.append((req.lba, req.nbytes))
@@ -126,8 +129,9 @@ class TestStackParity:
         )
         assert _armed(fleet.backends.values())
         for ssd in fleet.backends.values():
-            assert ssd.fault_injectors == [ssd.injector]
-            assert ssd.latent_models == [ssd.latent]
+            served = ssds_served(ssd)
+            assert [s.injector for s in served] == [ssd.injector]
+            assert [s.latent for s in served] == [ssd.latent]
 
     def test_fleet_failure_naming_no_shard_raises(self):
         plan = FaultPlan(device_failures=[{"at": 1.0, "device": "shard9"}])

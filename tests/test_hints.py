@@ -107,3 +107,66 @@ class TestDeviceIntegration:
     def test_hinted_strong_content_gets_gzip_when_idle_writes(self):
         dev = self._run("text", HintedPolicy(), semantic_hints=True)
         assert dev.stats.per_codec_writes.get("gzip", 0) > 0
+
+
+class TestBandObservers:
+    """A hinted device shows its base's band ladder to every band
+    observer: the sampler's band series and switch markers, the decision
+    audit's bands and the telemetry's per-band counters."""
+
+    @staticmethod
+    def _observed(policy):
+        from repro.core.replay import TraceReplayer
+        from repro.telemetry import DecisionAuditor, Telemetry, TimeSeriesSampler
+        from repro.traces.workloads import make_workload
+
+        sim = Simulator()
+        geo = x25e_like(64)
+        content = ContentStore(ContentMix("m", {"text": 1.0}), pool_blocks=32, seed=1)
+        dev = EDCBlockDevice(
+            sim, SimulatedSSD(sim, geometry=geo), policy, content, EDCConfig()
+        )
+        telemetry, auditor = Telemetry(sim), DecisionAuditor()
+        telemetry.bind_device(dev)
+        auditor.bind_device(dev)
+        sampler = TimeSeriesSampler(0.05)
+        sampler.attach(sim, dev)
+        sampler.start()
+        trace = make_workload("Fin1", duration=3.0).scaled_addresses(
+            int(geo.logical_bytes * 0.5) // 4096 * 4096
+        )
+        TraceReplayer(sim, dev).replay(trace)
+        return sampler, auditor, telemetry
+
+    def test_hinted_device_yields_the_elastic_band_view(self):
+        # No rules: every write defers to the base, so the decisions —
+        # and everything observed about their bands — must match.
+        plain = self._observed(ElasticPolicy())
+        hinted = self._observed(HintedPolicy(rules=HintRules()))
+        (s_p, a_p, t_p), (s_h, a_h, t_h) = plain, hinted
+        assert s_h.series["policy.band"].values() == s_p.series["policy.band"].values()
+        markers = s_p.markers["band_switch"].events()
+        assert markers and s_h.markers["band_switch"].events() == markers
+        assert a_h.bands() == a_p.bands() and -1 not in a_h.bands()
+        assert [a_h.band_label(b) for b in a_h.bands()] == [
+            a_p.band_label(b) for b in a_p.bands()
+        ]
+        assert a_h.band_bounds() == a_p.band_bounds() == [250.0, 3000.0, None]
+
+        def band_counters(t):
+            return {
+                k: c.value for k, c in t.metrics.counters.items()
+                if k.startswith("policy.band.")
+            }
+
+        assert band_counters(t_p) and band_counters(t_h) == band_counters(t_p)
+
+    def test_ladder_is_declared_by_every_policy(self):
+        from repro.core.policy import FixedPolicy, NativePolicy
+
+        elastic = ElasticPolicy()
+        assert elastic.ladder is elastic
+        assert HintedPolicy(base=elastic).ladder is elastic
+        assert HintedPolicy(base=FixedPolicy("lzf")).ladder is None
+        assert NativePolicy().ladder is None
+        assert not FixedPolicy("gzip").gate_exempt("text")

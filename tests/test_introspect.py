@@ -16,8 +16,12 @@ from repro.flash.introspect import (
     SpaceAccountingError,
     SpaceWaterfall,
     ftls_of,
+    members_of,
+    queues_of,
     smart_snapshot,
     space_waterfall,
+    ssds_of,
+    ssds_served,
 )
 from repro.flash.scrub import ScrubConfig
 from repro.telemetry.devhealth import (
@@ -47,6 +51,47 @@ def _replay_with_health(trace_name, scheme="EDC", cfg=None, max_requests=600,
            on_built=lambda sim, dev, backend, devices: captured.update(
                dev=dev, sim=sim))
     return health, captured["dev"], captured["sim"]
+
+
+# ----------------------------------------------------------------------
+# the stack walker
+# ----------------------------------------------------------------------
+class TestStackShape:
+    def test_views_of_a_single_device(self):
+        from repro.flash.hdd import SimulatedHDD
+        from repro.flash.ssd import SimulatedSSD
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        ssd, hdd = SimulatedSSD(sim), SimulatedHDD(sim)
+        assert members_of(ssd) == ssds_of(ssd) == ssds_served(ssd) == [ssd]
+        assert ftls_of(ssd) == [ssd.ftl] and queues_of(ssd) == [ssd.queue]
+        assert members_of(hdd) == [hdd] and queues_of(hdd) == [hdd.queue]
+        assert ssds_of(hdd) == ssds_served(hdd) == ftls_of(hdd) == []
+        assert not hdd.latent_corrupt(0)
+
+    def test_rebuild_keeps_the_replaced_member_served(self):
+        from repro.flash.geometry import x25e_like
+        from repro.flash.raid import RAIS5
+        from repro.flash.ssd import SimulatedSSD
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        geo = x25e_like(16)
+        members = [
+            SimulatedSSD(sim, name=f"ssd{i}", geometry=geo) for i in range(4)
+        ]
+        arr = RAIS5(members)
+        arr.fail_device(1)
+        spare = SimulatedSSD(sim, name="spare1", geometry=geo)
+        arr.rebuild(spare)
+        sim.run()
+        now = [members[0], spare, members[2], members[3]]
+        assert members_of(arr) == [arr] + now
+        assert ssds_of(arr) == now
+        assert ftls_of(arr) == [s.ftl for s in now]
+        assert queues_of(arr) == [s.queue for s in now]
+        assert ssds_served(arr) == members + [spare]
 
 
 # ----------------------------------------------------------------------

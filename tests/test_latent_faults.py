@@ -15,6 +15,7 @@ import pytest
 from repro.compression.codec import default_registry
 from repro.core.device import IntegrityError
 from repro.faults import FaultPlan
+from repro.flash.introspect import ssds_served
 from repro.faults.latent import (
     LatentErrorModel,
     LatentStats,
@@ -279,7 +280,10 @@ class TestLatentChaos:
                 backend=backend, devices=devices
             ),
         )
-        assert not getattr(ctx["backend"], "latent_models", None)
+        assert not [
+            s.latent for s in ssds_served(ctx["backend"])
+            if s.latent is not None
+        ]
         assert all(
             getattr(ssd, "latent", None) is None for ssd in ctx["devices"]
         )

@@ -273,6 +273,17 @@ class TestManagerEndToEnd:
         assert report.recovered_entries == len(manager.live_records)
         assert report.inconsistencies == 0
 
+    def test_bind_refuses_an_array_backend(self):
+        # Durable metadata seeds one SSD's OOB area and FTL; on an array
+        # it would journal happily and recover nothing into the members.
+        manager = DurableMetadataManager(RecoveryParams())
+        with pytest.raises(ValueError, match="RAIS5"):
+            replay(
+                make_workload("Fin1", duration=0.5), "EDC",
+                ReplayConfig(backend="rais5"), recovery=manager,
+            )
+        assert manager.device is None and manager.stats.meta_writes == 0
+
     def test_merged_runs_are_all_or_nothing(self):
         # Nothing about a multi-block extent becomes durable before its
         # program completes, so every durable record is whole: the spans
@@ -397,6 +408,8 @@ class TestVictimInheritance:
         # programs, C shadows B.  B never becomes durable — but A's
         # reclaim must ride with C, or A leaks in _live/checkpoints.
         from repro.flash.mapping import MappingEntry
+        from repro.flash.ssd import SimulatedSSD
+        from repro.sim.engine import Simulator
 
         class _Sim:
             now = 0.0
@@ -409,7 +422,7 @@ class TestVictimInheritance:
 
         class _Dev:
             sim = _Sim()
-            backend = object()  # no .ftl: OOB install is skipped
+            backend = SimulatedSSD(Simulator())
 
         m = DurableMetadataManager(RecoveryParams(charge_metadata=False))
         m.bind_device(_Dev())

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.bench.experiments import ReplayConfig, replay
+from repro.flash.introspect import ftls_of, queues_of, write_amplification
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     LAYERS,
@@ -267,6 +268,41 @@ class TestReplaySmoke:
         hists = telemetry.metrics.histograms
         assert hists["write.response"].count == telemetry.write_requests
         assert hists["flash.write_service"].count > 0
+
+
+class TestStackGauges:
+    """``snapshot_stack`` reads the ``flash.*`` gauges off every FTL and
+    queue serving the backend: one SSD's, or an array's members'."""
+
+    @pytest.mark.parametrize("backend", ["ssd", "rais5"])
+    def test_flash_gauges_cover_every_member(self, backend):
+        telemetry = Telemetry(Simulator())
+        built = {}
+        trace = make_workload("Fin1", duration=None, max_requests=300, seed=7)
+        cfg = ReplayConfig(backend=backend, capacity_mb=32, pool_blocks=32)
+        replay(trace, "EDC", cfg, telemetry=telemetry,
+               on_built=lambda sim, dev, b, devs: built.update(backend=b))
+        telemetry.snapshot_stack()
+        gauges = {k: g.value for k, g in telemetry.metrics.gauges.items()}
+        ftls = ftls_of(built["backend"])
+        queues = queues_of(built["backend"])
+        assert len(ftls) == len(queues) == (1 if backend == "ssd" else 5)
+        assert gauges["flash.write_amplification"] == write_amplification(ftls)
+        assert gauges["flash.host_bytes"] == sum(
+            f.stats.host_bytes for f in ftls
+        ) > 0
+        assert gauges["flash.relocated_bytes"] == sum(
+            f.stats.relocated_bytes for f in ftls
+        )
+        assert gauges["flash.utilization"] == pytest.approx(
+            sum(q.utilization() for q in queues) / len(queues)
+        )
+        assert 0.0 < gauges["flash.utilization"] <= 1.0
+        if backend == "ssd":
+            # One FTL, one queue: the SSD's own figures, bit for bit.
+            ssd = built["backend"]
+            assert gauges["flash.write_amplification"] == ssd.write_amplification()
+            assert gauges["flash.utilization"] == ssd.utilization()
 
 
 # ----------------------------------------------------------------------
