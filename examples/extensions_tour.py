@@ -12,7 +12,9 @@ all four on small workloads:
 Run:  python examples/extensions_tour.py
 """
 
-from repro.core import EDCBlockDevice, EDCConfig, ElasticPolicy, HintedPolicy, NativePolicy
+from repro.core import (
+    EDCBlockDevice, EDCConfig, ElasticPolicy, HintedPolicy, NativePolicy, TraceReplayer,
+)
 from repro.energy import EnergyModel
 from repro.flash import EnduranceModel, SimulatedHDD, SimulatedSSD, x25e_like
 from repro.sdgen import ContentStore
@@ -40,11 +42,7 @@ def replay(policy, backend_kind="ssd", semantic_hints=False, duration=30.0,
 
         trace = rate_scale(trace, rate_factor)
     trace = trace.scaled_addresses(int(geo.logical_bytes * 0.6) // 4096 * 4096)
-    for req in trace:
-        sim.schedule_at(req.time, lambda r=req: dev.submit(r))
-    sim.run()
-    dev.flush()
-    sim.run()
+    TraceReplayer(sim, dev).replay(trace)
     return sim, backend, dev
 
 

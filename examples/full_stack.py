@@ -35,8 +35,7 @@ def main() -> None:
     trace = trace.scaled_addresses(fold)
     print(f"phase 1: replaying {len(trace)} requests through "
           f"buffer -> EDC -> RAIS5 ...")
-    for req in trace:
-        sim.schedule_at(req.time, lambda r=req: buffer.submit(r))
+    sim.arrivals(trace, buffer.submit)
     sim.run()
     buffer.flush_all()
     sim.run()

@@ -12,12 +12,12 @@ Walks through the whole public API surface in one small script:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import EDCBlockDevice, EDCConfig, ElasticPolicy
+from repro.core import EDCBlockDevice, EDCConfig, ElasticPolicy, TraceReplayer
 from repro.flash import SimulatedSSD, x25e_like
 from repro.sdgen import ContentStore
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sim import Simulator
-from repro.traces.model import IORequest
+from repro.traces.model import IORequest, Trace
 
 
 def main() -> None:
@@ -47,11 +47,9 @@ def main() -> None:
         IORequest(0.010000, "R", 0 * 4096, 3 * 4096),
         IORequest(0.020000, "R", 77 * 4096, 4096),
     ]
-    for req in requests:
-        sim.schedule_at(req.time, lambda r=req: device.submit(r))
-    sim.run()
-    device.flush()  # end of stream: flush anything the SD still holds
-    sim.run()
+    # The replayer runs the event loop, flushes whatever the SD still
+    # holds at the end of the stream, and runs again.
+    TraceReplayer(sim, device).replay(Trace("quickstart", requests))
 
     # --- 4. inspect -------------------------------------------------------
     s = device.stats

@@ -9,7 +9,7 @@ read-modify-write parity traffic shows up in the device statistics.
 Run:  python examples/raid_array.py
 """
 
-from repro.core import EDCBlockDevice, EDCConfig, ElasticPolicy
+from repro.core import EDCBlockDevice, EDCConfig, ElasticPolicy, TraceReplayer
 from repro.flash import RAIS5, SimulatedSSD, x25e_like
 from repro.sdgen import ContentStore
 from repro.sdgen.datasets import ENTERPRISE_MIX
@@ -32,11 +32,7 @@ def main() -> None:
     trace = trace.scaled_addresses(fold)
     print(f"replaying {len(trace)} Usr_0 requests on RAIS5 (5 x 64 MB SSDs)...")
 
-    for req in trace:
-        sim.schedule_at(req.time, lambda r=req: device.submit(r))
-    sim.run()
-    device.flush()
-    sim.run()
+    TraceReplayer(sim, device).replay(trace)
 
     s = device.stats
     print(f"\ncompression ratio: {s.compression_ratio:.2f}x "

@@ -328,10 +328,7 @@ class ClusterReplayer:
         """
         cluster = self.fleet.cluster
         cluster.scheduler.state(tenant)  # fail fast on unknown tenants
-        for req in trace:
-            self.fleet.sim.schedule_at(
-                req.time, lambda r=req, t=tenant: cluster.submit(r, t)
-            )
+        self.fleet.sim.arrivals(trace, lambda r: cluster.submit(r, tenant))
         self._scheduled += len(trace)
 
     def schedule_interleaved(

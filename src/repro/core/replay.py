@@ -1,8 +1,8 @@
 """Trace replay driver.
 
 Replaying a trace through an :class:`~repro.core.device.EDCBlockDevice`
-always follows the same choreography: schedule every request at its
-trace timestamp, run the event loop, flush the Sequentiality Detector's
+always follows the same choreography: register the trace's arrivals
+with the simulator, run the event loop, flush the Sequentiality Detector's
 tail, run again, and confirm nothing is left outstanding.
 :class:`TraceReplayer` packages that loop once for the harness, the
 examples and the tests.
@@ -61,10 +61,11 @@ class TraceReplayer:
         """Schedule every request of ``trace`` at its timestamp.
 
         May be called more than once (e.g. to overlay traces); all
-        timestamps must lie at or after the current virtual time.
+        timestamps must lie at or after the current virtual time.  Only
+        the next request of each trace waits on the event heap
+        (:meth:`~repro.sim.engine.Simulator.arrivals`).
         """
-        for req in trace:
-            self.sim.schedule_at(req.time, lambda r=req: self.device.submit(r))
+        self.sim.arrivals(trace, self.device.submit)
         self._scheduled += len(trace)
 
     def run(self) -> ReplayOutcome:

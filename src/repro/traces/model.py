@@ -34,8 +34,8 @@ class IORequest:
     nbytes: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"negative timestamp: {self.time!r}")
+        if not self.time >= 0:  # also rejects NaN
+            raise ValueError(f"timestamp must be >= 0: {self.time!r}")
         if self.op not in (READ, WRITE):
             raise ValueError(f"op must be 'R' or 'W', got {self.op!r}")
         if self.lba < 0:

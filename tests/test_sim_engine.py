@@ -209,3 +209,131 @@ class TestPeriodicEvent:
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):
             Simulator().every(0.0, lambda: None)
+
+
+class TestNaNTimes:
+    """NaN compares false with everything, so a ``time < now`` guard
+    let it through and the heap then dispatched out of time order."""
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 1
+
+    def test_schedule_nan_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(float("nan"), lambda: None)
+
+    def test_run_until_nan_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().run(until=float("nan"))
+
+    def test_clock_never_runs_backwards(self):
+        sim = Simulator()
+        seen = []
+        for t in (1.0, 0.5, 2.0):
+            sim.schedule_at(t, lambda: seen.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [0.5, 1.0, 2.0]
+
+
+class Req:
+    def __init__(self, time, name):
+        self.time = time
+        self.name = name
+
+
+def stream(*times, prefix="a"):
+    return [Req(t, f"{prefix}{i}") for i, t in enumerate(times)]
+
+
+class TestArrivals:
+    def test_items_submitted_at_their_times(self):
+        sim = Simulator()
+        seen = []
+        sim.arrivals(stream(0.5, 1.0, 1.0, 3.0), lambda r: seen.append((r.name, sim.now)))
+        sim.run()
+        assert seen == [("a0", 0.5), ("a1", 1.0), ("a2", 1.0), ("a3", 3.0)]
+        assert sim.dispatched == 4
+
+    def test_one_pending_arrival_per_stream_on_the_heap(self):
+        sim = Simulator()
+        sim.arrivals(stream(*range(1000)), lambda r: None)
+        sim.arrivals(stream(*range(500), prefix="b"), lambda r: None)
+        assert len(sim._heap) == 2
+        sim.run(until=250.5)
+        assert len(sim._heap) == 2
+
+    def test_pending_counts_arrivals_not_yet_pushed(self):
+        sim = Simulator()
+        sim.arrivals(stream(1.0, 2.0, 3.0), lambda r: None)
+        sim.schedule(1.5, lambda: None, daemon=True)
+        assert (sim.pending, sim.pending_foreground) == (4, 3)
+        sim.run(until=2.0)
+        assert (sim.pending, sim.pending_foreground) == (1, 1)
+        sim.run()
+        assert (sim.pending, sim.pending_foreground) == (0, 0)
+
+    def test_ties_break_by_registration_order(self):
+        """Arrival k dispatches under the seq an eager loop would give it."""
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append("before"))
+        sim.arrivals(stream(1.0, 1.0), lambda r: seen.append(r.name))
+        sim.schedule_at(1.0, lambda: seen.append("after"))
+        sim.arrivals(stream(1.0, prefix="b"), lambda r: seen.append(r.name))
+        sim.run()
+        assert seen == ["before", "a0", "a1", "after", "b0"]
+
+    def test_events_scheduled_at_an_arrival_instant_follow_the_stream(self):
+        sim = Simulator()
+        seen = []
+
+        def submit(r):
+            seen.append(r.name)
+            sim.defer(lambda: seen.append("defer-" + r.name))
+
+        sim.arrivals(stream(1.0, 1.0, 2.0), submit)
+        sim.run()
+        assert seen == ["a0", "a1", "defer-a0", "defer-a1", "a2", "defer-a2"]
+
+    def test_empty_stream_schedules_nothing(self):
+        sim = Simulator()
+        sim.arrivals([], lambda r: None)
+        assert sim.pending == 0 and not sim.step()
+
+    def test_decreasing_times_rejected_with_index(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="arrival 2 .* before arrival 1"):
+            sim.arrivals(stream(0.0, 2.0, 1.0), lambda r: None)
+        assert sim.pending == 0
+
+    def test_stream_starting_before_now_rejected(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="arrival 0 .* before now"):
+            sim.arrivals(stream(4.0, 6.0), lambda r: None)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(SimulationError, match="arrival 1 at nan"):
+            Simulator().arrivals(stream(0.0, float("nan"), 1.0), lambda r: None)
+
+
+class TestHandles:
+    def test_handle_is_the_heap_entry(self):
+        sim = Simulator()
+        h = sim.schedule(2.0, lambda: None)
+        assert (h.time, h.seq) == (2.0, 0)
+        assert sim._heap[0] is h
+
+    def test_dispatch_releases_the_action(self):
+        """A handle kept after its event fired does not pin the callback."""
+        sim = Simulator()
+        h = sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert h[2] is None and h.time == 1.0

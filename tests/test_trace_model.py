@@ -27,6 +27,7 @@ class TestIORequest:
             dict(time=0.0, op="X", lba=0, nbytes=1),
             dict(time=0.0, op="R", lba=-1, nbytes=1),
             dict(time=0.0, op="R", lba=0, nbytes=0),
+            dict(time=float("nan"), op="R", lba=0, nbytes=1),
         ],
     )
     def test_validation(self, kwargs):
