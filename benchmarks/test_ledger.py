@@ -2,7 +2,7 @@
 
 Each ``<!-- exhibit: NAME -->`` marker there is followed by a fenced
 block holding ``render(data)`` of that row of ``EXHIBITS``.  To
-regenerate one, paste the output of ``python -m repro.bench NAME``.
+regenerate one, paste the output of ``python -m repro.bench exhibit NAME``.
 """
 
 import pathlib
@@ -33,5 +33,5 @@ def test_each_exhibit_block_is_this_sessions_render(exhibit):
             stale.append(f"{name}, block line {i + 1}: "
                          f"{got[i:i + 1]} != {want[i:i + 1]}")
     assert not stale, (
-        "EXPERIMENTS.md differs from `python -m repro.bench NAME` for:\n"
+        "EXPERIMENTS.md differs from `python -m repro.bench exhibit NAME` for:\n"
         + "\n".join(stale))

@@ -22,8 +22,8 @@ Walks the whole failover story on small fleets:
 
 The CLI equivalent of (2) is::
 
-    python -m repro.bench --cluster --cluster-replication 2 \\
-        --cluster-chaos benchmarks/cluster_chaos.json
+    python -m repro.bench cluster --replication 2 \\
+        --chaos benchmarks/cluster_chaos.json
 
 Run:  python examples/cluster_failover.py
 """

@@ -14,7 +14,7 @@ write decision, then prints:
    the chosen codec, the slot class, and what every shadow would have
    done instead;
 3. a JSON-lines dump and a self-diff through
-   ``python -m repro.bench.diff`` (exit 0 — same run, no drift).
+   ``python -m repro.bench diff`` (exit 0 — same run, no drift).
 
 The headline property: auditing is *side-effect-free*.  The audited
 replay returns bit-identical results to a bare one, and the EDC clone
@@ -89,7 +89,7 @@ def main() -> None:
     print()
     print(render_diff(a, a, diff_dumps(a, a)))
     print("\nwrote decision_audit.jsonl — compare another run with:")
-    print("  python -m repro.bench.diff decision_audit.jsonl other.jsonl")
+    print("  python -m repro.bench diff decision_audit.jsonl other.jsonl")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ collection actually runs), with a
    reclaimed, efficiency, trigger reason);
 4. the LBA-region temperature map, plus the combined metrics dashboard
    with the waterfall/heatmap panels appended;
-5. the ``health.json`` payload a ``--health-dump`` run would write.
+5. the ``health.json`` payload a ``breakdown --health-dump`` run would write.
 
 Health introspection is purely observational: the same replay without
 the collector produces bit-identical allocator/mapping digests (the

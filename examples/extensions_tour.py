@@ -20,6 +20,7 @@ from repro.flash import EnduranceModel, SimulatedHDD, SimulatedSSD, x25e_like
 from repro.sdgen import ContentStore
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sim import Simulator
+from repro.traces import IORequest, Trace
 from repro.traces.workloads import make_workload
 
 
@@ -38,9 +39,10 @@ def replay(policy, backend_kind="ssd", semantic_hints=False, duration=30.0,
     )
     trace = make_workload("Fin1", duration=duration, max_requests=None, seed=11)
     if rate_factor != 1.0:
-        from repro.traces.transform import rate_scale
-
-        trace = rate_scale(trace, rate_factor)
+        trace = Trace(trace.name, [
+            IORequest(r.time * (1.0 / rate_factor), r.op, r.lba, r.nbytes)
+            for r in trace
+        ])
     trace = trace.scaled_addresses(int(geo.logical_bytes * 0.6) // 4096 * 4096)
     TraceReplayer(sim, dev).replay(trace)
     return sim, backend, dev

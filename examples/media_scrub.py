@@ -64,7 +64,7 @@ def main() -> None:
     # --- 3. the audit trail ----------------------------------------------
     # Every scrub action is an attributed episode; it is the ``scrub``
     # section of the run record that
-    # ``python -m repro.bench --chaos ... --record PATH`` writes, and is
+    # ``python -m repro.bench chaos ... --record PATH`` writes, and is
     # rendered inside the DeviceHealth dashboard.
     print(f"scrub stats: {on.sections['scrub']['stats']}")
     print()

@@ -2,44 +2,33 @@
 
 Usage::
 
-    python -m repro.bench                 # everything (several minutes)
-    python -m repro.bench fig1 fig2       # selected exhibits
-    python -m repro.bench --duration 60   # shorter replays
-    python -m repro.bench --telemetry     # add the per-layer breakdown
-    python -m repro.bench --metrics       # add the time-series dashboard
-    python -m repro.bench --telemetry --metrics   # one replay, both reports
+    python -m repro.bench exhibit               # all ten exhibits (several minutes)
+    python -m repro.bench exhibit fig1 fig2 --duration 60
+    python -m repro.bench breakdown             # per-layer latency breakdown
+    python -m repro.bench breakdown --telemetry --metrics   # one replay, both reports
     python -m repro.bench breakdown --trace-dump spans.jsonl
-    python -m repro.bench --metrics --series-dump ts.jsonl --prom-dump metrics.prom
-    python -m repro.bench --audit --shadow lzf,gzip --audit-dump audit.jsonl
-    python -m repro.bench --health --health-dump health.json   # device health
-    python -m repro.bench --chaos benchmarks/chaos_fin1.json   # fault-injected replay
-    python -m repro.bench --chaos benchmarks/latent_fin1.json --scrub-interval 0.005 --record run.json
-    python -m repro.bench --cluster --trace --trace-dump trace.json --alerts
+    python -m repro.bench breakdown --metrics --series-dump ts.jsonl --prom-dump metrics.prom
+    python -m repro.bench breakdown --audit --shadow lzf,gzip --audit-dump audit.jsonl
+    python -m repro.bench breakdown --health --health-dump health.json
+    python -m repro.bench chaos benchmarks/chaos_fin1.json
+    python -m repro.bench chaos benchmarks/latent_fin1.json --scrub-interval 0.005 --record run.json
+    python -m repro.bench crash benchmarks/crash_fin1.json --duration 12
+    python -m repro.bench cluster --trace --trace-dump trace.json --alerts
+    python -m repro.bench cluster --chaos benchmarks/cluster_chaos.json --replication 2
+    python -m repro.bench regress --traces Fin1
+    python -m repro.bench diff A.jsonl B.jsonl
 
-Exhibit names: fig1 fig2 fig3 table1 table2 fig8 fig9 fig10 fig11 fig12
-breakdown.  Each paper exhibit is a row of
-:data:`repro.bench.figures.EXHIBITS`, which says what it computes and
-prints; ``fig8``-``fig10`` share one single-SSD replay matrix, and at
-the default ``--duration`` an exhibit prints its EXPERIMENTS.md block.
-``breakdown`` (also enabled by ``--telemetry`` and/or ``--metrics``)
-replays Fin1 under EDC with the requested instrumentation attached —
-both flags share one device and one replay.  ``--telemetry`` prints the per-layer latency breakdown,
-histogram quantiles and an ASCII flamegraph (``--trace-dump PATH``
-additionally writes the span trace as JSON lines); ``--metrics``
-samples the time-series vocabulary every 0.25 simulated seconds and
-prints the ASCII dashboard with band-switch markers (``--series-dump
-PATH`` writes the ring series as JSON lines, ``--prom-dump PATH``
-writes a Prometheus-style exposition snapshot); ``--audit`` attaches
-the decision auditor (``--shadow`` names comma-separated counterfactual
-policies, ``--audit-dump PATH`` writes the audit trail as JSON lines
-for ``python -m repro.bench.diff``) and prints the per-band regret
-table.  All three flags compose over the same single replay.
+Each paper exhibit is a row of :data:`repro.bench.figures.EXHIBITS`,
+which says what it computes and prints; ``fig8``-``fig10`` share one
+single-SSD replay matrix, and at the default ``--duration`` an exhibit
+prints its EXPERIMENTS.md block.
 
-``--chaos`` and ``--cluster`` are graded runs: the exit status is the
-verdict (0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, 3 CORRUPTION) and
-``--record PATH`` writes the run record.  Plans are validated and every
-dump target is opened before the replay; a command refused there exits
-64 (:data:`repro.bench.verdicts.USAGE_ERROR`).
+``chaos``, ``crash`` and ``cluster`` are graded runs: the exit status is
+the verdict (0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, 3 CORRUPTION) and
+``--record PATH`` writes the run record.  ``regress`` exits 1 on a
+regression, ``diff`` on a policy shift.  Every command reads its inputs
+and opens every file it writes before the run starts; a command refused
+there exits 64 (:data:`repro.bench.verdicts.USAGE_ERROR`).
 """
 
 from __future__ import annotations
@@ -50,11 +39,16 @@ import sys
 import time
 from typing import Callable, Dict, Optional, Sequence, TextIO, Tuple
 
+from repro.bench.diff import (
+    DEFAULT_MAX_LATENCY_DELTA,
+    DEFAULT_MAX_RATIO_DELTA,
+    DEFAULT_MAX_SHIFT,
+)
 from repro.bench.figures import DURATION, EXHIBITS
+from repro.bench.regress import CANONICAL_TRACES
 from repro.bench.report import render_telemetry
 from repro.bench.verdicts import USAGE_ERROR
-
-ALL = (*EXHIBITS, "breakdown")
+from repro.traces.workloads import WORKLOADS
 
 #: every option naming a file this command writes
 DUMP_FLAGS = ("trace_dump", "series_dump", "prom_dump", "audit_dump",
@@ -63,6 +57,29 @@ DUMP_FLAGS = ("trace_dump", "series_dump", "prom_dump", "audit_dump",
 #: one dump: the open target (``None`` = not asked for) and the writer,
 #: which gets the run's outcome and returns the line to print
 Dump = Tuple[Optional[TextIO], Callable[[TextIO, object], str]]
+
+#: a checked command: calling it runs the command and returns the status
+Run = Callable[[], int]
+
+#: options more than one sub-command takes
+SHARED = {
+    "--duration": dict(type=float, default=DURATION,
+                       help="virtual seconds per replayed trace "
+                            "(default %(default)g)"),
+    "--metrics": dict(action="store_true",
+                      help="sample the time-series vocabulary and print "
+                           "the ASCII dashboard"),
+    "--series-dump": dict(metavar="PATH",
+                          help="write the sampled time series as JSON "
+                               "lines to PATH"),
+    "--prom-dump": dict(metavar="PATH",
+                        help="write a Prometheus-style exposition "
+                             "snapshot to PATH"),
+    "--record": dict(metavar="PATH",
+                     help="write the run record (inputs, results, "
+                          "evidence, failures, verdict, exit code) as "
+                          "JSON to PATH"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,15 +93,15 @@ class _Parser(argparse.ArgumentParser):
 def _open_dumps(stack: contextlib.ExitStack, args) -> Dict[str, TextIO]:
     """Open every dump target the command line names.
 
-    The only place this command opens a file for writing, and it runs
-    before any replay: a bad path costs nothing and cannot be mistaken
-    for a verdict.
+    The only place a dump target is opened, and it runs before any
+    replay: a bad path costs nothing and cannot be mistaken for a
+    verdict.
     """
     return {
         flag: stack.enter_context(
             open(getattr(args, flag), "w", encoding="utf-8")
         )
-        for flag in DUMP_FLAGS if getattr(args, flag)
+        for flag in DUMP_FLAGS if getattr(args, flag, None)
     }
 
 
@@ -136,14 +153,49 @@ def _prom_dump(fps: Dict[str, TextIO], sources: Callable[[object], dict],
     return fps.get("prom_dump"), write
 
 
-def _run_breakdown(args, fps: Dict[str, TextIO]) -> int:
-    """Replay Fin1 under EDC once, with whichever instrumentation was asked.
+def _plan(path: str, cuts: bool):
+    """The fault plan at ``path``; power cuts belong to ``crash`` alone."""
+    from repro.faults import FaultPlan
 
-    ``--telemetry``, ``--metrics``, ``--audit`` and ``--health`` compose
-    here: one device, one replay, and each flag only adds its report
-    over the shared run.  ``--health`` additionally *gates*: the space
+    plan = FaultPlan.from_json(path)
+    if cuts and not plan.power_losses:
+        raise ValueError(f"{path} schedules no power_loss event to cut at")
+    if plan.power_losses and not cuts:
+        raise ValueError(f"{path} schedules power_loss events: replay it "
+                         "with the crash command")
+    return plan
+
+
+def _exhibit(args, fps) -> Run:
+    """Print paper exhibits: the named EXHIBITS rows, or all ten."""
+    unknown = set(args.names) - set(EXHIBITS)
+    if unknown:
+        raise ValueError(f"unknown exhibits: {sorted(unknown)}; "
+                         f"known: {tuple(EXHIBITS)}")
+
+    def run() -> int:
+        t0 = time.time()
+        data = {}  # per compute function: exhibits sharing one share its data
+        for name in args.names or EXHIBITS:
+            compute, render = EXHIBITS[name]
+            if compute not in data:
+                data[compute] = compute(args.duration)
+            print(render(data[compute]))
+            print()
+        print(f"done in {time.time() - t0:.0f}s")
+        return 0
+
+    return run
+
+
+def _breakdown(args, fps) -> Run:
+    """Replay Fin1 under EDC once, with whichever instrumentation is asked.
+
+    --telemetry, --metrics, --audit and --health compose: one device, one
+    replay, and each flag only adds its report over the shared run; with
+    none of them the run is --telemetry.  --health also gates: the space
     waterfall's conservation invariant is verified after the replay and
-    a violation makes the exit code non-zero.
+    a violation exits 1.
     """
     from repro.bench.experiments import replay
     from repro.bench.report import render_audit
@@ -162,9 +214,7 @@ def _run_breakdown(args, fps: Dict[str, TextIO]) -> int:
     )
     from repro.traces.workloads import make_workload
 
-    # Explicit `breakdown` exhibit without flags keeps the old
-    # telemetry-only behaviour; --metrics alone skips the span
-    # machinery it doesn't need.
+    # --metrics alone skips the span machinery it doesn't need.
     telemetry = (
         Telemetry(Simulator())
         if args.telemetry or args.trace_dump or not args.metrics else None
@@ -187,7 +237,7 @@ def _run_breakdown(args, fps: Dict[str, TextIO]) -> int:
         ) if pair[0] is not None
     }
 
-    def run():
+    def replayed():
         trace = make_workload("Fin1", duration=args.duration)
         return replay(trace, "EDC", telemetry=telemetry, sampler=sampler,
                       auditor=auditor, health=health)
@@ -204,35 +254,94 @@ def _run_breakdown(args, fps: Dict[str, TextIO]) -> int:
 
     def write_audit(fp, _) -> str:
         return (f"\nwrote {dump_audit_jsonl(auditor, fp)} audit lines to "
-                f"{fp.name} (diff with: python -m repro.bench.diff)")
+                f"{fp.name} (diff with: python -m repro.bench diff)")
 
     def write_health(fp, _) -> str:
         dump_health_json(health, fp)
         return f"\nwrote device-health report to {fp.name}"
 
-    try:
-        _emit(run, render, [
-            (fps.get("trace_dump"), write_trace),
-            _series_dump(fps, sampler),
-            (fps.get("audit_dump"), write_audit),
-            (fps.get("health_dump"), write_health),
-            _prom_dump(fps, lambda _: {
-                "metrics": telemetry.metrics if telemetry is not None else None,
-                "sampler": sampler,
-            }),
-        ])
-    except SpaceAccountingError as exc:
-        print(f"HEALTH FAIL: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    def run() -> int:
+        print(f"running the instrumented replay "
+              f"(duration {args.duration:.0f}s)...")
+        try:
+            _emit(replayed, render, [
+                (fps.get("trace_dump"), write_trace),
+                _series_dump(fps, sampler),
+                (fps.get("audit_dump"), write_audit),
+                (fps.get("health_dump"), write_health),
+                _prom_dump(fps, lambda _: {
+                    "metrics": (telemetry.metrics
+                                if telemetry is not None else None),
+                    "sampler": sampler,
+                }),
+            ])
+        except SpaceAccountingError as exc:
+            print(f"HEALTH FAIL: {exc}", file=sys.stderr)
+            return 1
+        return 0
+
+    return run
 
 
-def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
-    """Run the sharded fleet exhibit; the exit code is the verdict.
+def _chaos(args, fps) -> Run:
+    """Replay one trace under a fault plan; the exit code is the verdict.
 
-    With a ``plan`` the run becomes the fleet chaos harness.  A broken
-    run invariant (lost write, stuck migration, inconsistent SLO
-    accounting, critical-path violation) grades at least DEGRADED.
+    --scrub-interval arms the online media scrubber, so latent retention
+    / read-disturb corruption is CRC-detected and healed from parity
+    through the normal device path.  A plan that cuts power belongs to
+    the crash command.
+    """
+    from repro.bench import chaos
+    from repro.telemetry import TimeSeriesSampler
+
+    plan = _plan(args.plan, cuts=False)
+    sampler = TimeSeriesSampler()
+
+    def replayed():
+        scrubbed = (f", scrub every {args.scrub_interval}s"
+                    if args.scrub_interval is not None else "")
+        print(f"chaos: replaying {args.trace} under {args.plan} "
+              f"({args.backend}, duration {args.duration:.0f}s{scrubbed})...")
+        return chaos.run_chaos(
+            plan, trace_name=args.trace, backend=args.backend,
+            duration=args.duration, sampler=sampler,
+            scrub_interval=args.scrub_interval,
+        )
+
+    return lambda: _emit(replayed, chaos.render, [
+        _record_dump(fps),
+        _prom_dump(fps, lambda _: {"sampler": sampler}, lead="\n"),
+    ]).exit_code
+
+
+def _crash(args, fps) -> Run:
+    """Cut power during a single-SSD replay; the exit code is the verdict.
+
+    The replay is cut at each of the plan's power_loss instants, and
+    every recovery is scanned and verified against an oracle.
+    """
+    from repro.bench import crash
+
+    plan = _plan(args.plan, cuts=True)
+
+    def replayed():
+        print(f"crash chaos: replaying {args.trace} under {args.plan} "
+              f"(ssd, duration {args.duration:.0f}s, "
+              f"{len(plan.power_losses)} power cut(s))...")
+        return crash.run_crash_chaos(plan, trace_name=args.trace,
+                                     duration=args.duration)
+
+    return lambda: _emit(replayed, crash.render, [_record_dump(fps)]).exit_code
+
+
+def _cluster(args, fps) -> Run:
+    """Run the sharded multi-tenant fleet; the exit code is the verdict.
+
+    Consistent-hash routing and QoS admission; without --chaos the run
+    forces one live range migration under load, with it the run is the
+    fleet chaos harness.  Every run ends with the durability audit, and
+    a broken run invariant (lost write, stuck migration, inconsistent
+    SLO accounting, critical-path violation) grades at least DEGRADED.
     """
     from repro.bench import cluster
     from repro.telemetry import (
@@ -242,6 +351,7 @@ def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
         render_dashboard,
     )
 
+    plan = _plan(args.chaos, cuts=False) if args.chaos else None
     with_trace = args.trace or "trace_dump" in fps
     sampler = (
         TimeSeriesSampler()
@@ -250,27 +360,25 @@ def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
     )
     engine = BurnRateEngine() if args.alerts else None
 
-    def run():
+    def replayed():
         mode = " + tracing" if with_trace else ""
         mode += " + burn-rate alerts" if args.alerts else ""
         work = "one live migration"
         if plan is not None:
             work = "fleet chaos"
             mode += (
-                f" under chaos plan {args.cluster_chaos} "
-                f"(rf={args.cluster_replication}, "
-                f"quorum={args.cluster_quorum}, "
+                f" under chaos plan {args.chaos} "
+                f"(rf={args.replication}, quorum={args.quorum}, "
                 f"{len(plan.device_failures)} scheduled shard failure(s))"
             )
-        print(f"cluster: {args.cluster_shards} shards x "
-              f"{args.cluster_tenants} tenants, "
-              f"{args.cluster_requests} requests/tenant, {work}{mode}...")
+        print(f"cluster: {args.shards} shards x {args.tenants} tenants, "
+              f"{args.requests} requests/tenant, {work}{mode}...")
         return cluster.run_cluster(
-            n_shards=args.cluster_shards, n_tenants=args.cluster_tenants,
-            max_requests=args.cluster_requests, sampler=sampler,
-            trace=with_trace, alerts=engine,
-            fault_plan=plan, replication_factor=args.cluster_replication,
-            quorum=args.cluster_quorum, hedge_reads=args.cluster_hedge,
+            n_shards=args.shards, n_tenants=args.tenants,
+            max_requests=args.requests, sampler=sampler,
+            trace=with_trace, alerts=engine, fault_plan=plan,
+            replication_factor=args.replication, quorum=args.quorum,
+            hedge_reads=args.hedge,
         )
 
     def render(record) -> str:
@@ -290,7 +398,7 @@ def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
             tracing.exposition_exemplars() if tracing is not None else None
         )}
 
-    return _emit(run, render, [
+    return lambda: _emit(replayed, render, [
         _record_dump(fps),
         (fps.get("trace_dump"), write_trace),
         _series_dump(fps, sampler),
@@ -298,240 +406,230 @@ def _run_cluster(args, plan, fps: Dict[str, TextIO]) -> int:
     ]).exit_code
 
 
-def _run_chaos(args, plan, fps: Dict[str, TextIO]) -> int:
-    """Replay one trace under a fault plan; the exit code is the verdict.
+def _regress(args, fps) -> Run:
+    """Replay the canonical traces and gate them against the baseline.
 
-    Plans that schedule ``power_loss`` events route to the crash-chaos
-    harness: the replay is cut at each instant, recovery is scanned and
-    verified, and the same :mod:`repro.bench.verdicts` mapping applies.
-    ``--scrub-interval`` arms the online media scrubber so latent
-    retention / read-disturb corruption is repaired in-band.
+    Writes a schema-versioned BENCH_<n>.json record and exits 1 on any
+    gated metric outside the baseline's tolerance (repro.bench.regress).
     """
-    from repro.bench import chaos, crash
-    from repro.telemetry import TimeSeriesSampler
+    from repro.bench import regress
 
-    where = (f"replaying {args.chaos_trace} under {args.chaos} "
-             f"({args.chaos_backend}, duration {args.duration:.0f}s")
-    if plan.power_losses:
-        def run():
-            print(f"crash chaos: {where}, "
-                  f"{len(plan.power_losses)} power cut(s))...")
-            return crash.run_crash_chaos(
-                plan, trace_name=args.chaos_trace,
-                backend=args.chaos_backend, duration=args.duration,
-            )
+    baseline = None
+    if not args.update_baseline or args.duration is None:
+        try:
+            baseline = regress.load_baseline(args.baseline)
+        except FileNotFoundError:
+            if not args.update_baseline:
+                raise ValueError(f"baseline {args.baseline!r} not found "
+                                 "(run with --update-baseline to create it)")
+    duration = args.duration
+    if duration is None:
+        duration = baseline["duration_s"] if baseline is not None else 60.0
+    gated = not (args.update_baseline or args.no_gate)
+    if gated:
+        regress.check_comparable(duration, args.scheme, baseline)
 
-        return _emit(run, crash.render, [_record_dump(fps)]).exit_code
+    def run() -> int:
+        print(f"regress: scheme {args.scheme}, duration {duration:g}s, "
+              f"traces {', '.join(args.traces)}")
+        record = regress.run_bench(args.traces, duration=duration,
+                                   scheme=args.scheme)
+        if args.update_baseline:
+            tolerances = (baseline["tolerances"] if baseline is not None
+                          else None)
+            regress.write_json(regress.make_baseline(record, tolerances),
+                               args.baseline)
+            print(f"wrote new baseline to {args.baseline}")
+        violations = regress.compare(record, baseline) if gated else []
+        record["baseline"] = {
+            "path": args.baseline,
+            "gated": gated,
+            "passed": not violations,
+            "violations": violations,
+            # Kept empty so the BENCH_<n>.json layout stays frozen.
+            "notes": [],
+        }
+        path = regress.write_record(record, args.out_dir)
+        print(f"wrote {path} ({record['wall_clock_s']:.1f}s wall)")
+        for trace, vals in record["traces"].items():
+            print(f"  {trace}: mean {vals['mean_response_s'] * 1e3:.3f} ms, "
+                  f"p95 {vals['p95_response_s'] * 1e3:.3f} ms, "
+                  f"p99 {vals['p99_response_s'] * 1e3:.3f} ms, "
+                  f"{vals['throughput_iops']:.1f} IOPS, "
+                  f"ratio {vals['compression_ratio']:.3f}, "
+                  f"WA {vals['write_amplification']:.3f}")
+        if violations:
+            print(f"\nREGRESSION: {len(violations)} violation(s) vs "
+                  f"{args.baseline}:", file=sys.stderr)
+            for v in violations:
+                print(f"  {v}", file=sys.stderr)
+            return 1
+        if gated:
+            print(f"baseline check passed ({args.baseline})")
+        return 0
 
-    sampler = TimeSeriesSampler()
-
-    def run():
-        scrubbed = (f", scrub every {args.scrub_interval}s"
-                    if args.scrub_interval is not None else "")
-        print(f"chaos: {where}{scrubbed})...")
-        return chaos.run_chaos(
-            plan, trace_name=args.chaos_trace, backend=args.chaos_backend,
-            duration=args.duration, sampler=sampler,
-            scrub_interval=args.scrub_interval,
-        )
-
-    return _emit(run, chaos.render, [
-        _record_dump(fps),
-        _prom_dump(fps, lambda _: {"sampler": sampler}, lead="\n"),
-    ]).exit_code
+    return run
 
 
-def main(argv: list[str] | None = None) -> int:
+def _diff(args, fps) -> Run:
+    """Compare two decision-audit dumps; exit 1 on a policy shift.
+
+    The checks and thresholds are repro.bench.diff's; diffing a dump
+    against itself always exits 0.
+    """
+    from repro.bench.diff import AuditDump, diff_dumps, render_diff
+
+    a, b = AuditDump.load(args.dump_a), AuditDump.load(args.dump_b)
+    result = diff_dumps(a, b, args.max_shift, args.max_latency_delta,
+                        args.max_ratio_delta)
+
+    def run() -> int:
+        print(render_diff(a, b, result))
+        return 0 if result.ok else 1
+
+    return run
+
+
+def _parser() -> _Parser:
     parser = _Parser(
         prog="python -m repro.bench", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("exhibits", nargs="*", default=[],
-                        help=f"which exhibits to run (default: all of {ALL})")
-    parser.add_argument("--duration", type=float, default=DURATION,
-                        help="virtual seconds per replayed trace (default 100)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="also run the 'breakdown' exhibit: per-layer "
-                             "latency breakdown of a Fin1 EDC replay")
-    parser.add_argument("--metrics", action="store_true",
-                        help="also run the 'breakdown' exhibit with the "
-                             "time-series sampler: ASCII dashboard with "
-                             "band-switch markers (composes with "
-                             "--telemetry over one shared replay)")
-    parser.add_argument("--trace-dump", metavar="PATH", default=None,
-                        help="with telemetry, write the span trace as "
-                             "JSON lines to PATH")
-    parser.add_argument("--series-dump", metavar="PATH", default=None,
-                        help="with --metrics, write the sampled time "
-                             "series as JSON lines to PATH")
-    parser.add_argument("--prom-dump", metavar="PATH", default=None,
-                        help="write a Prometheus-style exposition snapshot "
-                             "of the instrumented replay to PATH")
-    parser.add_argument("--audit", action="store_true",
-                        help="also run the 'breakdown' exhibit with the "
-                             "decision auditor: per-band regret table vs "
-                             "shadow policies (composes with --telemetry "
-                             "and --metrics over one shared replay)")
-    parser.add_argument("--shadow", metavar="SPEC", default="lzf,gzip",
-                        help="comma-separated shadow policies for --audit "
-                             "(native, lzf, gzip, bzip2, edc; "
-                             "default lzf,gzip)")
-    parser.add_argument("--audit-dump", metavar="PATH", default=None,
-                        help="with --audit, write the decision-audit "
-                             "trail as JSON lines to PATH (compare runs "
-                             "with python -m repro.bench.diff)")
-    parser.add_argument("--health", action="store_true",
-                        help="also run the 'breakdown' exhibit with "
-                             "device-health introspection: SMART page, "
-                             "space-efficiency waterfall (gated on its "
-                             "conservation invariant), GC episode audit "
-                             "and LBA temperature heatmap (composes with "
-                             "--telemetry/--metrics/--audit over one "
-                             "shared replay)")
-    parser.add_argument("--health-dump", metavar="PATH", default=None,
-                        help="with --health, write the device-health "
-                             "report as JSON to PATH")
-    parser.add_argument("--chaos", metavar="PLAN.json", default=None,
-                        help="replay one trace under the JSON fault plan "
-                             "and report recovered vs lost requests; the "
-                             "exit code is the unified verdict (0 "
-                             "RECOVERED, 1 DEGRADED, 2 DATA-LOSS, 3 "
-                             "CORRUPTION). Plans with power_loss events "
-                             "run the crash-chaos harness instead (ssd "
-                             "backend only), same verdict mapping")
-    parser.add_argument("--chaos-trace", default="Fin1",
-                        help="trace for --chaos (default Fin1)")
-    parser.add_argument("--chaos-backend", default="rais5",
-                        choices=("ssd", "rais5"),
-                        help="backend for --chaos (default rais5)")
-    parser.add_argument("--scrub-interval", type=float, default=None,
-                        metavar="S",
-                        help="with --chaos, arm the online media scrubber "
-                             "with a sweep tick every S virtual seconds: "
-                             "latent retention / read-disturb corruption "
-                             "is CRC-detected and self-healed from parity "
-                             "through the normal device path")
-    parser.add_argument("--record", metavar="PATH", default=None,
-                        help="with --chaos or --cluster, write the run "
-                             "record (inputs, results, evidence sections "
-                             "such as the scrub audit or the per-shard "
-                             "SMART rollups, failures, verdict, exit "
-                             "code) as JSON to PATH")
-    parser.add_argument("--cluster", action="store_true",
-                        help="run the sharded multi-tenant fleet exhibit: "
-                             "consistent-hash routing, QoS admission, one "
-                             "live range migration under load; exits 1 "
-                             "(DEGRADED) on lost acked writes or SLO-accounting "
-                             "inconsistencies (--metrics adds the cluster.* "
-                             "time-series families, --series-dump/--prom-dump "
-                             "apply)")
-    parser.add_argument("--cluster-shards", type=int, default=4,
-                        help="shards in the --cluster fleet (default 4)")
-    parser.add_argument("--cluster-tenants", type=int, default=8,
-                        help="tenants in the --cluster fleet (default 8)")
-    parser.add_argument("--cluster-requests", type=int, default=1500,
-                        help="requests per tenant stream for --cluster "
-                             "(default 1500)")
-    parser.add_argument("--cluster-chaos", metavar="PLAN.json", default=None,
-                        help="with --cluster, run the fleet chaos harness: "
-                             "arm the plan's scheduled device_failures "
-                             "(device names shard0..N-1) against the fleet, "
-                             "replicate ranges --cluster-replication ways, "
-                             "and grade the post-run durability audit. "
-                             "Exit 0 RECOVERED, 1 DEGRADED, 2 DATA-LOSS, "
-                             "3 CORRUPTION")
-    parser.add_argument("--cluster-replication", type=int, default=1,
-                        metavar="N",
-                        help="replicas per LBA range for --cluster "
-                             "(default 1 = no replication)")
-    parser.add_argument("--cluster-quorum", default="majority",
-                        choices=("one", "majority", "all"),
-                        help="write-ack quorum for --cluster-replication "
-                             "(default majority)")
-    parser.add_argument("--cluster-hedge", action="store_true",
-                        help="with --cluster-replication > 1, hedge reads "
-                             "to a second replica at the tenant's observed "
-                             "p95 latency")
-    parser.add_argument("--trace", action="store_true",
-                        help="with --cluster, run under distributed "
-                             "tracing: one causal trace per tenant request "
-                             "across admission, shard splits, device layers "
-                             "and migration I/O; prints the critical-path "
-                             "attribution and fails the run on any "
-                             "conservation violation (--trace-dump PATH "
-                             "then writes a Chrome trace-event / Perfetto "
-                             "JSON file)")
-    parser.add_argument("--alerts", action="store_true",
-                        help="with --cluster, ride a multi-window SLO "
-                             "burn-rate alert engine on the metrics "
-                             "sampler and print fire/clear transitions "
-                             "(implies a sampler; composes with --metrics)")
-    args = parser.parse_args(argv)
-    if args.cluster_chaos and not args.cluster:
-        parser.error("--cluster-chaos requires --cluster")
-    if args.record and not (args.chaos or args.cluster):
-        parser.error("--record needs a graded run (--chaos or --cluster)")
-    if args.health_dump and args.cluster:
-        parser.error("--health-dump belongs to the breakdown exhibit; the "
-                     "per-shard SMART rollups are in --record")
-    instrumented = (args.telemetry or args.metrics or bool(args.prom_dump)
-                    or args.audit or bool(args.audit_dump)
-                    or args.health or bool(args.health_dump))
-    wanted = tuple(args.exhibits) or (ALL[:-1] if not instrumented else ALL)
-    if instrumented and "breakdown" not in wanted:
-        wanted = wanted + ("breakdown",)
-    unknown = set(wanted) - set(ALL)
-    if unknown:
-        parser.error(f"unknown exhibits: {sorted(unknown)}; known: {ALL}")
+    commands = parser.add_subparsers(required=True)
 
-    from repro.faults import FaultPlan
+    def command(name: str, handler, *shared: str) -> _Parser:
+        sub = commands.add_parser(
+            name, help=handler.__doc__.splitlines()[0],
+            description=handler.__doc__,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        sub.set_defaults(handler=handler, refuse=sub.error)
+        for flag in shared:
+            sub.add_argument(flag, **SHARED[flag])
+        return sub
 
+    sub = command("exhibit", _exhibit, "--duration")
+    sub.add_argument("names", nargs="*", metavar="NAME",
+                     help=f"exhibits to print (default: all of "
+                          f"{' '.join(EXHIBITS)})")
+
+    sub = command("breakdown", _breakdown, "--duration", "--metrics",
+                  "--series-dump", "--prom-dump")
+    sub.add_argument("--telemetry", action="store_true",
+                     help="per-layer latency breakdown, histogram "
+                          "quantiles and an ASCII flamegraph")
+    sub.add_argument("--trace-dump", metavar="PATH",
+                     help="write the span trace as JSON lines to PATH")
+    sub.add_argument("--audit", action="store_true",
+                     help="decision auditor: per-band regret table vs "
+                          "the shadow policies")
+    sub.add_argument("--shadow", metavar="SPEC", default="lzf,gzip",
+                     help="comma-separated shadow policies for --audit "
+                          "(native, lzf, gzip, bzip2, edc; "
+                          "default %(default)s)")
+    sub.add_argument("--audit-dump", metavar="PATH",
+                     help="write the decision-audit trail as JSON lines "
+                          "to PATH (compare two with the diff command)")
+    sub.add_argument("--health", action="store_true",
+                     help="SMART page, space-efficiency waterfall (gated "
+                          "on its conservation invariant), GC episode "
+                          "audit and LBA temperature heatmap")
+    sub.add_argument("--health-dump", metavar="PATH",
+                     help="write the device-health report as JSON to PATH")
+
+    sub = command("chaos", _chaos, "--duration", "--prom-dump", "--record")
+    sub.add_argument("plan", metavar="PLAN.json", help="JSON fault plan")
+    sub.add_argument("--trace", default="Fin1", choices=sorted(WORKLOADS),
+                     help="trace to replay (default %(default)s)")
+    sub.add_argument("--backend", default="rais5", choices=("ssd", "rais5"),
+                     help="backend (default %(default)s)")
+    sub.add_argument("--scrub-interval", type=float, metavar="S",
+                     help="arm the online media scrubber with a sweep "
+                          "every S virtual seconds")
+
+    sub = command("crash", _crash, "--duration", "--record")
+    sub.add_argument("plan", metavar="PLAN.json",
+                     help="JSON fault plan with power_loss events")
+    sub.add_argument("--trace", default="Fin1", choices=sorted(WORKLOADS),
+                     help="trace to replay (default %(default)s)")
+
+    sub = command("cluster", _cluster, "--metrics", "--series-dump",
+                  "--prom-dump", "--record")
+    sub.add_argument("--shards", type=int, default=4,
+                     help="shards in the fleet (default %(default)s)")
+    sub.add_argument("--tenants", type=int, default=8,
+                     help="tenants in the fleet (default %(default)s)")
+    sub.add_argument("--requests", type=int, default=1500,
+                     help="requests per tenant stream (default %(default)s)")
+    sub.add_argument("--chaos", metavar="PLAN.json",
+                     help="arm the plan's device_failures (device names "
+                          "shard0..N-1) against the fleet and grade the "
+                          "post-run durability audit")
+    sub.add_argument("--replication", type=int, default=1, metavar="N",
+                     help="replicas per LBA range (default 1)")
+    sub.add_argument("--quorum", default="majority",
+                     choices=("one", "majority", "all"),
+                     help="write-ack quorum (default %(default)s)")
+    sub.add_argument("--hedge", action="store_true",
+                     help="with --replication > 1, hedge reads to a second "
+                          "replica at the tenant's observed p95 latency")
+    sub.add_argument("--trace", action="store_true",
+                     help="distributed tracing: critical-path attribution, "
+                          "and any conservation violation fails the run")
+    sub.add_argument("--trace-dump", metavar="PATH",
+                     help="write the Chrome trace-event / Perfetto JSON "
+                          "to PATH (implies --trace)")
+    sub.add_argument("--alerts", action="store_true",
+                     help="print the multi-window SLO burn-rate alert "
+                          "transitions")
+
+    sub = command("regress", _regress)
+    sub.add_argument("--traces", nargs="+", default=list(CANONICAL_TRACES),
+                     choices=sorted(WORKLOADS), metavar="TRACE",
+                     help=f"traces to replay (default: "
+                          f"{' '.join(CANONICAL_TRACES)})")
+    sub.add_argument("--duration", type=float,
+                     help="virtual seconds per trace (default: the "
+                          "baseline's, so results stay comparable)")
+    sub.add_argument("--scheme", default="EDC",
+                     help="compression scheme to gate (default %(default)s)")
+    sub.add_argument("--baseline", default="benchmarks/baseline.json",
+                     help="baseline to gate against (default %(default)s)")
+    sub.add_argument("--out-dir", default=".",
+                     help="directory for BENCH_<n>.json (default %(default)s)")
+    sub.add_argument("--update-baseline", action="store_true",
+                     help="write the run as the new baseline instead of "
+                          "gating against it")
+    sub.add_argument("--no-gate", action="store_true",
+                     help="record BENCH_<n>.json but skip the comparison")
+
+    sub = command("diff", _diff)
+    sub.add_argument("dump_a", help="reference audit dump (JSONL)")
+    sub.add_argument("dump_b", help="candidate audit dump (JSONL)")
+    for flag, default, what in (
+        ("--max-shift", DEFAULT_MAX_SHIFT, "total-variation distance "
+         "between codec-selection distributions, overall and per band"),
+        ("--max-latency-delta", DEFAULT_MAX_LATENCY_DELTA,
+         "relative per-band mean-response change"),
+        ("--max-ratio-delta", DEFAULT_MAX_RATIO_DELTA,
+         "relative per-band stored-ratio change"),
+    ):
+        sub.add_argument(flag, type=float, default=default,
+                         help=f"max {what} (default %(default)s)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     with contextlib.ExitStack() as stack:
-        # Everything that can refuse the command line happens here,
-        # before any replay; nothing raised later is a usage error.
+        # The handler reads every input and returns the run: everything
+        # that can refuse the command line happens before it starts, so
+        # nothing raised later is a usage error.
         try:
-            plan_path = args.cluster_chaos if args.cluster else args.chaos
-            plan = FaultPlan.from_json(plan_path) if plan_path else None
-            if plan is not None and plan.power_losses:
-                if args.cluster:
-                    raise ValueError(
-                        "power_loss events belong to the crash harness "
-                        "(--chaos), not the fleet chaos harness"
-                    )
-                if args.chaos_backend != "ssd":
-                    raise ValueError(
-                        "crash chaos (a plan with power_losses) supports "
-                        "only --chaos-backend ssd"
-                    )
-            fps = _open_dumps(stack, args)
+            run = args.handler(args, _open_dumps(stack, args))
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        return _run(args, plan, fps, wanted)
-
-
-def _run(args, plan, fps: Dict[str, TextIO], wanted) -> int:
-    if args.cluster:
-        return _run_cluster(args, plan, fps)
-    if args.chaos:
-        return _run_chaos(args, plan, fps)
-
-    t0 = time.time()
-    data = {}  # per compute function: exhibits sharing one share its data
-    for name in wanted:
-        if name == "breakdown":
-            print(f"running the instrumented replay "
-                  f"(duration {args.duration:.0f}s)...")
-            rc = _run_breakdown(args, fps)
-            if rc:
-                return rc
-        else:
-            compute, render = EXHIBITS[name]
-            if compute not in data:
-                data[compute] = compute(args.duration)
-            print(render(data[compute]))
-        print()
-    print(f"done in {time.time() - t0:.0f}s")
-    return 0
+            args.refuse(str(exc))
+        return run()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The benchmarks print their data as tables; these helpers additionally
 render them as horizontal bar charts and line sketches so the paper's
 figures are visually recognisable straight from ``pytest -s`` or
-``python -m repro.bench`` output.
+``python -m repro.bench exhibit`` output.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Chaos replay harness: canonical traces under a :class:`FaultPlan`.
 
-``python -m repro.bench --chaos plan.json`` replays a canonical trace
+``python -m repro.bench chaos plan.json`` replays a canonical trace
 with the plan's faults injected into every simulated device, then
 reports what the recovery machinery did: read retries and recoveries,
 bad blocks retired, array degradation windows, the event-driven rebuild,
@@ -15,7 +15,8 @@ schemes, the same traces — a chaos run with an **empty plan is
 bit-identical to the baseline replay**, which
 ``tests/test_faults.py`` locks in.
 
-Plans with ``power_losses`` do not run here: the CLI routes them to the
+Plans with ``power_losses`` do not run here: the ``chaos`` command
+refuses them, and ``python -m repro.bench crash`` runs them through the
 crash-consistency harness in :mod:`repro.bench.crash`, which cuts the
 simulation mid-flight, runs the recovery scan, and verdicts
 RECOVERED / DATA-LOSS / CORRUPTION instead of the degraded-latency

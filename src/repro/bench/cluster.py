@@ -1,6 +1,6 @@
 """The cluster exhibit: a sharded multi-tenant fleet under live migration.
 
-``python -m repro.bench --cluster`` stands up an N-shard fleet serving
+``python -m repro.bench cluster`` stands up an N-shard fleet serving
 M tenants with mixed QoS contracts (cycled personalities: unlimited,
 tight-SLO throttled, batch, weighted), drives interleaved per-tenant
 traces through the cluster front door, forces one live range migration
@@ -16,10 +16,10 @@ and every sampled request's critical path must sum to its end-to-end
 latency (conservation violations fail the run); ``--alerts`` rides a
 burn-rate alert engine on the metrics sampler.
 
-``python -m repro.bench --cluster --cluster-chaos plan.json`` is the
+``python -m repro.bench cluster --chaos plan.json`` is the
 **fleet chaos harness**: the same exhibit under a
 :class:`~repro.faults.FaultPlan` whose scheduled ``device_failures``
-kill shards mid-run, with N-way replication (``--cluster-replication``)
+kill shards mid-run, with N-way replication (``--replication``)
 standing between the failures and the tenants.  After the run every
 acked write is audited against the surviving replicas
 (:meth:`~repro.cluster.replication.ReplicationManager.audit_durability`)

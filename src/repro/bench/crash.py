@@ -1,7 +1,7 @@
 """Crash-chaos harness: power-loss injection and recovery verdicts.
 
-``python -m repro.bench --chaos plan.json`` routes here when the plan
-schedules :class:`~repro.faults.PowerLoss` events.  The replay is split
+``python -m repro.bench crash plan.json`` runs here; the plan must
+schedule :class:`~repro.faults.PowerLoss` events.  The replay is split
 into **episodes** at the scheduled cut instants:
 
 1. each episode runs on a *fresh* simulator and a *fresh* device — the

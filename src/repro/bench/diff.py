@@ -5,15 +5,15 @@ headline metrics, but two runs can post identical mean response times
 while making very different decisions — e.g. a band-threshold change
 that trades gzip selections in one band for lzf in another.  This tool
 compares the **decision distributions** of two audit dumps produced by
-``python -m repro.bench --audit --audit-dump PATH`` (see
+``python -m repro.bench breakdown --audit --audit-dump PATH`` (see
 :mod:`repro.telemetry.audit`) and flags shifts the scalar gate cannot
 see.
 
 Usage::
 
-    python -m repro.bench.diff A.jsonl B.jsonl
-    python -m repro.bench.diff A.jsonl B.jsonl --max-shift 0.05
-    python -m repro.bench.diff A.jsonl B.jsonl --max-latency-delta 0.15
+    python -m repro.bench diff A.jsonl B.jsonl
+    python -m repro.bench diff A.jsonl B.jsonl --max-shift 0.05
+    python -m repro.bench diff A.jsonl B.jsonl --max-latency-delta 0.15
 
 Checks (``A`` is the reference, ``B`` the candidate):
 
@@ -32,7 +32,7 @@ Exit codes:
 ====  ============================================================
 0     dumps comparable, every check within threshold
 1     at least one threshold exceeded (or a band appeared/vanished)
-2     usage error, unreadable dump, or incompatible schema/policy
+64    usage error, unreadable dump, or incompatible schema/policy
 ====  ============================================================
 
 Diffing a dump against itself always exits 0, which is the CI smoke
@@ -41,13 +41,11 @@ invariant.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["AuditDump", "AuditDiffError", "diff_dumps", "render_diff", "main"]
+__all__ = ["AuditDump", "AuditDiffError", "diff_dumps", "render_diff"]
 
 from repro.telemetry.audit import AUDIT_SCHEMA_VERSION
 
@@ -61,7 +59,7 @@ _NO_BAND = -1
 
 
 class AuditDiffError(ValueError):
-    """Raised for unreadable or incomparable dumps (exit code 2)."""
+    """Raised for unreadable or incomparable dumps (exit code 64)."""
 
 
 @dataclass
@@ -303,44 +301,3 @@ def render_diff(a: AuditDump, b: AuditDump, result: DiffResult) -> str:
         lines.append("")
         lines.append("no significant policy shift")
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.diff", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("dump_a", help="reference audit dump (JSONL)")
-    parser.add_argument("dump_b", help="candidate audit dump (JSONL)")
-    parser.add_argument("--max-shift", type=float,
-                        default=DEFAULT_MAX_SHIFT,
-                        help="max total-variation distance between codec "
-                             "selection distributions, overall and per "
-                             f"band (default {DEFAULT_MAX_SHIFT})")
-    parser.add_argument("--max-latency-delta", type=float,
-                        default=DEFAULT_MAX_LATENCY_DELTA,
-                        help="max relative per-band mean-response change "
-                             f"(default {DEFAULT_MAX_LATENCY_DELTA})")
-    parser.add_argument("--max-ratio-delta", type=float,
-                        default=DEFAULT_MAX_RATIO_DELTA,
-                        help="max relative per-band stored-ratio change "
-                             f"(default {DEFAULT_MAX_RATIO_DELTA})")
-    args = parser.parse_args(argv)
-    try:
-        a = AuditDump.load(args.dump_a)
-        b = AuditDump.load(args.dump_b)
-        result = diff_dumps(
-            a, b,
-            max_shift=args.max_shift,
-            max_latency_delta=args.max_latency_delta,
-            max_ratio_delta=args.max_ratio_delta,
-        )
-    except AuditDiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_diff(a, b, result))
-    return 0 if result.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

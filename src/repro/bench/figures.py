@@ -4,8 +4,8 @@ Each ``fig*`` / ``table*`` function regenerates the data behind one
 exhibit of the paper's evaluation as plain data structures.
 :data:`EXHIBITS` binds every exhibit name to ``(compute(duration),
 render(data) -> str)``: the parameters it runs at and the text it
-prints.  Its three readers are ``python -m repro.bench NAME`` (prints
-the render), the ``benchmarks/`` suite (asserts the paper's shape on
+prints.  Its three readers are ``python -m repro.bench exhibit NAME``
+(prints the render), the ``benchmarks/`` suite (asserts the paper's shape on
 the same data) and the ``<!-- exhibit: NAME -->`` blocks of
 EXPERIMENTS.md (``benchmarks/test_ledger.py`` holds each to the
 render).  Exhibits sharing a compute function share its data: Figs 8,

@@ -7,7 +7,8 @@ choreographies (run to completion, cut at an instant, replay a fleet)
 but leave the same evidence behind: what was asked for, what came out,
 what went wrong, and one verdict from :mod:`repro.bench.verdicts`.
 Each harness module's ``render(record)`` is a pure function of it, and
-``python -m repro.bench --record PATH`` writes it as JSON.
+``python -m repro.bench chaos|crash|cluster ... --record PATH`` writes
+it as JSON.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Benchmark regression harness: replay, record, gate.
 
-``python -m repro.bench.regress`` replays the paper's canonical
+``python -m repro.bench regress`` replays the paper's canonical
 workloads (Fin1/Fin2/Usr_0/Prxy_0) under EDC, writes a schema-versioned
 ``BENCH_<n>.json`` record (mean/p95/p99 response time, throughput,
 compression ratio, write amplification, wall-clock) and compares the
@@ -16,20 +16,22 @@ trajectory but never gated.
 
 Usage::
 
-    python -m repro.bench.regress                     # all four traces
-    python -m repro.bench.regress --traces Fin1       # short CI slice
-    python -m repro.bench.regress --update-baseline   # re-pin the baseline
-    python -m repro.bench.regress --out-dir bench-out # BENCH_<n>.json home
+    python -m repro.bench regress                     # all four traces
+    python -m repro.bench regress --traces Fin1       # short CI slice
+    python -m repro.bench regress --update-baseline   # re-pin the baseline
+    python -m repro.bench regress --out-dir bench-out # BENCH_<n>.json home
+
+A baseline that cannot be read, an unknown trace, or (when the run
+gates) a duration or scheme other than the baseline's is refused before
+any replay, with exit status 64.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
 import re
-import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -43,7 +45,8 @@ __all__ = [
     "make_baseline",
     "load_baseline",
     "next_bench_path",
-    "main",
+    "check_comparable",
+    "write_json",
 ]
 
 #: Version of the BENCH_<n>.json / baseline.json record layout.
@@ -68,7 +71,7 @@ GATED_METRICS = tuple(DEFAULT_TOLERANCES)
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
 
-class RegressionError(RuntimeError):
+class RegressionError(ValueError):
     """Raised on baseline/record mismatches that make gating impossible."""
 
 
@@ -142,7 +145,10 @@ def make_baseline(
 
 def load_baseline(path: str) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
+        try:
+            doc = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise RegressionError(f"baseline {path!r}: {exc}") from None
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise RegressionError(
@@ -153,6 +159,23 @@ def load_baseline(path: str) -> Dict[str, object]:
         if key not in doc:
             raise RegressionError(f"baseline {path!r} is missing {key!r}")
     return doc
+
+
+def check_comparable(
+    duration: float, scheme: str, baseline: Dict[str, object]
+) -> None:
+    """Raise :class:`RegressionError` unless a run at ``duration`` under
+    ``scheme`` can be gated against ``baseline``."""
+    if duration != baseline["duration_s"]:
+        raise RegressionError(
+            f"cannot gate: duration {duration}s != "
+            f"baseline duration {baseline['duration_s']}s"
+        )
+    if scheme != baseline["scheme"]:
+        raise RegressionError(
+            f"cannot gate: scheme {scheme!r} != "
+            f"baseline scheme {baseline['scheme']!r}"
+        )
 
 
 def compare(
@@ -166,16 +189,7 @@ def compare(
     missing from the baseline is itself a violation (silently ungated
     workloads are how regressions slip through).
     """
-    if record["duration_s"] != baseline["duration_s"]:
-        raise RegressionError(
-            f"cannot gate: record duration {record['duration_s']}s != "
-            f"baseline duration {baseline['duration_s']}s"
-        )
-    if record["scheme"] != baseline["scheme"]:
-        raise RegressionError(
-            f"cannot gate: record scheme {record['scheme']!r} != "
-            f"baseline scheme {baseline['scheme']!r}"
-        )
+    check_comparable(record["duration_s"], record["scheme"], baseline)
     tolerances: Dict[str, float] = baseline["tolerances"]  # type: ignore[assignment]
     base_traces: Dict[str, Dict[str, float]] = baseline["traces"]  # type: ignore[assignment]
     violations: List[str] = []
@@ -218,112 +232,14 @@ def next_bench_path(out_dir: str) -> str:
     return os.path.join(out_dir, f"BENCH_{highest + 1}.json")
 
 
-def write_record(record: Dict[str, object], out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = next_bench_path(out_dir)
+def write_json(doc: Dict[str, object], path: str) -> str:
+    """Write ``doc`` as sorted, indented JSON (a record or a baseline)."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(record, fp, indent=2, sort_keys=True)
+        json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
     return path
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.regress", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--traces", nargs="+", default=list(CANONICAL_TRACES),
-                        metavar="TRACE",
-                        help=f"traces to replay (default: {CANONICAL_TRACES})")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="virtual seconds per trace (default: the "
-                             "baseline's pinned duration, so results "
-                             "stay comparable)")
-    parser.add_argument("--scheme", default="EDC",
-                        help="compression scheme to gate (default EDC)")
-    parser.add_argument("--baseline", default="benchmarks/baseline.json",
-                        help="baseline to gate against "
-                             "(default benchmarks/baseline.json)")
-    parser.add_argument("--out-dir", default=".",
-                        help="directory for BENCH_<n>.json (default .)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write the run as the new baseline instead "
-                             "of gating against it")
-    parser.add_argument("--no-gate", action="store_true",
-                        help="record BENCH_<n>.json but skip the "
-                             "baseline comparison")
-    args = parser.parse_args(argv)
-
-    baseline = None
-    if not args.update_baseline or args.duration is None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            if not args.update_baseline:
-                print(f"error: baseline {args.baseline!r} not found "
-                      "(run with --update-baseline to create it)",
-                      file=sys.stderr)
-                return 2
-        except RegressionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    duration = args.duration
-    if duration is None:
-        duration = baseline["duration_s"] if baseline is not None else 60.0
-
-    print(f"regress: scheme {args.scheme}, duration {duration:g}s, "
-          f"traces {', '.join(args.traces)}")
-    record = run_bench(args.traces, duration=duration, scheme=args.scheme)
-
-    if args.update_baseline:
-        tolerances = (baseline["tolerances"] if baseline is not None
-                      else DEFAULT_TOLERANCES)
-        doc = make_baseline(record, tolerances=tolerances)
-        os.makedirs(os.path.dirname(args.baseline) or ".", exist_ok=True)
-        with open(args.baseline, "w", encoding="utf-8") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"wrote new baseline to {args.baseline}")
-
-    gated = not (args.update_baseline or args.no_gate)
-    violations: List[str] = []
-    if gated:
-        try:
-            violations = compare(record, baseline)
-        except RegressionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    record["baseline"] = {
-        "path": args.baseline,
-        "gated": gated,
-        "passed": not violations,
-        "violations": violations,
-        # Kept empty so the BENCH_<n>.json layout stays frozen.
-        "notes": [],
-    }
-    path = write_record(record, args.out_dir)
-    print(f"wrote {path} ({record['wall_clock_s']:.1f}s wall)")
-    for trace, vals in record["traces"].items():  # type: ignore[union-attr]
-        print(f"  {trace}: mean {vals['mean_response_s'] * 1e3:.3f} ms, "
-              f"p95 {vals['p95_response_s'] * 1e3:.3f} ms, "
-              f"p99 {vals['p99_response_s'] * 1e3:.3f} ms, "
-              f"{vals['throughput_iops']:.1f} IOPS, "
-              f"ratio {vals['compression_ratio']:.3f}, "
-              f"WA {vals['write_amplification']:.3f}")
-    if violations:
-        print(f"\nREGRESSION: {len(violations)} violation(s) vs "
-              f"{args.baseline}:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return 1
-    if gated:
-        print(f"baseline check passed ({args.baseline})")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def write_record(record: Dict[str, object], out_dir: str) -> str:
+    return write_json(record, next_bench_path(out_dir))

@@ -22,10 +22,11 @@ code   verdict     meaning
                    nothing flags it until something reads it)
 ====== =========== =============================================
 
-A run that never started is not a verdict: ``python -m repro.bench``
-exits :data:`USAGE_ERROR` (64, sysexits' ``EX_USAGE``) when an option
-is wrong, a fault plan cannot be read or is invalid, or a dump target
-cannot be opened.  All of that is checked before the replay, so a
+A run that never started is not a verdict: every sub-command of the
+``repro.bench`` command line exits :data:`USAGE_ERROR` (64, sysexits'
+``EX_USAGE``) when an option is wrong, an input (fault plan, baseline,
+audit dump) cannot be read or is invalid, or a dump target cannot be
+opened.  All of that is checked before the replay, so a
 status in 0-3 always means the run finished and was graded.
 """
 

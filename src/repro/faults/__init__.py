@@ -8,7 +8,7 @@ backoff, rebuild cadence); per-device :class:`FaultInjector` objects
 roll the seeded dice inside :class:`~repro.flash.ssd.SimulatedSSD`, and
 the layers above — the FTL's bad-block retirement, RAIS5's degraded
 mode and event-driven rebuild, the EDC device's raw-storage fallback —
-handle what fires.  ``python -m repro.bench --chaos plan.json`` replays
+handle what fires.  ``python -m repro.bench chaos plan.json`` replays
 the canonical traces under a plan and reports recovered-vs-failed
 counts plus degraded-window latency percentiles.
 """

@@ -36,8 +36,9 @@ bounded exponential backoff for read retries
 and the array rebuild cadence (``rebuild_delay_s`` /
 ``rebuild_batch_rows``).
 
-Plans serialise to/from JSON (``python -m repro.bench --chaos plan.json``
-replays the canonical traces under one).
+Plans serialise to/from JSON (``python -m repro.bench chaos plan.json``
+replays the canonical traces under one, ``python -m repro.bench crash
+plan.json`` one that cuts power).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   a stack nothing subscribed to runs no observer code.
 - :mod:`repro.telemetry.exporters` — JSON-lines trace dump, per-layer
   latency-breakdown table and an ASCII flamegraph summary (wired into
-  ``python -m repro.bench --telemetry``).
+  ``python -m repro.bench breakdown --telemetry``).
 - :mod:`repro.telemetry.timeseries` — ring-buffered time series and the
   simulation-clock periodic sampler (``replay(sampler=...)`` /
-  ``python -m repro.bench --metrics``).
+  ``python -m repro.bench breakdown --metrics``).
 - :mod:`repro.telemetry.exposition` — Prometheus-style text exposition
   (render + parse) over the metrics registry and sampled series.
 - :mod:`repro.telemetry.dashboard` — ASCII multi-panel sparkline
@@ -26,7 +26,7 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
 - :mod:`repro.telemetry.audit` — per-write decision provenance
   (:class:`DecisionAuditor`): policy inputs, shadow-policy
   counterfactual accounting and JSONL dumps consumed by
-  ``python -m repro.bench.diff``.
+  ``python -m repro.bench diff``.
 - :mod:`repro.telemetry.disttrace` — cluster-wide distributed tracing
   (:class:`DistTracer`): one causal trace per tenant request across
   throttle/queue/split/device/migration, critical-path attribution
@@ -38,7 +38,7 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   (:class:`DeviceHealth`): SMART-style health snapshots, the
   space-efficiency waterfall with an exact conservation check, the
   per-GC-episode audit and the LBA-region temperature map
-  (``python -m repro.bench --health``).
+  (``python -m repro.bench breakdown --health``).
 """
 
 from repro.telemetry.histograms import (

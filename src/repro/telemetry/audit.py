@@ -40,7 +40,7 @@ the engine's memoised planning (no simulator events, no stats), so an
 audited replay is bit-identical to an unaudited one.
 
 Export: :func:`dump_audit_jsonl` writes the aggregates and the
-reservoir as JSON lines; ``python -m repro.bench.diff`` consumes two
+reservoir as JSON lines; ``python -m repro.bench diff`` consumes two
 such dumps and reports decision-distribution shift and per-band
 latency/ratio deltas (see :mod:`repro.bench.diff`).
 """

@@ -23,14 +23,6 @@ from repro.traces.analysis import (
     interarrival_stats,
 )
 from repro.traces.synthetic import BurstModel, SyntheticTraceGenerator, WorkloadParams
-from repro.traces.transform import (
-    clamp_sizes,
-    concat,
-    overlay,
-    rate_scale,
-    shift,
-    time_scale,
-)
 from repro.traces.workloads import (
     WORKLOADS,
     fin1,
@@ -60,10 +52,4 @@ __all__ = [
     "burstiness_summary",
     "detect_bursts",
     "interarrival_stats",
-    "overlay",
-    "time_scale",
-    "rate_scale",
-    "shift",
-    "concat",
-    "clamp_sizes",
 ]

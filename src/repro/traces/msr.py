@@ -69,6 +69,9 @@ def parse_msr(
             size = int(parts[5])
         except ValueError as exc:
             raise MsrFormatError(f"line {lineno}: {exc}") from exc
+        for field, value in (("DiskNumber", line_disk), ("Offset", offset)):
+            if value < 0:
+                raise MsrFormatError(f"line {lineno}: negative {field} {value}")
         if disk is not None and line_disk != disk:
             continue
         if typ not in ("read", "write"):

@@ -14,6 +14,7 @@ address in 512-byte units, ``Size`` the request size in bytes,
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -75,6 +76,11 @@ def parse_spc(
             ts = float(parts[4])
         except ValueError as exc:
             raise SpcFormatError(f"line {lineno}: {exc}") from exc
+        for field, value in (("ASU", line_asu), ("LBA", lba)):
+            if value < 0:
+                raise SpcFormatError(f"line {lineno}: negative {field} {value}")
+        if not (ts >= 0 and math.isfinite(ts)):  # also rejects NaN
+            raise SpcFormatError(f"line {lineno}: bad Timestamp {parts[4]!r}")
         if asu is not None and line_asu != asu:
             continue
         if opcode not in ("r", "w"):

@@ -17,11 +17,12 @@ from repro.bench.diff import (
     AuditDiffError,
     AuditDump,
     diff_dumps,
-    main as diff_main,
     render_diff,
 )
+from repro.bench.__main__ import main
 from repro.bench.experiments import ReplayConfig, replay
 from repro.bench.report import render_audit
+from repro.bench.verdicts import USAGE_ERROR
 from repro.telemetry import (
     AUDIT_SCHEMA_VERSION,
     DecisionAuditor,
@@ -176,7 +177,7 @@ class TestDumpAndDiff:
         path = tmp_path / "a.jsonl"
         with open(path, "w") as fp:
             dump_audit_jsonl(auditor, fp)
-        assert diff_main([str(path), str(path)]) == 0
+        assert main(["diff", str(path), str(path)]) == 0
 
     def test_diff_detects_shift(self, tmp_path, capsys):
         # swap the loaded band's codec so the decision mix flips
@@ -196,18 +197,22 @@ class TestDumpAndDiff:
             with open(path, "w") as fp:
                 dump_audit_jsonl(auditor, fp)
             paths.append(str(path))
-        assert diff_main(paths) == 1
+        assert main(["diff", *paths]) == 1
         out = capsys.readouterr().out
         assert "shift" in out
 
     def test_diff_exit_2_on_unreadable(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
-        assert diff_main([missing, missing]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", missing, missing])
+        assert exc.value.code == USAGE_ERROR
 
     def test_diff_exit_2_on_malformed(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"kind": "band"}\n')
-        assert diff_main([str(bad), str(bad)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", str(bad), str(bad)])
+        assert exc.value.code == USAGE_ERROR
 
     def test_dump_loads_back(self, audited_replay, tmp_path):
         auditor, _ = audited_replay

@@ -77,8 +77,7 @@ class TestRunCrashChaos:
         plan = FaultPlan(seed=3, power_losses=(PowerLoss(at=2.0),))
         path = str(tmp_path / "crash.json")
         plan.to_json(path)
-        code = main(["--chaos", path, "--chaos-backend", "ssd",
-                     "--duration", "4"])
+        code = main(["crash", path, "--duration", "4"])
         out = capsys.readouterr().out
         assert code == 0
         assert "RECOVERED" in out

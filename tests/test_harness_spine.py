@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.bench import chaos, cluster, crash, verdicts
+from repro.bench import chaos, cluster, crash, experiments, regress, verdicts
 from repro.bench.__main__ import main
 from repro.bench.experiments import ReplayConfig, replay
 from repro.bench.record import RECORD_SCHEMA, RunRecord
@@ -211,29 +211,25 @@ class TestRecordContract:
 #: took over the failed member's subscribers; its retirement was unheard.
 CI_COMMANDS = {
     "chaos": (
-        "--chaos benchmarks/chaos_fin1.json --chaos-trace Fin1 "
-        "--chaos-backend rais5 --duration 6 "
-        "--prom-dump <TMP>/chaos-metrics.prom", 0),
+        "chaos benchmarks/chaos_fin1.json --trace Fin1 --backend rais5 "
+        "--duration 6 --prom-dump <TMP>/chaos-metrics.prom", 0),
     "scrub_on": (
-        "--chaos benchmarks/latent_fin1.json --chaos-trace Fin1 "
-        "--chaos-backend rais5 --duration 3 --scrub-interval 0.005", 0),
+        "chaos benchmarks/latent_fin1.json --trace Fin1 --backend rais5 "
+        "--duration 3 --scrub-interval 0.005", 0),
     "scrub_off": (
-        "--chaos benchmarks/latent_fin1.json --chaos-trace Fin1 "
-        "--chaos-backend rais5 --duration 3", 3),
+        "chaos benchmarks/latent_fin1.json --trace Fin1 --backend rais5 "
+        "--duration 3", 3),
     "crash": (
-        "--chaos benchmarks/crash_fin1.json --chaos-trace Fin1 "
-        "--chaos-backend ssd --duration 6", 0),
+        "crash benchmarks/crash_fin1.json --trace Fin1 --duration 6", 0),
     "cluster": (
-        "--cluster --cluster-shards 2 --cluster-tenants 4 "
-        "--cluster-requests 120 --prom-dump <TMP>/cluster-metrics.prom", 0),
+        "cluster --shards 2 --tenants 4 --requests 120 "
+        "--prom-dump <TMP>/cluster-metrics.prom", 0),
     "cluster_chaos": (
-        "--cluster --cluster-shards 3 --cluster-tenants 3 "
-        "--cluster-requests 400 --cluster-chaos benchmarks/cluster_chaos.json "
-        "--cluster-replication 2", 0),
+        "cluster --shards 3 --tenants 3 --requests 400 "
+        "--chaos benchmarks/cluster_chaos.json --replication 2", 0),
     "traced": (
-        "--cluster --trace --cluster-shards 3 --cluster-tenants 6 "
-        "--cluster-requests 100 --trace-dump <TMP>/cluster-trace.json "
-        "--alerts", 0),
+        "cluster --trace --shards 3 --tenants 6 --requests 100 "
+        "--trace-dump <TMP>/cluster-trace.json --alerts", 0),
 }
 
 
@@ -260,7 +256,7 @@ class TestExitStatus:
         monkeypatch.chdir(REPO)
         path = tmp_path / "run.json"
         code, out = _cli(
-            f"--chaos benchmarks/chaos_fin1.json --duration 2 --record {path}",
+            f"chaos benchmarks/chaos_fin1.json --duration 2 --record {path}",
             tmp_path, capsys,
         )
         record = RunRecord.from_json(path.read_text())
@@ -271,26 +267,47 @@ class TestExitStatus:
         assert out.endswith("\nwrote the run record to <TMP>/run.json\n")
 
     @pytest.mark.parametrize("command", [
-        "--chaos <TMP>/missing.json",
-        "--chaos <TMP>/bogus.json",
-        "--chaos benchmarks/crash_fin1.json --chaos-backend rais5",
-        "--cluster --prom-dump <TMP>/no/such/dir/x.prom",
-        "--cluster --cluster-chaos benchmarks/crash_fin1.json",
-        "--cluster --health-dump <TMP>/h.json",
-        "--record <TMP>/r.json fig1",
-        "fig99",
+        # the command lines of the one namespace before the sub-commands
+        "--chaos benchmarks/chaos_fin1.json",
+        "fig1",
+        "",
+        "exhibit fig99",
+        "exhibit --record <TMP>/r.json fig1",
+        "breakdown --audit --shadow nosuch",
+        "breakdown --trace-dump <TMP>/no/such/dir/s.jsonl",
+        "chaos <TMP>/missing.json",
+        "chaos <TMP>/bogus.json",
+        "chaos benchmarks/crash_fin1.json",
+        "chaos benchmarks/chaos_fin1.json --trace NoSuchTrace",
+        "crash benchmarks/chaos_fin1.json",
+        "crash benchmarks/crash_fin1.json --backend rais5",
+        "cluster --prom-dump <TMP>/no/such/dir/x.prom",
+        "cluster --chaos benchmarks/crash_fin1.json",
+        "cluster --health-dump <TMP>/h.json",
+        "regress --baseline <TMP>/missing.json",
+        "regress --baseline <TMP>/bogus.json",
+        "regress --baseline <TMP>/torn.json",
+        "regress --traces Fin1 NoSuchTrace",
+        "regress --duration 7",
+        "regress --scheme Native",
+        "diff --no-such-flag <TMP>/a.jsonl <TMP>/a.jsonl",
+        "diff <TMP>/missing.jsonl <TMP>/missing.jsonl",
+        "diff <TMP>/bogus.json <TMP>/bogus.json",
     ])
     def test_usage_errors_never_run_and_never_look_like_a_verdict(
         self, command, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.chdir(REPO)
         (tmp_path / "bogus.json").write_text('{"no_such_key": 1}')
+        (tmp_path / "torn.json").write_text('{"schema_version": 1,')
 
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         for module, runner in ((chaos, "run_chaos"), (cluster, "run_cluster"),
-                               (crash, "run_crash_chaos")):
+                               (crash, "run_crash_chaos"),
+                               (experiments, "replay"),
+                               (regress, "run_bench")):
             monkeypatch.setattr(module, runner, no_run)
         with pytest.raises(SystemExit) as exc:
             main(command.replace("<TMP>", str(tmp_path)).split())
@@ -308,4 +325,4 @@ class TestExitStatus:
 
         monkeypatch.setattr(chaos, "run_chaos", broken)
         with pytest.raises(ValueError, match="mid-run"):
-            main("--chaos benchmarks/chaos_fin1.json".split())
+            main("chaos benchmarks/chaos_fin1.json".split())

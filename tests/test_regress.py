@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.bench import regress
+from repro.bench.__main__ import main
 from repro.bench.regress import (
     CANONICAL_TRACES,
     DEFAULT_TOLERANCES,
@@ -23,6 +23,7 @@ from repro.bench.regress import (
     next_bench_path,
     run_bench,
 )
+from repro.bench.verdicts import USAGE_ERROR
 
 DURATION = 3.0
 
@@ -127,13 +128,13 @@ class TestCli:
         # Pin a baseline from the fixture record, then gate a fresh run
         # against it: deterministic replay -> pass; a tolerance
         # tightened to ~zero with a nudged pin -> exit 1 naming the
-        # metric; a different duration -> exit 2 (uncomparable).
+        # metric; a different duration -> usage error (uncomparable).
         base_path = tmp_path / "baseline.json"
         base_path.write_text(json.dumps(make_baseline(record)))
         out = tmp_path / "out"
-        argv = ["--traces", "Fin1", "--baseline", str(base_path),
+        argv = ["regress", "--traces", "Fin1", "--baseline", str(base_path),
                 "--out-dir", str(out)]
-        assert regress.main(argv) == 0
+        assert main(argv) == 0
         rec = json.loads((out / "BENCH_1.json").read_text())
         assert rec["schema_version"] == SCHEMA_VERSION
         assert rec["baseline"]["passed"] is True
@@ -142,17 +143,30 @@ class TestCli:
         tight["tolerances"]["mean_response_s"] = 1e-12
         tight["traces"]["Fin1"]["mean_response_s"] *= 1.001
         base_path.write_text(json.dumps(tight))
-        assert regress.main(argv) == 1
+        assert main(argv) == 1
         rec = json.loads((out / "BENCH_2.json").read_text())
         assert rec["baseline"]["passed"] is False
         assert any("Fin1.mean_response_s" in v
                    for v in rec["baseline"]["violations"])
 
-        assert regress.main(argv + ["--duration", str(DURATION * 2)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--duration", str(DURATION * 2)])
+        assert exc.value.code == USAGE_ERROR
 
     def test_missing_baseline_is_usage_error(self, tmp_path):
-        assert regress.main(
-            ["--traces", "Fin1", "--duration", "1",
-             "--baseline", str(tmp_path / "nope.json"),
-             "--out-dir", str(tmp_path)]
-        ) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--traces", "Fin1", "--duration", "1",
+                  "--baseline", str(tmp_path / "nope.json"),
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == USAGE_ERROR
+
+    def test_ungated_runs_accept_any_duration(self, tmp_path):
+        base = tmp_path / "baseline.json"
+        argv = ["regress", "--traces", "Fin1", "--baseline", str(base),
+                "--out-dir", str(tmp_path)]
+        assert main(argv + ["--duration", "1", "--update-baseline"]) == 0
+        assert load_baseline(str(base))["duration_s"] == 1.0
+        assert main(argv + ["--duration", "2", "--no-gate"]) == 0
+        rec = json.loads((tmp_path / "BENCH_2.json").read_text())
+        assert rec["duration_s"] == 2.0
+        assert rec["baseline"]["gated"] is False

@@ -56,6 +56,17 @@ class TestSpcParse:
         with pytest.raises(SpcFormatError):
             parse_spc([line])
 
+    @pytest.mark.parametrize("line,field", [
+        ("0,0,512,r,inf", "Timestamp"),
+        ("0,0,512,r,nan", "Timestamp"),
+        ("0,0,512,r,-1.0", "Timestamp"),
+        ("1,-8,512,r,0.0", "LBA"),
+        ("-1,0,512,r,0.0", "ASU"),
+    ])
+    def test_bad_field_names_line_and_field(self, line, field):
+        with pytest.raises(SpcFormatError, match=f"line 2: .*{field}"):
+            parse_spc(["0,0,512,r,0.0", line])
+
 
 class TestSpcRoundTrip:
     def test_write_then_parse(self, tmp_path):
@@ -131,6 +142,14 @@ class TestMsrParse:
     def test_malformed_rejected(self, line):
         with pytest.raises(MsrFormatError):
             parse_msr([line])
+
+    @pytest.mark.parametrize("line,field", [
+        ("100,usr,1,Read,-4096,512,0", "Offset"),
+        ("100,usr,-1,Read,0,512,0", "DiskNumber"),
+    ])
+    def test_bad_field_names_line_and_field(self, line, field):
+        with pytest.raises(MsrFormatError, match=f"line 2: .*{field}"):
+            parse_msr(["100,usr,0,Read,0,512,0", line])
 
 
 class TestMsrRoundTrip:

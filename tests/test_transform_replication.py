@@ -1,113 +1,11 @@
-"""Tests for trace transformations and multi-seed replication."""
+"""Tests for multi-seed replication."""
 
 import pytest
 
 from repro.bench.experiments import ReplayConfig
 from repro.bench.replication import MetricSummary, replicate
 from repro.traces.model import IORequest, Trace
-from repro.traces.transform import (
-    clamp_sizes,
-    concat,
-    overlay,
-    rate_scale,
-    reads_only,
-    shift,
-    time_scale,
-    writes_only,
-)
 from repro.traces.workloads import make_workload
-
-
-def trace_a():
-    return Trace("a", [IORequest(0.0, "W", 0, 4096), IORequest(1.0, "R", 4096, 4096)])
-
-
-def trace_b():
-    return Trace("b", [IORequest(0.5, "W", 8192, 8192)])
-
-
-class TestOverlay:
-    def test_interleaves_by_time(self):
-        t = overlay([trace_a(), trace_b()])
-        assert [r.time for r in t] == [0.0, 0.5, 1.0]
-        assert len(t) == 3
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            overlay([])
-
-
-class TestScaling:
-    def test_time_scale_stretches(self):
-        t = time_scale(trace_a(), 2.0)
-        assert t.duration == pytest.approx(2.0)
-
-    def test_rate_scale_doubles_iops(self):
-        base = trace_a()
-        fast = rate_scale(base, 2.0)
-        assert fast.stats().raw_iops == pytest.approx(2 * base.stats().raw_iops)
-
-    def test_scale_preserves_population(self):
-        t = time_scale(trace_a(), 0.5)
-        assert len(t) == 2
-        assert {r.lba for r in t} == {0, 4096}
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            time_scale(trace_a(), 0.0)
-        with pytest.raises(ValueError):
-            rate_scale(trace_a(), -1.0)
-
-
-class TestShiftConcat:
-    def test_shift(self):
-        t = shift(trace_a(), 10.0)
-        assert t[0].time == 10.0
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            shift(trace_a(), -1.0)
-
-    def test_concat_plays_back_to_back(self):
-        t = concat([trace_a(), trace_b()], gap=2.0)
-        # trace_a ends at 1.0, gap 2.0, so b starts at 3.0 + its 0.5 offset
-        assert t[-1].time == pytest.approx(3.5)
-        assert len(t) == 3
-
-    def test_concat_gap_validation(self):
-        with pytest.raises(ValueError):
-            concat([trace_a()], gap=-0.1)
-
-
-class TestFilters:
-    def test_reads_writes_partition(self):
-        t = trace_a()
-        assert len(reads_only(t)) + len(writes_only(t)) == len(t)
-        assert all(r.is_read for r in reads_only(t))
-        assert all(r.is_write for r in writes_only(t))
-
-
-class TestClampSizes:
-    def test_large_request_split(self):
-        t = Trace("big", [IORequest(0.0, "W", 0, 16384)])
-        out = clamp_sizes(t, 4096)
-        assert len(out) == 4
-        assert all(r.nbytes == 4096 for r in out)
-        assert [r.lba for r in out] == [0, 4096, 8192, 12288]
-        assert all(r.time == 0.0 for r in out)
-
-    def test_small_requests_untouched(self):
-        out = clamp_sizes(trace_a(), 65536)
-        assert len(out) == 2
-
-    def test_bytes_preserved(self):
-        t = make_workload("Usr_0", max_requests=200, seed=1)
-        out = clamp_sizes(t, 8192)
-        assert sum(r.nbytes for r in out) == sum(r.nbytes for r in t)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clamp_sizes(trace_a(), 0)
 
 
 class TestReplication:
@@ -142,4 +40,5 @@ class TestReplication:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            replicate(lambda s: trace_a(), "Native", seeds=())
+            replicate(lambda s: Trace("a", [IORequest(0.0, "W", 0, 4096)]),
+                      "Native", seeds=())
