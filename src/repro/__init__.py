@@ -15,7 +15,7 @@ stands on:
                       codecs (from-scratch LZF/LZ4, zlib/bz2/lzma),
                       compressibility estimation, calibrated cost model
 :mod:`repro.flash`    simulated SSD: log-structured FTL, greedy GC,
-                      RAIS0/RAIS5 arrays, size-class allocator, mapping
+                      the RAIS5 array, size-class allocator, mapping
 :mod:`repro.sim`      discrete-event engine, queues, metrics
 :mod:`repro.traces`   SPC/MSR parsers and burst/idle trace synthesis
 :mod:`repro.sdgen`    SDGen-style compression-realistic content

@@ -46,7 +46,6 @@ from repro.bench.diff import (
 )
 from repro.bench.figures import DURATION, EXHIBITS
 from repro.bench.regress import CANONICAL_TRACES
-from repro.bench.report import render_telemetry
 from repro.bench.verdicts import USAGE_ERROR
 from repro.traces.workloads import WORKLOADS
 
@@ -211,6 +210,7 @@ def _breakdown(args, fps) -> Run:
         dump_jsonl,
         parse_shadow_spec,
         render_dashboard,
+        render_telemetry_summary,
     )
     from repro.traces.workloads import make_workload
 
@@ -230,7 +230,7 @@ def _breakdown(args, fps) -> Run:
     # flag name -> (observer, its report), for the ones asked for
     active = {
         name: pair for name, pair in (
-            ("telemetry", (telemetry, render_telemetry)),
+            ("telemetry", (telemetry, render_telemetry_summary)),
             ("metrics", (sampler, render_dashboard)),
             ("audit", (auditor, render_audit)),
             ("health", (health, DeviceHealth.render)),

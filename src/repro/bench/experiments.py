@@ -242,8 +242,7 @@ def replay(
     before the first request so latent errors injected by
     ``fault_plan`` are found and repaired *during* the replay.  Scrub
     I/O is charged through the normal read/write paths; ``None`` (the
-    default) keeps the replay bit-identical to the seed.  Bound before
-    the sampler so the gated ``scrub.*`` metric family attaches.
+    default) keeps the replay bit-identical to the seed.
     """
     cfg = cfg if cfg is not None else ReplayConfig()
     sim = Simulator()

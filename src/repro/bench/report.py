@@ -14,7 +14,6 @@ from repro.tables import render_table
 __all__ = [
     "render_table",
     "render_series",
-    "render_telemetry",
     "render_audit",
 ]
 
@@ -32,17 +31,6 @@ def render_series(
     for i, x in enumerate(xs):
         rows.append([x] + [fmt.format(series[name][i]) for name in series])
     return render_table(headers, rows, title)
-
-
-def render_telemetry(telemetry, flame: bool = True) -> str:
-    """Per-layer breakdown + metrics + flamegraph for one replay.
-
-    Thin delegation to :func:`repro.telemetry.render_telemetry_summary`
-    so harness code only needs this module for all result rendering.
-    """
-    from repro.telemetry.exporters import render_telemetry_summary
-
-    return render_telemetry_summary(telemetry, flame=flame)
 
 
 def render_audit(auditor) -> str:

@@ -31,7 +31,6 @@ from repro.compression.estimator import (
     byte_entropy,
     coreset_size,
 )
-from repro.compression.huffman import HuffmanCodec, huffman_compress, huffman_decompress
 from repro.compression.lz4 import LZ4Codec, lz4_compress, lz4_decompress
 from repro.compression.lzf import LZFCodec, lzf_compress, lzf_decompress
 from repro.compression.stdcodecs import Bz2Codec, LzmaCodec, NullCodec, ZlibCodec
@@ -51,9 +50,6 @@ __all__ = [
     "lzf_compress",
     "lzf_decompress",
     "LZ4Codec",
-    "HuffmanCodec",
-    "huffman_compress",
-    "huffman_decompress",
     "lz4_compress",
     "lz4_decompress",
     "NullCodec",

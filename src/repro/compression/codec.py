@@ -160,11 +160,10 @@ def default_registry() -> CodecRegistry:
     4     bzip2      bz2 level 9
     5     lzma       xz/lzma preset 1
     6     zlib-1     zlib level 1 (fast DEFLATE, used by the estimator)
-    7     huffman    pure-Python canonical Huffman (this repo)
+    7     —          unassigned
     ====  =========  =============================================
     """
     # Imported here to avoid a circular import at module load.
-    from repro.compression.huffman import HuffmanCodec
     from repro.compression.lz4 import LZ4Codec
     from repro.compression.lzf import LZFCodec
     from repro.compression.stdcodecs import (
@@ -182,5 +181,4 @@ def default_registry() -> CodecRegistry:
     reg.register(Bz2Codec())
     reg.register(LzmaCodec())
     reg.register(ZlibCodec(name="zlib-1", tag=6, level=1))
-    reg.register(HuffmanCodec())
     return reg

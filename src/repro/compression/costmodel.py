@@ -20,7 +20,6 @@ gzip     15            150              25
 bzip2    9             26               30
 lzma     4             60               30
 zlib-1   90            250              20
-huffman  350           700              15
 =======  ============  ==============  ========
 
 Per-call costs include a fixed setup overhead — context allocation,
@@ -62,7 +61,6 @@ DEFAULT_SPEEDS: Dict[str, CodecSpeed] = {
     "bzip2": CodecSpeed(9.0, 26.0, setup_us=30.0),
     "lzma": CodecSpeed(4.0, 60.0, setup_us=30.0),
     "zlib-1": CodecSpeed(90.0, 250.0, setup_us=20.0),
-    "huffman": CodecSpeed(350.0, 700.0, setup_us=15.0),
 }
 
 

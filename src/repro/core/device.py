@@ -749,46 +749,6 @@ class EDCBlockDevice:
             self._release(eid for eid, _entry in self.mapping.remove(blk * bs))
         return unmapped
 
-    def defragment(
-        self,
-        max_entries: int = 64,
-        live_threshold: float = 0.5,
-        codec_name: Optional[str] = "gzip",
-    ) -> int:
-        """Rewrite partially-shadowed merged runs to reclaim zombie space.
-
-        Overlay mapping semantics keep a merged run's storage allocated
-        until *every* block it covered is overwritten; runs that are
-        mostly shadowed therefore hold dead bytes.  This pass rewrites
-        the still-live blocks of up to ``max_entries`` such runs (live
-        fraction below ``live_threshold``) as fresh entries, letting the
-        old storage go.  It is idle-period work, exactly like EDC's
-        high-ratio compression — ``codec_name`` defaults to the strong
-        codec for the same reason (``None`` = store raw).
-
-        Returns the number of entries rewritten.  CPU and device costs
-        are charged through the normal write path, so calling this
-        during load shows up in response times like any background task
-        would.
-        """
-        if not 0 < live_threshold <= 1:
-            raise ValueError(f"live_threshold must be in (0,1]: {live_threshold!r}")
-        bs = self.config.block_size
-        victims = []
-        for eid in list(self.mapping.entry_ids()):
-            entry = self.mapping.get(eid)
-            if entry is None or entry.span <= 1:
-                continue
-            frac = self.mapping.live_fraction(eid)
-            if 0.0 < frac < live_threshold:
-                victims.append(eid)
-            if len(victims) >= max_entries:
-                break
-        rewritten = 0
-        for eid in victims:
-            rewritten += 1 if self.rewrite_entry(eid, codec_name) else 0
-        return rewritten
-
     def rewrite_entry(
         self,
         eid: int,
@@ -798,11 +758,11 @@ class EDCBlockDevice:
     ) -> int:
         """Rewrite entry ``eid``'s still-live blocks as fresh extents.
 
-        The relocation primitive shared by :meth:`defragment` (reclaim
-        zombie space) and the media scrub's self-healing repair
-        (re-place a corrupted extent from known-good content): the live
-        blocks are re-planned, re-compressed and written through the
-        normal device path — CPU, program time, WA and energy are all
+        The relocation primitive of the media scrub's self-healing repair
+        (re-place a corrupted extent from known-good content); it also
+        frees a merged run's zombie space.  The live blocks are
+        re-planned, re-compressed and written through the normal device
+        path — CPU, program time, WA and energy are all
         charged — and the new insert shadows the old extent, whose
         storage is then trimmed on the backend.
 
@@ -842,12 +802,12 @@ class EDCBlockDevice:
             synthetic = PendingRun(s * bs, length * bs, [self.sim.now], [None])
             issued += 1
             self._after_cpu(
-                plan, ("defrag", s),
-                self._commit_defrag, synthetic, plan, sub_ids, eid, on_stored,
+                plan, ("rewrite", s),
+                self._commit_rewrite, synthetic, plan, sub_ids, eid, on_stored,
             )
         return issued
 
-    def _commit_defrag(
+    def _commit_rewrite(
         self,
         run: PendingRun,
         plan: WritePlan,
@@ -859,7 +819,7 @@ class EDCBlockDevice:
         """Store a rewritten sub-run: the logical data is unchanged, only
         re-placed, so no version bumps, write statistics or events."""
         # A host write may have overwritten part of this range while the
-        # defrag compression was queued; re-inserting stale data over it
+        # rewrite compression was queued; re-inserting stale data over it
         # would corrupt the mapping, so skip the sub-run in that case.
         start_blk = run.start_lba // self.config.block_size
         blocks = range(start_blk, start_blk + len(run_ids))

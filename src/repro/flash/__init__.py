@@ -10,8 +10,8 @@ Models the storage stack the paper evaluates on:
   amplification accounting.
 - :mod:`~repro.flash.ssd` — the simulated SSD: request queue and a
   service-time model linear in request size (paper Fig 1).
-- :mod:`~repro.flash.raid` — RAIS0/RAIS5 arrays of simulated SSDs
-  (paper Fig 11 uses a five-SSD RAIS5).
+- :mod:`~repro.flash.raid` — the RAIS5 parity array of simulated SSDs
+  (paper Fig 11 uses five).
 - :mod:`~repro.flash.allocator` — EDC's 25/50/75/100 % size-class slot
   allocator (§III-C).
 - :mod:`~repro.flash.mapping` — the (LBA, Size, Tag) compressed-block
@@ -22,7 +22,7 @@ from repro.flash.allocator import SizeClassAllocator, SlotClass
 from repro.flash.endurance import EnduranceModel, EnduranceReport, PE_LIMITS
 from repro.flash.hdd import HddTiming, SimulatedHDD
 from repro.flash.ftl import ExtentFTL, FlashCost
-from repro.flash.gc import GreedyCollector, WearAwareCollector
+from repro.flash.gc import GreedyCollector
 from repro.flash.geometry import (
     NandGeometry,
     NandTiming,
@@ -31,7 +31,7 @@ from repro.flash.geometry import (
     x25e_like,
 )
 from repro.flash.mapping import MappingEntry, MappingTable
-from repro.flash.raid import RAIS0, RAIS5
+from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD, StorageBackend
 
 __all__ = [
@@ -43,10 +43,8 @@ __all__ = [
     "ExtentFTL",
     "FlashCost",
     "GreedyCollector",
-    "WearAwareCollector",
     "SimulatedSSD",
     "StorageBackend",
-    "RAIS0",
     "RAIS5",
     "SizeClassAllocator",
     "SlotClass",

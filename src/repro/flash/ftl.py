@@ -16,8 +16,8 @@ Responsibilities:
   cuts relocation work);
 - relocate into a dedicated **GC frontier**, so collected cold data
   never mixes back into the host streams;
-- invoke the :class:`~repro.flash.gc.GreedyCollector` (or a wear-aware
-  policy) when free blocks run low;
+- invoke the :class:`~repro.flash.gc.GreedyCollector` when free blocks
+  run low;
 - account every byte written (host vs relocated) so write amplification
   and erase counts are observable.
 
@@ -97,8 +97,6 @@ class ExtentFTL:
     ----------
     geometry:
         Device layout; ``geometry.logical_bytes`` caps live data.
-    collector:
-        Victim-selection policy (defaults to greedy).
     gc_free_threshold:
         GC starts when the free-block pool drops to this size; it must be
         at least 2 so relocation always has a destination.
@@ -110,7 +108,6 @@ class ExtentFTL:
     def __init__(
         self,
         geometry: NandGeometry,
-        collector: Optional[GreedyCollector] = None,
         gc_free_threshold: int = 4,
         n_streams: int = 1,
     ) -> None:
@@ -123,7 +120,7 @@ class ExtentFTL:
                 "device too small for the requested streams and GC headroom"
             )
         self.geometry = geometry
-        self.collector = collector if collector is not None else GreedyCollector()
+        self.collector = GreedyCollector()
         self.gc_free_threshold = gc_free_threshold
         self.n_streams = n_streams
         self.stats = _FtlStats()

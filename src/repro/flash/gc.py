@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["GreedyCollector", "WearAwareCollector", "GcStats"]
+__all__ = ["GreedyCollector", "GcStats"]
 
 
 @dataclass
@@ -110,46 +110,3 @@ class GreedyCollector:
         self.stats.reclaimed_bytes += reclaimed
         self.stats.note_erase(block_id)
 
-
-class WearAwareCollector(GreedyCollector):
-    """Greedy victim selection tempered by wear levelling.
-
-    Pure greedy concentrates erases on the blocks holding hot data,
-    wearing them out long before the rest of the device.  This policy
-    scores each candidate by ``valid_bytes + wear_weight x block_bytes x
-    (erases - min_erases)``: reclaiming little garbage is costly, but so
-    is re-erasing an already worn block.  ``wear_weight = 0`` degenerates
-    to pure greedy; a few tenths is enough to flatten the erase
-    histogram at a small relocation-cost premium.
-    """
-
-    def __init__(self, block_bytes: int, wear_weight: float = 0.3) -> None:
-        super().__init__()
-        if block_bytes <= 0:
-            raise ValueError(f"block_bytes must be positive: {block_bytes!r}")
-        if wear_weight < 0:
-            raise ValueError(f"wear_weight must be non-negative: {wear_weight!r}")
-        self.block_bytes = block_bytes
-        self.wear_weight = wear_weight
-
-    def select_victim(
-        self,
-        candidates: Iterable[int],
-        valid_bytes: Sequence[int],
-    ) -> Optional[int]:
-        counts = self.stats.erase_counts
-        cands = list(candidates)
-        if not cands:
-            return None
-        min_erases = min(counts.get(b, 0) for b in cands)
-        best: Optional[int] = None
-        best_score = None
-        for block_id in cands:
-            wear = counts.get(block_id, 0) - min_erases
-            score = valid_bytes[block_id] + self.wear_weight * self.block_bytes * wear
-            if best_score is None or score < best_score or (
-                score == best_score and block_id < best
-            ):
-                best = block_id
-                best_score = score
-        return best

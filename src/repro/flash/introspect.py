@@ -129,8 +129,7 @@ class SpaceWaterfall:
 
     Every field is read off a running term the allocator or the FTLs
     maintain, so building a waterfall costs O(size classes), not a walk.
-    The ``counter_*`` fields repeat the allocator's totals under the
-    names its own counters carry.  :meth:`verify` is where the walk
+    :meth:`verify` is where the walk
     lives: it recomputes the slot terms from the live slots of the
     device the waterfall was read from, requires each maintained term
     to match, then checks the conservation identities — the invariant
@@ -157,11 +156,6 @@ class SpaceWaterfall:
     retired_bytes: int
     #: physical + retired: what the stored data costs on this device
     effective_physical_bytes: int
-
-    # -- the allocator's own counters, for the cross-check -------------
-    counter_payload_bytes: int
-    counter_slack_bytes: int
-    counter_live_slot_bytes: int
 
     # -- FTL-side reconciliation ---------------------------------------
     #: live bytes across every FTL under the backend
@@ -227,12 +221,11 @@ class SpaceWaterfall:
         (all in integer bytes):
 
         1. payload + slack == live-slot bytes
-        2. the fields == the allocator counters they repeat
-        3. live-slot + free-slot bytes == physical bytes
-        4. physical + retired == effective physical bytes
-        5. per-class slack sums to total slack
-        6. the waterfall's final cumulative == effective physical bytes
-        7. (single SSD) FTL live bytes == live slots + live metadata
+        2. live-slot + free-slot bytes == physical bytes
+        3. physical + retired == effective physical bytes
+        4. per-class slack sums to total slack
+        5. the waterfall's final cumulative == effective physical bytes
+        6. (single SSD) FTL live bytes == live slots + live metadata
         """
         def check(name: str, a: float, b: float) -> None:
             if abs(a - b) > eps:
@@ -247,21 +240,6 @@ class SpaceWaterfall:
             "payload + slack vs live slots",
             self.payload_bytes + self.slack_bytes,
             self.live_slot_bytes,
-        )
-        check(
-            "payload vs live_payload_bytes counter",
-            self.payload_bytes,
-            self.counter_payload_bytes,
-        )
-        check(
-            "slack vs internal_fragmentation counter",
-            self.slack_bytes,
-            self.counter_slack_bytes,
-        )
-        check(
-            "live slots vs live_physical_bytes counter",
-            self.live_slot_bytes,
-            self.counter_live_slot_bytes,
         )
         check(
             "live + free slots vs physical_bytes",
@@ -362,13 +340,11 @@ def space_waterfall(device) -> SpaceWaterfall:
     ftls = ftls_of(backend)
     ftl_live = sum(f.live_bytes for f in ftls)
     meta_live = _meta_live_bytes(device, ftls)
-    payload = allocator.live_payload_bytes
-    slack = allocator.stats.internal_fragmentation
     live_slot = allocator.live_physical_bytes
     return SpaceWaterfall(
         logical_bytes=allocator.live_logical_bytes,
-        payload_bytes=payload,
-        slack_bytes=slack,
+        payload_bytes=allocator.live_payload_bytes,
+        slack_bytes=allocator.stats.internal_fragmentation,
         slack_by_class=allocator.slack_by_class(),
         slots_by_class=allocator.class_histogram(),
         live_slot_bytes=live_slot,
@@ -376,9 +352,6 @@ def space_waterfall(device) -> SpaceWaterfall:
         physical_bytes=allocator.physical_bytes,
         retired_bytes=allocator.stats.retired_bytes,
         effective_physical_bytes=allocator.effective_physical_bytes,
-        counter_payload_bytes=payload,
-        counter_slack_bytes=slack,
-        counter_live_slot_bytes=live_slot,
         ftl_live_bytes=ftl_live,
         meta_live_bytes=meta_live,
         ftl_residual_bytes=ftl_live - live_slot - meta_live,

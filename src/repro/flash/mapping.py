@@ -163,8 +163,8 @@ class MappingTable:
     def covered_blocks_of(self, entry_id: int) -> List[int]:
         """Block numbers still resolving to ``entry_id`` (sorted).
 
-        Scans the entry's span (not the whole index), so it is cheap for
-        the defragmenter's per-entry use.
+        Scans the entry's span (not the whole index), so it is cheap per
+        entry.
         """
         entry = self._entries.get(entry_id)
         if entry is None:

@@ -1,17 +1,12 @@
 """RAIS — Redundant Arrays of Independent SSDs (paper §IV-B, Fig 11).
 
 The paper validates EDC on a software RAID-5 array of five X25-E SSDs
-("RAIS5").  This module provides:
+("RAIS5").  :class:`RAIS5` is block-interleaved distributed parity:
+small writes pay the classic read-modify-write penalty (read old data +
+old parity, write new data + new parity); writes that cover a full
+stripe row skip the reads and write data plus computed parity directly.
 
-- :class:`RAIS0` — striping without redundancy; a request is split on
-  stripe-unit boundaries and sub-requests proceed in parallel on their
-  devices, completing when the slowest finishes.
-- :class:`RAIS5` — block-interleaved distributed parity.  Small writes
-  pay the classic read-modify-write penalty (read old data + old parity,
-  write new data + new parity); writes that cover a full stripe row skip
-  the reads and write data plus computed parity directly.
-
-Both classes implement the same :class:`~repro.flash.ssd.StorageBackend`
+It implements the same :class:`~repro.flash.ssd.StorageBackend`
 protocol as a single SSD, so the EDC layer is oblivious to which it
 drives — exactly the paper's claim that EDC "directly controls the
 underlying flash-based storage system that can be either a single SSD
@@ -39,7 +34,7 @@ from typing import Callable, Hashable, List, Optional, Sequence
 
 from repro.flash.ssd import SimulatedSSD
 
-__all__ = ["RAIS0", "RAIS5", "ArrayStats", "ArrayError"]
+__all__ = ["RAIS5", "ArrayStats", "ArrayError"]
 
 
 class ArrayError(RuntimeError):
@@ -133,119 +128,6 @@ def _split_units(lba: int, nbytes: int, unit: int) -> list[tuple[int, int, int]]
         out.append((uidx, off, length))
         pos += length
     return out
-
-
-class RAIS0:
-    """Striping (RAID-0) over ``devices`` with ``stripe_unit``-byte units.
-
-    No redundancy: any member error is unrecoverable and propagates as
-    an :class:`ArrayError` through ``on_error`` (or raises).
-    """
-
-    def __init__(self, devices: Sequence[SimulatedSSD], stripe_unit: int = 4096) -> None:
-        if len(devices) < 2:
-            raise ValueError("RAIS0 needs at least 2 devices")
-        if stripe_unit <= 0:
-            raise ValueError(f"stripe_unit must be positive: {stripe_unit!r}")
-        self.devices = list(devices)
-        self.stripe_unit = stripe_unit
-        self.stats = ArrayStats()
-
-    def _device_for(self, unit_idx: int) -> tuple[SimulatedSSD, int]:
-        n = len(self.devices)
-        dev = self.devices[unit_idx % n]
-        local_unit = unit_idx // n
-        return dev, local_unit
-
-    def _member_error(self, barrier: _Barrier, op: str, exc: BaseException) -> None:
-        if op == "read":
-            self.stats.unrecovered_reads += 1
-        else:
-            self.stats.unrecovered_writes += 1
-        barrier.fail(ArrayError(f"RAIS0 {op} lost (no redundancy): {exc}"))
-
-    def submit_write(
-        self,
-        lba: int,
-        nbytes: int,
-        on_complete: Optional[Callable[[], None]] = None,
-        key: Optional[Hashable] = None,
-        stream: int = 0,
-        on_error: Optional[Callable[[BaseException], None]] = None,
-    ) -> None:
-        parts = _split_units(lba, nbytes, self.stripe_unit)
-        barrier = _Barrier(len(parts), on_complete, on_error)
-        self.stats.writes += 1
-        for i, (uidx, off, length) in enumerate(parts):
-            dev, local_unit = self._device_for(uidx)
-            sub_key = (key if key is not None else lba, i)
-            dev.submit_write(
-                local_unit * self.stripe_unit + off,
-                length,
-                on_complete=barrier.arrive,
-                key=sub_key,
-                on_error=lambda exc: self._member_error(barrier, "write", exc),
-            )
-
-    def submit_read(
-        self,
-        lba: int,
-        nbytes: int,
-        on_complete: Optional[Callable[[], None]] = None,
-        key: Optional[Hashable] = None,
-        on_error: Optional[Callable[[BaseException], None]] = None,
-    ) -> None:
-        parts = _split_units(lba, nbytes, self.stripe_unit)
-        barrier = _Barrier(len(parts), on_complete, on_error)
-        self.stats.reads += 1
-        for i, (uidx, off, length) in enumerate(parts):
-            dev, local_unit = self._device_for(uidx)
-            dev.submit_read(
-                local_unit * self.stripe_unit + off,
-                length,
-                on_complete=barrier.arrive,
-                key=(key if key is not None else lba, i),
-                on_error=lambda exc: self._member_error(barrier, "read", exc),
-            )
-
-    def trim(self, key: Hashable) -> bool:
-        return _trim_pieces(self.devices, key)
-
-    def latent_corrupt(self, key: Hashable) -> bool:
-        """True if any member holds a latently corrupted piece of ``key``."""
-        return _latent_corrupt_pieces(self.devices, key)
-
-
-def _latent_corrupt_pieces(devices, base: Hashable) -> bool:
-    """Does any device's latent model flag ``base`` or a sub-key of it?
-
-    Striped backends store entry ``base`` as sub-keys ``(base, i)``;
-    one corrupted piece corrupts the whole decompressed extent.
-    """
-    return any(
-        dev.latent is not None and dev.latent.has_corrupt_related(base)
-        for dev in devices
-    )
-
-
-def _trim_pieces(devices, key: Hashable) -> bool:
-    """Trim sub-extents ``(key, 0..)`` wherever they live in the array.
-
-    Pieces are distributed round-robin, so each index must be probed on
-    every device; probing stops at the first index no device holds.
-    """
-    found = False
-    i = 0
-    while True:
-        hit = False
-        for dev in devices:
-            if dev.trim((key, i)):
-                hit = True
-                found = True
-                break
-        if not hit:
-            return found
-        i += 1
 
 
 class RAIS5:
@@ -849,8 +731,26 @@ class RAIS5:
             )
 
     def trim(self, key: Hashable) -> bool:
-        return _trim_pieces(self.devices, key)
+        """Trim sub-extents ``(key, 0..)`` wherever they live in the array.
+
+        Pieces are distributed round-robin, so each index must be probed
+        on every member; probing stops at the first index none holds.
+        """
+        found = False
+        i = 0
+        while True:
+            if not any(dev.trim((key, i)) for dev in self.devices):
+                return found
+            found = True
+            i += 1
 
     def latent_corrupt(self, key: Hashable) -> bool:
-        """True if any member holds a latently corrupted piece of ``key``."""
-        return _latent_corrupt_pieces(self.devices, key)
+        """True if any member holds a latently corrupted piece of ``key``.
+
+        Entry ``key`` is stored as sub-keys ``(key, i)``; one corrupted
+        piece corrupts the whole decompressed extent.
+        """
+        return any(
+            dev.latent is not None and dev.latent.has_corrupt_related(key)
+            for dev in self.devices
+        )

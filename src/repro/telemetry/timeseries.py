@@ -164,6 +164,8 @@ class TimeSeriesSampler:
         self._collectors: List[Tuple[str, Callable[[], Optional[float]]]] = []
         self._multi: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
         self._multi_label_keys: Dict[str, Optional[str]] = {}
+        #: gated metric families already registered (see attach)
+        self._gated: set = set()
         self._periodic = None
 
     # ------------------------------------------------------------------
@@ -219,7 +221,11 @@ class TimeSeriesSampler:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self, sim, device) -> None:
-        """Bind to a simulator + device and register the standard vocabulary."""
+        """Bind to a simulator + device and register the standard vocabulary.
+
+        The families gated on a fault plan or an observer bound after
+        this call (and before the run) register at the first tick.
+        """
         self.sim = sim
         self.device = device
         bind_standard_metrics(self, device)
@@ -247,6 +253,8 @@ class TimeSeriesSampler:
     def sample_now(self) -> None:
         """Scrape every collector once at the current simulation time."""
         t = self.sim.now if self.sim is not None else 0.0
+        if self.ticks == 0 and self.device is not None:
+            _bind_gated_metrics(self, self.device)
         for name, fn in self._collectors:
             v = fn()
             if v is None:
@@ -375,6 +383,29 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
 
         sampler.register("flash.busy_fraction", _busy_fraction)
 
+    _bind_gated_metrics(sampler, device)
+
+
+def _bind_gated_metrics(sampler: TimeSeriesSampler, device) -> None:
+    """Register the families gated on what is bound to the stack — a
+    fault plan, the scrubber, a recovery manager, telemetry, the auditor,
+    device health — that are not registered yet.
+
+    Runs at attach and again at the sampler's first tick, so the series
+    set and every dump are the same whatever order those were bound in
+    before the run.
+    """
+    sim = device.sim
+    backend = device.backend
+    observers = device.observers
+    gated = sampler._gated
+
+    def _fresh(family: str, present: bool) -> bool:
+        if family in gated or not present:
+            return False
+        gated.add(family)
+        return True
+
     # Fault/recovery vocabulary — only present on fault-injected runs
     # (a FaultPlan armed an injector on the SSDs), so baseline scrapes
     # and their exposition output are unchanged.  Totals run over every
@@ -387,7 +418,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
         return [s.latent for s in ssds_served(backend)
                 if s.latent is not None]
 
-    if _injectors():
+    if _fresh("faults", bool(_injectors())):
         from repro.faults.plan import FaultStats
 
         for fname in FaultStats.FIELDS:
@@ -437,7 +468,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # plan arms retention/read-disturb models on the SSDs or a
     # MediaScrubber is bound to the device, so baseline scrapes and
     # their exposition output are unchanged.
-    if _latent_models():
+    if _fresh("latent", bool(_latent_models())):
         from repro.faults.latent import LatentStats
 
         for fname in LatentStats.FIELDS:
@@ -457,9 +488,8 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
             "edc.corrupt_reads", lambda: float(device.corrupt_reads)
         )
 
-    observers = device.observers
     scrubber = observers.get("scrubber")
-    if scrubber is not None:
+    if _fresh("scrub", scrubber is not None):
         from repro.flash.scrub import ScrubStats
 
         for fname in ScrubStats.FIELDS:
@@ -474,7 +504,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # is bound (crash-consistency runs), so baseline scrapes and their
     # exposition output are unchanged.
     recovery = device.recovery
-    if recovery is not None:
+    if _fresh("recovery", recovery is not None):
         sampler.register(
             "recovery.journal_pending_records",
             lambda: float(recovery.journal.pending_records),
@@ -518,7 +548,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # spans_dropped makes the tracer's retention cap visible: a capped
     # trace can no longer masquerade as a complete one.
     telemetry = observers.get("telemetry")
-    if telemetry is not None:
+    if _fresh("trace", telemetry is not None):
         tracer = telemetry.tracer
         sampler.register(
             "trace.spans_dropped", lambda: float(tracer.dropped)
@@ -530,7 +560,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # Decision-audit vocabulary — only present on audited runs, so
     # baseline scrapes and their exposition output are unchanged.
     auditor = observers.get("auditor")
-    if auditor is not None:
+    if _fresh("audit", auditor is not None):
         sampler.register(
             "audit.decisions", lambda: float(auditor.n_decisions)
         )
@@ -547,7 +577,7 @@ def bind_standard_metrics(sampler: TimeSeriesSampler, device) -> None:
     # so one of each per tick is computed lazily and shared across the
     # family's collectors.
     health = observers.get("health")
-    if health is not None:
+    if _fresh("health", health is not None):
         _hcache: Dict[str, object] = {"t": None, "smart": None, "wf": None}
 
         def _smart():

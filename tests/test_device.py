@@ -281,7 +281,7 @@ class TestHotColdStreams:
         assert ssd.ftl._active[1] == -1  # stream 1 never opened
 
 
-class TestDefragment:
+class TestZombieSpace:
     def _device_with_zombie_runs(self):
         sim, ssd, dev = build(sd_enabled=False)
         reqs = [IORequest(0.0, "W", 0, 16 * 4096)]  # one 16-block run
@@ -292,18 +292,22 @@ class TestDefragment:
         drive(sim, dev, reqs)
         return sim, ssd, dev
 
-    def test_zombie_space_exists_before_defrag(self):
-        _, _, dev = self._device_with_zombie_runs()
+    @staticmethod
+    def _merged_run(dev):
         eids = [e for e in dev.mapping.entry_ids() if dev.mapping.get(e).span > 1]
         assert len(eids) == 1
-        assert dev.mapping.live_fraction(eids[0]) == pytest.approx(2 / 16)
+        return eids[0]
 
-    def test_defragment_reclaims_zombie_space(self):
+    def test_zombie_space_exists(self):
+        _, _, dev = self._device_with_zombie_runs()
+        assert dev.mapping.live_fraction(self._merged_run(dev)) == pytest.approx(2 / 16)
+
+    def test_rewrite_entry_reclaims_zombie_space(self):
         sim, ssd, dev = self._device_with_zombie_runs()
         before = dev.allocator.live_physical_bytes
-        n = dev.defragment()
+        n = dev.rewrite_entry(self._merged_run(dev))
         sim.run()
-        assert n == 1
+        assert n == 1  # blocks 14 and 15, one contiguous sub-run
         assert dev.outstanding == 0
         # The big run's slot was freed; live physical bytes dropped.
         assert dev.allocator.live_physical_bytes < before
@@ -312,12 +316,7 @@ class TestDefragment:
             assert dev.mapping.lookup(blk * 4096) is not None
         dev.mapping.check_invariants()
 
-    def test_defragment_noop_when_healthy(self):
-        sim, _, dev = build(sd_enabled=False)
-        drive(sim, dev, [IORequest(0.0, "W", 0, 4 * 4096)])
-        assert dev.defragment() == 0
-
-    def test_defragment_reads_verify_after(self):
+    def test_rewrite_entry_reads_verify_after(self):
         sim = Simulator()
         ssd = SimulatedSSD(sim, geometry=x25e_like(64))
         content = ContentStore(ENTERPRISE_MIX, pool_blocks=32, seed=1)
@@ -326,13 +325,8 @@ class TestDefragment:
         reqs = [IORequest(0.0, "W", 0, 8 * 4096)]
         reqs += [IORequest(0.1 + i * 0.01, "W", i * 4096, 4096) for i in range(6)]
         drive(sim, dev, reqs)
-        dev.defragment()
+        dev.rewrite_entry(self._merged_run(dev))
         sim.run()
         # Read everything back bit-exactly after the rewrite.
         drive(sim, dev, [IORequest(sim.now + 0.01, "R", 0, 8 * 4096)])
         assert dev.outstanding == 0
-
-    def test_defragment_validation(self):
-        sim, _, dev = build(sd_enabled=False)
-        with pytest.raises(ValueError):
-            dev.defragment(live_threshold=0.0)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.distributer import RequestDistributer
 from repro.flash.hdd import SimulatedHDD
-from repro.flash.raid import RAIS0, RAIS5
+from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD, StorageBackend
 
 
@@ -50,7 +50,7 @@ class FullBackend:
         return False
 
 
-@pytest.mark.parametrize("cls", [SimulatedSSD, RAIS0, RAIS5, SimulatedHDD])
+@pytest.mark.parametrize("cls", [SimulatedSSD, RAIS5, SimulatedHDD])
 @pytest.mark.parametrize("method", ["submit_write", "submit_read", "trim"])
 def test_backends_satisfy_the_protocol_signatures(cls, method):
     declared = inspect.signature(getattr(StorageBackend, method)).parameters

@@ -92,18 +92,26 @@ def _replay_attached_in(order, slice_name):
                 kit[role] = Telemetry(sim)
             elif role == "auditor":
                 kit[role] = DecisionAuditor()
+            elif role == "sampler":
+                kit[role] = TimeSeriesSampler(interval=0.05)
+                kit[role].attach(sim, device)
+                kit[role].start()
             else:
                 kit[role] = DeviceHealth()
-            if role in kit:
+            if role in kit and role != "sampler":
                 kit[role].bind_device(device)
 
     replay(trace, scheme, cfg, on_built=on_built)
+    sampler = kit.get("sampler")
     return kit["health"].episodes_total, (
         _text(dump_jsonl, kit["telemetry"].tracer),
         _text(dump_audit_jsonl, kit["auditor"]),
         _text(dump_health_json, kit["health"]),
         _stack_digests(kit["device"], kit["backend"]),
-    )
+    ) + ((
+        _text(dump_timeseries_jsonl, sampler),
+        render_exposition(sampler=sampler),
+    ) if sampler is not None else ())
 
 
 @pytest.mark.parametrize("slice_name", sorted(SLICES))
@@ -112,6 +120,23 @@ def test_attach_order_does_not_matter(slice_name):
     episodes, reference = _replay_attached_in(roles, slice_name)
     assert episodes > 0  # GC and retirement episodes were observed at all
     for order in itertools.permutations(roles):
+        assert _replay_attached_in(order, slice_name) == (episodes, reference), order
+
+
+@pytest.mark.parametrize("slice_name", sorted(SLICES))
+def test_sampler_attach_order_does_not_matter(slice_name):
+    """A sampler bound before the fault plan and the observers registers
+    their families at its first tick: the same series, the same dumps."""
+    roles = ("telemetry", "auditor", "health", "faults")
+    orders = [
+        others[:i] + ("sampler",) + others[i:]
+        for others in (roles, roles[::-1])
+        for i in range(len(roles) + 1)
+    ]
+    episodes, reference = _replay_attached_in(roles + ("sampler",), slice_name)
+    for family in ("faults.", "trace.", "audit.", "smart.", "space.", "gc.episodes"):
+        assert f'"series": "{family}' in reference[-2], family
+    for order in orders:
         assert _replay_attached_in(order, slice_name) == (episodes, reference), order
 
 

@@ -1,7 +1,7 @@
 """Stateful oracle over the extent lifecycle of one single-SSD device.
 
-Every writer of the mapping (host write, replica ingest, defrag / scrub
-rewrite, trim) is a rule, interleaved at random with reads and partial
+Every writer of the mapping (host write, replica ingest, scrub rewrite,
+trim) is a rule, interleaved at random with reads and partial
 time advances so that commits, programs and releases overlap.  Whenever
 the stack has drained, the tables that move together must agree: the
 mapping, the allocator's live slots, the read metadata and the FTL's
@@ -92,10 +92,6 @@ class ExtentLifecycle(RuleBasedStateMachine):
         eids = sorted(self.dev.mapping.entry_ids())
         if eids:
             self.dev.rewrite_entry(eids[pick % len(eids)], codec, keep_codec=keep)
-
-    @rule(codec=codecs)
-    def defragment(self, codec):
-        self.dev.defragment(max_entries=4, live_threshold=1.0, codec_name=codec)
 
     @rule(start=starts, length=lengths)
     def discard(self, start, length):

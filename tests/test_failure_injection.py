@@ -27,7 +27,7 @@ from repro.traces.model import IORequest
 class TestPayloadCorruption:
     """Bit-flips in stored payloads must fail decompression or verification."""
 
-    @pytest.mark.parametrize("codec_name", ["lzf", "lz4", "gzip", "bzip2", "huffman"])
+    @pytest.mark.parametrize("codec_name", ["lzf", "lz4", "gzip", "bzip2"])
     def test_corrupted_payload_never_silently_wrong(self, codec_name):
         from repro.compression.codec import default_registry
 

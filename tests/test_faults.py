@@ -24,7 +24,7 @@ from repro.faults import (
 )
 from repro.flash.geometry import NandGeometry, x25e_like
 from repro.flash.introspect import ssds_served
-from repro.flash.raid import RAIS0, RAIS5, ArrayError, _Barrier
+from repro.flash.raid import RAIS5, ArrayError, _Barrier
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.generator import ContentMix, ContentStore
 from repro.sim.engine import Simulator
@@ -354,30 +354,6 @@ class TestBarrierErrors:
     def test_add_negative_rejected(self):
         with pytest.raises(ValueError):
             _Barrier(1, None).add(-1)
-
-
-class TestRais0Errors:
-    def test_member_error_propagates_as_array_error(self):
-        sim = Simulator()
-        devices = [
-            SimulatedSSD(sim, name=f"ssd{i}", geometry=x25e_like(32))
-            for i in range(2)
-        ]
-        arr = RAIS0(devices)
-        devices[1].fail_now()
-        done, errs = [], []
-        sim.schedule_at(
-            0.0,
-            lambda: arr.submit_read(
-                0, 4096 * 2, on_complete=lambda: done.append(1),
-                on_error=errs.append,
-            ),
-        )
-        sim.run()
-        assert done == []
-        assert len(errs) == 1
-        assert isinstance(errs[0], ArrayError)
-        assert arr.stats.unrecovered_reads == 1
 
 
 class TestRais5Degraded:

@@ -1,7 +1,5 @@
 """Tests for the greedy collector and GC accounting."""
 
-import pytest
-
 from repro.flash.ftl import ExtentFTL
 from repro.flash.gc import GcStats, GreedyCollector
 from repro.flash.geometry import NandGeometry
@@ -79,68 +77,6 @@ class TestWriteAmplificationBehaviour:
         assert s.moved_bytes + s.reclaimed_bytes == s.collections * geo.block_bytes
 
 
-class TestWearAwareCollector:
-    def test_degenerates_to_greedy_with_zero_weight(self):
-        from repro.flash.gc import WearAwareCollector
-
-        c = WearAwareCollector(block_bytes=32768, wear_weight=0.0)
-        valid = [100, 5, 50]
-        assert c.select_victim([0, 1, 2], valid) == 1
-
-    def test_avoids_worn_blocks(self):
-        from repro.flash.gc import WearAwareCollector
-
-        c = WearAwareCollector(block_bytes=32768, wear_weight=1.0)
-        # Block 1 has slightly less garbage but has been erased 5 times.
-        for _ in range(5):
-            c.stats.note_erase(1)
-        valid = [1000, 500, 40000]
-        # Greedy would pick 1; wear-aware pays 5 * 32768 penalty -> picks 0.
-        assert c.select_victim([0, 1, 2], valid) == 0
-
-    def test_validation(self):
-        from repro.flash.gc import WearAwareCollector
-
-        with pytest.raises(ValueError):
-            WearAwareCollector(block_bytes=0)
-        with pytest.raises(ValueError):
-            WearAwareCollector(block_bytes=1024, wear_weight=-1)
-
-    def test_flattens_erase_histogram_under_churn(self):
-        import numpy as np
-
-        from repro.flash.gc import WearAwareCollector
-
-        geo = NandGeometry(page_size=4096, pages_per_block=8, nblocks=24, op_ratio=0.25)
-
-        def churn(collector):
-            ftl = ExtentFTL(geo, collector=collector)
-            for i in range(3000):
-                # heavily skewed: a few hot keys overwritten constantly
-                ftl.write(i % 6, 4096)
-            return ftl
-
-        greedy = churn(GreedyCollector())
-        wear = churn(WearAwareCollector(block_bytes=geo.block_bytes, wear_weight=0.5))
-
-        def spread(ftl):
-            # Erase-count CV over ALL blocks (never-erased count as zero):
-            # pure greedy hammers the few hot blocks and leaves the rest
-            # untouched.
-            counts = np.zeros(geo.nblocks)
-            for blk, n in ftl.collector.stats.erase_counts.items():
-                counts[blk] = n
-            return counts.std() / max(counts.mean(), 1e-9)
-
-        assert spread(wear) < spread(greedy) / 2
-        # ... and far more blocks share the wear.
-        assert len(wear.collector.stats.erase_counts) > 2 * len(
-            greedy.collector.stats.erase_counts
-        )
-        greedy.check_invariants()
-        wear.check_invariants()
-
-
 class TestVictimSelectionSubsets:
     """Selection only ever considers the offered candidates."""
 
@@ -154,25 +90,6 @@ class TestVictimSelectionSubsets:
         c = GreedyCollector()
         valid = [9, 3, 7]
         assert c.select_victim((b for b in (0, 1, 2)), valid) == 1
-
-    def test_wear_aware_tie_breaks_to_lowest_id(self):
-        from repro.flash.gc import WearAwareCollector
-
-        c = WearAwareCollector(block_bytes=4096, wear_weight=0.5)
-        valid = [10, 10, 10]
-        assert c.select_victim([2, 0, 1], valid) == 0
-
-    def test_wear_aware_penalty_is_relative_to_cohort(self):
-        from repro.flash.gc import WearAwareCollector
-
-        # Both candidates equally worn: the wear term cancels and the
-        # choice degenerates to greedy, however large the counts.
-        c = WearAwareCollector(block_bytes=1 << 20, wear_weight=1.0)
-        for _ in range(50):
-            c.stats.note_erase(0)
-            c.stats.note_erase(1)
-        valid = [500, 400]
-        assert c.select_victim([0, 1], valid) == 1
 
 
 class TestRetirementAccounting:

@@ -147,7 +147,7 @@ class TestWaterfallConservation:
         bad = SpaceWaterfall(
             **{
                 **{f: getattr(wf, f) for f in wf.__dataclass_fields__},
-                "counter_slack_bytes": wf.counter_slack_bytes + 1,
+                "slack_bytes": wf.slack_bytes + 1,
             }
         )
         with pytest.raises(SpaceAccountingError, match="internal_fragmentation"):
@@ -160,7 +160,7 @@ class TestWaterfallConservation:
         bad = SpaceWaterfall(
             **{
                 **{f: getattr(wf, f) for f in wf.__dataclass_fields__},
-                "counter_payload_bytes": wf.counter_payload_bytes + 7,
+                "payload_bytes": wf.payload_bytes + 7,
             }
         )
         with pytest.raises(SpaceAccountingError):

@@ -1,9 +1,9 @@
-"""Tests for RAIS0/RAIS5 arrays (paper §IV-B, Fig 11)."""
+"""Tests for the RAIS5 array (paper §IV-B, Fig 11)."""
 
 import pytest
 
 from repro.flash.geometry import x25e_like
-from repro.flash.raid import RAIS0, RAIS5, _Barrier, _split_units
+from repro.flash.raid import RAIS5, _Barrier, _split_units
 from repro.flash.ssd import SimulatedSSD
 from repro.sim.engine import Simulator
 
@@ -54,47 +54,16 @@ class TestBarrier:
             _Barrier(0, None)
 
 
-class TestRais0:
-    def test_needs_two_devices(self):
-        sim = Simulator()
-        dev = SimulatedSSD(sim, geometry=x25e_like(32))
-        with pytest.raises(ValueError):
-            RAIS0([dev])
-
-    def test_write_spreads_over_devices(self):
-        sim = Simulator()
-        arr, devices = make_array(sim, RAIS0)
-        arr.submit_write(0, 4096 * 5)
-        sim.run()
-        assert all(d.stats.writes == 1 for d in devices)
-
-    def test_parallel_completion_faster_than_serial(self):
-        sim = Simulator()
-        arr, devices = make_array(sim, RAIS0)
-        done = []
-        arr.submit_write(0, 4096 * 5, on_complete=lambda: done.append(sim.now))
-        sim.run()
-        serial = 5 * devices[0].service_write_time(4096)
-        assert done[0] < serial
-
-    def test_read_routed_to_owning_device(self):
-        sim = Simulator()
-        arr, devices = make_array(sim, RAIS0)
-        arr.submit_read(4096, 4096)  # unit 1 -> device 1
-        sim.run()
-        assert devices[1].stats.reads == 1
-        assert sum(d.stats.reads for d in devices) == 1
-
+class TestRais5:
     def test_trim_removes_pieces(self):
         sim = Simulator()
-        arr, devices = make_array(sim, RAIS0)
+        arr, devices = make_array(sim, RAIS5)
         arr.submit_write(0, 4096 * 3, key="k")
         sim.run()
         assert arr.trim("k")
         assert all(not d.ftl.contains(("k", i)) for d in devices for i in range(3))
+        assert not arr.trim("k")
 
-
-class TestRais5:
     def test_needs_three_devices(self):
         sim = Simulator()
         devs = [SimulatedSSD(sim, name=f"s{i}", geometry=x25e_like(32)) for i in range(2)]

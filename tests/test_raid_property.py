@@ -1,6 +1,6 @@
-"""Property-based tests for the RAIS arrays: no lost completions, ever.
+"""Property-based tests for the RAIS5 array: no lost completions, ever.
 
-The arrays aggregate variable numbers of sub-operations behind barriers;
+The array aggregates variable numbers of sub-operations behind barriers;
 a miscounted barrier silently loses a completion and the replay layer
 hangs.  Hypothesis drives random request mixes — healthy and degraded —
 and requires every submitted operation to complete.
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flash.geometry import x25e_like
-from repro.flash.raid import RAIS0, RAIS5
+from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD
 from repro.sim.engine import Simulator
 
@@ -48,12 +48,6 @@ def run_ops(array_cls, ops, n_devices=5, fail=None):
 
 
 class TestNoLostCompletions:
-    @given(ops_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_rais0_all_ops_complete(self, ops):
-        _, _, completed = run_ops(RAIS0, ops)
-        assert len(completed) == len(ops)
-
     @given(ops_strategy)
     @settings(max_examples=50, deadline=None)
     def test_rais5_all_ops_complete(self, ops):
@@ -95,14 +89,6 @@ class TestNoLostCompletions:
 
 
 class TestConservation:
-    @given(ops_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_rais0_bytes_conserved(self, ops):
-        arr, devices, _ = run_ops(RAIS0, ops)
-        written = sum(d.stats.bytes_written for d in devices)
-        expected = sum(u * 4096 for is_read, _, u in ops if not is_read)
-        assert written == expected  # striping adds no write amplification
-
     @given(ops_strategy)
     @settings(max_examples=30, deadline=None)
     def test_rais5_writes_at_least_data_plus_parity(self, ops):

@@ -168,46 +168,6 @@ class TestEscalation:
         assert rep.verdict == verdicts.CORRUPTION
         assert rep.exit_code == 3
 
-    def test_rais0_finds_are_unrepairable_not_parity_repaired(self):
-        # Striping has members but no parity: nothing to rebuild from.
-        from repro.core.config import EDCConfig
-        from repro.core.device import EDCBlockDevice
-        from repro.core.policy import ElasticPolicy
-        from repro.core.replay import TraceReplayer
-        from repro.flash.geometry import x25e_like
-        from repro.flash.raid import RAIS0
-        from repro.flash.ssd import SimulatedSSD
-        from repro.sdgen.generator import ContentMix, ContentStore
-        from repro.sim.engine import Simulator
-        from repro.traces.workloads import make_workload
-
-        sim = Simulator()
-        geo = x25e_like(32)
-        arr = RAIS0([
-            SimulatedSSD(sim, name=f"ssd{i}", geometry=geo) for i in range(4)
-        ])
-        FaultPlan(
-            seed=5,
-            retention={
-                "rate_per_s": 0.5, "age_factor": 1.0, "check_interval_s": 0.02,
-            },
-        ).attach(sim, arr)
-        content = ContentStore(ContentMix("m", {"text": 1.0}), pool_blocks=32, seed=1)
-        dev = EDCBlockDevice(sim, arr, ElasticPolicy(), content, EDCConfig())
-        scrubber = MediaScrubber(sim, dev, ScrubConfig(interval_s=0.005))
-        scrubber.start()
-        trace = make_workload("Fin1", duration=2.0).scaled_addresses(
-            int(geo.logical_bytes * 2) // 4096 * 4096
-        )
-        TraceReplayer(sim, dev).replay(trace)
-        stats = scrubber.stats
-        assert stats.corrupt_found > 0
-        assert stats.parity_repairs == stats.parity_rewrites == 0
-        assert stats.unrepairable > 0
-        assert not [
-            e for e in scrubber.episodes if e.action.startswith("repair")
-        ]
-
     def test_hot_plan_retires_blocks_without_filling_device(self):
         plan = FaultPlan(
             seed=9,
