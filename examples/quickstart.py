@@ -29,10 +29,8 @@ def main() -> None:
     # Content for the data-less requests comes from the SDGen-style
     # store: deterministic, compression-realistic blocks.
     content = ContentStore(ENTERPRISE_MIX, pool_blocks=256, seed=1)
-    config = EDCConfig(
-        store_payloads=True,   # keep compressed payloads ...
-        verify_reads=True,     # ... and check every read bit-exactly
-    )
+    # keep every compressed payload and check each read bit-exactly
+    config = EDCConfig(verify_reads=True)
     device = EDCBlockDevice(sim, ssd, ElasticPolicy(), content, config)
 
     # --- 3. drive it ------------------------------------------------------

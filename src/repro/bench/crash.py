@@ -36,7 +36,6 @@ harnesses.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
@@ -52,6 +51,7 @@ from repro.recovery import (
     RecoveredState,
     RecoveryParams,
     RecoveryScanner,
+    metadata_digest,
 )
 from repro.sim.engine import Simulator
 from repro.traces.workloads import make_workload
@@ -201,11 +201,9 @@ def run_crash_chaos(
             # Bit-identical acceptance: the recovered-and-installed
             # device's metadata must equal the from-scratch rebuild of
             # the same recovered state, digest for digest.
-            h = hashlib.sha256()
-            h.update(device.mapping.state_digest().encode())
-            h.update(device.allocator.state_digest().encode())
-            h.update(ssd.ftl.validity_digest().encode())
-            episodes[-1]["rebuild_identical"] = h.hexdigest() == pending_digest
+            episodes[-1]["rebuild_identical"] = metadata_digest(
+                device.mapping, device.allocator, ssd.ftl
+            ) == pending_digest
             pending_digest = None
 
         # Resume the wall clock where the cut left it: request

@@ -57,6 +57,13 @@ DEFAULT_MAX_RATIO_DELTA = 0.05
 #: JSON band key for "no band ladder" normalised to this sortable int.
 _NO_BAND = -1
 
+#: the line kinds kept for diffing -> the numeric fields each must carry
+#: besides its integer ``n``
+_KEPT = {
+    "band": ("logical_bytes", "stored_bytes", "response_seconds", "responses"),
+    "selection": (),
+}
+
 
 class AuditDiffError(ValueError):
     """Raised for unreadable or incomparable dumps (exit code 64)."""
@@ -93,15 +100,26 @@ class AuditDump:
                     raise AuditDiffError(
                         f"{path}:{lineno}: not JSON: {exc}"
                     ) from exc
-                kind = obj.get("kind")
-                if kind == "meta":
-                    meta = obj
-                elif kind == "band":
-                    bands[cls._band_key(obj.get("band"))] = obj
-                elif kind == "selection":
-                    key = (cls._band_key(obj.get("band")), str(obj["codec"]))
-                    selections[key] = selections.get(key, 0) + int(obj["n"])
-                # "shadow" and "event" lines are not needed for diffing
+                try:
+                    kind = obj.get("kind")
+                    if kind == "meta":
+                        meta = obj
+                    elif kind in _KEPT:
+                        band = obj.get("band")
+                        band = _NO_BAND if band is None else int(band)
+                        n = int(obj["n"])
+                        for name in _KEPT[kind]:
+                            float(obj[name])
+                        if kind == "band":
+                            bands[band] = obj
+                        else:
+                            key = (band, str(obj["codec"]))
+                            selections[key] = selections.get(key, 0) + n
+                    # "shadow" and "event" lines are not needed for diffing
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise AuditDiffError(
+                        f"{path}:{lineno}: malformed line: {exc!r}"
+                    ) from exc
         if meta is None:
             raise AuditDiffError(f"{path}: no 'meta' line — not an audit dump")
         version = meta.get("version")
@@ -111,10 +129,6 @@ class AuditDump:
                 f"speaks {AUDIT_SCHEMA_VERSION}"
             )
         return cls(path=path, meta=meta, bands=bands, selections=selections)
-
-    @staticmethod
-    def _band_key(band) -> int:
-        return _NO_BAND if band is None else int(band)
 
     # ------------------------------------------------------------------
     @property

@@ -19,10 +19,11 @@ from repro.core.replay import TraceReplayer
 from repro.flash.geometry import NandGeometry, NandTiming, X25E_TIMING, x25e_like
 from repro.flash.introspect import write_amplification
 from repro.flash.raid import RAIS5
+from repro.flash.scrub import MediaScrubber, ScrubConfig
 from repro.flash.ssd import SimulatedSSD
 from repro.bench.schemes import build_device
 from repro.sdgen.datasets import ENTERPRISE_MIX
-from repro.sdgen.generator import ContentMix, ContentStore
+from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 
@@ -30,6 +31,9 @@ __all__ = [
     "ReplayConfig", "ExperimentResult", "Stack", "build_stack", "replay",
     "replay_all_schemes",
 ]
+
+#: SSDs in the RAIS5 array: the paper's testbed has five.
+N_DEVICES = 5
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,21 @@ class ReplayConfig:
     ----------
     backend:
         ``"ssd"`` for a single device (Fig 10) or ``"rais5"`` for the
-        paper's five-SSD array (Fig 11).
+        paper's array of :data:`N_DEVICES` SSDs (Fig 11).
     capacity_mb:
         Raw capacity per simulated SSD.
     fold_fraction:
         Trace addresses are folded onto this fraction of the backend's
         logical capacity, so overwrites recur and GC is exercised.
-    content_mix / pool_blocks / content_seed:
-        Content-population parameters (SDGen substitute).
+    pool_blocks / content_seed:
+        Content-population parameters (SDGen substitute; the mix is
+        always :data:`~repro.sdgen.datasets.ENTERPRISE_MIX`).
     """
 
     backend: str = "ssd"
-    n_devices: int = 5
     capacity_mb: int = 128
     fold_fraction: float = 0.8
     stripe_unit: int = 4096
-    content_mix: ContentMix = field(default_factory=lambda: ENTERPRISE_MIX)
     pool_blocks: int = 512
     content_seed: int = 5
     timing: NandTiming = field(default_factory=lambda: X25E_TIMING)
@@ -64,8 +67,6 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("ssd", "rais5"):
             raise ValueError(f"backend must be 'ssd' or 'rais5': {self.backend!r}")
-        if self.backend == "rais5" and self.n_devices < 3:
-            raise ValueError("rais5 needs at least 3 devices")
         if not 0 < self.fold_fraction <= 1:
             raise ValueError(f"fold_fraction must be in (0,1]: {self.fold_fraction!r}")
 
@@ -76,7 +77,7 @@ class ReplayConfig:
         """Logical address-space bytes the trace is folded onto."""
         logical = self.geometry().logical_bytes
         if self.backend == "rais5":
-            logical *= self.n_devices - 1  # data devices
+            logical *= N_DEVICES - 1  # data devices
         folded = int(logical * self.fold_fraction)
         return max(block_size, folded // block_size * block_size)
 
@@ -158,11 +159,11 @@ def build_stack(
     else:
         devices = [
             SimulatedSSD(sim, name=f"ssd{i}", geometry=geo, timing=cfg.timing)
-            for i in range(cfg.n_devices)
+            for i in range(N_DEVICES)
         ]
         backend = RAIS5(devices, stripe_unit=cfg.stripe_unit)
     content = ContentStore(
-        cfg.content_mix,
+        ENTERPRISE_MIX,
         block_size=cfg.device_config.block_size,
         pool_blocks=cfg.pool_blocks,
         seed=cfg.content_seed,
@@ -242,8 +243,11 @@ def replay(
     before the first request so latent errors injected by
     ``fault_plan`` are found and repaired *during* the replay.  Scrub
     I/O is charged through the normal read/write paths; ``None`` (the
-    default) keeps the replay bit-identical to the seed.
+    default) keeps the replay bit-identical to the seed.  Anything else
+    raises :class:`TypeError`.
     """
+    if scrub is not None and not isinstance(scrub, ScrubConfig):
+        raise TypeError(f"scrub must be a ScrubConfig or None: {scrub!r}")
     cfg = cfg if cfg is not None else ReplayConfig()
     sim = Simulator()
     if telemetry is not None and telemetry.sim is not sim:
@@ -262,10 +266,7 @@ def replay(
         if observer is not None:
             observer.bind_device(device)
     if scrub is not None:
-        from repro.flash.scrub import MediaScrubber, ScrubConfig
-
-        scfg = scrub if isinstance(scrub, ScrubConfig) else ScrubConfig()
-        MediaScrubber(sim, device, scfg).start()
+        MediaScrubber(sim, device, scrub).start()
     if sampler is not None:
         sampler.attach(sim, device)
         sampler.start()

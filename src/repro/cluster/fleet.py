@@ -33,15 +33,11 @@ from repro.cluster.replication import (
 )
 from repro.cluster.routing import ClusterDistributer, ClusterStats
 from repro.cluster.tenants import TenantSpec
-from repro.core.config import EDCConfig
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.bench.experiments import ReplayConfig, build_stack
 from repro.energy.model import EnergyModel, EnergyReport
-from repro.flash.geometry import NandTiming, X25E_TIMING
 from repro.flash.introspect import write_amplification
 from repro.flash.ssd import SimulatedSSD
-from repro.sdgen.datasets import ENTERPRISE_MIX
-from repro.sdgen.generator import ContentMix
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 
@@ -55,25 +51,18 @@ __all__ = [
 class ClusterReplayConfig:
     """Environment for one cluster run.
 
-    Every shard is the single-SSD stack of
-    :class:`~repro.bench.experiments.ReplayConfig` (:meth:`shard_env`),
-    so the degenerate 1-shard fleet reproduces the single-device replay
-    exactly: same geometry, same content population (per shard), same
-    namespace fold (``fold_fraction`` of one shard's logical bytes).
+    Every shard is the single-SSD stack of a default
+    :class:`~repro.bench.experiments.ReplayConfig` of ``capacity_mb``
+    (:meth:`shard_env`), so the degenerate 1-shard fleet reproduces the
+    single-device replay exactly: same geometry, same content population
+    (per shard), same namespace fold (of one shard's logical bytes).
     """
 
     n_shards: int = 4
     scheme: str = "EDC"
     capacity_mb: int = 128
-    fold_fraction: float = 0.8
-    content_mix: ContentMix = field(default_factory=lambda: ENTERPRISE_MIX)
-    pool_blocks: int = 512
-    content_seed: int = 5
-    timing: NandTiming = field(default_factory=lambda: X25E_TIMING)
-    device_config: EDCConfig = field(default_factory=EDCConfig)
     #: LBA range granularity of ring placement and migration
     range_blocks: int = 256
-    vnodes: int = 64
     #: per-tenant namespace size; ``None`` derives the single-device fold
     namespace_bytes: Optional[int] = None
     #: :class:`~repro.faults.FaultPlan` armed on every shard (scheduled
@@ -89,7 +78,6 @@ class ClusterReplayConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {self.n_shards!r}")
-        self.shard_env()  # validates the stack environment
         if self.replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be >= 1: {self.replication_factor!r}"
@@ -101,21 +89,13 @@ class ClusterReplayConfig:
 
     def shard_env(self) -> ReplayConfig:
         """The stack environment every shard is built from."""
-        return ReplayConfig(
-            backend="ssd",
-            capacity_mb=self.capacity_mb,
-            fold_fraction=self.fold_fraction,
-            content_mix=self.content_mix,
-            pool_blocks=self.pool_blocks,
-            content_seed=self.content_seed,
-            timing=self.timing,
-            device_config=self.device_config,
-        )
+        return ReplayConfig(backend="ssd", capacity_mb=self.capacity_mb)
 
     def resolved_namespace_bytes(self) -> int:
         if self.namespace_bytes is not None:
             return self.namespace_bytes
-        return self.shard_env().fold_bytes(self.device_config.block_size)
+        env = self.shard_env()
+        return env.fold_bytes(env.device_config.block_size)
 
 
 @dataclass
@@ -186,29 +166,27 @@ def build_cluster(
         sim, devices, tenants,
         namespace_bytes=cfg.resolved_namespace_bytes(),
         range_blocks=cfg.range_blocks,
-        vnodes=cfg.vnodes,
         tracer=dist,
-    )
-    orchestrator = MigrationOrchestrator(cluster)
-    balancer = CapacityBalancer(cluster)
-    if plan is not None:
-        plan.schedule_failures(sim, backends.values())
-    manager = ReplicationManager(
-        cluster,
-        ReplicationConfig(
+        replication=ReplicationConfig(
             factor=cfg.replication_factor,
             quorum=cfg.quorum,
             hedge_reads=cfg.hedge_reads,
         ),
     )
+    orchestrator = MigrationOrchestrator(cluster)
+    balancer = CapacityBalancer(cluster)
+    if plan is not None:
+        plan.schedule_failures(sim, backends.values())
     health = None
     if plan is not None:
-        health = HealthMonitor(sim, devices, on_dead=manager.on_shard_dead)
+        health = HealthMonitor(
+            sim, devices, on_dead=cluster.replication.on_shard_dead
+        )
         health.start()
     return ClusterFleet(
         sim=sim, cluster=cluster, orchestrator=orchestrator,
         balancer=balancer, devices=devices, backends=backends, config=cfg,
-        tracing=dist, replication=manager, health=health,
+        tracing=dist, replication=cluster.replication, health=health,
         injectors=(
             [ssd.injector for ssd in backends.values()]
             if plan is not None else []

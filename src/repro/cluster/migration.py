@@ -48,6 +48,9 @@ from repro.traces.model import IORequest, READ, WRITE
 
 __all__ = ["Migration", "MigrationStats", "MigrationOrchestrator"]
 
+#: blocks copied per migration chunk (one chunk in flight per range)
+CHUNK_BLOCKS = 8
+
 
 class MigrationError(RuntimeError):
     """Raised on invalid migration requests (unknown shard, busy range)."""
@@ -107,13 +110,8 @@ class MigrationOrchestrator:
     (each range at most once at a time).
     """
 
-    def __init__(
-        self, cluster: ClusterDistributer, chunk_blocks: int = 8
-    ) -> None:
-        if chunk_blocks < 1:
-            raise ValueError(f"chunk_blocks must be >= 1: {chunk_blocks!r}")
+    def __init__(self, cluster: ClusterDistributer) -> None:
         self.cluster = cluster
-        self.chunk_blocks = chunk_blocks
         self.active: Dict[int, Migration] = {}
         self.completed: List[Migration] = []
         self.stats = MigrationStats()
@@ -245,7 +243,7 @@ class MigrationOrchestrator:
         if m.state == "aborted" or queue is None:
             return
         chunk: List[int] = []
-        while queue and len(chunk) < self.chunk_blocks:
+        while queue and len(chunk) < CHUNK_BLOCKS:
             blk = queue.popleft()
             if blk in m.dirty:  # superseded since the snapshot
                 m.skipped_dirty += 1

@@ -84,6 +84,12 @@ __all__ = [
 
 #: name of the internal QoS tenant carrying rebuild copy traffic
 REBUILD_TENANT = "_rebuild"
+#: admission rate of the rebuild tenant (IOPS)
+REBUILD_IOPS = 4000.0
+#: EDF weight of rebuild traffic (low = deprioritised)
+REBUILD_WEIGHT = 0.25
+#: recopy passes before a rebuild that cannot catch up is abandoned
+REBUILD_MAX_PASSES = 8
 
 
 def quorum_need(quorum: str, factor: int) -> int:
@@ -103,7 +109,8 @@ def quorum_need(quorum: str, factor: int) -> int:
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """Knobs of the fault-tolerance layer (all deterministic)."""
+    """Knobs of the fault-tolerance layer (all deterministic; the rebuild
+    tenant's are the ``REBUILD_*`` module constants)."""
 
     #: replicas per range (clamped to the ring size at placement time)
     factor: int = 2
@@ -125,12 +132,6 @@ class ReplicationConfig:
     hedge_reads: bool = False
     #: minimum completed samples before hedging activates
     hedge_min_samples: int = 50
-    #: admission rate of the internal rebuild tenant; ``None`` = unthrottled
-    rebuild_iops: Optional[float] = 4000.0
-    #: EDF weight of rebuild traffic (low = deprioritised)
-    rebuild_weight: float = 0.25
-    #: recopy passes before a rebuild that cannot catch up is abandoned
-    rebuild_max_passes: int = 8
 
     def __post_init__(self) -> None:
         quorum_need(self.quorum, self.factor)  # validates both
@@ -143,10 +144,6 @@ class ReplicationConfig:
         if self.hedge_min_samples < 1:
             raise ValueError(
                 f"hedge_min_samples must be >= 1: {self.hedge_min_samples!r}"
-            )
-        if self.rebuild_max_passes < 1:
-            raise ValueError(
-                f"rebuild_max_passes must be >= 1: {self.rebuild_max_passes!r}"
             )
 
 
@@ -265,16 +262,12 @@ class ReplicationManager:
         #: id(admitted rebuild read) -> (job, block) hand-off to the sink
         self._rebuild_tokens: Dict[int, Tuple[_RebuildJob, int]] = {}
         self._retry_buckets: Dict[str, Optional[TokenBucket]] = {}
-        cluster.replication = self
-        # The rebuild tenant is registered once: a manager replacing the
-        # cluster's factor-1 default takes over its slot.
-        cluster.scheduler.tenants.pop(REBUILD_TENANT, None)
         self._rebuild_state = cluster.scheduler.add_tenant(
             TenantSpec(
                 REBUILD_TENANT,
-                rate_iops=self.config.rebuild_iops,
+                rate_iops=REBUILD_IOPS,
                 burst=64.0,
-                weight=self.config.rebuild_weight,
+                weight=REBUILD_WEIGHT,
                 internal=True,
             ),
             sink=self._rebuild_admitted,
@@ -780,7 +773,7 @@ class ReplicationManager:
         if not dirty:
             self._join(job)
             return
-        if job.passes >= self.config.rebuild_max_passes:
+        if job.passes >= REBUILD_MAX_PASSES:
             job.cancelled = True
             del self.rebuilding[job.ridx]
             self.stats.rebuilds_abandoned += 1

@@ -170,9 +170,9 @@ class ClusterDistributer:
         tenants: Optional[Iterable[TenantSpec]] = None,
         namespace_bytes: int = 1 << 27,
         range_blocks: int = 256,
-        vnodes: int = 64,
         seed: int = 0,
         tracer=None,
+        replication: ReplicationConfig = ReplicationConfig(factor=1),
     ) -> None:
         if not shards:
             raise ValueError("cluster needs at least one shard")
@@ -194,7 +194,7 @@ class ClusterDistributer:
                 raise ValueError("every shard must run on the cluster simulator")
         self.namespace_bytes = namespace_bytes
         self.range_blocks = range_blocks
-        self.ring = HashRing(self.shards, vnodes=vnodes, seed=seed)
+        self.ring = HashRing(self.shards, seed=seed)
         self.scheduler = QoSScheduler(
             sim,
             list(tenants) if tenants is not None else [TenantSpec("default")],
@@ -234,9 +234,8 @@ class ClusterDistributer:
             # unrecovered accounting, replica failover).  Inert on a
             # fault-free run — the hook only fires on actual errors.
             dev.on_request_error = self._request_failed
-        #: the placement table and only part-issue path; a manager built
-        #: over this cluster later replaces this factor-1 one
-        self.replication = ReplicationManager(self, ReplicationConfig(factor=1))
+        #: the placement table and only part-issue path
+        self.replication = ReplicationManager(self, replication)
 
     # ------------------------------------------------------------------
     # addressing & routing

@@ -25,6 +25,11 @@ import numpy as np
 
 __all__ = ["byte_entropy", "coreset_size", "SampledEstimator", "EstimatorStats"]
 
+#: a core set this small (of 256 byte values) means "compressible"
+CORESET_LOW = 50
+#: a byte entropy this high (bits/byte) means "already compressed"
+ENTROPY_HIGH = 7.5
+
 
 def byte_entropy(data: bytes) -> float:
     """Shannon entropy of the byte-value distribution, in bits per byte.
@@ -79,8 +84,9 @@ class SampledEstimator:
     sample_fraction:
         Fraction of the block fed to the sampled compression (spread over
         several sub-ranges so local structure is represented).
-    coreset_low / entropy_high:
-        Short-circuit cut-offs for the cheap signals.
+
+    The cheap signals short-circuit at :data:`CORESET_LOW` and
+    :data:`ENTROPY_HIGH`.
     """
 
     def __init__(
@@ -88,8 +94,6 @@ class SampledEstimator:
         ratio_threshold: float = 0.75,
         sample_fraction: float = 0.25,
         sample_pieces: int = 4,
-        coreset_low: int = 50,
-        entropy_high: float = 7.5,
     ) -> None:
         if not 0 < ratio_threshold <= 1:
             raise ValueError(f"ratio_threshold must be in (0,1]: {ratio_threshold!r}")
@@ -100,8 +104,6 @@ class SampledEstimator:
         self.ratio_threshold = ratio_threshold
         self.sample_fraction = sample_fraction
         self.sample_pieces = sample_pieces
-        self.coreset_low = coreset_low
-        self.entropy_high = entropy_high
         self.stats = EstimatorStats()
 
     # ------------------------------------------------------------------
@@ -132,10 +134,10 @@ class SampledEstimator:
         if not data:
             return False
         self.stats.total += 1
-        if coreset_size(data) <= self.coreset_low:
+        if coreset_size(data) <= CORESET_LOW:
             self.stats.by_coreset += 1
             return True
-        if byte_entropy(data) >= self.entropy_high:
+        if byte_entropy(data) >= ENTROPY_HIGH:
             self.stats.by_entropy += 1
             return False
         self.stats.by_sample += 1

@@ -22,37 +22,19 @@ class EDCConfig:
         The allocator's slot classes (§III-C: 25/50/75/100 %).
     sd_enabled:
         Whether the Sequentiality Detector merges contiguous writes.
-    sd_max_merge_blocks:
-        Upper bound on blocks merged into one compression unit.
-    sd_flush_timeout:
-        Safety timeout (seconds) after which a pending merged run is
-        flushed even if sequentiality was never broken.  The paper's flow
-        (Fig 7) flushes only on a breaking request; an unbounded wait
-        would leave the last burst's tail stuck, so a bound is needed in
-        any real implementation.
     compressibility_gate:
         Whether non-compressible data is written through uncompressed
         (one of EDC's two headline mechanisms).
-    estimator_sample_fraction:
-        Fraction of a block sampled by the compressibility estimator.
-    cpu_threads:
-        Parallelism of the host compression engine.
-    charge_estimation_cost:
-        Whether the sampling estimator's CPU time is charged on the
-        write path (the paper's prototype pays it; it is small).
     verify_reads:
-        Decompress on every read and compare with expected content
-        (integrity checking; used by tests, off in benchmarks).
-    store_payloads:
-        Retain compressed payloads for verification.
+        Keep every compressed payload, then decompress it on every read
+        and compare with the expected content (integrity checking; used
+        by tests, off in benchmarks).
     """
 
     block_size: int = 4096
     monitor_window: float = 0.05
     size_class_fractions: Tuple[float, ...] = (0.25, 0.50, 0.75, 1.0)
     sd_enabled: bool = True
-    sd_max_merge_blocks: int = 16
-    sd_flush_timeout: float = 0.0001
     compressibility_gate: bool = True
     #: pass the content class of each write unit to the policy as a
     #: semantic hint (paper §VI future work; see repro.core.hints)
@@ -62,11 +44,7 @@ class EDCConfig:
     hot_cold_streams: bool = False
     #: a block counts as hot once overwritten this many times
     hot_version_threshold: int = 3
-    estimator_sample_fraction: float = 0.25
-    cpu_threads: int = 1
-    charge_estimation_cost: bool = True
     verify_reads: bool = False
-    store_payloads: bool = False
     #: compute a CRC32 per logical block at write time, store it in the
     #: mapping entry, and verify it on every read (end-to-end integrity;
     #: also what the post-recovery scrub checks after a power cut)
@@ -77,11 +55,3 @@ class EDCConfig:
             raise ValueError(f"block_size must be positive: {self.block_size!r}")
         if self.monitor_window <= 0:
             raise ValueError(f"monitor_window must be positive: {self.monitor_window!r}")
-        if self.sd_max_merge_blocks < 1:
-            raise ValueError("sd_max_merge_blocks must be >= 1")
-        if self.sd_flush_timeout <= 0:
-            raise ValueError("sd_flush_timeout must be positive")
-        if self.cpu_threads < 1:
-            raise ValueError("cpu_threads must be >= 1")
-        if self.verify_reads and not self.store_payloads:
-            raise ValueError("verify_reads requires store_payloads")

@@ -47,6 +47,13 @@ from repro.traces.model import IORequest
 
 __all__ = ["EDCBlockDevice", "IntegrityError"]
 
+#: Safety timeout (seconds) after which the Sequentiality Detector's
+#: pending merged run is flushed even if sequentiality was never broken.
+#: The paper's flow (Fig 7) flushes only on a breaking request; an
+#: unbounded wait would leave the last burst's tail stuck, so a bound is
+#: needed in any real implementation.
+SD_FLUSH_TIMEOUT = 0.0001
+
 
 class IntegrityError(Exception):
     """Read-back data mismatches what was written (corruption detected).
@@ -91,18 +98,14 @@ class EDCBlockDevice:
             registry=self.registry,
             cost_model=cost_model,
             incompressible_fraction=self.allocator.incompressible_fraction,
-            charge_estimation_cost=cfg.charge_estimation_cost,
-            keep_payloads=cfg.store_payloads,
+            keep_payloads=cfg.verify_reads,
         )
-        if cfg.estimator_sample_fraction != self.engine.estimator.sample_fraction:
-            self.engine.estimator.sample_fraction = cfg.estimator_sample_fraction
         self.monitor = WorkloadMonitor(cfg.monitor_window, cfg.block_size)
         self.sd: Optional[SequentialityDetector] = (
-            SequentialityDetector(cfg.block_size, cfg.sd_max_merge_blocks)
-            if cfg.sd_enabled
-            else None
+            SequentialityDetector(cfg.block_size) if cfg.sd_enabled else None
         )
-        self.cpu = Server(sim, name="host-cpu", servers=cfg.cpu_threads)
+        #: the host compresses on one CPU thread
+        self.cpu = Server(sim, name="host-cpu")
         self.distributer = RequestDistributer(backend)
         self.mapping = MappingTable(cfg.block_size)
         self.stats = CompressionStats()
@@ -317,7 +320,7 @@ class EDCBlockDevice:
         self._cancel_sd_timer()
         if self.sd is not None and self.sd.pending is not None:
             self._sd_timer = self.sim.schedule(
-                self.config.sd_flush_timeout, self._sd_timeout_fired
+                SD_FLUSH_TIMEOUT, self._sd_timeout_fired
             )
 
     def _cancel_sd_timer(self) -> None:

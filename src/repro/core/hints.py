@@ -33,6 +33,8 @@ __all__ = ["HintAction", "HintRules", "HintedPolicy", "DEFAULT_HINT_RULES"]
 #: Allowed hint actions.
 HintAction = str
 _ACTIONS = ("skip", "fast", "strong")
+#: the high-ratio codec a ``"strong"`` hint upgrades to
+STRONG_CODEC = "gzip"
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,13 @@ class HintRules:
     """Maps content-class names to hint actions.
 
     Actions: ``"skip"`` — store raw, no estimation; ``"fast"`` — always
-    use the fast codec; ``"strong"`` — use the strong codec whenever the
-    intensity band permits compression at all.  Unlisted classes defer
+    use the fast codec; ``"strong"`` — use :data:`STRONG_CODEC` whenever
+    the intensity band permits compression at all.  Unlisted classes defer
     to the wrapped intensity policy.
     """
 
     rules: Dict[str, HintAction] = field(default_factory=dict)
     fast_codec: str = "lzf"
-    strong_codec: str = "gzip"
 
     def __post_init__(self) -> None:
         bad = {a for a in self.rules.values() if a not in _ACTIONS}
@@ -119,7 +120,7 @@ class HintedPolicy(CompressionPolicy):
             return None
         if action == "fast":
             return self.rules.fast_codec
-        return self.rules.strong_codec
+        return STRONG_CODEC
 
     def gate_exempt(self, hint: Optional[str]) -> bool:
         """True when the hint already settles compressibility, so the

@@ -11,7 +11,7 @@ arrivals into it; the run is flushed for compression when:
 - a non-contiguous write arrives (the new write starts a fresh run);
 - the run reaches ``max_merge_blocks``; or
 - the caller's safety timeout fires (see
-  :attr:`repro.core.config.EDCConfig.sd_flush_timeout`).
+  :data:`repro.core.device.SD_FLUSH_TIMEOUT`).
 
 The detector is pure bookkeeping — timing and compression are the
 device's job — so it is directly testable against the paper's Fig 7

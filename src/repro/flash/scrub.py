@@ -19,7 +19,7 @@ CRC with a real (charged) device read, and on a mismatch triggers
   harness's CORRUPTION accounting.
 
 Blocks whose latent-error strike count crosses
-:attr:`ScrubConfig.retire_threshold` are retired through the FTL's
+:data:`RETIRE_THRESHOLD` are retired through the FTL's
 normal bad-block path (relocation + capacity shrink + ``retire``
 hooks), with the relocation time charged to the member's queue.
 
@@ -41,40 +41,32 @@ from repro.flash.raid import RAIS5
 
 __all__ = ["ScrubConfig", "ScrubStats", "ScrubEpisode", "MediaScrubber"]
 
+#: mapping entries verified per tick (sweep rate)
+ENTRIES_PER_TICK = 128
+#: latent-error strikes before a block is retired
+RETIRE_THRESHOLD = 3
+#: ticks to wait before re-attempting a repair that did not land
+REPAIR_RETRY_TICKS = 8
+#: scrub episodes kept for the audit (older ones are counted only)
+MAX_EPISODES = 4096
+
 
 @dataclass(frozen=True)
 class ScrubConfig:
-    """Knobs of one device's background scrub daemon."""
+    """Knobs of one device's background scrub daemon (the rest are the
+    module constants above)."""
 
     #: seconds between scrub ticks (the daemon's period)
     interval_s: float = 0.01
-    #: mapping entries verified per tick (sweep rate)
-    entries_per_tick: int = 128
     #: stand down when more host requests than this are in flight
     max_outstanding: int = 4
-    #: latent-error strikes before a block is retired
-    retire_threshold: int = 3
-    #: ticks to wait before re-attempting a repair that did not land
-    repair_retry_ticks: int = 8
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0:
             raise ValueError(f"interval_s must be positive: {self.interval_s!r}")
-        if self.entries_per_tick < 1:
-            raise ValueError(
-                f"entries_per_tick must be >= 1: {self.entries_per_tick!r}"
-            )
         if self.max_outstanding < 0:
             raise ValueError(
                 f"max_outstanding must be >= 0: {self.max_outstanding!r}"
-            )
-        if self.retire_threshold < 1:
-            raise ValueError(
-                f"retire_threshold must be >= 1: {self.retire_threshold!r}"
-            )
-        if self.repair_retry_ticks < 1:
-            raise ValueError(
-                f"repair_retry_ticks must be >= 1: {self.repair_retry_ticks!r}"
             )
 
 
@@ -145,7 +137,6 @@ class MediaScrubber:
         device,
         config: Optional[ScrubConfig] = None,
         replica_source: Optional[Callable[[int, int], bool]] = None,
-        max_episodes: int = 4096,
     ) -> None:
         self.sim = sim
         self.device = device
@@ -155,7 +146,7 @@ class MediaScrubber:
         #: sides' I/O; ``None`` when the device is not replicated
         self.replica_source = replica_source
         self.stats = ScrubStats()
-        self.episodes: Deque[ScrubEpisode] = deque(maxlen=max_episodes)
+        self.episodes: Deque[ScrubEpisode] = deque(maxlen=MAX_EPISODES)
         self.episodes_total = 0
         #: latent-error strikes per (member name, block id)
         self._strikes: Dict[tuple, int] = {}
@@ -206,7 +197,7 @@ class MediaScrubber:
         start = self._cursor % n
         scanned = 0
         for step in range(n):
-            if scanned >= self.config.entries_per_tick:
+            if scanned >= ENTRIES_PER_TICK:
                 break
             eid = eids[(start + step) % n]
             scanned += 1
@@ -224,10 +215,7 @@ class MediaScrubber:
             if dev.mapping.get(eid) is None:
                 del self._repairing[eid]
                 return
-            if (
-                self.stats.ticks - self._repairing[eid]
-                < self.config.repair_retry_ticks
-            ):
+            if self.stats.ticks - self._repairing[eid] < REPAIR_RETRY_TICKS:
                 return  # repair still in flight
             del self._repairing[eid]
         self.stats.scanned += 1
@@ -333,7 +321,7 @@ class MediaScrubber:
         backend = self.device.backend
         if not isinstance(backend, RAIS5) or backend.degraded:
             return  # no parity, or a missing member to recompute it from
-        budget = max(1, self.config.entries_per_tick // 8)
+        budget = max(1, ENTRIES_PER_TICK // 8)
         members = backend.devices
         for member in members:
             if member.latent is None:
@@ -389,10 +377,9 @@ class MediaScrubber:
         """Strike the blocks holding corrupt pieces; retire repeat offenders.
 
         One corrupt entry strikes a block at most once — a repair that
-        takes several sweeps to land must not turn into ``threshold``
+        takes several sweeps to land must not turn into ``RETIRE_THRESHOLD``
         strikes on its own.
         """
-        threshold = self.config.retire_threshold
         for dev, keys in corrupt:
             blocks = set()
             for k in keys:
@@ -403,7 +390,7 @@ class MediaScrubber:
                 self._struck.add((eid, dev.name, b))
                 sk = (dev.name, b)
                 self._strikes[sk] = self._strikes.get(sk, 0) + 1
-                if self._strikes[sk] == threshold:
+                if self._strikes[sk] == RETIRE_THRESHOLD:
                     self._retire(dev, b)
 
     def _retire(self, dev, block: int) -> None:
@@ -470,9 +457,9 @@ class MediaScrubber:
         return {
             "config": {
                 "interval_s": self.config.interval_s,
-                "entries_per_tick": self.config.entries_per_tick,
+                "entries_per_tick": ENTRIES_PER_TICK,
                 "max_outstanding": self.config.max_outstanding,
-                "retire_threshold": self.config.retire_threshold,
+                "retire_threshold": RETIRE_THRESHOLD,
             },
             "stats": self.stats.as_dict(),
             "episodes": [

@@ -34,6 +34,7 @@ from repro.recovery.scanner import (
     RecoveryReport,
     RecoveryScanner,
     ScrubReport,
+    metadata_digest,
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "ScrubReport",
     "VerifyReport",
     "block_crcs",
+    "metadata_digest",
     "CHECKPOINT_ENTRY_BYTES",
     "CHECKPOINT_HEADER_BYTES",
     "JOURNAL_INSERT_BYTES",

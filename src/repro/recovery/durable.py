@@ -53,8 +53,6 @@ class RecoveryParams:
     checkpoint_interval_s: float = 2.0
     #: journal tail flushes to flash once this many bytes are buffered
     journal_flush_bytes: int = 512
-    #: journal flush write granularity (flash program unit for metadata)
-    journal_pad_bytes: int = 64
     #: issue real in-band device writes for metadata (WA/energy charge);
     #: with ``False`` only the byte accounting is kept (unit tests)
     charge_metadata: bool = True
@@ -64,8 +62,6 @@ class RecoveryParams:
             raise ValueError("checkpoint_interval_s must be positive")
         if self.journal_flush_bytes < 1:
             raise ValueError("journal_flush_bytes must be >= 1")
-        if self.journal_pad_bytes < 1:
-            raise ValueError("journal_pad_bytes must be >= 1")
 
 
 @dataclass
@@ -101,7 +97,7 @@ class DurableMetadataManager:
         self.params = params if params is not None else RecoveryParams()
         p = self.params
         self.journal = journal if journal is not None else MetadataJournal(
-            flush_bytes=p.journal_flush_bytes, pad_bytes=p.journal_pad_bytes
+            flush_bytes=p.journal_flush_bytes
         )
         self.journal.charge = self._charge_journal
         self.checkpoints = (

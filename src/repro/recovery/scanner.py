@@ -42,7 +42,18 @@ __all__ = [
     "RebuiltState",
     "RecoveryReport",
     "ScrubReport",
+    "metadata_digest",
 ]
+
+
+def metadata_digest(mapping, allocator, ftl=None) -> str:
+    """Order-independent sha256 of a device's metadata state."""
+    h = hashlib.sha256()
+    h.update(mapping.state_digest().encode())
+    h.update(allocator.state_digest().encode())
+    if ftl is not None:
+        h.update(ftl.validity_digest().encode())
+    return h.hexdigest()
 
 
 @dataclass
@@ -92,12 +103,7 @@ class RebuiltState:
 
     def digest(self) -> str:
         """Order-independent digest of the rebuilt metadata state."""
-        h = hashlib.sha256()
-        h.update(self.mapping.state_digest().encode())
-        h.update(self.allocator.state_digest().encode())
-        if self.ftl is not None:
-            h.update(self.ftl.validity_digest().encode())
-        return h.hexdigest()
+        return metadata_digest(self.mapping, self.allocator, self.ftl)
 
 
 @dataclass

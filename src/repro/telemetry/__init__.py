@@ -69,7 +69,6 @@ from repro.telemetry.disttrace import (
 from repro.telemetry.alerts import (
     AlertEvent,
     BurnRateEngine,
-    BurnRatePolicy,
     render_alert_timeline,
 )
 from repro.telemetry.timeseries import (
@@ -121,7 +120,6 @@ __all__ = [
     "critical_path",
     "analyze_critical_paths",
     "AlertEvent",
-    "BurnRatePolicy",
     "BurnRateEngine",
     "render_alert_timeline",
     "layer_breakdown_rows",

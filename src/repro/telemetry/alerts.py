@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
-    "BurnRatePolicy",
     "AlertEvent",
     "TenantBurnState",
     "BurnRateEngine",
@@ -38,51 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BurnRatePolicy:
-    """Thresholds and windows of the multi-window burn-rate rule.
-
-    ``budget`` is the error budget as a violation *fraction* (0.05 =
-    5 % of requests may miss their SLO).  An alert fires when both the
-    ``fast_window`` and ``slow_window`` burn rates reach
-    ``fire_threshold``; a firing alert clears when both drop below
-    ``clear_threshold``.  Windows with fewer than ``min_samples``
-    completed requests burn at 0.0 — too little data to page on.
-    """
-
-    fast_window: float = 0.5
-    slow_window: float = 2.5
-    budget: float = 0.05
-    fire_threshold: float = 2.0
-    clear_threshold: float = 0.5
-    min_samples: int = 5
-
-    def __post_init__(self) -> None:
-        if self.fast_window <= 0 or self.slow_window <= 0:
-            raise ValueError(
-                f"windows must be positive: fast={self.fast_window!r} "
-                f"slow={self.slow_window!r}"
-            )
-        if self.fast_window >= self.slow_window:
-            raise ValueError(
-                f"fast_window must be shorter than slow_window: "
-                f"{self.fast_window!r} >= {self.slow_window!r}"
-            )
-        if not 0 < self.budget <= 1:
-            raise ValueError(f"budget must be in (0, 1]: {self.budget!r}")
-        if self.fire_threshold <= 0:
-            raise ValueError(
-                f"fire_threshold must be positive: {self.fire_threshold!r}"
-            )
-        if not 0 < self.clear_threshold < self.fire_threshold:
-            raise ValueError(
-                f"clear_threshold must be in (0, fire_threshold): "
-                f"{self.clear_threshold!r}"
-            )
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1: {self.min_samples!r}"
-            )
+# The multi-window burn-rate rule.  An alert fires when both the
+# FAST_WINDOW and SLOW_WINDOW burn rates (seconds) reach FIRE_THRESHOLD;
+# a firing alert clears when both drop below CLEAR_THRESHOLD.  BUDGET is
+# the error budget as a violation *fraction* (0.05 = 5 % of requests may
+# miss their SLO).  Windows with fewer than MIN_SAMPLES completed
+# requests burn at 0.0 -- too little data to page on.
+FAST_WINDOW = 0.5
+SLOW_WINDOW = 2.5
+BUDGET = 0.05
+FIRE_THRESHOLD = 2.0
+CLEAR_THRESHOLD = 0.5
+MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -122,8 +88,7 @@ class BurnRateEngine:
     plus fire/clear markers on the ``alerts`` channel.
     """
 
-    def __init__(self, policy: Optional[BurnRatePolicy] = None) -> None:
-        self.policy = policy if policy is not None else BurnRatePolicy()
+    def __init__(self) -> None:
         self.states: Dict[str, TenantBurnState] = {}
         self.events: List[AlertEvent] = []
         self._sampler = None
@@ -148,20 +113,20 @@ class BurnRateEngine:
             samples.append((t, completed, violations))
         # Keep exactly one sample at or before the slow-window horizon:
         # it is the baseline the slow burn subtracts against.
-        cutoff = t - self.policy.slow_window
+        cutoff = t - SLOW_WINDOW
         while len(samples) >= 2 and samples[1][0] <= cutoff:
             samples.popleft()
-        st.fast_burn = self._window_burn(st, t, self.policy.fast_window)
-        st.slow_burn = self._window_burn(st, t, self.policy.slow_window)
+        st.fast_burn = self._window_burn(st, t, FAST_WINDOW)
+        st.slow_burn = self._window_burn(st, t, SLOW_WINDOW)
         event: Optional[AlertEvent] = None
         if (not st.firing
-                and st.fast_burn >= self.policy.fire_threshold
-                and st.slow_burn >= self.policy.fire_threshold):
+                and st.fast_burn >= FIRE_THRESHOLD
+                and st.slow_burn >= FIRE_THRESHOLD):
             st.firing = True
             event = AlertEvent(tenant, "fire", t, st.fast_burn, st.slow_burn)
         elif (st.firing
-                and st.fast_burn < self.policy.clear_threshold
-                and st.slow_burn < self.policy.clear_threshold):
+                and st.fast_burn < CLEAR_THRESHOLD
+                and st.slow_burn < CLEAR_THRESHOLD):
             st.firing = False
             event = AlertEvent(tenant, "clear", t, st.fast_burn, st.slow_burn)
         if event is not None:
@@ -186,10 +151,10 @@ class BurnRateEngine:
                 break
         latest = st.samples[-1]
         dc = latest[1] - baseline[1]
-        if dc < self.policy.min_samples:
+        if dc < MIN_SAMPLES:
             return 0.0
         dv = latest[2] - baseline[2]
-        return (dv / dc) / self.policy.budget
+        return (dv / dc) / BUDGET
 
     # ------------------------------------------------------------------
     @property

@@ -341,20 +341,15 @@ class DecisionAuditor:
     # ------------------------------------------------------------------
     @staticmethod
     def _breakdown_from_rec(rec, run, now: float) -> Dict[str, float]:
-        """Per-layer seconds for one run, mirroring the span tracer's
-        attribution in :meth:`Telemetry.write_run_done` (oldest-request
-        view of the queue component)."""
-        flash_total = now - rec.t_commit
-        service = min(rec.flash_service, flash_total)
-        flash_wait = flash_total - service
-        gc = min(rec.gc_stall, service)
-        est = min(rec.estimate_time, rec.cpu_service)
+        """Per-layer seconds for one run (``rec.layers``), with the queue
+        component of the run's oldest request."""
+        flash_wait, est, compress, program, gc = rec.layers(now)
         sd_hold = rec.t_enqueue - (run.arrivals[0] if run.arrivals else rec.t_enqueue)
         return {
             "queue": sd_hold + rec.cpu_wait + flash_wait,
             "estimate": est,
-            "compress": rec.cpu_service - est,
-            "flash_program": service - gc,
+            "compress": compress,
+            "flash_program": program,
             "gc_stall": gc,
         }
 

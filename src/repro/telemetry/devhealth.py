@@ -51,6 +51,8 @@ __all__ = [
 
 #: Shade ramp of the ASCII heatmap / waterfall bars (cold → hot).
 HEAT_CHARS = " ▁▂▃▄▅▆▇█"
+#: GC episodes kept for the audit (older ones are counted only)
+MAX_EPISODES = 4096
 
 
 def _human(nbytes: float) -> str:
@@ -170,12 +172,11 @@ class DeviceHealth:
         self,
         region_bytes: int = 1 << 20,
         half_life: float = 2.0,
-        max_episodes: int = 4096,
         cell_type: str = "SLC",
     ) -> None:
         self.cell_type = cell_type
         self.heat = TemperatureMap(region_bytes, half_life)
-        self.episodes: Deque[GcEpisode] = deque(maxlen=max_episodes)
+        self.episodes: Deque[GcEpisode] = deque(maxlen=MAX_EPISODES)
         self.episodes_total = 0
         self.episodes_by_trigger: Dict[str, int] = {}
         self.moved_bytes_total = 0

@@ -22,6 +22,14 @@ __all__ = ["Log2Histogram", "Counter", "Gauge", "MetricsRegistry"]
 #: Default quantiles reported by :meth:`Log2Histogram.quantiles`.
 _DEFAULT_QS = (50.0, 95.0, 99.0, 99.9)
 
+#: Binary exponent range every :class:`Log2Histogram` covers exactly.
+#: Values below ``2**MIN_EXP`` count as zero-bucket samples; values at
+#: or above ``2**MAX_EXP`` clamp into the top bucket (both remain in
+#: ``count``/``sum`` exactly).  The range spans ~1e-12 s to ~2e6 s, far
+#: beyond any simulated latency.
+MIN_EXP = -40
+MAX_EXP = 21
+
 
 class Log2Histogram:
     """Fixed-memory histogram with log2 buckets and linear sub-buckets.
@@ -30,26 +38,15 @@ class Log2Histogram:
     ----------
     sub_buckets:
         Linear subdivisions per power of two; relative quantile error is
-        bounded by ``1/sub_buckets``.
-    min_exp / max_exp:
-        Binary exponent range covered exactly.  Values below
-        ``2**min_exp`` count as zero-bucket samples; values at or above
-        ``2**max_exp`` clamp into the top bucket (both remain in
-        ``count``/``sum`` exactly).  The defaults span ~1e-12 s to ~2e6
-        s, far beyond any simulated latency.
+        bounded by ``1/sub_buckets``.  The exponent range is
+        :data:`MIN_EXP` to :data:`MAX_EXP`.
     """
 
-    def __init__(
-        self, sub_buckets: int = 16, min_exp: int = -40, max_exp: int = 21
-    ) -> None:
+    def __init__(self, sub_buckets: int = 16) -> None:
         if sub_buckets < 1:
             raise ValueError(f"sub_buckets must be >= 1: {sub_buckets!r}")
-        if max_exp <= min_exp:
-            raise ValueError("max_exp must exceed min_exp")
         self.sub_buckets = sub_buckets
-        self.min_exp = min_exp
-        self.max_exp = max_exp
-        self._counts: List[int] = [0] * ((max_exp - min_exp) * sub_buckets)
+        self._counts: List[int] = [0] * ((MAX_EXP - MIN_EXP) * sub_buckets)
         self._zero = 0
         self.count = 0
         self.sum = 0.0
@@ -59,18 +56,18 @@ class Log2Histogram:
     # ------------------------------------------------------------------
     def _index(self, value: float) -> int:
         m, e = math.frexp(value)  # value = m * 2**e, m in [0.5, 1)
-        if e <= self.min_exp:
+        if e <= MIN_EXP:
             return -1  # zero bucket
-        if e > self.max_exp:
+        if e > MAX_EXP:
             return len(self._counts) - 1
         sub = int((m - 0.5) * 2.0 * self.sub_buckets)
         if sub >= self.sub_buckets:  # m == 1.0 - eps edge
             sub = self.sub_buckets - 1
-        return (e - 1 - self.min_exp) * self.sub_buckets + sub
+        return (e - 1 - MIN_EXP) * self.sub_buckets + sub
 
     def _bucket_bounds(self, idx: int) -> Tuple[float, float]:
         decade, sub = divmod(idx, self.sub_buckets)
-        lo2 = math.ldexp(1.0, self.min_exp + decade)  # 2**(min_exp+decade)
+        lo2 = math.ldexp(1.0, MIN_EXP + decade)  # 2**(MIN_EXP+decade)
         width = lo2 / self.sub_buckets
         return lo2 + sub * width, lo2 + (sub + 1) * width
 
@@ -100,11 +97,7 @@ class Log2Histogram:
 
     def merge(self, other: "Log2Histogram") -> None:
         """Fold ``other`` into this histogram (layouts must match)."""
-        if (
-            other.sub_buckets != self.sub_buckets
-            or other.min_exp != self.min_exp
-            or other.max_exp != self.max_exp
-        ):
+        if other.sub_buckets != self.sub_buckets:
             raise ValueError("cannot merge histograms with different layouts")
         for i, c in enumerate(other._counts):
             self._counts[i] += c

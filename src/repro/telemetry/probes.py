@@ -83,6 +83,19 @@ class _WriteRunRec:
         self.gc_per_job: Deque[float] = deque()
         self.anchor = anchor
 
+    def layers(self, now: float) -> Tuple[float, float, float, float, float]:
+        """``(flash_wait, estimate, compress, flash_program, gc_stall)``
+        seconds of this run, completed at ``now``: the write-path
+        attribution of both the tracer and the decision auditor.  A
+        merged request queues for its SD hold + cpu_wait + flash_wait.
+        """
+        flash_total = now - self.t_commit
+        service = min(self.flash_service, flash_total)
+        gc = min(self.gc_stall, service)
+        est = min(self.estimate_time, self.cpu_service)
+        return (flash_total - service, est, self.cpu_service - est,
+                service - gc, gc)
+
 
 class _ReadRec:
     """Timing record for one read request (1..n pieces)."""
@@ -244,13 +257,7 @@ class Telemetry:
         """Device write completed: attribute layers per merged request."""
         rec = run.notes["telemetry"]
         now = self.sim.now
-        flash_total = now - rec.t_commit
-        service = min(rec.flash_service, flash_total)
-        flash_wait = flash_total - service
-        gc = min(rec.gc_stall, service)
-        program = service - gc
-        est = min(rec.estimate_time, rec.cpu_service)
-        compress = rec.cpu_service - est
+        flash_wait, est, compress, program, gc = rec.layers(now)
         wl = self.write_layers
         m = self.metrics
         resp_hist = m.histogram("write.response")

@@ -24,6 +24,12 @@ from repro.traces.model import IORequest, READ, Trace, WRITE
 
 __all__ = ["BurstModel", "WorkloadParams", "SyntheticTraceGenerator"]
 
+#: Mean arrival gap (seconds) of a sequential continuation request.
+#: Contiguous block requests come from one upper-layer operation that
+#: the block layer split, so they arrive back-to-back (tens of µs), not
+#: at fresh Poisson gaps.
+SEQ_ARRIVAL_GAP = 40e-6
+
 
 @dataclass(frozen=True)
 class BurstModel:
@@ -85,11 +91,6 @@ class WorkloadParams:
     write_seq_prob: float = 0.3
     #: probability that a read continues the preceding read address
     read_seq_prob: float = 0.2
-    #: mean arrival gap (seconds) of a sequential continuation request.
-    #: Contiguous block requests come from one upper-layer operation that
-    #: the block layer split, so they arrive back-to-back (tens of µs),
-    #: not at fresh Poisson gaps.
-    seq_arrival_gap: float = 40e-6
     burst: BurstModel = field(default_factory=BurstModel)
     #: addressable bytes (folded onto the device by the harness)
     address_space: int = 1 << 30
@@ -175,7 +176,7 @@ class SyntheticTraceGenerator:
                 if seq_from is not None:
                     # Continuation of a split multi-block operation: arrives
                     # back-to-back with its predecessor.
-                    t += float(rng.exponential(p.seq_arrival_gap))
+                    t += float(rng.exponential(SEQ_ARRIVAL_GAP))
                 else:
                     t += float(rng.exponential(1.0 / rate))
                 if t >= period_end:

@@ -207,12 +207,28 @@ class TestDumpAndDiff:
             main(["diff", missing, missing])
         assert exc.value.code == USAGE_ERROR
 
-    def test_diff_exit_2_on_malformed(self, tmp_path):
+    def test_diff_exit_2_on_malformed(self, tmp_path, capsys):
+        meta = json.dumps({"kind": "meta", "version": AUDIT_SCHEMA_VERSION,
+                           "policy": "EDC", "n_decisions": 1})
+        # each dump's last line is the malformed one
+        dumps = [
+            ['{"kind": "band"}'],
+            # a selection with no codec
+            [meta, '{"kind": "selection", "band": 0, "n": 1}'],
+            # a band with no n
+            [meta, '{"kind": "band", "band": 0, "logical_bytes": 1, '
+                   '"stored_bytes": 1, "response_seconds": 0.0, '
+                   '"responses": 0}'],
+            # a line that is a JSON array
+            [meta, "[1, 2]"],
+        ]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"kind": "band"}\n')
-        with pytest.raises(SystemExit) as exc:
-            main(["diff", str(bad), str(bad)])
-        assert exc.value.code == USAGE_ERROR
+        for lines in dumps:
+            bad.write_text("\n".join(lines) + "\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["diff", str(bad), str(bad)])
+            assert exc.value.code == USAGE_ERROR, lines
+            assert f"{bad}:{len(lines)}:" in capsys.readouterr().err
 
     def test_dump_loads_back(self, audited_replay, tmp_path):
         auditor, _ = audited_replay

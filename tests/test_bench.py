@@ -58,8 +58,6 @@ class TestReplayConfig:
             ReplayConfig(backend="raid0")
         with pytest.raises(ValueError):
             ReplayConfig(fold_fraction=0.0)
-        with pytest.raises(ValueError):
-            ReplayConfig(backend="rais5", n_devices=2)
 
     def test_fold_bytes_block_aligned(self):
         cfg = small_cfg()
@@ -108,6 +106,11 @@ class TestReplay:
         bands = (IntensityBand(float("inf"), "lzf"),)
         r = replay(small_trace.head(300), "EDC", small_cfg(), bands=bands)
         assert set(r.codec_shares) <= {"lzf", "none"}
+
+    @pytest.mark.parametrize("scrub", [False, 0.5, "on"])
+    def test_scrub_must_be_a_config_or_none(self, small_trace, scrub):
+        with pytest.raises(TypeError, match="ScrubConfig"):
+            replay(small_trace.head(50), "EDC", small_cfg(), scrub=scrub)
 
 
 class TestReport:

@@ -19,6 +19,7 @@ from repro.cluster import (
 )
 from repro.core.replay import TraceReplayer
 from repro.flash.ssd import SimulatedSSD
+from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
 from repro.telemetry.timeseries import (
@@ -41,7 +42,7 @@ class TestDegenerateFleetBitIdentity:
             sim, name="shard0", geometry=rcfg.geometry(), timing=rcfg.timing
         )
         content = ContentStore(
-            rcfg.content_mix, block_size=4096,
+            ENTERPRISE_MIX, block_size=4096,
             pool_blocks=rcfg.pool_blocks, seed=rcfg.content_seed,
         )
         ref = build_device(sim, "EDC", ssd, content, config=rcfg.device_config)

@@ -67,7 +67,6 @@ class TestReplicationConfig:
         {"retry_backoff_s": 0.0},
         {"deadline_s": 0.0},
         {"hedge_min_samples": 0},
-        {"rebuild_max_passes": 0},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):

@@ -320,7 +320,7 @@ class TestZombieSpace:
         sim = Simulator()
         ssd = SimulatedSSD(sim, geometry=x25e_like(64))
         content = ContentStore(ENTERPRISE_MIX, pool_blocks=32, seed=1)
-        cfg = EDCConfig(sd_enabled=False, store_payloads=True, verify_reads=True)
+        cfg = EDCConfig(sd_enabled=False, verify_reads=True)
         dev = EDCBlockDevice(sim, ssd, FixedPolicy("gzip"), content, cfg)
         reqs = [IORequest(0.0, "W", 0, 8 * 4096)]
         reqs += [IORequest(0.1 + i * 0.01, "W", i * 4096, 4096) for i in range(6)]

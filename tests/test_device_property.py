@@ -51,7 +51,7 @@ def run(rows, policy, sd):
     sim = Simulator()
     ssd = SimulatedSSD(sim, geometry=x25e_like(32))
     content = ContentStore(ENTERPRISE_MIX, **_CONTENT_ARGS)
-    cfg = EDCConfig(sd_enabled=sd, store_payloads=True, verify_reads=True)
+    cfg = EDCConfig(sd_enabled=sd, verify_reads=True)
     dev = EDCBlockDevice(sim, ssd, policy, content, cfg)
     out = TraceReplayer(sim, dev).replay(build_trace(rows))
     return dev, ssd, out

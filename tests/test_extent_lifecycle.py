@@ -56,7 +56,7 @@ class ExtentLifecycle(RuleBasedStateMachine):
         super().__init__()
         self.sim = Simulator()
         self.ssd = SimulatedSSD(self.sim, geometry=GEOMETRY)
-        cfg = EDCConfig(store_payloads=True, verify_reads=True, crc_checks=True)
+        cfg = EDCConfig(verify_reads=True, crc_checks=True)
         self.dev = EDCBlockDevice(
             self.sim, self.ssd, ElasticPolicy(), content(), cfg
         )

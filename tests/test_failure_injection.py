@@ -50,7 +50,7 @@ class TestPayloadCorruption:
         sim = Simulator()
         ssd = SimulatedSSD(sim, geometry=x25e_like(32))
         content = ContentStore(ContentMix("m", {"text": 1.0}), pool_blocks=8, seed=1)
-        cfg = EDCConfig(sd_enabled=False, store_payloads=True, verify_reads=True)
+        cfg = EDCConfig(sd_enabled=False, verify_reads=True)
         dev = EDCBlockDevice(sim, ssd, FixedPolicy("gzip"), content, cfg)
         sim.schedule_at(0.0, lambda: dev.submit(IORequest(0.0, "W", 0, 4096)))
         sim.run()

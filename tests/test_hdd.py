@@ -93,7 +93,7 @@ class TestEdcOnHdd:
         sim = Simulator()
         hdd = SimulatedHDD(sim)
         content = ContentStore(ENTERPRISE_MIX, pool_blocks=32, seed=1)
-        cfg = EDCConfig(store_payloads=True, verify_reads=True)
+        cfg = EDCConfig(verify_reads=True)
         dev = EDCBlockDevice(sim, hdd, ElasticPolicy(), content, cfg)
         reqs = [IORequest(i * 0.002, "W", i * 4096, 4096) for i in range(20)]
         reqs.append(IORequest(0.2, "R", 0, 8 * 4096))

@@ -27,7 +27,7 @@ def verified_device(sim, policy, backend=None, sd=True):
         backend = SimulatedSSD(sim, geometry=x25e_like(64))
     content = ContentStore(ENTERPRISE_MIX, pool_blocks=64, seed=9)
     cfg = EDCConfig(
-        sd_enabled=sd, store_payloads=True, verify_reads=True
+        sd_enabled=sd, verify_reads=True
     )
     return EDCBlockDevice(sim, backend, policy, content, cfg)
 

@@ -353,10 +353,11 @@ class TestManagerEndToEnd:
         cfg, manager, _ = managed_replay(crc=True, checkpoint_interval_s=0.5)
         recs = list(manager.live_records.values())
         assert recs and all(r.crc is not None for r in recs)
+        from repro.sdgen.datasets import ENTERPRISE_MIX
         from repro.sdgen.generator import ContentStore
 
         content = ContentStore(
-            cfg.content_mix, block_size=BS,
+            ENTERPRISE_MIX, block_size=BS,
             pool_blocks=cfg.pool_blocks, seed=cfg.content_seed,
         )
         state, _ = RecoveryScanner(

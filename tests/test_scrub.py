@@ -77,10 +77,7 @@ class TestScrubConfig:
     @pytest.mark.parametrize("kw", [
         {"interval_s": 0.0},
         {"interval_s": -1.0},
-        {"entries_per_tick": 0},
         {"max_outstanding": -1},
-        {"retire_threshold": 0},
-        {"repair_retry_ticks": 0},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):

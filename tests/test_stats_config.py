@@ -65,10 +65,6 @@ class TestEDCConfig:
         [
             dict(block_size=0),
             dict(monitor_window=0.0),
-            dict(sd_max_merge_blocks=0),
-            dict(sd_flush_timeout=0.0),
-            dict(cpu_threads=0),
-            dict(verify_reads=True, store_payloads=False),
         ],
     )
     def test_validation(self, kw):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.traces.synthetic import BurstModel, SyntheticTraceGenerator, WorkloadParams
+from repro.traces.synthetic import (
+    SEQ_ARRIVAL_GAP,
+    BurstModel,
+    SyntheticTraceGenerator,
+    WorkloadParams,
+)
 
 
 def params(**kw):
@@ -133,7 +138,7 @@ class TestGeneration:
             if cur.lba == prev.end:
                 gaps.append(cur.time - prev.time)
         assert gaps, "expected sequential continuations"
-        assert np.median(gaps) < 5 * p.seq_arrival_gap
+        assert np.median(gaps) < 5 * SEQ_ARRIVAL_GAP
 
     def test_hot_region_receives_more_traffic(self):
         p = params(hot_fraction=0.1, hot_weight=0.9, write_seq_prob=0.0, read_seq_prob=0.0)

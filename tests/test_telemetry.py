@@ -29,6 +29,7 @@ from repro.telemetry import (
     render_layer_breakdown,
     render_telemetry_summary,
 )
+from repro.telemetry.histograms import MAX_EXP, MIN_EXP
 from repro.traces.workloads import make_workload
 
 
@@ -177,7 +178,7 @@ class TestLog2Histogram:
         h = Log2Histogram()
         for i in range(10_000):
             h.add(1e-6 * (1 + i % 997))
-        assert len(h._counts) == (h.max_exp - h.min_exp) * h.sub_buckets
+        assert len(h._counts) == (MAX_EXP - MIN_EXP) * h.sub_buckets
 
 
 class TestCountersGaugesRegistry:
