@@ -261,9 +261,6 @@ def run_cluster(
         bind_cluster_metrics(sampler, fleet)
         if alerts is not None:
             alerts.attach(sampler, fleet.cluster.scheduler)
-        fleet.balancer.on_suggest = (
-            lambda src, dst, imb: sampler.mark("rebalance", f"{src}->{dst}")
-        )
         sampler.start()
 
     migrations: List[Migration] = []
@@ -273,6 +270,8 @@ def run_cluster(
         pair = fleet.balancer.suggest()
         if pair is not None:
             src = pair[0]
+            if sampler is not None:
+                sampler.mark("rebalance", f"{src}->{pair[1]}")
         else:  # balanced fleet: still exercise the machinery
             snap = fleet.balancer.snapshot()
             src = max(snap.values(), key=lambda s: (s.physical_bytes, s.name)).name

@@ -58,7 +58,6 @@ class ReplayConfig:
     backend: str = "ssd"
     capacity_mb: int = 128
     fold_fraction: float = 0.8
-    stripe_unit: int = 4096
     pool_blocks: int = 512
     content_seed: int = 5
     timing: NandTiming = field(default_factory=lambda: X25E_TIMING)
@@ -161,7 +160,7 @@ def build_stack(
             SimulatedSSD(sim, name=f"ssd{i}", geometry=geo, timing=cfg.timing)
             for i in range(N_DEVICES)
         ]
-        backend = RAIS5(devices, stripe_unit=cfg.stripe_unit)
+        backend = RAIS5(devices)
     content = ContentStore(
         ENTERPRISE_MIX,
         block_size=cfg.device_config.block_size,

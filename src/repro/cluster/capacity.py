@@ -17,7 +17,7 @@ candidate, closing the loop with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.routing import ClusterDistributer
 
@@ -55,10 +55,6 @@ class CapacityBalancer:
             )
         self.cluster = cluster
         self.imbalance_threshold = imbalance_threshold
-        #: observational hook ``(src, dst, imbalance)`` fired whenever
-        #: :meth:`suggest` nominates a migration pair — lets telemetry
-        #: mark rebalance decisions on the metrics timeline.
-        self.on_suggest: Optional[Callable[[str, str, float], None]] = None
 
     # ------------------------------------------------------------------
     def total_ranges(self) -> int:
@@ -127,8 +123,6 @@ class CapacityBalancer:
         dst = min(snap.values(), key=lambda s: (s.physical_bytes, s.name))
         if src.name == dst.name:
             return None
-        if self.on_suggest is not None:
-            self.on_suggest(src.name, dst.name, self.imbalance(snap))
         return src.name, dst.name
 
     # ------------------------------------------------------------------

@@ -259,8 +259,8 @@ class ReplicationManager:
         #: shards declared dead (never come back)
         self.dead: Set[str] = set()
         self.rebuilding: Dict[int, _RebuildJob] = {}
-        #: id(admitted rebuild read) -> (job, block) hand-off to the sink
-        self._rebuild_tokens: Dict[int, Tuple[_RebuildJob, int]] = {}
+        #: admitted rebuild read -> (job, block) hand-off to the sink
+        self._rebuild_tokens: Dict[IORequest, Tuple[_RebuildJob, int]] = {}
         self._retry_buckets: Dict[str, Optional[TokenBucket]] = {}
         self._rebuild_state = cluster.scheduler.add_tenant(
             TenantSpec(
@@ -389,23 +389,17 @@ class ReplicationManager:
 
         def _target_ok(shard: str) -> Callable[[IORequest, float], None]:
             def cb(req: IORequest, _latency: float) -> None:
-                if self.tracer is not None:
-                    self.tracer.attempt_done(req)
                 state["outstanding"] -= 1
                 if state["done"]:
                     return
                 state["acks"] += 1
                 if state["acks"] >= need:
                     state["done"] = True
-                    if self.tracer is not None:
-                        self.tracer.part_done(part)
                     finish(part, True)
             return cb
 
         def _target_err(shard: str) -> Callable[[IORequest, BaseException], None]:
             def cb(req: IORequest, exc: BaseException) -> None:
-                if self.tracer is not None:
-                    self.tracer.attempt_done(req)
                 self.note_shard_error(shard, exc)
                 state["outstanding"] -= 1
                 if state["done"]:
@@ -429,7 +423,7 @@ class ReplicationManager:
                 self.stats.replica_writes += 1
                 self.stats.replica_bytes += part.nbytes
             if self.tracer is not None:
-                self.tracer.replica_write_issued(part, dup, shard)
+                self.tracer.attempt_issued("replica.write", part, dup, shard)
             c.register_internal(dup, _target_ok(shard), _target_err(shard))
             c.shards[shard].submit(dup)
 
@@ -506,14 +500,11 @@ class ReplicationManager:
         ctl["pending"] += 1
         dup = IORequest(part.time, part.op, part.lba, part.nbytes)
         if self.tracer is not None:
-            if hedge:
-                self.tracer.hedge_issued(part, dup, shard)
-            else:
-                self.tracer.replica_read_issued(part, dup, shard)
+            self.tracer.attempt_issued(
+                "shard.hedge" if hedge else "replica.read", part, dup, shard
+            )
 
         def _ok(req: IORequest, _latency: float) -> None:
-            if self.tracer is not None:
-                self.tracer.attempt_done(req)
             ctl["pending"] -= 1
             if ctl["done"]:
                 return
@@ -521,13 +512,9 @@ class ReplicationManager:
             self._cancel_timer(ctl)
             if hedge:
                 self.stats.hedge_wins += 1
-            if self.tracer is not None:
-                self.tracer.part_done(part)
             finish(part, True)
 
         def _err(req: IORequest, exc: BaseException) -> None:
-            if self.tracer is not None:
-                self.tracer.attempt_done(req)
             self.note_shard_error(shard, exc)
             ctl["pending"] -= 1
             if ctl["done"]:
@@ -622,8 +609,6 @@ class ReplicationManager:
         st.stats.unrecovered += 1
         self.stats.unrecovered_parts += 1
         self.cluster.stats.unrecovered_parts += 1
-        if self.tracer is not None:
-            self.tracer.part_done(part)
         finish(part, False)
 
     # ------------------------------------------------------------------
@@ -695,7 +680,7 @@ class ReplicationManager:
         job.outstanding = len(blocks)
         for blk in blocks:
             rreq = IORequest(self.sim.now, READ, blk * bs, bs)
-            self._rebuild_tokens[id(rreq)] = (job, blk)
+            self._rebuild_tokens[rreq] = (job, blk)
             c.scheduler.submit(REBUILD_TENANT, rreq)
 
     def _rebuild_admitted(
@@ -703,7 +688,7 @@ class ReplicationManager:
     ) -> None:
         """Dispatch sink of the internal rebuild tenant: one admitted
         copy read, QoS-throttled against foreground traffic."""
-        job, blk = self._rebuild_tokens.pop(id(request))
+        job, blk = self._rebuild_tokens.pop(request)
         c = self.cluster
 
         def _block_done() -> None:

@@ -219,14 +219,14 @@ class ClusterDistributer:
         #: shards removed from routing (dead / decommissioned); their
         #: device objects stay in :attr:`shards` for reporting
         self.decommissioned: Set[str] = set()
-        #: id(request part) -> (part, completion callback, error callback)
-        self._inflight: Dict[int, Tuple[IORequest, Callable, Optional[Callable]]] = {}
-        #: [pending part-id set, callback] barriers (see :meth:`when_drained`)
+        #: registered shard request -> (completion callback, error callback)
+        self._inflight: Dict[IORequest, Tuple[Callable, Optional[Callable]]] = {}
+        #: [pending request set, callback] barriers (see :meth:`when_drained`)
         self._drain_waiters: List[list] = []
         #: global block numbers with at least one acked (completed) write
         self._acked_blocks: Set[int] = set()
-        #: id(globalized request) -> user completion callback
-        self._user_done: Dict[int, Callable[[], None]] = {}
+        #: globalized request -> user completion callback
+        self._user_done: Dict[IORequest, Callable[[], None]] = {}
         for dev in self.shards.values():
             dev.on_request_complete = self._request_completed
             # Escalate device-level failures instead of absorbing them:
@@ -319,7 +319,7 @@ class ClusterDistributer:
         """Admit one tenant-local request arriving *now*."""
         g = self.globalize(tenant, request)
         if on_complete is not None:
-            self._user_done[id(g)] = on_complete
+            self._user_done[g] = on_complete
         if self.tracer is not None:
             self.tracer.request_submitted(g, tenant)
         self.scheduler.submit(tenant, g)
@@ -409,6 +409,8 @@ class ClusterDistributer:
         remaining = [len(parts)]
 
         def _finish_part(part: IORequest, ok: bool) -> None:
+            if self.tracer is not None:
+                self.tracer.part_done(part)
             if ok and part.is_write:
                 # Only successful writes enter the acked set: a part that
                 # exhausted every recovery path was *not* acked, so the
@@ -421,7 +423,7 @@ class ClusterDistributer:
                 latency = self.scheduler.note_complete(st, arrival)
                 if self.tracer is not None:
                     self.tracer.request_done(request, latency)
-                user_cb = self._user_done.pop(id(request), None)
+                user_cb = self._user_done.pop(request, None)
                 if user_cb is not None:
                     user_cb()
 
@@ -434,13 +436,14 @@ class ClusterDistributer:
     # completion plumbing
     # ------------------------------------------------------------------
     def _request_completed(self, request: IORequest, latency: float) -> None:
-        entry = self._inflight.get(id(request))
-        if entry is None or entry[0] is not request:
-            return  # dual-write duplicate or migration-internal request
-        del self._inflight[id(request)]
-        part, cb, _err = entry
-        cb(part, latency)
-        self._fire_drain_waiters(id(request))
+        entry = self._inflight.pop(request, None)
+        if entry is None:
+            return  # dual-write duplicate: never registered
+        if self.tracer is not None:
+            self.tracer.io_done(request)
+        on_complete, _on_error = entry
+        on_complete(request, latency)
+        self._fire_drain_waiters(request)
 
     def _request_failed(self, request: IORequest, exc: BaseException) -> None:
         """Device error path (installed as every shard's
@@ -449,24 +452,25 @@ class ClusterDistributer:
         (migration copy I/O) is dropped after deregistration — its owner's
         barrier stalls harmlessly, which only happens when the owning
         background job was already aborted with its shard."""
-        entry = self._inflight.get(id(request))
-        if entry is None or entry[0] is not request:
+        entry = self._inflight.pop(request, None)
+        if entry is None:
             return
-        del self._inflight[id(request)]
-        part, _cb, err = entry
-        if err is not None:
-            err(part, exc)
+        if self.tracer is not None:
+            self.tracer.io_done(request)
+        _on_complete, on_error = entry
+        if on_error is not None:
+            on_error(request, exc)
         # Quiesce barriers must see failed parts drain too, or a
         # migration waiting on a request that died with its shard would
         # hang forever.
-        self._fire_drain_waiters(id(request))
+        self._fire_drain_waiters(request)
 
-    def _fire_drain_waiters(self, rid: int) -> None:
+    def _fire_drain_waiters(self, request: IORequest) -> None:
         if not self._drain_waiters:
             return
         fired = []
         for waiter in self._drain_waiters:
-            waiter[0].discard(rid)
+            waiter[0].discard(request)
             if not waiter[0]:
                 fired.append(waiter)
         for waiter in fired:
@@ -487,29 +491,30 @@ class ClusterDistributer:
         Every request registered here is visible to the migration
         quiesce barrier (:meth:`inflight_in`).
         """
-        self._inflight[id(request)] = (request, on_complete, on_error)
+        self._inflight[request] = (on_complete, on_error)
 
-    def inflight_in(self, ranges: Iterable[int]) -> Set[int]:
-        """Ids of registered requests currently in flight to ``ranges``.
+    def inflight_in(self, ranges: Iterable[int]) -> Set[IORequest]:
+        """Registered requests currently in flight to ``ranges``.
 
         Derived from the in-flight registry on demand: migrations are
         rare, parts are not.
         """
         wanted = set(ranges)
         return {
-            rid for rid, (req, _cb, _err) in self._inflight.items()
+            req for req in self._inflight
             if wanted.intersection(self.ranges_covered(req.lba, req.nbytes))
         }
 
     def when_drained(
-        self, part_ids: Set[int], callback: Callable[[], None]
+        self, requests: Set[IORequest], callback: Callable[[], None]
     ) -> None:
-        """Call ``callback`` once every id in ``part_ids`` has completed.
+        """Call ``callback`` once every request in ``requests`` has
+        completed.
 
         The migration quiesce barrier: fires immediately (deferred one
         event) when the set is already empty.
         """
-        pending = set(part_ids) & set(self._inflight)
+        pending = requests & self._inflight.keys()
         if not pending:
             self.sim.defer(callback)
             return

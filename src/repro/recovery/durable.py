@@ -168,9 +168,6 @@ class DurableMetadataManager:
         """Programmed, unreclaimed records by seqno (crash-free oracle)."""
         return dict(self._live)
 
-    def seqno_of(self, eid: int) -> Optional[int]:
-        return self._seqno_of_eid.get(eid)
-
     @property
     def meta_extent_keys(self) -> Tuple[Hashable, ...]:
         """Backend keys of the live in-band metadata extents: journal

@@ -107,10 +107,6 @@ class IntegrityTracker:
     # ------------------------------------------------------------------
     # crash-time queries
     # ------------------------------------------------------------------
-    @property
-    def durable_blocks(self) -> int:
-        return len(self._durable)
-
     def volatile_blocks(self, buffer_dirty: Set[int] = frozenset()) -> Set[int]:
         """Blocks in the volatile window at this instant.
 

@@ -65,10 +65,6 @@ class MetadataJournal:
         return len(self._pending)
 
     @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
-    @property
     def durable_records(self) -> int:
         return len(self.durable)
 

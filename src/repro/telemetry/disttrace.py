@@ -28,6 +28,14 @@ event or perturbs scheduler state, so a traced run is bit-identical to
 an untraced one (the tier-1 suite pins this).  An untraced cluster
 holds ``None`` and gates every call site on ``is not None``.
 
+Every in-flight map is keyed by the request object itself (requests
+hash by identity), and each fact is traced once, where it happens:
+every registered shard I/O leaves through the distributer's
+completion / error door, which calls :meth:`DistTracer.io_done`, and
+every part through its join barrier, which calls
+:meth:`DistTracer.part_done` — so a finished run leaves every map
+empty.
+
 :func:`critical_path` walks a finished trace backward from the root's
 end, always descending into the child whose (clipped) end is latest,
 and emits explicit *self* segments for intervals no child covers — so
@@ -43,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.spans import Span, Tracer
+from repro.traces.model import IORequest
 
 __all__ = [
     "DistTracer",
@@ -107,22 +116,23 @@ class DistTracer:
     def __init__(self, sim, max_spans: int = 200_000) -> None:
         self.sim = sim
         self.tracer = Tracer(lambda: sim.now, max_spans=max_spans)
-        #: id(device request) -> parent span, consumed by the per-shard
-        #: Telemetry's ``parent_for`` hook at device arrival
-        self.ctx: Dict[int, Span] = {}
+        #: device request -> parent span, consumed by the per-shard
+        #: Telemetry's ``parent_for`` hook at device arrival (or dropped
+        #: by :meth:`io_done` for I/O that never arrives as a request)
+        self.ctx: Dict[IORequest, Span] = {}
         #: completed-trace records keyed by root span id
         self.completed: Dict[int, TraceRecord] = {}
         #: per-tenant worst-latency exemplar
         self.exemplars: Dict[str, TraceExemplar] = {}
         self._next_trace = 0
-        self._live: Dict[int, _LiveTrace] = {}
-        self._parts: Dict[int, Span] = {}
-        #: id(request) -> token-availability ETA recorded at queue time
-        self._queued: Dict[int, float] = {}
+        self._live: Dict[IORequest, _LiveTrace] = {}
+        self._parts: Dict[IORequest, Span] = {}
+        #: traced request -> token-availability ETA recorded at queue time
+        self._queued: Dict[IORequest, float] = {}
         #: range index -> (migration root span, current phase span)
         self._migrations: Dict[int, Tuple[Span, Span]] = {}
-        #: id(replica/hedge attempt request) -> its span (replication)
-        self._attempts: Dict[int, Span] = {}
+        #: replica/hedge attempt request -> its span (replication)
+        self._attempts: Dict[IORequest, Span] = {}
         #: range index -> rebuild root span (re-replication)
         self._rebuilds: Dict[int, Span] = {}
 
@@ -141,23 +151,26 @@ class DistTracer:
             lba=request.lba,
             nbytes=request.nbytes,
         )
-        self._live[id(request)] = _LiveTrace(tid, tenant, root)
+        self._live[request] = _LiveTrace(tid, tenant, root)
 
     def request_queued(self, st, request, now: float, eta: float) -> None:
         """Scheduler hook: the request missed direct admission at ``now``.
 
         ``eta`` is the token-availability instant; the gap up to it is
-        throttle wait, anything beyond is arbitration queueing.
+        throttle wait, anything beyond is arbitration queueing.  Only
+        traced requests count: internal tenants' requests (rebuild
+        reads) never reach :meth:`request_dispatched`.
         """
-        self._queued[id(request)] = eta
+        if request in self._live:
+            self._queued[request] = eta
 
     def request_dispatched(self, request, arrival: float) -> None:
         """The scheduler handed the request to the router."""
-        rec = self._live.get(id(request))
+        rec = self._live.get(request)
         if rec is None:
             return
         now = self.sim.now
-        eta = self._queued.pop(id(request), arrival)
+        eta = self._queued.pop(request, arrival)
         if now - arrival <= CP_EPS:
             return  # admitted synchronously: no admission delay to split
         split = min(max(eta, arrival), now)
@@ -174,7 +187,7 @@ class DistTracer:
 
     def part_issued(self, request, part, shard: str) -> None:
         """One shard sub-request is about to be submitted to ``shard``."""
-        rec = self._live.get(id(request))
+        rec = self._live.get(request)
         if rec is None:
             return
         rec.parts += 1
@@ -182,18 +195,19 @@ class DistTracer:
             "shard.part", layer="shard", parent=rec.root,
             shard=shard, lba=part.lba, nbytes=part.nbytes,
         )
-        self._parts[id(part)] = span
-        self.ctx[id(part)] = span
+        self._parts[part] = span
+        self.ctx[part] = span
 
     def part_done(self, part) -> None:
-        span = self._parts.pop(id(part), None)
+        """The part's join barrier fired (acked, read or given up)."""
+        span = self._parts.pop(part, None)
         if span is not None:
             self.tracer.finish(span)
-        self.ctx.pop(id(part), None)
+        self.ctx.pop(part, None)
 
     def request_done(self, request, latency: float) -> None:
         """The join barrier fired: close the root and record the trace."""
-        rec = self._live.pop(id(request), None)
+        rec = self._live.pop(request, None)
         if rec is None:
             return
         self.tracer.finish(rec.root)
@@ -216,46 +230,38 @@ class DistTracer:
     # ------------------------------------------------------------------
     # replication path (hooks of ReplicationManager)
     # ------------------------------------------------------------------
-    def _attempt_issued(self, name: str, part, dup, shard: str) -> None:
-        own = self.ctx.pop(id(part), None)
+    def attempt_issued(self, name: str, part, dup, shard: str) -> None:
+        """Attempt ``dup`` of ``part`` is about to be submitted to
+        ``shard``: ``replica.write`` (quorum fan-out), ``replica.read``
+        (primary or failover) or ``shard.hedge`` (hedged read)."""
+        own = self.ctx.pop(part, None)
         if own is not None:
             # The part's first attempt is the part itself: its device
             # work nests directly under ``shard.part``.  Attempt spans
             # mark the *extra* work of redundancy (secondary fan-out,
             # failover, hedges, retries).
-            self.ctx[id(dup)] = own
+            self.ctx[dup] = own
             return
         span = self.tracer.start(
-            name, layer="replica", parent=self._parts.get(id(part)),
+            name, layer="replica", parent=self._parts.get(part),
             shard=shard, lba=dup.lba, nbytes=dup.nbytes,
         )
-        self._attempts[id(dup)] = span
-        self.ctx[id(dup)] = span
+        self._attempts[dup] = span
+        self.ctx[dup] = span
 
-    def replica_write_issued(self, part, dup, shard: str) -> None:
-        """One quorum fan-out write is about to be submitted to ``shard``."""
-        self._attempt_issued("replica.write", part, dup, shard)
-
-    def replica_read_issued(self, part, dup, shard: str) -> None:
-        """A read attempt (primary or failover) heads to ``shard``."""
-        self._attempt_issued("replica.read", part, dup, shard)
-
-    def hedge_issued(self, part, dup, shard: str) -> None:
-        """A hedged read fired at the tenant's p95 staleness."""
-        self._attempt_issued("shard.hedge", part, dup, shard)
-
-    def attempt_done(self, req) -> None:
-        """A replica/hedge attempt completed (or errored)."""
-        span = self._attempts.pop(id(req), None)
+    def io_done(self, request) -> None:
+        """A registered shard I/O completed or failed: close its attempt
+        span, if it is one, and drop its parent context."""
+        span = self._attempts.pop(request, None)
         if span is not None:
             self.tracer.finish(span)
-        self.ctx.pop(id(req), None)
+        self.ctx.pop(request, None)
 
     def part_retry(self, part, attempt: int, start: float, end: float) -> None:
         """Record the backoff wait before whole-part retry ``attempt``."""
         self.tracer.record(
             "shard.retry_backoff", "retry", start, end,
-            parent=self._parts.get(id(part)), attempt=attempt,
+            parent=self._parts.get(part), attempt=attempt,
         )
 
     def rebuild_started(self, range_idx: int, src: str, dst: str) -> None:
@@ -269,7 +275,7 @@ class DistTracer:
         recovery traffic stays off tenant critical paths."""
         root = self._rebuilds.get(range_idx)
         if root is not None:
-            self.ctx[id(request)] = root
+            self.ctx[request] = root
 
     def rebuild_done(self, range_idx: int) -> None:
         span = self._rebuilds.pop(range_idx, None)
@@ -285,7 +291,7 @@ class DistTracer:
         Safe because a shard ``submit`` reaches the device's
         ``request_arrived`` synchronously in the same event.
         """
-        return self.ctx.pop(id(request), None)
+        return self.ctx.pop(request, None)
 
     # ------------------------------------------------------------------
     # migration path (hooks of MigrationOrchestrator / routing)
@@ -323,13 +329,13 @@ class DistTracer:
         """Parent a migration copy read/write under the copy phase."""
         entry = self._migrations.get(m.range_idx)
         if entry is not None:
-            self.ctx[id(request)] = entry[1]
+            self.ctx[request] = entry[1]
 
     def dual_write_issued(self, range_idx: int, dup, dst: str) -> None:
         """Parent a dual-write duplicate under its migration's root span."""
         entry = self._migrations.get(range_idx)
         if entry is not None:
-            self.ctx[id(dup)] = entry[0]
+            self.ctx[dup] = entry[0]
 
     # ------------------------------------------------------------------
     def open_traces(self) -> int:

@@ -145,10 +145,10 @@ class Telemetry:
         self.write_end_to_end = 0.0
         self.read_end_to_end = 0.0
 
-        #: open per-request root spans, keyed by id(request)
-        self._req: Dict[int, Span] = {}
-        #: open read records, keyed by id(request)
-        self._reads: Dict[int, _ReadRec] = {}
+        #: open per-request root spans, keyed by the request
+        self._req: Dict[object, Span] = {}
+        #: open read records, keyed by the request
+        self._reads: Dict[object, _ReadRec] = {}
         #: flash-job correlation queues, keyed by normalised extent key
         self._pending_w: Dict[Hashable, Deque[_WriteRunRec]] = {}
         self._pending_r: Dict[Hashable, Deque[_ReadRec]] = {}
@@ -202,7 +202,7 @@ class Telemetry:
             lba=request.lba,
             nbytes=request.nbytes,
         )
-        self._req[id(request)] = span
+        self._req[request] = span
         self.metrics.counter(
             "requests.write" if is_write else "requests.read"
         ).inc()
@@ -212,7 +212,7 @@ class Telemetry:
         """A flush unit left the SD and was planned; CPU work may follow."""
         anchor = None
         for ref in run.refs:
-            anchor = self._req.get(id(ref))
+            anchor = self._req.get(ref)
             if anchor is not None:
                 break
         run.note("telemetry", _WriteRunRec(
@@ -275,7 +275,7 @@ class Telemetry:
             resp_hist.add(resp)
             m.histogram("write.queue").add(queue)
             m.histogram("write.codec_cpu").add(est + compress)
-            span = self._req.pop(id(ref), None)
+            span = self._req.pop(ref, None)
             if span is not None:
                 if sd_hold > 0:
                     self.tracer.record(
@@ -286,16 +286,14 @@ class Telemetry:
 
     # -- read path ------------------------------------------------------
     def read_started(self, request) -> None:
-        self._reads[id(request)] = _ReadRec(self._req.pop(id(request)))
+        self._reads[request] = _ReadRec(self._req.pop(request))
 
     def read_issue(self, request, key: Hashable) -> None:
         """About to issue one piece of ``request``'s device read under ``key``."""
-        self._pending_r.setdefault(key, deque()).append(
-            self._reads[id(request)]
-        )
+        self._pending_r.setdefault(key, deque()).append(self._reads[request])
 
     def read_decompress_done(self, request, job: Job) -> None:
-        rec = self._reads[id(request)]
+        rec = self._reads[request]
         if job.start is not None and job.completion is not None:
             wait = job.start - job.arrival
             rec.queue_wait += wait
@@ -311,7 +309,7 @@ class Telemetry:
             )
 
     def read_done(self, request, latency: float) -> None:
-        rec = self._reads.pop(id(request))
+        rec = self._reads.pop(request)
         rl = self.read_layers
         rl["queue"] += rec.queue_wait
         rl["flash_program"] += rec.flash_service

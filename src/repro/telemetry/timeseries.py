@@ -274,9 +274,6 @@ class TimeSeriesSampler:
     def names(self) -> List[str]:
         return sorted(self.series)
 
-    def n_series(self) -> int:
-        return len(self.series)
-
 
 # ----------------------------------------------------------------------
 # the standard metric vocabulary

@@ -20,12 +20,14 @@ READ = "R"
 WRITE = "W"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IORequest:
     """One block I/O request.
 
     ``lba`` and ``nbytes`` are in bytes; ``time`` in seconds from trace
-    start.
+    start.  Requests compare and hash by identity: a replica or retry
+    built from the same fields is a different request, so in-flight
+    state can key by the request object itself.
     """
 
     time: float

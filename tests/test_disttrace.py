@@ -1,12 +1,15 @@
 """Distributed tracing: critical-path math, conservation, bit-identity."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.cluster import run_cluster, tenant_roster
 from repro.cluster import ClusterReplayConfig, ClusterReplayer, build_cluster
+from repro.faults.plan import FaultPlan
 from repro.telemetry import (
     Span,
     Tracer,
@@ -183,6 +186,50 @@ class TestTraceOffBitIdentity:
         assert fleet.tracing is None
         assert fleet.cluster.tracer is None
         assert all(not dev.observers for dev in fleet.devices.values())
+
+
+# ----------------------------------------------------------------------
+# a chaos run with rebuilds and hedges: exact bookkeeping, same bytes
+# ----------------------------------------------------------------------
+CHAOS_PLAN = Path(__file__).resolve().parents[1] / "benchmarks/cluster_chaos.json"
+
+#: sha256 of the run's Chrome trace dump, recorded at commit d040d5a
+#: (the last one whose tracer keyed in-flight state by ``id()``).
+CHAOS_TRACE_SHA256 = (
+    "b82a05201fb4f54d9c4a4dd112ec54bab3a60418cd752de547d013b99a275a47"
+)
+
+
+class TestChaosTraceBookkeeping:
+    @pytest.fixture(scope="class")
+    def chaos_report(self):
+        return run_cluster(
+            n_shards=3, n_tenants=4, max_requests=600,
+            fault_plan=FaultPlan.from_json(str(CHAOS_PLAN)),
+            replication_factor=2, hedge_reads=True, trace=True,
+        )
+
+    def test_run_rebuilds_and_hedges(self, chaos_report):
+        replication = chaos_report.sections["replication"]
+        assert replication["rebuilds_started"] == 128
+        assert replication["hedged_reads"] == 2
+
+    def test_every_in_flight_map_ends_empty(self, chaos_report):
+        """Rebuild ingests never arrive at a device and rebuild-tenant
+        reads never reach dispatch; neither may leave an entry behind."""
+        tr = chaos_report.live["tracing"]
+        maps = {
+            "ctx": tr.ctx, "_live": tr._live, "_parts": tr._parts,
+            "_queued": tr._queued, "_attempts": tr._attempts,
+            "_migrations": tr._migrations, "_rebuilds": tr._rebuilds,
+        }
+        assert {name: len(m) for name, m in maps.items() if m} == {}
+
+    def test_chrome_trace_matches_the_id_keyed_tracer(self, chaos_report):
+        fp = io.StringIO()
+        dump_chrome_trace(chaos_report.live["tracing"].tracer, fp)
+        digest = hashlib.sha256(fp.getvalue().encode()).hexdigest()
+        assert digest == CHAOS_TRACE_SHA256
 
 
 # ----------------------------------------------------------------------
