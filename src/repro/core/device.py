@@ -29,7 +29,7 @@ from repro.compression.costmodel import CodecCostModel
 from repro.core.config import EDCConfig
 from repro.core.engine import CompressionEngine, WritePlan
 from repro.core.monitor import WorkloadMonitor
-from repro.core.policy import CompressionPolicy
+from repro.core.policy import CompressionPolicy, NativePolicy
 from repro.core.sequential import PendingRun, SequentialityDetector
 from repro.core.stats import CompressionStats
 from repro.core.distributer import RequestDistributer
@@ -91,6 +91,12 @@ class EDCBlockDevice:
                 f"device block size {cfg.block_size}"
             )
         self.content = content
+        # Build the content pool now, outside any timed replay, unless
+        # this device can never read a content byte: Native stores every
+        # run raw, and only hints, CRCs and read verification look.
+        if not (isinstance(policy, NativePolicy) and not (
+                cfg.crc_checks or cfg.semantic_hints or cfg.verify_reads)):
+            content.resolve()
         self.registry = registry if registry is not None else default_registry()
         self.allocator = SizeClassAllocator(cfg.block_size, cfg.size_class_fractions)
         self.engine = CompressionEngine(

@@ -22,13 +22,27 @@ The text and binary-record calibrations deliberately leave a wide gap
 between DEFLATE and the match-only codecs (LZF/LZ4): on real data the
 Huffman stage is worth ~1.5-1.8x, and the paper's Fig 8 separation of
 Gzip and Lzf depends on it.
+
+Every class draws through numpy's ``Generator`` API except
+:class:`TextChunk`, which replays it: its per-word draws are read from
+one block of raw PCG64 outputs, so its bytes rest on numpy's contract
+for that bit generator.  ``Generator.random()`` is ``next_double``, the
+top 53 bits of one 64-bit output times 2**-53.  ``integers(0, 10**6)``
+is Lemire's bounded method on ``next_uint32``, which returns the upper
+half-word buffered by the previous draw when there is one
+(``has_uint32`` / ``uinteger`` in ``bit_generator.state``), and
+otherwise the lower half of a fresh output, buffering its upper half.
+``tests/reference_chunks.py`` keeps the per-word loop that defines the
+bytes; ``tests/test_chunks_differential.py`` holds the two equal, bytes
+and generator state, under every class interleaving.
 """
 
 from __future__ import annotations
 
+import operator
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -90,12 +104,73 @@ _VOCAB = np.array(
     ]
 )
 
+#: a word draws a number when its ``rng.random()`` is below this
+_NUMBER_P = 0.15
+#: numbers are ``rng.integers(0, _NUMBER_RANGE)``
+_NUMBER_RANGE = 10**6
+#: Lemire's rejection bound for that range: ``(2**32 - 1 - (range - 1)) %
+#: range``; a draw whose low 32 bits of ``u32 * range`` fall below it is
+#: redrawn
+_NUMBER_REJECT = 2**32 % _NUMBER_RANGE
+_LOW32 = 0xFFFFFFFF
+#: words between full stops, each stop ending a line
+_SENTENCE = [" "] * 10 + [".\n"]
+
+
+def _scan_numbers(
+    raw: np.ndarray, n_words: int, has_uint32: bool, uinteger: int
+) -> Optional[Tuple[List[Tuple[int, int]], int, bool, int]]:
+    """Replay :class:`TextChunk`'s per-word draws over raw PCG64 outputs.
+
+    Word ``i`` takes one output as its ``rng.random()``.  Below
+    :data:`_NUMBER_P` it then draws ``rng.integers(0, 10**6)``: a
+    ``next_uint32`` (the buffered half-word if ``has_uint32``, else the
+    low half of the next output, buffering the high half) scaled by
+    Lemire's method, redrawn while rejected.  Only those words are
+    walked here: the others take one output each.
+
+    Returns ``(numbers, used, has_uint32, uinteger)`` — ``(word, value)``
+    for every word that drew a number, the outputs consumed and the
+    half-word buffer after the last word — or ``None`` when ``raw`` runs
+    out first.  A pure function of its arguments.
+    """
+    candidates = np.flatnonzero((raw >> np.uint64(11)) * 2.0**-53 < _NUMBER_P)
+    n_raw = len(raw)
+    numbers = []
+    pos = word = 0
+    for j in candidates.tolist():
+        if j < pos:
+            continue  # an output an integer draw already took
+        if word + j - pos >= n_words:
+            break
+        word += j - pos
+        pos = j + 1
+        while True:
+            if has_uint32:
+                u32 = uinteger
+                has_uint32 = False
+            elif pos < n_raw:
+                out = int(raw[pos])
+                pos += 1
+                u32, uinteger, has_uint32 = out & _LOW32, out >> 32, True
+            else:
+                return None
+            m = u32 * _NUMBER_RANGE
+            if m & _LOW32 >= _NUMBER_REJECT:
+                break
+        numbers.append((word, m >> 32))
+        word += 1
+    used = pos + n_words - word
+    if used > n_raw:
+        return None
+    return numbers, used, has_uint32, uinteger
+
 
 class TextChunk(ChunkGenerator):
     """Prose-like text: Zipf-weighted words, digits, punctuation.
 
     Calibrated to real-text behaviour at 4 KB granularity: zlib-6 ≈ 2.4x,
-    LZF ≈ 1.6x.
+    LZF ≈ 1.6x.  Needs a PCG64 generator (see the module docstring).
     """
 
     kind = "text"
@@ -106,15 +181,30 @@ class TextChunk(ChunkGenerator):
         self._probs = weights / weights.sum()
 
     def generate(self, rng: np.random.Generator, size: int) -> bytes:
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(
+                f"TextChunk replays PCG64 output; got {type(bitgen).__name__}"
+            )
         n_words = size // 5 + 16
-        words = rng.choice(_VOCAB, size=n_words, p=self._probs)
-        pieces = []
-        for i, w in enumerate(words):
-            pieces.append(w)
-            if rng.random() < 0.15:
-                pieces.append(" " + str(rng.integers(0, 10**6)))
-            pieces.append(".\n" if i % 11 == 10 else " ")
-        return self._fit("".join(pieces).encode("ascii"), size)
+        words = _VOCAB[rng.choice(len(_VOCAB), size=n_words, p=self._probs)].tolist()
+        state = bitgen.state
+        raw = bitgen.random_raw(2 * n_words + 16)
+        while (scan := _scan_numbers(
+            raw, n_words, bool(state["has_uint32"]), state["uinteger"]
+        )) is None:
+            raw = np.concatenate((raw, bitgen.random_raw(len(raw))))
+        numbers, used, has_uint32, uinteger = scan
+        bitgen.state = state
+        bitgen.advance(used)  # also clears the half-word buffer ...
+        bitgen.state = {  # ... which the draws left as scanned
+            **bitgen.state, "has_uint32": int(has_uint32), "uinteger": uinteger,
+        }
+        seps = (_SENTENCE * (n_words // len(_SENTENCE) + 1))[:n_words]
+        for word, value in numbers:
+            seps[word] = f" {value}{seps[word]}"
+        text = "".join(map(operator.add, words, seps))
+        return self._fit(text.encode("ascii"), size)
 
 
 _CODE_TEMPLATES = (

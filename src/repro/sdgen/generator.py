@@ -5,7 +5,10 @@ real compression: every (LBA, version) pair maps deterministically to a
 block from a seeded content pool, so the same trace replayed under two
 schemes sees byte-identical data.  A pool is a pure function of its mix,
 block size, size and seed, so it is generated once per process per key
-and shared, immutable, by every store built with that key.  Because the
+and shared, immutable, by every store built with that key.  It is built
+on first read: the LBA-to-block assignment needs only a hash, and a
+Native device, which never reads a content byte, never builds it (see
+:class:`~repro.core.device.EDCBlockDevice`).  Because the
 pool is finite, per-codec compression results can be memoised — a
 full-trace replay compresses each distinct (content, codec) pair once,
 which is what makes replays with the pure-Python LZF/LZ4 codecs
@@ -15,6 +18,7 @@ affordable.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -43,10 +47,13 @@ class ContentMix:
         unknown = set(self.weights) - set(CHUNK_CLASSES)
         if unknown:
             raise ValueError(f"unknown chunk classes: {sorted(unknown)}")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be non-negative")
-        if sum(self.weights.values()) <= 0:
-            raise ValueError("weights must sum to a positive value")
+        for kind, w in self.weights.items():
+            if not 0 <= w < math.inf:
+                raise ValueError(
+                    f"weight of {kind!r} must be finite and non-negative: {w!r}"
+                )
+        if not 0 < sum(self.weights.values()) < math.inf:
+            raise ValueError("weights must sum to a finite positive value")
 
     def normalized(self) -> Dict[str, float]:
         total = sum(self.weights.values())
@@ -102,6 +109,10 @@ class ContentStore:
 
     Stores built with equal ``(mix weights in order, block_size,
     pool_blocks, seed)`` share one immutable pool (:func:`_build_pool`).
+    The pool is resolved on the first read of a block or kind (or by
+    :meth:`resolve`) and then held on the store, so a cache eviction
+    never rebuilds it; :meth:`block_id` and :meth:`run_ids` need only
+    the hash.
     The compression memo and its ``cache_hits`` / ``cache_misses``
     counters stay per store, for two reasons: sharing them buys little
     (across the four paper traces at seed 42, 490 distinct keys against
@@ -126,14 +137,25 @@ class ContentStore:
         self.block_size = block_size
         self.pool_blocks = pool_blocks
         self.seed = seed
-        self._pool, self._pool_kind = _build_pool(
-            tuple(mix.weights.items()), block_size, pool_blocks, seed
-        )
+        self._key = (tuple(mix.weights.items()), block_size, pool_blocks, seed)
         # (block ids tuple, codec name) -> (compressed size, payload or None)
         self._csize_cache: Dict[Tuple[Tuple[int, ...], str], int] = {}
         self._payload_cache: Dict[Tuple[Tuple[int, ...], str], bytes] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+
+    def resolve(self) -> None:
+        """Build the pool (or take it from the cache) now, not at first read."""
+        if "_pool" not in self.__dict__:
+            self._pool, self._pool_kind = _build_pool(*self._key)
+
+    def __getattr__(self, name: str):
+        # Reached only while the pool is unresolved: once resolved, both
+        # halves are plain attributes of the store.
+        if name not in ("_pool", "_pool_kind"):
+            raise AttributeError(name)
+        self.resolve()
+        return self.__dict__[name]
 
     # ------------------------------------------------------------------
     def block_id(self, lba: int, version: int = 0) -> int:

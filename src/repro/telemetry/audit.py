@@ -214,6 +214,9 @@ class DecisionAuditor:
                 "DecisionAuditor is single-device; build one per device"
             )
         self.device = device
+        if self.shadow_policies:
+            # shadow plans read content: build the pool before the replay
+            device.content.resolve()
         device.observers["auditor"] = self
         device.events.subscribe("write_planned", self.on_decision)
         device.events.subscribe("write_committed", self.on_commit)

@@ -1,5 +1,7 @@
 """Tests for the ContentStore (deterministic content + memoised compression)."""
 
+import math
+
 import pytest
 
 from repro.compression.codec import default_registry
@@ -28,6 +30,15 @@ class TestContentMix:
             ContentMix("m", {"text": -1.0})
         with pytest.raises(ValueError):
             ContentMix("m", {"text": 0.0})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_name_their_class(self, weight):
+        with pytest.raises(ValueError, match="'text'"):
+            ContentMix("m", {"zero": 1.0, "text": weight})
+
+    def test_weights_must_not_sum_to_infinity(self):
+        with pytest.raises(ValueError, match="finite positive"):
+            ContentMix("m", {"zero": 1e308, "text": 1e308})
 
 
 class TestDeterminism:
@@ -149,7 +160,7 @@ class TestPoolSharing:
     def test_cache_is_bounded(self):
         maxsize = _build_pool.cache_info().maxsize
         for seed in range(maxsize + 3):
-            ContentStore(ENTERPRISE_MIX, pool_blocks=2, seed=1000 + seed)
+            ContentStore(ENTERPRISE_MIX, pool_blocks=2, seed=1000 + seed).resolve()
         assert _build_pool.cache_info().currsize <= maxsize
 
 
