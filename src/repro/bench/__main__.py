@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from typing import Callable, Dict, Optional, Sequence, TextIO, Tuple
@@ -60,9 +61,34 @@ Dump = Tuple[Optional[TextIO], Callable[[TextIO, object], str]]
 #: a checked command: calling it runs the command and returns the status
 Run = Callable[[], int]
 
+
+def _positive(text: str) -> float:
+    """An option value that must be a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number: {text!r}"
+        )
+    return value
+
+
+def _count(text: str) -> int:
+    """An option value that must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    return value
+
+
 #: options more than one sub-command takes
 SHARED = {
-    "--duration": dict(type=float, default=DURATION,
+    "--duration": dict(type=_positive, default=DURATION,
                        help="virtual seconds per replayed trace "
                             "(default %(default)g)"),
     "--metrics": dict(action="store_true",
@@ -543,7 +569,7 @@ def _parser() -> _Parser:
                      help="trace to replay (default %(default)s)")
     sub.add_argument("--backend", default="rais5", choices=("ssd", "rais5"),
                      help="backend (default %(default)s)")
-    sub.add_argument("--scrub-interval", type=float, metavar="S",
+    sub.add_argument("--scrub-interval", type=_positive, metavar="S",
                      help="arm the online media scrubber with a sweep "
                           "every S virtual seconds")
 
@@ -555,17 +581,17 @@ def _parser() -> _Parser:
 
     sub = command("cluster", _cluster, "--metrics", "--series-dump",
                   "--prom-dump", "--record")
-    sub.add_argument("--shards", type=int, default=4,
+    sub.add_argument("--shards", type=_count, default=4,
                      help="shards in the fleet (default %(default)s)")
-    sub.add_argument("--tenants", type=int, default=8,
+    sub.add_argument("--tenants", type=_count, default=8,
                      help="tenants in the fleet (default %(default)s)")
-    sub.add_argument("--requests", type=int, default=1500,
+    sub.add_argument("--requests", type=_count, default=1500,
                      help="requests per tenant stream (default %(default)s)")
     sub.add_argument("--chaos", metavar="PLAN.json",
                      help="arm the plan's device_failures (device names "
                           "shard0..N-1) against the fleet and grade the "
                           "post-run durability audit")
-    sub.add_argument("--replication", type=int, default=1, metavar="N",
+    sub.add_argument("--replication", type=_count, default=1, metavar="N",
                      help="replicas per LBA range (default 1)")
     sub.add_argument("--quorum", default="majority",
                      choices=("one", "majority", "all"),
@@ -588,7 +614,7 @@ def _parser() -> _Parser:
                      choices=sorted(WORKLOADS), metavar="TRACE",
                      help=f"traces to replay (default: "
                           f"{' '.join(CANONICAL_TRACES)})")
-    sub.add_argument("--duration", type=float,
+    sub.add_argument("--duration", type=_positive,
                      help="virtual seconds per trace (default: the "
                           "baseline's, so results stay comparable)")
     sub.add_argument("--scheme", default="EDC",

@@ -8,7 +8,7 @@ while its neighbours sit half empty.  :class:`CapacityBalancer`
 therefore reads each shard's **realised** signals — live mapped logical
 bytes, the size-class allocator's physical footprint, and the realised
 compression ratio — and flags the fleet as imbalanced when the spread
-of physical occupancy exceeds a threshold.  :meth:`pick_range` then
+of physical occupancy exceeds :data:`IMBALANCE_THRESHOLD`.  :meth:`pick_range` then
 nominates the heaviest LBA range on the hottest shard as the migration
 candidate, closing the loop with
 :class:`~repro.cluster.migration.MigrationOrchestrator`.
@@ -22,6 +22,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.routing import ClusterDistributer
 
 __all__ = ["ShardCapacity", "CapacityBalancer"]
+
+#: physical-occupancy spread over the mean above which the fleet is
+#: imbalanced
+IMBALANCE_THRESHOLD = 0.25
 
 
 @dataclass(frozen=True)
@@ -44,17 +48,8 @@ class ShardCapacity:
 class CapacityBalancer:
     """Watches fleet occupancy and nominates migration candidates."""
 
-    def __init__(
-        self,
-        cluster: ClusterDistributer,
-        imbalance_threshold: float = 0.25,
-    ) -> None:
-        if imbalance_threshold <= 0:
-            raise ValueError(
-                f"imbalance_threshold must be positive: {imbalance_threshold!r}"
-            )
+    def __init__(self, cluster: ClusterDistributer) -> None:
         self.cluster = cluster
-        self.imbalance_threshold = imbalance_threshold
 
     # ------------------------------------------------------------------
     def total_ranges(self) -> int:
@@ -109,7 +104,7 @@ class CapacityBalancer:
     def is_imbalanced(
         self, snap: Optional[Dict[str, ShardCapacity]] = None
     ) -> bool:
-        return self.imbalance(snap) > self.imbalance_threshold
+        return self.imbalance(snap) > IMBALANCE_THRESHOLD
 
     def suggest(self) -> Optional[Tuple[str, str]]:
         """``(overloaded, underloaded)`` shard pair, or ``None`` if balanced.

@@ -4,15 +4,15 @@ Failure *detection* is deliberately separate from failure *handling*:
 the :class:`HealthMonitor` only observes (a periodic heartbeat probe of
 each shard's storage backend) and runs a tiny per-shard state machine —
 
-    ``alive`` --miss x suspect_after--> ``suspect``
-    ``suspect`` --miss x dead_after (consecutive, total)--> ``dead``
+    ``alive`` --miss x SUSPECT_AFTER--> ``suspect``
+    ``suspect`` --miss x DEAD_AFTER (consecutive, total)--> ``dead``
     ``suspect`` --successful probe--> ``alive``
 
 — before invoking its ``on_dead`` callback exactly once per shard.  The
 :class:`~repro.cluster.replication.ReplicationManager` wires that
 callback to its decommission + re-replication path, so detection
-latency (``interval * dead_after`` in the worst case) is an explicit,
-tunable part of the recovery story rather than an implementation
+latency (``PROBE_INTERVAL_S * DEAD_AFTER`` in the worst case) is an
+explicit part of the recovery story rather than an implementation
 accident.
 
 Probes ride the simulator's daemon periodic events: they tick while
@@ -30,6 +30,13 @@ from typing import Callable, Dict, List, Mapping, Optional
 from repro.sim.engine import PeriodicEvent, Simulator
 
 __all__ = ["ShardHealth", "HealthMonitor"]
+
+#: heartbeat probe period (seconds)
+PROBE_INTERVAL_S = 2e-3
+#: consecutive missed probes before a shard is suspected ...
+SUSPECT_AFTER = 1
+#: ... and before it is declared dead
+DEAD_AFTER = 3
 
 
 @dataclass
@@ -50,35 +57,22 @@ class HealthMonitor:
 
     ``devices`` maps shard name to its
     :class:`~repro.core.device.EDCBlockDevice`; a probe succeeds iff the
-    device's storage backend is not failed.  ``suspect_after`` and
-    ``dead_after`` count *consecutive* misses (``1 <= suspect_after <=
-    dead_after``); one successful probe resets the count and clears
-    suspicion.  Death is terminal and reported once.
+    device's storage backend is not failed.  :data:`SUSPECT_AFTER` and
+    :data:`DEAD_AFTER` count *consecutive* misses; one successful probe
+    resets the count and clears suspicion.  Death is terminal and
+    reported once.
     """
 
     def __init__(
         self,
         sim: Simulator,
         devices: Mapping[str, object],
-        interval: float = 2e-3,
-        suspect_after: int = 1,
-        dead_after: int = 3,
         on_dead: Optional[Callable[[str], None]] = None,
     ) -> None:
         if not devices:
             raise ValueError("health monitor needs at least one shard")
-        if interval <= 0:
-            raise ValueError(f"probe interval must be positive: {interval!r}")
-        if not 1 <= suspect_after <= dead_after:
-            raise ValueError(
-                f"need 1 <= suspect_after <= dead_after, got "
-                f"{suspect_after!r} / {dead_after!r}"
-            )
         self.sim = sim
         self.devices = dict(devices)
-        self.interval = interval
-        self.suspect_after = suspect_after
-        self.dead_after = dead_after
         self.on_dead = on_dead
         self.health: Dict[str, ShardHealth] = {
             name: ShardHealth(name) for name in self.devices
@@ -87,9 +81,9 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin probing (first probe at ``now + interval``).  Idempotent."""
+        """Begin probing (first probe one interval from now).  Idempotent."""
         if self._event is None:
-            self._event = self.sim.every(self.interval, self._probe)
+            self._event = self.sim.every(PROBE_INTERVAL_S, self._probe)
 
     def stop(self) -> None:
         if self._event is not None:
@@ -110,12 +104,12 @@ class HealthMonitor:
                     h.suspected_at = None
                 continue
             h.misses += 1
-            if h.misses >= self.dead_after:
+            if h.misses >= DEAD_AFTER:
                 h.state = "dead"
                 h.declared_dead_at = now
                 if self.on_dead is not None:
                     self.on_dead(name)
-            elif h.misses >= self.suspect_after and h.state == "alive":
+            elif h.misses >= SUSPECT_AFTER and h.state == "alive":
                 h.state = "suspect"
                 h.suspected_at = now
 

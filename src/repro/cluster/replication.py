@@ -29,10 +29,8 @@ simply factor 1 (one target, quorum 1).  The routing contract:
   has been outstanding for the tenant's observed p95 latency.
 - **Request robustness.**  A part whose quorum becomes unreachable (or
   whose read failed on every replica) is retried as a whole with
-  bounded exponential backoff, limited by ``max_retries``, an optional
-  end-to-end deadline measured from admission (*deadline propagation* —
-  a retry that cannot finish inside the deadline is not attempted) and
-  a per-tenant retry-budget token bucket.  A part that exhausts every
+  bounded exponential backoff, limited by :data:`MAX_RETRIES` and a
+  per-tenant retry-budget token bucket.  A part that exhausts every
   path is surfaced through the tenant's ``unrecovered`` counter — never
   silently dropped.
 - **Re-replication.**  When a shard is declared dead (see
@@ -90,6 +88,17 @@ REBUILD_IOPS = 4000.0
 REBUILD_WEIGHT = 0.25
 #: recopy passes before a rebuild that cannot catch up is abandoned
 REBUILD_MAX_PASSES = 8
+#: whole-part retries after the first attempt
+MAX_RETRIES = 3
+#: base of the bounded exponential backoff between attempts (seconds)
+RETRY_BACKOFF_S = 500e-6
+#: backoff ceiling (seconds)
+RETRY_BACKOFF_CAP_S = 10e-3
+#: per-tenant retry budget: token-bucket rate (retries/s) and burst
+RETRY_BUDGET_IOPS = 200.0
+RETRY_BUDGET_BURST = 20.0
+#: minimum completed reads before a tenant's reads are hedged
+HEDGE_MIN_SAMPLES = 50
 
 
 def quorum_need(quorum: str, factor: int) -> int:
@@ -109,42 +118,18 @@ def quorum_need(quorum: str, factor: int) -> int:
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """Knobs of the fault-tolerance layer (all deterministic; the rebuild
-    tenant's are the ``REBUILD_*`` module constants)."""
+    """Knobs of the fault-tolerance layer (all deterministic; the retry
+    policy and the rebuild tenant are module constants)."""
 
     #: replicas per range (clamped to the ring size at placement time)
     factor: int = 2
     #: write-ack rule: ``one`` | ``majority`` | ``all`` (of :attr:`factor`)
     quorum: str = "majority"
-    #: whole-part retries after the first attempt (0 disables retrying)
-    max_retries: int = 3
-    #: base of the bounded exponential backoff between attempts (seconds)
-    retry_backoff_s: float = 500e-6
-    #: backoff ceiling (seconds)
-    retry_backoff_cap_s: float = 10e-3
-    #: end-to-end deadline per part measured from admission; a retry that
-    #: cannot start inside it is abandoned (``None`` disables)
-    deadline_s: Optional[float] = None
-    #: per-tenant retry budget (token bucket); ``None`` = unlimited
-    retry_budget_iops: Optional[float] = 200.0
-    retry_budget_burst: float = 20.0
     #: hedge a second replica read at the tenant's observed p95 latency
     hedge_reads: bool = False
-    #: minimum completed samples before hedging activates
-    hedge_min_samples: int = 50
 
     def __post_init__(self) -> None:
         quorum_need(self.quorum, self.factor)  # validates both
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0: {self.max_retries!r}")
-        if self.retry_backoff_s <= 0 or self.retry_backoff_cap_s <= 0:
-            raise ValueError("retry backoff values must be positive")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive: {self.deadline_s!r}")
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1: {self.hedge_min_samples!r}"
-            )
 
 
 @dataclass
@@ -159,7 +144,6 @@ class ReplicationStats:
     #: whole-part retry attempts issued (writes and reads)
     retries: int = 0
     retry_budget_exhausted: int = 0
-    deadline_exhausted: int = 0
     #: reads rerouted to another replica after a primary/replica error
     failovers: int = 0
     hedged_reads: int = 0
@@ -261,7 +245,7 @@ class ReplicationManager:
         self.rebuilding: Dict[int, _RebuildJob] = {}
         #: admitted rebuild read -> (job, block) hand-off to the sink
         self._rebuild_tokens: Dict[IORequest, Tuple[_RebuildJob, int]] = {}
-        self._retry_buckets: Dict[str, Optional[TokenBucket]] = {}
+        self._retry_buckets: Dict[str, TokenBucket] = {}
         self._rebuild_state = cluster.scheduler.add_tenant(
             TenantSpec(
                 REBUILD_TENANT,
@@ -333,21 +317,19 @@ class ReplicationManager:
         st: TenantState,
         request: IORequest,
         part: IORequest,
-        arrival: float,
         finish: Callable[[IORequest, bool], None],
     ) -> None:
         """Route one shard part: the cluster's only part-issue path."""
         if part.is_write:
-            self._issue_write(st, request, part, arrival, finish, 0)
+            self._issue_write(st, request, part, finish, 0)
         else:
-            self._issue_read(st, request, part, arrival, finish, 0)
+            self._issue_read(st, request, part, finish, 0)
 
     def _issue_write(
         self,
         st: TenantState,
         request: IORequest,
         part: IORequest,
-        arrival: float,
         finish: Callable[[IORequest, bool], None],
         attempt: int,
     ) -> None:
@@ -410,7 +392,7 @@ class ReplicationManager:
                     state["done"] = True
                     self.stats.quorum_failures += 1
                     self._retry_or_fail(
-                        st, request, part, arrival, finish, attempt, WRITE
+                        st, request, part, finish, attempt, WRITE
                     )
             return cb
 
@@ -435,7 +417,6 @@ class ReplicationManager:
         st: TenantState,
         request: IORequest,
         part: IORequest,
-        arrival: float,
         finish: Callable[[IORequest, bool], None],
         attempt: int,
     ) -> None:
@@ -453,10 +434,9 @@ class ReplicationManager:
             self.tracer.part_issued(request, part, order[0])
         ctl = {"done": False, "pending": 0, "tried": set(), "timer": None}
         self._read_target(
-            st, request, part, arrival, finish, attempt, ctl, order[0], False
+            st, request, part, finish, attempt, ctl, order[0], False
         )
-        cfg = self.config
-        if (cfg.hedge_reads and st.latency.count >= cfg.hedge_min_samples
+        if (self.config.hedge_reads and st.latency.count >= HEDGE_MIN_SAMPLES
                 and len(self.targets(ridx)) > 1):
             delay = st.latency.percentile(95)
             if delay > 0:
@@ -470,7 +450,7 @@ class ReplicationManager:
                         return
                     self.stats.hedged_reads += 1
                     self._read_target(
-                        st, request, part, arrival, finish, attempt, ctl,
+                        st, request, part, finish, attempt, ctl,
                         nxt, True,
                     )
 
@@ -488,7 +468,6 @@ class ReplicationManager:
         st: TenantState,
         request: IORequest,
         part: IORequest,
-        arrival: float,
         finish: Callable[[IORequest, bool], None],
         attempt: int,
         ctl: dict,
@@ -524,7 +503,7 @@ class ReplicationManager:
             if nxt is not None:
                 self.stats.failovers += 1
                 self._read_target(
-                    st, request, part, arrival, finish, attempt, ctl, nxt,
+                    st, request, part, finish, attempt, ctl, nxt,
                     False,
                 )
                 return
@@ -533,7 +512,7 @@ class ReplicationManager:
             ctl["done"] = True
             self._cancel_timer(ctl)
             self._retry_or_fail(
-                st, request, part, arrival, finish, attempt, READ
+                st, request, part, finish, attempt, READ
             )
 
         c.register_internal(dup, _ok, _err)
@@ -552,12 +531,11 @@ class ReplicationManager:
         st: TenantState,
         request: IORequest,
         part: IORequest,
-        arrival: float,
         finish: Callable[[IORequest, bool], None],
         attempt: int,
         op: str,
     ) -> None:
-        delay = self._allow_retry(st, arrival, attempt)
+        delay = self._allow_retry(st, attempt)
         if delay is None:
             self._give_up(st, part, finish)
             return
@@ -568,35 +546,26 @@ class ReplicationManager:
         issue = self._issue_write if op == WRITE else self._issue_read
         self.sim.schedule(
             delay,
-            lambda: issue(st, request, part, arrival, finish, attempt + 1),
+            lambda: issue(st, request, part, finish, attempt + 1),
         )
 
     def _allow_retry(
-        self, st: TenantState, arrival: float, attempt: int
+        self, st: TenantState, attempt: int
     ) -> Optional[float]:
         """Backoff before the next attempt, or ``None`` when the part
-        must give up (retries, deadline or retry budget exhausted)."""
-        cfg = self.config
-        if attempt + 1 > cfg.max_retries:
-            return None
-        delay = min(cfg.retry_backoff_s * (2.0 ** attempt),
-                    cfg.retry_backoff_cap_s)
-        if (cfg.deadline_s is not None
-                and (self.sim.now + delay) - arrival > cfg.deadline_s):
-            self.stats.deadline_exhausted += 1
+        must give up (retries or retry budget exhausted)."""
+        if attempt + 1 > MAX_RETRIES:
             return None
         bucket = self._retry_bucket(st.name)
-        if bucket is not None and not bucket.try_consume(self.sim.now):
+        if not bucket.try_consume(self.sim.now):
             self.stats.retry_budget_exhausted += 1
             return None
-        return delay
+        return min(RETRY_BACKOFF_S * (2.0 ** attempt), RETRY_BACKOFF_CAP_S)
 
-    def _retry_bucket(self, tenant: str) -> Optional[TokenBucket]:
+    def _retry_bucket(self, tenant: str) -> TokenBucket:
         if tenant not in self._retry_buckets:
-            cfg = self.config
-            self._retry_buckets[tenant] = (
-                None if cfg.retry_budget_iops is None
-                else TokenBucket(cfg.retry_budget_iops, cfg.retry_budget_burst)
+            self._retry_buckets[tenant] = TokenBucket(
+                RETRY_BUDGET_IOPS, RETRY_BUDGET_BURST
             )
         return self._retry_buckets[tenant]
 

@@ -41,21 +41,19 @@ from repro.traces.model import IORequest, READ, WRITE
 
 __all__ = ["HashRing", "ClusterStats", "ClusterDistributer"]
 
+#: virtual nodes per shard on the hash ring
+VNODES = 64
+
 
 class HashRing:
     """Deterministic consistent-hash ring with virtual nodes."""
 
-    def __init__(
-        self, shards: Iterable[str], vnodes: int = 64, seed: int = 0
-    ) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1: {vnodes!r}")
+    def __init__(self, shards: Iterable[str], seed: int = 0) -> None:
         names = list(shards)
         if not names:
             raise ValueError("ring needs at least one shard")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names: {names}")
-        self.vnodes = vnodes
         self.seed = seed
         self._shards: List[str] = []
         #: sorted (position, shard) ring points
@@ -80,7 +78,7 @@ class HashRing:
         if name in self._shards:
             raise ValueError(f"shard {name!r} already on the ring")
         self._shards.append(name)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             pos = self._hash(f"{self.seed}|shard|{name}|{v}")
             insort(self._points, (pos, name))
 
@@ -428,9 +426,7 @@ class ClusterDistributer:
                     user_cb()
 
         for part in parts:
-            self.replication.issue_part(
-                st, request, part, arrival, _finish_part
-            )
+            self.replication.issue_part(st, request, part, _finish_part)
 
     # ------------------------------------------------------------------
     # completion plumbing

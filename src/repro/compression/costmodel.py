@@ -31,7 +31,7 @@ amortise it, one of the reasons the Sequentiality Detector helps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
 __all__ = ["CodecSpeed", "CodecCostModel", "DEFAULT_SPEEDS"]
 
@@ -65,41 +65,17 @@ DEFAULT_SPEEDS: Dict[str, CodecSpeed] = {
 
 
 class CodecCostModel:
-    """Maps (codec, byte count) to simulated CPU seconds.
+    """Maps (codec, byte count) to simulated CPU seconds at
+    :data:`DEFAULT_SPEEDS`."""
 
-    A ``speed_scale`` > 1 models a faster host (or hardware offload);
-    < 1 models a slower one.  The scale applies uniformly so relative
-    codec ordering — the property the paper's results rest on — is
-    preserved.
-    """
-
-    def __init__(
-        self,
-        speeds: Mapping[str, CodecSpeed] | None = None,
-        speed_scale: float = 1.0,
-    ) -> None:
-        if speed_scale <= 0:
-            raise ValueError(f"speed_scale must be positive: {speed_scale!r}")
-        self._speeds: Dict[str, CodecSpeed] = dict(
-            DEFAULT_SPEEDS if speeds is None else speeds
-        )
-        self.speed_scale = speed_scale
-
-    # ------------------------------------------------------------------
     def speed(self, codec_name: str) -> CodecSpeed:
         try:
-            return self._speeds[codec_name]
+            return DEFAULT_SPEEDS[codec_name]
         except KeyError:
             raise KeyError(
                 f"no speed calibration for codec {codec_name!r}; "
-                f"known: {sorted(self._speeds)}"
+                f"known: {sorted(DEFAULT_SPEEDS)}"
             ) from None
-
-    def set_speed(self, codec_name: str, speed: CodecSpeed) -> None:
-        self._speeds[codec_name] = speed
-
-    def known_codecs(self) -> list[str]:
-        return sorted(self._speeds)
 
     # ------------------------------------------------------------------
     def compress_time(self, codec_name: str, nbytes: int) -> float:
@@ -109,8 +85,7 @@ class CodecCostModel:
         s = self.speed(codec_name)
         if s.compress_mb_s == float("inf"):
             return 0.0
-        rate = s.compress_mb_s * _MB * self.speed_scale
-        return s.setup_us * 1e-6 / self.speed_scale + nbytes / rate
+        return s.setup_us * 1e-6 + nbytes / (s.compress_mb_s * _MB)
 
     def decompress_time(self, codec_name: str, nbytes: int) -> float:
         """Simulated seconds to decompress a block whose *original* size is ``nbytes``.
@@ -123,10 +98,4 @@ class CodecCostModel:
         s = self.speed(codec_name)
         if s.decompress_mb_s == float("inf"):
             return 0.0
-        rate = s.decompress_mb_s * _MB * self.speed_scale
-        return s.setup_us * 1e-6 / self.speed_scale + nbytes / rate
-
-    # ------------------------------------------------------------------
-    def scaled(self, factor: float) -> "CodecCostModel":
-        """A copy of this model with ``speed_scale`` multiplied by ``factor``."""
-        return CodecCostModel(self._speeds, self.speed_scale * factor)
+        return s.setup_us * 1e-6 + nbytes / (s.decompress_mb_s * _MB)

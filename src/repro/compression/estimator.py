@@ -29,6 +29,14 @@ __all__ = ["byte_entropy", "coreset_size", "SampledEstimator", "EstimatorStats"]
 CORESET_LOW = 50
 #: a byte entropy this high (bits/byte) means "already compressed"
 ENTROPY_HIGH = 7.5
+#: largest estimated compressed fraction (compressed/original) that
+#: still counts as compressible: the allocator's 75 % rule
+RATIO_THRESHOLD = 0.75
+#: share of the block fed to the sampled compression ...
+SAMPLE_FRACTION = 0.25
+#: ... spread over this many evenly spaced sub-ranges, so local
+#: structure is represented
+SAMPLE_PIECES = 4
 
 
 def byte_entropy(data: bytes) -> float:
@@ -74,49 +82,26 @@ class EstimatorStats:
 class SampledEstimator:
     """Decides whether a block is worth compressing.
 
-    Parameters
-    ----------
-    ratio_threshold:
-        Maximum estimated *compressed fraction* (compressed/original) for
-        data to count as compressible.  The paper's allocator stores
-        blocks whose compressed size exceeds 75 % of the original
-        uncompressed, so 0.75 is the natural default.
-    sample_fraction:
-        Fraction of the block fed to the sampled compression (spread over
-        several sub-ranges so local structure is represented).
-
     The cheap signals short-circuit at :data:`CORESET_LOW` and
-    :data:`ENTROPY_HIGH`.
+    :data:`ENTROPY_HIGH`; the sampled compression compares against
+    :data:`RATIO_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        ratio_threshold: float = 0.75,
-        sample_fraction: float = 0.25,
-        sample_pieces: int = 4,
-    ) -> None:
-        if not 0 < ratio_threshold <= 1:
-            raise ValueError(f"ratio_threshold must be in (0,1]: {ratio_threshold!r}")
-        if not 0 < sample_fraction <= 1:
-            raise ValueError(f"sample_fraction must be in (0,1]: {sample_fraction!r}")
-        if sample_pieces < 1:
-            raise ValueError(f"sample_pieces must be >= 1: {sample_pieces!r}")
-        self.ratio_threshold = ratio_threshold
-        self.sample_fraction = sample_fraction
-        self.sample_pieces = sample_pieces
+    def __init__(self) -> None:
         self.stats = EstimatorStats()
 
     # ------------------------------------------------------------------
     def _sample(self, data: bytes) -> bytes:
-        """Evenly spread sub-ranges totalling ``sample_fraction`` of the data."""
+        """Evenly spread sub-ranges totalling :data:`SAMPLE_FRACTION` of
+        the data."""
         n = len(data)
-        total = max(64, int(n * self.sample_fraction))
+        total = max(64, int(n * SAMPLE_FRACTION))
         if total >= n:
             return data
-        piece = max(16, total // self.sample_pieces)
-        stride = n // self.sample_pieces
+        piece = max(16, total // SAMPLE_PIECES)
+        stride = n // SAMPLE_PIECES
         parts = [
-            data[k * stride : k * stride + piece] for k in range(self.sample_pieces)
+            data[k * stride : k * stride + piece] for k in range(SAMPLE_PIECES)
         ]
         return b"".join(parts)
 
@@ -141,4 +126,4 @@ class SampledEstimator:
             self.stats.by_entropy += 1
             return False
         self.stats.by_sample += 1
-        return self.estimate_compressed_fraction(data) <= self.ratio_threshold
+        return self.estimate_compressed_fraction(data) <= RATIO_THRESHOLD

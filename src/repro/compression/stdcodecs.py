@@ -85,19 +85,18 @@ class Bz2Codec(Codec):
         return out
 
 
+#: xz/LZMA compression preset (0-9): a light one
+LZMA_PRESET = 1
+
+
 class LzmaCodec(Codec):
-    """xz/LZMA at a light preset; extends the ratio-vs-speed spectrum."""
+    """xz/LZMA at :data:`LZMA_PRESET`; extends the ratio-vs-speed spectrum."""
 
     name = "lzma"
     tag = 5
 
-    def __init__(self, preset: int = 1) -> None:
-        if not 0 <= preset <= 9:
-            raise ValueError(f"lzma preset must be 0-9, got {preset}")
-        self.preset = preset
-
     def compress(self, data: bytes) -> bytes:
-        return lzma.compress(data, preset=self.preset)
+        return lzma.compress(data, preset=LZMA_PRESET)
 
     def decompress(self, data: bytes, original_size: Optional[int] = None) -> bytes:
         try:

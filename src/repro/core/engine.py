@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.compression.codec import CodecRegistry, default_registry
 from repro.compression.costmodel import CodecCostModel
-from repro.compression.estimator import SampledEstimator
+from repro.compression.estimator import SAMPLE_FRACTION, SampledEstimator
 from repro.sdgen.generator import ContentStore
 
 __all__ = ["CompressionEngine", "WritePlan"]
@@ -68,7 +68,6 @@ class CompressionEngine:
         cost_model: Optional[CodecCostModel] = None,
         estimator: Optional[SampledEstimator] = None,
         incompressible_fraction: float = 0.75,
-        charge_estimation_cost: bool = True,
         keep_payloads: bool = False,
     ) -> None:
         if not 0 < incompressible_fraction <= 1:
@@ -80,7 +79,6 @@ class CompressionEngine:
         self.cost_model = cost_model if cost_model is not None else CodecCostModel()
         self.estimator = estimator if estimator is not None else SampledEstimator()
         self.incompressible_fraction = incompressible_fraction
-        self.charge_estimation_cost = charge_estimation_cost
         self.keep_payloads = keep_payloads
         self._gate_cache: Dict[Tuple[int, ...], bool] = {}
 
@@ -99,10 +97,8 @@ class CompressionEngine:
         inconclusive minority, a fast-DEFLATE pass over a small sample;
         the charge here is the expected cost per block.
         """
-        if not self.charge_estimation_cost:
-            return 0.0
         scan = original_size / (self._HEURISTIC_MB_S * 1024 * 1024)
-        sampled = int(original_size * self.estimator.sample_fraction)
+        sampled = int(original_size * SAMPLE_FRACTION)
         fallthrough = self._SAMPLED_SHARE * self.cost_model.compress_time(
             "zlib-1", sampled
         )

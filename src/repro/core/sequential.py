@@ -9,7 +9,7 @@ arrivals into it; the run is flushed for compression when:
 - a read request arrives (reads break write contiguity — Fig 7 step 4's
   dual: the paper flushes on reads and non-contiguous writes);
 - a non-contiguous write arrives (the new write starts a fresh run);
-- the run reaches ``max_merge_blocks``; or
+- the run reaches :data:`MAX_MERGE_BLOCKS`; or
 - the caller's safety timeout fires (see
   :data:`repro.core.device.SD_FLUSH_TIMEOUT`).
 
@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 __all__ = ["SequentialityDetector", "PendingRun", "SDStats"]
+
+#: largest merged run, in blocks
+MAX_MERGE_BLOCKS = 16
 
 
 @dataclass
@@ -70,13 +73,10 @@ class SDStats:
 class SequentialityDetector:
     """Merges contiguous writes into compression units (Fig 7 semantics)."""
 
-    def __init__(self, block_size: int = 4096, max_merge_blocks: int = 16) -> None:
+    def __init__(self, block_size: int = 4096) -> None:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive: {block_size!r}")
-        if max_merge_blocks < 1:
-            raise ValueError(f"max_merge_blocks must be >= 1: {max_merge_blocks!r}")
         self.block_size = block_size
-        self.max_merge_blocks = max_merge_blocks
         self._pending: Optional[PendingRun] = None
         self.stats = SDStats()
 
@@ -111,14 +111,14 @@ class SequentialityDetector:
         if p is not None:
             fits = (
                 lba == p.end
-                and self._blocks(p.nbytes + nbytes) <= self.max_merge_blocks
+                and self._blocks(p.nbytes + nbytes) <= MAX_MERGE_BLOCKS
             )
             if fits:
                 p.nbytes += nbytes
                 p.arrivals.append(arrival)
                 p.refs.append(ref)
                 self.stats.merges += 1
-                if self._blocks(p.nbytes) >= self.max_merge_blocks:
+                if self._blocks(p.nbytes) >= MAX_MERGE_BLOCKS:
                     self.stats.flushes_on_limit += 1
                     flushed.append(self._note_flush(p))
                     self._pending = None
@@ -128,7 +128,7 @@ class SequentialityDetector:
             flushed.append(self._note_flush(p))
             self._pending = None
         run = PendingRun(lba, nbytes, [arrival], [ref])
-        if self._blocks(nbytes) >= self.max_merge_blocks:
+        if self._blocks(nbytes) >= MAX_MERGE_BLOCKS:
             self.stats.flushes_on_limit += 1
             flushed.append(self._note_flush(run))
         else:

@@ -30,6 +30,10 @@ __all__ = ["WriteBackBuffer", "BufferStats"]
 
 #: DRAM access cost charged per buffered operation (seconds).
 _DRAM_ACCESS_S = 5e-6
+#: dirty share of the capacity at which a flush batch starts ...
+HIGH_WATERMARK = 0.75
+#: ... and the share of the capacity that batch flushes
+FLUSH_FRACTION = 0.5
 
 
 @dataclass
@@ -55,23 +59,15 @@ class WriteBackBuffer:
         sim: Simulator,
         device: EDCBlockDevice,
         capacity_blocks: int = 1024,
-        high_watermark: float = 0.75,
-        flush_fraction: float = 0.5,
         flush_interval: float = 1.0,
     ) -> None:
         if capacity_blocks < 1:
             raise ValueError(f"capacity_blocks must be >= 1: {capacity_blocks!r}")
-        if not 0 < high_watermark <= 1:
-            raise ValueError(f"high_watermark must be in (0,1]: {high_watermark!r}")
-        if not 0 < flush_fraction <= 1:
-            raise ValueError(f"flush_fraction must be in (0,1]: {flush_fraction!r}")
         if flush_interval <= 0:
             raise ValueError(f"flush_interval must be positive: {flush_interval!r}")
         self.sim = sim
         self.device = device
         self.capacity_blocks = capacity_blocks
-        self.high_watermark = high_watermark
-        self.flush_fraction = flush_fraction
         self.flush_interval = flush_interval
         self.block = device.config.block_size
         #: dirty block number -> buffering time (for age-ordered flushing)
@@ -123,9 +119,9 @@ class WriteBackBuffer:
             self.stats.acked_unflushed_peak = len(self._dirty)
         self.write_latency.add(_DRAM_ACCESS_S)
         self._arm_timer()
-        if len(self._dirty) >= self.high_watermark * self.capacity_blocks:
+        if len(self._dirty) >= HIGH_WATERMARK * self.capacity_blocks:
             self.stats.watermark_flushes += 1
-            self._flush_batch(int(self.capacity_blocks * self.flush_fraction))
+            self._flush_batch(int(self.capacity_blocks * FLUSH_FRACTION))
 
     def _on_read(self, request: IORequest) -> None:
         blocks = list(self._blocks_of(request))

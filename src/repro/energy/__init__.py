@@ -7,6 +7,6 @@ consumption".  :mod:`repro.energy.model` quantifies exactly that
 dichotomy from replay measurements.
 """
 
-from repro.energy.model import EnergyModel, EnergyReport, PowerParams
+from repro.energy.model import POWER, EnergyModel, EnergyReport
 
-__all__ = ["EnergyModel", "EnergyReport", "PowerParams"]
+__all__ = ["POWER", "EnergyModel", "EnergyReport"]

@@ -25,29 +25,24 @@ total for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 from repro.core.device import EDCBlockDevice
 
-__all__ = ["PowerParams", "EnergyReport", "EnergyModel"]
+__all__ = ["POWER", "EnergyReport", "EnergyModel"]
 
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Component power draws (watts)."""
-
-    #: one core of the host CPU at full tilt (compression is single-threaded
-    #: per the prototype; a Westmere core under load is ~20-25 W)
-    cpu_core_active_w: float = 22.0
-    #: flash device serving I/O (X25-E spec: 2.4 W active)
-    device_active_w: float = 2.4
-    #: flash device idle (X25-E spec: 0.06 W)
-    device_idle_w: float = 0.06
-
-    def __post_init__(self) -> None:
-        for f in ("cpu_core_active_w", "device_active_w", "device_idle_w"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be non-negative")
+#: component power draws (watts)
+POWER = SimpleNamespace(
+    # one core of the host CPU at full tilt (compression is
+    # single-threaded per the prototype; a Westmere core under load is
+    # ~20-25 W)
+    cpu_core_active_w=22.0,
+    # flash device serving I/O (X25-E spec: 2.4 W active)
+    device_active_w=2.4,
+    # flash device idle (X25-E spec: 0.06 W)
+    device_idle_w=0.06,
+)
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,10 @@ class EnergyReport:
 
 
 class EnergyModel:
-    """Computes :class:`EnergyReport` from replay measurements."""
+    """Computes :class:`EnergyReport` from replay measurements at the
+    :data:`POWER` draws."""
 
-    def __init__(self, params: PowerParams | None = None) -> None:
-        self.params = params if params is not None else PowerParams()
+    params = POWER
 
     def from_times(
         self,
@@ -102,7 +97,7 @@ class EnergyModel:
             raise ValueError("times must be non-negative")
         if cpu_busy_s > horizon_s + 1e-9:
             raise ValueError("CPU busy time exceeds the horizon")
-        p = self.params
+        p = POWER
         active = sum(device_busy_s)
         idle = sum(max(0.0, horizon_s - b) for b in device_busy_s)
         return EnergyReport(
@@ -144,5 +139,5 @@ class EnergyModel:
         addition.
         """
         return (
-            recovery.stats.meta_device_seconds * self.params.device_active_w
+            recovery.stats.meta_device_seconds * POWER.device_active_w
         )

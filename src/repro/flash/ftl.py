@@ -88,6 +88,9 @@ class _FtlStats:
 
 #: Stream id of the internal GC relocation frontier.
 _GC_STREAM = -1
+#: GC starts when the free-block pool drops to this size (at least 2,
+#: so relocation always has a destination)
+GC_FREE_THRESHOLD = 4
 
 
 class ExtentFTL:
@@ -97,9 +100,6 @@ class ExtentFTL:
     ----------
     geometry:
         Device layout; ``geometry.logical_bytes`` caps live data.
-    gc_free_threshold:
-        GC starts when the free-block pool drops to this size; it must be
-        at least 2 so relocation always has a destination.
     n_streams:
         Number of host write streams (frontiers).  Stream 0 is the
         default; extra streams enable hot/cold separation.
@@ -108,20 +108,16 @@ class ExtentFTL:
     def __init__(
         self,
         geometry: NandGeometry,
-        gc_free_threshold: int = 4,
         n_streams: int = 1,
     ) -> None:
-        if gc_free_threshold < 2:
-            raise ValueError("gc_free_threshold must be >= 2")
         if n_streams < 1:
             raise ValueError("n_streams must be >= 1")
-        if gc_free_threshold + n_streams + 1 >= geometry.nblocks:
+        if GC_FREE_THRESHOLD + n_streams + 1 >= geometry.nblocks:
             raise ValueError(
                 "device too small for the requested streams and GC headroom"
             )
         self.geometry = geometry
         self.collector = GreedyCollector()
-        self.gc_free_threshold = gc_free_threshold
         self.n_streams = n_streams
         self.stats = _FtlStats()
         #: ``gc``: ``(ftl, victim_block, moved_bytes, reclaimed_bytes)``
@@ -385,7 +381,7 @@ class ExtentFTL:
             return cost
         self.gc_trigger = ("low_free", stream)
         try:
-            while len(self._free) < self.gc_free_threshold:
+            while len(self._free) < GC_FREE_THRESHOLD:
                 c = self._collect_one()
                 if c is None:
                     break  # nothing collectable; proceed if any free block remains

@@ -24,14 +24,14 @@ normal bad-block path (relocation + capacity shrink + ``retire``
 hooks), with the relocation time charged to the member's queue.
 
 Pacing is idle-aware: a tick that finds more than
-:attr:`ScrubConfig.max_outstanding` host requests in flight stands
-down, so scrubbing soaks up idle windows instead of competing with
+:data:`MAX_OUTSTANDING` host requests in flight stands down, so scrubbing soaks up idle windows instead of competing with
 foreground bursts.  A device without a scrubber (the default) has no
 daemon, no reads and no state — bit-identical to the seed.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
@@ -49,6 +49,8 @@ RETIRE_THRESHOLD = 3
 REPAIR_RETRY_TICKS = 8
 #: scrub episodes kept for the audit (older ones are counted only)
 MAX_EPISODES = 4096
+#: a tick stands down when more host requests than this are in flight
+MAX_OUTSTANDING = 4
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,11 @@ class ScrubConfig:
 
     #: seconds between scrub ticks (the daemon's period)
     interval_s: float = 0.01
-    #: stand down when more host requests than this are in flight
-    max_outstanding: int = 4
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive: {self.interval_s!r}")
-        if self.max_outstanding < 0:
+        if not 0 < self.interval_s < math.inf:
             raise ValueError(
-                f"max_outstanding must be >= 0: {self.max_outstanding!r}"
+                f"interval_s must be positive and finite: {self.interval_s!r}"
             )
 
 
@@ -186,7 +184,7 @@ class MediaScrubber:
         for member in ssds_of(dev.backend):
             if member.latent is not None:
                 member.latent.prune_dead()
-        if dev.outstanding > self.config.max_outstanding:
+        if dev.outstanding > MAX_OUTSTANDING:
             # Foreground burst in progress: scrub in the idle windows.
             self.stats.skipped_busy += 1
             return
@@ -458,7 +456,7 @@ class MediaScrubber:
             "config": {
                 "interval_s": self.config.interval_s,
                 "entries_per_tick": ENTRIES_PER_TICK,
-                "max_outstanding": self.config.max_outstanding,
+                "max_outstanding": MAX_OUTSTANDING,
                 "retire_threshold": RETIRE_THRESHOLD,
             },
             "stats": self.stats.as_dict(),

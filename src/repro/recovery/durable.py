@@ -51,17 +51,10 @@ class RecoveryParams:
 
     #: seconds between periodic checkpoints (daemon simulation event)
     checkpoint_interval_s: float = 2.0
-    #: journal tail flushes to flash once this many bytes are buffered
-    journal_flush_bytes: int = 512
-    #: issue real in-band device writes for metadata (WA/energy charge);
-    #: with ``False`` only the byte accounting is kept (unit tests)
-    charge_metadata: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive")
-        if self.journal_flush_bytes < 1:
-            raise ValueError("journal_flush_bytes must be >= 1")
 
 
 @dataclass
@@ -95,10 +88,7 @@ class DurableMetadataManager:
         oob: Optional[OOBArea] = None,
     ) -> None:
         self.params = params if params is not None else RecoveryParams()
-        p = self.params
-        self.journal = journal if journal is not None else MetadataJournal(
-            flush_bytes=p.journal_flush_bytes
-        )
+        self.journal = journal if journal is not None else MetadataJournal()
         self.journal.charge = self._charge_journal
         self.checkpoints = (
             checkpoints if checkpoints is not None else CheckpointStore()
@@ -289,7 +279,7 @@ class DurableMetadataManager:
         self._ckpt_activity = self._activity
         # The checkpointed journal segments and the pre-previous image
         # are dead metadata: reclaim their in-band extents.
-        if self.params.charge_metadata and self.device is not None:
+        if self.device is not None:
             for key in self._journal_seg_keys:
                 self.device.distributer.trim(key)
             self._journal_seg_keys = []
@@ -314,7 +304,7 @@ class DurableMetadataManager:
 
     def _issue_meta_write(self, nbytes: int, kind: str) -> Optional[Hashable]:
         self.stats.meta_writes += 1
-        if not self.params.charge_metadata or self.device is None:
+        if self.device is None:
             return None
         self._meta_counter += 1
         key = ("meta", kind, self._meta_counter)

@@ -2,14 +2,14 @@
 
 Journal appends first land in a DRAM tail buffer (``pending``); the
 buffer flushes to the simulated flash — becoming crash-durable — when
-it passes ``flush_bytes`` or when a checkpoint forces it.  A power cut
+it passes :data:`JOURNAL_FLUSH_BYTES` or when a checkpoint forces it.  A power cut
 loses whatever is still in the tail; the
 :class:`~repro.recovery.scanner.RecoveryScanner` falls back to the OOB
 scan for extents whose insert record was lost that way.
 
 Every flush is charged to the device through the ``charge`` callback
-(padded to ``pad_bytes``, modelling the program granularity of the
-metadata area), so journaling is visible in write amplification and
+(padded to :data:`JOURNAL_PAD_BYTES`, modelling the program granularity
+of the metadata area), so journaling is visible in write amplification and
 the energy model instead of free.
 """
 
@@ -21,6 +21,11 @@ from typing import Callable, List, Optional
 from repro.recovery.formats import ExtentRecord, JournalRecord
 
 __all__ = ["MetadataJournal", "JournalStats"]
+
+#: the volatile tail flushes to flash once this many bytes are buffered
+JOURNAL_FLUSH_BYTES = 512
+#: program granularity of the metadata area: flushes pad to a multiple
+JOURNAL_PAD_BYTES = 64
 
 
 @dataclass
@@ -38,18 +43,7 @@ class JournalStats:
 class MetadataJournal:
     """Append-only journal of mapping deltas with explicit durability."""
 
-    def __init__(
-        self,
-        flush_bytes: int = 512,
-        pad_bytes: int = 64,
-        charge: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        if flush_bytes < 1:
-            raise ValueError(f"flush_bytes must be >= 1: {flush_bytes!r}")
-        if pad_bytes < 1:
-            raise ValueError(f"pad_bytes must be >= 1: {pad_bytes!r}")
-        self.flush_bytes = flush_bytes
-        self.pad_bytes = pad_bytes
+    def __init__(self, charge: Optional[Callable[[int], None]] = None) -> None:
         self.charge = charge
         self.stats = JournalStats()
         #: durable (flushed) records in append order
@@ -91,7 +85,7 @@ class MetadataJournal:
         self._pending.append(rec)
         self._pending_bytes += rec.nbytes
         self.stats.appended_records += 1
-        if self._pending_bytes >= self.flush_bytes:
+        if self._pending_bytes >= JOURNAL_FLUSH_BYTES:
             self.flush()
 
     # ------------------------------------------------------------------
@@ -100,9 +94,8 @@ class MetadataJournal:
         if not self._pending:
             return 0
         nbytes = self._pending_bytes
-        padded = (
-            (nbytes + self.pad_bytes - 1) // self.pad_bytes * self.pad_bytes
-        )
+        pad = JOURNAL_PAD_BYTES
+        padded = (nbytes + pad - 1) // pad * pad
         self.durable.extend(self._pending)
         self._pending = []
         self._pending_bytes = 0

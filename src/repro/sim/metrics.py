@@ -9,11 +9,16 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Tuple
 
 import numpy as np
 
 __all__ = ["LatencyRecorder", "TimeSeries"]
+
+
+#: sample count past which percentiles answer from the histogram
+APPROX_THRESHOLD = 4096
 
 
 class LatencyRecorder:
@@ -24,30 +29,16 @@ class LatencyRecorder:
     needs it (approximate percentiles, min, max, merge) rather than on
     every :meth:`add`: the histogram is a pure function of the ordered
     samples, so every answer is the one an eagerly fed histogram gives.
-    Once ``count`` exceeds ``approx_threshold`` the percentile queries
-    answer from the histogram in O(buckets) instead of sorting the
-    sample list.  Below the threshold — and for mean/total at any size —
-    the answers stay exact.  The histogram's relative quantile error is
-    bounded by ``1/sub_buckets`` (1/32 ≈ 3 % at this recorder's
-    resolution).
-
-    Pass ``approx_threshold=None`` to force exact percentiles forever.
+    Once ``count`` exceeds :data:`APPROX_THRESHOLD` the percentile
+    queries answer from the histogram in O(buckets) instead of sorting
+    the sample list.  Below the threshold — and for mean/total at any
+    size — the answers stay exact.  The histogram's relative quantile
+    error is bounded by ``1/sub_buckets`` (1/32 ≈ 3 % at this
+    recorder's resolution).
     """
 
-    #: Sample count past which percentiles answer from the histogram.
-    DEFAULT_APPROX_THRESHOLD = 4096
-
-    def __init__(
-        self,
-        name: str = "latency",
-        approx_threshold: "int | None" = DEFAULT_APPROX_THRESHOLD,
-    ) -> None:
-        if approx_threshold is not None and approx_threshold < 1:
-            raise ValueError(
-                f"approx_threshold must be >= 1 or None: {approx_threshold!r}"
-            )
+    def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self.approx_threshold = approx_threshold
         self._samples: list[float] = []
         self._sum = 0.0
         # Imported here (not at module top) to keep repro.sim free of a
@@ -59,9 +50,9 @@ class LatencyRecorder:
         self._folded = 0
 
     def add(self, value: float) -> None:
-        if value != value:  # NaN: would silently poison mean/percentiles
-            raise ValueError("NaN latency sample rejected")
-        if value < 0:
+        if not value < math.inf:  # NaN or +inf: would poison mean/percentiles
+            raise ValueError(f"NaN or infinite latency sample rejected: {value!r}")
+        if value < 0:  # -inf included
             raise ValueError(f"negative latency sample: {value!r}")
         self._samples.append(value)
         self._sum += value
@@ -85,10 +76,7 @@ class LatencyRecorder:
     @property
     def uses_approx(self) -> bool:
         """Whether percentile queries currently answer from the histogram."""
-        return (
-            self.approx_threshold is not None
-            and len(self._samples) > self.approx_threshold
-        )
+        return len(self._samples) > APPROX_THRESHOLD
 
     def mean(self) -> float:
         if not self._samples:
@@ -98,7 +86,7 @@ class LatencyRecorder:
     def percentile(self, p: float) -> float:
         """p-th percentile (0-100).
 
-        Exact (sorted-sample interpolation) up to ``approx_threshold``
+        Exact (sorted-sample interpolation) up to :data:`APPROX_THRESHOLD`
         samples, then answered from the log2 histogram with bounded
         relative error.  Raises :class:`ValueError` when no samples were
         recorded: a silent 0.0 (or a numpy all-NaN warning) would be

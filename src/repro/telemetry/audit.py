@@ -80,6 +80,11 @@ KNOWN_SHADOW_SPECS = ("native", "lzf", "gzip", "bzip2", "edc")
 #: (fixed schemes); rendered as label ``all``.
 NO_BAND = -1
 
+#: Full events kept per auditor (uniform reservoir sample) ...
+RESERVOIR_CAPACITY = 2048
+#: ... drawn with a private RNG under this seed.
+RESERVOIR_SEED = 1
+
 
 @dataclass
 class BandTotals:
@@ -164,24 +169,14 @@ class DecisionAuditor:
     ----------
     shadows:
         Extra policies consulted side-effect-free on each decision.
-    reservoir_capacity:
-        Maximum full events kept (uniform reservoir sample over the
-        whole replay); aggregates stay exact regardless.
-    seed:
-        Seed of the reservoir's private RNG — audited replays stay
-        deterministic end to end.
+
+    At most :data:`RESERVOIR_CAPACITY` full events are kept (a uniform
+    reservoir sample over the whole replay, drawn from a private RNG
+    seeded with :data:`RESERVOIR_SEED` so audited replays stay
+    deterministic end to end); aggregates stay exact regardless.
     """
 
-    def __init__(
-        self,
-        shadows: Sequence[CompressionPolicy] = (),
-        reservoir_capacity: int = 2048,
-        seed: int = 1,
-    ) -> None:
-        if reservoir_capacity < 1:
-            raise ValueError(
-                f"reservoir_capacity must be >= 1: {reservoir_capacity!r}"
-            )
+    def __init__(self, shadows: Sequence[CompressionPolicy] = ()) -> None:
         self.shadow_policies: List[Tuple[str, CompressionPolicy]] = []
         seen: Dict[str, int] = {}
         for policy in shadows:
@@ -192,8 +187,7 @@ class DecisionAuditor:
             else:
                 seen[name] = 1
             self.shadow_policies.append((name, policy))
-        self.reservoir_capacity = reservoir_capacity
-        self._rng = random.Random(seed)
+        self._rng = random.Random(RESERVOIR_SEED)
         self.device = None
         self.n_decisions = 0
         #: reservoir-sampled full events (dicts, JSONL-shaped)
@@ -357,11 +351,11 @@ class DecisionAuditor:
         }
 
     def _reservoir_insert(self, event: dict) -> None:
-        if len(self.events) < self.reservoir_capacity:
+        if len(self.events) < RESERVOIR_CAPACITY:
             self.events.append(event)
             return
         j = self._rng.randrange(self.n_decisions)
-        if j < self.reservoir_capacity:
+        if j < RESERVOIR_CAPACITY:
             self.events[j] = event
 
     # ------------------------------------------------------------------
@@ -492,7 +486,7 @@ def dump_audit_jsonl(auditor: DecisionAuditor, fp: TextIO) -> int:
         "bands": auditor.band_bounds(),
         "shadows": auditor.shadow_names,
         "n_decisions": auditor.n_decisions,
-        "reservoir_capacity": auditor.reservoir_capacity,
+        "reservoir_capacity": RESERVOIR_CAPACITY,
         "reservoir_kept": len(auditor.events),
     })
     for band in auditor.bands():

@@ -53,6 +53,12 @@ __all__ = [
 HEAT_CHARS = " ▁▂▃▄▅▆▇█"
 #: GC episodes kept for the audit (older ones are counted only)
 MAX_EPISODES = 4096
+#: LBA span of one temperature-map region
+REGION_BYTES = 1 << 20
+#: seconds for a region's heat to decay by half
+HALF_LIFE_S = 2.0
+#: NAND cell type the SMART page rates endurance against
+CELL_TYPE = "SLC"
 
 
 def _human(nbytes: float) -> str:
@@ -93,20 +99,12 @@ class TemperatureMap:
 
     Each recorded request adds its page count to the region covering
     its LBA after decaying the region's previous heat by
-    ``2 ** (-(t - last) / half_life)`` — recency and frequency in one
-    scalar.  Read and write heat are tracked separately so a
+    ``2 ** (-(t - last) / HALF_LIFE_S)`` — recency and frequency in one
+    scalar; regions are :data:`REGION_BYTES` wide.  Read and write heat are tracked separately so a
     recompression scavenger can find *write-cold but read-warm* data.
     """
 
-    def __init__(
-        self, region_bytes: int = 1 << 20, half_life: float = 2.0
-    ) -> None:
-        if region_bytes <= 0:
-            raise ValueError(f"region_bytes must be positive: {region_bytes!r}")
-        if half_life <= 0:
-            raise ValueError(f"half_life must be positive: {half_life!r}")
-        self.region_bytes = region_bytes
-        self.half_life = half_life
+    def __init__(self) -> None:
         #: region -> (heat, last update time), per op class
         self._write: Dict[int, tuple] = {}
         self._read: Dict[int, tuple] = {}
@@ -114,7 +112,7 @@ class TemperatureMap:
         self.touches = 0
 
     def region_of(self, lba: int) -> int:
-        return lba // self.region_bytes
+        return lba // REGION_BYTES
 
     def touch(self, t: float, op: str, lba: int, pages: float) -> None:
         """Fold one request into its region's heat."""
@@ -122,7 +120,7 @@ class TemperatureMap:
         table = self._read if op == "R" else self._write
         heat, last = table.get(region, (0.0, t))
         if t > last:
-            heat *= 2.0 ** (-(t - last) / self.half_life)
+            heat *= 2.0 ** (-(t - last) / HALF_LIFE_S)
         table[region] = (heat + pages, max(t, last))
         if region > self.max_region:
             self.max_region = region
@@ -136,7 +134,7 @@ class TemperatureMap:
             return 0.0
         heat, last = entry
         if now > last:
-            heat *= 2.0 ** (-(now - last) / self.half_life)
+            heat *= 2.0 ** (-(now - last) / HALF_LIFE_S)
         return heat
 
     def snapshot(self, now: float, op: str = "W") -> Dict[int, float]:
@@ -168,14 +166,8 @@ class TemperatureMap:
 class DeviceHealth:
     """Collects SMART / space / GC / heat introspection for one device."""
 
-    def __init__(
-        self,
-        region_bytes: int = 1 << 20,
-        half_life: float = 2.0,
-        cell_type: str = "SLC",
-    ) -> None:
-        self.cell_type = cell_type
-        self.heat = TemperatureMap(region_bytes, half_life)
+    def __init__(self) -> None:
+        self.heat = TemperatureMap()
         self.episodes: Deque[GcEpisode] = deque(maxlen=MAX_EPISODES)
         self.episodes_total = 0
         self.episodes_by_trigger: Dict[str, int] = {}
@@ -259,7 +251,7 @@ class DeviceHealth:
             if observed_seconds is not None
             else (self.sim.now if self.sim is not None else 0.0)
         )
-        return smart_snapshot(self.device, horizon, self.cell_type)
+        return smart_snapshot(self.device, horizon, CELL_TYPE)
 
     def waterfall(self) -> SpaceWaterfall:
         """Space-efficiency waterfall at the current instant."""
@@ -396,8 +388,8 @@ class DeviceHealth:
                 "reclaimed_bytes": self.reclaimed_bytes_total,
             },
             "heat": {
-                "region_bytes": self.heat.region_bytes,
-                "half_life": self.heat.half_life,
+                "region_bytes": REGION_BYTES,
+                "half_life": HALF_LIFE_S,
                 "touches": self.heat.touches,
                 "write": {
                     str(r): h
@@ -508,11 +500,11 @@ def render_heatmap(
                 out.append(HEAT_CHARS[min(idx, len(HEAT_CHARS) - 1)])
         return "".join(out)
 
-    span = _human(per_col * heat.region_bytes)
+    span = _human(per_col * REGION_BYTES)
     lines = [
         f"LBA temperature map ({n_regions} regions × "
-        f"{_human(heat.region_bytes)}, {span}/column, "
-        f"half-life {heat.half_life:g} s, t={now:.2f})",
+        f"{_human(REGION_BYTES)}, {span}/column, "
+        f"half-life {HALF_LIFE_S:g} s, t={now:.2f})",
         f"  write |{row('W')}|",
         f"  read  |{row('R')}|",
     ]
@@ -521,7 +513,7 @@ def render_heatmap(
         lines.append(
             "  hottest: "
             + ", ".join(
-                f"region {r} (lba {r * heat.region_bytes}, heat {h:.1f})"
+                f"region {r} (lba {r * REGION_BYTES}, heat {h:.1f})"
                 for r, h in top
             )
         )

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import MAX_SPANS, Span, Tracer
 from repro.traces.model import IORequest
 
 __all__ = [
@@ -67,6 +67,10 @@ __all__ = [
 
 #: Candidate-matching tolerance of the backward walk (seconds).
 CP_EPS = 1e-9
+#: Conservation tolerance of :func:`analyze_critical_paths` (seconds).
+CONSERVATION_EPS = 1e-6
+#: Slowest traces :func:`analyze_critical_paths` keeps for the report.
+TOP_N = 3
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,9 @@ class DistTracer:
     cannot change the simulated outcome.
     """
 
-    def __init__(self, sim, max_spans: int = 200_000) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.tracer = Tracer(lambda: sim.now, max_spans=max_spans)
+        self.tracer = Tracer(lambda: sim.now)
         #: device request -> parent span, consumed by the per-shard
         #: Telemetry's ``parent_for`` hook at device arrival (or dropped
         #: by :meth:`io_done` for I/O that never arrives as a request)
@@ -211,7 +215,7 @@ class DistTracer:
         if rec is None:
             return
         self.tracer.finish(rec.root)
-        if len(self.completed) < self.tracer.max_spans:
+        if len(self.completed) < MAX_SPANS:
             self.completed[rec.root.span_id] = TraceRecord(
                 trace_id=rec.trace_id,
                 tenant=rec.tenant,
@@ -388,9 +392,7 @@ def child_index(tracer) -> Dict[int, List[Span]]:
 
 
 def critical_path(
-    root: Span,
-    kids: Dict[int, List[Span]],
-    eps: float = CP_EPS,
+    root: Span, kids: Dict[int, List[Span]]
 ) -> List[PathSegment]:
     """The longest causal chain under ``root``, as disjoint segments.
 
@@ -403,6 +405,7 @@ def critical_path(
     """
     if root.end is None:
         raise ValueError(f"critical_path needs a finished root: {root!r}")
+    eps = CP_EPS
     segs: List[PathSegment] = []
 
     def walk(span: Span, lo: float, hi: float) -> None:
@@ -473,7 +476,6 @@ class CriticalPathReport:
     #: critical-path seconds attributed to span self-time / untraced work
     self_seconds: float = 0.0
     slowest: List[TraceCheck] = field(default_factory=list)
-    eps: float = 1e-6
 
     @property
     def ok(self) -> bool:
@@ -486,7 +488,7 @@ class CriticalPathReport:
     def render(self) -> str:
         lines = [
             f"critical path: {self.n_traces} traces, conservation "
-            f"{'OK' if self.ok else 'FAIL'} (eps {self.eps:g})"
+            f"{'OK' if self.ok else 'FAIL'} (eps {CONSERVATION_EPS:g})"
         ]
         total = self.total_seconds
         for layer in sorted(
@@ -519,17 +521,16 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def analyze_critical_paths(
-    dist: DistTracer, eps: float = 1e-6, top_n: int = 3
-) -> CriticalPathReport:
+def analyze_critical_paths(dist: DistTracer) -> CriticalPathReport:
     """Check conservation and aggregate attribution over every root.
 
     For every completed cluster root span, the critical-path segment
     durations must sum to the end-to-end latency the scheduler recorded
-    (within ``eps``) — throttle, QoS queueing, shard splits, device
-    layers and the join all accounted for.  Violations name the trace.
+    (within :data:`CONSERVATION_EPS`) — throttle, QoS queueing, shard
+    splits, device layers and the join all accounted for.  Violations
+    name the trace; the :data:`TOP_N` slowest traces are kept.
     """
-    report = CriticalPathReport(eps=eps)
+    report = CriticalPathReport()
     kids = child_index(dist.tracer)
     for span in dist.tracer:
         if (span.parent_id is not None or span.layer != "request"
@@ -541,7 +542,7 @@ def analyze_critical_paths(
         segs = critical_path(span, kids)
         total = sum(s.duration for s in segs)
         report.n_traces += 1
-        if abs(total - rec.latency) > eps:
+        if abs(total - rec.latency) > CONSERVATION_EPS:
             report.violations.append(
                 f"trace {rec.trace_id} ({rec.tenant}): critical path "
                 f"{total:.9f}s != latency {rec.latency:.9f}s "
@@ -561,5 +562,5 @@ def analyze_critical_paths(
         )
         report.slowest.append(check)
         report.slowest.sort(key=lambda c: -c.latency)
-        del report.slowest[top_n:]
+        del report.slowest[TOP_N:]
     return report

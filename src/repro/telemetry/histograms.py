@@ -7,9 +7,9 @@ split into ``sub_buckets`` linear sub-buckets (the HDRHistogram layout)
 — so memory is constant and any percentile is answerable with bounded
 relative error (``<= 1/sub_buckets``, i.e. ~6 % at the default 16).
 
-All values are non-negative reals (latencies in seconds, sizes in
-bytes).  NaN is rejected loudly: a NaN sample silently poisons every
-downstream mean/percentile.
+All values are non-negative finite reals (latencies in seconds, sizes
+in bytes).  NaN and infinity are rejected loudly: such a sample
+silently poisons every downstream mean/percentile.
 """
 
 from __future__ import annotations
@@ -73,10 +73,11 @@ class Log2Histogram:
 
     # ------------------------------------------------------------------
     def add(self, value: float, n: int = 1) -> None:
-        """Record ``value`` (``n`` times).  Rejects negatives and NaN."""
-        if value != value:  # NaN
-            raise ValueError("NaN sample rejected")
-        if value < 0:
+        """Record ``value`` (``n`` times).  Rejects negatives, NaN and
+        infinity."""
+        if not value < math.inf:  # NaN or +inf
+            raise ValueError(f"NaN or infinite sample rejected: {value!r}")
+        if value < 0:  # -inf included
             raise ValueError(f"negative sample: {value!r}")
         if n < 1:
             raise ValueError(f"n must be >= 1: {n!r}")
@@ -222,8 +223,7 @@ class Gauge:
 class MetricsRegistry:
     """Named counters, gauges and histograms, created on first use."""
 
-    def __init__(self, sub_buckets: int = 16) -> None:
-        self.sub_buckets = sub_buckets
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Log2Histogram] = {}
@@ -243,7 +243,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Log2Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Log2Histogram(self.sub_buckets)
+            h = self._histograms[name] = Log2Histogram()
         return h
 
     @property

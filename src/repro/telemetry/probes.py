@@ -117,24 +117,15 @@ class _ReadRec:
 class Telemetry:
     """Aggregates tracing + metrics for one simulated device stack."""
 
-    def __init__(
-        self,
-        sim,
-        max_spans: int = 200_000,
-        sub_buckets: int = 16,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, sim, tracer: Optional[Tracer] = None) -> None:
         self.sim = sim
         # A shared tracer (cluster tracing) threads all shards' spans
         # into one causal trace; by default each Telemetry owns its own.
-        self.tracer = (
-            tracer if tracer is not None
-            else Tracer(lambda: sim.now, max_spans=max_spans)
-        )
+        self.tracer = tracer if tracer is not None else Tracer(lambda: sim.now)
         #: optional hook resolving a parent span for an arriving request
         #: (distributed tracing parents device roots under shard parts)
         self.parent_for: Optional[Callable[[object], Optional[Span]]] = None
-        self.metrics = MetricsRegistry(sub_buckets=sub_buckets)
+        self.metrics = MetricsRegistry()
         self.device = None
 
         # per-layer totals (seconds) over completed requests

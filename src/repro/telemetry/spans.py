@@ -26,7 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["LAYERS", "Span", "Tracer"]
+__all__ = ["LAYERS", "MAX_SPANS", "Span", "Tracer"]
+
+#: finished spans a tracer retains; later ones are timed, not kept
+MAX_SPANS = 200_000
 
 #: The canonical layer tags used by the EDC instrumentation.
 LAYERS: Tuple[str, ...] = (
@@ -101,20 +104,15 @@ class Span:
 
 
 class Tracer:
-    """Collects finished spans, bounded by ``max_spans``.
+    """Collects finished spans, bounded by :data:`MAX_SPANS`.
 
     Spans beyond the cap are *timed but not retained* (``dropped``
     counts them), so a long replay cannot exhaust memory while still
     reporting exact layer totals through the metrics side.
     """
 
-    def __init__(
-        self, clock: Callable[[], float], max_spans: int = 200_000
-    ) -> None:
-        if max_spans < 0:
-            raise ValueError(f"max_spans must be non-negative: {max_spans!r}")
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped = 0
         self.open_spans = 0
@@ -150,7 +148,7 @@ class Tracer:
             )
         span.end = now
         self.open_spans -= 1
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1

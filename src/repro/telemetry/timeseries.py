@@ -24,6 +24,7 @@ text), :func:`dump_timeseries_jsonl` (JSONL dump) and
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro.flash.introspect import (
@@ -152,8 +153,8 @@ class TimeSeriesSampler:
     """
 
     def __init__(self, interval: float = 0.25, capacity: int = 4096) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive: {interval!r}")
+        if not 0 < interval < math.inf:
+            raise ValueError(f"interval must be positive and finite: {interval!r}")
         self.interval = interval
         self.capacity = capacity
         self.series: Dict[str, RingSeries] = {}

@@ -31,6 +31,7 @@ from repro.telemetry import (
     parse_shadow_spec,
     shadow_policy,
 )
+from repro.telemetry.audit import RESERVOIR_CAPACITY
 from repro.core.policy import ElasticPolicy, FixedPolicy, NativePolicy
 from repro.sim.engine import Simulator
 from repro.traces.workloads import make_workload
@@ -107,14 +108,10 @@ class TestAggregates:
         assert sum(auditor.selections.values()) == auditor.n_decisions
 
     def test_reservoir_is_bounded(self):
-        auditor = DecisionAuditor(reservoir_capacity=16)
-        replay(_trace(max_requests=400), "EDC", CFG, auditor=auditor)
-        assert auditor.n_decisions > 16
-        assert len(auditor.events) == 16
-
-    def test_reservoir_capacity_validated(self):
-        with pytest.raises(ValueError):
-            DecisionAuditor(reservoir_capacity=0)
+        auditor = DecisionAuditor()
+        replay(_trace(max_requests=3500), "EDC", CFG, auditor=auditor)
+        assert auditor.n_decisions > RESERVOIR_CAPACITY
+        assert len(auditor.events) == RESERVOIR_CAPACITY
 
     def test_single_device_binding(self, audited_replay):
         auditor, _ = audited_replay

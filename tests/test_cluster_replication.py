@@ -6,7 +6,10 @@ import pytest
 
 from repro.bench import verdicts
 from repro.cluster import TenantSpec, quorum_need
-from repro.cluster.replication import ReplicationConfig
+from repro.cluster import replication
+from repro.cluster.replication import (
+    HEDGE_MIN_SAMPLES, MAX_RETRIES, RETRY_BUDGET_BURST, ReplicationConfig,
+)
 from repro.cluster.health import HealthMonitor
 from repro.cluster.routing import HashRing
 from repro.faults.plan import DeviceFailure, FaultPlan
@@ -63,10 +66,6 @@ class TestReplicationConfig:
     @pytest.mark.parametrize("kw", [
         {"factor": 0},
         {"quorum": "plurality"},
-        {"max_retries": -1},
-        {"retry_backoff_s": 0.0},
-        {"deadline_s": 0.0},
-        {"hedge_min_samples": 0},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -86,14 +85,11 @@ class _FakeDev:
 
 
 class TestHealthMonitor:
-    def _build(self, sim, dead=None, **kw):
+    def _build(self, sim, dead=None):
         dev = _FakeDev()
-        kw.setdefault("interval", 1e-3)
-        kw.setdefault("suspect_after", 1)
-        kw.setdefault("dead_after", 3)
         mon = HealthMonitor(
             sim, {"s0": dev},
-            on_dead=(dead.append if dead is not None else None), **kw,
+            on_dead=(dead.append if dead is not None else None),
         )
         mon.start()
         return mon, dev
@@ -103,14 +99,14 @@ class TestHealthMonitor:
         dead = []
         mon, dev = self._build(sim, dead)
         sim.schedule_at(2.5e-3, lambda: setattr(dev.backend, "failed", True))
-        sim.schedule_at(10e-3, lambda: None)  # keep the sim alive
+        sim.schedule_at(20e-3, lambda: None)  # keep the sim alive
         sim.run()
         h = mon.health["s0"]
         assert h.state == "dead"
         assert dead == ["s0"]
-        # suspected on the first missed probe, dead on the third
-        assert h.suspected_at == pytest.approx(3e-3)
-        assert h.declared_dead_at == pytest.approx(5e-3)
+        # probes every 2 ms: suspected on the first miss, dead on the third
+        assert h.suspected_at == pytest.approx(4e-3)
+        assert h.declared_dead_at == pytest.approx(8e-3)
         assert mon.dead_shards() == ["s0"] and mon.alive_count() == 0
 
     def test_successful_probe_clears_suspicion(self):
@@ -118,8 +114,8 @@ class TestHealthMonitor:
         dead = []
         mon, dev = self._build(sim, dead)
         sim.schedule_at(2.5e-3, lambda: setattr(dev.backend, "failed", True))
-        sim.schedule_at(3.5e-3, lambda: setattr(dev.backend, "failed", False))
-        sim.schedule_at(10e-3, lambda: None)
+        sim.schedule_at(5e-3, lambda: setattr(dev.backend, "failed", False))
+        sim.schedule_at(20e-3, lambda: None)
         sim.run()
         h = mon.health["s0"]
         assert h.state == "alive" and h.misses == 0
@@ -131,7 +127,7 @@ class TestHealthMonitor:
         dead = []
         mon, dev = self._build(sim, dead)
         dev.backend.failed = True
-        sim.schedule_at(20e-3, lambda: None)
+        sim.schedule_at(40e-3, lambda: None)
         sim.run()
         assert dead == ["s0"]
         probes_at_death = mon.health["s0"].probes
@@ -141,7 +137,7 @@ class TestHealthMonitor:
         sim = Simulator()
         mon, _ = self._build(sim)
         mon.start()  # second start must not double the probe cadence
-        sim.schedule_at(5.5e-3, lambda: None)
+        sim.schedule_at(11e-3, lambda: None)
         sim.run()
         assert mon.health["s0"].probes == 5
 
@@ -149,12 +145,6 @@ class TestHealthMonitor:
         sim = Simulator()
         with pytest.raises(ValueError):
             HealthMonitor(sim, {})
-        with pytest.raises(ValueError):
-            HealthMonitor(sim, {"s0": _FakeDev()}, interval=0.0)
-        with pytest.raises(ValueError):
-            HealthMonitor(
-                sim, {"s0": _FakeDev()}, suspect_after=3, dead_after=2
-            )
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +152,7 @@ class TestHealthMonitor:
 # ----------------------------------------------------------------------
 class TestPlacement:
     def test_successor_walk_distinct_and_stable(self):
-        ring = HashRing([f"s{i}" for i in range(4)], vnodes=32, seed=3)
+        ring = HashRing([f"s{i}" for i in range(4)], seed=3)
         for key in range(16):
             walk = ring.successors(key, 4)
             assert len(walk) == len(set(walk)) == 4
@@ -291,13 +281,11 @@ class TestReads:
 
         fleet = rep_fleet(n_shards=2)
         c, mgr = fleet.cluster, fleet.replication
-        mgr.config = dataclasses.replace(
-            mgr.config, hedge_reads=True, hedge_min_samples=1
-        )
+        mgr.config = dataclasses.replace(mgr.config, hedge_reads=True)
         populate(fleet, range(4))
-        for _ in range(3):  # prime the tenant's latency distribution
+        for _ in range(HEDGE_MIN_SAMPLES):  # prime the tenant's latencies
             c.read("t0", 0, BS)
-        run_all(fleet)
+            run_all(fleet)
         # bury the primary under direct device writes, then read: the
         # hedge timer fires at the tenant p95 and the idle secondary wins
         primary = c.owner_of(0)
@@ -314,50 +302,33 @@ class TestReads:
 
 
 # ----------------------------------------------------------------------
-# retry policy: backoff, deadline, budget
+# retry policy: backoff, budget
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
-    def _manager(self, **kw):
+    def _manager(self):
         fleet = rep_fleet(n_shards=2)
-        mgr = fleet.replication
-        if kw:
-            mgr.config = dataclasses.replace(mgr.config, **kw)
-        return fleet, mgr, fleet.cluster.scheduler.state("t0")
+        return fleet.replication, fleet.cluster.scheduler.state("t0")
 
-    def test_backoff_doubles_and_caps(self):
-        _, mgr, st = self._manager(
-            retry_budget_iops=None, retry_backoff_s=1e-3,
-            retry_backoff_cap_s=3e-3, max_retries=10,
-        )
-        now = mgr.sim.now
-        delays = [mgr._allow_retry(st, now, a) for a in range(4)]
-        assert delays == [1e-3, 2e-3, 3e-3, 3e-3]
+    def test_backoff_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(replication, "MAX_RETRIES", 7)
+        mgr, st = self._manager()
+        delays = [mgr._allow_retry(st, a) for a in range(7)]
+        assert delays == [500e-6, 1e-3, 2e-3, 4e-3, 8e-3, 10e-3, 10e-3]
 
     def test_max_retries_exhausts(self):
-        _, mgr, st = self._manager(retry_budget_iops=None, max_retries=2)
-        assert mgr._allow_retry(st, mgr.sim.now, 1) is not None
-        assert mgr._allow_retry(st, mgr.sim.now, 2) is None
-
-    def test_deadline_propagation_stops_retries(self):
-        _, mgr, st = self._manager(retry_budget_iops=None, deadline_s=1e-3)
-        # admitted long ago: no retry can finish inside the deadline
-        assert mgr._allow_retry(st, mgr.sim.now - 1.0, 0) is None
-        assert mgr.stats.deadline_exhausted == 1
-        # admitted just now: the deadline still has room
-        assert mgr._allow_retry(st, mgr.sim.now, 0) is not None
+        mgr, st = self._manager()
+        assert mgr._allow_retry(st, MAX_RETRIES - 1) is not None
+        assert mgr._allow_retry(st, MAX_RETRIES) is None
 
     def test_retry_budget_is_per_tenant_and_bounded(self):
-        _, mgr, st = self._manager(
-            retry_budget_iops=1e-6, retry_budget_burst=2.0
-        )
+        mgr, st = self._manager()
         now = mgr.sim.now
-        assert mgr._allow_retry(st, now, 0) is not None
-        assert mgr._allow_retry(st, now, 0) is not None
-        assert mgr._allow_retry(st, now, 0) is None  # burst spent
+        for _ in range(int(RETRY_BUDGET_BURST)):
+            assert mgr._allow_retry(st, 0) is not None
+        assert mgr._allow_retry(st, 0) is None  # burst spent
         assert mgr.stats.retry_budget_exhausted == 1
         # another tenant draws from its own bucket
-        bucket = mgr._retry_bucket("someone-else")
-        assert bucket is not None and bucket.try_consume(now)
+        assert mgr._retry_bucket("someone-else").try_consume(now)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ class TestDefaults:
     def test_paper_roster_calibrated(self):
         m = CodecCostModel()
         for name in ("none", "lzf", "lz4", "gzip", "bzip2", "lzma", "zlib-1"):
-            assert name in m.known_codecs()
+            assert m.speed(name) is DEFAULT_SPEEDS[name]
 
     def test_speed_hierarchy_matches_fig2(self):
         """Fig 2: lz4 > lzf >> gzip > bzip2 on compression speed."""
@@ -67,31 +67,11 @@ class TestTimes:
         with pytest.raises(ValueError):
             m.decompress_time("gzip", -1)
 
-    def test_unknown_codec_raises(self):
-        with pytest.raises(KeyError, match="unknown"):
-            CodecCostModel().compress_time("unknown", 100)
-
-
-class TestScaling:
-    def test_scale_divides_time(self):
+    def test_codec_ordering_per_block(self):
         m = CodecCostModel()
-        fast = m.scaled(2.0)
-        assert fast.compress_time("gzip", 1 << 20) == pytest.approx(
-            m.compress_time("gzip", 1 << 20) / 2
-        )
-
-    def test_scale_preserves_ordering(self):
-        m = CodecCostModel().scaled(3.0)
         assert m.compress_time("bzip2", 4096) > m.compress_time("gzip", 4096)
         assert m.compress_time("gzip", 4096) > m.compress_time("lzf", 4096)
 
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            CodecCostModel(speed_scale=0.0)
-
-    def test_set_speed_overrides(self):
-        m = CodecCostModel()
-        m.set_speed("custom", CodecSpeed(50.0, 100.0))
-        assert m.compress_time("custom", 50 * 1024 * 1024) == pytest.approx(
-            1.0, rel=0.01
-        )
+    def test_unknown_codec_raises(self):
+        with pytest.raises(KeyError, match="unknown"):
+            CodecCostModel().compress_time("unknown", 100)

@@ -84,11 +84,12 @@ class TestRunCrashChaos:
         assert "crash chaos" in out
 
 
-def _mini_stack(journal_flush_bytes=1_000_000):
+def _mini_stack():
     """A bare device + manager for hand-driven crash scenarios.
 
-    The huge journal flush threshold keeps every journal record in the
-    volatile tail, so a simulated cut exercises the OOB fallback path.
+    These scenarios append fewer journal bytes than the flush threshold,
+    so every journal record stays in the volatile tail and a simulated
+    cut exercises the OOB fallback path.
     """
     sim = Simulator()
     ssd = SimulatedSSD(sim, geometry=x25e_like(64))
@@ -98,7 +99,6 @@ def _mini_stack(journal_flush_bytes=1_000_000):
     )
     manager = DurableMetadataManager(RecoveryParams(
         checkpoint_interval_s=1000.0,  # no periodic checkpoint interferes
-        journal_flush_bytes=journal_flush_bytes,
     ))
     manager.bind_device(device)
     return sim, ssd, device, manager

@@ -21,13 +21,14 @@ from repro.telemetry import (
     parse_exposition,
     TimeSeriesSampler,
 )
+from repro.telemetry import spans as spans_module
 from repro.telemetry.disttrace import analyze_critical_paths
 from repro.traces.multitenant import make_tenant_streams
 
 
 def _manual_tracer():
     t = [0.0]
-    tracer = Tracer(lambda: t[0], max_spans=1000)
+    tracer = Tracer(lambda: t[0])
     return tracer
 
 
@@ -254,8 +255,9 @@ class TestExporters:
         pids = {e["pid"] for e in events}
         assert len(pids) >= 2  # cluster + at least one shard group
 
-    def test_jsonl_header_reports_drops(self):
-        tracer = Tracer(lambda: 0.0, max_spans=1)
+    def test_jsonl_header_reports_drops(self, monkeypatch):
+        monkeypatch.setattr(spans_module, "MAX_SPANS", 1)
+        tracer = Tracer(lambda: 0.0)
         tracer.record("a", "queue", 0.0, 1.0)
         tracer.record("b", "queue", 0.0, 1.0)
         assert tracer.dropped == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy import EnergyModel, EnergyReport, PowerParams
+from repro.energy import POWER, EnergyModel, EnergyReport
 from repro.flash.endurance import EnduranceModel, PE_LIMITS
 from repro.flash.ftl import ExtentFTL
 from repro.flash.geometry import NandGeometry
@@ -10,26 +10,22 @@ from repro.flash.geometry import NandGeometry
 
 class TestPowerParams:
     def test_defaults_x25e_like(self):
-        p = PowerParams()
-        assert p.device_active_w > p.device_idle_w
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerParams(cpu_core_active_w=-1)
+        assert POWER.device_active_w > POWER.device_idle_w
+        assert EnergyModel().params is POWER
 
 
 class TestEnergyModel:
     def test_from_times_basic(self):
-        m = EnergyModel(PowerParams(cpu_core_active_w=10, device_active_w=2,
-                                    device_idle_w=0.1))
+        m = EnergyModel()
         r = m.from_times(horizon_s=100.0, cpu_busy_s=10.0,
                          device_busy_s=[20.0], logical_bytes=1 << 30)
-        assert r.cpu_joules == pytest.approx(100.0)
-        assert r.device_active_joules == pytest.approx(40.0)
-        assert r.device_idle_joules == pytest.approx(8.0)
-        assert r.total_joules == pytest.approx(148.0)
-        assert r.active_joules == pytest.approx(140.0)
-        assert r.joules_per_gb == pytest.approx(140.0)
+        # 22 W x 10 s CPU, 2.4 W x 20 s active, 0.06 W x 80 s idle
+        assert r.cpu_joules == pytest.approx(220.0)
+        assert r.device_active_joules == pytest.approx(48.0)
+        assert r.device_idle_joules == pytest.approx(4.8)
+        assert r.total_joules == pytest.approx(272.8)
+        assert r.active_joules == pytest.approx(268.0)
+        assert r.joules_per_gb == pytest.approx(268.0)
 
     def test_multiple_devices(self):
         m = EnergyModel()

@@ -80,10 +80,10 @@ class TestGate:
         random_engine.plan_write((0,), "gzip", gate=True)
         assert random_engine.estimator.stats.total == calls_before
 
-    def test_estimation_cost_can_be_free(self):
-        eng = CompressionEngine(store_of("random"), charge_estimation_cost=False)
-        plan = eng.plan_write((0,), "gzip", gate=True)
-        assert plan.cpu_time == 0.0
+    def test_gated_write_is_charged_only_the_estimate(self, random_engine):
+        plan = random_engine.plan_write((0,), "gzip", gate=True)
+        assert plan.gated
+        assert plan.cpu_time == plan.estimate_time > 0.0
 
 
 class Test75PercentRule:
@@ -108,8 +108,7 @@ class Test75PercentRule:
 class TestCosts:
     def test_cpu_time_uses_cost_model(self):
         cost = CodecCostModel()
-        eng = CompressionEngine(store_of("text"), cost_model=cost,
-                                charge_estimation_cost=False)
+        eng = CompressionEngine(store_of("text"), cost_model=cost)
         plan = eng.plan_write((0,), "gzip", gate=False)
         assert plan.cpu_time == pytest.approx(cost.compress_time("gzip", 4096))
 

@@ -92,19 +92,11 @@ class TestSampledEstimator:
     def test_estimate_fraction_empty(self):
         assert SampledEstimator().estimate_compressed_fraction(b"") == 1.0
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SampledEstimator(ratio_threshold=0.0)
-        with pytest.raises(ValueError):
-            SampledEstimator(sample_fraction=1.5)
-        with pytest.raises(ValueError):
-            SampledEstimator(sample_pieces=0)
-
     def test_sample_spans_block(self):
         # Data compressible at the front, random at the back: a front-only
         # sample would be fooled; spread sampling should not be.
         data = bytes(3072) + os.urandom(1024)
-        est = SampledEstimator(sample_fraction=0.25, sample_pieces=4)
+        est = SampledEstimator()
         frac = est.estimate_compressed_fraction(data)
         assert 0.05 < frac < 0.9  # sees both regions
 

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flash.ftl import DeviceFullError, ExtentFTL, FlashCost
+from repro.flash.ftl import (
+    GC_FREE_THRESHOLD, DeviceFullError, ExtentFTL, FlashCost,
+)
 from repro.flash.geometry import NandGeometry
 
 
@@ -150,10 +152,10 @@ class TestInvariantChecks:
         ExtentFTL(tiny_geometry()).check_invariants()
 
     def test_gc_threshold_validation(self):
+        # no room for the GC headroom beside the one frontier
         with pytest.raises(ValueError):
-            ExtentFTL(tiny_geometry(), gc_free_threshold=1)
-        with pytest.raises(ValueError):
-            ExtentFTL(tiny_geometry(nblocks=4), gc_free_threshold=4)
+            ExtentFTL(tiny_geometry(nblocks=GC_FREE_THRESHOLD + 2))
+        ExtentFTL(tiny_geometry(nblocks=GC_FREE_THRESHOLD + 3))
 
 
 class TestFlashCost:
@@ -215,7 +217,7 @@ class TestMultiStream:
 
     def test_device_too_small_for_streams(self):
         with pytest.raises(ValueError):
-            ExtentFTL(tiny_geometry(nblocks=6), n_streams=4, gc_free_threshold=2)
+            ExtentFTL(tiny_geometry(nblocks=GC_FREE_THRESHOLD + 3), n_streams=4)
 
     def test_streams_fill_separate_blocks(self):
         geo = tiny_geometry()

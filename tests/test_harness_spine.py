@@ -293,6 +293,22 @@ class TestExitStatus:
         "diff --no-such-flag <TMP>/a.jsonl <TMP>/a.jsonl",
         "diff <TMP>/missing.jsonl <TMP>/missing.jsonl",
         "diff <TMP>/bogus.json <TMP>/bogus.json",
+        # numbers no run can honour
+        "chaos benchmarks/chaos_fin1.json --duration nan",
+        "chaos benchmarks/chaos_fin1.json --duration -1",
+        "chaos benchmarks/chaos_fin1.json --duration inf",
+        "chaos benchmarks/latent_fin1.json --scrub-interval nan",
+        "chaos benchmarks/latent_fin1.json --scrub-interval 0",
+        "crash benchmarks/crash_fin1.json --duration nan",
+        "crash benchmarks/crash_fin1.json --duration inf",
+        "exhibit fig1 --duration nan",
+        "breakdown --duration -3",
+        "cluster --tenants 0",
+        "cluster --shards 0",
+        "cluster --replication 0",
+        "cluster --requests 0",
+        "regress --no-gate --duration nan",
+        "regress --no-gate --duration -1",
     ])
     def test_usage_errors_never_run_and_never_look_like_a_verdict(
         self, command, tmp_path, capsys, monkeypatch

@@ -28,6 +28,8 @@ from repro.recovery import (
     RecoveryScanner,
     block_crcs,
 )
+from repro.recovery.formats import JOURNAL_RECLAIM_BYTES
+from repro.recovery.journal import JOURNAL_FLUSH_BYTES
 from repro.traces.workloads import make_workload
 
 BS = 4096
@@ -57,26 +59,30 @@ def rec(seqno, blk, span=1, size=1024, run0=100):
 
 class TestJournal:
     def test_tail_is_volatile_until_flush(self):
-        j = MetadataJournal(flush_bytes=10_000)
+        j = MetadataJournal()
         j.append_insert(rec(1, 0))
         assert j.pending_records == 1 and j.durable_records == 0
         j.flush()
         assert j.pending_records == 0 and j.durable_records == 1
 
     def test_auto_flush_at_threshold(self):
-        j = MetadataJournal(flush_bytes=1)
-        j.append_insert(rec(1, 0))
-        assert j.durable_records == 1
+        j = MetadataJournal()
+        below = JOURNAL_FLUSH_BYTES // JOURNAL_RECLAIM_BYTES
+        for seqno in range(below):
+            j.append_reclaim(seqno)
+        assert j.durable_records == 0  # still under the threshold
+        j.append_reclaim(below)
+        assert j.durable_records == below + 1
 
     def test_flush_pads_and_charges(self):
         charged = []
-        j = MetadataJournal(flush_bytes=10_000, pad_bytes=64, charge=charged.append)
+        j = MetadataJournal(charge=charged.append)
         j.append_reclaim(3)
         j.flush()
         assert charged == [64]  # 13-byte record padded to the program unit
 
     def test_lose_volatile_tail(self):
-        j = MetadataJournal(flush_bytes=10_000)
+        j = MetadataJournal()
         j.append_insert(rec(1, 0))
         j.flush()
         j.append_insert(rec(2, 1))
@@ -87,7 +93,7 @@ class TestJournal:
         assert j.next_pos == 2
 
     def test_truncate_drops_only_checkpointed_prefix(self):
-        j = MetadataJournal(flush_bytes=10_000)
+        j = MetadataJournal()
         for s in range(1, 5):
             j.append_insert(rec(s, s))
         j.flush()
@@ -144,18 +150,20 @@ class TestScanner:
         return RecoveryScanner(store, j, oob, BS).scan(now=now)
 
     def test_journal_replay_applies_inserts_and_reclaims(self):
-        j = MetadataJournal(flush_bytes=1)
+        j = MetadataJournal()
         j.append_insert(rec(1, 0))
         j.append_insert(rec(2, 5))
         j.append_reclaim(1)
+        j.flush()
         state, report = self.scan(journal=j)
         assert set(state.records) == {2}
         assert report.journal_replay_len == 3
         assert report.reclaims_applied == 1
 
     def test_oob_supplies_records_lost_with_the_tail(self):
-        j = MetadataJournal(flush_bytes=1)
+        j = MetadataJournal()
         j.append_insert(rec(1, 0))
+        j.flush()
         state, report = self.scan(journal=j, oob_records=(rec(1, 0), rec(2, 5)))
         assert set(state.records) == {1, 2}
         assert report.oob_only_entries == 1
@@ -174,8 +182,9 @@ class TestScanner:
         assert state.coverage() == {0: 3, 1: 2, 2: 2, 3: 4}
 
     def test_checkpoint_plus_tail(self):
-        j = MetadataJournal(flush_bytes=1)
+        j = MetadataJournal()
         j.append_insert(rec(2, 5))
+        j.flush()
         state, report = self.scan(
             ckpt_records=(rec(1, 0),), journal=j, now=3.5,
         )
@@ -317,13 +326,6 @@ class TestManagerEndToEnd:
         assert manager.stats.meta_device_seconds > 0
         assert managed_host >= base_host + manager.stats.meta_write_bytes
 
-    def test_uncharged_mode_keeps_byte_accounting_only(self):
-        _, manager, _ = managed_replay(
-            checkpoint_interval_s=0.5, charge_metadata=False,
-        )
-        assert manager.stats.meta_write_bytes > 0
-        assert manager.stats.meta_device_seconds == 0.0
-
     def test_no_recovery_replay_is_bit_identical_to_seed(self):
         cfg = ReplayConfig(backend="ssd")
         trace = make_workload("Fin1", duration=2.0)
@@ -421,11 +423,16 @@ class TestVictimInheritance:
                         pass
                 return _H()
 
+        class _Distributer:
+            def write(self, *a, **k):
+                pass
+
         class _Dev:
             sim = _Sim()
             backend = SimulatedSSD(Simulator())
+            distributer = _Distributer()
 
-        m = DurableMetadataManager(RecoveryParams(charge_metadata=False))
+        m = DurableMetadataManager()
         m.bind_device(_Dev())
 
         def entry(lba):

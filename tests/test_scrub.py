@@ -77,7 +77,8 @@ class TestScrubConfig:
     @pytest.mark.parametrize("kw", [
         {"interval_s": 0.0},
         {"interval_s": -1.0},
-        {"max_outstanding": -1},
+        {"interval_s": float("nan")},
+        {"interval_s": float("inf")},
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -232,7 +233,7 @@ class TestScrubberLifecycle:
         sim = Simulator()
         dev = _FakeDevice()
         dev.outstanding = 99
-        scrubber = MediaScrubber(sim, dev, ScrubConfig(max_outstanding=4))
+        scrubber = MediaScrubber(sim, dev)  # stands down above 4 in flight
         scrubber.start()
         sim.schedule(0.05, lambda: None)
         sim.run()

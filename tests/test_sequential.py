@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sequential import PendingRun, SequentialityDetector
+from repro.core.sequential import (
+    MAX_MERGE_BLOCKS, PendingRun, SequentialityDetector,
+)
 
 BS = 4096
+LIMIT = MAX_MERGE_BLOCKS
 
 
-def sd(max_merge=16):
-    return SequentialityDetector(block_size=BS, max_merge_blocks=max_merge)
+def sd():
+    return SequentialityDetector(block_size=BS)
 
 
 class TestFig7WorkedExample:
@@ -68,27 +71,27 @@ class TestReadsBreakContiguity:
 
 class TestMergeLimit:
     def test_run_flushes_at_limit(self):
-        d = sd(max_merge=4)
+        d = sd()
         flushed = []
-        for i in range(4):
+        for i in range(LIMIT):
             flushed += d.on_write(i * BS, BS, float(i))
         assert len(flushed) == 1
-        assert flushed[0].nbytes == 4 * BS
+        assert flushed[0].nbytes == LIMIT * BS
         assert d.pending is None
         assert d.stats.flushes_on_limit == 1
 
     def test_oversized_single_write_flushes_immediately(self):
-        d = sd(max_merge=4)
-        flushed = d.on_write(0, 4 * BS, 0.0)
+        d = sd()
+        flushed = d.on_write(0, LIMIT * BS, 0.0)
         assert len(flushed) == 1
         assert d.pending is None
 
     def test_write_that_would_exceed_limit_starts_new_run(self):
-        d = sd(max_merge=4)
-        d.on_write(0, 3 * BS, 0.0)
-        flushed = d.on_write(3 * BS, 2 * BS, 1.0)  # would make 5 > 4
+        d = sd()
+        d.on_write(0, (LIMIT - 1) * BS, 0.0)
+        flushed = d.on_write((LIMIT - 1) * BS, 2 * BS, 1.0)  # one too many
         assert len(flushed) == 1
-        assert flushed[0].nbytes == 3 * BS
+        assert flushed[0].nbytes == (LIMIT - 1) * BS
         assert d.pending.nbytes == 2 * BS
 
 
@@ -150,8 +153,6 @@ class TestRunMetadata:
         with pytest.raises(ValueError):
             SequentialityDetector(block_size=0)
         with pytest.raises(ValueError):
-            SequentialityDetector(max_merge_blocks=0)
-        with pytest.raises(ValueError):
             sd().on_write(0, 0, 0.0)
 
 
@@ -168,7 +169,7 @@ class TestPropertyBased:
     )
     @settings(max_examples=80, deadline=None)
     def test_every_write_flushed_exactly_once(self, ops):
-        d = sd(max_merge=8)
+        d = sd()
         flushed_bytes = 0
         written_bytes = 0
         for i, (block, nblocks, is_read) in enumerate(ops):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.metrics import LatencyRecorder, TimeSeries
+from repro.sim.metrics import APPROX_THRESHOLD, LatencyRecorder, TimeSeries
 
 
 class TestLatencyRecorder:
@@ -21,6 +21,12 @@ class TestLatencyRecorder:
     def test_nan_sample_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             LatencyRecorder().add(float("nan"))
+
+    def test_infinite_sample_rejected(self):
+        r = LatencyRecorder()
+        with pytest.raises(ValueError, match="infinite"):
+            r.add(float("inf"))
+        assert r.count == 0
 
     def test_mean(self):
         r = LatencyRecorder()
@@ -99,7 +105,7 @@ class TestTimeSeries:
 
 class TestApproxPercentiles:
     def test_small_n_is_exact(self):
-        r = LatencyRecorder(approx_threshold=100)
+        r = LatencyRecorder()
         samples = np.arange(1, 101) / 1000.0
         for v in samples:
             r.add(float(v))
@@ -109,9 +115,9 @@ class TestApproxPercentiles:
         )
 
     def test_large_n_routes_through_histogram(self):
-        r = LatencyRecorder(approx_threshold=64)
+        r = LatencyRecorder()
         rng = np.random.default_rng(1)
-        samples = rng.lognormal(mean=-7.0, sigma=1.0, size=2000)
+        samples = rng.lognormal(mean=-7.0, sigma=1.0, size=APPROX_THRESHOLD + 1000)
         for v in samples:
             r.add(float(v))
         assert r.uses_approx
@@ -120,30 +126,25 @@ class TestApproxPercentiles:
         assert r.percentile(95) == pytest.approx(exact, rel=0.05)
 
     def test_mean_stays_exact_above_threshold(self):
-        r = LatencyRecorder(approx_threshold=10)
-        samples = [0.001 * (i + 1) for i in range(50)]
+        r = LatencyRecorder()
+        samples = [0.001 * (i + 1) for i in range(APPROX_THRESHOLD + 50)]
         for v in samples:
             r.add(v)
         assert r.uses_approx
         assert r.mean() == pytest.approx(sum(samples) / len(samples))
         assert r.total() == pytest.approx(sum(samples))
 
-    def test_threshold_none_always_exact(self):
-        r = LatencyRecorder(approx_threshold=None)
-        for v in range(1, 10001):
-            r.add(v / 1e6)
-        assert not r.uses_approx
-
     def test_merge_merges_histograms(self):
-        a = LatencyRecorder(approx_threshold=10)
-        b = LatencyRecorder(approx_threshold=10)
-        for v in range(1, 21):
-            a.add(v / 1000.0)
-            b.add(v / 100.0)
+        a = LatencyRecorder()
+        b = LatencyRecorder()
+        n = APPROX_THRESHOLD // 2 + 10
+        for v in range(1, n + 1):
+            a.add(v / 1e6)
+            b.add(v / 1e5)
         a.merge(b)
-        assert a.count == 40
+        assert a.count == 2 * n
         assert a.uses_approx
-        assert a.max() == pytest.approx(0.2, rel=0.05)
+        assert a.max() == pytest.approx(n / 1e5, rel=0.05)
 
     def test_lazy_fold_equals_eager_histogram(self):
         """Folding at query time (percentile, min, max, merge) leaves the
@@ -151,22 +152,25 @@ class TestApproxPercentiles:
         from repro.telemetry.histograms import Log2Histogram
 
         rng = np.random.default_rng(7)
-        a = LatencyRecorder(approx_threshold=16)
-        b = LatencyRecorder(approx_threshold=16)
+        a = LatencyRecorder()
+        b = LatencyRecorder()
         eager = Log2Histogram(sub_buckets=32)
         b_eager = Log2Histogram(sub_buckets=32)
-        for step, v in enumerate(rng.lognormal(-7.0, 1.5, size=600)):
+        # b takes every third sample: enough to pass the threshold
+        size = 3 * (APPROX_THRESHOLD + 100)
+        for step, v in enumerate(rng.lognormal(-7.0, 1.5, size=size)):
             rec, hist = (a, eager) if step % 3 else (b, b_eager)
             rec.add(float(v))
             hist.add(float(v))
-            if step % 37 == 0 and a.count:
+            if step % 37 == 0 and a.uses_approx:
                 a.percentile(95)
             if step % 53 == 0 and b.count:
                 b.max()
-            if step == 400:
+            if step == size // 2:
                 a.merge(b)  # both recorders partly folded here
                 eager.merge(b_eager)
         for rec, hist in ((a, eager), (b, b_eager)):
+            assert rec.uses_approx
             assert rec.min() == hist.min() and rec.max() == hist.max()
             folded = rec._histogram()
             assert folded._counts == hist._counts
@@ -174,7 +178,3 @@ class TestApproxPercentiles:
             assert (folded.count, folded.sum) == (hist.count, hist.sum)
             for q in (50, 95, 99):
                 assert rec.percentile(q) == hist.percentile(q)
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder(approx_threshold=0)

@@ -80,10 +80,6 @@ class TestBz2:
 
 
 class TestLzma:
-    def test_invalid_preset(self):
-        with pytest.raises(ValueError):
-            LzmaCodec(preset=10)
-
     def test_garbage_raises(self):
         with pytest.raises(CodecError):
             LzmaCodec().decompress(b"bogus")

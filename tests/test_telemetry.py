@@ -29,6 +29,7 @@ from repro.telemetry import (
     render_layer_breakdown,
     render_telemetry_summary,
 )
+from repro.telemetry import spans as spans_module
 from repro.telemetry.histograms import MAX_EXP, MIN_EXP
 from repro.traces.workloads import make_workload
 
@@ -80,8 +81,9 @@ class TestTracer:
         with pytest.raises(ValueError):
             tracer.finish(s)  # now=5.0 < start
 
-    def test_max_spans_drops_but_counts(self):
-        tracer = Tracer(lambda: 0.0, max_spans=2)
+    def test_max_spans_drops_but_counts(self, monkeypatch):
+        monkeypatch.setattr(spans_module, "MAX_SPANS", 2)
+        tracer = Tracer(lambda: 0.0)
         for _ in range(5):
             tracer.record("x", "request", 0.0, 1.0)
         assert len(tracer) == 2
@@ -149,6 +151,12 @@ class TestLog2Histogram:
             h.add(float("nan"))
         with pytest.raises(ValueError):
             h.add(-1.0)
+
+    def test_infinity_rejected(self):
+        h = Log2Histogram()
+        with pytest.raises(ValueError, match="infinite"):
+            h.add(float("inf"))
+        assert h.count == 0
 
     def test_zero_samples_land_in_zero_bucket(self):
         h = Log2Histogram()

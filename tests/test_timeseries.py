@@ -137,6 +137,10 @@ class TestSampler:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             TimeSeriesSampler(interval=0.0)
+        with pytest.raises(ValueError):
+            TimeSeriesSampler(interval=float("nan"))
+        with pytest.raises(ValueError):
+            TimeSeriesSampler(interval=float("inf"))
 
     def test_mark_and_stop(self):
         sim = Simulator()

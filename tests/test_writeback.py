@@ -14,7 +14,7 @@ from repro.sim.engine import Simulator
 from repro.traces.model import IORequest
 
 
-def setup(capacity=16, watermark=0.75, interval=1.0):
+def setup(capacity=16, interval=1.0):
     sim = Simulator()
     ssd = SimulatedSSD(sim, geometry=x25e_like(32))
     content = ContentStore(ENTERPRISE_MIX, pool_blocks=16, seed=1)
@@ -22,8 +22,7 @@ def setup(capacity=16, watermark=0.75, interval=1.0):
         sim, ssd, FixedPolicy("lzf"), content, EDCConfig(sd_enabled=False)
     )
     buf = WriteBackBuffer(
-        sim, dev, capacity_blocks=capacity, high_watermark=watermark,
-        flush_interval=interval,
+        sim, dev, capacity_blocks=capacity, flush_interval=interval,
     )
     return sim, ssd, dev, buf
 
@@ -68,12 +67,12 @@ class TestBuffering:
 
 class TestFlushing:
     def test_watermark_triggers_flush(self):
-        sim, _, dev, buf = setup(capacity=8, watermark=0.5)
-        for i in range(4):
+        sim, _, dev, buf = setup(capacity=8)  # 0.75 watermark: 6 blocks
+        for i in range(6):
             sim.schedule_at(i * 0.001, lambda i=i: buf.submit(w(i * 0.001, 10 + i)))
         sim.run(until=0.01)
         assert buf.stats.watermark_flushes >= 1
-        assert buf.dirty_blocks < 4
+        assert buf.dirty_blocks < 6
 
     def test_timer_flushes_everything(self):
         sim, _, dev, buf = setup(interval=0.5)
@@ -120,11 +119,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             WriteBackBuffer(sim, dev, capacity_blocks=0)
         with pytest.raises(ValueError):
-            WriteBackBuffer(sim, dev, high_watermark=0.0)
-        with pytest.raises(ValueError):
             WriteBackBuffer(sim, dev, flush_interval=0.0)
-        with pytest.raises(ValueError):
-            WriteBackBuffer(sim, dev, flush_fraction=2.0)
 
 
 class TestEndToEnd:
