@@ -25,6 +25,7 @@ digests) to one without — the tier-1 suite pins this.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import deque
@@ -126,41 +127,31 @@ class TemperatureMap:
             self.max_region = region
         self.touches += 1
 
-    def heat_at(self, region: int, now: float, op: str = "W") -> float:
-        """Region heat decayed to ``now``."""
-        table = self._read if op == "R" else self._write
-        entry = table.get(region)
-        if entry is None:
-            return 0.0
-        heat, last = entry
-        if now > last:
-            heat *= 2.0 ** (-(now - last) / HALF_LIFE_S)
-        return heat
-
     def snapshot(self, now: float, op: str = "W") -> Dict[int, float]:
         """All regions' heat decayed to ``now`` (regions ever touched)."""
         table = self._read if op == "R" else self._write
-        return {r: self.heat_at(r, now, op) for r in table}
+        return {
+            r: heat * 2.0 ** (-(now - last) / HALF_LIFE_S) if now > last else heat
+            for r, (heat, last) in table.items()
+        }
 
     def hottest(
         self, now: float, n: int = 5, op: Optional[str] = None
     ) -> List[tuple]:
-        """Top-``n`` ``(region, heat)`` pairs at ``now``.
+        """Top-``n`` ``(region, heat)`` pairs at ``now``, hottest first
+        (ties by region).
 
         With ``op`` (``"W"`` / ``"R"``) only that access class is
         scored; the default combines write and read heat.
         """
         if op is None:
-            regions = set(self._write) | set(self._read)
+            w, r = self.snapshot(now, "W"), self.snapshot(now, "R")
             scored = [
-                (r, self.heat_at(r, now, "W") + self.heat_at(r, now, "R"))
-                for r in regions
+                (reg, w.get(reg, 0.0) + r.get(reg, 0.0)) for reg in w.keys() | r.keys()
             ]
         else:
-            table = self._read if op == "R" else self._write
-            scored = [(r, self.heat_at(r, now, op)) for r in table]
-        scored.sort(key=lambda rv: (-rv[1], rv[0]))
-        return scored[:n]
+            scored = self.snapshot(now, op).items()
+        return heapq.nsmallest(n, scored, key=lambda rv: (-rv[1], rv[0]))
 
 
 class DeviceHealth:

@@ -15,6 +15,8 @@ so traces are reproducible.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -29,6 +31,14 @@ __all__ = ["BurstModel", "WorkloadParams", "SyntheticTraceGenerator"]
 #: the block layer split, so they arrive back-to-back (tens of µs), not
 #: at fresh Poisson gaps.
 SEQ_ARRIVAL_GAP = 40e-6
+
+
+def _check_probabilities(name: str, pairs: Tuple[Tuple[float, float], ...]) -> None:
+    for value, pr in pairs:
+        if not 0 <= pr < math.inf:
+            raise ValueError(
+                f"{name} probability of {value!r} must be finite and non-negative: {pr!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,7 @@ class BurstModel:
                 raise ValueError("on_levels must be non-empty when given")
             if any(r <= 0 for r, _ in self.on_levels):
                 raise ValueError("on_levels rates must be positive")
+            _check_probabilities("on_levels", self.on_levels)
             total = sum(p for _, p in self.on_levels)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"on_levels probabilities sum to {total}")
@@ -103,6 +114,7 @@ class WorkloadParams:
     def __post_init__(self) -> None:
         if not 0 <= self.read_ratio <= 1:
             raise ValueError(f"read_ratio must be in [0,1]: {self.read_ratio!r}")
+        _check_probabilities("size_dist", self.size_dist)
         total = sum(p for _, p in self.size_dist)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"size distribution sums to {total}, expected 1.0")
@@ -132,15 +144,23 @@ class SyntheticTraceGenerator:
         duration: Optional[float] = None,
         max_requests: Optional[int] = None,
     ) -> Trace:
-        """Generate up to ``duration`` seconds or ``max_requests`` requests."""
+        """Generate up to ``duration`` seconds or ``max_requests`` requests.
+
+        Each categorical draw (a request size, an ON level) consumes one
+        ``random()`` and bisects the cdf ``Generator.choice`` would build,
+        so the stream and every value are those of ``rng.choice(values,
+        p=probs)`` for the cost of one scalar draw.
+        """
         if duration is None and max_requests is None:
             raise ValueError("provide duration and/or max_requests")
         p = self.params
         rng = np.random.default_rng(self.seed)
-        sizes = np.array([s for s, _ in p.size_dist])
-        size_probs = np.array([pr for _, pr in p.size_dist])
+        random, exponential, integers = rng.random, rng.exponential, rng.integers
+        sizes, size_cdf = _categorical(p.size_dist)
         nblocks = p.address_space // p.block
         hot_blocks = max(1, int(nblocks * p.hot_fraction))
+        read_ratio, read_seq_prob, write_seq_prob = p.read_ratio, p.read_seq_prob, p.write_seq_prob
+        hot_weight, address_space, block = p.hot_weight, p.address_space, p.block
 
         requests: list[IORequest] = []
         t = 0.0
@@ -148,52 +168,49 @@ class SyntheticTraceGenerator:
         prev_write_end: Optional[int] = None
         prev_read_end: Optional[int] = None
         levels = p.burst.on_levels
-        level_rates = None
-        level_probs = None
         if levels is not None:
-            level_rates = np.array([r for r, _ in levels])
-            level_probs = np.array([pr for _, pr in levels])
+            level_rates, level_cdf = _categorical(levels)
         while True:
             period_mean = p.burst.on_duration_mean if on else p.burst.off_duration_mean
             if on:
-                if level_rates is not None:
-                    rate = float(level_rates[rng.choice(len(level_rates), p=level_probs)])
+                if levels is not None:
+                    rate = float(level_rates[bisect_right(level_cdf, random())])
                 else:
                     rate = p.burst.on_iops
             else:
                 rate = p.burst.off_iops
             # Exponential period lengths, truncated: real bursts and lulls
             # do not run unbounded, and untruncated tails dominate queueing.
-            period_len = min(float(rng.exponential(period_mean)), 2.5 * period_mean)
+            period_len = min(float(exponential(period_mean)), 2.5 * period_mean)
             period_end = t + period_len
             while rate > 0:
-                is_read = bool(rng.random() < p.read_ratio)
-                nbytes = int(rng.choice(sizes, p=size_probs))
+                is_read = bool(random() < read_ratio)
+                nbytes = int(sizes[bisect_right(size_cdf, random())])
                 if is_read:
-                    seq_from = prev_read_end if rng.random() < p.read_seq_prob else None
+                    seq_from = prev_read_end if random() < read_seq_prob else None
                 else:
-                    seq_from = prev_write_end if rng.random() < p.write_seq_prob else None
+                    seq_from = prev_write_end if random() < write_seq_prob else None
                 if seq_from is not None:
                     # Continuation of a split multi-block operation: arrives
                     # back-to-back with its predecessor.
-                    t += float(rng.exponential(SEQ_ARRIVAL_GAP))
+                    t += float(exponential(SEQ_ARRIVAL_GAP))
                 else:
-                    t += float(rng.exponential(1.0 / rate))
+                    t += float(exponential(1.0 / rate))
                 if t >= period_end:
                     break
                 if duration is not None and t > duration:
                     return Trace(p.name, requests)
-                if seq_from is not None and seq_from + nbytes <= p.address_space:
+                if seq_from is not None and seq_from + nbytes <= address_space:
                     lba = seq_from
                 else:
-                    if rng.random() < p.hot_weight:
-                        blk = int(rng.integers(0, hot_blocks))
+                    if random() < hot_weight:
+                        blk = int(integers(0, hot_blocks))
                     else:
-                        blk = int(rng.integers(0, nblocks))
-                    lba = blk * p.block
-                    if lba + nbytes > p.address_space:
-                        lba = max(0, p.address_space - nbytes)
-                        lba -= lba % p.block
+                        blk = int(integers(0, nblocks))
+                    lba = blk * block
+                    if lba + nbytes > address_space:
+                        lba = max(0, address_space - nbytes)
+                        lba -= lba % block
                 requests.append(
                     IORequest(t, READ if is_read else WRITE, lba, nbytes)
                 )
@@ -207,3 +224,17 @@ class SyntheticTraceGenerator:
             on = not on
             if duration is not None and t > duration:
                 return Trace(p.name, requests)
+
+
+def _categorical(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[list, list]:
+    """``(values, cdf)`` of ``(value, probability)`` pairs, as lists.
+
+    The cdf is the one ``Generator.choice`` builds: a float64 cumulative
+    sum divided by its last entry.  ``values[bisect_right(cdf, u)]``
+    picks what ``choice``'s ``searchsorted(u, side='right')`` picks for
+    the same uniform ``u``.  Draw ``u`` for a one-entry table too, as
+    ``choice`` does: skipping it would shift every later draw.
+    """
+    cdf = np.array([pr for _, pr in pairs], dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return [v for v, _ in pairs], cdf.tolist()

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.experiments import ReplayConfig, replay
 from repro.faults import FaultPlan
@@ -349,19 +350,19 @@ class TestTemperatureMap:
     def test_ewma_decay_math(self):
         heat = TemperatureMap()  # 1 MiB regions, 2 s half-life
         heat.touch(0.0, "W", 0, 4.0)
-        assert heat.heat_at(0, 0.0) == pytest.approx(4.0)
+        assert heat.snapshot(0.0)[0] == pytest.approx(4.0)
         # one half-life later the heat has halved
-        assert heat.heat_at(0, 2.0) == pytest.approx(2.0)
+        assert heat.snapshot(2.0)[0] == pytest.approx(2.0)
         # touching again decays the old heat first, then adds
         heat.touch(2.0, "W", 100, 1.0)  # same region 0
-        assert heat.heat_at(0, 2.0) == pytest.approx(3.0)
+        assert heat.snapshot(2.0)[0] == pytest.approx(3.0)
 
     def test_read_write_tracked_separately(self):
         heat = TemperatureMap()
         heat.touch(0.0, "W", 0, 2.0)
         heat.touch(0.0, "R", 0, 5.0)
-        assert heat.heat_at(0, 0.0, "W") == pytest.approx(2.0)
-        assert heat.heat_at(0, 0.0, "R") == pytest.approx(5.0)
+        assert heat.snapshot(0.0, "W")[0] == pytest.approx(2.0)
+        assert heat.snapshot(0.0, "R")[0] == pytest.approx(5.0)
 
     def test_regions_partition_lba_space(self):
         heat = TemperatureMap()
@@ -378,6 +379,30 @@ class TestTemperatureMap:
         combined = dict(heat.hottest(0.0, n=2))
         assert combined[0] == pytest.approx(6.0)  # 1 W + 5 R
         assert heat.hottest(0.0, n=1, op="R") == [(0, 5.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 3.0]),
+                st.sampled_from(["R", "W"]),
+                st.integers(0, 12),
+                st.sampled_from([1.0, 2.0]),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([3.0, 4.0, 40.0]),
+        st.integers(0, 15),
+        st.sampled_from([None, "R", "W"]),
+    )
+    def test_hottest_is_the_head_of_the_full_sort(self, touches, now, n, op):
+        # few times, regions and page counts: equal heats are common
+        heat = TemperatureMap()
+        for t, kind, region, pages in sorted(touches, key=lambda tc: tc[0]):
+            heat.touch(t, kind, region << 20, pages)
+        snaps = [heat.snapshot(now, o) for o in (("W", "R") if op is None else (op,))]
+        scored = [(r, sum(s.get(r, 0.0) for s in snaps)) for r in set().union(*snaps)]
+        assert heat.hottest(now, n, op) == sorted(scored, key=lambda rv: (-rv[1], rv[0]))[:n]
 
     def test_fed_from_replay_monitor(self):
         health, _, sim = _replay_with_health("Fin1", max_requests=400)

@@ -45,6 +45,10 @@ class TestBurstModel:
             BurstModel(on_levels=((0.0, 1.0),))
         with pytest.raises(ValueError):
             BurstModel(on_levels=())
+        with pytest.raises(ValueError, match="on_levels"):
+            BurstModel(on_levels=((100.0, 1.5), (200.0, -0.5)))  # sums to 1
+        with pytest.raises(ValueError, match="on_levels"):
+            BurstModel(on_levels=((100.0, float("nan")), (200.0, 1.0)))
 
 
 class TestWorkloadParams:
@@ -58,6 +62,8 @@ class TestWorkloadParams:
             dict(read_ratio=1.5),
             dict(size_dist=((4096, 0.5),)),
             dict(size_dist=((0, 1.0),)),
+            dict(size_dist=((4096, 1.5), (8192, -0.5))),  # sums to 1
+            dict(size_dist=((4096, float("nan")),)),
             dict(write_seq_prob=-0.1),
             dict(hot_fraction=0.0),
             dict(hot_weight=1.5),
