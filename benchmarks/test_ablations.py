@@ -14,8 +14,8 @@ import dataclasses
 import pytest
 
 from repro.bench.experiments import ReplayConfig, replay
-from repro.bench.report import render_table
 from repro.core.config import EDCConfig
+from repro.tables import render_table
 from repro.traces.workloads import make_workload
 
 DURATION = 80.0

@@ -10,7 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.bench.report import render_table
 from repro.core.config import EDCConfig
 from repro.core.device import EDCBlockDevice
 from repro.core.hints import HintedPolicy
@@ -23,6 +22,7 @@ from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
+from repro.tables import render_table
 from repro.traces.workloads import make_workload
 
 DURATION = 80.0

@@ -9,11 +9,11 @@ systems; these benches check our substrates actually exhibit them:
 - block popularity is skewed (hot data drives overwrites and GC).
 """
 
-from repro.bench.report import render_table
 from repro.compression.codec import default_registry
 from repro.sdgen.analysis import profile
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
+from repro.tables import render_table
 from repro.traces.analysis import access_skew, burstiness_summary, interarrival_stats
 from repro.traces.workloads import WORKLOADS, make_workload
 

@@ -100,8 +100,7 @@ def main() -> None:
     trace = make_workload("Fin1", max_requests=300)
     rcfg = ReplayConfig(capacity_mb=32)
     sim = Simulator()
-    ssd = SimulatedSSD(sim, name="shard0", geometry=rcfg.geometry(),
-                       timing=rcfg.timing)
+    ssd = SimulatedSSD(sim, name="shard0", geometry=rcfg.geometry())
     content = ContentStore(ENTERPRISE_MIX, block_size=4096,
                            pool_blocks=rcfg.pool_blocks,
                            seed=rcfg.content_seed)

@@ -13,7 +13,7 @@ Run:  python examples/oltp_replay.py [--duration SECONDS]
 import argparse
 
 from repro.bench.experiments import ReplayConfig, replay_all_schemes
-from repro.bench.report import render_table
+from repro.tables import render_table
 from repro.traces.workloads import make_workload
 
 

@@ -11,7 +11,7 @@ Run:  python examples/threshold_tuning.py
 """
 
 from repro.bench.figures import fig12_threshold_sensitivity
-from repro.bench.report import render_table
+from repro.tables import render_table
 
 
 def main() -> None:

@@ -11,8 +11,8 @@ tables and figures.
 
 from repro.bench.experiments import ExperimentResult, ReplayConfig, replay
 from repro.bench.schemes import SCHEMES, build_device, build_policy
-from repro.bench.replication import MetricSummary, ReplicatedResult, replicate
-from repro.bench.report import render_series, render_table
+from repro.bench.report import render_series
+from repro.tables import render_table
 
 __all__ = [
     "ExperimentResult",
@@ -23,7 +23,4 @@ __all__ = [
     "build_device",
     "render_table",
     "render_series",
-    "replicate",
-    "ReplicatedResult",
-    "MetricSummary",
 ]

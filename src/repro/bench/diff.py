@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["AuditDump", "AuditDiffError", "diff_dumps", "render_diff"]
 
+from repro.tables import render_table
 from repro.telemetry.audit import AUDIT_SCHEMA_VERSION
 
 #: Default thresholds, also documented in the module docstring.
@@ -277,8 +278,6 @@ def diff_dumps(
 
 def render_diff(a: AuditDump, b: AuditDump, result: DiffResult) -> str:
     """Human-readable comparison table + verdict."""
-    from repro.bench.report import render_table
-
     def _opt(v: Optional[float], fmt: str) -> str:
         return fmt.format(v) if v is not None else "-"
 

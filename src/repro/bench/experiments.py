@@ -16,7 +16,7 @@ from repro.compression.costmodel import CodecCostModel
 from repro.core.config import EDCConfig
 from repro.core.policy import IntensityBand
 from repro.core.replay import TraceReplayer
-from repro.flash.geometry import NandGeometry, NandTiming, X25E_TIMING, x25e_like
+from repro.flash.geometry import NandGeometry, x25e_like
 from repro.flash.introspect import write_amplification
 from repro.flash.raid import RAIS5
 from repro.flash.scrub import MediaScrubber, ScrubConfig
@@ -60,7 +60,6 @@ class ReplayConfig:
     fold_fraction: float = 0.8
     pool_blocks: int = 512
     content_seed: int = 5
-    timing: NandTiming = field(default_factory=lambda: X25E_TIMING)
     device_config: EDCConfig = field(default_factory=EDCConfig)
 
     def __post_init__(self) -> None:
@@ -154,11 +153,10 @@ def build_stack(
     geo = cfg.geometry()
     devices = None
     if cfg.backend == "ssd":
-        backend = SimulatedSSD(sim, name=name, geometry=geo, timing=cfg.timing)
+        backend = SimulatedSSD(sim, name=name, geometry=geo)
     else:
         devices = [
-            SimulatedSSD(sim, name=f"ssd{i}", geometry=geo, timing=cfg.timing)
-            for i in range(N_DEVICES)
+            SimulatedSSD(sim, name=f"ssd{i}", geometry=geo) for i in range(N_DEVICES)
         ]
         backend = RAIS5(devices)
     content = ContentStore(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bench.ascii import grouped_bar_chart, line_sketch
 from repro.bench.experiments import ExperimentResult, ReplayConfig, replay, replay_all_schemes
-from repro.bench.report import render_series, render_table
+from repro.bench.report import render_series
 from repro.bench.schemes import SCHEMES
 from repro.compression.codec import default_registry
 from repro.core.policy import DEFAULT_BANDS, IntensityBand
@@ -30,6 +30,7 @@ from repro.flash.geometry import X25E_TIMING, x25e_like
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import FIREFOX_MIX, LINUX_SOURCE_MIX, build_corpus
 from repro.sim.engine import Simulator
+from repro.tables import render_table
 from repro.traces.workloads import make_workload
 
 __all__ = [

@@ -12,7 +12,6 @@ from typing import Mapping, Sequence
 from repro.tables import render_table
 
 __all__ = [
-    "render_table",
     "render_series",
     "render_audit",
 ]

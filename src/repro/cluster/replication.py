@@ -621,9 +621,9 @@ class ReplicationManager:
             )
             if dst is None:
                 continue  # no candidate shard left to rebuild onto
-            self._start_rebuild(ridx, live[0], dst)
+            self._rebuild_range(ridx, live[0], dst)
 
-    def _start_rebuild(self, ridx: int, src: str, dst: str) -> None:
+    def _rebuild_range(self, ridx: int, src: str, dst: str) -> None:
         c = self.cluster
         job = _RebuildJob(ridx, src, dst)
         self.rebuilding[ridx] = job

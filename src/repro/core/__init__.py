@@ -22,7 +22,7 @@ from repro.core.device import EDCBlockDevice
 from repro.core.hints import DEFAULT_HINT_RULES, HintRules, HintedPolicy
 from repro.core.engine import CompressionEngine
 from repro.core.monitor import WorkloadMonitor
-from repro.core.replay import ReplayOutcome, TraceReplayer
+from repro.core.replay import TraceReplayer
 from repro.core.writeback import WriteBackBuffer
 from repro.core.policy import (
     CompressionPolicy,
@@ -50,6 +50,5 @@ __all__ = [
     "HintRules",
     "DEFAULT_HINT_RULES",
     "TraceReplayer",
-    "ReplayOutcome",
     "WriteBackBuffer",
 ]

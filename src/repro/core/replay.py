@@ -16,30 +16,15 @@ right after :meth:`TraceReplayer.run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.device import EDCBlockDevice
 from repro.sim.engine import Simulator
 from repro.traces.model import Trace
 
-__all__ = ["TraceReplayer", "ReplayOutcome"]
+__all__ = ["TraceReplayer"]
 
 
 class ReplayError(RuntimeError):
     """Raised when a replay finishes in an inconsistent state."""
-
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """Summary of one completed replay."""
-
-    n_requests: int
-    horizon: float
-    mean_response: float
-    mean_write_response: float
-    mean_read_response: float
-    compression_ratio: float
-    space_saving: float
 
 
 class TraceReplayer:
@@ -68,8 +53,11 @@ class TraceReplayer:
         self.sim.arrivals(trace, self.device.submit)
         self._scheduled += len(trace)
 
-    def run(self) -> ReplayOutcome:
-        """Run to completion (including the SD tail) and summarise.
+    def run(self) -> None:
+        """Run to completion (including the SD tail).
+
+        The results are the device's own: its latency recorders and
+        :attr:`~repro.core.device.EDCBlockDevice.stats`.
 
         Raises :class:`ReplayError` if requests remain outstanding — a
         lost completion callback somewhere in the stack.
@@ -82,18 +70,8 @@ class TraceReplayer:
                 f"{self.device.outstanding} of {self._scheduled} requests "
                 "never completed"
             )
-        d = self.device
-        return ReplayOutcome(
-            n_requests=self._scheduled,
-            horizon=self.sim.now,
-            mean_response=d.mean_response_time(),
-            mean_write_response=d.write_latency.mean(),
-            mean_read_response=d.read_latency.mean(),
-            compression_ratio=d.stats.compression_ratio,
-            space_saving=d.stats.space_saving,
-        )
 
-    def replay(self, trace: Trace) -> ReplayOutcome:
+    def replay(self, trace: Trace) -> None:
         """Convenience: :meth:`schedule` + :meth:`run` in one call."""
         self.schedule(trace)
-        return self.run()
+        self.run()

@@ -12,7 +12,7 @@ Two schema-versioned models:
   flash block accrues a per-tick corruption hazard that grows with the
   *age* of the data sitting in it and with the block's *erase count*
   (worn oxide leaks faster).  Driven by a simulator daemon armed by
-  :meth:`repro.faults.plan.FaultPlan.attach`.
+  :meth:`repro.faults.plan.FaultPlan.arm`.
 - :class:`ReadDisturb` — pass-through voltage stress: every
   ``reads_per_trigger`` reads landing in a block roll a corruption
   chance against a *neighbouring* block, scaled by the neighbour's
@@ -153,7 +153,7 @@ class LatentErrorModel:
     every mapped read, plus the birth/read-count bookkeeping the two
     hazard models need.  All hooks are synchronous bookkeeping — the
     model never schedules simulation events itself (the retention tick
-    daemon is armed by ``FaultPlan.attach``).
+    daemon is armed by ``FaultPlan.arm``).
     """
 
     def __init__(
@@ -318,7 +318,7 @@ class LatentErrorModel:
                 self._corrupt_block(neighbour)
 
     # ------------------------------------------------------------------
-    # retention daemon tick (armed by FaultPlan.attach via sim.every)
+    # retention daemon tick (armed by FaultPlan.arm via sim.every)
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """One retention-hazard sweep over the occupied blocks."""

@@ -450,14 +450,6 @@ class FaultPlan:
                 failure.at, (lambda s=ssd: s.fail_now()), daemon=True
             )
 
-    def attach(self, sim, backend) -> List[FaultInjector]:
-        """:meth:`arm` one stack and schedule its device failures."""
-        from repro.flash.introspect import ssds_of
-
-        injectors = self.arm(sim, backend)
-        self.schedule_failures(sim, ssds_of(backend))
-        return injectors
-
     def _arm_ssd(self, sim, ssd) -> None:
         """Give ``ssd`` its injector and, if planned, its latent model.
 

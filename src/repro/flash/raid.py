@@ -19,7 +19,7 @@ device failure) is *absorbed* by RAIS5 as long as it is the array's
 first: the member is marked failed, the array enters **degraded mode**
 (reads reconstruct from the surviving ``n-1`` units, writes fold lost
 units into parity) and — when a ``spare_factory`` is installed, e.g. by
-:meth:`repro.faults.FaultPlan.attach` — a **background rebuild** is
+:meth:`repro.faults.FaultPlan.arm` — a **background rebuild** is
 scheduled as simulation events: rows are reconstructed in batches whose
 I/O contends with foreground traffic through the member queues.  Only a
 second concurrent failure is unrecoverable; it surfaces as a typed
@@ -160,7 +160,7 @@ class RAIS5:
         #: array is still formally degraded (event-driven rebuild)
         self._rebuilt_rows: set[int] = set()
         #: builds a replacement SSD when a member fails; installing one
-        #: (see :meth:`repro.faults.FaultPlan.attach`) arms auto-rebuild
+        #: (see :meth:`repro.faults.FaultPlan.arm`) arms auto-rebuild
         self.spare_factory: Optional[Callable[[], SimulatedSSD]] = None
         #: seconds between detecting a failure and starting the rebuild
         self.rebuild_delay_s: float = 0.01
@@ -214,7 +214,7 @@ class RAIS5:
         self._rebuild_pending = False
         if self._failed is None or self.spare_factory is None:
             return
-        self.start_rebuild(self.spare_factory())
+        self.rebuild(self.spare_factory())
 
     def _member_error(self, idx: int) -> bool:
         """Absorb a member I/O error.  ``True`` when the array survives.
@@ -281,54 +281,12 @@ class RAIS5:
         replacement: SimulatedSSD,
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Replace the failed member and reconstruct its contents.
-
-        For every touched stripe row, the surviving ``n-1`` units are
-        read and the missing unit is written to ``replacement`` (XOR
-        reconstruction).  Completion fires when every row is rebuilt.
-        All rows are issued at once; for a rebuild whose I/O is paced
-        against foreground traffic use :meth:`start_rebuild`.
-        """
-        self._validate_replacement(replacement)
-        failed = self._swap_in(replacement)
-        rows = sorted(self._touched_rows)
-        self._failed = None
-        self._rebuilt_rows = set()
-        self._close_degraded_window()
-        self.stats.rebuilds += 1
-        if not rows:
-            if on_complete is not None:
-                on_complete()
-            return
-        n = len(self.devices)
-        barrier = _Barrier(len(rows) * n, on_complete)
-        for row in rows:
-            local = row * self.stripe_unit
-            for idx, dev in enumerate(self.devices):
-                if idx == failed:
-                    continue
-                dev.submit_read(
-                    local, self.stripe_unit, on_complete=barrier.arrive,
-                    key=("RB", row, idx),
-                )
-            replacement.submit_write(
-                local, self.stripe_unit, on_complete=barrier.arrive,
-                key=("RB", row),
-            )
-            self.stats.rebuilt_rows += 1
-
-    def start_rebuild(
-        self,
-        replacement: SimulatedSSD,
-        on_complete: Optional[Callable[[], None]] = None,
-        rows_per_batch: Optional[int] = None,
-    ) -> None:
-        """Event-driven rebuild: reconstruct rows in contending batches.
+        """Replace the failed member and reconstruct its rows in batches.
 
         The replacement is installed immediately but the array stays
         degraded row by row: a row's reads/writes switch to the normal
         path the moment that row's reconstructed unit lands on the
-        replacement.  Each batch is ``rows_per_batch`` rows of
+        replacement.  Each batch is :attr:`rebuild_batch_rows` rows of
         (``n-1`` survivor reads → 1 replacement write) issued through
         the member queues, so rebuild I/O genuinely contends with
         foreground traffic; the next batch starts when the previous one
@@ -338,9 +296,9 @@ class RAIS5:
         fires.
         """
         self._validate_replacement(replacement)
-        batch = self.rebuild_batch_rows if rows_per_batch is None else rows_per_batch
+        batch = self.rebuild_batch_rows
         if batch < 1:
-            raise ValueError(f"rows_per_batch must be >= 1: {batch!r}")
+            raise ValueError(f"rebuild_batch_rows must be >= 1: {batch!r}")
         failed = self._swap_in(replacement)
 
         def _finish() -> None:

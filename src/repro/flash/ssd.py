@@ -122,14 +122,14 @@ class SimulatedSSD:
         #: emitted synchronously at submit — the service value includes
         #: the stall, matching the queued job's service time
         self.events = Emitter("ssd")
-        #: fault oracle installed by :meth:`repro.faults.FaultPlan.attach`;
+        #: fault oracle installed by :meth:`repro.faults.FaultPlan.arm`;
         #: ``None`` keeps the original no-fault fast path
         self.injector: Optional[FaultInjector] = None
         #: whole-device failure flag — set by :meth:`fail_now`, after which
         #: every submission (and in-flight read completion) errors
         self.failed = False
         #: optional :class:`~repro.faults.latent.LatentErrorModel`
-        #: installed by :meth:`repro.faults.FaultPlan.attach`; ``None``
+        #: installed by :meth:`repro.faults.FaultPlan.arm`; ``None``
         #: (the default) keeps every hook below a single ``is None``
         #: check and the replay bit-identical to the seed.
         self.latent = None

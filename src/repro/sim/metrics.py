@@ -26,7 +26,7 @@ class LatencyRecorder:
 
     The samples are folded, in order, into a constant-memory
     :class:`~repro.telemetry.histograms.Log2Histogram` when a query
-    needs it (approximate percentiles, min, max, merge) rather than on
+    needs it (approximate percentiles, min, max) rather than on
     every :meth:`add`: the histogram is a pure function of the ordered
     samples, so every answer is the one an eagerly fed histogram gives.
     Once ``count`` exceeds :data:`APPROX_THRESHOLD` the percentile
@@ -116,13 +116,6 @@ class LatencyRecorder:
     def samples(self) -> np.ndarray:
         """A copy of the raw samples as a numpy array."""
         return np.asarray(self._samples, dtype=np.float64)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        hist = self._histogram()
-        hist.merge(other._histogram())
-        self._samples.extend(other._samples)
-        self._sum += other._sum
-        self._folded = len(self._samples)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -96,23 +96,6 @@ class Log2Histogram:
         else:
             self._counts[idx] += n
 
-    def merge(self, other: "Log2Histogram") -> None:
-        """Fold ``other`` into this histogram (layouts must match)."""
-        if other.sub_buckets != self.sub_buckets:
-            raise ValueError("cannot merge histograms with different layouts")
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        self._zero += other._zero
-        self.count += other.count
-        self.sum += other.sum
-        for v in (other._min, other._max):
-            if v is None:
-                continue
-            if self._min is None or v < self._min:
-                self._min = v
-            if self._max is None or v > self._max:
-                self._max = v
-
     # ------------------------------------------------------------------
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -10,7 +10,7 @@ mechanisms care about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,20 +116,6 @@ class Trace:
     def head(self, n: int) -> "Trace":
         """The first ``n`` requests as a new trace."""
         return Trace(self.name, self._requests[:n])
-
-    def window(self, start: float, end: float) -> "Trace":
-        """Requests with ``start <= time < end``, re-based to start at 0."""
-        if end <= start:
-            raise ValueError(f"empty window: [{start!r}, {end!r})")
-        reqs = [
-            IORequest(r.time - start, r.op, r.lba, r.nbytes)
-            for r in self._requests
-            if start <= r.time < end
-        ]
-        return Trace(self.name, reqs)
-
-    def filter(self, predicate: Callable[[IORequest], bool]) -> "Trace":
-        return Trace(self.name, [r for r in self._requests if predicate(r)])
 
     def scaled_addresses(self, max_bytes: int, block: int = 4096) -> "Trace":
         """Wrap addresses into ``[0, max_bytes)`` preserving block alignment.

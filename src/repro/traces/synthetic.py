@@ -61,15 +61,27 @@ class BurstModel:
     on_levels: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.on_iops <= 0 or self.off_iops < 0:
-            raise ValueError("burst rates must be positive (off may be 0)")
-        if self.on_duration_mean <= 0 or self.off_duration_mean <= 0:
-            raise ValueError("period means must be positive")
+        # Written as ``not lo < x < inf`` so that NaN, which fails every
+        # comparison, is refused too.
+        for name, value in (
+            ("on_iops", self.on_iops),
+            ("on_duration_mean", self.on_duration_mean),
+            ("off_duration_mean", self.off_duration_mean),
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite: {value!r}")
+        if not 0 <= self.off_iops < math.inf:
+            raise ValueError(
+                f"off_iops must be non-negative and finite: {self.off_iops!r}"
+            )
         if self.on_levels is not None:
             if not self.on_levels:
                 raise ValueError("on_levels must be non-empty when given")
-            if any(r <= 0 for r, _ in self.on_levels):
-                raise ValueError("on_levels rates must be positive")
+            for rate, _ in self.on_levels:
+                if not 0 < rate < math.inf:
+                    raise ValueError(
+                        f"on_levels rate must be positive and finite: {rate!r}"
+                    )
             _check_probabilities("on_levels", self.on_levels)
             total = sum(p for _, p in self.on_levels)
             if abs(total - 1.0) > 1e-9:

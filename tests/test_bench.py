@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from repro.bench.experiments import ExperimentResult, ReplayConfig, replay, replay_all_schemes
-from repro.bench.report import render_series, render_table
+from repro.bench.report import render_series
 from repro.bench.schemes import SCHEMES, build_device, build_policy, scheme_config
 from repro.core.config import EDCConfig
 from repro.core.policy import ElasticPolicy, FixedPolicy, NativePolicy
+from repro.tables import render_table
 from repro.traces.model import IORequest, Trace
 from repro.traces.workloads import make_workload
 

@@ -38,9 +38,7 @@ class TestDegenerateFleetBitIdentity:
 
         # reference: the existing single-device replay of the folded trace
         sim = Simulator()
-        ssd = SimulatedSSD(
-            sim, name="shard0", geometry=rcfg.geometry(), timing=rcfg.timing
-        )
+        ssd = SimulatedSSD(sim, name="shard0", geometry=rcfg.geometry())
         content = ContentStore(
             ENTERPRISE_MIX, block_size=4096,
             pool_blocks=rcfg.pool_blocks, seed=rcfg.content_seed,

@@ -53,8 +53,8 @@ def run(rows, policy, sd):
     content = ContentStore(ENTERPRISE_MIX, **_CONTENT_ARGS)
     cfg = EDCConfig(sd_enabled=sd, verify_reads=True)
     dev = EDCBlockDevice(sim, ssd, policy, content, cfg)
-    out = TraceReplayer(sim, dev).replay(build_trace(rows))
-    return dev, ssd, out
+    TraceReplayer(sim, dev).replay(build_trace(rows))
+    return dev, ssd
 
 
 class TestDeviceProperties:
@@ -62,7 +62,7 @@ class TestDeviceProperties:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_edc_with_sd_always_completes_and_verifies(self, rows):
-        dev, ssd, out = run(rows, ElasticPolicy(), sd=True)
+        dev, ssd = run(rows, ElasticPolicy(), sd=True)
         n_writes = sum(1 for _, is_read, _, _ in rows if not is_read)
         n_reads = len(rows) - n_writes
         assert dev.write_latency.count == n_writes
@@ -77,22 +77,22 @@ class TestDeviceProperties:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_fixed_gzip_always_completes(self, rows):
-        dev, ssd, out = run(rows, FixedPolicy("gzip"), sd=False)
-        assert out.compression_ratio >= 1.0
+        dev, ssd = run(rows, FixedPolicy("gzip"), sd=False)
+        assert dev.stats.compression_ratio >= 1.0
         ssd.ftl.check_invariants()
 
     @given(requests_strategy)
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_native_stores_exactly_logical_bytes(self, rows):
-        dev, _, out = run(rows, NativePolicy(), sd=False)
+        dev, _ = run(rows, NativePolicy(), sd=False)
         assert dev.stats.stored_bytes == dev.stats.logical_bytes
 
     @given(requests_strategy)
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_mapping_and_allocator_agree(self, rows):
-        dev, _, _ = run(rows, ElasticPolicy(), sd=True)
+        dev, _ = run(rows, ElasticPolicy(), sd=True)
         # Every mapping entry owns exactly one live allocator slot.
         assert dev.allocator.live_slots == len(dev.mapping)
         for eid in dev.mapping.entry_ids():
@@ -102,7 +102,7 @@ class TestDeviceProperties:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_determinism_across_runs(self, rows, _salt):
-        a_dev, _, a = run(rows, ElasticPolicy(), sd=True)
-        b_dev, _, b = run(rows, ElasticPolicy(), sd=True)
-        assert a.mean_response == b.mean_response
+        a_dev, _ = run(rows, ElasticPolicy(), sd=True)
+        b_dev, _ = run(rows, ElasticPolicy(), sd=True)
+        assert a_dev.mean_response_time() == b_dev.mean_response_time()
         assert a_dev.stats.stored_bytes == b_dev.stats.stored_bytes

@@ -128,7 +128,8 @@ def _chaos_device(sim, plan, backend="ssd"):
             for i in range(5)
         ]
         store = RAIS5(devices, stripe_unit=4096)
-    plan.attach(sim, store)
+    plan.arm(sim, store)
+    plan.schedule_failures(sim, devices or [store])
     content = ContentStore(ContentMix("m", {"text": 1.0}), pool_blocks=8, seed=1)
     cfg = EDCConfig(sd_enabled=False)
     dev = EDCBlockDevice(sim, store, FixedPolicy("gzip"), content, cfg)

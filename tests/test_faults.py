@@ -129,7 +129,7 @@ class TestFaultPlan:
         ssd = make_ssd(sim)
         plan = FaultPlan(device_failures=(DeviceFailure(1.0, "nope"),))
         with pytest.raises(ValueError, match="unknown device"):
-            plan.attach(sim, ssd)
+            plan.schedule_failures(sim, [ssd])
 
     def test_total_stats_merges(self):
         plan = FaultPlan(seed=3)
@@ -311,7 +311,8 @@ class TestDeviceFailure:
         sim = Simulator()
         ssd = make_ssd(sim)
         plan = FaultPlan(device_failures=(DeviceFailure(0.5, "ssd0"),))
-        plan.attach(sim, ssd)
+        plan.arm(sim, ssd)
+        plan.schedule_failures(sim, [ssd])
         assert ssd.injector is not None
         sim.schedule_at(1.0, lambda: None)  # keep the sim alive past t=0.5
         sim.run()
@@ -431,7 +432,8 @@ class TestRais5Degraded:
             rebuild_delay_s=0.01,
             rebuild_batch_rows=4,
         )
-        plan.attach(sim, arr)
+        plan.arm(sim, arr)
+        plan.schedule_failures(sim, devices)
         # Touch a few stripe rows, then keep traffic flowing past the
         # failure so the dead member is detected and rebuilt.
         for i in range(6):
@@ -476,7 +478,8 @@ class TestRais5Degraded:
             rebuild_delay_s=0.01,
             rebuild_batch_rows=4,
         )
-        plan.attach(sim, arr)
+        plan.arm(sim, arr)
+        plan.schedule_failures(sim, devices)
         doomed = devices[1]
         served, jobs, retired_ftls = [], [], []
         doomed.events.subscribe("service", lambda *_: served.append(sim.now))
@@ -514,12 +517,11 @@ class TestRais5Degraded:
             )
         sim.schedule_at(0.05, lambda: arr.fail_device(1))
         spare = SimulatedSSD(sim, name="spare", geometry=x25e_like(32))
+        arr.rebuild_batch_rows = 2
         done = []
         sim.schedule_at(
             0.06,
-            lambda: arr.start_rebuild(
-                spare, on_complete=lambda: done.append(sim.now), rows_per_batch=2
-            ),
+            lambda: arr.rebuild(spare, on_complete=lambda: done.append(sim.now)),
         )
         # Foreground write racing the rebuild touches a fresh row.
         sim.schedule_at(0.061, lambda: arr.submit_write(40 * 4096 * 4, 4096 * 4))

@@ -158,6 +158,41 @@ class TestRebuild:
         sim.run()
         assert arr.stats.degraded_reads == pre
 
+    def test_array_stays_degraded_until_the_last_row_lands(self):
+        sim = Simulator()
+        arr, _ = make_array(sim)
+        arr.submit_write(0, 4096)
+        arr.submit_write(arr.stripe_unit * arr.data_devices, 4096)  # row 1
+        sim.run()
+        _, victim, _ = arr._layout(0)
+        arr.fail_device(victim)
+        spare = SimulatedSSD(sim, name="spare", geometry=x25e_like(32))
+        landed = []
+        submit_write = spare.submit_write
+
+        def tracked_write(lba, nbytes, on_complete=None, **kw):
+            def _landed():
+                landed.append(sim.now)
+                on_complete()
+
+            submit_write(lba, nbytes, on_complete=_landed, **kw)
+
+        spare.submit_write = tracked_write
+        done = []
+        arr.rebuild(spare, on_complete=lambda: done.append(sim.now))
+        # Nothing has landed yet: the window is open and row 0's unit on
+        # the failed slot is still reconstructed from the survivors.
+        assert arr.degraded
+        assert arr.stats.rebuilds == 0 and arr.stats.rebuilt_rows == 0
+        assert arr.degraded_windows[-1][1] is None
+        arr.submit_read(0, 4096)
+        assert arr.stats.degraded_reads == 1
+        sim.run()
+        assert not arr.degraded
+        assert arr.stats.rebuilds == 1
+        assert arr.stats.rebuilt_rows == len(landed) == 2
+        assert arr.degraded_windows[-1][1] == max(landed) == done[0]
+
     def test_rebuild_with_no_touched_rows_completes_immediately(self):
         sim = Simulator()
         arr, _ = make_array(sim)

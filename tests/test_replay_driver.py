@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import EDCConfig
 from repro.core.device import EDCBlockDevice
 from repro.core.policy import FixedPolicy
-from repro.core.replay import ReplayError, ReplayOutcome, TraceReplayer
+from repro.core.replay import ReplayError, TraceReplayer
 from repro.flash.geometry import x25e_like
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import ENTERPRISE_MIX
@@ -29,21 +29,20 @@ def trace(n=5):
 class TestReplayer:
     def test_replay_outcome(self):
         sim, dev = setup()
-        out = TraceReplayer(sim, dev).replay(trace(5))
-        assert isinstance(out, ReplayOutcome)
-        assert out.n_requests == 5
-        assert out.horizon >= 0.04
-        assert out.mean_response > 0
-        assert out.compression_ratio >= 1.0
+        assert TraceReplayer(sim, dev).replay(trace(5)) is None
+        assert dev.write_latency.count == 5
+        assert sim.now >= 0.04
+        assert dev.mean_response_time() > 0
+        assert dev.stats.compression_ratio >= 1.0
 
     def test_schedule_multiple_traces(self):
         sim, dev = setup()
         rep = TraceReplayer(sim, dev)
         rep.schedule(trace(3))
         rep.schedule(Trace("t2", [IORequest(0.5, "R", 0, 4096)]))
-        out = rep.run()
-        assert out.n_requests == 4
-        assert out.mean_read_response > 0
+        rep.run()
+        assert dev.write_latency.count + dev.read_latency.count == 4
+        assert dev.read_latency.mean() > 0
 
     def test_mismatched_simulator_rejected(self):
         sim, dev = setup()
@@ -52,17 +51,17 @@ class TestReplayer:
 
     def test_empty_trace(self):
         sim, dev = setup()
-        out = TraceReplayer(sim, dev).replay(Trace("empty", []))
-        assert out.n_requests == 0
-        assert out.mean_response == 0.0
+        TraceReplayer(sim, dev).replay(Trace("empty", []))
+        assert dev.write_latency.count + dev.read_latency.count == 0
+        assert dev.mean_response_time() == 0.0
 
     def test_matches_manual_loop(self):
         sim1, dev1 = setup()
-        out = TraceReplayer(sim1, dev1).replay(trace(8))
+        TraceReplayer(sim1, dev1).replay(trace(8))
         sim2, dev2 = setup()
         for req in trace(8):
             sim2.schedule_at(req.time, lambda r=req: dev2.submit(r))
         sim2.run()
         dev2.flush()
         sim2.run()
-        assert out.mean_response == pytest.approx(dev2.mean_response_time())
+        assert dev1.mean_response_time() == pytest.approx(dev2.mean_response_time())

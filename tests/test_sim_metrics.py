@@ -55,14 +55,6 @@ class TestLatencyRecorder:
         assert r.max() == 2.5
         assert r.total() == pytest.approx(4.0)
 
-    def test_merge(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
-        a.add(1.0)
-        b.add(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean() == pytest.approx(2.0)
-
     def test_samples_returns_copy_as_array(self):
         r = LatencyRecorder()
         r.extend([1.0, 2.0])
@@ -134,20 +126,8 @@ class TestApproxPercentiles:
         assert r.mean() == pytest.approx(sum(samples) / len(samples))
         assert r.total() == pytest.approx(sum(samples))
 
-    def test_merge_merges_histograms(self):
-        a = LatencyRecorder()
-        b = LatencyRecorder()
-        n = APPROX_THRESHOLD // 2 + 10
-        for v in range(1, n + 1):
-            a.add(v / 1e6)
-            b.add(v / 1e5)
-        a.merge(b)
-        assert a.count == 2 * n
-        assert a.uses_approx
-        assert a.max() == pytest.approx(n / 1e5, rel=0.05)
-
     def test_lazy_fold_equals_eager_histogram(self):
-        """Folding at query time (percentile, min, max, merge) leaves the
+        """Folding at query time (percentile, min, max) leaves the
         histogram an eagerly fed one would hold, bucket for bucket."""
         from repro.telemetry.histograms import Log2Histogram
 
@@ -166,9 +146,6 @@ class TestApproxPercentiles:
                 a.percentile(95)
             if step % 53 == 0 and b.count:
                 b.max()
-            if step == size // 2:
-                a.merge(b)  # both recorders partly folded here
-                eager.merge(b_eager)
         for rec, hist in ((a, eager), (b, b_eager)):
             assert rec.uses_approx
             assert rec.min() == hist.min() and rec.max() == hist.max()

@@ -49,6 +49,22 @@ class TestBurstModel:
             BurstModel(on_levels=((100.0, 1.5), (200.0, -0.5)))  # sums to 1
         with pytest.raises(ValueError, match="on_levels"):
             BurstModel(on_levels=((100.0, float("nan")), (200.0, 1.0)))
+        with pytest.raises(ValueError, match="on_iops"):
+            BurstModel(on_iops=float("inf"))
+        with pytest.raises(ValueError, match="off_iops"):
+            BurstModel(off_iops=float("nan"))
+        with pytest.raises(ValueError, match="off_iops"):
+            BurstModel(off_iops=float("inf"))
+        with pytest.raises(ValueError, match="on_duration_mean"):
+            BurstModel(on_duration_mean=float("nan"))
+        with pytest.raises(ValueError, match="on_duration_mean"):
+            BurstModel(on_duration_mean=float("inf"))
+        with pytest.raises(ValueError, match="off_duration_mean"):
+            BurstModel(off_duration_mean=float("nan"))
+        with pytest.raises(ValueError, match="off_duration_mean"):
+            BurstModel(off_duration_mean=float("inf"))
+        with pytest.raises(ValueError, match="on_levels"):
+            BurstModel(on_levels=((float("inf"), 0.5), (200.0, 0.5)))
 
 
 class TestWorkloadParams:

@@ -166,16 +166,6 @@ class TestLog2Histogram:
         assert h.percentile(50) == 0.0
         assert h.percentile(100) == 1.0
 
-    def test_merge(self):
-        a, b = Log2Histogram(), Log2Histogram()
-        a.add(0.001)
-        b.add(0.1)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max() == 0.1
-        with pytest.raises(ValueError):
-            a.merge(Log2Histogram(sub_buckets=8))
-
     def test_quantile_labels(self):
         h = Log2Histogram()
         h.add(1.0)

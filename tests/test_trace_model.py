@@ -54,20 +54,6 @@ class TestTrace:
         t = Trace("t", [w(float(i), 0) for i in range(10)])
         assert len(t.head(3)) == 3
 
-    def test_window_rebases_times(self):
-        t = Trace("t", [w(1.0, 0), w(2.0, 0), w(5.0, 0)])
-        win = t.window(1.5, 3.0)
-        assert len(win) == 1
-        assert win[0].time == pytest.approx(0.5)
-
-    def test_window_invalid(self):
-        with pytest.raises(ValueError):
-            Trace("t", []).window(2.0, 1.0)
-
-    def test_filter(self):
-        t = Trace("t", [w(0.0, 0), r(1.0, 0), w(2.0, 0)])
-        assert len(t.filter(lambda q: q.is_write)) == 2
-
 
 class TestScaledAddresses:
     def test_folding_wraps_addresses(self):
