@@ -377,10 +377,10 @@ class EDCBlockDevice:
         """Plan the blocks from ``start_blk`` on, at ``versions``, under the
         policy: ``(content ids, hint, selected codec, plan)``."""
         bs = self.config.block_size
-        run_ids = tuple(
-            self.content.block_id((start_blk + i) * bs, v)
-            for i, v in enumerate(versions)
-        )
+        block_id = self.content.block_id
+        run_ids = tuple([
+            block_id((start_blk + i) * bs, v) for i, v in enumerate(versions)
+        ])
         iops = self.monitor.calculated_iops(self.sim.now)
         hint = (
             self.content.kind_of_id(run_ids[0])
@@ -435,10 +435,8 @@ class EDCBlockDevice:
             self._commit_write, run, plan, run_ids, vtuple, observed,
         )
 
-    def _block_crcs_for(self, run_ids: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        """Per-block content CRCs for a run, when ``crc_checks`` is on."""
-        if not self.config.crc_checks:
-            return None
+    def _block_crcs_for(self, run_ids: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Per-block content CRCs for a run (``crc_checks`` mode)."""
         from repro.recovery.formats import block_crcs
 
         return block_crcs(
@@ -467,7 +465,7 @@ class EDCBlockDevice:
             tag=plan.tag,
             span=len(run_ids),
             original_size=plan.original_size,
-            crc=self._block_crcs_for(run_ids),
+            crc=self._block_crcs_for(run_ids) if self.config.crc_checks else None,
         )
         eid, cls, shadowed = self.install_extent(entry, run_ids, plan.codec_name)
         if self.recovery is not None:
@@ -481,17 +479,18 @@ class EDCBlockDevice:
         self, eid: int, lba: int, nbytes: int, done, failed, stream: int = 0
     ) -> None:
         """Issue entry ``eid``'s device write: ``done()`` or ``failed(exc)``."""
+        programmed = done
+        if self.recovery is not None:
 
-        def _programmed() -> None:
-            # Program completed: only now does the extent's metadata
-            # become durable (journal + OOB) — a cut mid-program leaves
-            # nothing, which is what makes merged runs all-or-nothing.
-            if self.recovery is not None:
+            def programmed() -> None:
+                # Program completed: only now does the extent's metadata
+                # become durable (journal + OOB) — a cut mid-program leaves
+                # nothing, which is what makes merged runs all-or-nothing.
                 self.recovery.on_programmed(eid)
-            done()
+                done()
 
         self.distributer.write(
-            eid, lba, nbytes, _programmed, stream=stream, on_error=failed
+            eid, lba, nbytes, programmed, stream=stream, on_error=failed
         )
 
     def _commit_write(

@@ -81,6 +81,8 @@ class CompressionEngine:
         self.incompressible_fraction = incompressible_fraction
         self.keep_payloads = keep_payloads
         self._gate_cache: Dict[Tuple[int, ...], bool] = {}
+        #: original size -> the (immutable, shared) policy-raw plan
+        self._raw_plans: Dict[int, WritePlan] = {}
 
     # ------------------------------------------------------------------
     #: Throughput of the cheap heuristic passes (entropy, core-set) —
@@ -132,14 +134,17 @@ class CompressionEngine:
         """
         original = len(run_ids) * self.content.block_size
         if codec_name is None:
-            return WritePlan(
-                codec_name="none",
-                tag=0,
-                original_size=original,
-                payload_size=original,
-                cpu_time=0.0,
-                policy_raw=True,
-            )
+            plan = self._raw_plans.get(original)
+            if plan is None:
+                plan = self._raw_plans[original] = WritePlan(
+                    codec_name="none",
+                    tag=0,
+                    original_size=original,
+                    payload_size=original,
+                    cpu_time=0.0,
+                    policy_raw=True,
+                )
+            return plan
         cpu = 0.0
         estimate = 0.0
         if gate:

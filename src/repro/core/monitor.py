@@ -9,16 +9,19 @@ feedback loop).
 The sliding window is one deque of ``(time, pages, reads)`` tuples with
 three running sums, so each :meth:`WorkloadMonitor.record` call prunes
 expired entries exactly once — O(evicted) total, not O(evicted) per
-tracked quantity.  Timestamps are **clamped** rather than rejected:
-completion callbacks and out-of-band probes occasionally observe the
-clock a hair behind the last arrival, and a hard raise there would take
-down the replay for a measurement artefact.  A clamped event is counted
-at the monitor's latest known time, which is the closest truthful
-placement inside the window.
+tracked quantity; a query at a time already pruned to skips the pass.
+Timestamps are **clamped** rather than rejected: completion callbacks
+and out-of-band probes occasionally observe the clock a hair behind the
+last arrival, and a hard raise there would take down the replay for a
+measurement artefact.  A clamped event is counted at the monitor's
+latest known time, which is the closest truthful placement inside the
+window.  Only a NaN or infinite timestamp is refused: it would never
+expire, or would clamp every later record to itself.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
@@ -70,7 +73,9 @@ class WorkloadMonitor:
         self._pages_sum = 0.0
         self._requests_sum = 0.0
         self._reads_sum = 0.0
-        self._last_t = float("-inf")
+        self._last_t = -math.inf
+        #: the window holds no entry at or before ``_expired_to - window``
+        self._expired_to = -math.inf
         self.total_requests = 0
         self.total_pages = 0
         #: ``record``: ``(time, op, lba, pages)`` once per
@@ -93,8 +98,11 @@ class WorkloadMonitor:
         timestamp already recorded, keeping the deque time-ordered (the
         invariant single-pass pruning relies on).  ``lba`` is only
         passed through to the ``record`` event (the temperature-map feed);
-        intensity accounting ignores it.
+        intensity accounting ignores it.  A NaN or infinite ``time``
+        raises :class:`ValueError`.
         """
+        if not -math.inf < time < math.inf:  # also rejects NaN
+            raise ValueError(f"monitor time must be finite: {time!r}")
         if time < self._last_t:
             time = self._last_t
         else:
@@ -112,7 +120,9 @@ class WorkloadMonitor:
         self._expire(time)
 
     def _expire(self, now: float) -> None:
-        """Drop entries at or before ``now - window``: one pass, O(evicted)."""
+        """Drop entries at or before ``now - window``: one pass, O(evicted).
+        Queries run it only past ``_expired_to``; a record always does."""
+        self._expired_to = now
         cutoff = now - self.window
         ev = self._events
         while ev and ev[0][0] <= cutoff:
@@ -134,24 +144,21 @@ class WorkloadMonitor:
         """
         self._events.clear()
         self._pages_sum = self._requests_sum = self._reads_sum = 0.0
-        self._last_t = float("-inf")
+        self._last_t = self._expired_to = -math.inf
         self.total_requests = 0
         self.total_pages = 0
 
     # ------------------------------------------------------------------
-    def _clamped(self, now: float) -> float:
-        return now if now >= self._last_t else self._last_t
-
     def calculated_iops(self, now: float) -> float:
         """4 KB-normalised I/Os per second over the trailing window."""
-        now = self._clamped(now)
-        self._expire(now)
+        if now > self._expired_to:
+            self._expire(now)
         return self._pages_sum / self.window
 
     def raw_iops(self, now: float) -> float:
         """Request arrivals per second over the trailing window."""
-        now = self._clamped(now)
-        self._expire(now)
+        if now > self._expired_to:
+            self._expire(now)
         return self._requests_sum / self.window
 
     def snapshot(self, now: float, policy=None) -> MonitorSnapshot:
@@ -163,8 +170,9 @@ class WorkloadMonitor:
         the ladder's pure ``band_index`` query without touching its
         selection counters.
         """
-        now = self._clamped(now)
-        self._expire(now)
+        now = now if now >= self._last_t else self._last_t
+        if now > self._expired_to:
+            self._expire(now)
         raw = self._requests_sum
         calc = self._pages_sum / self.window
         band: Optional[int] = None

@@ -28,7 +28,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 __all__ = ["SizeClassAllocator", "SlotClass", "AllocatorStats"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotClass:
     """One allocation size class."""
 
@@ -84,6 +84,8 @@ class SizeClassAllocator:
         self.classes: Tuple[SlotClass, ...] = tuple(
             SlotClass(f, int(round(f * block_size))) for f in fr
         )
+        #: original size -> the classes scaled to it (:meth:`class_for`)
+        self._scaled: Dict[int, Tuple[SlotClass, ...]] = {block_size: self.classes}
         self.stats = AllocatorStats()
         self._free: Dict[int, int] = {c.nbytes: 0 for c in self.classes}
         #: key -> (class, stored payload bytes, logical bytes represented)
@@ -126,16 +128,24 @@ class SizeClassAllocator:
         defaults to one block).  Payloads above the incompressibility
         threshold — or above the original, for incompressible data that
         *grew* — get the full 1.0 class; the caller stores raw then.
+        The classes of each original size are built once and shared:
+        :class:`SlotClass` is immutable.
         """
         if payload_size < 0:
             raise ValueError(f"negative payload size: {payload_size!r}")
         orig = self.block_size if original_size is None else original_size
-        if orig <= 0:
-            raise ValueError(f"original size must be positive: {orig!r}")
-        for c in self.classes:
-            if payload_size <= int(round(c.fraction * orig)):
-                return SlotClass(c.fraction, int(round(c.fraction * orig)))
-        return SlotClass(1.0, orig)
+        classes = self._scaled.get(orig)
+        if classes is None:
+            if orig <= 0:
+                raise ValueError(f"original size must be positive: {orig!r}")
+            classes = self._scaled[orig] = tuple(
+                SlotClass(c.fraction, int(round(c.fraction * orig)))
+                for c in self.classes
+            )
+        for c in classes:
+            if payload_size <= c.nbytes:
+                return c
+        return classes[-1]
 
     def is_compressible_size(
         self, payload_size: int, original_size: Optional[int] = None

@@ -63,7 +63,7 @@ class FlashCost:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Extent:
     block_id: int
     nbytes: int
@@ -144,6 +144,10 @@ class ExtentFTL:
         self._sealed: set[int] = set()
         self._retired: set[int] = set()
         self._live_bytes: int = 0
+        #: logical capacity after retired blocks are deducted: retirement
+        #: shrinks the physical pool, and the logical address space must
+        #: shrink with it or GC eventually livelocks looking for free space
+        self.effective_logical_bytes: int = geometry.logical_bytes
 
     # ------------------------------------------------------------------
     # queries
@@ -156,17 +160,6 @@ class ExtentFTL:
     def retired_blocks(self) -> int:
         """Blocks permanently out of service (bad-block retirement)."""
         return len(self._retired)
-
-    @property
-    def effective_logical_bytes(self) -> int:
-        """Logical capacity after retired blocks are deducted.
-
-        Retirement shrinks the physical pool; the logical address space
-        must shrink with it or GC eventually livelocks trying to find
-        free space that no longer exists.
-        """
-        lost = len(self._retired) * self.geometry.block_bytes
-        return max(0, self.geometry.logical_bytes - lost)
 
     @property
     def live_bytes(self) -> int:
@@ -249,8 +242,10 @@ class ExtentFTL:
         """Store ``nbytes`` for ``key`` at the ``stream`` frontier.
 
         An existing mapping for ``key`` is invalidated first (out-of-place
-        update).  Returns the physical cost including any garbage
-        collection triggered.
+        update).  A write that would not fit raises
+        :class:`DeviceFullError` before anything changes: the old
+        version stays mapped.  Returns the physical cost including any
+        garbage collection triggered.
         """
         if nbytes <= 0:
             raise ValueError(f"extent size must be positive: {nbytes!r}")
@@ -258,32 +253,46 @@ class ExtentFTL:
             raise ValueError(
                 f"stream must be in [0, {self.n_streams}), got {stream!r}"
             )
-        old = self._extents.pop(key, None)
-        if old is not None:
-            self._invalidate_extents(key, old)
-        if self._live_bytes + nbytes > self.effective_logical_bytes:
+        old = self._extents.get(key)
+        live = self._live_bytes - (sum(e.nbytes for e in old) if old else 0)
+        if live + nbytes > self.effective_logical_bytes:
             raise DeviceFullError(
                 f"write of {nbytes} B would exceed logical capacity "
-                f"({self._live_bytes} B live of {self.effective_logical_bytes} B"
+                f"({live} B live of {self.effective_logical_bytes} B"
                 f" after {len(self._retired)} retired blocks)"
             )
-        gc_cost = FlashCost()
+        if old is not None:
+            del self._extents[key]
+            self._invalidate_extents(key, old)
+        # The GC work this write triggers is what it adds to the stats.
+        stats = self.stats
+        gc_runs, relocated = stats.gc_runs, stats.relocated_bytes
         # Register the (initially empty) piece list up front: placement can
         # seal a block and trigger GC, and the collector must be able to
         # relocate pieces of this in-flight key.
         pieces: list[_Extent] = []
         self._extents[key] = pieces
+        block_bytes = self.geometry.block_bytes
+        active, fill = self._active, self._fill
         remaining = nbytes
         while remaining > 0:
-            gc_cost = gc_cost + self._ensure_frontier_space(stream)
-            room = self.geometry.block_bytes - self._fill[stream]
-            piece = min(remaining, room)
-            self._place(key, piece, pieces, stream)
+            if active[stream] < 0:
+                self._open_frontier(stream)
+            block = active[stream]
+            piece = min(remaining, block_bytes - fill[stream])
+            self._block_live[block][(key, len(pieces))] = piece
+            pieces.append(_Extent(block, piece))
+            self._block_valid[block] += piece
+            fill[stream] += piece
+            if fill[stream] >= block_bytes:
+                self._seal(stream)
             remaining -= piece
         self._live_bytes += nbytes
-        self.stats.host_writes += 1
-        self.stats.host_bytes += nbytes
-        return FlashCost(host_bytes=nbytes) + gc_cost
+        stats.host_writes += 1
+        stats.host_bytes += nbytes
+        return FlashCost(
+            nbytes, stats.relocated_bytes - relocated, stats.gc_runs - gc_runs
+        )
 
     def trim(self, key: Hashable) -> bool:
         """Drop the mapping for ``key``; returns ``True`` if it existed."""
@@ -331,6 +340,9 @@ class ExtentFTL:
         self._block_valid[block_id] = 0
         self._block_live[block_id].clear()
         self._retired.add(block_id)
+        self.effective_logical_bytes = max(
+            0, self.effective_logical_bytes - self.geometry.block_bytes
+        )
         self.stats.retired_blocks += 1
         self.stats.relocated_bytes += moved
         self.collector.stats.note_retirement(block_id)
@@ -348,18 +360,6 @@ class ExtentFTL:
             self._live_bytes -= e.nbytes
             self.stats.invalidations += 1
 
-    def _place(
-        self, key: Hashable, nbytes: int, pieces: list[_Extent], stream: int
-    ) -> None:
-        block = self._active[stream]
-        ext = _Extent(block, nbytes)
-        pieces.append(ext)
-        self._block_valid[block] += nbytes
-        self._block_live[block][(key, len(pieces) - 1)] = nbytes
-        self._fill[stream] += nbytes
-        if self._fill[stream] >= self.geometry.block_bytes:
-            self._seal(stream)
-
     def _seal(self, stream: int) -> None:
         self._sealed.add(self._active[stream])
         self._active[stream] = -1
@@ -371,35 +371,28 @@ class ExtentFTL:
         self._active[stream] = self._free.popleft()
         self._fill[stream] = 0
 
-    def _ensure_frontier_space(self, stream: int) -> FlashCost:
-        """Open a fresh frontier for ``stream`` if needed, GC-ing first when low."""
-        cost = FlashCost()
-        if (
-            self._active[stream] >= 0
-            and self._fill[stream] < self.geometry.block_bytes
-        ):
-            return cost
-        self.gc_trigger = ("low_free", stream)
-        try:
-            while len(self._free) < GC_FREE_THRESHOLD:
-                c = self._collect_one()
-                if c is None:
-                    break  # nothing collectable; proceed if any free block remains
-                cost = cost + c
-        finally:
-            self.gc_trigger = None
+    def _open_frontier(self, stream: int) -> None:
+        """Open a fresh frontier for ``stream``, GC-ing first when low."""
+        if len(self._free) < GC_FREE_THRESHOLD:
+            self.gc_trigger = ("low_free", stream)
+            try:
+                # stops early when nothing is collectable; proceeds if
+                # any free block remains
+                while len(self._free) < GC_FREE_THRESHOLD and self._collect_one():
+                    pass
+            finally:
+                self.gc_trigger = None
         self._open_block(stream)
-        return cost
 
-    def _collect_one(self) -> Optional[FlashCost]:
-        """Collect one victim block; ``None`` when no victim exists."""
+    def _collect_one(self) -> bool:
+        """Collect one victim block; ``False`` when no victim exists."""
         victim = self.collector.select_victim(self._sealed, self._block_valid)
         if victim is None:
-            return None
+            return False
         if self._block_valid[victim] >= self.geometry.block_bytes:
             # Even the best victim is fully valid: collecting it reclaims
             # nothing and would livelock the free-block loop.
-            return None
+            return False
         live = dict(self._block_live[victim])
         moved = 0
         # Relocate live pieces to the dedicated GC frontier so collected
@@ -417,7 +410,7 @@ class ExtentFTL:
         self.stats.relocated_bytes += moved
         if self.events.subs:
             self.events.emit("gc", self, victim, moved, reclaimed)
-        return FlashCost(moved_bytes=moved, erases=1)
+        return True
 
     def _relocate(
         self, key: Hashable, piece_idx: int, nbytes: int, victim: int
@@ -428,16 +421,13 @@ class ExtentFTL:
         pieces = self._extents[key]
         first = True
         while remaining > 0:
-            if (
-                self._active[_GC_STREAM] < 0
-                or self._fill[_GC_STREAM] >= self.geometry.block_bytes
-            ):
+            # a frontier is sealed as it fills, so an open one has room
+            if self._active[_GC_STREAM] < 0:
                 if not self._free:
                     raise DeviceFullError("GC relocation ran out of free blocks")
                 self._open_block(_GC_STREAM)
             block = self._active[_GC_STREAM]
-            room = self.geometry.block_bytes - self._fill[_GC_STREAM]
-            piece = min(remaining, room)
+            piece = min(remaining, self.geometry.block_bytes - self._fill[_GC_STREAM])
             if first:
                 old = pieces[piece_idx]
                 self._block_live[victim].pop((key, piece_idx), None)
@@ -446,8 +436,7 @@ class ExtentFTL:
                 self._block_live[block][(key, piece_idx)] = piece
                 first = False
             else:
-                new_ext = _Extent(block, piece)
-                pieces.append(new_ext)
+                pieces.append(_Extent(block, piece))
                 self._block_live[block][(key, len(pieces) - 1)] = piece
             self._block_valid[block] += piece
             self._fill[_GC_STREAM] += piece

@@ -18,6 +18,7 @@ simulated writes; ``x25e_like`` builds geometries of any capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "NandGeometry",
@@ -57,17 +58,17 @@ class NandGeometry:
         if not 0 <= self.op_ratio < 1:
             raise ValueError(f"op_ratio must be in [0, 1): {self.op_ratio!r}")
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         """Erase-block size in bytes."""
         return self.page_size * self.pages_per_block
 
-    @property
+    @cached_property
     def raw_bytes(self) -> int:
         """Total physical capacity in bytes."""
         return self.block_bytes * self.nblocks
 
-    @property
+    @cached_property
     def logical_bytes(self) -> int:
         """Capacity exposed to the host (raw minus over-provisioning)."""
         return int(self.raw_bytes * (1.0 - self.op_ratio))
@@ -118,19 +119,19 @@ class NandTiming:
         if self.read_overhead_us < 0 or self.write_overhead_us < 0:
             raise ValueError("per-request overheads must be non-negative")
 
-    @property
+    @cached_property
     def read_bytes_per_s(self) -> float:
         return self.read_mb_s * 1024 * 1024
 
-    @property
+    @cached_property
     def write_bytes_per_s(self) -> float:
         return self.write_mb_s * 1024 * 1024
 
-    @property
+    @cached_property
     def read_overhead_s(self) -> float:
         return self.read_overhead_us * 1e-6
 
-    @property
+    @cached_property
     def write_overhead_s(self) -> float:
         return self.write_overhead_us * 1e-6
 

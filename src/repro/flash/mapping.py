@@ -31,7 +31,7 @@ __all__ = ["MappingEntry", "MappingTable", "ENTRY_BYTES"]
 ENTRY_BYTES = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappingEntry:
     """One mapping record: where a logical unit's stored form lives."""
 

@@ -224,7 +224,7 @@ class SimulatedSSD:
             self.latent.note_write(key)
         service = self.service_write_time(nbytes)
         stall = 0.0
-        if self.gc_enabled:
+        if self.gc_enabled and cost.erases:
             stall = self.gc_time(cost)
             service += stall
             self.stats.gc_stall_time += stall

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
@@ -21,7 +22,7 @@ from repro.sim.events import Emitter
 __all__ = ["Job", "Server"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One unit of work submitted to a :class:`Server`.
 
@@ -71,13 +72,6 @@ class _ServerStats:
     _ql_integral: float = field(default=0.0, repr=False)
     _ql_last_t: float = field(default=0.0, repr=False)
     _ql_last_v: int = field(default=0, repr=False)
-
-    def note_queue_len(self, now: float, qlen: int) -> None:
-        self._ql_integral += self._ql_last_v * (now - self._ql_last_t)
-        self._ql_last_t = now
-        self._ql_last_v = qlen
-        if qlen > self.max_queue_len:
-            self.max_queue_len = qlen
 
     def mean_queue_len(self, now: float) -> float:
         total = self._ql_integral + self._ql_last_v * (now - self._ql_last_t)
@@ -148,27 +142,38 @@ class Server:
         job = Job(service_time, self.sim.now, on_complete, tag)
         self.stats.submitted += 1
         self._queue.append(job)
-        self.stats.note_queue_len(self.sim.now, len(self._queue))
+        if len(self._queue) > self.stats.max_queue_len:
+            self.stats.max_queue_len = len(self._queue)
         self._try_start()
         return job
 
     # ------------------------------------------------------------------
     def _try_start(self) -> None:
-        while self._queue and self._in_service < self.servers:
-            job = self._queue.popleft()
-            self.stats.note_queue_len(self.sim.now, len(self._queue))
-            job.start = self.sim.now
-            self.stats.total_wait += job.wait
+        """Start queued jobs while a server is free; the one writer of the
+        queue-length integral (a job arriving at an idle server counts in
+        ``max_queue_len`` but leaves the queue at once)."""
+        stats = self.stats
+        now = self.sim.now
+        queue = self._queue
+        stats._ql_integral += stats._ql_last_v * (now - stats._ql_last_t)
+        stats._ql_last_t = now
+        while queue and self._in_service < self.servers:
+            job = queue.popleft()
+            job.start = now
+            stats.total_wait += now - job.arrival
             self._in_service += 1
-            self.sim.schedule(job.service_time, lambda j=job: self._finish(j))
+            self.sim.schedule_at(now + job.service_time, partial(self._finish, job))
+        stats._ql_last_v = len(queue)
 
     def _finish(self, job: Job) -> None:
-        job.completion = self.sim.now
+        now = job.completion = self.sim.now
         self._in_service -= 1
-        self.stats.completed += 1
-        self.stats.busy_time += job.service_time
-        self.stats.total_response += job.response
-        self._try_start()
+        stats = self.stats
+        stats.completed += 1
+        stats.busy_time += job.service_time
+        stats.total_response += now - job.arrival
+        if self._queue:
+            self._try_start()
         if self.events.subs:
             self.events.emit("job", job)
         if job.on_complete is not None:

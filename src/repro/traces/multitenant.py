@@ -13,13 +13,13 @@ has (adding a tenant never perturbs another tenant's trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.traces.model import IORequest, Trace
+from repro.traces.model import Trace
 from repro.traces.synthetic import SyntheticTraceGenerator
 from repro.traces.workloads import WORKLOADS
 
-__all__ = ["TenantStream", "make_tenant_streams", "interleave"]
+__all__ = ["TenantStream", "make_tenant_streams"]
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,3 @@ def make_tenant_streams(
             )
         )
     return streams
-
-
-def interleave(streams: Sequence[TenantStream]) -> Trace:
-    """Merge streams into one time-ordered trace (for analysis only).
-
-    Ties break on stream order, matching the deterministic order in
-    which the cluster replayer schedules them.  The merged trace loses
-    tenant identity — replay through the cluster uses the per-tenant
-    streams directly.
-    """
-    tagged: List[Tuple[float, int, int, IORequest]] = []
-    for si, stream in enumerate(streams):
-        for ri, req in enumerate(stream.trace):
-            tagged.append((req.time, si, ri, req))
-    tagged.sort(key=lambda t: (t[0], t[1], t[2]))
-    name = "+".join(s.tenant for s in streams) or "empty"
-    return Trace(f"interleaved:{name}", [t[3] for t in tagged])

@@ -3,7 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flash.allocator import SizeClassAllocator
+from repro.flash.allocator import SizeClassAllocator, SlotClass
+
+
+def reference_class_for(al, payload, orig):
+    """``class_for`` as a fresh :class:`SlotClass` per call, rounding
+    each class of ``al`` to ``orig`` on the spot."""
+    for c in al.classes:
+        if payload <= int(round(c.fraction * orig)):
+            return SlotClass(c.fraction, int(round(c.fraction * orig)))
+    return SlotClass(1.0, orig)
 
 
 class TestClassSelection:
@@ -60,6 +69,9 @@ class TestClassSelection:
             SizeClassAllocator(fractions=(0.5, 0.5, 1.0))  # duplicate
         with pytest.raises(ValueError):
             SizeClassAllocator(block_size=0)
+        for bad in (0, -4096):
+            with pytest.raises(ValueError, match="original size"):
+                SizeClassAllocator().class_for(10, bad)
 
 
 class TestAllocateFree:
@@ -198,3 +210,33 @@ class TestPropertyBased:
         smaller = [c for c in al.classes if c.nbytes < cls.nbytes]
         for c in smaller:
             assert payload > c.nbytes
+
+
+class TestSharedClasses:
+    """``class_for`` returns shared classes, equal to fresh ones."""
+
+    FRACTIONS = st.sampled_from([
+        (0.25, 0.50, 0.75, 1.0), (0.3, 1.0), (0.1, 0.333, 0.9, 1.0), (1.0,),
+    ])
+
+    @given(FRACTIONS, st.sampled_from([512, 4096, 4100]),
+           st.integers(1, 16), st.integers(0, 70_000))
+    @settings(max_examples=300, deadline=None)
+    def test_same_class_as_the_formula(self, fractions, block, blocks, payload):
+        # single blocks, merged runs up to 16 blocks, and payloads above
+        # the original (incompressible data that grew)
+        al = SizeClassAllocator(block, fractions)
+        orig = block * blocks
+        payload = min(payload, 2 * orig + 1)
+        for _ in range(2):  # the cached answer equals the first one
+            got = al.class_for(payload, orig)
+            want = reference_class_for(al, payload, orig)
+            assert (got.fraction, got.nbytes) == (want.fraction, want.nbytes)
+        if blocks == 1:
+            assert al.class_for(payload) == want
+
+    def test_classes_are_shared(self):
+        al = SizeClassAllocator()
+        assert al.class_for(100) is al.classes[0]
+        assert al.class_for(3000, 8192) is al.class_for(2500, 8192)
+        assert al.class_for(9000, 8192) is al.class_for(8192, 8192)

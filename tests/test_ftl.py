@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.flash.ftl import (
     GC_FREE_THRESHOLD, DeviceFullError, ExtentFTL, FlashCost,
 )
-from repro.flash.geometry import NandGeometry
+from repro.flash.geometry import NandGeometry, x25e_like
 
 
 def tiny_geometry(nblocks=16, pages_per_block=4):
@@ -122,6 +122,24 @@ class TestGarbageCollection:
         with pytest.raises(DeviceFullError):
             for i in range(1000):
                 ftl.write(i, 4096)  # distinct keys: live data only grows
+
+    def test_refused_overwrite_keeps_the_old_version(self):
+        # The capacity check counts the old version as freed, but a
+        # refused write must not have freed it.
+        ftl = ExtentFTL(x25e_like(16))
+        ftl.write("a", 4096)
+        ftl.write("b", ftl.effective_logical_bytes - 4096)
+        live, digest = ftl.live_bytes, ftl.validity_digest()
+        assert live == 14_680_064
+        with pytest.raises(DeviceFullError, match="14675968 B live of 14680064 B"):
+            ftl.write("a", 8192)
+        assert ftl.contains("a")
+        assert ftl.extent_size("a") == 4096
+        assert ftl.live_bytes == live
+        assert ftl.validity_digest() == digest
+        ftl.check_invariants()
+        ftl.write("a", 4096)  # an overwrite that fits still goes through
+        assert ftl.live_bytes == live
 
     def test_full_device_recovers_after_trim(self):
         geo = tiny_geometry(nblocks=8)

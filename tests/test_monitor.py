@@ -147,6 +147,31 @@ class TestClampAndReset:
         m.record(0.1, "W", 4096)
         assert m.raw_iops(0.1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_record_refused(self, bad):
+        # Accepted, a NaN sat at the head of the window so nothing behind
+        # it expired (the 1 s window at 20 held four requests, not one),
+        # and a +inf clamped every later record to inf (the window read
+        # no request at all).
+        m = WorkloadMonitor(window=1.0)
+        m.record(0.0, "W", 4096)
+        with pytest.raises(ValueError, match=f"finite: {bad!r}"):
+            m.record(bad, "W", 4096)
+        for t in (5.0, 10.0, 20.0):
+            m.record(t, "W", 4096)
+        assert m.calculated_iops(20.0) == 1.0
+        assert m.total_requests == 4
+
+    def test_record_behind_a_later_query_still_expires(self):
+        # A query may prune the window further than the records have
+        # reached; a record behind it must still leave with that cutoff.
+        m = WorkloadMonitor(window=1.0)
+        m.record(0.0, "W", 4096)
+        assert m.calculated_iops(20.0) == 0.0
+        m.record(10.0, "W", 4096)
+        assert m.calculated_iops(20.0) == 0.0
+        assert m.calculated_iops(10.5) == 0.0
+
     def test_expiry_is_single_pass(self):
         # many records, then one query far in the future: the window is
         # drained incrementally and sums return to exact zero
