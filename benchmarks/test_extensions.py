@@ -15,9 +15,9 @@ from repro.core.device import EDCBlockDevice
 from repro.core.hints import HintedPolicy
 from repro.core.policy import ElasticPolicy, FixedPolicy, NativePolicy
 from repro.energy import EnergyModel
-from repro.flash.endurance import EnduranceModel
 from repro.flash.geometry import x25e_like
 from repro.flash.hdd import SimulatedHDD
+from repro.flash.introspect import smart_snapshot
 from repro.flash.ssd import SimulatedSSD
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
@@ -197,16 +197,14 @@ class TestEndurance:
             rounds=1,
             iterations=1,
         )
-        model = EnduranceModel("MLC")
         reports = {}
         rows = []
-        for name, (sim, ssd, dev) in results.items():
-            rep = model.report(ssd.ftl, observed_seconds=max(sim.now, DURATION))
-            reports[name] = rep
+        for name, (sim, _, dev) in results.items():
+            smart = smart_snapshot(dev, max(sim.now, DURATION), "MLC")
+            reports[name] = smart
             rows.append(
-                [name, rep.total_erases, rep.max_block_erases,
-                 rep.write_amplification,
-                 model.drive_writes_per_day(ssd.geometry, rep)]
+                [name, smart.total_erases, smart.wear_max,
+                 smart.write_amplification, smart.drive_writes_per_day]
             )
         print()
         print(

@@ -16,7 +16,8 @@ from repro.core import (
     EDCBlockDevice, EDCConfig, ElasticPolicy, HintedPolicy, NativePolicy, TraceReplayer,
 )
 from repro.energy import EnergyModel
-from repro.flash import EnduranceModel, SimulatedHDD, SimulatedSSD, x25e_like
+from repro.flash import SimulatedHDD, SimulatedSSD, x25e_like
+from repro.flash.introspect import smart_snapshot
 from repro.sdgen import ContentStore
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sim import Simulator
@@ -78,15 +79,13 @@ def main() -> None:
               f"({rep.joules_per_gb:.0f} J/GB)")
 
     print("\n== 4. endurance projection " + "=" * 34)
-    endurance = EnduranceModel("MLC")
     for name, pol in (("Native", NativePolicy()), ("EDC", ElasticPolicy())):
         # A small device so the write churn actually wraps and erases.
-        sim, ssd, dev = replay(pol, duration=120.0, capacity_mb=16)
-        rep = endurance.report(ssd.ftl, observed_seconds=max(sim.now, 60.0))
-        dwpd = endurance.drive_writes_per_day(ssd.geometry, rep)
-        print(f"  {name:7s}: {rep.total_erases:4d} erases "
-              f"(max {rep.max_block_erases}/block), WA {rep.write_amplification:.2f}, "
-              f"sustains {dwpd:.1f} drive-writes/day over 5y")
+        sim, _, dev = replay(pol, duration=120.0, capacity_mb=16)
+        smart = smart_snapshot(dev, max(sim.now, 60.0), "MLC")
+        print(f"  {name:7s}: {smart.total_erases:4d} erases "
+              f"(max {smart.wear_max}/block), WA {smart.write_amplification:.2f}, "
+              f"sustains {smart.drive_writes_per_day:.1f} drive-writes/day over 5y")
 
 
 if __name__ == "__main__":

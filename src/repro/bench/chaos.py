@@ -99,8 +99,7 @@ def render(record: RunRecord) -> str:
             f"  scrub:        {st['scanned']} entries verified "
             f"({st['verify_bytes']} bytes), "
             f"{st['corrupt_found']} corrupt found, "
-            f"{st['parity_repairs']} parity / "
-            f"{st['replica_repairs']} replica repairs, "
+            f"{st['parity_repairs']} parity repairs, "
             f"{st['blocks_retired']} blocks retired, "
             f"{st['unrepairable']} unrepairable"
         )

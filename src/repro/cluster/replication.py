@@ -159,10 +159,6 @@ class ReplicationStats:
     #: blocks actually re-replicated (one src read + one dst ingest each)
     rebuild_blocks: int = 0
     rebuild_bytes: int = 0
-    #: blocks re-ingested from a peer replica by a media scrubber
-    #: (see :meth:`ReplicationManager.replica_source_for`)
-    scrub_repairs: int = 0
-    scrub_repair_bytes: int = 0
 
 
 @dataclass
@@ -758,60 +754,6 @@ class ReplicationManager:
         self.stats.rebuilds_completed += 1
         if self.tracer is not None:
             self.tracer.rebuild_done(job.ridx)
-
-    # ------------------------------------------------------------------
-    # media-scrub self-healing
-    # ------------------------------------------------------------------
-    def replica_source_for(self, name: str) -> Callable[[int, int], bool]:
-        """Self-healing hook for shard ``name``'s media scrubber.
-
-        Returns a ``(lba, nbytes) -> bool`` callable (the
-        :class:`~repro.flash.scrub.MediaScrubber` ``replica_source``):
-        when the scrubber finds latent corruption it cannot repair
-        locally, the hook re-ingests the covered blocks from a peer
-        replica — a charged read on the surviving holder, then
-        :meth:`~repro.core.device.EDCBlockDevice.ingest_replica` on
-        ``name`` at the oracle version, the same byte-exactness
-        machinery rebuild uses.  Returns ``True`` when at least one
-        block was re-ingested.
-        """
-        c = self.cluster
-        bs = c.block_size
-
-        def _repair(lba: int, nbytes: int) -> bool:
-            ridx = c.range_of(lba)
-            peers = [n for n in self.targets(ridx) if n != name]
-            repaired = False
-            for blk in range(lba // bs, (lba + nbytes + bs - 1) // bs):
-                version = self.versions.get(blk, 0)
-                if version == 0:
-                    continue
-                src = next(
-                    (n for n in peers
-                     if c.shards[n].mapping.lookup(blk * bs) is not None),
-                    None,
-                )
-                if src is None:
-                    continue
-                rreq = IORequest(self.sim.now, READ, blk * bs, bs)
-                c.register_internal(
-                    rreq, lambda *_: None, lambda *_: None
-                )
-                c.shards[src].submit(rreq)
-
-                def _ingest_ok(req: IORequest, _latency: float) -> None:
-                    self.stats.scrub_repairs += 1
-                    self.stats.scrub_repair_bytes += bs
-
-                wreq = IORequest(self.sim.now, WRITE, blk * bs, bs)
-                c.register_internal(wreq, _ingest_ok, lambda *_: None)
-                c.shards[name].ingest_replica(
-                    blk * bs, bs, (version,), ref=wreq
-                )
-                repaired = True
-            return repaired
-
-        return _repair
 
     # ------------------------------------------------------------------
     # durability audit (the chaos verdict)

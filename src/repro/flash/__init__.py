@@ -19,7 +19,6 @@ Models the storage stack the paper evaluates on:
 """
 
 from repro.flash.allocator import SizeClassAllocator, SlotClass
-from repro.flash.endurance import EnduranceModel, EnduranceReport, PE_LIMITS
 from repro.flash.hdd import HddTiming, SimulatedHDD
 from repro.flash.ftl import ExtentFTL, FlashCost
 from repro.flash.gc import GreedyCollector
@@ -52,7 +51,4 @@ __all__ = [
     "MappingTable",
     "SimulatedHDD",
     "HddTiming",
-    "EnduranceModel",
-    "EnduranceReport",
-    "PE_LIMITS",
 ]

@@ -11,10 +11,11 @@ module is the pure query layer behind the device-health telemetry
 into two reports:
 
 - :class:`SmartSnapshot` — a SMART-style health page: wear percentiles
-  and the erase-count histogram (the :mod:`repro.flash.endurance`
-  inputs), spare/retired capacity, the cumulative write-amplification
-  split (host vs GC vs metadata vs rebuild), GC efficiency, and the
-  lifetime/DWPD projection;
+  and the erase-count histogram, spare/retired capacity, the cumulative
+  write-amplification split (host vs GC vs metadata vs rebuild vs
+  scrub), GC efficiency, and the reproduction's one lifetime/DWPD
+  projection (paper §III-A's reliability objective: fewer erase cycles,
+  a longer-lived device);
 - :class:`SpaceWaterfall` — the space-efficiency waterfall: logical
   bytes → compressed payload → slot bytes (per-size-class slack) →
   free-slot / retired overhead → physical bytes, with an **exact
@@ -29,14 +30,15 @@ never mutates the device, so introspection cannot perturb a replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.flash.endurance import PE_LIMITS
 from repro.flash.raid import RAIS5
 from repro.flash.ssd import SimulatedSSD
 
 __all__ = [
+    "PE_LIMITS",
     "SpaceAccountingError",
     "WaterfallStage",
     "SpaceWaterfall",
@@ -50,6 +52,14 @@ __all__ = [
     "queues_of",
     "write_amplification",
 ]
+
+#: Typical program/erase cycle limits per NAND cell technology (§I's
+#: density/endurance trade-off: ~100 k for the paper's SLC X25-E).
+PE_LIMITS: Dict[str, int] = {
+    "SLC": 100_000,
+    "MLC": 3_000,
+    "TLC": 1_000,
+}
 
 #: Default tolerance of the conservation checks.  All stage values are
 #: integer byte counts, so any genuine mismatch is >= 1 byte; the eps
@@ -464,11 +474,16 @@ def smart_snapshot(
     """Summarise the health of ``device``'s backend at one instant.
 
     ``observed_seconds`` is the simulated horizon the erase counts were
-    accumulated over; it drives the lifetime extrapolation exactly as
-    :meth:`~repro.flash.endurance.EnduranceModel.report` does.
+    accumulated over: the most-worn block's erase rate over it is
+    extrapolated to its ``cell_type`` PE limit (:data:`PE_LIMITS`) for
+    the projected lifetime, and DWPD is the full-capacity host writes
+    per day the PE budget sustains over five years at the observed write
+    amplification.  A negative or non-finite horizon is refused.
     """
-    if observed_seconds < 0:
-        raise ValueError(f"negative horizon: {observed_seconds!r}")
+    if not 0 <= observed_seconds < math.inf:
+        raise ValueError(
+            f"horizon must be non-negative and finite: {observed_seconds!r}"
+        )
     if cell_type not in PE_LIMITS:
         raise ValueError(
             f"unknown cell type {cell_type!r}; known: {sorted(PE_LIMITS)}"

@@ -12,9 +12,6 @@ CRC with a real (charged) device read, and on a mismatch triggers
   rewritten through the normal device path
   (:meth:`~repro.core.device.EDCBlockDevice.rewrite_entry`), so repair
   I/O lands in WA, queue occupancy and energy exactly like GC traffic;
-- with a fleet ``replica_source`` (see
-  :meth:`repro.cluster.replication.ReplicationManager.replica_source_for`)
-  the clean copy is fetched from a surviving replica and re-ingested;
 - otherwise the extent is **unrepairable** and escalates to the chaos
   harness's CORRUPTION accounting.
 
@@ -34,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.flash.introspect import ssds_of
 from repro.flash.raid import RAIS5
@@ -79,7 +76,6 @@ class ScrubStats:
         "corrupt_found",
         "parity_repairs",
         "parity_rewrites",
-        "replica_repairs",
         "repair_read_bytes",
         "repaired_bytes",
         "unrepairable",
@@ -95,7 +91,6 @@ class ScrubStats:
         self.corrupt_found = 0
         self.parity_repairs = 0
         self.parity_rewrites = 0
-        self.replica_repairs = 0
         self.repair_read_bytes = 0
         self.repaired_bytes = 0
         self.unrepairable = 0
@@ -118,7 +113,7 @@ class ScrubEpisode:
     lba: int
     #: stored bytes involved (extent size, or bytes relocated on retire)
     nbytes: int
-    #: ``repair-parity`` / ``repair-replica`` / ``unrepairable`` / ``retire``
+    #: ``repair-parity`` / ``unrepairable`` / ``retire``
     action: str
     #: member device name the corruption/retirement was located on
     device: str
@@ -134,15 +129,10 @@ class MediaScrubber:
         sim,
         device,
         config: Optional[ScrubConfig] = None,
-        replica_source: Optional[Callable[[int, int], bool]] = None,
     ) -> None:
         self.sim = sim
         self.device = device
         self.config = config if config is not None else ScrubConfig()
-        #: ``(lba, nbytes) -> bool`` fleet-repair hook: fetch a clean
-        #: replica of the range and re-ingest it locally, charging both
-        #: sides' I/O; ``None`` when the device is not replicated
-        self.replica_source = replica_source
         self.stats = ScrubStats()
         self.episodes: Deque[ScrubEpisode] = deque(maxlen=MAX_EPISODES)
         self.episodes_total = 0
@@ -253,7 +243,6 @@ class MediaScrubber:
         if entry is None:
             return
         stored = max(1, entry.size)
-        span_bytes = entry.span * dev.config.block_size
         corrupt = self._corrupt_by_member(eid)
         if not corrupt:  # cleared in the meantime (overwrite/trim)
             return
@@ -286,18 +275,6 @@ class MediaScrubber:
                 on_stored=self._count_repaired_bytes,
             )
             return
-
-        if self.replica_source is not None:
-            # Fleet path: fetch the clean copy from a surviving replica
-            # and re-ingest it (charged on both shards).
-            member_name = corrupt[0][0].name
-            self._repairing[eid] = self.stats.ticks
-            if self.replica_source(entry.lba, span_bytes):
-                self.stats.replica_repairs += 1
-                self.stats.repair_read_bytes += stored
-                self._note(eid, entry.lba, stored, "repair-replica", member_name)
-                return
-            del self._repairing[eid]
 
         # No redundancy left to rebuild from.
         self.stats.unrepairable += 1
@@ -431,7 +408,7 @@ class MediaScrubber:
         s = self.stats
         header = (
             f"scrub audit ({s.scanned} scans, {s.corrupt_found} corrupt, "
-            f"{s.parity_repairs + s.replica_repairs} repaired, "
+            f"{s.parity_repairs} repaired, "
             f"{s.unrepairable} unrepairable, {s.blocks_retired} retired)"
         )
         lines = [header]

@@ -7,7 +7,7 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   (``estimate``, ``compress``, ``queue``, ``flash_program``,
   ``gc_stall``, ``read_decompress``).
 - :mod:`repro.telemetry.histograms` — fixed-bucket log2 histograms
-  (p50/p95/p99/p999 in bounded memory), counters, gauges and a registry.
+  (p50/p95/p99/p999 in bounded memory) and their registry.
 - :mod:`repro.telemetry.probes` — the :class:`Telemetry` facade, a
   subscriber of the device stack's event seam
   (:mod:`repro.sim.events`).  Instrumentation is opt-in:
@@ -20,7 +20,7 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   simulation-clock periodic sampler (``replay(sampler=...)`` /
   ``python -m repro.bench breakdown --metrics``).
 - :mod:`repro.telemetry.exposition` — Prometheus-style text exposition
-  (render + parse) over the metrics registry and sampled series.
+  (render + parse) over the histogram registry and sampled series.
 - :mod:`repro.telemetry.dashboard` — ASCII multi-panel sparkline
   dashboard with band-switch markers.
 - :mod:`repro.telemetry.audit` — per-write decision provenance
@@ -41,12 +41,7 @@ A zero-dependency observability layer for the EDC stack.  Four pieces:
   (``python -m repro.bench breakdown --health``).
 """
 
-from repro.telemetry.histograms import (
-    Counter,
-    Gauge,
-    Log2Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.histograms import Log2Histogram, MetricsRegistry
 from repro.telemetry.spans import LAYERS, Span, Tracer
 from repro.telemetry.probes import Telemetry
 from repro.telemetry.exporters import (
@@ -106,8 +101,6 @@ __all__ = [
     "Tracer",
     "LAYERS",
     "Log2Histogram",
-    "Counter",
-    "Gauge",
     "MetricsRegistry",
     "Telemetry",
     "dump_jsonl",

@@ -259,8 +259,7 @@ def ascii_flamegraph(
 def render_telemetry_summary(
     telemetry: Telemetry, flame: bool = True
 ) -> str:
-    """Breakdown tables + key metrics + (optionally) the flamegraph."""
-    telemetry.snapshot_stack()
+    """Breakdown tables + latency histograms + (optionally) the flamegraph."""
     parts = [render_layer_breakdown(telemetry)]
 
     m = telemetry.metrics
@@ -279,13 +278,6 @@ def render_telemetry_summary(
              "p999_us"],
             hist_rows, title="Latency histograms (log2 buckets)",
         ))
-    scalar_rows = [[k, v] for k, v in sorted(
-        {**{k: c.value for k, c in m.counters.items()},
-         **{k: g.value for k, g in m.gauges.items()}}.items()
-    )]
-    if scalar_rows:
-        parts.append(render_table(["metric", "value"], scalar_rows,
-                                  title="Counters and gauges"))
     if flame:
         parts.append(ascii_flamegraph(telemetry.tracer))
     return "\n\n".join(parts)

@@ -1,11 +1,10 @@
 """Prometheus-style text exposition of the telemetry state.
 
-:func:`render_exposition` snapshots a
-:class:`~repro.telemetry.histograms.MetricsRegistry` (counters, gauges,
-log2 histograms) and/or the latest values of a
-:class:`~repro.telemetry.timeseries.TimeSeriesSampler` into the
-Prometheus text exposition format (version 0.0.4): ``# HELP`` / ``# TYPE``
-comments, ``name{label="value"} value`` samples, histograms as
+:func:`render_exposition` snapshots the log2 histograms of a
+:class:`~repro.telemetry.histograms.MetricsRegistry` and/or the latest
+values of a :class:`~repro.telemetry.timeseries.TimeSeriesSampler` into
+the Prometheus text exposition format (version 0.0.4): ``# HELP`` /
+``# TYPE`` comments, ``name{label="value"} value`` samples, histograms as
 cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
 
 :func:`parse_exposition` is the matching reader.  It exists so the
@@ -106,7 +105,8 @@ def render_exposition(
 ) -> str:
     """Render one scrape snapshot as Prometheus exposition text.
 
-    ``metrics`` is a :class:`MetricsRegistry` (or ``None``); ``sampler``
+    ``metrics`` is a :class:`MetricsRegistry` (or ``None``) whose
+    histograms render as cumulative buckets; ``sampler``
     a :class:`TimeSeriesSampler` (or ``None``) whose series contribute
     their *latest* point as gauges — labelled series (codec shares, slot
     classes) merge into one metric family with distinct label sets.
@@ -122,16 +122,6 @@ def render_exposition(
     ns = sanitize_name(namespace)
 
     if metrics is not None:
-        for name in sorted(metrics.counters):
-            c = metrics.counters[name]
-            full = f"{ns}_{sanitize_name(name)}_total"
-            w.header(full, "counter", f"Counter {name!r}.")
-            w.sample(full, c.value)
-        for name in sorted(metrics.gauges):
-            g = metrics.gauges[name]
-            full = f"{ns}_{sanitize_name(name)}"
-            w.header(full, "gauge", f"Gauge {name!r}.")
-            w.sample(full, g.value)
         for name in sorted(metrics.histograms):
             h = metrics.histograms[name]
             full = f"{ns}_{sanitize_name(name)}"

@@ -1,4 +1,4 @@
-"""Streaming metrics: log2 histograms, counters, gauges, and a registry.
+"""Streaming distributions: log2 histograms and their registry.
 
 The device models previously kept every latency sample in a Python list
 (O(n) memory over a replay).  :class:`Log2Histogram` replaces that on
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Log2Histogram", "Counter", "Gauge", "MetricsRegistry"]
+__all__ = ["Log2Histogram", "MetricsRegistry"]
 
 #: Default quantiles reported by :meth:`Log2Histogram.quantiles`.
 _DEFAULT_QS = (50.0, 95.0, 99.0, 99.9)
@@ -166,62 +166,17 @@ class Log2Histogram:
         )
 
 
-class Counter:
-    """Monotonically-increasing scalar (floats allowed: byte- and
-    second-valued counters are common)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        if n < 0:
-            raise ValueError(f"counter increment must be non-negative: {n!r}")
-        self.value += n
-
-
-class Gauge:
-    """Last-written value with min/max watermarks."""
-
-    __slots__ = ("name", "value", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def set(self, v: float) -> None:
-        if v != v:
-            raise ValueError("NaN gauge value rejected")
-        self.value = v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
-
-
 class MetricsRegistry:
-    """Named counters, gauges and histograms, created on first use."""
+    """Named histograms, created on first use.
+
+    Distributions only: every count and level of the stack has one owner
+    (``GcStats``, ``SimulatedSSD.stats``, ``ElasticPolicy.band_counts``,
+    the device's latency recorders, the sampler's series), read where
+    it is kept rather than copied here.
+    """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Log2Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str) -> Log2Histogram:
         h = self._histograms.get(name)
@@ -230,23 +185,5 @@ class MetricsRegistry:
         return h
 
     @property
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
-
-    @property
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
-
-    @property
     def histograms(self) -> Dict[str, Log2Histogram]:
         return dict(self._histograms)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat snapshot for JSON export."""
-        return {
-            "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.summary() for k, h in sorted(self._histograms.items())
-            },
-        }

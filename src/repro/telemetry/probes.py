@@ -1,12 +1,18 @@
 """The :class:`Telemetry` facade: span tracing + per-layer accounting.
 
 One :class:`Telemetry` object owns a :class:`~repro.telemetry.spans.Tracer`,
-a :class:`~repro.telemetry.histograms.MetricsRegistry` and the write/read
-per-layer accounting.  :meth:`Telemetry.bind_device` subscribes it to
-the device's request-lifecycle events and to the lower layers (queue
-servers' ``job``, the SSDs' ``service``, the FTLs' ``gc``, the elastic
-policy's ``select``) through the stack's one event seam
-(:mod:`repro.sim.events`).
+a :class:`~repro.telemetry.histograms.MetricsRegistry` of latency and
+GC distributions, and the write/read per-layer accounting.
+:meth:`Telemetry.bind_device` subscribes it to the device's
+request-lifecycle events and to the lower layers (queue servers'
+``job``, the SSDs' ``service``, the FTLs' ``gc``) through the stack's
+one event seam (:mod:`repro.sim.events`).
+
+Telemetry keeps no counter or gauge: request, flash-operation, GC and
+band counts, write amplification and utilisation each have one owner
+below it (the device's latency recorders, ``SimulatedSSD.stats``,
+``GcStats``, ``ElasticPolicy.band_counts``, the FTL statistics and the
+queue servers), and the sampler's series read them there.
 
 Instrumentation is **opt-in and free when disabled**: a stack nothing
 subscribed to pays one truth test per emit site and runs no telemetry
@@ -29,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, Optional, Tuple
 
-from repro.flash.introspect import ftls_of, queues_of, ssds_of, write_amplification
+from repro.flash.introspect import queues_of, ssds_of
 from repro.sim.queueing import Job
 from repro.telemetry.histograms import MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
@@ -146,13 +152,12 @@ class Telemetry:
         #: record currently issuing a device write (set around the
         #: synchronous ``distributer.write`` call)
         self._issuing_w: Optional[_WriteRunRec] = None
-        self._last_band: Optional[int] = None
 
     # ------------------------------------------------------------------
     # stack wiring
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
-        """Subscribe to ``device`` and the servers/SSDs/FTLs/policy beneath."""
+        """Subscribe to ``device`` and the servers/SSDs/FTLs beneath."""
         self.device = device
         device.observers["telemetry"] = self
         for kind, handler in (
@@ -172,31 +177,23 @@ class Telemetry:
             queue.events.subscribe("job", self._on_server_job)
         for ssd in ssds_of(device.backend):
             ssd.events.subscribe("service", self._on_ssd_service)
-            ssd.ftl.events.subscribe("gc", self._count_gc)
-        ladder = device.policy.ladder
-        if ladder is not None:
-            ladder.events.subscribe("select", self._on_policy_select)
+            ssd.ftl.events.subscribe("gc", self._on_gc)
 
     # ------------------------------------------------------------------
     # device events: request lifecycle
     # ------------------------------------------------------------------
     def request_arrived(self, request) -> None:
         """Open the per-request root span at arrival time."""
-        is_write = request.is_write
         parent = (
             self.parent_for(request) if self.parent_for is not None else None
         )
-        span = self.tracer.start(
-            "write" if is_write else "read",
+        self._req[request] = self.tracer.start(
+            "write" if request.is_write else "read",
             layer="request",
             parent=parent,
             lba=request.lba,
             nbytes=request.nbytes,
         )
-        self._req[request] = span
-        self.metrics.counter(
-            "requests.write" if is_write else "requests.read"
-        ).inc()
 
     # -- write path -----------------------------------------------------
     def write_run_planned(self, run, run_ids, hint, selected, plan) -> None:
@@ -322,15 +319,11 @@ class Telemetry:
         self, op: str, key: Hashable, service: float, gc_stall: float
     ) -> None:
         """SSD ``service`` event, emitted synchronously at submit."""
-        if op == "write":
-            rec = self._issuing_w
-            if rec is not None:
-                rec.flash_service += service
-                rec.gc_stall += gc_stall
-                rec.gc_per_job.append(gc_stall)
-            if gc_stall > 0:
-                self.metrics.counter("flash.gc_stall_seconds").inc(gc_stall)
-        self.metrics.counter(f"flash.{op}s").inc()
+        rec = self._issuing_w
+        if op == "write" and rec is not None:
+            rec.flash_service += service
+            rec.gc_stall += gc_stall
+            rec.gc_per_job.append(gc_stall)
 
     def _on_server_job(self, job: Job) -> None:
         """Queue-server observer: correlate completions back to requests."""
@@ -385,21 +378,8 @@ class Telemetry:
             self.metrics.histogram("flash.read_wait").add(job.wait)
             self.metrics.histogram("flash.read_service").add(job.service_time)
 
-    def _count_gc(self, ftl, victim: int, moved: int, reclaimed: int) -> None:
-        m = self.metrics
-        m.counter("gc.collections").inc()
-        m.counter("gc.moved_bytes").inc(moved)
-        m.counter("gc.reclaimed_bytes").inc(reclaimed)
-        m.histogram("gc.moved_per_collection").add(float(moved))
-
-    def _on_policy_select(self, band_idx: int, iops: float) -> None:
-        m = self.metrics
-        m.counter(f"policy.band.{band_idx}").inc()
-        m.gauge("policy.band").set(float(band_idx))
-        m.gauge("policy.calculated_iops").set(iops)
-        if self._last_band is not None and band_idx != self._last_band:
-            m.counter("policy.band_transitions").inc()
-        self._last_band = band_idx
+    def _on_gc(self, ftl, victim: int, moved: int, reclaimed: int) -> None:
+        self.metrics.histogram("gc.moved_per_collection").add(float(moved))
 
     # ------------------------------------------------------------------
     # results
@@ -423,33 +403,3 @@ class Telemetry:
             self.read_layers.values()
         )
         return out
-
-    def snapshot_stack(self) -> None:
-        """Poll bound-device counters (WA, utilisation) into gauges.
-
-        The ``flash.*`` gauges cover every FTL and device queue serving
-        the backend: one SSD's own, or an array's members' (WA over
-        their summed bytes, utilisation their mean)."""
-        device = self.device
-        if device is None:
-            return
-        backend = device.distributer.backend
-        ftls = ftls_of(backend)
-        queues = queues_of(backend)
-        m = self.metrics
-        if ftls:
-            m.gauge("flash.write_amplification").set(
-                write_amplification(ftls)
-            )
-        if queues:
-            m.gauge("flash.utilization").set(
-                sum(q.utilization() for q in queues) / len(queues)
-            )
-        m.gauge("cpu.utilization").set(device.cpu.utilization())
-        if ftls:
-            m.gauge("flash.host_bytes").set(
-                float(sum(f.stats.host_bytes for f in ftls))
-            )
-            m.gauge("flash.relocated_bytes").set(
-                float(sum(f.stats.relocated_bytes for f in ftls))
-            )

@@ -66,10 +66,6 @@ class Span:
         self.tags = tags
 
     @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         """Seconds between start and end (0.0 while the span is open)."""
         if self.end is None:
@@ -107,8 +103,9 @@ class Tracer:
     """Collects finished spans, bounded by :data:`MAX_SPANS`.
 
     Spans beyond the cap are *timed but not retained* (``dropped``
-    counts them), so a long replay cannot exhaust memory while still
-    reporting exact layer totals through the metrics side.
+    counts them), so a long replay cannot exhaust memory; the exact
+    per-layer totals are :class:`~repro.telemetry.probes.Telemetry`'s
+    ``write_layers`` / ``read_layers``, which do not depend on retention.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
@@ -173,11 +170,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    def layer_totals(self) -> Dict[str, Tuple[int, float]]:
-        """``layer -> (span count, total seconds)`` over retained spans."""
-        totals: Dict[str, Tuple[int, float]] = {}
-        for s in self.spans:
-            n, t = totals.get(s.layer, (0, 0.0))
-            totals[s.layer] = (n + 1, t + s.duration)
-        return totals

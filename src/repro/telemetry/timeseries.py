@@ -244,10 +244,6 @@ class TimeSeriesSampler:
             self._periodic.cancel()
             self._periodic = None
 
-    @property
-    def running(self) -> bool:
-        return self._periodic is not None
-
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------

@@ -115,6 +115,18 @@ class TestCli:
         assert series.read_text().strip()
         assert prom.read_text().startswith("# HELP")
 
+    def test_telemetry_prom_dump_holds_distributions_only(self, capsys, tmp_path):
+        # Telemetry keeps no counter or gauge of its own: without the
+        # sampler, its scrape is the latency and GC histograms alone.
+        prom = tmp_path / "m.prom"
+        assert main(["breakdown", "--telemetry", "--duration", "3",
+                     "--prom-dump", str(prom)]) == 0
+        types = [line.split() for line in prom.read_text().splitlines()
+                 if line.startswith("# TYPE")]
+        assert types
+        assert {t[3] for t in types} == {"histogram"}
+        assert "Counters and gauges" not in capsys.readouterr().out
+
     def test_telemetry_and_metrics_compose(self, capsys):
         # one shared replay produces both reports
         assert main(["breakdown", "--telemetry", "--metrics",

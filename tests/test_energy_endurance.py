@@ -1,11 +1,44 @@
-"""Tests for the energy model (§VI #3) and endurance projection (§VI #4)."""
+"""Tests for the energy model (§VI #3) and endurance projection (§VI #4).
+
+The endurance projection is the SMART page's
+(:func:`~repro.flash.introspect.smart_snapshot`): its lifetime and DWPD
+are exercised here on a 16-block SSD whose FTL is worn directly.
+"""
+
+import math
 
 import pytest
 
+from repro.core.config import EDCConfig
+from repro.core.device import EDCBlockDevice
+from repro.core.policy import NativePolicy
 from repro.energy import POWER, EnergyModel, EnergyReport
-from repro.flash.endurance import EnduranceModel, PE_LIMITS
-from repro.flash.ftl import ExtentFTL
 from repro.flash.geometry import NandGeometry
+from repro.flash.introspect import PE_LIMITS, smart_snapshot
+from repro.flash.ssd import SimulatedSSD
+from repro.sdgen.datasets import ENTERPRISE_MIX
+from repro.sdgen.generator import ContentStore
+from repro.sim.engine import Simulator
+from repro.telemetry import DeviceHealth
+
+GEOMETRY = NandGeometry(page_size=4096, pages_per_block=8, nblocks=16,
+                        op_ratio=0.25)
+
+
+def _worn_device(extent_size=4096, writes=400, cold=0):
+    """A device over a 16-block SSD after ``writes`` overwrites of eight
+    hot keys of ``extent_size`` bytes, interleaved with ``cold`` keys
+    written once (live data GC must relocate)."""
+    sim = Simulator()
+    ssd = SimulatedSSD(sim, geometry=GEOMETRY)
+    dev = EDCBlockDevice(sim, ssd, NativePolicy(),
+                         ContentStore(ENTERPRISE_MIX, pool_blocks=16),
+                         EDCConfig())
+    for i in range(writes):
+        ssd.ftl.write(i % 8, extent_size)
+        if i < cold:
+            ssd.ftl.write(("cold", i), extent_size)
+    return dev, ssd.ftl
 
 
 class TestPowerParams:
@@ -75,115 +108,92 @@ class TestEnergyModel:
 
 
 class TestEnduranceModel:
-    def _worn_ftl(self, extent_size=4096, writes=400):
-        geo = NandGeometry(page_size=4096, pages_per_block=8, nblocks=16, op_ratio=0.25)
-        ftl = ExtentFTL(geo)
-        for i in range(writes):
-            ftl.write(i % 8, extent_size)
-        return geo, ftl
-
     def test_cell_types(self):
         assert PE_LIMITS["SLC"] > PE_LIMITS["MLC"] > PE_LIMITS["TLC"]
-        with pytest.raises(ValueError):
-            EnduranceModel("QLC")
+        dev, _ = _worn_device()
+        with pytest.raises(ValueError, match="unknown cell type 'QLC'"):
+            smart_snapshot(dev, 100.0, "QLC")
 
     def test_report_fields(self):
-        geo, ftl = self._worn_ftl()
-        rep = EnduranceModel("SLC").report(ftl, observed_seconds=100.0)
-        assert rep.total_erases > 0
-        assert rep.max_block_erases >= 1
-        assert rep.write_amplification >= 1.0
-        assert 0 < rep.wear_fraction < 1
-        assert rep.projected_lifetime_seconds > 0
+        dev, _ = _worn_device()
+        snap = smart_snapshot(dev, 100.0)
+        assert snap.total_erases > 0
+        assert snap.wear_max >= 1
+        assert snap.write_amplification >= 1.0
+        assert 0 < snap.wear_fraction < 1
+        assert snap.projected_lifetime_seconds > 0
 
     def test_no_wear_infinite_lifetime(self):
-        geo = NandGeometry(page_size=4096, pages_per_block=8, nblocks=16, op_ratio=0.25)
-        ftl = ExtentFTL(geo)
-        ftl.write("a", 4096)
-        rep = EnduranceModel().report(ftl, 10.0)
-        assert rep.projected_lifetime_seconds == float("inf")
+        dev, _ = _worn_device(writes=1)
+        snap = smart_snapshot(dev, 10.0)
+        assert snap.wear_max == 0
+        assert snap.projected_lifetime_seconds == float("inf")
 
     def test_compression_extends_lifetime(self):
         """§III-A: fewer stored bytes -> fewer erases -> longer life."""
-        _, raw = self._worn_ftl(extent_size=4096)
-        _, comp = self._worn_ftl(extent_size=2048)
-        m = EnduranceModel("MLC")
-        raw_rep = m.report(raw, 100.0)
-        comp_rep = m.report(comp, 100.0)
-        assert comp_rep.total_erases < raw_rep.total_erases
-        assert comp_rep.lifetime_vs(raw_rep) > 1.0
+        raw = smart_snapshot(_worn_device(extent_size=4096)[0], 100.0, "MLC")
+        comp = smart_snapshot(_worn_device(extent_size=2048)[0], 100.0, "MLC")
+        assert comp.total_erases < raw.total_erases
+        assert comp.projected_lifetime_seconds > raw.projected_lifetime_seconds
 
     def test_mlc_wears_faster_than_slc(self):
-        _, ftl = self._worn_ftl()
-        slc = EnduranceModel("SLC").report(ftl, 100.0)
-        mlc = EnduranceModel("MLC").report(ftl, 100.0)
+        dev, _ = _worn_device()
+        slc = smart_snapshot(dev, 100.0, "SLC")
+        mlc = smart_snapshot(dev, 100.0, "MLC")
         assert mlc.wear_fraction > slc.wear_fraction
         assert mlc.projected_lifetime_seconds < slc.projected_lifetime_seconds
 
     def test_dwpd(self):
-        geo, ftl = self._worn_ftl()
-        m = EnduranceModel("SLC")
-        rep = m.report(ftl, 100.0)
-        dwpd = m.drive_writes_per_day(geo, rep)
-        assert dwpd > 0
+        dev, _ = _worn_device()
+        assert smart_snapshot(dev, 100.0).drive_writes_per_day > 0
 
 
 class TestEnduranceEdgeCases:
-    def _worn_ftl(self, extent_size=4096, writes=400):
-        geo = NandGeometry(page_size=4096, pages_per_block=8, nblocks=16,
-                           op_ratio=0.25)
-        ftl = ExtentFTL(geo)
-        for i in range(writes):
-            ftl.write(i % 8, extent_size)
-        return geo, ftl
-
     def test_negative_horizon_rejected(self):
-        _, ftl = self._worn_ftl()
-        with pytest.raises(ValueError):
-            EnduranceModel().report(ftl, -1.0)
+        dev, _ = _worn_device()
+        with pytest.raises(ValueError, match="horizon"):
+            smart_snapshot(dev, -1.0)
 
-    def test_lifetime_vs_infinite_cases(self):
-        geo, worn = self._worn_ftl()
-        fresh = ExtentFTL(geo)
-        fresh.write("a", 4096)
-        m = EnduranceModel("MLC")
-        worn_rep = m.report(worn, 100.0)
-        fresh_rep = m.report(fresh, 100.0)
-        assert fresh_rep.projected_lifetime_seconds == float("inf")
-        assert fresh_rep.lifetime_vs(worn_rep) == float("inf")
-        assert worn_rep.lifetime_vs(fresh_rep) == 0.0
-        assert fresh_rep.lifetime_vs(fresh_rep) == 1.0
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # On a worn device an infinite horizon makes the erase rate zero
+        # (a division by zero) and NaN projects a NaN lifetime; both are
+        # refused, through DeviceHealth.smart too.
+        dev, _ = _worn_device()
+        with pytest.raises(ValueError, match="horizon"):
+            smart_snapshot(dev, horizon)
+        health = DeviceHealth()
+        health.bind_device(dev)
+        with pytest.raises(ValueError, match="horizon"):
+            health.smart(horizon)
 
     def test_dwpd_falls_with_write_amplification(self):
         """Same budget, higher WA -> fewer host writes per day."""
-        from dataclasses import replace
-
-        geo, ftl = self._worn_ftl()
-        m = EnduranceModel("SLC")
-        rep = m.report(ftl, 100.0)
-        worse = replace(rep, write_amplification=rep.write_amplification * 2)
-        assert m.drive_writes_per_day(geo, worse) < m.drive_writes_per_day(
-            geo, rep
+        lo = smart_snapshot(_worn_device()[0], 100.0)
+        hi = smart_snapshot(_worn_device(cold=80)[0], 100.0)
+        assert lo.write_amplification == 1.0 < hi.write_amplification
+        assert hi.drive_writes_per_day < lo.drive_writes_per_day
+        assert hi.drive_writes_per_day * hi.write_amplification == (
+            pytest.approx(lo.drive_writes_per_day)
         )
 
     def test_retired_blocks_leave_wear_statistics(self):
         """A dead block must not bound the lifetime projection."""
-        geo, ftl = self._worn_ftl()
+        dev, ftl = _worn_device()
         worst = max(ftl.collector.stats.erase_counts,
                     key=ftl.collector.stats.erase_counts.get)
-        before = EnduranceModel().report(ftl, 100.0)
+        before = smart_snapshot(dev, 100.0)
         ftl.retire_block(worst)
-        after = EnduranceModel().report(ftl, 100.0)
-        assert after.max_block_erases <= before.max_block_erases
+        after = smart_snapshot(dev, 100.0)
+        assert after.wear_max <= before.wear_max
         assert worst not in ftl.collector.stats.erase_counts
 
     def test_report_matches_smart_snapshot_inputs(self):
-        """The SMART page and the endurance report agree on wear."""
-        from repro.flash.endurance import PE_LIMITS as LIMITS
-
-        geo, ftl = self._worn_ftl()
-        rep = EnduranceModel("TLC").report(ftl, 50.0)
-        assert rep.pe_limit == LIMITS["TLC"]
+        """The SMART page's wear and WA are the FTL's own counters."""
+        dev, ftl = _worn_device()
+        snap = smart_snapshot(dev, 50.0, "TLC")
+        assert snap.pe_limit == PE_LIMITS["TLC"]
         counts = ftl.collector.stats.erase_counts
-        assert rep.total_erases == sum(counts.values())
-        assert rep.max_block_erases == max(counts.values())
+        assert snap.total_erases == sum(counts.values())
+        assert snap.wear_max == max(counts.values())
+        assert snap.write_amplification == ftl.stats.write_amplification()

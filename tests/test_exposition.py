@@ -24,8 +24,6 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data",
 def build_fixture():
     """The deterministic registry + sampler behind the golden file."""
     metrics = MetricsRegistry()
-    metrics.counter("requests").inc(42)
-    metrics.gauge("utilization").set(0.375)
     h = metrics.histogram("latency_s")
     for v in (0.001, 0.002, 0.004, 0.25):
         h.add(v)
@@ -52,12 +50,17 @@ def build_fixture():
 
 class TestRender:
     def test_counter_and_gauge_families(self):
-        metrics, _ = build_fixture()
-        text = render_exposition(metrics=metrics)
-        assert "# TYPE edc_requests_total counter" in text
-        assert "edc_requests_total 42.0" in text
-        assert "# TYPE edc_utilization gauge" in text
-        assert "edc_utilization 0.375" in text
+        # Counters and gauges come from the sampler (marker channels and
+        # ticks, latest series points); the registry holds histograms only.
+        metrics, sampler = build_fixture()
+        types = [l.split()[3] for l in render_exposition(metrics=metrics)
+                 .splitlines() if l.startswith("# TYPE")]
+        assert types == ["histogram"]
+        text = render_exposition(sampler=sampler)
+        assert "# TYPE edc_marker_band_switch_total counter" in text
+        assert "# TYPE edc_sampler_ticks_total counter" in text
+        assert "# TYPE edc_ts_compression_ratio gauge" in text
+        assert "edc_ts_compression_ratio 1.5" in text
 
     def test_histogram_is_cumulative(self):
         metrics, _ = build_fixture()
@@ -97,8 +100,8 @@ class TestRoundTrip:
         metrics, sampler = build_fixture()
         text = render_exposition(metrics=metrics, sampler=sampler)
         samples = parse_exposition(text)
-        assert samples[("edc_requests_total", ())] == 42.0
-        assert samples[("edc_utilization", ())] == 0.375
+        assert samples[("edc_latency_s_count", ())] == 4.0
+        assert samples[("edc_marker_band_switch_total", ())] == 1.0
         assert samples[
             ("edc_ts_codec_write_share", (("codec", "lzf"),))
         ] == 0.75
@@ -147,7 +150,7 @@ class TestEscaping:
         from repro.telemetry.histograms import MetricsRegistry
 
         m = MetricsRegistry()
-        m.counter('weird\nname"x"').inc()
+        m.histogram('weird\nname"x"').add(1.0)
         text = render_exposition(metrics=m)
         help_line = next(l for l in text.splitlines()
                          if l.startswith("# HELP"))

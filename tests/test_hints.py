@@ -112,12 +112,12 @@ class TestDeviceIntegration:
 class TestBandObservers:
     """A hinted device shows its base's band ladder to every band
     observer: the sampler's band series and switch markers, the decision
-    audit's bands and the telemetry's per-band counters."""
+    audit's bands, and the ladder's own per-band counts."""
 
     @staticmethod
     def _observed(policy):
         from repro.core.replay import TraceReplayer
-        from repro.telemetry import DecisionAuditor, Telemetry, TimeSeriesSampler
+        from repro.telemetry import DecisionAuditor, TimeSeriesSampler
         from repro.traces.workloads import make_workload
 
         sim = Simulator()
@@ -126,8 +126,7 @@ class TestBandObservers:
         dev = EDCBlockDevice(
             sim, SimulatedSSD(sim, geometry=geo), policy, content, EDCConfig()
         )
-        telemetry, auditor = Telemetry(sim), DecisionAuditor()
-        telemetry.bind_device(dev)
+        auditor = DecisionAuditor()
         auditor.bind_device(dev)
         sampler = TimeSeriesSampler(0.05)
         sampler.attach(sim, dev)
@@ -136,14 +135,14 @@ class TestBandObservers:
             int(geo.logical_bytes * 0.5) // 4096 * 4096
         )
         TraceReplayer(sim, dev).replay(trace)
-        return sampler, auditor, telemetry
+        return sampler, auditor, policy.ladder
 
     def test_hinted_device_yields_the_elastic_band_view(self):
         # No rules: every write defers to the base, so the decisions —
         # and everything observed about their bands — must match.
         plain = self._observed(ElasticPolicy())
         hinted = self._observed(HintedPolicy(rules=HintRules()))
-        (s_p, a_p, t_p), (s_h, a_h, t_h) = plain, hinted
+        (s_p, a_p, l_p), (s_h, a_h, l_h) = plain, hinted
         assert s_h.series["policy.band"].values() == s_p.series["policy.band"].values()
         markers = s_p.markers["band_switch"].events()
         assert markers and s_h.markers["band_switch"].events() == markers
@@ -152,14 +151,8 @@ class TestBandObservers:
             a_p.band_label(b) for b in a_p.bands()
         ]
         assert a_h.band_bounds() == a_p.band_bounds() == [250.0, 3000.0, None]
-
-        def band_counters(t):
-            return {
-                k: c.value for k, c in t.metrics.counters.items()
-                if k.startswith("policy.band.")
-            }
-
-        assert band_counters(t_p) and band_counters(t_h) == band_counters(t_p)
+        assert l_h is not l_p and sum(l_p.band_counts) > 0
+        assert l_h.band_counts == l_p.band_counts
 
     def test_ladder_is_declared_by_every_policy(self):
         from repro.core.policy import FixedPolicy, NativePolicy

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bench.experiments import ReplayConfig, replay
 from repro.faults import FaultPlan
 from repro.flash.introspect import (
+    PE_LIMITS,
     SpaceAccountingError,
     SpaceWaterfall,
     ftls_of,
@@ -243,20 +244,17 @@ class TestMaintainedTerms:
 # SMART snapshot
 # ----------------------------------------------------------------------
 class TestSmartSnapshot:
-    def test_fields_consistent_with_endurance_model(self):
-        from repro.flash.endurance import EnduranceModel
-
+    def test_fields_consistent_with_the_ftl(self):
         health, dev, sim = _replay_with_health("Fin1")
         snap = health.smart()
         ftls = ftls_of(dev.distributer.backend)
         assert len(ftls) == 1
-        rep = EnduranceModel("SLC").report(ftls[0], sim.now)
-        assert snap.total_erases == rep.total_erases
-        assert snap.wear_max == rep.max_block_erases
-        assert snap.write_amplification == pytest.approx(
-            rep.write_amplification
-        )
-        assert snap.wear_fraction == pytest.approx(rep.wear_fraction)
+        stats = ftls[0].collector.stats
+        assert snap.observed_seconds == sim.now
+        assert snap.total_erases == stats.erases
+        assert snap.wear_max == max(stats.erase_counts.values(), default=0)
+        assert snap.write_amplification == ftls[0].stats.write_amplification()
+        assert snap.wear_fraction == snap.wear_max / PE_LIMITS["SLC"]
 
     def test_histogram_covers_every_in_service_block(self):
         health, dev, _ = _replay_with_health("Fin2")

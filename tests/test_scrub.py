@@ -6,8 +6,8 @@ extent before the host reads it — verdict RECOVERED, zero host-path
 ``IntegrityError`` — while the identical plan with scrub disabled
 verdicts CORRUPTION.  Also locks: config validation, unified verdict
 exit codes, repair I/O charged into the device's WA split, the
-unrepairable escalation on redundancy-free backends, the retirement
-capacity guard, and the fleet replica-repair hook.
+unrepairable escalation on redundancy-free backends and the retirement
+capacity guard.
 """
 
 import json
@@ -251,33 +251,3 @@ class TestScrubberLifecycle:
         d = scrubber.to_dict()
         assert set(d) == {"config", "stats", "episodes"}
         assert d["episodes"][0]["action"] == "repair-parity"
-
-
-# ----------------------------------------------------------------------
-# fleet replica repair hook
-# ----------------------------------------------------------------------
-class TestReplicaSource:
-    def test_replica_source_reingests_from_peer(self):
-        from tests.test_cluster_replication import (
-            BS, populate, rep_fleet, run_all,
-        )
-
-        fleet = rep_fleet(n_shards=2)
-        populate(fleet, range(8))
-        mgr = fleet.replication
-        name = sorted(fleet.cluster.shards)[0]
-        repair = mgr.replica_source_for(name)
-        assert repair(0, BS) is True
-        run_all(fleet)
-        assert mgr.stats.scrub_repairs >= 1
-        assert mgr.stats.scrub_repair_bytes >= BS
-
-    def test_unwritten_range_is_not_repairable(self):
-        from tests.test_cluster_replication import rep_fleet, run_all
-
-        fleet = rep_fleet(n_shards=2)
-        run_all(fleet)
-        name = sorted(fleet.cluster.shards)[0]
-        repair = fleet.replication.replica_source_for(name)
-        assert repair(1 << 26, 4096) is False
-        assert fleet.replication.stats.scrub_repairs == 0

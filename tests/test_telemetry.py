@@ -17,11 +17,10 @@ from repro.flash.introspect import ftls_of, queues_of, write_amplification
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     LAYERS,
-    Counter,
-    Gauge,
     Log2Histogram,
     MetricsRegistry,
     Telemetry,
+    TimeSeriesSampler,
     Tracer,
     ascii_flamegraph,
     dump_jsonl,
@@ -88,15 +87,6 @@ class TestTracer:
             tracer.record("x", "request", 0.0, 1.0)
         assert len(tracer) == 2
         assert tracer.dropped == 3
-
-    def test_layer_totals(self):
-        tracer = Tracer(lambda: 0.0)
-        tracer.record("a", "compress", 0.0, 2.0)
-        tracer.record("b", "compress", 0.0, 1.0)
-        tracer.record("c", "queue", 0.0, 4.0)
-        totals = tracer.layer_totals()
-        assert totals["compress"] == (2, pytest.approx(3.0))
-        assert totals["queue"] == (1, pytest.approx(4.0))
 
     def test_layer_vocabulary(self):
         assert "request" in LAYERS
@@ -179,33 +169,14 @@ class TestLog2Histogram:
         assert len(h._counts) == (MAX_EXP - MIN_EXP) * h.sub_buckets
 
 
-class TestCountersGaugesRegistry:
-    def test_counter_monotonic(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == pytest.approx(3.5)
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_watermarks(self):
-        g = Gauge("x")
-        g.set(5.0)
-        g.set(1.0)
-        g.set(3.0)
-        assert (g.value, g.min, g.max) == (3.0, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            g.set(float("nan"))
-
+class TestMetricsRegistry:
     def test_registry_creates_on_first_use(self):
         m = MetricsRegistry()
-        m.counter("a").inc()
-        m.counter("a").inc()
-        assert m.counter("a").value == 2.0
-        m.histogram("h").add(1.0)
-        d = m.as_dict()
-        assert d["counters"]["a"] == 2.0
-        assert d["histograms"]["h"]["count"] == 1.0
+        h = m.histogram("h")
+        h.add(1.0)
+        assert m.histogram("h") is h
+        assert m.histograms == {"h": h}
+        assert h.count == 1
 
 
 # ----------------------------------------------------------------------
@@ -270,38 +241,37 @@ class TestReplaySmoke:
 
 
 class TestStackGauges:
-    """``snapshot_stack`` reads the ``flash.*`` gauges off every FTL and
-    queue serving the backend: one SSD's, or an array's members'."""
+    """The sampler's ``flash.*`` / ``gc.*`` series (exposed as gauges)
+    read every FTL and queue serving the backend: one SSD's, or an
+    array's members'."""
 
     @pytest.mark.parametrize("backend", ["ssd", "rais5"])
     def test_flash_gauges_cover_every_member(self, backend):
-        telemetry = Telemetry(Simulator())
+        # Small enough that GC relocates data (on several array members).
+        capacity_mb = {"ssd": 2, "rais5": 1}[backend]
+        sampler = TimeSeriesSampler(interval=0.25)
         built = {}
-        trace = make_workload("Fin1", duration=None, max_requests=300, seed=7)
-        cfg = ReplayConfig(backend=backend, capacity_mb=32, pool_blocks=32)
-        replay(trace, "EDC", cfg, telemetry=telemetry,
+        trace = make_workload("Fin1", duration=None, max_requests=600, seed=7)
+        cfg = ReplayConfig(backend=backend, capacity_mb=capacity_mb,
+                           fold_fraction=0.6, pool_blocks=32)
+        replay(trace, "EDC", cfg, sampler=sampler,
                on_built=lambda sim, dev, b, devs: built.update(backend=b))
-        telemetry.snapshot_stack()
-        gauges = {k: g.value for k, g in telemetry.metrics.gauges.items()}
+        sampler.sample_now()  # one scrape of the drained stack
+        latest = {name: s.last()[1] for name, s in sampler.series.items()
+                  if s.last() is not None}
         ftls = ftls_of(built["backend"])
         queues = queues_of(built["backend"])
         assert len(ftls) == len(queues) == (1 if backend == "ssd" else 5)
-        assert gauges["flash.write_amplification"] == write_amplification(ftls)
-        assert gauges["flash.host_bytes"] == sum(
-            f.stats.host_bytes for f in ftls
-        ) > 0
-        assert gauges["flash.relocated_bytes"] == sum(
-            f.stats.relocated_bytes for f in ftls
-        )
-        assert gauges["flash.utilization"] == pytest.approx(
-            sum(q.utilization() for q in queues) / len(queues)
-        )
-        assert 0.0 < gauges["flash.utilization"] <= 1.0
+        moved = [f.stats.relocated_bytes for f in ftls]
+        assert latest["gc.moved_bytes"] == sum(moved) > 0
+        assert latest["flash.write_amplification"] == write_amplification(ftls) > 1.0
+        assert latest["queue.depth.flash"] == sum(q.depth for q in queues)
         if backend == "ssd":
-            # One FTL, one queue: the SSD's own figures, bit for bit.
+            # One FTL: the SSD's own figure, bit for bit.
             ssd = built["backend"]
-            assert gauges["flash.write_amplification"] == ssd.write_amplification()
-            assert gauges["flash.utilization"] == ssd.utilization()
+            assert latest["flash.write_amplification"] == ssd.write_amplification()
+        else:
+            assert sum(moved) > max(moved)  # more than one member relocated
 
 
 # ----------------------------------------------------------------------
