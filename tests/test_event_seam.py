@@ -298,13 +298,15 @@ def test_core_flash_and_the_router_do_not_import_telemetry():
 # every evidence store is byte-identical to the pre-seam parent commit
 # ----------------------------------------------------------------------
 #: sha256 of each dump, recorded at commit bee7f31 (the last one with
-#: single-slot hooks) for the replay below.
+#: single-slot hooks) for the replay below.  ``exposition`` was
+#: re-recorded once, when Telemetry stopped copying the stack's counters:
+#: its counter and gauge families were deleted, and no other line moved.
 PARENT_SHA256 = {
     "spans": "79a898c551cfef75fdf88fc0c46f24b8aa3f1745499d9cb7c4f4d52495b9ff33",
     "audit": "7c8a67cabf65d6a9ba57bd9336002f97aa1182663a6f03ae2f53cf0b46b75e9b",
     "series": "dcbfdc2c4f3bd074e016239cc074cbd5484ff9a9a5f9c6b819287dfd1f0957c5",
     "health": "a98e3f156ce21013175e4981f83d8fb9afbce9d6a3c58ca3af7bc406188decdc",
-    "exposition": "bc6608b1c5bab46813d43e38d0746efa34e89a6f7a8b271c8e6e790e1e4227ee",
+    "exposition": "31f6cdef836cb853cd51098ffb4eddea4c108365c965928f5cd5ed459c3211f5",
 }
 
 
