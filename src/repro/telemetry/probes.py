@@ -132,7 +132,6 @@ class Telemetry:
         #: (distributed tracing parents device roots under shard parts)
         self.parent_for: Optional[Callable[[object], Optional[Span]]] = None
         self.metrics = MetricsRegistry()
-        self.device = None
 
         # per-layer totals (seconds) over completed requests
         self.write_layers: Dict[str, float] = {k: 0.0 for k in WRITE_LAYERS}
@@ -158,7 +157,6 @@ class Telemetry:
     # ------------------------------------------------------------------
     def bind_device(self, device) -> None:
         """Subscribe to ``device`` and the servers/SSDs/FTLs beneath."""
-        self.device = device
         device.observers["telemetry"] = self
         for kind, handler in (
             ("request", self.request_arrived),
