@@ -553,8 +553,8 @@ class EDCBlockDevice:
                 self._versions[start_blk + i] for i in range(nblocks)
             )
             stream = 1 if hottest >= self.config.hot_version_threshold else 0
-        # Bracket the synchronous issue so an SSD ``service`` event can
-        # be attributed to this write's service and GC stall.
+        # Bracket the synchronous issue so an SSD ``write_service`` event
+        # can be attributed to this write's service and GC stall.
         if observed:
             events.emit("write_issue_begin", run, eid)
         try:

@@ -22,9 +22,11 @@ Two schema-versioned models:
 Corruption is tracked per stored *key* (the FTL's extent key), so it
 travels with GC relocation — moving a corrupted page copies the
 corrupted bits — and is cleared by overwrite or trim, which replace
-the physical charge.  A corrupted extent stays *readable*: the device
-read path surfaces it as a CRC mismatch
-(:class:`~repro.core.device.IntegrityError`), not a
+the physical charge.  On an array each member piece ``(key, i)`` is a
+key of its own; the array answers for the whole extent from the pieces
+it placed (:meth:`~repro.flash.raid.RAIS5.latent_corrupt`).  A
+corrupted extent stays *readable*: the device read path surfaces it as
+a CRC mismatch (:class:`~repro.core.device.IntegrityError`), not a
 :class:`~repro.faults.plan.ReadFaultError`.
 
 Determinism: each :class:`LatentErrorModel` draws from its own
@@ -195,20 +197,6 @@ class LatentErrorModel:
     def is_corrupt(self, key) -> bool:
         return key in self._corrupt
 
-    def has_corrupt_related(self, base) -> bool:
-        """True if ``base`` or any of its array sub-keys is corrupt.
-
-        Array backends store an entry ``base`` as sub-keys
-        ``(base, i)`` (and parity as ``("P", row)``); a read of the
-        entry is corrupt if any piece under it is.
-        """
-        if base in self._corrupt:
-            return True
-        return any(
-            isinstance(k, tuple) and len(k) >= 1 and k[0] == base
-            for k in self._corrupt
-        )
-
     def corrupt_keys_of(self, base) -> List:
         """Every corrupt key belonging to entry ``base`` (incl. sub-keys)."""
         out = []
@@ -235,19 +223,6 @@ class LatentErrorModel:
             self._corrupt.discard(k)
             self.stats.cleaned_extents += 1
         return len(dead)
-
-    def corrupt_data_keys(self) -> List:
-        """Corrupt data keys (scalar ids or ``(base, i)`` pieces), sorted.
-
-        Excludes parity ``("P", row)`` and degraded-write ``("D", ...)``
-        bookkeeping keys.  Sorted for deterministic sweep order.
-        """
-        out = [
-            k for k in self._corrupt
-            if isinstance(k, int)
-            or (isinstance(k, tuple) and k and isinstance(k[0], int))
-        ]
-        return sorted(out, key=lambda k: k if isinstance(k, tuple) else (k,))
 
     def corrupt_parity_rows(self) -> List[int]:
         """Stripe rows whose parity piece ``("P", row)`` is corrupt.

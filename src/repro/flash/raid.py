@@ -30,7 +30,7 @@ given — a failed sub-I/O never silently strands its ``on_complete``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.flash.ssd import SimulatedSSD
 
@@ -170,14 +170,14 @@ class RAIS5:
         #: degraded (``end`` is ``None`` while a window is still open)
         self.degraded_windows: List[List[Optional[float]]] = []
         self._rebuild_pending = False
+        #: key -> pieces its write placed as ``(key, 0..n-1)``; a key
+        #: leaves on :meth:`trim`, so a piece still in its RMW read phase
+        #: whose key is gone is trimmed the moment it is written
+        self._pieces: Dict[Hashable, int] = {}
 
     # ------------------------------------------------------------------
     # failure handling (single-fault tolerance)
     # ------------------------------------------------------------------
-    @property
-    def failed_device(self) -> Optional[int]:
-        return self._failed
-
     @property
     def degraded(self) -> bool:
         return self._failed is not None
@@ -192,13 +192,14 @@ class RAIS5:
         return dev_idx == self._failed and row not in self._rebuilt_rows
 
     def fail_device(self, idx: int) -> None:
-        """Mark one member failed; the array continues in degraded mode."""
+        """Fail member ``idx``; the array continues in degraded mode."""
         if not 0 <= idx < len(self.devices):
             raise ValueError(f"no device {idx} in a {len(self.devices)}-wide array")
         if self._failed is not None:
             raise ArrayError(
                 f"device {self._failed} already failed; RAID-5 tolerates one fault"
             )
+        self.devices[idx].fail_now()
         self._mark_failed(idx)
 
     def _mark_failed(self, idx: int) -> None:
@@ -428,6 +429,7 @@ class RAIS5:
                 plans.append(("rmw", row_parts, row))
         barrier = _Barrier(total_ops, on_complete, on_error)
         base_key = key if key is not None else lba
+        self._pieces[base_key] = len(parts)
         for kind, row_parts, row in plans:
             parity_dev_idx = len(self.devices) - 1 - (row % len(self.devices))
             if kind == "full":
@@ -532,6 +534,8 @@ class RAIS5:
                 local, length, on_complete=barrier.arrive, key=dkey,
                 on_error=self._write_error(data_dev, barrier),
             )
+            if dkey[0] not in self._pieces:  # trimmed while reading
+                self.devices[data_dev].trim(dkey)
             if lost["parity"] or self._down(parity_dev, row):
                 self.stats.degraded_writes += 1
                 barrier.arrive()
@@ -689,26 +693,26 @@ class RAIS5:
             )
 
     def trim(self, key: Hashable) -> bool:
-        """Trim sub-extents ``(key, 0..)`` wherever they live in the array.
+        """Trim the pieces ``(key, 0..n-1)`` that :meth:`submit_write` placed.
 
-        Pieces are distributed round-robin, so each index must be probed
-        on every member; probing stops at the first index none holds.
+        ``True`` when a member held one of them.  A piece whose member
+        was down when it was written was never placed; one still in its
+        read-modify-write read phase is trimmed by
+        :meth:`_rmw_unit_write` as soon as it is written, since ``key``
+        is no longer owned by then.
         """
         found = False
-        i = 0
-        while True:
-            if not any(dev.trim((key, i)) for dev in self.devices):
-                return found
-            found = True
-            i += 1
+        for i in range(self._pieces.pop(key, 0)):
+            found = any(dev.trim((key, i)) for dev in self.devices) or found
+        return found
 
     def latent_corrupt(self, key: Hashable) -> bool:
         """True if any member holds a latently corrupted piece of ``key``.
 
-        Entry ``key`` is stored as sub-keys ``(key, i)``; one corrupted
-        piece corrupts the whole decompressed extent.
+        One corrupted piece corrupts the whole decompressed extent.
         """
+        pieces = [(key, i) for i in range(self._pieces.get(key, 0))]
         return any(
-            dev.latent is not None and dev.latent.has_corrupt_related(key)
+            dev.latent is not None and any(map(dev.latent.is_corrupt, pieces))
             for dev in self.devices
         )

@@ -79,7 +79,6 @@ class ScrubStats:
         "repair_read_bytes",
         "repaired_bytes",
         "unrepairable",
-        "orphans_trimmed",
         "blocks_retired",
     )
 
@@ -94,7 +93,6 @@ class ScrubStats:
         self.repair_read_bytes = 0
         self.repaired_bytes = 0
         self.unrepairable = 0
-        self.orphans_trimmed = 0
         self.blocks_retired = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -192,7 +190,6 @@ class MediaScrubber:
             self._scan_entry(eid)
         self._cursor = (start + scanned) % n
         self._scan_parity()
-        self._scan_orphans()
 
     def _scan_entry(self, eid: int) -> None:
         dev = self.device
@@ -306,30 +303,6 @@ class MediaScrubber:
                     return
                 budget -= 1
                 self._repair_parity_row(member, row, members)
-
-    def _scan_orphans(self) -> None:
-        """Trim corrupt pieces whose owning entry no longer exists.
-
-        The distributer can leave stale member pieces behind when an
-        entry is replaced; with no live entry above them they are
-        host-unreachable, so a media scan simply invalidates the page
-        (a trim — no relocation, no queue time) instead of repairing
-        data nobody can address.
-        """
-        mapping = self.device.mapping
-        for member in ssds_of(self.device.backend):
-            if member.latent is None:
-                continue
-            for key in member.latent.corrupt_data_keys():
-                base = key[0] if isinstance(key, tuple) else key
-                if mapping.get(base) is not None:
-                    continue
-                if member.trim(key):
-                    self.stats.orphans_trimmed += 1
-                    self._note(
-                        base, -1,
-                        0, "trim-orphan", member.name,
-                    )
 
     def _repair_parity_row(self, member, row: int, members: List) -> None:
         key = ("P", row)

@@ -118,9 +118,9 @@ class SimulatedSSD:
         self.ftl = ExtentFTL(geometry, n_streams=n_streams)
         self.queue = Server(sim, name=f"{name}.queue", servers=1)
         self.stats = DeviceStats()
-        #: ``service``: ``(op, key, service_seconds, gc_stall_seconds)``
-        #: emitted synchronously at submit — the service value includes
-        #: the stall, matching the queued job's service time
+        #: ``write_service``: ``(key, service_seconds, gc_stall_seconds)``
+        #: emitted synchronously at a write's submit — the service value
+        #: includes the stall, matching the queued job's service time
         self.events = Emitter("ssd")
         #: fault oracle installed by :meth:`repro.faults.FaultPlan.arm`;
         #: ``None`` keeps the original no-fault fast path
@@ -236,7 +236,7 @@ class SimulatedSSD:
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
         if self.events.subs:
-            self.events.emit("service", "write", key, service, stall)
+            self.events.emit("write_service", key, service, stall)
         self.queue.submit(
             service,
             on_complete=(None if on_complete is None else (lambda job: on_complete())),
@@ -283,8 +283,6 @@ class SimulatedSSD:
         if self.latent is not None:
             self.latent.note_read(k)
         service = self.service_read_time(nbytes)
-        if self.events.subs:
-            self.events.emit("service", "read", k, service, 0.0)
         if self.failed:
             self._report_error(
                 DeviceFailedError(f"{self.name}: read {k!r} from failed device"),
@@ -367,7 +365,7 @@ class SimulatedSSD:
 
     def latent_corrupt(self, key: Hashable) -> bool:
         """True if latent media errors corrupted the stored data of ``key``."""
-        return self.latent is not None and self.latent.has_corrupt_related(key)
+        return self.latent is not None and self.latent.is_corrupt(key)
 
     # ------------------------------------------------------------------
     def utilization(self) -> float:

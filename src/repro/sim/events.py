@@ -53,7 +53,7 @@ VOCABULARY: Dict[str, Tuple[str, Dict[str, Tuple[str, ...]]]] = {
         "retire": ("ftl", "block_id", "moved"),
     }),
     "ssd": ("repro.flash.ssd", {
-        "service": ("op", "key", "service", "gc_stall"),
+        "write_service": ("key", "service", "gc_stall"),
     }),
     "server": ("repro.sim.queueing", {
         "job": ("job",),

@@ -5,8 +5,8 @@ a :class:`~repro.telemetry.histograms.MetricsRegistry` of latency and
 GC distributions, and the write/read per-layer accounting.
 :meth:`Telemetry.bind_device` subscribes it to the device's
 request-lifecycle events and to the lower layers (queue servers'
-``job``, the SSDs' ``service``, the FTLs' ``gc``) through the stack's
-one event seam (:mod:`repro.sim.events`).
+``job``, the SSDs' ``write_service``, the FTLs' ``gc``) through the
+stack's one event seam (:mod:`repro.sim.events`).
 
 Telemetry keeps no counter or gauge: request, flash-operation, GC and
 band counts, write amplification and utilisation each have one owner
@@ -174,7 +174,7 @@ class Telemetry:
         for queue in queues_of(device.backend):
             queue.events.subscribe("job", self._on_server_job)
         for ssd in ssds_of(device.backend):
-            ssd.events.subscribe("service", self._on_ssd_service)
+            ssd.events.subscribe("write_service", self._on_ssd_service)
             ssd.ftl.events.subscribe("gc", self._on_gc)
 
     # ------------------------------------------------------------------
@@ -314,11 +314,11 @@ class Telemetry:
         return key[0] if isinstance(key, tuple) else key
 
     def _on_ssd_service(
-        self, op: str, key: Hashable, service: float, gc_stall: float
+        self, key: Hashable, service: float, gc_stall: float
     ) -> None:
-        """SSD ``service`` event, emitted synchronously at submit."""
+        """SSD ``write_service`` event, emitted synchronously at submit."""
         rec = self._issuing_w
-        if op == "write" and rec is not None:
+        if rec is not None:
             rec.flash_service += service
             rec.gc_stall += gc_stall
             rec.gc_per_job.append(gc_stall)

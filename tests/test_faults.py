@@ -482,7 +482,9 @@ class TestRais5Degraded:
         plan.schedule_failures(sim, devices)
         doomed = devices[1]
         served, jobs, retired_ftls = [], [], []
-        doomed.events.subscribe("service", lambda *_: served.append(sim.now))
+        doomed.events.subscribe(
+            "write_service", lambda *_: served.append(sim.now)
+        )
         doomed.queue.events.subscribe("job", lambda _job: jobs.append(sim.now))
         doomed.ftl.events.subscribe(
             "retire", lambda ftl, *_: retired_ftls.append(ftl)

@@ -224,12 +224,40 @@ class TestLatentModel:
     def test_related_and_sorted_accessors(self):
         sim, ssd, model = self._model()
         model._corrupt.update({(5, 1), (5, 0), ("P", 9), ("P", 2), 3})
-        assert model.has_corrupt_related(5)
-        assert model.has_corrupt_related(3)
-        assert not model.has_corrupt_related(4)
+        # A key is exactly what the device stored: a member piece (5, i)
+        # does not make key 5 corrupt on its own SSD.
+        assert model.is_corrupt(3) and ssd.latent_corrupt(3)
+        assert not model.is_corrupt(5) and not ssd.latent_corrupt(5)
+        assert not ssd.latent_corrupt(4)
         assert sorted(model.corrupt_keys_of(5)) == [(5, 0), (5, 1)]
         assert model.corrupt_parity_rows() == [2, 9]
-        assert model.corrupt_data_keys() == [3, (5, 0), (5, 1)]
+
+    def test_array_asks_only_the_pieces_it_placed(self):
+        from repro.flash.geometry import x25e_like
+        from repro.flash.raid import RAIS5
+        from repro.flash.ssd import SimulatedSSD
+        from repro.sim.engine import Simulator
+
+        sim = Simulator()
+        members = [
+            SimulatedSSD(sim, name=f"ssd{i}", geometry=x25e_like(16))
+            for i in range(5)
+        ]
+        for ssd in members:
+            ssd.latent = LatentErrorModel(7, ssd.name, sim, ssd.ftl)
+        arr = RAIS5(members)
+        arr.submit_write(0, 4 * 4096, key=5)  # pieces (5, 0..3)
+        sim.run()
+        assert not arr.latent_corrupt(5)
+        holder = next(m for m in members if m.ftl.contains((5, 3)))
+        holder.latent._corrupt.add((5, 3))
+        assert arr.latent_corrupt(5)
+        arr.trim(5)
+        assert not arr.latent_corrupt(5)  # trimmed: nothing owned
+        arr.submit_write(0, 4096, key=6)  # piece (6, 0) only
+        sim.run()
+        holder.latent._corrupt.add((6, 1))  # beyond what the write placed
+        assert not arr.latent_corrupt(6)
 
     def test_stats_fields_complete(self):
         stats = LatentStats()

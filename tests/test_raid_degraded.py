@@ -21,8 +21,7 @@ class TestFailureHandling:
         arr, _ = make_array(sim)
         assert not arr.degraded
         arr.fail_device(2)
-        assert arr.degraded
-        assert arr.failed_device == 2
+        assert arr.degraded and arr.devices[2].failed
 
     def test_double_failure_rejected(self):
         sim = Simulator()
