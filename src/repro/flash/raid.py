@@ -707,12 +707,14 @@ class RAIS5:
         return found
 
     def latent_corrupt(self, key: Hashable) -> bool:
-        """True if any member holds a latently corrupted piece of ``key``.
+        """True if a member holds a latently corrupted piece of ``key``.
 
-        One corrupted piece corrupts the whole decompressed extent.
+        Only the pieces ``(key, 0..n-1)`` the array placed are asked
+        about; one corrupted piece corrupts the whole decompressed extent.
         """
-        pieces = [(key, i) for i in range(self._pieces.get(key, 0))]
+        n = self._pieces.get(key, 0)
         return any(
-            dev.latent is not None and any(map(dev.latent.is_corrupt, pieces))
+            dev.latent is not None
+            and any(dev.latent.is_corrupt((key, i)) for i in range(n))
             for dev in self.devices
         )
