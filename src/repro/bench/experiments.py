@@ -25,7 +25,7 @@ from repro.bench.schemes import build_device
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
-from repro.traces.model import Trace
+from repro.traces.model import Trace, fold_request
 
 __all__ = [
     "ReplayConfig", "ExperimentResult", "Stack", "build_stack", "replay",
@@ -258,7 +258,6 @@ def replay(
     device = stack.device
     if fault_plan is not None:
         fault_plan.schedule_failures(sim, stack.members)
-    folded = cfg.fold(trace)
     for observer in (telemetry, auditor, health):
         if observer is not None:
             observer.bind_device(device)
@@ -269,7 +268,16 @@ def replay(
         sampler.start()
     if on_built is not None:
         on_built(sim, device, stack.backend, stack.devices)
-    TraceReplayer(sim, device).replay(folded)
+    # Each request is folded as it arrives: the replay holds the
+    # caller's trace and the requests in flight, not a folded copy.
+    block = cfg.device_config.block_size
+    max_bytes = cfg.fold_bytes(block)
+    submit = device.submit
+    replayer = TraceReplayer(sim, device)
+    replayer.schedule(
+        trace, lambda request: submit(fold_request(request, max_bytes, block))
+    )
+    replayer.run()
 
     # The members the run started with: one swapped out by a rebuild
     # still owns the traffic it served.
@@ -288,7 +296,7 @@ def replay(
     return ExperimentResult(
         scheme=scheme,
         trace_name=trace.name,
-        n_requests=len(folded),
+        n_requests=len(trace),
         compression_ratio=device.stats.compression_ratio,
         payload_ratio=device.stats.payload_ratio,
         space_saving=device.stats.space_saving,

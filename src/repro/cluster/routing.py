@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.cluster.replication import ReplicationConfig, ReplicationManager
 from repro.cluster.tenants import QoSScheduler, TenantSpec, TenantState
 from repro.sim.engine import Simulator
-from repro.traces.model import IORequest, READ, WRITE
+from repro.traces.model import IORequest, READ, WRITE, fold_request
 
 __all__ = ["HashRing", "ClusterStats", "ClusterDistributer"]
 
@@ -258,17 +258,15 @@ class ClusterDistributer:
     def globalize(self, tenant: str, request: IORequest) -> IORequest:
         """Fold a tenant-local request into the tenant's global namespace.
 
-        The fold mirrors :meth:`~repro.traces.model.Trace.scaled_addresses`
-        exactly (modulo on block granularity, size clamped at the
-        namespace end), so a 1-tenant cluster sees the very addresses a
-        single-device replay of the folded trace would.
+        The fold is :func:`~repro.traces.model.fold_request` onto
+        ``namespace_bytes`` (the one a single-device replay applies)
+        plus the tenant's offset, so a 1-tenant cluster sees the very
+        addresses a single-device replay of the folded trace would.
         """
-        bs = self.block_size
-        nblocks = self.namespace_bytes // bs
-        blk = (request.lba // bs) % nblocks
-        nbytes = min(request.nbytes, self.namespace_bytes - blk * bs)
-        lba = self.tenant_index(tenant) * self.namespace_bytes + blk * bs
-        return IORequest(request.time, request.op, lba, nbytes)
+        ns = self.namespace_bytes
+        local = fold_request(request, ns, self.block_size)
+        lba = self.tenant_index(tenant) * ns + local.lba
+        return IORequest(local.time, local.op, lba, local.nbytes)
 
     def ranges_covered(self, lba: int, nbytes: int) -> range:
         rb = self.range_bytes

@@ -16,9 +16,11 @@ right after :meth:`TraceReplayer.run`.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.core.device import EDCBlockDevice
 from repro.sim.engine import Simulator
-from repro.traces.model import Trace
+from repro.traces.model import IORequest, Trace
 
 __all__ = ["TraceReplayer"]
 
@@ -42,15 +44,20 @@ class TraceReplayer:
         """The telemetry bound to the device (``None`` when there is none)."""
         return self.device.observers.get("telemetry")
 
-    def schedule(self, trace: Trace) -> None:
+    def schedule(
+        self, trace: Trace, submit: Optional[Callable[[IORequest], None]] = None,
+    ) -> None:
         """Schedule every request of ``trace`` at its timestamp.
 
         May be called more than once (e.g. to overlay traces); all
         timestamps must lie at or after the current virtual time.  Only
         the next request of each trace waits on the event heap
-        (:meth:`~repro.sim.engine.Simulator.arrivals`).
+        (:meth:`~repro.sim.engine.Simulator.arrivals`).  Each request
+        is handed to ``submit`` when it arrives (the device's own
+        ``submit`` by default; the harness passes one that folds the
+        request first).
         """
-        self.sim.arrivals(trace, self.device.submit)
+        self.sim.arrivals(trace, submit or self.device.submit)
         self._scheduled += len(trace)
 
     def run(self) -> None:

@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -23,6 +24,9 @@ APPROX_THRESHOLD = 4096
 
 class LatencyRecorder:
     """Accumulates scalar samples (seconds) and reports summary statistics.
+
+    The samples are kept as C doubles in an ``array("d")``: 8 bytes a
+    sample, not a float object plus a list slot.
 
     The samples are folded, in order, into a constant-memory
     :class:`~repro.telemetry.histograms.Log2Histogram` when a query
@@ -39,7 +43,7 @@ class LatencyRecorder:
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self._samples: list[float] = []
+        self._samples = array("d")
         self._sum = 0.0
         # Imported here (not at module top) to keep repro.sim free of a
         # hard import edge onto repro.telemetry at module-load time.
@@ -115,7 +119,7 @@ class LatencyRecorder:
 
     def samples(self) -> np.ndarray:
         """A copy of the raw samples as a numpy array."""
-        return np.asarray(self._samples, dtype=np.float64)
+        return np.array(self._samples, dtype=np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

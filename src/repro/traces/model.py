@@ -14,13 +14,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["IORequest", "Trace", "TraceStats", "READ", "WRITE"]
+__all__ = ["IORequest", "Trace", "TraceStats", "READ", "WRITE", "fold_request"]
 
 READ = "R"
 WRITE = "W"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class IORequest:
     """One block I/O request.
 
@@ -28,6 +28,11 @@ class IORequest:
     start.  Requests compare and hash by identity: a replica or retry
     built from the same fields is a different request, so in-flight
     state can key by the request object itself.
+
+    A request costs its four slots and nothing more (no ``__dict__``):
+    the constructor validates and stores through the slot descriptors,
+    which is what a frozen dataclass's generated one does through
+    ``object.__setattr__``, at a third of the cost.
     """
 
     time: float
@@ -35,15 +40,19 @@ class IORequest:
     lba: int
     nbytes: int
 
-    def __post_init__(self) -> None:
-        if not self.time >= 0:  # also rejects NaN
-            raise ValueError(f"timestamp must be >= 0: {self.time!r}")
-        if self.op not in (READ, WRITE):
-            raise ValueError(f"op must be 'R' or 'W', got {self.op!r}")
-        if self.lba < 0:
-            raise ValueError(f"negative LBA: {self.lba!r}")
-        if self.nbytes <= 0:
-            raise ValueError(f"request size must be positive: {self.nbytes!r}")
+    def __init__(self, time: float, op: str, lba: int, nbytes: int) -> None:
+        if not time >= 0:  # also rejects NaN
+            raise ValueError(f"timestamp must be >= 0: {time!r}")
+        if op not in (READ, WRITE):
+            raise ValueError(f"op must be 'R' or 'W', got {op!r}")
+        if lba < 0:
+            raise ValueError(f"negative LBA: {lba!r}")
+        if nbytes <= 0:
+            raise ValueError(f"request size must be positive: {nbytes!r}")
+        _set_time(self, time)
+        _set_op(self, op)
+        _set_lba(self, lba)
+        _set_nbytes(self, nbytes)
 
     @property
     def is_read(self) -> bool:
@@ -57,6 +66,26 @@ class IORequest:
     def end(self) -> int:
         """First byte past the request."""
         return self.lba + self.nbytes
+
+
+_set_time = IORequest.time.__set__
+_set_op = IORequest.op.__set__
+_set_lba = IORequest.lba.__set__
+_set_nbytes = IORequest.nbytes.__set__
+
+
+def fold_request(request: IORequest, max_bytes: int, block: int = 4096) -> IORequest:
+    """``request`` with its address wrapped into ``[0, max_bytes)``.
+
+    Modulo on block granularity, so alignment is kept; the size is
+    clamped at ``max_bytes``.  Real traces address volumes far larger
+    than the scaled-down simulated device; folding preserves the
+    overwrite/reuse structure that drives GC while fitting the device.
+    ``max_bytes`` must be a positive multiple of ``block`` (the callers
+    check it once, not per request).  Time and op are unchanged.
+    """
+    lba = request.lba // block % (max_bytes // block) * block
+    return IORequest(request.time, request.op, lba, min(request.nbytes, max_bytes - lba))
 
 
 @dataclass(frozen=True)
@@ -118,21 +147,10 @@ class Trace:
         return Trace(self.name, self._requests[:n])
 
     def scaled_addresses(self, max_bytes: int, block: int = 4096) -> "Trace":
-        """Wrap addresses into ``[0, max_bytes)`` preserving block alignment.
-
-        Real traces address volumes far larger than the scaled-down
-        simulated device; modulo-folding preserves the overwrite/reuse
-        structure that drives GC while fitting the device.
-        """
+        """Every request folded by :func:`fold_request` onto ``max_bytes``."""
         if max_bytes <= 0 or max_bytes % block:
             raise ValueError("max_bytes must be a positive multiple of block")
-        nblocks = max_bytes // block
-        reqs = []
-        for r in self._requests:
-            blk = (r.lba // block) % nblocks
-            nbytes = min(r.nbytes, max_bytes - blk * block)
-            reqs.append(IORequest(r.time, r.op, blk * block, nbytes))
-        return Trace(self.name, reqs)
+        return Trace(self.name, [fold_request(r, max_bytes, block) for r in self._requests])
 
     # ------------------------------------------------------------------
     def stats(self, block: int = 4096) -> TraceStats:
