@@ -530,12 +530,25 @@ class RAIS5:
                     row, local, length, pkey, parity_dev, barrier
                 )
                 return
-            self.devices[data_dev].submit_write(
+            if barrier.error is not None:
+                # The write is already reported lost: program neither
+                # unit, so the row keeps its old data and the parity
+                # that matches it.
+                barrier.arrive()
+                barrier.arrive()
+                return
+            data = self.devices[data_dev]
+            data.submit_write(
                 local, length, on_complete=barrier.arrive, key=dkey,
                 on_error=self._write_error(data_dev, barrier),
             )
             if dkey[0] not in self._pieces:  # trimmed while reading
-                self.devices[data_dev].trim(dkey)
+                data.trim(dkey)
+            if data.failed and self._failed not in (None, data_dev):
+                # A second fault: the data write will report the unit
+                # lost, so parity must not take the new data either.
+                barrier.arrive()
+                return
             if lost["parity"] or self._down(parity_dev, row):
                 self.stats.degraded_writes += 1
                 barrier.arrive()

@@ -127,6 +127,45 @@ class TestDegradedWrites:
         assert sum(d.stats.writes for d in devices) == 4
 
 
+class TestDoubleFaultWrites:
+    """A small write the array reports lost programs no parity."""
+
+    def run_write(self, fail_data_member):
+        sim = Simulator()
+        devices = [
+            SimulatedSSD(sim, name=f"ssd{i}", geometry=x25e_like(16))
+            for i in range(5)
+        ]
+        arr = RAIS5(devices)
+        _, data_dev, parity_dev = arr._layout(0)
+        assert (data_dev, parity_dev) == (0, 4)
+        arr.fail_device(2)
+        errors, done = [], []
+        if fail_data_member == "before":
+            devices[data_dev].fail_now()
+        arr.submit_write(
+            0, 4096, on_complete=lambda: done.append(1), key=7,
+            on_error=errors.append,
+        )
+        if fail_data_member == "after":
+            devices[data_dev].fail_now()
+        sim.run()
+        assert done == [] and len(errors) == 1
+        assert "double fault" in str(errors[0])
+        assert arr.stats.unrecovered_writes == 1
+        assert not devices[parity_dev].ftl.contains(("P", 0))
+        assert not devices[data_dev].ftl.contains((7, 0))
+
+    def test_data_write_as_second_fault(self):
+        # The reads succeed; the data write meets the dead member.
+        self.run_write("after")
+
+    def test_data_read_as_second_fault(self):
+        # The barrier fails in the read phase: nothing is programmed,
+        # and the lost unit is counted once.
+        self.run_write("before")
+
+
 class TestRebuild:
     def test_rebuild_without_failure_rejected(self):
         sim = Simulator()
