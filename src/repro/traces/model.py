@@ -29,10 +29,11 @@ class IORequest:
     built from the same fields is a different request, so in-flight
     state can key by the request object itself.
 
-    A request costs its four slots and nothing more (no ``__dict__``):
-    the constructor validates and stores through the slot descriptors,
-    which is what a frozen dataclass's generated one does through
-    ``object.__setattr__``, at a third of the cost.
+    A request costs its four slots and nothing more (no ``__dict__``).
+    The constructor validates, then stores through the slot descriptors
+    directly rather than through ``object.__setattr__`` as a generated
+    frozen ``__init__`` would (assignment after construction still
+    raises ``FrozenInstanceError``).
     """
 
     time: float
