@@ -28,6 +28,11 @@ from repro.traces.workloads import make_workload
 BLOCK = 4096
 
 
+def live_requests():
+    gc.collect()
+    return sum(type(o) is IORequest for o in gc.get_objects())
+
+
 class TestRetention:
     def test_replay_holds_one_copy_of_the_trace(self):
         trace = make_workload("Prxy_0", max_requests=4000, seed=42)
@@ -35,24 +40,22 @@ class TestRetention:
 
         def on_built(sim, device, backend, devices):
             def probe():
-                gc.collect()
-                alive = sum(
-                    type(o) is IORequest for o in gc.get_objects()
-                )
-                probes.append((alive, device.outstanding))
+                probes.append((live_requests(), device.outstanding))
 
             middle = trace[len(trace) // 2].time
             sim.schedule_at(middle, probe, daemon=True)
 
+        # The trace's requests, plus any an earlier test left alive.
+        before = live_requests()
         result = replay(
             trace, "Native", ReplayConfig(capacity_mb=16, fold_fraction=0.6),
             on_built=on_built,
         )
         assert result.n_requests == len(trace) == 4000
         [(alive, outstanding)] = probes
-        # The caller's trace plus the folded requests still in flight;
-        # a folded copy of the whole trace would double the count.
-        assert alive <= len(trace) + outstanding
+        # Beyond the caller's trace, only the folded requests still in
+        # flight; a folded copy of the whole trace would add len(trace).
+        assert alive - before <= outstanding < len(trace)
 
 
 class TestRequestContract:
@@ -163,7 +166,9 @@ class TestOneFold:
 
 
 class TestSamples:
-    @pytest.mark.parametrize("n", [1, APPROX_THRESHOLD, APPROX_THRESHOLD + 1, 3 * APPROX_THRESHOLD])
+    @pytest.mark.parametrize(
+        "n", [1, APPROX_THRESHOLD, APPROX_THRESHOLD + 1, 3 * APPROX_THRESHOLD]
+    )
     def test_samples_are_the_added_doubles(self, n):
         rng = np.random.default_rng(n)
         values = rng.exponential(1e-3, size=n).tolist()
