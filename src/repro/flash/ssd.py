@@ -289,16 +289,20 @@ class SimulatedSSD:
                 on_error,
             )
             return
-        if self.injector is None:
-            self.queue.submit(
-                service,
-                on_complete=(
-                    None if on_complete is None else (lambda job: on_complete())
-                ),
-                tag=("R", k),
-            )
+        if self.injector is not None:
+            self._read_attempt(k, service, 0, on_complete, on_error)
             return
-        self._read_attempt(k, service, 0, on_complete, on_error)
+
+        def _done(job) -> None:
+            if self.failed:  # failed while the read was queued
+                self._report_error(
+                    DeviceFailedError(f"{self.name}: device failed mid-read of {k!r}"),
+                    on_error,
+                )
+            elif on_complete is not None:
+                on_complete()
+
+        self.queue.submit(service, on_complete=_done, tag=("R", k))
 
     def _read_attempt(
         self,

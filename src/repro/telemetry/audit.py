@@ -58,6 +58,7 @@ from repro.core.policy import (
     FixedPolicy,
     NativePolicy,
 )
+from repro.telemetry.spans import RowView
 
 __all__ = [
     "AUDIT_SCHEMA_VERSION",
@@ -84,6 +85,18 @@ NO_BAND = -1
 RESERVOIR_CAPACITY = 2048
 #: ... drawn with a private RNG under this seed.
 RESERVOIR_SEED = 1
+
+#: A reservoir event is one tuple of these fields, in export key order
+#: (``kind`` is always ``"event"``); ``shadows`` is ``None`` without
+#: shadow policies.
+EVENT_FIELDS = (
+    "t", "lba", "nbytes", "n_merged", "iops", "window_requests", "band",
+    "hint", "selected", "stored", "gated", "failed_75pct", "estimated",
+    "est_verdict", "original", "payload", "slot_bytes", "slot_frac",
+    "cpu_time", "response", "breakdown", "shadows",
+)
+#: An event's per-layer breakdown is a tuple of these seconds.
+BREAKDOWN_FIELDS = ("queue", "estimate", "compress", "flash_program", "gc_stall")
 
 
 @dataclass
@@ -190,8 +203,10 @@ class DecisionAuditor:
         self._rng = random.Random(RESERVOIR_SEED)
         self.device = None
         self.n_decisions = 0
-        #: reservoir-sampled full events (dicts, JSONL-shaped)
-        self.events: List[dict] = []
+        self._rows: List[tuple] = []
+        #: reservoir-sampled full events: a read-only sequence of
+        #: JSONL-shaped dicts, built on read from one tuple per event
+        self.events: Sequence[dict] = RowView(self._rows, self._event_at)
         self.band_totals: Dict[int, BandTotals] = {}
         #: (band, selected codec) -> decision count
         self.selections: Dict[Tuple[int, str], int] = {}
@@ -258,7 +273,7 @@ class DecisionAuditor:
             "slot_frac": None,
             "cpu_time": plan.cpu_time,
             "response": None,  # filled at completion
-            "breakdown": None,
+            "breakdown": None,  # a BREAKDOWN_FIELDS tuple
             "shadows": {},
             # internal (stripped before export)
             "_band": band,
@@ -337,26 +352,36 @@ class DecisionAuditor:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _breakdown_from_rec(rec, run, now: float) -> Dict[str, float]:
-        """Per-layer seconds for one run (``rec.layers``), with the queue
-        component of the run's oldest request."""
+    def _breakdown_from_rec(rec, run, now: float) -> Tuple[float, ...]:
+        """Per-layer seconds for one run (``rec.layers``) in
+        :data:`BREAKDOWN_FIELDS` order, with the queue component of the
+        run's oldest request."""
         flash_wait, est, compress, program, gc = rec.layers(now)
         sd_hold = rec.t_enqueue - (run.arrivals[0] if run.arrivals else rec.t_enqueue)
-        return {
-            "queue": sd_hold + rec.cpu_wait + flash_wait,
-            "estimate": est,
-            "compress": compress,
-            "flash_program": program,
-            "gc_stall": gc,
-        }
+        return (sd_hold + rec.cpu_wait + flash_wait, est, compress, program, gc)
 
     def _reservoir_insert(self, event: dict) -> None:
-        if len(self.events) < RESERVOIR_CAPACITY:
-            self.events.append(event)
-            return
-        j = self._rng.randrange(self.n_decisions)
-        if j < RESERVOIR_CAPACITY:
-            self.events[j] = event
+        rows = self._rows
+        if len(rows) < RESERVOIR_CAPACITY:
+            j = len(rows)
+            rows.append(None)
+        else:
+            j = self._rng.randrange(self.n_decisions)
+            if j >= RESERVOIR_CAPACITY:
+                return
+        event["shadows"] = event["shadows"] or None
+        rows[j] = tuple(map(event.__getitem__, EVENT_FIELDS))
+
+    def _event_at(self, i: int) -> dict:
+        """Reservoir row ``i`` as its JSONL-shaped event dict."""
+        event = {"kind": "event"}
+        event.update(zip(EVENT_FIELDS, self._rows[i]))
+        breakdown = event["breakdown"]
+        if breakdown is not None:
+            event["breakdown"] = dict(zip(BREAKDOWN_FIELDS, breakdown))
+        shadows = event["shadows"] or {}
+        event["shadows"] = {name: dict(s) for name, s in shadows.items()}
+        return event
 
     # ------------------------------------------------------------------
     # queries (sampler vocabulary + report rendering)

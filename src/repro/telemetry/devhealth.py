@@ -72,7 +72,7 @@ def _human(nbytes: float) -> str:
     return f"{n:.1f} GiB"  # pragma: no cover - defensive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GcEpisode:
     """One garbage-collection (or retirement) episode, fully attributed."""
 

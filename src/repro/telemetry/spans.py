@@ -24,9 +24,11 @@ The per-layer vocabulary follows the EDC write/read path:
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence, Sized
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["LAYERS", "MAX_SPANS", "Span", "Tracer"]
+__all__ = ["LAYERS", "MAX_SPANS", "RowView", "Span", "Tracer"]
 
 #: finished spans a tracer retains; later ones are timed, not kept
 MAX_SPANS = 200_000
@@ -99,6 +101,31 @@ class Span:
         return f"Span#{self.span_id}({self.name!r}, {self.layer}, {state})"
 
 
+class RowView(Sequence):
+    """Read-only sequence over an observer's stored rows: ``len(rows)``
+    is the row count and ``build(i)`` makes the object row ``i`` stands
+    for, on each read, so the store keeps no object per record."""
+
+    __slots__ = ("_rows", "_build")
+
+    def __init__(self, rows: Sized, build: Callable[[int], object]) -> None:
+        self._rows = rows
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        n = len(self._rows)
+        if isinstance(i, slice):
+            return [self._build(j) for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("row index out of range")
+        return self._build(i)
+
+
 class Tracer:
     """Collects finished spans, bounded by :data:`MAX_SPANS`.
 
@@ -106,14 +133,27 @@ class Tracer:
     counts them), so a long replay cannot exhaust memory; the exact
     per-layer totals are :class:`~repro.telemetry.probes.Telemetry`'s
     ``write_layers`` / ``read_layers``, which do not depend on retention.
+
+    A retained span is a row of typed columns: id, parent id (``-1``:
+    none), start, end, a code into an interned ``(name, layer, tag keys)``
+    table and its tag values (``None`` or a tuple).
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
-        self.spans: List[Span] = []
         self.dropped = 0
         self.open_spans = 0
         self._next_id = 0
+        self._ids = array("q")
+        self._parents = array("q")
+        self._starts = array("d")
+        self._ends = array("d")
+        self._codes = array("I")
+        self._tags: List[Optional[tuple]] = []
+        self._kinds: List[Tuple[str, str, Tuple[str, ...]]] = []
+        self._code_of: Dict[Tuple[str, str, Tuple[str, ...]], int] = {}
+        #: the retained spans, a read-only sequence built on read
+        self.spans: Sequence[Span] = RowView(self._ids, self._span_at)
 
     def start(
         self,
@@ -137,18 +177,29 @@ class Tracer:
         )
 
     def finish(self, span: Span, end: Optional[float] = None) -> None:
-        """Close ``span`` now (or at explicit ``end``) and retain it."""
+        """Close ``span`` now (or at explicit ``end``) and keep its row."""
         now = self.clock() if end is None else end
-        if now < span.start:
-            raise ValueError(
-                f"span end {now!r} precedes its start {span.start!r}"
-            )
+        start = span.start
+        if now < start:
+            raise ValueError(f"span end {now!r} precedes its start {start!r}")
         span.end = now
         self.open_spans -= 1
-        if len(self.spans) < MAX_SPANS:
-            self.spans.append(span)
-        else:
+        if len(self._ids) >= MAX_SPANS:
             self.dropped += 1
+            return
+        name, layer, tags = span.name, span.layer, span.tags
+        kind = (name, layer, tuple(tags) if tags else ())
+        code = self._code_of.get(kind)
+        if code is None:
+            code = self._code_of[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        parent_id = span.parent_id
+        self._ids.append(span.span_id)
+        self._parents.append(-1 if parent_id is None else parent_id)
+        self._starts.append(start)
+        self._ends.append(now)
+        self._codes.append(code)
+        self._tags.append(tuple(tags.values()) if tags else None)
 
     def record(
         self,
@@ -160,8 +211,24 @@ class Tracer:
         **tags: object,
     ) -> Span:
         """Start + finish in one call, for intervals known after the fact."""
-        span = self.start(name, layer, parent=parent, start=start, **tags)
-        self.finish(span, end=end)
+        sid = self._next_id
+        self._next_id += 1
+        self.open_spans += 1
+        span = Span(sid, name, layer, start,
+                    None if parent is None else parent.span_id, tags or None)
+        self.finish(span, end)
+        return span
+
+    def _span_at(self, i: int) -> Span:
+        name, layer, keys = self._kinds[self._codes[i]]
+        parent_id = self._parents[i]
+        values = self._tags[i]
+        span = Span(
+            self._ids[i], name, layer, self._starts[i],
+            None if parent_id < 0 else parent_id,
+            None if values is None else dict(zip(keys, values)),
+        )
+        span.end = self._ends[i]
         return span
 
     # ------------------------------------------------------------------
@@ -169,4 +236,4 @@ class Tracer:
         return iter(self.spans)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._ids)

@@ -143,6 +143,15 @@ class TestDoubleFaultWrites:
         errors, done = [], []
         if fail_data_member == "before":
             devices[data_dev].fail_now()
+        elif fail_data_member == "at_write":
+            member = devices[data_dev]
+            write = member.submit_write
+
+            def dying_write(*args, **kwargs):
+                member.fail_now()
+                return write(*args, **kwargs)
+
+            member.submit_write = dying_write
         arr.submit_write(
             0, 4096, on_complete=lambda: done.append(1), key=7,
             on_error=errors.append,
@@ -158,6 +167,11 @@ class TestDoubleFaultWrites:
 
     def test_data_write_as_second_fault(self):
         # The reads succeed; the data write meets the dead member.
+        self.run_write("at_write")
+
+    def test_queued_data_read_as_second_fault(self):
+        # The member dies with the data read queued: that read fails on
+        # completion, so the barrier fails in the read phase.
         self.run_write("after")
 
     def test_data_read_as_second_fault(self):

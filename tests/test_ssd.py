@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.plan import DeviceFailedError
 from repro.flash.geometry import NandGeometry, NandTiming, x25e_like
 from repro.flash.ssd import SimulatedSSD
 from repro.sim.engine import Simulator
@@ -65,6 +66,16 @@ class TestSubmission:
         sim.run()
         svc = ssd.service_write_time(4096)
         assert done == [pytest.approx(svc * (k + 1)) for k in range(3)]
+
+    def test_read_queued_before_failure_fails_on_completion(self, sim, ssd):
+        assert ssd.injector is None
+        done, errors = [], []
+        ssd.submit_read(0, 4096, on_complete=lambda: done.append(1),
+                        on_error=errors.append)
+        ssd.fail_now()
+        sim.run()
+        assert done == []
+        assert len(errors) == 1 and isinstance(errors[0], DeviceFailedError)
 
     def test_read_of_unwritten_key_allowed(self, sim, ssd):
         done = []
