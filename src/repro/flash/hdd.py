@@ -86,7 +86,7 @@ class SimulatedHDD:
         self.sim = sim
         self.name = name
         self.timing = timing if timing is not None else HddTiming()
-        self.queue = Server(sim, name=f"{name}.queue", servers=1)
+        self.queue = Server(sim, name=f"{name}.queue")
         self.stats = HddStats()
         self._head_pos: Optional[int] = None
 

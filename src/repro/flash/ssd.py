@@ -116,7 +116,7 @@ class SimulatedSSD:
         self.timing = timing
         self.gc_enabled = gc_enabled
         self.ftl = ExtentFTL(geometry, n_streams=n_streams)
-        self.queue = Server(sim, name=f"{name}.queue", servers=1)
+        self.queue = Server(sim, name=f"{name}.queue")
         self.stats = DeviceStats()
         #: ``write_service``: ``(key, service_seconds, gc_stall_seconds)``
         #: emitted synchronously at a write's submit — the service value

@@ -4,7 +4,7 @@ This package provides the minimal event-driven machinery that the flash
 device models and the EDC replay harness are built on:
 
 - :class:`~repro.sim.engine.Simulator` — an event loop with a virtual clock.
-- :class:`~repro.sim.queueing.Server` — a c-server FIFO queue that models a
+- :class:`~repro.sim.queueing.Server` — one FIFO server that models a
   contended resource (host CPU, SSD channel, array controller).
 - :mod:`~repro.sim.metrics` — latency recorders and time series used
   throughout the evaluation harness.

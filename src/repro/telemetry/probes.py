@@ -210,7 +210,7 @@ class Telemetry:
         rec = run.notes["telemetry"]
         now = self.sim.now
         rec.t_commit = now
-        if job is not None and job.start is not None:
+        if job is not None:
             rec.cpu_wait = job.start - rec.t_enqueue
             rec.cpu_service = now - job.start
             est = min(rec.estimate_time, rec.cpu_service)
@@ -280,19 +280,17 @@ class Telemetry:
 
     def read_decompress_done(self, request, job: Job) -> None:
         rec = self._reads[request]
-        if job.start is not None and job.completion is not None:
-            wait = job.start - job.arrival
-            rec.queue_wait += wait
-            rec.decompress += job.completion - job.start
-            if wait > 0:
-                self.tracer.record(
-                    "queue.cpu", "queue", job.arrival, job.start,
-                    parent=rec.span,
-                )
+        wait = job.start - job.arrival
+        rec.queue_wait += wait
+        rec.decompress += job.completion - job.start
+        if wait > 0:
             self.tracer.record(
-                "read_decompress", "read_decompress",
-                job.start, job.completion, parent=rec.span,
+                "queue.cpu", "queue", job.arrival, job.start, parent=rec.span,
             )
+        self.tracer.record(
+            "read_decompress", "read_decompress",
+            job.start, job.completion, parent=rec.span,
+        )
 
     def read_done(self, request, latency: float) -> None:
         rec = self._reads.pop(request)

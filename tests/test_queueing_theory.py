@@ -14,11 +14,16 @@ from repro.sim.metrics import LatencyRecorder
 from repro.sim.queueing import Server
 
 
-def run_poisson(service_sampler, rate, n=20_000, seed=1):
-    """Drive a single server with Poisson(rate) arrivals; return waits."""
+def run_poisson(service_sampler, rate, n=20_000, seed=1, probe=None):
+    """Drive a single server with Poisson(rate) arrivals; return waits.
+
+    ``probe(sim, srv)``, if given, is called before the run starts.
+    """
     rng = np.random.default_rng(seed)
     sim = Simulator()
     srv = Server(sim)
+    if probe is not None:
+        probe(sim, srv)
     waits = LatencyRecorder()
     t = 0.0
     for _ in range(n):
@@ -68,13 +73,19 @@ class TestUtilizationLaw:
         assert srv.utilization() == pytest.approx(rho, rel=0.1)
 
     def test_littles_law(self):
-        """L = lambda * W on the waiting room."""
+        """L = lambda * (W + S): ``depth`` counts the job in service too,
+        time-averaged by a daemon probe every quarter service time."""
         rho = 0.7
         service = 0.001
         rate = rho / service
-        waits, srv = run_poisson(lambda rng: service, rate)
-        mean_queue = srv.stats.mean_queue_len(srv.sim.now)
-        assert mean_queue == pytest.approx(rate * waits.mean(), rel=0.2)
+        depths = []
+
+        def probe(sim, srv):
+            sim.every(service / 4, lambda: depths.append(srv.depth))
+
+        waits, _ = run_poisson(lambda rng: service, rate, probe=probe)
+        mean_depth = sum(depths) / len(depths)
+        assert mean_depth == pytest.approx(rate * (waits.mean() + service), rel=0.2)
 
 
 class TestOverload:
@@ -93,4 +104,4 @@ class TestOverload:
         horizon = t
         sim.run(until=horizon)
         expected_backlog = (rate * service - 1.0) * horizon / service
-        assert srv.queue_length == pytest.approx(expected_backlog, rel=0.2)
+        assert srv.depth == pytest.approx(expected_backlog, rel=0.2)

@@ -18,7 +18,6 @@ class TestSingleServer:
         sim.run()
         assert job.start == 0.0
         assert job.completion == 1.5
-        assert job.response == 1.5
         assert job.wait == 0.0
 
     def test_fifo_order(self, sim):
@@ -39,6 +38,15 @@ class TestSingleServer:
         assert j2.completion == 3.0
         assert j2.wait == 2.0
 
+    def test_start_is_known_at_submit(self, sim):
+        srv = Server(sim)
+        j1 = srv.submit(2.0)
+        j2 = srv.submit(1.0)
+        assert (j1.start, j2.start) == (0.0, 2.0)
+        assert j2.completion is None
+        sim.run()
+        assert j2.completion == 3.0
+
     def test_zero_service_time_allowed(self, sim):
         srv = Server(sim)
         job = srv.submit(0.0)
@@ -58,37 +66,14 @@ class TestSingleServer:
         assert srv.stats.busy_time == pytest.approx(2.0)
 
 
-class TestMultiServer:
-    def test_parallel_service(self, sim):
-        srv = Server(sim, servers=2)
-        j1 = srv.submit(1.0)
-        j2 = srv.submit(1.0)
-        sim.run()
-        assert j1.completion == 1.0
-        assert j2.completion == 1.0
-
-    def test_third_job_queues_behind_two(self, sim):
-        srv = Server(sim, servers=2)
-        srv.submit(2.0)
-        srv.submit(3.0)
-        j3 = srv.submit(1.0)
-        sim.run()
-        assert j3.start == 2.0  # first server frees at t=2
-        assert j3.completion == 3.0
-
-    def test_invalid_server_count(self, sim):
-        with pytest.raises(ValueError):
-            Server(sim, servers=0)
-
-
 class TestStats:
-    def test_counts(self, sim):
+    def test_every_job_completes_once(self, sim):
         srv = Server(sim)
-        for _ in range(4):
-            srv.submit(0.5)
+        done = []
+        srv.events.subscribe("job", done.append)
+        jobs = [srv.submit(0.5) for _ in range(4)]
         sim.run()
-        assert srv.stats.submitted == 4
-        assert srv.stats.completed == 4
+        assert done == jobs
 
     def test_busy_time_accumulates(self, sim):
         srv = Server(sim)
@@ -111,31 +96,36 @@ class TestStats:
         sim.run()
         assert srv.utilization() == pytest.approx(0.25)
 
-    def test_total_wait(self, sim):
+    def test_depth_counts_waiting_and_in_service(self, sim):
         srv = Server(sim)
+        assert srv.depth == 0
         srv.submit(1.0)
         srv.submit(1.0)
-        srv.submit(1.0)
+        assert srv.depth == 2
+        sim.run(until=1.5)
+        assert srv.depth == 1
         sim.run()
-        assert srv.stats.total_wait == pytest.approx(0.0 + 1.0 + 2.0)
+        assert srv.depth == 0
 
-    def test_max_queue_len(self, sim):
-        srv = Server(sim)
-        for _ in range(5):
-            srv.submit(1.0)
-        assert srv.stats.max_queue_len == 4  # one went straight into service
-        sim.run()
 
-    def test_queue_state_properties(self, sim):
+class TestTieRule:
+    def test_a_finish_takes_its_place_when_service_begins(self, sim):
+        # The second job's finish is scheduled when the first one ends,
+        # not at submit: an event scheduled while the first job is in
+        # service, for the instant the second one completes, dispatches
+        # before that completion.  Scheduling every finish at submit
+        # (c = max(now, free_at) + s, heap sequence taken then) reverses
+        # the two, and moves RAIS5 stripe members that finish at the
+        # same instant.
         srv = Server(sim)
-        assert not srv.busy
+        order = []
         srv.submit(1.0)
-        srv.submit(1.0)
-        assert srv.busy
-        assert srv.in_service == 1
-        assert srv.queue_length == 1
+        srv.submit(1.0, on_complete=lambda job: order.append(("finish", sim.now)))
+        sim.schedule_at(
+            0.5, lambda: sim.schedule_at(2.0, lambda: order.append(("other", sim.now)))
+        )
         sim.run()
-        assert not srv.busy
+        assert order == [("other", 2.0), ("finish", 2.0)]
 
 
 class TestCallbacks:
