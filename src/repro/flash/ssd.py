@@ -123,7 +123,7 @@ class SimulatedSSD:
         #: includes the stall, matching the queued job's service time
         self.events = Emitter("ssd")
         #: fault oracle installed by :meth:`repro.faults.FaultPlan.arm`;
-        #: ``None`` keeps the original no-fault fast path
+        #: ``None`` draws no fault and adds no latency spike
         self.injector: Optional[FaultInjector] = None
         #: whole-device failure flag — set by :meth:`fail_now`, after which
         #: every submission (and in-flight read completion) errors
@@ -252,13 +252,11 @@ class SimulatedSSD:
         relocation/erase-free retirement cost.  Host bytes are *not*
         charged again: the FTL already accounted this write once.
         """
-        inj = self.injector
         blocks = self.ftl.blocks_of(key)
         if not blocks:  # extent vanished (e.g. zero-byte write): nothing to retire
             return 0.0
         rcost = self.ftl.retire_block(blocks[-1])
-        if inj is not None:
-            inj.stats.blocks_retired += 1
+        self.injector.stats.blocks_retired += 1
         return self.service_write_time(nbytes) + self.gc_time(rcost)
 
     def submit_read(
@@ -282,27 +280,7 @@ class SimulatedSSD:
         k = key if key is not None else lba
         if self.latent is not None:
             self.latent.note_read(k)
-        service = self.service_read_time(nbytes)
-        if self.failed:
-            self._report_error(
-                DeviceFailedError(f"{self.name}: read {k!r} from failed device"),
-                on_error,
-            )
-            return
-        if self.injector is not None:
-            self._read_attempt(k, service, 0, on_complete, on_error)
-            return
-
-        def _done(job) -> None:
-            if self.failed:  # failed while the read was queued
-                self._report_error(
-                    DeviceFailedError(f"{self.name}: device failed mid-read of {k!r}"),
-                    on_error,
-                )
-            elif on_complete is not None:
-                on_complete()
-
-        self.queue.submit(service, on_complete=_done, tag=("R", k))
+        self._read_attempt(k, self.service_read_time(nbytes), 0, on_complete, on_error)
 
     def _read_attempt(
         self,
@@ -312,18 +290,18 @@ class SimulatedSSD:
         on_complete: Optional[Callable[[], None]],
         on_error: Optional[Callable[[BaseException], None]],
     ) -> None:
-        """One read attempt; retries itself after backoff on a fault."""
-        inj = self.injector
-        if self.failed:  # device died during the backoff wait
+        """One read attempt; with an injector, retries itself after backoff
+        on a fault.  Without one it draws nothing and adds no spike."""
+        if self.failed:  # at submit, or during the backoff wait
             self._report_error(
                 DeviceFailedError(f"{self.name}: read {key!r} from failed device"),
                 on_error,
             )
             return
-        assert inj is not None
+        inj = self.injector
 
         def _done(job) -> None:
-            if self.failed:
+            if self.failed:  # failed while the read was queued
                 self._report_error(
                     DeviceFailedError(
                         f"{self.name}: device failed mid-read of {key!r}"
@@ -331,35 +309,38 @@ class SimulatedSSD:
                     on_error,
                 )
                 return
-            wear = (
-                self.ftl.max_wear_of(key) if inj.plan.wear_ber_per_pe > 0.0 else 0
-            )
-            if inj.roll_read_fault(wear):
-                if attempt < inj.max_read_retries:
-                    inj.stats.read_retries += 1
-                    self.sim.schedule(
-                        inj.backoff(attempt),
-                        lambda: self._read_attempt(
-                            key, service, attempt + 1, on_complete, on_error
-                        ),
-                    )
-                else:
-                    inj.stats.reads_unrecovered += 1
-                    self._report_error(
-                        ReadFaultError(
-                            f"{self.name}: read {key!r} failed after "
-                            f"{attempt + 1} attempts"
-                        ),
-                        on_error,
-                    )
-                return
-            if attempt > 0:
-                inj.stats.reads_recovered += 1
+            if inj is not None:
+                wear = (
+                    self.ftl.max_wear_of(key) if inj.plan.wear_ber_per_pe > 0.0 else 0
+                )
+                if inj.roll_read_fault(wear):
+                    if attempt < inj.max_read_retries:
+                        inj.stats.read_retries += 1
+                        self.sim.schedule(
+                            inj.backoff(attempt),
+                            lambda: self._read_attempt(
+                                key, service, attempt + 1, on_complete, on_error
+                            ),
+                        )
+                    else:
+                        inj.stats.reads_unrecovered += 1
+                        self._report_error(
+                            ReadFaultError(
+                                f"{self.name}: read {key!r} failed after "
+                                f"{attempt + 1} attempts"
+                            ),
+                            on_error,
+                        )
+                    return
+                if attempt > 0:
+                    inj.stats.reads_recovered += 1
             if on_complete is not None:
                 on_complete()
 
-        self.queue.submit(service + inj.latency_spike(), on_complete=_done,
-                          tag=("R", key))
+        self.queue.submit(
+            service if inj is None else service + inj.latency_spike(),
+            on_complete=_done, tag=("R", key),
+        )
 
     def trim(self, key: Hashable) -> bool:
         """Invalidate the stored extent for ``key`` (no queue time charged)."""
