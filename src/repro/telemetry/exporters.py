@@ -78,20 +78,16 @@ def dump_chrome_trace(tracer: Tracer, fp: TextIO) -> int:
     Every finished span becomes one complete (``"X"``) event with
     microsecond timestamps; process groups (``pid``) separate shards /
     migration / cluster-tier work and threads (``tid``) separate
-    layers, both named through metadata events.  Unfinished spans are
-    skipped and counted in ``otherData.open_spans`` (the retention
-    cap's drops land in ``otherData.dropped_spans``).  Returns the
-    number of span events written.
+    layers, both named through metadata events.  The tracer retains
+    finished spans only; ``otherData.open_spans`` counts the spans still
+    open at the dump and ``otherData.dropped_spans`` the retention cap's
+    drops.  Returns the number of span events written.
     """
     by_id: Dict[int, Span] = {s.span_id: s for s in tracer}
     pids: Dict[str, int] = {}
     tids: Dict[Tuple[int, str], int] = {}
     events: List[Dict[str, object]] = []
-    open_spans = 0
     for span in tracer:
-        if span.end is None:
-            open_spans += 1
-            continue
         group = _chrome_group(span, by_id)
         pid = pids.get(group)
         if pid is None:
@@ -130,7 +126,7 @@ def dump_chrome_trace(tracer: Tracer, fp: TextIO) -> int:
         "otherData": {
             "clock": "simulation",
             "spans": n,
-            "open_spans": open_spans,
+            "open_spans": tracer.open_spans,
             "dropped_spans": tracer.dropped,
         },
     }, fp)

@@ -77,9 +77,8 @@ class Span:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable representation (one trace-dump line).
 
-        A still-open span emits ``end: null`` / ``duration: null`` with
-        an explicit ``open: true`` flag, so truncated dumps cannot pass
-        an unfinished span off as a real zero-length one.
+        A still-open span emits ``end: null`` / ``duration: null``, so it
+        cannot pass for a real zero-length one.
         """
         d: Dict[str, object] = {
             "span_id": self.span_id,
@@ -90,8 +89,6 @@ class Span:
             "end": self.end,
             "duration": self.duration if self.end is not None else None,
         }
-        if self.end is None:
-            d["open"] = True
         if self.tags:
             d["tags"] = dict(self.tags)
         return d

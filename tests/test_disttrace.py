@@ -240,20 +240,13 @@ class TestExporters:
     def test_chrome_trace_is_valid_and_skips_open_spans(self):
         r = run_cluster(n_shards=2, n_tenants=4, max_requests=100, trace=True)
         tracer = r.live["tracing"].tracer
-        assert not hasattr(tracer.spans, "append")  # retains finished rows only
-
-        class WithHung(list):
-            """The tracer's spans plus an unfinished one, as the exporter
-            reads them: it must be flagged, not dumped."""
-            dropped = tracer.dropped
-
-        spans = WithHung(tracer)
-        spans.append(Span(10**9, "hung", "request", 0.0))
+        retained = len(tracer)
+        tracer.start("hung", "request")  # started, never finished
         fp = io.StringIO()
-        n = dump_chrome_trace(spans, fp)
+        n = dump_chrome_trace(tracer, fp)
         doc = json.loads(fp.getvalue())
         events = doc["traceEvents"]
-        assert n == sum(1 for e in events if e["ph"] == "X")
+        assert n == sum(1 for e in events if e["ph"] == "X") == retained
         assert doc["otherData"]["open_spans"] == 1
         assert all(e["dur"] >= 0 for e in events if e["ph"] == "X")
         assert not any(
@@ -280,11 +273,10 @@ class TestExporters:
         d = span.to_dict()
         assert d["end"] is None
         assert d["duration"] is None
-        assert d["open"] is True
         span.end = 3.0
         d = span.to_dict()
+        assert d["end"] == 3.0
         assert d["duration"] == pytest.approx(1.0)
-        assert "open" not in d
 
     def test_exposition_exemplars_round_trip(self):
         sampler = TimeSeriesSampler(interval=0.25)

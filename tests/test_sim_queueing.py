@@ -67,7 +67,7 @@ class TestSingleServer:
 
 
 class TestStats:
-    def test_every_job_completes_once(self, sim):
+    def test_counts(self, sim):
         srv = Server(sim)
         done = []
         srv.events.subscribe("job", done.append)
@@ -96,7 +96,14 @@ class TestStats:
         sim.run()
         assert srv.utilization() == pytest.approx(0.25)
 
-    def test_depth_counts_waiting_and_in_service(self, sim):
+    def test_total_wait(self, sim):
+        srv = Server(sim)
+        jobs = [srv.submit(1.0) for _ in range(3)]
+        sim.run()
+        assert sum(j.wait for j in jobs) == pytest.approx(0.0 + 1.0 + 2.0)
+
+    def test_queue_state_properties(self, sim):
+        # depth counts the waiting jobs and the one in service
         srv = Server(sim)
         assert srv.depth == 0
         srv.submit(1.0)
