@@ -309,31 +309,29 @@ class SimulatedSSD:
                     on_error,
                 )
                 return
-            if inj is not None:
-                wear = (
-                    self.ftl.max_wear_of(key) if inj.plan.wear_ber_per_pe > 0.0 else 0
-                )
-                if inj.roll_read_fault(wear):
-                    if attempt < inj.max_read_retries:
-                        inj.stats.read_retries += 1
-                        self.sim.schedule(
-                            inj.backoff(attempt),
-                            lambda: self._read_attempt(
-                                key, service, attempt + 1, on_complete, on_error
-                            ),
-                        )
-                    else:
-                        inj.stats.reads_unrecovered += 1
-                        self._report_error(
-                            ReadFaultError(
-                                f"{self.name}: read {key!r} failed after "
-                                f"{attempt + 1} attempts"
-                            ),
-                            on_error,
-                        )
-                    return
-                if attempt > 0:
-                    inj.stats.reads_recovered += 1
+            if inj is not None and inj.roll_read_fault(
+                self.ftl.max_wear_of(key) if inj.plan.wear_ber_per_pe > 0.0 else 0
+            ):
+                if attempt < inj.max_read_retries:
+                    inj.stats.read_retries += 1
+                    self.sim.schedule(
+                        inj.backoff(attempt),
+                        lambda: self._read_attempt(
+                            key, service, attempt + 1, on_complete, on_error
+                        ),
+                    )
+                else:
+                    inj.stats.reads_unrecovered += 1
+                    self._report_error(
+                        ReadFaultError(
+                            f"{self.name}: read {key!r} failed after "
+                            f"{attempt + 1} attempts"
+                        ),
+                        on_error,
+                    )
+                return
+            if inj is not None and attempt > 0:
+                inj.stats.reads_recovered += 1
             if on_complete is not None:
                 on_complete()
 

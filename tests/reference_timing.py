@@ -23,6 +23,7 @@ stack and compares every response, bit for bit.
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -40,9 +41,9 @@ def native_responses(
     """``((time, op, lba, nbytes), response)`` of each folded request, in
     arrival order, for a Native replay of ``trace`` under ``cfg``."""
     cfg = cfg if cfg is not None else ReplayConfig()
-    ssd = SimpleNamespace(timing=X25E_TIMING)
-    write_time = lambda n: SimulatedSSD.service_write_time(ssd, n)
-    read_time = lambda n: SimulatedSSD.service_read_time(ssd, n)
+    ssd = SimpleNamespace(timing=X25E_TIMING)  # the one attribute both timings read
+    write_time = partial(SimulatedSSD.service_write_time, ssd)
+    read_time = partial(SimulatedSSD.service_read_time, ssd)
     bs = cfg.device_config.block_size
     max_bytes = cfg.fold_bytes(bs)
     #: block -> (extent id, extent bytes) of the newest write covering it
