@@ -111,10 +111,10 @@ def render_audit(auditor) -> str:
             f"{summary['best_cpu_shadow']} "
             f"(negative = the elastic decision beat every static policy)"
         )
-    if live.responses:
+    if live.n:
         lines.append(
             f"mean response over audited writes: "
-            f"{live.response_seconds / live.responses * 1e3:.3f} ms; "
+            f"{live.response_seconds / live.n * 1e3:.3f} ms; "
             f"gated {live.gated}, failed-75% {live.failed_75pct}, "
             f"merged requests {live.merged_requests}"
         )

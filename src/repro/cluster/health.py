@@ -114,9 +114,6 @@ class HealthMonitor:
                 h.suspected_at = now
 
     # ------------------------------------------------------------------
-    def state_of(self, name: str) -> str:
-        return self.health[name].state
-
     def states(self) -> Dict[str, str]:
         return {name: h.state for name, h in self.health.items()}
 

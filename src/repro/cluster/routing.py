@@ -126,21 +126,11 @@ class HashRing:
                     break
         return out
 
-    def share_of(self) -> Dict[str, float]:
-        """Fraction of hash space owned per shard (arc-length balance)."""
-        space = 1 << 64
-        shares: Dict[str, float] = {name: 0.0 for name in self._shards}
-        prev = self._points[-1][0] - space  # wraparound arc
-        for pos, name in self._points:
-            shares[name] += (pos - prev) / space
-            prev = pos
-        return shares
-
 
 @dataclass
 class ClusterStats:
-    """Fleet-level issued-I/O accounting (cluster analog of
-    :class:`~repro.core.distributer.DistributerStats`)."""
+    """Fleet-level issued-I/O accounting: what the router split, routed
+    and duplicated across shards."""
 
     issued_writes: int = 0
     issued_reads: int = 0

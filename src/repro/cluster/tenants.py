@@ -181,7 +181,7 @@ class QoSScheduler:
         self,
         sim: Simulator,
         tenants: Sequence[TenantSpec],
-        dispatch: Optional[Callable[[TenantState, IORequest, float], None]] = None,
+        dispatch: Callable[[TenantState, IORequest, float], None],
     ) -> None:
         if not tenants:
             raise ValueError("at least one tenant is required")
@@ -207,10 +207,6 @@ class QoSScheduler:
         self._drain_at = float("inf")
 
     # ------------------------------------------------------------------
-    def bind(self, dispatch: Callable[[TenantState, IORequest, float], None]) -> None:
-        """Late-bind the dispatch sink (the cluster router)."""
-        self._dispatch = dispatch
-
     def add_tenant(
         self,
         spec: TenantSpec,
@@ -255,8 +251,6 @@ class QoSScheduler:
     # ------------------------------------------------------------------
     def submit(self, name: str, request: IORequest) -> None:
         """Admit or queue one request for tenant ``name`` at ``sim.now``."""
-        if self._dispatch is None:
-            raise RuntimeError("bind(dispatch) before submitting requests")
         st = self.state(name)
         now = self.sim.now
         st.stats.submitted += 1

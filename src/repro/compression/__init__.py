@@ -22,7 +22,6 @@ from repro.compression.codec import (
     Codec,
     CodecError,
     CodecRegistry,
-    CompressionResult,
     default_registry,
 )
 from repro.compression.costmodel import CodecCostModel, CodecSpeed
@@ -39,7 +38,6 @@ __all__ = [
     "Codec",
     "CodecError",
     "CodecRegistry",
-    "CompressionResult",
     "default_registry",
     "CodecCostModel",
     "CodecSpeed",

@@ -10,13 +10,11 @@ another.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 __all__ = [
     "Codec",
     "CodecError",
-    "CompressionResult",
     "CodecRegistry",
     "default_registry",
     "TAG_BITS",
@@ -29,38 +27,6 @@ MAX_TAG = (1 << TAG_BITS) - 1
 
 class CodecError(ValueError):
     """Raised on malformed compressed input or invalid codec use."""
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    """Outcome of compressing one logical block.
-
-    ``payload`` holds the stored bytes — compressed output, or the original
-    data when the codec declined (tag 0).
-    """
-
-    codec_name: str
-    tag: int
-    original_size: int
-    payload: bytes
-
-    @property
-    def compressed_size(self) -> int:
-        return len(self.payload)
-
-    @property
-    def ratio(self) -> float:
-        """Paper's definition: original size / compressed size (>= 1 is good)."""
-        if self.compressed_size == 0:
-            return float("inf") if self.original_size else 1.0
-        return self.original_size / self.compressed_size
-
-    @property
-    def saved_fraction(self) -> float:
-        """Fraction of the original bytes eliminated (0 = nothing saved)."""
-        if self.original_size == 0:
-            return 0.0
-        return 1.0 - self.compressed_size / self.original_size
 
 
 class Codec(ABC):
@@ -87,11 +53,6 @@ class Codec(ABC):
         entry); codecs whose wire format is not self-terminating may
         require it.
         """
-
-    def compress_block(self, data: bytes) -> CompressionResult:
-        """Compress and package the outcome as a :class:`CompressionResult`."""
-        payload = self.compress(data)
-        return CompressionResult(self.name, self.tag, len(data), payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} tag={self.tag}>"
@@ -128,12 +89,6 @@ class CodecRegistry:
             raise CodecError(
                 f"unknown codec {name!r}; known: {sorted(self._by_name)}"
             ) from None
-
-    def by_tag(self, tag: int) -> Codec:
-        try:
-            return self._by_tag[tag]
-        except KeyError:
-            raise CodecError(f"no codec registered for tag {tag}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -76,7 +76,6 @@ class EstimatorStats:
     total: int = 0
     by_coreset: int = 0
     by_entropy: int = 0
-    by_sample: int = 0
 
 
 class SampledEstimator:
@@ -125,5 +124,4 @@ class SampledEstimator:
         if byte_entropy(data) >= ENTROPY_HIGH:
             self.stats.by_entropy += 1
             return False
-        self.stats.by_sample += 1
         return self.estimate_compressed_fraction(data) <= RATIO_THRESHOLD

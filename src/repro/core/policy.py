@@ -182,13 +182,6 @@ class ElasticPolicy(CompressionPolicy):
                 return i
         raise AssertionError("unreachable: last band is unbounded")
 
-    def band_shares(self) -> list[float]:
-        """Fraction of selections that landed in each band."""
-        total = sum(self.band_counts)
-        if total == 0:
-            return [0.0] * len(self.bands)
-        return [c / total for c in self.band_counts]
-
     def band_labels(self) -> list[str]:
         """Human-readable IOPS interval label per band, parallel to
         ``bands`` — ``[0,250)``, ``[250,3000)``, ``>=3000`` for the

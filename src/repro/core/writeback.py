@@ -78,10 +78,6 @@ class WriteBackBuffer:
         self.read_latency = LatencyRecorder("buffered-read")
 
     # ------------------------------------------------------------------
-    @property
-    def dirty_blocks(self) -> int:
-        return len(self._dirty)
-
     def unflushed_blocks(self) -> Dict[int, float]:
         """Acked-but-unflushed block numbers with their buffering times.
 

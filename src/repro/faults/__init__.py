@@ -28,7 +28,6 @@ from repro.faults.plan import (
     FaultPlan,
     FaultStats,
     PowerLoss,
-    ProgramFaultError,
     ReadFaultError,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "PLAN_SCHEMA",
     "FaultError",
     "ReadFaultError",
-    "ProgramFaultError",
     "DeviceFailedError",
 ]

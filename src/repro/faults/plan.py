@@ -54,7 +54,6 @@ from repro.faults.latent import LatentErrorModel, ReadDisturb, RetentionLoss
 __all__ = [
     "FaultError",
     "ReadFaultError",
-    "ProgramFaultError",
     "DeviceFailedError",
     "DeviceFailure",
     "PowerLoss",
@@ -76,10 +75,6 @@ class FaultError(RuntimeError):
 
 class ReadFaultError(FaultError):
     """A read exhausted its retry budget without a clean transfer."""
-
-
-class ProgramFaultError(FaultError):
-    """A program (write) operation failed permanently."""
 
 
 class DeviceFailedError(FaultError):

@@ -147,13 +147,6 @@ class SizeClassAllocator:
                 return c
         return classes[-1]
 
-    def is_compressible_size(
-        self, payload_size: int, original_size: Optional[int] = None
-    ) -> bool:
-        """True when storing ``payload_size`` compressed actually saves a class."""
-        orig = self.block_size if original_size is None else original_size
-        return 0 <= payload_size <= self.incompressible_fraction * orig
-
     # ------------------------------------------------------------------
     def allocate(
         self,

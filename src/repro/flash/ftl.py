@@ -51,10 +51,6 @@ class FlashCost:
     moved_bytes: int = 0
     erases: int = 0
 
-    @property
-    def total_bytes(self) -> int:
-        return self.host_bytes + self.moved_bytes
-
     def __add__(self, other: "FlashCost") -> "FlashCost":
         return FlashCost(
             self.host_bytes + other.host_bytes,
@@ -74,7 +70,6 @@ class _FtlStats:
     host_writes: int = 0
     host_bytes: int = 0
     invalidations: int = 0
-    trims: int = 0
     gc_runs: int = 0
     relocated_bytes: int = field(default=0)
     #: blocks permanently removed from service after program failures
@@ -209,9 +204,6 @@ class ExtentFTL:
             return 0
         return max(counts.get(b, 0) for b in blocks)
 
-    def contains(self, key: Hashable) -> bool:
-        return key in self._extents
-
     def extent_size(self, key: Hashable) -> Optional[int]:
         """Stored size of ``key`` in bytes, or ``None`` when unmapped."""
         ext = self._extents.get(key)
@@ -300,7 +292,6 @@ class ExtentFTL:
         if ext is None:
             return False
         self._invalidate_extents(key, ext)
-        self.stats.trims += 1
         return True
 
     # ------------------------------------------------------------------

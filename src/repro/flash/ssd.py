@@ -275,11 +275,12 @@ class SimulatedSSD:
         exponential-backoff retries; only an exhausted retry budget (or a
         failed device) reaches ``on_error``.
         """
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
         k = key if key is not None else lba
-        if self.latent is not None:
-            self.latent.note_read(k)
+        if not self.failed:  # a refused read is not served I/O
+            self.stats.reads += 1
+            self.stats.bytes_read += nbytes
+            if self.latent is not None:
+                self.latent.note_read(k)
         self._read_attempt(k, self.service_read_time(nbytes), 0, on_complete, on_error)
 
     def _read_attempt(

@@ -45,8 +45,6 @@ class CheckpointImage:
 @dataclass
 class CheckpointStats:
     checkpoints: int = 0
-    checkpoint_bytes: int = 0
-    skipped_idle: int = 0
 
 
 class CheckpointStore:
@@ -63,7 +61,6 @@ class CheckpointStore:
             # Two slots, alternating: the oldest is erased for reuse.
             self._images.pop(0)
         self.stats.checkpoints += 1
-        self.stats.checkpoint_bytes += image.nbytes
         if self.charge is not None:
             self.charge(image.nbytes)
 

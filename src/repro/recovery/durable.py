@@ -66,8 +66,6 @@ class MetaStats:
     meta_writes: int = 0
     #: estimated device-occupancy seconds spent programming metadata
     meta_device_seconds: float = 0.0
-    inserts: int = 0
-    reclaims: int = 0
     #: inserts whose extent was shadowed before its program completed
     #: (never became durable; the shadower covers the range)
     dropped_unprogrammed: int = 0
@@ -232,11 +230,9 @@ class DurableMetadataManager:
         record, victim_seqnos = info
         self._live[record.seqno] = record
         self.oob.program(eid, record)
-        self.stats.inserts += 1
         self.journal.append_insert(record)
         for vs in victim_seqnos:
             self._live.pop(vs, None)
-            self.stats.reclaims += 1
             self.journal.append_reclaim(vs)
         self._sync_reclaimed_oob()
         self._activity += 1
@@ -261,9 +257,8 @@ class DurableMetadataManager:
         if self.device is None:
             raise RuntimeError("bind_device() before take_checkpoint()")
         if not force and self._activity == self._ckpt_activity:
-            self.checkpoints.stats.skipped_idle += 1
             return None
-        self.journal.flush(forced=True)
+        self.journal.flush()
         self._sync_reclaimed_oob()
         image = CheckpointImage(
             seq=self.checkpoints.stats.checkpoints + 1,

@@ -30,12 +30,6 @@ JOURNAL_PAD_BYTES = 64
 
 @dataclass
 class JournalStats:
-    appended_records: int = 0
-    flushes: int = 0
-    flushed_bytes: int = 0
-    truncations: int = 0
-    truncated_records: int = 0
-    forced_flushes: int = 0
     #: records destroyed in the volatile tail by power cuts
     lost_tail_records: int = 0
 
@@ -84,12 +78,11 @@ class MetadataJournal:
         self._next_pos += 1
         self._pending.append(rec)
         self._pending_bytes += rec.nbytes
-        self.stats.appended_records += 1
         if self._pending_bytes >= JOURNAL_FLUSH_BYTES:
             self.flush()
 
     # ------------------------------------------------------------------
-    def flush(self, forced: bool = False) -> int:
+    def flush(self) -> int:
         """Make the volatile tail durable; returns bytes charged."""
         if not self._pending:
             return 0
@@ -99,10 +92,6 @@ class MetadataJournal:
         self.durable.extend(self._pending)
         self._pending = []
         self._pending_bytes = 0
-        self.stats.flushes += 1
-        if forced:
-            self.stats.forced_flushes += 1
-        self.stats.flushed_bytes += padded
         if self.charge is not None:
             self.charge(padded)
         return padded
@@ -129,11 +118,7 @@ class MetadataJournal:
         """
         before = len(self.durable)
         self.durable = [r for r in self.durable if r.pos >= upto_pos]
-        dropped = before - len(self.durable)
-        if dropped:
-            self.stats.truncations += 1
-            self.stats.truncated_records += dropped
-        return dropped
+        return before - len(self.durable)
 
     # ------------------------------------------------------------------
     def replay_after(self, upto_pos: int) -> List[JournalRecord]:

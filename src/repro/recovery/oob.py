@@ -29,9 +29,6 @@ __all__ = ["OOBArea", "OOBStats"]
 
 @dataclass
 class OOBStats:
-    programmed: int = 0
-    discarded: int = 0
-    scans: int = 0
     scan_pages_read: int = 0
 
 
@@ -45,14 +42,10 @@ class OOBArea:
     def program(self, key: Hashable, record: ExtentRecord) -> None:
         """Write the back-pointer for ``key`` (at program completion)."""
         self._records[key] = record
-        self.stats.programmed += 1
 
     def discard(self, key: Hashable) -> bool:
         """Drop the record once the extent's reclaim is durable."""
-        if self._records.pop(key, None) is not None:
-            self.stats.discarded += 1
-            return True
-        return False
+        return self._records.pop(key, None) is not None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -70,7 +63,6 @@ class OOBArea:
         Charges one page read per record into :attr:`stats` — the cost a
         recovery pays to read each extent's first page OOB area.
         """
-        self.stats.scans += 1
         self.stats.scan_pages_read += len(self._records)
         return sorted(self._records.values(), key=lambda r: r.seqno)
 

@@ -176,10 +176,6 @@ class ContentStore:
         """Content of the block containing ``lba`` at write ``version``."""
         return self._pool[self.block_id(lba, version)]
 
-    def kind_for(self, lba: int, version: int = 0) -> str:
-        """Chunk class of the block's content."""
-        return self._pool_kind[self.block_id(lba, version)]
-
     def kind_of_id(self, pool_id: int) -> str:
         """Chunk class of a pool block by id (for semantic hints)."""
         return self._pool_kind[pool_id]
@@ -240,14 +236,3 @@ class ContentStore:
         if keep_payload:
             self._payload_cache[key] = payload
         return payload
-
-    @property
-    def cache_entries(self) -> int:
-        return len(self._csize_cache)
-
-    def pool_stats(self) -> Dict[str, int]:
-        """Pool block count per chunk class."""
-        stats: Dict[str, int] = {}
-        for kind in self._pool_kind:
-            stats[kind] = stats.get(kind, 0) + 1
-        return stats

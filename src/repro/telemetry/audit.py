@@ -111,7 +111,6 @@ class BandTotals:
     cpu_seconds: float = 0.0
     #: sum of per-request response times over completed audited writes
     response_seconds: float = 0.0
-    responses: int = 0
     gated: int = 0
     failed_75pct: int = 0
 
@@ -124,7 +123,9 @@ class BandTotals:
             "stored_bytes": self.stored_bytes,
             "cpu_seconds": self.cpu_seconds,
             "response_seconds": self.response_seconds,
-            "responses": self.responses,
+            # a band counts its writes as they complete, so ``n`` is
+            # also the response count the dump's readers divide by
+            "responses": self.n,
             "gated": self.gated,
             "failed_75pct": self.failed_75pct,
         }
@@ -331,7 +332,6 @@ class DecisionAuditor:
         bt.stored_bytes += stored if stored is not None else event["payload"]
         bt.cpu_seconds += event["cpu_time"]
         bt.response_seconds += event["response"]
-        bt.responses += 1
         if event["gated"]:
             bt.gated += 1
         if event["failed_75pct"]:
@@ -421,7 +421,6 @@ class DecisionAuditor:
             out.stored_bytes += bt.stored_bytes
             out.cpu_seconds += bt.cpu_seconds
             out.response_seconds += bt.response_seconds
-            out.responses += bt.responses
             out.gated += bt.gated
             out.failed_75pct += bt.failed_75pct
         return out

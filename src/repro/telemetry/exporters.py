@@ -179,9 +179,11 @@ def render_layer_breakdown(telemetry: Telemetry) -> str:
     """Both breakdown tables, ready to print."""
     rows = layer_breakdown_rows(telemetry)
     parts = []
-    for path, label in (("write", "write path"), ("read", "read path")):
-        n = int(telemetry.write_requests if path == "write"
-                else telemetry.read_requests)
+    for path, label, bd in (
+        ("write", "write path", telemetry.write_breakdown()),
+        ("read", "read path", telemetry.read_breakdown()),
+    ):
+        n = int(bd["n_requests"])
         parts.append(render_table(
             ["layer", "total_s", "share", "mean_us/req"],
             rows[path],

@@ -136,10 +136,6 @@ class Telemetry:
         # per-layer totals (seconds) over completed requests
         self.write_layers: Dict[str, float] = {k: 0.0 for k in WRITE_LAYERS}
         self.read_layers: Dict[str, float] = {k: 0.0 for k in READ_LAYERS}
-        self.write_requests = 0
-        self.read_requests = 0
-        self.write_end_to_end = 0.0
-        self.read_end_to_end = 0.0
 
         #: open per-request root spans, keyed by the request
         self._req: Dict[object, Span] = {}
@@ -256,8 +252,6 @@ class Telemetry:
             wl["compress"] += compress
             wl["flash_program"] += program
             wl["gc_stall"] += gc
-            self.write_requests += 1
-            self.write_end_to_end += resp
             resp_hist.add(resp)
             m.histogram("write.queue").add(queue)
             m.histogram("write.codec_cpu").add(est + compress)
@@ -298,8 +292,6 @@ class Telemetry:
         rl["queue"] += rec.queue_wait
         rl["flash_program"] += rec.flash_service
         rl["read_decompress"] += rec.decompress
-        self.read_requests += 1
-        self.read_end_to_end += latency
         self.metrics.histogram("read.response").add(latency)
         self.tracer.finish(rec.span)
 
@@ -382,20 +374,20 @@ class Telemetry:
     # ------------------------------------------------------------------
     def write_breakdown(self) -> Dict[str, float]:
         """Per-layer seconds over the write path + the sum-check fields."""
-        out = dict(self.write_layers)
-        out["end_to_end"] = self.write_end_to_end
-        out["n_requests"] = float(self.write_requests)
-        out["unattributed"] = self.write_end_to_end - sum(
-            self.write_layers.values()
-        )
-        return out
+        return self._breakdown("write", self.write_layers)
 
     def read_breakdown(self) -> Dict[str, float]:
         """Per-layer seconds over the read path (pieces may overlap)."""
-        out = dict(self.read_layers)
-        out["end_to_end"] = self.read_end_to_end
-        out["n_requests"] = float(self.read_requests)
-        out["unattributed"] = self.read_end_to_end - sum(
-            self.read_layers.values()
-        )
+        return self._breakdown("read", self.read_layers)
+
+    def _breakdown(self, path: str, layers: Dict[str, float]) -> Dict[str, float]:
+        # The ``<path>.response`` histogram owns the response count and
+        # total; read it without creating an empty family, which would
+        # add lines to the exposition.
+        h = self.metrics.histograms.get(f"{path}.response")
+        n, total = (0, 0.0) if h is None else (h.count, h.sum)
+        out = dict(layers)
+        out["end_to_end"] = total
+        out["n_requests"] = float(n)
+        out["unattributed"] = total - sum(layers.values())
         return out

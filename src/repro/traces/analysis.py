@@ -38,11 +38,6 @@ class InterarrivalStats:
     max_gap: float
     cv: float  # coefficient of variation; Poisson ~ 1, bursty >> 1
 
-    @property
-    def is_bursty(self) -> bool:
-        """High inter-arrival variance is the burstiness fingerprint."""
-        return self.cv > 1.5
-
 
 def interarrival_stats(trace: Trace) -> InterarrivalStats:
     """Inter-arrival statistics of a trace (needs >= 2 requests)."""

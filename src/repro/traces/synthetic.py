@@ -87,20 +87,6 @@ class BurstModel:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"on_levels probabilities sum to {total}")
 
-    @property
-    def mean_on_iops(self) -> float:
-        """Expected arrival rate during an ON period."""
-        if self.on_levels is None:
-            return self.on_iops
-        return sum(r * p for r, p in self.on_levels)
-
-    @property
-    def mean_iops(self) -> float:
-        """Long-run average arrival rate."""
-        w_on = self.on_duration_mean
-        w_off = self.off_duration_mean
-        return (self.mean_on_iops * w_on + self.off_iops * w_off) / (w_on + w_off)
-
 
 @dataclass(frozen=True)
 class WorkloadParams:
@@ -138,10 +124,6 @@ class WorkloadParams:
             raise ValueError("hot-region parameters out of range")
         if self.address_space < self.block:
             raise ValueError("address space smaller than one block")
-
-    @property
-    def mean_request_bytes(self) -> float:
-        return sum(s * p for s, p in self.size_dist)
 
 
 class SyntheticTraceGenerator:

@@ -50,8 +50,6 @@ class TestClassSelection:
         al = SizeClassAllocator()
         assert al.incompressible_threshold == 3072
         assert al.incompressible_fraction == 0.75
-        assert al.is_compressible_size(3072)
-        assert not al.is_compressible_size(3073)
 
     def test_custom_fractions(self):
         al = SizeClassAllocator(fractions=(0.5, 1.0))

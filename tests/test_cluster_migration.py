@@ -78,12 +78,12 @@ class TestQuietMigration:
         dst = spare(fleet, 0)
         fleet.orchestrator.migrate(0, dst)
         run_all(fleet)
-        reads_before = c.shards[dst].distributer.stats.issued_reads
+        reads_before = c.shards[dst].backend.stats.reads
         done = []
         c.read("t0", 0, 4 * BS, on_complete=lambda: done.append(True))
         run_all(fleet)
         assert done == [True]
-        assert c.shards[dst].distributer.stats.issued_reads > reads_before
+        assert c.shards[dst].backend.stats.reads > reads_before
         for blk in range(4):
             assert c.shards[dst].mapping.lookup(blk * BS) is not None
 

@@ -360,7 +360,7 @@ class TestScheduledShardDeath:
         # writes across all 4 ranges before and after the failure
         staged_writes(fleet, range(0, 256, 16), times=[0.0, 0.01, 0.04])
         assert fleet.backends["shard1"].failed
-        assert fleet.health.state_of("shard1") == "dead"
+        assert fleet.health.states()["shard1"] == "dead"
         assert "shard1" in c.decommissioned
         assert "shard1" not in c.ring.shards
         assert mgr.stats.shards_failed == 1
@@ -382,7 +382,7 @@ class TestScheduledShardDeath:
         fleet = chaos_fleet(n_shards=3, factor=1)
         c, mgr = fleet.cluster, fleet.replication
         staged_writes(fleet, range(0, 256, 16), times=[0.0, 0.01, 0.04])
-        assert fleet.health.state_of("shard1") == "dead"
+        assert fleet.health.states()["shard1"] == "dead"
         d = mgr.audit_durability()
         assert d.verdict == "DATA-LOSS" and d.lost
         assert verdicts.exit_code(d.verdict) == 2

@@ -160,16 +160,14 @@ class TestQoSScheduler:
         assert st.latency.mean() == pytest.approx(0.5)
 
     def test_unknown_tenant_and_unbound_dispatch(self):
-        sim = Simulator()
-        sched = QoSScheduler(sim, [TenantSpec("t")])
-        with pytest.raises(RuntimeError):
-            sched.submit("t", wreq())
-        sched.bind(StubSink())
+        with pytest.raises(TypeError):  # a scheduler needs its dispatch
+            QoSScheduler(Simulator(), [TenantSpec("t")])
+        sched = QoSScheduler(Simulator(), [TenantSpec("t")], StubSink())
         with pytest.raises(KeyError):
             sched.submit("nope", wreq())
 
     def test_duplicate_tenants_rejected(self):
         with pytest.raises(ValueError):
             QoSScheduler(
-                Simulator(), [TenantSpec("t"), TenantSpec("t")]
+                Simulator(), [TenantSpec("t"), TenantSpec("t")], StubSink()
             )

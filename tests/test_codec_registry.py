@@ -6,7 +6,6 @@ from repro.compression.codec import (
     Codec,
     CodecError,
     CodecRegistry,
-    CompressionResult,
     MAX_TAG,
     default_registry,
 )
@@ -30,7 +29,6 @@ class TestRegistry:
         c = _FakeCodec("fake", 7)
         reg.register(c)
         assert reg.get("fake") is c
-        assert reg.by_tag(7) is c
         assert "fake" in reg
 
     def test_duplicate_name_rejected(self):
@@ -58,10 +56,6 @@ class TestRegistry:
         with pytest.raises(CodecError, match="only"):
             reg.get("missing")
 
-    def test_unknown_tag_raises(self):
-        with pytest.raises(CodecError):
-            CodecRegistry().by_tag(3)
-
     def test_iteration_and_names(self):
         reg = CodecRegistry()
         reg.register(_FakeCodec("b", 1))
@@ -78,7 +72,7 @@ class TestDefaultRegistry:
 
     def test_tag_zero_is_no_compression(self):
         reg = default_registry()
-        assert reg.by_tag(0).name == "none"
+        assert reg.get("none").tag == 0
 
     def test_tags_fit_three_bits(self):
         for codec in default_registry():
@@ -95,28 +89,3 @@ class TestDefaultRegistry:
 
     def test_fresh_instances(self):
         assert default_registry() is not default_registry()
-
-
-class TestCompressionResult:
-    def test_ratio(self):
-        r = CompressionResult("gzip", 3, 4096, b"x" * 1024)
-        assert r.ratio == pytest.approx(4.0)
-        assert r.compressed_size == 1024
-        assert r.saved_fraction == pytest.approx(0.75)
-
-    def test_empty_payload_infinite_ratio(self):
-        r = CompressionResult("gzip", 3, 100, b"")
-        assert r.ratio == float("inf")
-
-    def test_empty_original(self):
-        r = CompressionResult("none", 0, 0, b"")
-        assert r.ratio == 1.0
-        assert r.saved_fraction == 0.0
-
-    def test_compress_block_helper(self):
-        reg = default_registry()
-        res = reg.get("gzip").compress_block(b"a" * 4096)
-        assert res.codec_name == "gzip"
-        assert res.tag == 3
-        assert res.original_size == 4096
-        assert res.compressed_size < 100

@@ -249,5 +249,5 @@ class TestFaultAccountingProperties:
         for lba in lbas:
             assert ssd.trim(lba)
         assert ssd.ftl.live_bytes == 0
-        assert not any(ssd.ftl.contains(lba) for lba in lbas)
+        assert all(ssd.ftl.extent_size(lba) is None for lba in lbas)
         ssd.ftl.check_invariants()

@@ -249,7 +249,7 @@ class TestLatentModel:
         arr.submit_write(0, 4 * 4096, key=5)  # pieces (5, 0..3)
         sim.run()
         assert not arr.latent_corrupt(5)
-        holder = next(m for m in members if m.ftl.contains((5, 3)))
+        holder = next(m for m in members if m.ftl.extent_size((5, 3)) is not None)
         holder.latent._corrupt.add((5, 3))
         assert arr.latent_corrupt(5)
         arr.trim(5)

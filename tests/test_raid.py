@@ -61,7 +61,7 @@ class TestRais5:
         arr.submit_write(0, 4096 * 3, key="k")
         sim.run()
         assert arr.trim("k")
-        assert all(not d.ftl.contains(("k", i)) for d in devices for i in range(3))
+        assert all(d.ftl.extent_size(("k", i)) is None for d in devices for i in range(3))
         assert not arr.trim("k")
 
     def test_needs_three_devices(self):

@@ -162,8 +162,8 @@ class TestDoubleFaultWrites:
         assert done == [] and len(errors) == 1
         assert "double fault" in str(errors[0])
         assert arr.stats.unrecovered_writes == 1
-        assert not devices[parity_dev].ftl.contains(("P", 0))
-        assert not devices[data_dev].ftl.contains((7, 0))
+        assert devices[parity_dev].ftl.extent_size(("P", 0)) is None
+        assert devices[data_dev].ftl.extent_size((7, 0)) is None
 
     def test_data_write_as_second_fault(self):
         # The reads succeed; the data write meets the dead member.

@@ -448,7 +448,7 @@ class TestVictimInheritance:
         assert m.stats.dropped_unprogrammed == 1
         # A (seqno 1) was reclaimed by C's program, not leaked.
         assert set(r.seqno for r in m.live_records.values()) == {3}
-        m.journal.flush(forced=True)
+        m.journal.flush()
         reclaimed = {
             r.victim_seqno for r in m.journal.durable if r.kind == "reclaim"
         }

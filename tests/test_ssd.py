@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults.plan import DeviceFailedError
 from repro.flash.geometry import NandGeometry, NandTiming, x25e_like
-from repro.flash.ssd import SimulatedSSD
+from repro.flash.ssd import DeviceStats, SimulatedSSD
 from repro.sim.engine import Simulator
 
 
@@ -77,6 +77,15 @@ class TestSubmission:
         assert done == []
         assert len(errors) == 1 and isinstance(errors[0], DeviceFailedError)
 
+    def test_refused_io_is_not_counted(self, sim, ssd):
+        ssd.fail_now()
+        errors = []
+        ssd.submit_read(0, 4096, on_error=errors.append)
+        ssd.submit_write(0, 4096, on_error=errors.append)
+        sim.run()
+        assert [type(e) for e in errors] == [DeviceFailedError] * 2
+        assert ssd.stats == DeviceStats()
+
     def test_read_of_unwritten_key_allowed(self, sim, ssd):
         done = []
         ssd.submit_read(12345, 4096, on_complete=lambda: done.append(1))
@@ -95,19 +104,19 @@ class TestSubmission:
     def test_default_key_is_lba(self, sim, ssd):
         ssd.submit_write(8192, 1000)
         sim.run()
-        assert ssd.ftl.contains(8192)
+        assert ssd.ftl.extent_size(8192) is not None
 
     def test_explicit_key(self, sim, ssd):
         ssd.submit_write(0, 1000, key="mykey")
         sim.run()
-        assert ssd.ftl.contains("mykey")
-        assert not ssd.ftl.contains(0)
+        assert ssd.ftl.extent_size("mykey") is not None
+        assert ssd.ftl.extent_size(0) is None
 
     def test_trim(self, sim, ssd):
         ssd.submit_write(0, 1000, key="k")
         sim.run()
         assert ssd.trim("k")
-        assert not ssd.ftl.contains("k")
+        assert ssd.ftl.extent_size("k") is None
 
 
 class TestGcCoupling:

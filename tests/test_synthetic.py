@@ -25,14 +25,24 @@ def params(**kw):
     return WorkloadParams(**defaults)
 
 
+def long_run_iops(burst, duration=400.0):
+    """Arrival rate of a generated trace without sequential runs, whose
+    back-to-back continuations would outpace the burst model."""
+    p = params(write_seq_prob=0.0, read_seq_prob=0.0, burst=burst)
+    return len(SyntheticTraceGenerator(p).generate(duration=duration)) / duration
+
+
 class TestBurstModel:
     def test_mean_iops(self):
+        """The long-run rate weights ON and OFF rates by period length."""
         b = BurstModel(on_iops=100, off_iops=0, on_duration_mean=1, off_duration_mean=1)
-        assert b.mean_iops == pytest.approx(50.0)
+        assert long_run_iops(b) == pytest.approx(50.0, rel=0.15)
 
     def test_on_levels_mean(self):
-        b = BurstModel(on_levels=((100.0, 0.5), (300.0, 0.5)))
-        assert b.mean_on_iops == pytest.approx(200.0)
+        """ON periods run, on average, at the mean of their levels."""
+        b = BurstModel(on_levels=((100.0, 0.5), (300.0, 0.5)), off_iops=0,
+                       on_duration_mean=1, off_duration_mean=1)
+        assert long_run_iops(b) == pytest.approx(200.0 / 2, rel=0.15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,8 +79,10 @@ class TestBurstModel:
 
 class TestWorkloadParams:
     def test_mean_request_bytes(self):
-        p = params()
-        assert p.mean_request_bytes == pytest.approx(4096 * 0.7 + 8192 * 0.3)
+        trace = SyntheticTraceGenerator(params()).generate(max_requests=5000)
+        assert trace.stats().avg_request_bytes == pytest.approx(
+            4096 * 0.7 + 8192 * 0.3, rel=0.02
+        )
 
     @pytest.mark.parametrize(
         "kw",

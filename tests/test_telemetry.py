@@ -25,11 +25,13 @@ from repro.telemetry import (
     ascii_flamegraph,
     dump_jsonl,
     layer_breakdown_rows,
+    render_exposition,
     render_layer_breakdown,
     render_telemetry_summary,
 )
 from repro.telemetry import spans as spans_module
 from repro.telemetry.histograms import MAX_EXP, MIN_EXP
+from repro.traces.model import IORequest, Trace
 from repro.traces.workloads import make_workload
 
 
@@ -187,8 +189,11 @@ def instrumented_replay():
     telemetry = Telemetry(Simulator())
     trace = make_workload("Fin1", duration=None, max_requests=600, seed=7)
     cfg = ReplayConfig(capacity_mb=32, pool_blocks=32)
-    result = replay(trace, "EDC", cfg, telemetry=telemetry)
-    return telemetry, result
+    built = {}
+    replay(trace, "EDC", cfg, telemetry=telemetry,
+           on_built=lambda sim, device, backend, devices: built.update(
+               device=device))
+    return telemetry, built["device"]
 
 
 class TestReplaySmoke:
@@ -214,11 +219,15 @@ class TestReplaySmoke:
             assert abs(b["unattributed"]) <= 0.05 * b["end_to_end"]
 
     def test_mean_response_agrees_with_device(self, instrumented_replay):
-        telemetry, result = instrumented_replay
-        total = telemetry.write_end_to_end + telemetry.read_end_to_end
-        n = telemetry.write_requests + telemetry.read_requests
-        assert n == result.n_requests
-        assert total / n == pytest.approx(result.mean_response, rel=1e-6)
+        # One SSD completes each request where Telemetry sees it, in the
+        # same order, so the two accounts agree bit for bit.
+        telemetry, device = instrumented_replay
+        hists = telemetry.metrics.histograms
+        for path, recorder in (("write", device.write_latency),
+                               ("read", device.read_latency)):
+            h = hists[f"{path}.response"]
+            assert h.count > 0
+            assert (h.count, h.sum) == (recorder.count, recorder.total())
 
     def test_spans_nest_under_request_roots(self, instrumented_replay):
         telemetry, _ = instrumented_replay
@@ -236,8 +245,23 @@ class TestReplaySmoke:
     def test_histograms_populated(self, instrumented_replay):
         telemetry, _ = instrumented_replay
         hists = telemetry.metrics.histograms
-        assert hists["write.response"].count == telemetry.write_requests
+        assert hists["write.response"].count > 0
         assert hists["flash.write_service"].count > 0
+
+    def test_breakdowns_add_no_response_family(self):
+        # The breakdowns read the response histograms; on a write-only
+        # replay they must not create an empty ``read.response``.
+        telemetry = Telemetry(Simulator())
+        trace = Trace("w", [IORequest(i * 1e-3, "W", i * 4096, 4096)
+                            for i in range(50)])
+        replay(trace, "EDC", ReplayConfig(capacity_mb=32, pool_blocks=32),
+               telemetry=telemetry)
+        before = render_exposition(metrics=telemetry.metrics)
+        assert telemetry.write_breakdown()["n_requests"] == 50
+        assert telemetry.read_breakdown()["n_requests"] == 0
+        assert "(0 requests)" in render_layer_breakdown(telemetry)
+        assert "read_response" not in before
+        assert render_exposition(metrics=telemetry.metrics) == before
 
 
 class TestStackGauges:

@@ -37,7 +37,7 @@ class TestBuffering:
         sim.schedule_at(0.0, lambda: buf.submit(w(0.0, 0)))
         sim.run(until=0.5)
         assert buf.stats.buffered_writes == 1
-        assert buf.dirty_blocks == 1
+        assert len(buf.unflushed_blocks()) == 1
         assert buf.write_latency.mean() < 1e-4   # microseconds, not device time
         assert dev.stats.writes == 0             # nothing hit the device yet
 
@@ -47,7 +47,7 @@ class TestBuffering:
         sim.schedule_at(0.1, lambda: buf.submit(w(0.1, 5)))
         sim.run(until=0.5)
         assert buf.stats.write_hits == 1
-        assert buf.dirty_blocks == 1
+        assert len(buf.unflushed_blocks()) == 1
 
     def test_read_hit_served_from_buffer(self):
         sim, ssd, _, buf = setup()
@@ -72,14 +72,14 @@ class TestFlushing:
             sim.schedule_at(i * 0.001, lambda i=i: buf.submit(w(i * 0.001, 10 + i)))
         sim.run(until=0.01)
         assert buf.stats.watermark_flushes >= 1
-        assert buf.dirty_blocks < 6
+        assert len(buf.unflushed_blocks()) < 6
 
     def test_timer_flushes_everything(self):
         sim, _, dev, buf = setup(interval=0.5)
         sim.schedule_at(0.0, lambda: buf.submit(w(0.0, 1)))
         sim.run()  # the 0.5s timer fires
         assert buf.stats.timer_flushes == 1
-        assert buf.dirty_blocks == 0
+        assert len(buf.unflushed_blocks()) == 0
         assert dev.stats.writes >= 1
 
     def test_flush_coalesces_contiguous_blocks(self):
@@ -98,7 +98,7 @@ class TestFlushing:
             sim.schedule_at(0.0, lambda i=i: buf.submit(w(0.0, i)))
         sim.schedule_at(0.1, lambda: buf.flush_all())
         sim.run()
-        assert buf.dirty_blocks == 0
+        assert len(buf.unflushed_blocks()) == 0
         assert dev.outstanding == 0
         assert dev.stats.writes == 3  # three non-contiguous runs
 
@@ -136,7 +136,7 @@ class TestEndToEnd:
         buf.flush_all()
         sim.run()
         assert dev.outstanding == 0
-        assert buf.dirty_blocks == 0
+        assert len(buf.unflushed_blocks()) == 0
         # Overwrite absorption: 20 writes to 10 blocks -> at most 10 device
         # blocks per flush round.
         assert dev.stats.logical_bytes <= 20 * 4096
