@@ -28,7 +28,7 @@ the schedule fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.latent import LatentErrorModel, ReadDisturb, RetentionLoss

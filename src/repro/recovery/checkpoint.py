@@ -15,7 +15,7 @@ back to the older image — modelled by :meth:`CheckpointStore.latest`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.recovery.formats import (

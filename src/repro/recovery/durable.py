@@ -33,12 +33,12 @@ output must fingerprint-identically match it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.flash.ssd import SimulatedSSD
 from repro.recovery.checkpoint import CheckpointImage, CheckpointStore
-from repro.recovery.formats import ExtentRecord, JournalRecord
+from repro.recovery.formats import ExtentRecord
 from repro.recovery.journal import MetadataJournal
 from repro.recovery.oob import OOBArea
 

@@ -28,7 +28,7 @@ The verdict classification follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.recovery.formats import ExtentRecord
 

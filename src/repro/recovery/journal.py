@@ -15,7 +15,7 @@ the energy model instead of free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.recovery.formats import ExtentRecord, JournalRecord

@@ -28,7 +28,7 @@ content store.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.recovery.checkpoint import CheckpointStore

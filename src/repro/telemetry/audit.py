@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.policy import (

@@ -17,6 +17,10 @@ Two checks over the library, matched by name through the syntax tree:
   tell which record a call receives: such a field is allowlisted, with
   the dump that reads it.
 
+* every name a module of ``src/repro`` imports is used in that module:
+  as an identifier, as the root of an attribute, or as an ``__all__``
+  entry.  Re-exports in ``__init__.py`` are exempt.
+
 A name or field that has to stay without a reader goes on an allowlist
 below, with the reason it stays; an entry that gains a reader fails the
 check until it is dropped.
@@ -151,6 +155,34 @@ def unread_fields():
     return sorted(f"{cls}.{f}" for cls, f in fields if f not in read)
 
 
+def unused_imports():
+    """``path:line name`` of every name a non-``__init__`` module of
+    ``src/repro`` imports and never uses."""
+    unused = []
+    for _, path, tree in _trees(("src",)):
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        # an attribute's root is a Name, so walking the Names covers it
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        inside_all = _dunder_all(tree)
+        used.update(
+            node.value for node in ast.walk(tree)
+            if id(node) in inside_all and isinstance(node, ast.Constant)
+        )
+        rel = path.relative_to(REPO)
+        unused += [f"{rel}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    return sorted(unused)
+
+
 def _check(found, allowed, dead, stale):
     new = sorted(found - allowed.keys())
     assert not new, f"{dead}: {new}"
@@ -174,3 +206,8 @@ def test_every_stats_field_has_a_reader():
         "increments)",
         "allowlisted fields that have a reader now (drop them from the list)",
     )
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imports that nothing uses (delete each): {unused}"
