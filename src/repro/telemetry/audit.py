@@ -96,7 +96,9 @@ EVENT_FIELDS = (
     "cpu_time", "response", "breakdown", "shadows",
 )
 #: An event's per-layer breakdown is a tuple of these seconds.
-BREAKDOWN_FIELDS = ("queue", "estimate", "compress", "flash_program", "gc_stall")
+BREAKDOWN_FIELDS = (
+    "queue", "sd_hold", "estimate", "compress", "flash_program", "gc_stall",
+)
 
 
 @dataclass
@@ -354,11 +356,11 @@ class DecisionAuditor:
     @staticmethod
     def _breakdown_from_rec(rec, run, now: float) -> Tuple[float, ...]:
         """Per-layer seconds for one run (``rec.layers``) in
-        :data:`BREAKDOWN_FIELDS` order, with the queue component of the
-        run's oldest request."""
+        :data:`BREAKDOWN_FIELDS` order, with the SD hold of the run's
+        oldest request."""
         flash_wait, est, compress, program, gc = rec.layers(now)
         sd_hold = rec.t_enqueue - (run.arrivals[0] if run.arrivals else rec.t_enqueue)
-        return (sd_hold + rec.cpu_wait + flash_wait, est, compress, program, gc)
+        return (rec.cpu_wait + flash_wait, sd_hold, est, compress, program, gc)
 
     def _reservoir_insert(self, event: dict) -> None:
         rows = self._rows

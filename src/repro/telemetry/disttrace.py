@@ -15,7 +15,7 @@ causal context through the cluster request path:
   joined at the completion barrier), and the per-device
   :class:`~repro.telemetry.probes.Telemetry` parents its device root
   span under the part via :meth:`take_parent` — so the single-device
-  layer spans (``queue.sd`` / ``queue.cpu`` / ``estimate`` /
+  layer spans (``sd_hold`` / ``queue.cpu`` / ``estimate`` /
   ``compress`` / ``queue.flash`` / ``flash_program`` / ``gc_stall``)
   nest inside the cluster trace;
 - migrations get their own root span with phase children

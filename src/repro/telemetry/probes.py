@@ -20,11 +20,13 @@ code.
 
 The write-path accounting is constructed so that, per request,
 
-``response = queue + estimate + compress + flash_program + gc_stall``
+``response = queue + sd_hold + estimate + compress + flash_program + gc_stall``
 
 holds to float precision on a single-SSD backend: each component is a
 difference of event timestamps on the same simulation clock (``queue``
-aggregates SD hold + CPU-queue wait + device-queue wait).  On RAID
+aggregates CPU-queue wait + device-queue wait; ``sd_hold`` is the time
+the Sequentiality Detector held the request's run open before planning
+it).  On RAID
 backends member transfers overlap, so ``flash_program`` is the *sum* of
 member service times and the identity becomes an upper bound; the
 breakdown table reports the residual either way.
@@ -45,6 +47,7 @@ __all__ = ["Telemetry"]
 #: Layers of the write-path breakdown, in presentation order.
 WRITE_LAYERS: Tuple[str, ...] = (
     "queue",
+    "sd_hold",
     "estimate",
     "compress",
     "flash_program",
@@ -243,11 +246,12 @@ class Telemetry:
         wl = self.write_layers
         m = self.metrics
         resp_hist = m.histogram("write.response")
+        queue = rec.cpu_wait + flash_wait
         for arrival, ref in zip(run.arrivals, run.refs):
             sd_hold = rec.t_enqueue - arrival
-            queue = sd_hold + rec.cpu_wait + flash_wait
             resp = now - arrival
             wl["queue"] += queue
+            wl["sd_hold"] += sd_hold
             wl["estimate"] += est
             wl["compress"] += compress
             wl["flash_program"] += program
@@ -259,7 +263,7 @@ class Telemetry:
             if span is not None:
                 if sd_hold > 0:
                     self.tracer.record(
-                        "queue.sd", "queue", arrival, rec.t_enqueue,
+                        "sd_hold", "sd_hold", arrival, rec.t_enqueue,
                         parent=span,
                     )
                 self.tracer.finish(span)

@@ -13,9 +13,9 @@ The per-layer vocabulary follows the EDC write/read path:
 ``request``        per-request root spans (end-to-end response)
 ``estimate``       sampled compressibility estimation CPU
 ``compress``       codec compression CPU
-``queue``          any time spent waiting (SD hold, CPU queue, device
-                   queue) — span *names* distinguish ``queue.sd`` /
-                   ``queue.cpu`` / ``queue.flash``
+``queue``          time spent waiting in a queue (CPU, device) — span
+                   *names* distinguish ``queue.cpu`` / ``queue.flash``
+``sd_hold``        the Sequentiality Detector holding a write run open
 ``flash_program``  device occupancy of the media transfer itself
 ``gc_stall``       garbage-collection work charged to the request
 ``read_decompress`` decompression CPU on the read path
@@ -39,6 +39,7 @@ LAYERS: Tuple[str, ...] = (
     "estimate",
     "compress",
     "queue",
+    "sd_hold",
     "flash_program",
     "gc_stall",
     "read_decompress",

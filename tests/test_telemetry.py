@@ -205,7 +205,7 @@ class TestReplaySmoke:
         # headline acceptance criterion: residual within 1 % end-to-end
         assert abs(b["unattributed"]) <= 0.01 * b["end_to_end"]
         layer_sum = sum(
-            b[k] for k in ("queue", "estimate", "compress",
+            b[k] for k in ("queue", "sd_hold", "estimate", "compress",
                            "flash_program", "gc_stall")
         )
         assert layer_sum == pytest.approx(b["end_to_end"], rel=0.01)
@@ -316,7 +316,7 @@ class TestExporters:
         telemetry, _ = instrumented_replay
         rows = layer_breakdown_rows(telemetry)
         layers = [r[0] for r in rows["write"]]
-        assert layers[:5] == ["queue", "estimate", "compress",
+        assert layers[:6] == ["queue", "sd_hold", "estimate", "compress",
                               "flash_program", "gc_stall"]
         assert "end_to_end" in layers and "unattributed" in layers
 
