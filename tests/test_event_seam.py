@@ -301,12 +301,18 @@ def test_core_flash_and_the_router_do_not_import_telemetry():
 #: single-slot hooks) for the replay below.  ``exposition`` was
 #: re-recorded once, when Telemetry stopped copying the stack's counters:
 #: its counter and gauge families were deleted, and no other line moved.
+#: ``spans``, ``audit`` and ``exposition`` were re-recorded when the SD
+#: hold became its own write layer, ``sd_hold``: the ``queue.sd`` spans
+#: (layer ``queue``) became ``sd_hold`` spans, each audit breakdown's
+#: ``queue`` split into ``queue`` + ``sd_hold`` (summing to the old value
+#: exactly), and the ``edc_write_queue`` histogram lost the hold; no
+#: other line moved.
 PARENT_SHA256 = {
-    "spans": "79a898c551cfef75fdf88fc0c46f24b8aa3f1745499d9cb7c4f4d52495b9ff33",
-    "audit": "7c8a67cabf65d6a9ba57bd9336002f97aa1182663a6f03ae2f53cf0b46b75e9b",
+    "spans": "8cffa9e5cb5edf4539fe35a6081378203f6421cc5878fe8dc205fd1035c6ac77",
+    "audit": "72174fadccd18653ad03c778e74b3d774a2fcdbc929432baf3f592ece9694e08",
     "series": "dcbfdc2c4f3bd074e016239cc074cbd5484ff9a9a5f9c6b819287dfd1f0957c5",
     "health": "a98e3f156ce21013175e4981f83d8fb9afbce9d6a3c58ca3af7bc406188decdc",
-    "exposition": "31f6cdef836cb853cd51098ffb4eddea4c108365c965928f5cd5ed459c3211f5",
+    "exposition": "21e426bb11e169f6129692199eeb039e0d05ee200f187e21f478b09808389671",
 }
 
 

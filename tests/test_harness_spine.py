@@ -206,14 +206,16 @@ class TestRecordContract:
 # ----------------------------------------------------------------------
 #: the graded CI commands (.github/workflows/ci.yml) at test sizes:
 #: name -> (argv, exit status); ``<TMP>`` is the test's scratch directory.
-#: Three lines have been re-recorded since: ``chaos.txt``'s "bad blocks"
+#: Lines have been re-recorded since: ``chaos.txt``'s "bad blocks"
 #: count went 8 -> 9 (and its bytes with it) when the spare a rebuild swaps
 #: in took over the failed member's subscribers; its retirement was
 #: unheard.  ``scrub_on.txt``'s scrub line lost " / 0 replica repairs"
 #: when the fleet replica-repair hook, which no fleet wired, was deleted,
 #: and its "extents corrupted" went 275 -> 272 when RAIS5 began trimming
 #: exactly the pieces it placed: three latent strikes had landed on
-#: member pieces that no live entry owned.
+#: member pieces that no live entry owned.  ``traced.txt``'s critical
+#: path gained an ``sd_hold`` row, split out of ``queue``, when the SD
+#: hold became its own layer.
 CI_COMMANDS = {
     "chaos": (
         "chaos benchmarks/chaos_fin1.json --trace Fin1 --backend rais5 "
