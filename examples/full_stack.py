@@ -35,7 +35,7 @@ def main() -> None:
     trace = trace.scaled_addresses(fold)
     print(f"phase 1: replaying {len(trace)} requests through "
           f"buffer -> EDC -> RAIS5 ...")
-    sim.arrivals(trace, buffer.submit)
+    sim.arrivals(trace, buffer.submit, trace.times)
     sim.run()
     buffer.flush_all()
     sim.run()

@@ -25,7 +25,7 @@ from repro.bench.schemes import build_device
 from repro.sdgen.datasets import ENTERPRISE_MIX
 from repro.sdgen.generator import ContentStore
 from repro.sim.engine import Simulator
-from repro.traces.model import Trace, fold_request
+from repro.traces.model import Trace
 
 __all__ = [
     "ReplayConfig", "ExperimentResult", "Stack", "build_stack", "replay",
@@ -268,15 +268,10 @@ def replay(
         sampler.start()
     if on_built is not None:
         on_built(sim, device, stack.backend, stack.devices)
-    # Each request is folded as it arrives: the replay holds the
+    # Each request is built folded as it arrives: the replay holds the
     # caller's trace and the requests in flight, not a folded copy.
-    block = cfg.device_config.block_size
-    max_bytes = cfg.fold_bytes(block)
-    submit = device.submit
     replayer = TraceReplayer(sim, device)
-    replayer.schedule(
-        trace, lambda request: submit(fold_request(request, max_bytes, block))
-    )
+    replayer.schedule(trace, cfg.fold_bytes(device.config.block_size))
     replayer.run()
 
     # The members the run started with: one swapped out by a rebuild

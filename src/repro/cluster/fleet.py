@@ -300,13 +300,17 @@ class ClusterReplayer:
     def schedule(self, tenant: str, trace: Trace) -> None:
         """Schedule every request of ``trace`` for ``tenant``.
 
-        Requests carry tenant-local addresses; the cluster folds them
-        into the tenant's namespace at admission, exactly like the
-        single-device replay folds its trace.
+        Requests carry tenant-local addresses; each is built as it
+        arrives, already folded into the tenant's namespace
+        (:meth:`~repro.cluster.routing.ClusterDistributer.globalize`'s
+        fold, exactly the single-device replay's), and admitted.
         """
         cluster = self.fleet.cluster
-        cluster.scheduler.state(tenant)  # fail fast on unknown tenants
-        self.fleet.sim.arrivals(trace, lambda r: cluster.submit(r, tenant))
+        requests = trace.folded(  # tenant_offset fails fast on unknown tenants
+            cluster.namespace_bytes, cluster.block_size, cluster.tenant_offset(tenant),
+        )
+        admit = cluster.admit
+        self.fleet.sim.arrivals(requests, lambda g: admit(g, tenant), trace.times)
         self._scheduled += len(trace)
 
     def schedule_interleaved(

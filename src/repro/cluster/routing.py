@@ -254,9 +254,11 @@ class ClusterDistributer:
         addresses a single-device replay of the folded trace would.
         """
         ns = self.namespace_bytes
-        local = fold_request(request, ns, self.block_size)
-        lba = self.tenant_index(tenant) * ns + local.lba
-        return IORequest(local.time, local.op, lba, local.nbytes)
+        return fold_request(request, ns, self.block_size, self.tenant_offset(tenant))
+
+    def tenant_offset(self, tenant: str) -> int:
+        """The first global address of ``tenant``'s namespace."""
+        return self.tenant_index(tenant) * self.namespace_bytes
 
     def ranges_covered(self, lba: int, nbytes: int) -> range:
         rb = self.range_bytes
@@ -303,7 +305,16 @@ class ClusterDistributer:
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         """Admit one tenant-local request arriving *now*."""
-        g = self.globalize(tenant, request)
+        self.admit(self.globalize(tenant, request), tenant, on_complete)
+
+    def admit(
+        self,
+        g: IORequest,
+        tenant: str,
+        on_complete: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Admit one request arriving *now*, already in ``tenant``'s
+        global namespace (as :meth:`globalize` builds it)."""
         if on_complete is not None:
             self._user_done[g] = on_complete
         if self.tracer is not None:

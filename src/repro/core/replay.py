@@ -16,11 +16,11 @@ right after :meth:`TraceReplayer.run`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.device import EDCBlockDevice
 from repro.sim.engine import Simulator
-from repro.traces.model import IORequest, Trace
+from repro.traces.model import Trace
 
 __all__ = ["TraceReplayer"]
 
@@ -44,20 +44,22 @@ class TraceReplayer:
         """The telemetry bound to the device (``None`` when there is none)."""
         return self.device.observers.get("telemetry")
 
-    def schedule(
-        self, trace: Trace, submit: Optional[Callable[[IORequest], None]] = None,
-    ) -> None:
+    def schedule(self, trace: Trace, fold_bytes: Optional[int] = None) -> None:
         """Schedule every request of ``trace`` at its timestamp.
 
         May be called more than once (e.g. to overlay traces); all
         timestamps must lie at or after the current virtual time.  Only
         the next request of each trace waits on the event heap
-        (:meth:`~repro.sim.engine.Simulator.arrivals`).  Each request
-        is handed to ``submit`` when it arrives (the device's own
-        ``submit`` by default; the harness passes one that folds the
-        request first).
+        (:meth:`~repro.sim.engine.Simulator.arrivals`), and each request
+        is built as it arrives and handed to the device.  With
+        ``fold_bytes`` it is built already folded onto the device's
+        first ``fold_bytes`` (:meth:`~repro.traces.model.Trace.folded`
+        at the device's block size), the one request the replay makes.
         """
-        self.sim.arrivals(trace, submit or self.device.submit)
+        requests = trace if fold_bytes is None else trace.folded(
+            fold_bytes, self.device.config.block_size
+        )
+        self.sim.arrivals(requests, self.device.submit, trace.times)
         self._scheduled += len(trace)
 
     def run(self) -> None:

@@ -22,7 +22,7 @@ Example
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["Simulator", "EventHandle", "PeriodicEvent", "SimulationError"]
 
@@ -56,31 +56,30 @@ class _Arrivals:
     """A stream's one pending arrival (:meth:`Simulator.arrivals`).
 
     Firing it pushes the next arrival under the next reserved sequence
-    number, then submits the item that fired.  It refers to the heap,
-    not to the simulator, and nothing refers to it once the last
-    arrival has fired.
+    number, then takes the next item and submits it.  It holds the
+    stream's time and item iterators, never an item, and nothing refers
+    to it once the last arrival has fired.
     """
 
-    __slots__ = ("heap", "submit", "rest", "item", "seq")
+    __slots__ = ("heap", "submit", "times", "items", "seq")
 
     def __init__(
-        self, heap: list, submit: Callable[[Any], None], items: Sequence, seq: int
+        self, heap: list, submit: Callable[[Any], None], times: Iterator[float],
+        items: Iterator, seq: int,
     ) -> None:
         self.heap = heap
         self.submit = submit
-        self.rest = iter(items)
-        self.item = next(self.rest)
+        self.times = times
+        self.items = items
         self.seq = seq
-        heappush(heap, [self.item.time, seq, self.fire, False])
+        heappush(heap, [next(times), seq, self.fire, False])
 
     def fire(self) -> None:
-        item = self.item
-        nxt = next(self.rest, None)
+        nxt = next(self.times, None)
         if nxt is not None:
-            self.item = nxt
             self.seq += 1
-            heappush(self.heap, [nxt.time, self.seq, self.fire, False])
-        self.submit(item)
+            heappush(self.heap, [nxt, self.seq, self.fire, False])
+        self.submit(next(self.items))
 
 
 class PeriodicEvent:
@@ -206,8 +205,11 @@ class Simulator:
             self._foreground += 1
         return ev
 
-    def arrivals(self, trace: Sequence, submit: Callable[[Any], None]) -> None:
-        """Call ``submit(item)`` at ``item.time`` for each item of ``trace``.
+    def arrivals(
+        self, items: Iterable, submit: Callable[[Any], None],
+        times: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Call ``submit(item)`` at ``item.time`` for each item of ``items``.
 
         The replacement for a ``schedule_at`` per request: registering
         reserves one sequence number per item, so each arrival
@@ -216,11 +218,19 @@ class Simulator:
         pushes its successor when it fires.  The times must not decrease
         and must not begin before now.  Arrivals are foreground events
         and count in :attr:`pending` from registration on.
+
+        ``times``, when given, are the items' times in order (a
+        :class:`~repro.traces.model.Trace`'s time column): registration
+        checks them and does not touch ``items``, which is then iterated
+        once, one item taken as each arrival fires; so ``items`` may
+        build each item when it is taken.
         """
+        def stream_times() -> Iterator[float]:
+            return iter(times) if times is not None else (item.time for item in items)
+
         prev = self.now
         n = 0
-        for item in trace:
-            time = item.time
+        for time in stream_times():
             if not time >= prev:  # also rejects NaN
                 before = f"arrival {n - 1}" if n else "now"
                 raise SimulationError(
@@ -230,7 +240,7 @@ class Simulator:
             n += 1
         if not n:
             return
-        _Arrivals(self._heap, submit, trace, self._seq)
+        _Arrivals(self._heap, submit, stream_times(), iter(items), self._seq)
         self._seq += n
         self._pending += n
         self._foreground += n

@@ -13,10 +13,11 @@ traces (usr_0, prxy_0, …) as CSV with one request per line:
 from __future__ import annotations
 
 import io
+from array import array
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.traces.model import IORequest, READ, Trace, WRITE
+from repro.traces.model import Trace
 
 __all__ = ["parse_msr", "write_msr", "FILETIME_TICKS_PER_SECOND"]
 
@@ -51,7 +52,7 @@ def parse_msr(
         Keep only this ``DiskNumber`` (``None`` keeps all, separating
         disks into disjoint address regions).
     """
-    requests = []
+    times, writes, lbas, sizes = array("d"), bytearray(), array("q"), array("q")
     first_ticks: Optional[int] = None
     disk_region = 1 << 44
     for lineno, line in enumerate(_iter_lines(source), start=1):
@@ -84,10 +85,16 @@ def parse_msr(
         if t < 0:
             continue  # out-of-order stragglers before the rebase origin
         lba = offset + (0 if disk is not None else line_disk * disk_region)
-        requests.append(IORequest(t, READ if typ == "read" else WRITE, lba, size))
-        if max_requests is not None and len(requests) >= max_requests:
+        try:
+            lbas.append(lba)
+            sizes.append(size)
+        except OverflowError as exc:  # the columns hold 64-bit byte addresses
+            raise MsrFormatError(f"line {lineno}: {exc}") from exc
+        times.append(t)
+        writes.append(typ == "write")
+        if max_requests is not None and len(times) >= max_requests:
             break
-    return Trace(name, requests)
+    return Trace.from_columns(name, times, writes, lbas, sizes)
 
 
 def write_msr(

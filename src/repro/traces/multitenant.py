@@ -64,7 +64,10 @@ def make_tenant_streams(
             TenantStream(
                 tenant=tenant,
                 workload=wl,
-                trace=Trace(f"{tenant}:{trace.name}", trace.requests),
+                trace=Trace.from_columns(  # shares the generated columns
+                    f"{tenant}:{trace.name}",
+                    trace.times, trace.writes, trace.lbas, trace.sizes,
+                ),
             )
         )
     return streams

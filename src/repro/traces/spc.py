@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.traces.model import IORequest, READ, Trace, WRITE
+from repro.traces.model import Trace
 
 __all__ = ["parse_spc", "write_spc", "SPC_SECTOR"]
 
@@ -57,7 +58,7 @@ def parse_spc(
     max_requests:
         Stop after this many parsed requests.
     """
-    requests = []
+    times, writes, lbas, sizes = array("d"), bytearray(), array("q"), array("q")
     # Each ASU gets its own 1 TB address region so different units never
     # alias when the caller keeps all of them.
     asu_region = 1 << 40
@@ -88,12 +89,16 @@ def parse_spc(
         if size <= 0:
             continue  # zero-length requests occur in the wild; skip them
         offset = lba * SPC_SECTOR + (0 if asu is not None else line_asu * asu_region)
-        requests.append(
-            IORequest(ts, READ if opcode == "r" else WRITE, offset, size)
-        )
-        if max_requests is not None and len(requests) >= max_requests:
+        try:
+            lbas.append(offset)
+            sizes.append(size)
+        except OverflowError as exc:  # the columns hold 64-bit byte addresses
+            raise SpcFormatError(f"line {lineno}: {exc}") from exc
+        times.append(ts)
+        writes.append(opcode == "w")
+        if max_requests is not None and len(times) >= max_requests:
             break
-    return Trace(name, requests)
+    return Trace.from_columns(name, times, writes, lbas, sizes)
 
 
 def write_spc(trace: Trace, destination: Union[str, Path, io.TextIOBase]) -> None:

@@ -16,13 +16,14 @@ so traces are reproducible.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.traces.model import IORequest, READ, Trace, WRITE
+from repro.traces.model import Trace
 
 __all__ = ["BurstModel", "WorkloadParams", "SyntheticTraceGenerator"]
 
@@ -150,13 +151,20 @@ class SyntheticTraceGenerator:
         p = self.params
         rng = np.random.default_rng(self.seed)
         random, exponential, integers = rng.random, rng.exponential, rng.integers
-        sizes, size_cdf = _categorical(p.size_dist)
+        size_values, size_cdf = _categorical(p.size_dist)
         nblocks = p.address_space // p.block
         hot_blocks = max(1, int(nblocks * p.hot_fraction))
         read_ratio, read_seq_prob, write_seq_prob = p.read_ratio, p.read_seq_prob, p.write_seq_prob
         hot_weight, address_space, block = p.hot_weight, p.address_space, p.block
 
-        requests: list[IORequest] = []
+        times, writes, lbas, sizes = array("d"), bytearray(), array("q"), array("q")
+        add_time, add_write, add_lba, add_size = (
+            times.append, writes.append, lbas.append, sizes.append
+        )
+
+        def done() -> Trace:
+            return Trace.from_columns(p.name, times, writes, lbas, sizes)
+
         t = 0.0
         on = True  # start in a burst, like Fig 3's plots
         prev_write_end: Optional[int] = None
@@ -179,7 +187,7 @@ class SyntheticTraceGenerator:
             period_end = t + period_len
             while rate > 0:
                 is_read = bool(random() < read_ratio)
-                nbytes = int(sizes[bisect_right(size_cdf, random())])
+                nbytes = int(size_values[bisect_right(size_cdf, random())])
                 if is_read:
                     seq_from = prev_read_end if random() < read_seq_prob else None
                 else:
@@ -193,7 +201,7 @@ class SyntheticTraceGenerator:
                 if t >= period_end:
                     break
                 if duration is not None and t > duration:
-                    return Trace(p.name, requests)
+                    return done()
                 if seq_from is not None and seq_from + nbytes <= address_space:
                     lba = seq_from
                 else:
@@ -205,19 +213,20 @@ class SyntheticTraceGenerator:
                     if lba + nbytes > address_space:
                         lba = max(0, address_space - nbytes)
                         lba -= lba % block
-                requests.append(
-                    IORequest(t, READ if is_read else WRITE, lba, nbytes)
-                )
+                add_time(t)
+                add_write(not is_read)
+                add_lba(lba)
+                add_size(nbytes)
                 if is_read:
                     prev_read_end = lba + nbytes
                 else:
                     prev_write_end = lba + nbytes
-                if max_requests is not None and len(requests) >= max_requests:
-                    return Trace(p.name, requests)
+                if max_requests is not None and len(times) >= max_requests:
+                    return done()
             t = period_end
             on = not on
             if duration is not None and t > duration:
-                return Trace(p.name, requests)
+                return done()
 
 
 def _categorical(pairs: Tuple[Tuple[float, float], ...]) -> Tuple[list, list]:

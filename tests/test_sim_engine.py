@@ -323,6 +323,29 @@ class TestArrivals:
         with pytest.raises(SimulationError, match="arrival 1 at nan"):
             Simulator().arrivals(stream(0.0, float("nan"), 1.0), lambda r: None)
 
+    def test_with_a_time_column_items_are_taken_as_they_fire(self):
+        """Registering reads the times only; each item is built when its
+        arrival fires (a trace builds its requests so)."""
+        sim = Simulator()
+        built = []
+
+        def items():
+            for i in range(3):
+                built.append((i, sim.now))
+                yield i
+
+        seen = []
+        sim.arrivals(items(), lambda i: seen.append((i, sim.now)), times=[0.5, 1.0, 1.0])
+        assert built == [] and sim.pending == 3
+        sim.run()
+        assert built == seen == [(0, 0.5), (1, 1.0), (2, 1.0)]
+
+    def test_a_time_column_is_checked_by_index(self):
+        with pytest.raises(SimulationError, match="arrival 2 .* before arrival 1"):
+            Simulator().arrivals(iter(()), lambda r: None, times=[0.0, 2.0, 1.0])
+        with pytest.raises(SimulationError, match="arrival 1 at nan"):
+            Simulator().arrivals(iter(()), lambda r: None, times=[0.0, float("nan")])
+
 
 class TestHandles:
     def test_handle_is_the_heap_entry(self):

@@ -1,8 +1,10 @@
 """Tests for the SPC and MSR trace format parsers/writers."""
 
+import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.traces.model import IORequest, Trace
 from repro.traces.msr import MsrFormatError, parse_msr, write_msr
@@ -169,3 +171,53 @@ class TestMsrRoundTrip:
         buf = io.StringIO()
         write_msr(Trace("t", [IORequest(1.0, "R", 0, 512)]), buf, hostname="h", disk=3)
         assert buf.getvalue() == "10000000,h,3,Read,0,512,0\n"
+
+
+def _rows(trace):
+    return [dataclasses.astuple(r) for r in trace]
+
+
+class TestRoundTripFieldForField:
+    """A written trace parses back to the same requests, field for field,
+    when its times are ones the format writes exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**8), st.sampled_from("RW"),
+                  st.integers(0, 1 << 30), st.integers(1, 1 << 20)),
+        max_size=30,
+    ))
+    def test_spc(self, rows):
+        # microsecond times (SPC writes six decimals), sector addresses
+        trace = Trace("t", [
+            IORequest(us / 1e6, op, sector * SPC_SECTOR, n) for us, op, sector, n in rows
+        ])
+        buf = io.StringIO()
+        write_spc(trace, buf)
+        back = parse_spc(io.StringIO(buf.getvalue()).readlines(), asu=0)
+        assert _rows(back) == _rows(trace)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**10), st.sampled_from("RW"),
+                  st.integers(0, 1 << 40), st.integers(1, 1 << 20)),
+        min_size=1, max_size=30,
+    ))
+    def test_msr(self, rows):
+        # FILETIME ticks from 0 (MSR times are re-based to the first)
+        first = min(ticks for ticks, *_ in rows)
+        trace = Trace("t", [
+            IORequest((ticks - first) / 10_000_000, op, lba, n) for ticks, op, lba, n in rows
+        ])
+        buf = io.StringIO()
+        write_msr(trace, buf)
+        back = parse_msr(io.StringIO(buf.getvalue()).readlines(), disk=0)
+        assert _rows(back) == _rows(trace)
+
+    @pytest.mark.parametrize("parse, line, error", [
+        (parse_spc, "0,18014398509481984,512,r,0.0", SpcFormatError),
+        (parse_msr, "100,usr,0,Read,9223372036854775808,512,0", MsrFormatError),
+    ])
+    def test_an_address_beyond_64_bits_names_its_line(self, parse, line, error):
+        with pytest.raises(error, match="line 1: "):
+            parse([line])
