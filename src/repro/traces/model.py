@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -145,11 +146,11 @@ class Trace:
     ``times`` (``array("d")``, seconds), ``writes`` (a ``bytearray``
     flag, 1 for a write), ``lbas`` and ``sizes`` (``array("q")``,
     bytes, so below 2**63): 25 bytes a request and no object per
-    request.  An
-    :class:`IORequest` exists only while a consumer holds one: each
-    iteration and each index builds new ones, equal field for field
-    from one to the next but distinct objects, so in-flight state keys
-    by the object that was submitted, never by position in the trace.
+    request.  An :class:`IORequest` exists only while a consumer holds
+    one: each iteration and each index builds new ones, equal field for
+    field from one to the next but distinct objects, so in-flight state
+    keys by the object that was submitted, never by position in the
+    trace.
 
     ``Trace(name, requests)`` packs requests into the columns;
     :meth:`from_columns` takes columns a producer filled.  Both check
@@ -222,6 +223,9 @@ class Trace:
         return map(_request, self.times, self.writes, self.lbas, self.sizes)
 
     def __getitem__(self, idx: int) -> IORequest:
+        """The request at ``idx``; a slice raises ``TypeError`` (see
+        :meth:`head`)."""
+        idx = index(idx)
         return _request(
             self.times[idx], self.writes[idx], self.lbas[idx], self.sizes[idx],
         )

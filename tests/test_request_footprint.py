@@ -330,6 +330,8 @@ class TestColumnsAgainstTheListOracle:
         assert all(a is not b for a, b in zip(first, again))
         assert trace[0] is not trace[0]
         assert type(trace[0]) is IORequest
+        with pytest.raises(TypeError):
+            trace[0:1]  # a slice is head()'s job, not a request
 
     def test_relabelled_traces_share_the_columns(self):
         trace = make_workload("Fin1", max_requests=50)
